@@ -56,8 +56,8 @@ class ControllerGains:
     alpha: float  # observer gain [1/s]
 
     def __post_init__(self) -> None:
-        if min(self.k_p, self.k_m, self.k_i, self.alpha) <= 0:
-            raise ValueError("all controller gains must be positive")
+        if not all(0.0 < g < math.inf for g in (self.k_p, self.k_m, self.k_i, self.alpha)):
+            raise ValueError("all controller gains must be positive and finite")
 
 
 @dataclass(frozen=True)

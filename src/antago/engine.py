@@ -18,24 +18,29 @@ Two integrators are provided: an adaptive third-order embedded pair with
 second-order error estimate (``rk23``) and a fixed-step classical fourth-order
 scheme (``rk4``). Both are deterministic; identical scenarios produce
 bit-identical trajectories.
+
+The trajectory record and :func:`diagnostics` are built as array expressions
+over the sampled states. The scalar plant and controller functions
+(``control_flows``, ``sigma``, ``desired_energy``, ``hamiltonian``) are their
+oracles: the test suite checks the channels against them at sampled rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControllerGains, Setpoint, control_flows, desired_energy, sigma
+from .controller import ControllerGains, Setpoint
 from .errors import DomainError, ScenarioError
 from .observer import ObserverState
 from .plant import (
     DEFAULT_DOMAIN_MARGIN,
     PlantParams,
     PlantState,
-    fluid_energy,
-    geometry_terms,
+    geometry_terms_array,
+    hamiltonian,
     total_mass,
 )
 
@@ -90,9 +95,9 @@ class SolverSettings:
     def __post_init__(self) -> None:
         if self.method not in ("rk23", "rk4"):
             raise ValueError(f"unknown solver method {self.method!r}")
-        if min(self.rel_tol, self.abs_tol, self.max_step, self.fixed_step,
-               self.sample_dt) <= 0:
-            raise ValueError("solver tolerances and steps must be positive")
+        steps = (self.rel_tol, self.abs_tol, self.max_step, self.fixed_step, self.sample_dt)
+        if not all(0.0 < v < math.inf for v in steps):
+            raise ValueError("solver tolerances and steps must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,8 @@ class ScenarioConfig:
     name: str = ""
 
     def validate(self) -> None:
-        if self.duration <= 0:
-            raise ScenarioError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ScenarioError("duration must be positive and finite")
         if not self.setpoints or self.setpoints[0][0] != 0.0:
             raise ScenarioError("setpoint schedule must start at time 0")
         times = [t for t, _ in self.setpoints]
@@ -304,16 +309,6 @@ def _sample_grid(duration: float, sample_dt: float, events: list[float]) -> list
     return sorted(times)
 
 
-def _setpoint_at(setpoints, t: float) -> float:
-    x_star = setpoints[0][1]
-    for ts, xs in setpoints:
-        if ts <= t:
-            x_star = xs
-        else:
-            break
-    return x_star
-
-
 def simulate(scenario: ScenarioConfig,
              margin: float = DEFAULT_DOMAIN_MARGIN) -> TrajectoryRecord:
     """Integrate the augmented closed loop and record all diagnostic channels.
@@ -336,12 +331,13 @@ def simulate(scenario: ScenarioConfig,
     status, detail = "ok", ""
     h = min(solver.max_step, 1e-6)
 
-    # Split the grid at setpoint changes; the setpoint is piecewise constant.
+    # Split the grid at setpoint changes; the setpoint is piecewise constant,
+    # and segment i starts at the time of setpoint i.
     boundaries = sorted({0.0, scenario.duration, *(e for e in events if 0.0 < e < scenario.duration)})
     try:
-        for seg_a, seg_b in zip(boundaries[:-1], boundaries[1:]):
+        for (seg_a, x_star), seg_b in zip(scenario.setpoints, boundaries[1:]):
             seg_grid = [seg_a] + [t for t in grid if seg_a < t <= seg_b]
-            rhs = _make_rhs(params, gains, force, _setpoint_at(scenario.setpoints, seg_a), margin)
+            rhs = _make_rhs(params, gains, force, x_star, margin)
             if solver.method == "rk23":
                 ys, h = _rk23_segment(rhs, y, seg_grid, solver.rel_tol,
                                       solver.abs_tol, solver.max_step, h)
@@ -360,29 +356,34 @@ def simulate(scenario: ScenarioConfig,
 
 def _build_record(scenario, times, states, status, detail, margin) -> TrajectoryRecord:
     params, gains = scenario.params, scenario.gains
-    cols = {name: [] for name in CHANNELS}
-    for t, y in zip(times, states):
-        x, p, P1, P2, F_hat = y
-        state = PlantState(x, p, P1, P2)
-        obs = ObserverState(F_hat=F_hat, alpha=gains.alpha)
-        x_star = _setpoint_at(scenario.setpoints, t)
-        setpoint = Setpoint(x_star)
-        g = geometry_terms(x, params.geometry, margin)
-        M = params.m + (g.V1 + g.V2) * params.fluid.rho
-        v = p / M
-        F_true = scenario.force(x, v)
-        U1, U2 = control_flows(state, obs, gains, setpoint, params, margin)
-        s = sigma(state, F_hat, gains, setpoint, params.geometry, margin)
-        H = (p * p / (2.0 * M)
-             + fluid_energy(P1, g.V1, params.fluid)
-             + fluid_energy(P2, g.V2, params.fluid))
-        H_d, Psi = desired_energy(state, obs, F_true, gains, setpoint, params, margin)
-        row = (t, x, v, p, P1, P2, U1, U2, F_hat, F_hat - gains.alpha * p,
-               F_true, F_hat - gains.alpha * p - F_true, s.value, x_star,
-               H, H_d, Psi)
-        for name, val in zip(CHANNELS, row):
-            cols[name].append(val)
-    data = {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
+    fluid = params.fluid
+    t = np.array(times, dtype=float)
+    x, p, P1, P2, F_hat = np.array(states, dtype=float).T.copy()
+    g = geometry_terms_array(x, params.geometry, margin)
+    M = params.m + (g.V1 + g.V2) * fluid.rho
+    v = p / M
+    # The force stays scalar: np.tanh and math.tanh differ in the last bit.
+    F_true = np.array([scenario.force(xi, vi) for xi, vi in zip(x.tolist(), v.tolist())])
+    set_times, set_values = np.array(scenario.setpoints, dtype=float).T
+    x_star = set_values[np.searchsorted(set_times, t, side="right") - 1]
+
+    kpkm = gains.k_p * gains.k_m
+    s = P1 * g.A1 + P2 * g.A2 - F_hat + kpkm * (x - x_star)
+    s_x = P1 * g.dA1 + P2 * g.dA2 + kpkm
+    shear = (1.0 + gains.k_m * s_x) * v / (2.0 * gains.k_m)
+    U1 = g.A1 * v - (g.V1 / fluid.Gamma0) * (shear / g.A1 + gains.k_i * s / g.A1)
+    U2 = g.A2 * v - (g.V2 / fluid.Gamma0) * (shear / g.A2 + gains.k_i * s / g.A2)
+    F_tilde = F_hat - gains.alpha * p
+    zeta = F_tilde - F_true
+    phi1 = -P1 + fluid.Gamma0 * np.expm1(P1 / fluid.Gamma0)
+    phi2 = -P2 + fluid.Gamma0 * np.expm1(P2 / fluid.Gamma0)
+    H = p * p / (2.0 * M) + phi1 * g.V1 + phi2 * g.V2
+    H_d = (p**2 / (2.0 * gains.k_m * M)
+           + 0.5 * gains.k_p * (x_star - x) ** 2
+           + 0.5 * s**2)
+    Psi = H_d + 0.5 * zeta**2
+    data = dict(zip(CHANNELS, (t, x, v, p, P1, P2, U1, U2, F_hat, F_tilde, F_true,
+                               zeta, s, x_star, H, H_d, Psi)))
     return TrajectoryRecord(data=data, status=status, detail=detail)
 
 
@@ -434,19 +435,9 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     else:
         ys = _rk4_segment(rhs, y, grid, solver.fixed_step)
     states = np.array([y] + ys)
-    energies = np.array([
-        hamiltonian_value(params, *row, margin=margin) for row in states
-    ])
+    energies = np.array([hamiltonian(PlantState(*row), params, margin)
+                         for row in states.tolist()])
     return np.asarray(grid), states, energies
-
-
-def hamiltonian_value(params: PlantParams, x: float, p: float, P1: float,
-                      P2: float, margin: float = DEFAULT_DOMAIN_MARGIN) -> float:
-    g = geometry_terms(x, params.geometry, margin)
-    M = params.m + (g.V1 + g.V2) * params.fluid.rho
-    return (p * p / (2.0 * M)
-            + fluid_energy(P1, g.V1, params.fluid)
-            + fluid_energy(P2, g.V2, params.fluid))
 
 
 # --------------------------------------------------------------------------
@@ -504,19 +495,13 @@ def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
     rate = fit_decay_rate(t, record["zeta"])
     rate_err = abs(rate - gains.alpha) / gains.alpha if math.isfinite(rate) else float("nan")
 
-    sum_grad = []
-    scale = []
-    for xi in x:
-        g = geometry_terms(float(xi), params.geometry, margin)
-        sum_grad.append(g.A1 + g.A2)
-        scale.append(abs(g.A1) + abs(g.A2))
-    sum_grad = np.asarray(sum_grad)
-    scale = np.asarray(scale)
+    g = geometry_terms_array(x, params.geometry, margin)
+    sum_grad = g.A1 + g.A2
+    scale = np.abs(g.A1) + np.abs(g.A2)
     crossed = bool(np.any(np.abs(sum_grad) <= 1e-6 * scale)
                    or np.any(np.sign(sum_grad[:-1]) * np.sign(sum_grad[1:]) < 0))
 
-    g_end = geometry_terms(float(x[-1]), params.geometry, margin)
-    balance = (record["P1"][-1] * g_end.A1 + record["P2"][-1] * g_end.A2
+    balance = (record["P1"][-1] * g.A1[-1] + record["P2"][-1] * g.A2[-1]
                - record["F_hat"][-1])
 
     return DiagnosticsSummary(
@@ -534,7 +519,3 @@ def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
         crossed_symmetric=crossed,
     )
 
-
-def with_solver(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Scenario copy with selected solver settings replaced."""
-    return replace(scenario, solver=replace(scenario.solver, **changes))

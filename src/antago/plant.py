@@ -9,15 +9,17 @@ Hamiltonian with a skew interconnection, transmission damping ``R``, an
 external force ``F`` on the payload, and the syringe-pump flow rates
 ``(U1, U2)`` as inputs.
 
-All functions here are pure and operate on plain floats; they are safe to call
-concurrently.
+All functions here are pure and operate on plain floats (``geometry_terms_array``
+on arrays); they are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -145,11 +147,12 @@ def _check_contraction(u: float, actuator: int, margin: float) -> None:
         )
 
 
-def _bellows_branch(u: float, geometry: ActuatorGeometry) -> tuple[float, float, float]:
-    """Volume of one actuator and its first two derivatives w.r.t. contraction u."""
+def _bellows_branch(u, geometry: ActuatorGeometry, sqrt=math.sqrt):
+    """Volume of one actuator and its first two derivatives w.r.t. contraction u
+    (a float, or an ndarray with ``sqrt=np.sqrt``)."""
     L0 = geometry.L0
     K0 = geometry.K0
-    s = math.sqrt(6.0 * u / L0)
+    s = sqrt(6.0 * u / L0)
     a = 2.0 / 3.0 - u / (2.0 * L0)
     V = K0 * a * s + geometry.V0
     d1 = K0 * (-s / (2.0 * L0) + 3.0 * a / (L0 * s))
@@ -167,6 +170,23 @@ def geometry_terms(x: float, geometry: ActuatorGeometry,
     V1, f1, g1 = _bellows_branch(u1, geometry)
     V2, f2, g2 = _bellows_branch(u2, geometry)
     # u1 decreases with x, so the chain rule flips the sign of odd derivatives.
+    return GeometryTerms(V1=V1, V2=V2, A1=-f1, A2=f2, dA1=g1, dA2=g2)
+
+
+def geometry_terms_array(x: np.ndarray, geometry: ActuatorGeometry,
+                         margin: float = DEFAULT_DOMAIN_MARGIN) -> GeometryTerms:
+    """:func:`geometry_terms` over an array of positions, one array per field.
+
+    Raises :class:`DomainError` if any position is outside the domain.
+    Volumes and gradients equal the scalar form exactly; the curvatures go
+    through numpy's vectorised ``pow`` and may differ from it by an ulp.
+    """
+    u1 = geometry.x_M - x - geometry.x0
+    u2 = x + geometry.x0
+    _check_contraction(float(u1.min()), 1, margin)
+    _check_contraction(float(u2.min()), 2, margin)
+    V1, f1, g1 = _bellows_branch(u1, geometry, np.sqrt)
+    V2, f2, g2 = _bellows_branch(u2, geometry, np.sqrt)
     return GeometryTerms(V1=V1, V2=V2, A1=-f1, A2=f2, dA1=g1, dA2=g2)
 
 
@@ -295,7 +315,3 @@ def open_loop_field(state: PlantState, U1: float, U2: float, F: float,
     dP2 = Gamma0 * (U2 - g.A2 * dx) / g.V2
     return dx, dp, dP1, dP2
 
-
-def with_position(state: PlantState, x: float) -> PlantState:
-    """Copy of ``state`` at a different position (finite-difference helper)."""
-    return replace(state, x=x)

@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from antago.controller import StepperParams, stepper_target, stepper_target_digital, validate_gains
-from antago.engine import diagnostics, simulate, simulate_open_loop, SolverSettings
-from antago.plant import PlantState, total_mass
+from antago.engine import diagnostics, simulate
+from antago.plant import total_mass
 from antago.scenario_io import load_preset
 from antago.verify import check_gradients, check_matching, check_observer_decay
 
@@ -146,27 +146,21 @@ def test_criterion_7_stepper_mapping():
                    f"worked value {worked:.6e} ≈ 8.943e-5")
 
 
-def test_criterion_8_solver_robustness(fig2_runs):
+def test_criterion_8_solver_robustness(fig2_runs, rk4_runs, halved_runs, lossless_run):
     cross_worst = 0.0
     halve_worst = 0.0
     for name in FIG2:
         scenario, record = fig2_runs[name]
-        rk4 = simulate(replace(scenario, solver=replace(
-            scenario.solver, method="rk4", fixed_step=1e-4)))
+        rk4 = rk4_runs[name]
         scale = np.max(np.abs(record["x"]))
         cross_worst = max(cross_worst,
                           float(np.max(np.abs(record["x"] - rk4["x"])) / scale))
-        halved = simulate(replace(scenario, solver=replace(
-            scenario.solver, rel_tol=scenario.solver.rel_tol / 2,
-            abs_tol=scenario.solver.abs_tol / 2)))
+        halved = halved_runs[name]
         for ch in ("x", "p", "P1", "P2"):
             ch_scale = max(float(np.max(np.abs(record[ch]))), 1e-30)
             halve_worst = max(halve_worst,
                               abs(float(record[ch][-1] - halved[ch][-1])) / ch_scale)
-    params = fig2_runs["fig2-F1"][0].params
-    init = PlantState(x=5e-4, p=0.0, P1=2e4, P2=1e4)
-    solver = SolverSettings(method="rk4", fixed_step=6e-7, sample_dt=1e-3)
-    _, _, H = simulate_open_loop(params, init, 0.1, solver, R_override=0.0)
+    _, _, H = lossless_run
     drift = float(np.max(np.abs(H - H[0])) / H[0])
     ok = cross_worst < 1e-5 and halve_worst < 1e-8 and drift < 1e-8
     assert _report(8, "solver robustness", ok,

@@ -1,5 +1,6 @@
 """Command-line interface: run, verify, sweep, presets."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -61,6 +62,26 @@ def test_run_malformed_key_names_expected(tmp_path, study, capsys):
     bad.write_text(text)
     assert main(["run", str(bad)]) == 1
     assert "Gamma0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("k_p", "nan"), ("alpha", "inf"),
+                                        ("rel_tol", "nan"), ("sample_dt", "inf"),
+                                        ("duration", "inf"), ("duration", "nan")])
+def test_run_non_finite_input_is_one_line_error(tmp_path, study, capsys, key, value):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", serialize_scenario(study),
+                  flags=re.MULTILINE)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    assert main(["run", str(bad), "--out", str(tmp_path / "bad.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
+
+
+def test_run_non_finite_solver_flag_is_one_line_error(short_scenario_file, tmp_path, capsys):
+    assert main(["run", str(short_scenario_file), "--out", str(tmp_path / "out.csv"),
+                 "--rel-tol", "nan"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
 
 
 def test_run_domain_exit_is_nonzero(tmp_path, study, capsys):

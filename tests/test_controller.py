@@ -39,7 +39,8 @@ def _random_state(params, rng, p_scale=0.1, P_scale=5e4):
 
 
 def test_gains_must_be_positive():
-    for bad in ({"k_p": 0.0}, {"k_m": -1.0}, {"k_i": 0.0}, {"alpha": -2.0}):
+    for bad in ({"k_p": 0.0}, {"k_m": -1.0}, {"k_i": 0.0}, {"alpha": -2.0},
+                {"k_p": math.nan}, {"k_m": math.inf}, {"alpha": math.nan}):
         kwargs = dict(k_p=1.0, k_m=2.0, k_i=10.0, alpha=10.0)
         kwargs.update(bad)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from antago.controller import Setpoint, control_flows
+from antago.controller import Setpoint, control_flows, desired_energy, sigma
 from antago.engine import (
     CHANNELS,
     ForceModel,
@@ -19,8 +19,15 @@ from antago.engine import (
     simulate_open_loop,
 )
 from antago.errors import ScenarioError
-from antago.observer import ObserverState
-from antago.plant import PlantState, open_loop_field, total_mass
+from antago.observer import ObserverState, force_estimate
+from antago.plant import (
+    PlantState,
+    geometry_terms,
+    geometry_terms_array,
+    hamiltonian,
+    open_loop_field,
+    total_mass,
+)
 from antago.scenario_io import load_preset
 
 STATE_CHANNELS = ("x", "p", "P1", "P2")
@@ -70,8 +77,9 @@ def test_force_rate_matches_finite_difference():
 # Scenario validation.
 
 def test_scenario_validation_errors(study):
-    with pytest.raises(ScenarioError):
-        replace(study, duration=0.0).validate()
+    for duration in (0.0, math.inf, math.nan):
+        with pytest.raises(ScenarioError):
+            replace(study, duration=duration).validate()
     with pytest.raises(ScenarioError):
         replace(study, setpoints=((1.0, 1e-3),)).validate()
     with pytest.raises(ScenarioError):
@@ -85,8 +93,10 @@ def test_scenario_validation_errors(study):
 def test_solver_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(method="euler")
-    with pytest.raises(ValueError):
-        SolverSettings(rel_tol=0.0)
+    for bad in ({"rel_tol": 0.0}, {"rel_tol": math.nan}, {"abs_tol": math.inf},
+                {"max_step": math.nan}, {"fixed_step": math.inf}, {"sample_dt": math.nan}):
+        with pytest.raises(ValueError):
+            SolverSettings(**bad)
 
 
 # --------------------------------------------------------------------------
@@ -122,6 +132,60 @@ def test_substituted_field_matches_raw_composition(study):
         for a, b in zip(fast[:4], raw):
             scale = max(abs(a), abs(b), 1e-20)
             assert abs(a - b) / scale < 1e-9
+
+
+def test_inlined_geometry_matches_kernel(study, monkeypatch):
+    """The geometry inlined in the closed-loop and open-loop right-hand sides
+    equals the plant kernel, read back through inputs that isolate each term,
+    across the admissible range; the array kernel equals the scalar one."""
+    params, gains = study.params, study.gains
+    geo = params.geometry
+    free = ForceModel("constant", 0.0)
+    kpkm = gains.k_p * gains.k_m
+
+    captured = {}
+
+    def capture(rhs, y, t_grid, fixed_step):
+        captured["rhs"] = rhs
+        return [y for _ in t_grid[1:]]
+
+    monkeypatch.setattr("antago.engine._rk4_segment", capture)
+    simulate_open_loop(params, PlantState(0.0, 0.0, 0.0, 0.0), 1e-3,
+                       SolverSettings(method="rk4", sample_dt=1e-3), U1=1.0, U2=1.0)
+    open_rhs = captured["rhs"]
+
+    lo, hi = geo.position_bounds()
+    xs = np.linspace(lo, hi, 52)[1:-1]
+    arr = geometry_terms_array(xs, geo)
+    for i, x in enumerate(xs.tolist()):
+        g = geometry_terms(x, geo)
+        for name in ("V1", "V2", "A1", "A2"):
+            assert getattr(arr, name)[i] == getattr(g, name)
+        for name in ("dA1", "dA2"):
+            assert abs(getattr(arr, name)[i] - getattr(g, name)) <= math.ulp(getattr(g, name))
+        M = params.m + (g.V1 + g.V2) * params.fluid.rho
+
+        def closed(p, P1, P2, F_hat):
+            return augmented_field(PlantState(x, p, P1, P2),
+                                   ObserverState(F_hat=F_hat, alpha=gains.alpha),
+                                   gains, Setpoint(x), free, params)
+
+        # At rest the momentum rate is A1*P1 + A2*P2; at p = 1 the velocity is 1/M.
+        assert closed(0.0, 1.0, 0.0, 0.0)[1] == g.A1
+        assert closed(0.0, 0.0, 1.0, 0.0)[1] == g.A2
+        assert closed(1.0, 0.0, 0.0, 0.0)[0] == 1.0 / M
+        # With sigma = 0 the pressure rate is the curvature-carrying shear term.
+        for row, dA, A in ((2, g.dA1, g.A1), (3, g.dA2, g.A2)):
+            P1, P2 = (1.0, 0.0) if row == 2 else (0.0, 1.0)
+            shear = (1.0 + gains.k_m * (dA + kpkm)) * (1.0 / M) / (2.0 * gains.k_m)
+            assert closed(1.0, P1, P2, A)[row] == -shear / A
+
+        assert open_rhs(0.0, (x, 0.0, 1.0, 0.0))[1] == g.A1
+        assert open_rhs(0.0, (x, 0.0, 0.0, 1.0))[1] == g.A2
+        assert open_rhs(0.0, (x, 1.0, 0.0, 0.0))[0] == 1.0 / M
+        at_rest = open_rhs(0.0, (x, 0.0, 0.0, 0.0))
+        Gamma0 = params.fluid.Gamma0
+        assert at_rest[2:] == (Gamma0 * 1.0 / g.V1, Gamma0 * 1.0 / g.V2)
 
 
 def test_simulation_is_deterministic(study):
@@ -173,6 +237,84 @@ def test_observer_initialization_default_and_override(study):
 
 
 # --------------------------------------------------------------------------
+# Record channels against the scalar plant and controller functions.
+
+# Channels whose array expressions repeat the scalar arithmetic operation for
+# operation. For H, H_d and Psi numpy squares and takes expm1 where the scalar
+# functions call libm pow and expm1, so they may differ in the last bits.
+EXACT_CHANNELS = ("xdot", "U1", "U2", "F_tilde", "F_true", "zeta", "sigma", "x_star")
+ULP_CHANNELS = ("H", "H_d", "Psi")
+
+
+@pytest.fixture(scope="module")
+def oracle_runs(fig2_runs):
+    """The four presets, a run ending in a domain exit after its first setpoint
+    segment, and a short run that never reaches the symmetric configuration."""
+    runs = dict(fig2_runs)
+    multistep = load_preset("multistep")
+    exiting = replace(multistep, setpoints=((0.0, 0.0), (2.0, 3e-3)), duration=6.0,
+                      gains=replace(multistep.gains, alpha=20.0))
+    offset = replace(runs["fig2-F1"][0], initial=PlantState(1e-3, 0.0, 0.0, 0.0),
+                     setpoints=((0.0, 2e-3),), duration=0.5)
+    for name, scenario in (("multistep", multistep), ("domain-exit", exiting),
+                           ("offset", offset)):
+        runs[name] = (scenario, simulate(scenario))
+    assert runs["domain-exit"][1].status == "domain-exit"
+    assert len(runs["domain-exit"][1]) > 100
+    return runs
+
+
+def _oracle_channels(scenario, t, x, p, P1, P2, F_hat):
+    """The derived channels of one sample, from the scalar functions."""
+    params, gains = scenario.params, scenario.gains
+    state = PlantState(x, p, P1, P2)
+    obs = ObserverState(F_hat=F_hat, alpha=gains.alpha)
+    x_star = [xs for ts, xs in scenario.setpoints if ts <= t][-1]
+    setpoint = Setpoint(x_star)
+    xdot = p / total_mass(x, params)
+    F_true = scenario.force(x, xdot)
+    F_tilde = force_estimate(obs, p).F_tilde
+    U1, U2 = control_flows(state, obs, gains, setpoint, params)
+    H_d, Psi = desired_energy(state, obs, F_true, gains, setpoint, params)
+    return {"xdot": xdot, "U1": U1, "U2": U2, "F_tilde": F_tilde, "F_true": F_true,
+            "zeta": F_tilde - F_true,
+            "sigma": sigma(state, F_hat, gains, setpoint, params.geometry).value,
+            "x_star": x_star, "H": hamiltonian(state, params), "H_d": H_d, "Psi": Psi}
+
+
+def test_record_channels_match_scalar_oracles(oracle_runs):
+    for name, (scenario, record) in oracle_runs.items():
+        n = len(record)
+        for i in [*range(0, n, 50), n - 1]:
+            row = {ch: float(record[ch][i]) for ch in CHANNELS}
+            expected = _oracle_channels(scenario, *(row[ch] for ch in
+                                                     ("t", "x", "p", "P1", "P2", "F_hat")))
+            for ch in EXACT_CHANNELS:
+                assert row[ch] == expected[ch], (name, i, ch)
+            for ch in ULP_CHANNELS:
+                assert abs(row[ch] - expected[ch]) <= 4 * math.ulp(expected[ch]), (name, i, ch)
+
+
+def test_diagnostics_match_scalar_loop(oracle_runs):
+    """The vectorised geometry checks of diagnostics equal a per-sample loop
+    over the scalar geometry."""
+    crossed_seen = set()
+    for name, (scenario, record) in oracle_runs.items():
+        summary = diagnostics(record, scenario.gains, scenario.params)
+        terms = [geometry_terms(x, scenario.params.geometry) for x in record["x"].tolist()]
+        sum_grad = np.array([g.A1 + g.A2 for g in terms])
+        scale = np.array([abs(g.A1) + abs(g.A2) for g in terms])
+        crossed = bool(np.any(np.abs(sum_grad) <= 1e-6 * scale)
+                       or np.any(np.sign(sum_grad[:-1]) * np.sign(sum_grad[1:]) < 0))
+        balance = (record["P1"][-1] * terms[-1].A1 + record["P2"][-1] * terms[-1].A2
+                   - record["F_hat"][-1])
+        assert summary.crossed_symmetric == crossed, name
+        assert summary.force_balance_residual == balance, name
+        crossed_seen.add(crossed)
+    assert crossed_seen == {True, False}
+
+
+# --------------------------------------------------------------------------
 # Diagnostics.
 
 def test_diagnostics_requires_samples(study):
@@ -209,33 +351,28 @@ def _gp(scenario):
 # --------------------------------------------------------------------------
 # Solver robustness.
 
-def test_rk23_rk4_cross_check(fig2_runs):
+def test_rk23_rk4_cross_check(fig2_runs, rk4_runs):
     for name, (scenario, record) in fig2_runs.items():
-        rk4 = simulate(replace(scenario, solver=replace(
-            scenario.solver, method="rk4", fixed_step=1e-4)))
+        rk4 = rk4_runs[name]
         scale = np.max(np.abs(record["x"]))
         err = np.max(np.abs(record["x"] - rk4["x"])) / scale
         assert err < 1e-5, (name, err)
 
 
-def test_tolerance_halving_converged(fig2_runs):
+def test_tolerance_halving_converged(fig2_runs, halved_runs):
     for name, (scenario, record) in fig2_runs.items():
-        halved = simulate(replace(scenario, solver=replace(
-            scenario.solver, rel_tol=scenario.solver.rel_tol / 2,
-            abs_tol=scenario.solver.abs_tol / 2)))
+        halved = halved_runs[name]
         for ch in STATE_CHANNELS:
             scale = max(np.max(np.abs(record[ch])), 1e-30)
             rel = abs(record[ch][-1] - halved[ch][-1]) / scale
             assert rel < 1e-8, (name, ch, rel)
 
 
-def test_lossless_energy_conservation(params):
+def test_lossless_energy_conservation(lossless_run):
     """With damping, inputs and load all zero the Hamiltonian is conserved;
     the fixed-step integrator must hold the drift below 1e-8 relative over
     many oscillation periods."""
-    init = PlantState(x=5e-4, p=0.0, P1=2e4, P2=1e4)
-    solver = SolverSettings(method="rk4", fixed_step=6e-7, sample_dt=1e-3)
-    t, states, H = simulate_open_loop(params, init, 0.1, solver, R_override=0.0)
+    t, states, H = lossless_run
     drift = np.max(np.abs(H - H[0])) / H[0]
     assert drift < 1e-8, drift
     # sanity: this really oscillates (many sign changes of the momentum)

@@ -14,6 +14,7 @@ from antago.plant import (
     fluid_energy,
     generalized_force,
     geometry_terms,
+    geometry_terms_array,
     hamiltonian,
     hamiltonian_gradient,
     open_loop_field,
@@ -174,6 +175,11 @@ def test_domain_error_names_offending_actuator():
         volumes(-geo.x0, geo)
     with pytest.raises(DomainError, match="actuator 1"):
         volumes(geo.x_M - geo.x0, geo)
+    inside = np.array([0.0, 1e-3])
+    with pytest.raises(DomainError, match="actuator 2"):
+        geometry_terms_array(np.append(inside, -geo.x0), geo)
+    with pytest.raises(DomainError, match="actuator 1"):
+        geometry_terms_array(np.append(inside, geo.x_M - geo.x0), geo)
 
 
 def test_gradients_match_finite_differences():
