@@ -17,7 +17,10 @@ sampled states.
 Two integrators are provided: an adaptive third-order embedded pair with
 second-order error estimate (``rk23``) and a fixed-step classical fourth-order
 scheme (``rk4``). Both are deterministic; identical scenarios produce
-bit-identical trajectories.
+bit-identical trajectories. Both step five named scalars, with every stage
+written out per component, and call the right-hand side as
+``rhs(t, x, p, P1, P2, F_hat)``; the open loop carries a fifth state that
+stays exactly zero and is dropped from its result.
 
 The trajectory record and :func:`diagnostics` are built as array expressions
 over the sampled states. The scalar plant and controller functions
@@ -61,6 +64,8 @@ class ForceModel:
     def __post_init__(self) -> None:
         if self.kind not in FORCE_KINDS:
             raise ValueError(f"unknown force kind {self.kind!r}; expected one of {FORCE_KINDS}")
+        if not math.isfinite(self.value):
+            raise ValueError("force value must be finite")
 
     def __call__(self, x: float, xdot: float) -> float:
         if self.kind == "constant":
@@ -120,12 +125,19 @@ class ScenarioConfig:
         if not self.setpoints or self.setpoints[0][0] != 0.0:
             raise ScenarioError("setpoint schedule must start at time 0")
         times = [t for t, _ in self.setpoints]
+        if not all(math.isfinite(t) for t in times):
+            raise ScenarioError("setpoint times must be finite")
         if sorted(times) != times or len(set(times)) != len(times):
             raise ScenarioError("setpoint times must be strictly increasing")
         for _, x_star in self.setpoints:
             Setpoint(x_star).validate(self.params.geometry)
+        init = self.initial
+        if not all(math.isfinite(v) for v in (init.x, init.p, init.P1, init.P2)):
+            raise ScenarioError("initial state must be finite")
+        if self.F_hat0 is not None and not math.isfinite(self.F_hat0):
+            raise ScenarioError("initial force estimate F_hat0 must be finite")
         lo, hi = self.params.geometry.position_bounds()
-        if not lo < self.initial.x < hi:
+        if not lo < init.x < hi:
             raise ScenarioError("initial position outside the admissible range")
 
     def initial_F_hat(self) -> float:
@@ -201,13 +213,14 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
     f = force
     sqrt = math.sqrt
 
-    def rhs(t: float, y: tuple) -> tuple:
-        x, p, P1, P2, F_hat = y
+    def rhs(t: float, x: float, p: float, P1: float, P2: float, F_hat: float) -> tuple:
         u1 = x_M - x - x0
         u2 = x + x0
-        if u1 <= margin or u2 <= margin:
-            side = 1 if u1 <= margin else 2
-            raise _DomainExit(t, y, f"actuator {side} reached the volume-model boundary")
+        # Written so that a NaN position fails the check.
+        if not (u1 > margin and u2 > margin):
+            side = 2 if u1 > margin else 1
+            raise _DomainExit(t, (x, p, P1, P2, F_hat),
+                              f"actuator {side} reached the volume-model boundary")
         s1 = sqrt(6.0 * u1 / L0)
         a1 = 2.0 / 3.0 - u1 / (2.0 * L0)
         s2 = sqrt(6.0 * u2 / L0)
@@ -243,62 +256,97 @@ def augmented_field(state: PlantState, obs: ObserverState, gains: ControllerGain
     """Public wrapper around the integrated field, for point verification."""
     rhs = _make_rhs(params, gains, force, setpoint.x_star, margin)
     try:
-        return rhs(0.0, (state.x, state.p, state.P1, state.P2, obs.F_hat))
+        return rhs(0.0, state.x, state.p, state.P1, state.P2, obs.F_hat)
     except _DomainExit as exc:
         raise DomainError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
-# Integrators (tuple-of-floats state, deterministic).
+# Integrators. The state is five named floats; every stage is written out per
+# component because this loop dominates the cost of a run. The expressions
+# keep the form and order of the textbook vector updates, so trajectories do
+# not depend on the unrolling.
 
 _MIN_STEP_FRACTION = 1e-14
 
 
 def _rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
-    """Bogacki-Shampine 3(2) pair with FSAL, landing exactly on grid times."""
+    """Bogacki-Shampine 3(2) pair with FSAL, landing exactly on grid times.
+
+    ``rhs(t, y1, ..., y5)`` returns the five derivatives as a tuple.
+    """
     out = []
     t = t_grid[0]
-    k1 = rhs(t, y)
+    y1, y2, y3, y4, y5 = y
+    a1, a2, a3, a4, a5 = rhs(t, y1, y2, y3, y4, y5)
     for tg in t_grid[1:]:
         while t < tg:
             h = min(h, max_step, tg - t)
             if h < _MIN_STEP_FRACTION * max(1.0, abs(t)):
-                raise _StepUnderflow(t, y, f"step size underflow at t={t:.6e}")
-            k2 = rhs(t + 0.5 * h, tuple(yi + 0.5 * h * k for yi, k in zip(y, k1)))
-            k3 = rhs(t + 0.75 * h, tuple(yi + 0.75 * h * k for yi, k in zip(y, k2)))
-            yn = tuple(yi + h * (2.0 * a + 3.0 * b + 4.0 * c) / 9.0
-                       for yi, a, b, c in zip(y, k1, k2, k3))
-            k4 = rhs(t + h, yn)
-            errn = 0.0
-            for yi, yni, a, b, c, d in zip(y, yn, k1, k2, k3, k4):
-                e = h * (-5.0 * a / 72.0 + b / 12.0 + c / 9.0 - d / 8.0)
-                sc = atol + rtol * max(abs(yi), abs(yni))
-                errn = max(errn, abs(e) / sc)
+                raise _StepUnderflow(t, (y1, y2, y3, y4, y5),
+                                     f"step size underflow at t={t:.6e}")
+            hb = 0.5 * h
+            b1, b2, b3, b4, b5 = rhs(t + hb, y1 + hb * a1, y2 + hb * a2,
+                                     y3 + hb * a3, y4 + hb * a4, y5 + hb * a5)
+            hc = 0.75 * h
+            c1, c2, c3, c4, c5 = rhs(t + hc, y1 + hc * b1, y2 + hc * b2,
+                                     y3 + hc * b3, y4 + hc * b4, y5 + hc * b5)
+            n1 = y1 + h * (2.0 * a1 + 3.0 * b1 + 4.0 * c1) / 9.0
+            n2 = y2 + h * (2.0 * a2 + 3.0 * b2 + 4.0 * c2) / 9.0
+            n3 = y3 + h * (2.0 * a3 + 3.0 * b3 + 4.0 * c3) / 9.0
+            n4 = y4 + h * (2.0 * a4 + 3.0 * b4 + 4.0 * c4) / 9.0
+            n5 = y5 + h * (2.0 * a5 + 3.0 * b5 + 4.0 * c5) / 9.0
+            d1, d2, d3, d4, d5 = rhs(t + h, n1, n2, n3, n4, n5)
+            # max keeps its first argument on a tie, like a running maximum.
+            errn = max(
+                0.0,
+                abs(h * (-5.0 * a1 / 72.0 + b1 / 12.0 + c1 / 9.0 - d1 / 8.0))
+                / (atol + rtol * max(abs(y1), abs(n1))),
+                abs(h * (-5.0 * a2 / 72.0 + b2 / 12.0 + c2 / 9.0 - d2 / 8.0))
+                / (atol + rtol * max(abs(y2), abs(n2))),
+                abs(h * (-5.0 * a3 / 72.0 + b3 / 12.0 + c3 / 9.0 - d3 / 8.0))
+                / (atol + rtol * max(abs(y3), abs(n3))),
+                abs(h * (-5.0 * a4 / 72.0 + b4 / 12.0 + c4 / 9.0 - d4 / 8.0))
+                / (atol + rtol * max(abs(y4), abs(n4))),
+                abs(h * (-5.0 * a5 / 72.0 + b5 / 12.0 + c5 / 9.0 - d5 / 8.0))
+                / (atol + rtol * max(abs(y5), abs(n5))),
+            )
             if errn <= 1.0:
                 t = tg if tg - t - h <= 1e-15 * max(1.0, abs(tg)) else t + h
-                y = yn
-                k1 = k4
+                y1, y2, y3, y4, y5 = n1, n2, n3, n4, n5
+                a1, a2, a3, a4, a5 = d1, d2, d3, d4, d5
             h *= min(5.0, max(0.2, 0.9 * (errn + 1e-300) ** (-1.0 / 3.0)))
-        out.append(y)
+        out.append((y1, y2, y3, y4, y5))
     return out, h
 
 
 def _rk4_segment(rhs, y, t_grid, fixed_step):
-    """Classical fixed-step RK4, subdividing each grid interval evenly."""
+    """Classical fixed-step RK4, subdividing each grid interval evenly.
+
+    ``rhs(t, y1, ..., y5)`` returns the five derivatives as a tuple.
+    """
     out = []
+    y1, y2, y3, y4, y5 = y
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
         n = max(1, math.ceil((tb - ta) / fixed_step - 1e-12))
         h = (tb - ta) / n
+        hb = 0.5 * h
         t = ta
         for _ in range(n):
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, tuple(yi + 0.5 * h * k for yi, k in zip(y, k1)))
-            k3 = rhs(t + 0.5 * h, tuple(yi + 0.5 * h * k for yi, k in zip(y, k2)))
-            k4 = rhs(t + h, tuple(yi + h * k for yi, k in zip(y, k3)))
-            y = tuple(yi + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
-                      for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+            a1, a2, a3, a4, a5 = rhs(t, y1, y2, y3, y4, y5)
+            b1, b2, b3, b4, b5 = rhs(t + hb, y1 + hb * a1, y2 + hb * a2,
+                                     y3 + hb * a3, y4 + hb * a4, y5 + hb * a5)
+            c1, c2, c3, c4, c5 = rhs(t + hb, y1 + hb * b1, y2 + hb * b2,
+                                     y3 + hb * b3, y4 + hb * b4, y5 + hb * b5)
+            d1, d2, d3, d4, d5 = rhs(t + h, y1 + h * c1, y2 + h * c2,
+                                     y3 + h * c3, y4 + h * c4, y5 + h * c5)
+            y1 = y1 + h * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0
+            y2 = y2 + h * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0
+            y3 = y3 + h * (a3 + 2.0 * b3 + 2.0 * c3 + d3) / 6.0
+            y4 = y4 + h * (a4 + 2.0 * b4 + 2.0 * c4 + d4) / 6.0
+            y5 = y5 + h * (a5 + 2.0 * b5 + 2.0 * c5 + d5) / 6.0
             t += h
-        out.append(y)
+        out.append((y1, y2, y3, y4, y5))
     return out
 
 
@@ -405,13 +453,13 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     R = params.R if R_override is None else R_override
     sqrt = math.sqrt
 
-    def rhs(t, y):
-        x, p, P1, P2 = y
+    def rhs(t, x, p, P1, P2, zero):
         u1 = x_M - x - x0
         u2 = x + x0
-        if u1 <= margin or u2 <= margin:
-            side = 1 if u1 <= margin else 2
-            raise _DomainExit(t, y, f"actuator {side} reached the volume-model boundary")
+        if not (u1 > margin and u2 > margin):
+            side = 2 if u1 > margin else 1
+            raise _DomainExit(t, (x, p, P1, P2),
+                              f"actuator {side} reached the volume-model boundary")
         s1 = sqrt(6.0 * u1 / L0)
         a1 = 2.0 / 3.0 - u1 / (2.0 * L0)
         s2 = sqrt(6.0 * u2 / L0)
@@ -425,16 +473,18 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
         G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
         return (v, G - F,
                 Gamma0 * (U1 - A1 * v) / V1,
-                Gamma0 * (U2 - A2 * v) / V2)
+                Gamma0 * (U2 - A2 * v) / V2,
+                0.0)
 
     grid = _sample_grid(duration, solver.sample_dt, [])
-    y = (initial.x, initial.p, initial.P1, initial.P2)
+    # The steppers advance five states; the fifth stays exactly zero here.
+    y = (initial.x, initial.p, initial.P1, initial.P2, 0.0)
     if solver.method == "rk23":
         ys, _ = _rk23_segment(rhs, y, grid, solver.rel_tol, solver.abs_tol,
                               solver.max_step, min(solver.max_step, 1e-8))
     else:
         ys = _rk4_segment(rhs, y, grid, solver.fixed_step)
-    states = np.array([y] + ys)
+    states = np.array([y] + ys)[:, :4]
     energies = np.array([hamiltonian(PlantState(*row), params, margin)
                          for row in states.tolist()])
     return np.asarray(grid), states, energies

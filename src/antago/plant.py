@@ -51,9 +51,12 @@ class ActuatorGeometry:
     x_M: float   # maximum contraction [m]
 
     def __post_init__(self) -> None:
-        if not (self.L0 > 0 and self.D_s > 0 and self.d_c > 0 and self.V0 > 0):
-            raise ValueError("L0, D_s, d_c and V0 must be positive")
-        if self.n_L < 1:
+        if not all(0.0 < v < math.inf for v in (self.L0, self.D_s, self.d_c, self.V0)):
+            raise ValueError("L0, D_s, d_c and V0 must be positive and finite")
+        # A NaN scale would pass the consistency check below.
+        if not (math.isfinite(self.k0) and math.isfinite(self.K0)):
+            raise ValueError("volume scales k0 and K0 must be finite")
+        if not isinstance(self.n_L, int) or self.n_L < 1:
             raise ValueError("n_L must be a positive integer")
         if not (0 < self.x0 < self.x_M):
             raise ValueError("offset contraction must satisfy 0 < x0 < x_M")
@@ -73,7 +76,11 @@ class ActuatorGeometry:
                    V0: float, x0: float, x_M: float,
                    k0: float | None = None, K0: float | None = None) -> "ActuatorGeometry":
         """Build a geometry from either ``k0`` or ``K0`` (the other is derived)."""
+        if n_L < 1:
+            raise ValueError("n_L must be a positive integer")
         unit = (L0**2 / n_L) * (d_c / 3 + D_s / 2)
+        if not 0.0 < unit < math.inf:
+            raise ValueError("L0, D_s and d_c must be positive and finite")
         if k0 is None and K0 is None:
             raise ValueError("one of k0, K0 is required")
         if k0 is None:
@@ -97,8 +104,9 @@ class FluidParams:
     P_atm: float = 1e5   # atmospheric reference [Pa], metadata only
 
     def __post_init__(self) -> None:
-        if self.Gamma0 <= 0 or self.rho < 0:
-            raise ValueError("Gamma0 must be positive and rho nonnegative")
+        if not (0.0 < self.Gamma0 < math.inf and 0.0 <= self.rho < math.inf
+                and math.isfinite(self.P_atm)):
+            raise ValueError("Gamma0 must be positive, rho nonnegative, and all finite")
 
 
 @dataclass(frozen=True)
@@ -111,8 +119,8 @@ class PlantParams:
     R: float   # transmission damping [N*s/m]
 
     def __post_init__(self) -> None:
-        if self.m <= 0 or self.R <= 0:
-            raise ValueError("m and R must be positive")
+        if not (0.0 < self.m < math.inf and 0.0 < self.R < math.inf):
+            raise ValueError("m and R must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,8 @@ class GeometryTerms(NamedTuple):
 
 
 def _check_contraction(u: float, actuator: int, margin: float) -> None:
-    if u <= margin:
+    # Written so that a NaN contraction fails the check.
+    if not u > margin:
         raise DomainError(
             f"actuator {actuator} contraction {u:.3e} m is within {margin:.1e} m "
             "of the volume-model boundary"

@@ -74,6 +74,14 @@ def _get_float(sec, key: str) -> float:
             f"key {key!r}: could not parse {sec[key]!r} as a number") from None
 
 
+def _get_int(sec, key: str) -> int:
+    try:
+        return int(sec[key])
+    except ValueError:
+        raise ScenarioError(
+            f"key {key!r}: could not parse {sec[key]!r} as an integer") from None
+
+
 def _parse_schedule(text: str) -> tuple[tuple[float, float], ...]:
     if ":" not in text:
         return ((0.0, float(text)),)
@@ -115,22 +123,25 @@ def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
             raise ScenarioError(f"missing key {key!r} in section [plant]")
     if "k0" not in plant and "K0" not in plant:
         raise ScenarioError("section [plant] needs k0 or K0 (or both)")
-    geometry = ActuatorGeometry.from_scale(
-        L0=_get_float(plant, "L0"),
-        n_L=int(plant["n_L"]),
-        D_s=_get_float(plant, "D_s"),
-        d_c=_get_float(plant, "d_c"),
-        V0=_get_float(plant, "V0"),
-        x0=_get_float(plant, "x0"),
-        x_M=_get_float(plant, "x_M"),
-        k0=_get_float(plant, "k0") if "k0" in plant else None,
-        K0=_get_float(plant, "K0") if "K0" in plant else None,
-    )
-    fluid = FluidParams(Gamma0=_get_float(plant, "Gamma0"),
-                        rho=_get_float(plant, "rho"),
-                        P_atm=_get_float(plant, "P_atm") if "P_atm" in plant else 1e5)
-    params = PlantParams(geometry=geometry, fluid=fluid,
-                         m=_get_float(plant, "m"), R=_get_float(plant, "R"))
+    try:
+        geometry = ActuatorGeometry.from_scale(
+            L0=_get_float(plant, "L0"),
+            n_L=_get_int(plant, "n_L"),
+            D_s=_get_float(plant, "D_s"),
+            d_c=_get_float(plant, "d_c"),
+            V0=_get_float(plant, "V0"),
+            x0=_get_float(plant, "x0"),
+            x_M=_get_float(plant, "x_M"),
+            k0=_get_float(plant, "k0") if "k0" in plant else None,
+            K0=_get_float(plant, "K0") if "K0" in plant else None,
+        )
+        fluid = FluidParams(Gamma0=_get_float(plant, "Gamma0"),
+                            rho=_get_float(plant, "rho"),
+                            P_atm=_get_float(plant, "P_atm") if "P_atm" in plant else 1e5)
+        params = PlantParams(geometry=geometry, fluid=fluid,
+                             m=_get_float(plant, "m"), R=_get_float(plant, "R"))
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
     g = cp["gains"]
     for key in _GAIN_KEYS:

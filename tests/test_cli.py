@@ -66,15 +66,36 @@ def test_run_malformed_key_names_expected(tmp_path, study, capsys):
 
 @pytest.mark.parametrize("key, value", [("k_p", "nan"), ("alpha", "inf"),
                                         ("rel_tol", "nan"), ("sample_dt", "inf"),
-                                        ("duration", "inf"), ("duration", "nan")])
+                                        ("duration", "inf"), ("duration", "nan"),
+                                        ("value", "nan"), ("R", "inf"), ("rho", "inf"),
+                                        ("m", "inf"), ("Gamma0", "inf"), ("L0", "inf"),
+                                        ("K0", "nan"), ("x", "nan"), ("P2", "inf"),
+                                        ("F_hat", "nan")])
 def test_run_non_finite_input_is_one_line_error(tmp_path, study, capsys, key, value):
-    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", serialize_scenario(study),
-                  flags=re.MULTILINE)
+    # F_hat0 = 0 writes an [initial] section, so the initial state can be edited.
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                  serialize_scenario(replace(study, F_hat0=0.0)), flags=re.MULTILINE)
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
     assert main(["run", str(bad), "--out", str(tmp_path / "bad.csv")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
+
+
+@pytest.mark.parametrize("old, new, words", [
+    ("n_L = 3\n", "n_L = 3.5\n", ("n_L", "integer")),
+    ("n_L = 3\n", "n_L = 0\n", ("n_L", "integer")),
+    ("x_star = 0.001", "x_star = 0.0:0.001, inf:0.002", ("setpoint times", "finite")),
+])
+def test_run_bad_plant_or_schedule_is_one_line_error(tmp_path, study, capsys, old, new, words):
+    text = serialize_scenario(study)
+    assert old in text
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(old, new))
+    assert main(["run", str(bad), "--out", str(tmp_path / "bad.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert all(word in err[0] for word in words), err[0]
 
 
 def test_run_non_finite_solver_flag_is_one_line_error(short_scenario_file, tmp_path, capsys):

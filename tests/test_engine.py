@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from antago import engine
 from antago.controller import Setpoint, control_flows, desired_energy, sigma
 from antago.engine import (
     CHANNELS,
@@ -18,7 +19,7 @@ from antago.engine import (
     simulate,
     simulate_open_loop,
 )
-from antago.errors import ScenarioError
+from antago.errors import DomainError, ScenarioError
 from antago.observer import ObserverState, force_estimate
 from antago.plant import (
     PlantState,
@@ -43,6 +44,9 @@ def test_force_model_kinds():
     assert ForceModel("spring", -10.0)(1e-3, 0.0) == pytest.approx(-0.01)
     with pytest.raises(ValueError):
         ForceModel("ramp", 1.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ForceModel("constant", value)
 
 
 def test_tanh_friction_saturates():
@@ -88,6 +92,15 @@ def test_scenario_validation_errors(study):
         replace(study, setpoints=((0.0, 5e-3),)).validate()  # out of travel
     with pytest.raises(ScenarioError):
         replace(study, initial=PlantState(5e-3, 0.0, 0.0, 0.0)).validate()
+    with pytest.raises(ScenarioError, match="finite"):
+        replace(study, setpoints=((0.0, 1e-3), (math.inf, 2e-3))).validate()
+    for initial in (PlantState(math.nan, 0.0, 0.0, 0.0), PlantState(0.0, math.inf, 0.0, 0.0),
+                    PlantState(0.0, 0.0, math.nan, 0.0), PlantState(0.0, 0.0, 0.0, -math.inf)):
+        with pytest.raises(ScenarioError, match="finite"):
+            replace(study, initial=initial).validate()
+    for F_hat0 in (math.nan, math.inf):
+        with pytest.raises(ScenarioError, match="finite"):
+            replace(study, F_hat0=F_hat0).validate()
 
 
 def test_solver_settings_validation():
@@ -180,12 +193,12 @@ def test_inlined_geometry_matches_kernel(study, monkeypatch):
             shear = (1.0 + gains.k_m * (dA + kpkm)) * (1.0 / M) / (2.0 * gains.k_m)
             assert closed(1.0, P1, P2, A)[row] == -shear / A
 
-        assert open_rhs(0.0, (x, 0.0, 1.0, 0.0))[1] == g.A1
-        assert open_rhs(0.0, (x, 0.0, 0.0, 1.0))[1] == g.A2
-        assert open_rhs(0.0, (x, 1.0, 0.0, 0.0))[0] == 1.0 / M
-        at_rest = open_rhs(0.0, (x, 0.0, 0.0, 0.0))
+        assert open_rhs(0.0, x, 0.0, 1.0, 0.0, 0.0)[1] == g.A1
+        assert open_rhs(0.0, x, 0.0, 0.0, 1.0, 0.0)[1] == g.A2
+        assert open_rhs(0.0, x, 1.0, 0.0, 0.0, 0.0)[0] == 1.0 / M
+        at_rest = open_rhs(0.0, x, 0.0, 0.0, 0.0, 0.0)
         Gamma0 = params.fluid.Gamma0
-        assert at_rest[2:] == (Gamma0 * 1.0 / g.V1, Gamma0 * 1.0 / g.V2)
+        assert at_rest[2:4] == (Gamma0 * 1.0 / g.V1, Gamma0 * 1.0 / g.V2)
 
 
 def test_simulation_is_deterministic(study):
@@ -224,6 +237,24 @@ def test_domain_exit_reported(study):
     assert "actuator" in record.detail
     assert len(record) >= 1
     assert record["t"][-1] < 2.0
+
+
+def test_nan_state_ends_in_domain_exit(study):
+    """A NaN position fails the domain check, in the integrated field and in
+    a run, instead of passing it and filling the record with NaN."""
+    nan_state = PlantState(math.nan, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        augmented_field(nan_state, ObserverState(F_hat=0.0, alpha=study.gains.alpha),
+                        study.gains, Setpoint(1e-3), study.force, study.params)
+
+    class NaNForce(ForceModel):
+        def __call__(self, x, xdot):
+            return math.nan
+
+    record = simulate(replace(study, force=NaNForce("constant", 0.0), duration=0.1))
+    assert record.status == "domain-exit"
+    assert "state=(nan" in record.detail
+    assert np.all(np.isfinite(record["x"]))
 
 
 def test_observer_initialization_default_and_override(study):
@@ -388,3 +419,115 @@ def test_open_loop_passivity_with_damping(params):
     t, states, H = simulate_open_loop(params, init, 0.05, solver)
     assert H[-1] < H[0]
     assert np.max(np.diff(H)) < 1e-9 * H[0]
+
+
+def test_rk23_matches_scipy_dop853(fig2_runs):
+    """An integrator from outside the package: scipy's DOP853 at rtol 1e-12
+    on the public field agrees with the rk23 runs within the rk23-vs-rk4
+    bound."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    for name, (scenario, record) in fig2_runs.items():
+        (_, x_star), = scenario.setpoints
+        alpha = scenario.gains.alpha
+
+        def field(t, y):
+            x, p, P1, P2, F_hat = y.tolist()
+            return augmented_field(PlantState(x, p, P1, P2),
+                                   ObserverState(F_hat=F_hat, alpha=alpha),
+                                   scenario.gains, Setpoint(x_star), scenario.force,
+                                   scenario.params)
+
+        y0 = [record[ch][0] for ch in ("x", "p", "P1", "P2", "F_hat")]
+        sol = solve_ivp(field, (0.0, record["t"][-1]), y0, method="DOP853",
+                        rtol=1e-12, atol=1e-14, t_eval=record["t"])
+        assert sol.success, (name, sol.message)
+        err = np.max(np.abs(sol.y[0] - record["x"])) / np.max(np.abs(record["x"]))
+        assert err < 1e-5, (name, err)
+
+
+# --------------------------------------------------------------------------
+# The unrolled steppers against the generic tuple loops they replaced.
+
+def _reference_rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
+    """Tuple-loop form of ``engine._rk23_segment``."""
+    out = []
+    t = t_grid[0]
+    k1 = rhs(t, *y)
+    for tg in t_grid[1:]:
+        while t < tg:
+            h = min(h, max_step, tg - t)
+            if h < engine._MIN_STEP_FRACTION * max(1.0, abs(t)):
+                raise engine._StepUnderflow(t, y, f"step size underflow at t={t:.6e}")
+            k2 = rhs(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k1)))
+            k3 = rhs(t + 0.75 * h, *(yi + 0.75 * h * k for yi, k in zip(y, k2)))
+            yn = tuple(yi + h * (2.0 * a + 3.0 * b + 4.0 * c) / 9.0
+                       for yi, a, b, c in zip(y, k1, k2, k3))
+            k4 = rhs(t + h, *yn)
+            errn = 0.0
+            for yi, yni, a, b, c, d in zip(y, yn, k1, k2, k3, k4):
+                e = h * (-5.0 * a / 72.0 + b / 12.0 + c / 9.0 - d / 8.0)
+                sc = atol + rtol * max(abs(yi), abs(yni))
+                errn = max(errn, abs(e) / sc)
+            if errn <= 1.0:
+                t = tg if tg - t - h <= 1e-15 * max(1.0, abs(tg)) else t + h
+                y = yn
+                k1 = k4
+            h *= min(5.0, max(0.2, 0.9 * (errn + 1e-300) ** (-1.0 / 3.0)))
+        out.append(y)
+    return out, h
+
+
+def _reference_rk4_segment(rhs, y, t_grid, fixed_step):
+    """Tuple-loop form of ``engine._rk4_segment``."""
+    out = []
+    for ta, tb in zip(t_grid[:-1], t_grid[1:]):
+        n = max(1, math.ceil((tb - ta) / fixed_step - 1e-12))
+        h = (tb - ta) / n
+        t = ta
+        for _ in range(n):
+            k1 = rhs(t, *y)
+            k2 = rhs(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k1)))
+            k3 = rhs(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k2)))
+            k4 = rhs(t + h, *(yi + h * k for yi, k in zip(y, k3)))
+            y = tuple(yi + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
+                      for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+            t += h
+        out.append(y)
+    return out
+
+
+def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
+    """Every run, early endings included, is bit-identical under the unrolled
+    steppers and under the tuple loops."""
+    rk4 = replace(study.solver, method="rk4", fixed_step=1e-4)
+    runs = {name: (lambda sc=load_preset(name): simulate(sc))
+            for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
+    runs["rk4"] = lambda: simulate(replace(study, solver=rk4, duration=0.2))
+    multistep = load_preset("multistep")
+    runs["domain-exit"] = lambda: simulate(replace(
+        multistep, setpoints=((0.0, 0.0), (2.0, 3e-3)), duration=6.0,
+        gains=replace(multistep.gains, alpha=20.0)))
+    runs["step-underflow"] = lambda: simulate(replace(study, duration=0.5, solver=replace(
+        study.solver, rel_tol=1e-30, abs_tol=1e-300)))
+    init = PlantState(x=5e-4, p=0.0, P1=2e4, P2=1e4)
+    open_solvers = {
+        "open-rk23": SolverSettings(method="rk23", rel_tol=1e-10, abs_tol=1e-12,
+                                    sample_dt=1e-3, max_step=1e-4),
+        "open-rk4": SolverSettings(method="rk4", fixed_step=1e-6, sample_dt=1e-3),
+    }
+    for name, solver in open_solvers.items():
+        runs[name] = lambda solver=solver: simulate_open_loop(
+            study.params, init, 0.01, solver, U1=1e-7, F=0.1)
+
+    unrolled = {name: run() for name, run in runs.items()}
+    monkeypatch.setattr(engine, "_rk23_segment", _reference_rk23_segment)
+    monkeypatch.setattr(engine, "_rk4_segment", _reference_rk4_segment)
+    for name, run in runs.items():
+        expected = run()
+        if name.startswith("open"):
+            assert all(np.array_equal(a, b) for a, b in zip(unrolled[name], expected)), name
+            assert unrolled[name][1].shape[1] == 4
+        else:
+            assert unrolled[name] == expected, name
+    assert unrolled["domain-exit"].status == "domain-exit"
+    assert unrolled["step-underflow"].status == "step-underflow"

@@ -82,6 +82,31 @@ def test_contraction_range_validation():
         _study_geometry(x0=8e-3)   # x0 >= x_M
 
 
+def test_non_finite_parameters_rejected():
+    for key in ("L0", "D_s", "d_c", "V0", "x0", "x_M", "K0"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _study_geometry(**{key: value})
+    geo = _study_geometry()
+    for k0, K0 in ((math.nan, math.nan), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ActuatorGeometry(L0=geo.L0, n_L=geo.n_L, D_s=geo.D_s, d_c=geo.d_c,
+                             k0=k0, K0=K0, V0=geo.V0, x0=geo.x0, x_M=geo.x_M)
+    for n_L in (0, -1, 3.5):
+        with pytest.raises(ValueError, match="n_L"):
+            _study_geometry(n_L=n_L)
+    with pytest.raises(ValueError, match="positive"):
+        _study_geometry(L0=0.0)
+    for fluid in ({"Gamma0": math.inf, "rho": 1e3}, {"Gamma0": 2e9, "rho": math.inf},
+                  {"Gamma0": 2e9, "rho": math.nan}, {"Gamma0": 2e9, "rho": 1e3, "P_atm": math.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            FluidParams(**fluid)
+    fluid = FluidParams(Gamma0=2e9, rho=1e3)
+    for m, R in ((math.inf, 5.0), (math.nan, 5.0), (0.25, math.inf), (0.25, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            PlantParams(geometry=geo, fluid=fluid, m=m, R=R)
+
+
 def test_position_bounds_are_open_interval():
     geo = _study_geometry()
     lo, hi = geo.position_bounds(margin=1e-6)
@@ -180,6 +205,11 @@ def test_domain_error_names_offending_actuator():
         geometry_terms_array(np.append(inside, -geo.x0), geo)
     with pytest.raises(DomainError, match="actuator 1"):
         geometry_terms_array(np.append(inside, geo.x_M - geo.x0), geo)
+    # A NaN position is outside the domain, not silently inside it.
+    with pytest.raises(DomainError):
+        geometry_terms(math.nan, geo)
+    with pytest.raises(DomainError):
+        geometry_terms_array(np.append(inside, math.nan), geo)
 
 
 def test_gradients_match_finite_differences():

@@ -106,6 +106,12 @@ def test_unparsable_number(study):
     text = serialize_scenario(study).replace("rho = 1000.0", "rho = heavy")
     with pytest.raises(ScenarioError, match="rho"):
         parse_scenario(text)
+    text = serialize_scenario(study).replace("n_L = 3\n", "n_L = 3.5\n")
+    with pytest.raises(ScenarioError, match="n_L"):
+        parse_scenario(text)
+    text = serialize_scenario(study).replace("R = 5.0\n", "R = inf\n")
+    with pytest.raises(ScenarioError, match="finite"):
+        parse_scenario(text)
 
 
 def test_bad_schedule_entry(study):
