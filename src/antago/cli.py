@@ -35,6 +35,9 @@ from .verify import SUITES
 _SWEEP_GAIN_KEYS = ("k_p", "k_m", "k_i", "alpha")
 _SWEEP_PLANT_KEYS = ("R", "m")
 _SWEEP_KEYS = _SWEEP_GAIN_KEYS + _SWEEP_PLANT_KEYS + ("epsilon",)
+# Most points a 'start:stop:count' range may ask for; checked before the list
+# is built. The benchmark sweeps 32 points per command.
+MAX_SWEEP_POINTS = 10**4
 
 
 def _resolve_scenario(ref: str) -> ScenarioConfig:
@@ -102,6 +105,8 @@ def _parse_values(text: str) -> list[float]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if n < 1:
             raise ScenarioError("range count must be at least 1")
+        if n > MAX_SWEEP_POINTS:
+            raise ScenarioError(f"range count exceeds the budget of {MAX_SWEEP_POINTS} points")
         if n == 1:
             return [lo]
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]

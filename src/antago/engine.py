@@ -20,7 +20,14 @@ scheme (``rk4``). Both are deterministic; identical scenarios produce
 bit-identical trajectories. Both step five named scalars, with every stage
 written out per component, and call the right-hand side as
 ``rhs(t, x, p, P1, P2, F_hat)``; the open loop carries a fifth state that
-stays exactly zero and is dropped from its result.
+stays exactly zero and is dropped from its result. The inner loops make no
+``min``/``max`` calls: each is written out as comparisons that keep the
+builtin's tie and NaN behaviour, and the right-hand sides bind their
+per-segment constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``) once, so every
+floating-point operation keeps its operands and order.
+
+Every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
+output samples and, for ``rk4``, ``MAX_RK4_STEPS`` fixed steps.
 
 The trajectory record and :func:`diagnostics` are built as array expressions
 over the sampled states. The scalar plant and controller functions
@@ -48,6 +55,13 @@ from .plant import (
 )
 
 FORCE_KINDS = ("constant", "tanh_friction", "spring")
+
+# Cost budgets, checked before a run allocates anything: at most this many
+# output samples (duration / sample_dt) and, for rk4, this many fixed steps
+# (duration / fixed_step). The presets ask for 2,001 samples and the costliest
+# rk4 cross-check for about 1.7e5 steps.
+MAX_SAMPLES = 10**6
+MAX_RK4_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -120,8 +134,7 @@ class ScenarioConfig:
     name: str = ""
 
     def validate(self) -> None:
-        if not 0.0 < self.duration < math.inf:
-            raise ScenarioError("duration must be positive and finite")
+        _check_cost(self.duration, self.solver)
         if not self.setpoints or self.setpoints[0][0] != 0.0:
             raise ScenarioError("setpoint schedule must start at time 0")
         times = [t for t, _ in self.setpoints]
@@ -144,6 +157,17 @@ class ScenarioConfig:
         if self.F_hat0 is not None:
             return self.F_hat0
         return self.gains.alpha * self.initial.p
+
+
+def _check_cost(duration: float, solver: SolverSettings) -> None:
+    """Reject a duration that is not finite and positive or that exceeds a budget."""
+    if not 0.0 < duration < math.inf:
+        raise ScenarioError("duration must be positive and finite")
+    if duration / solver.sample_dt > MAX_SAMPLES:
+        raise ScenarioError(f"duration / sample_dt exceeds the budget of {MAX_SAMPLES} samples")
+    if solver.method == "rk4" and duration / solver.fixed_step > MAX_RK4_STEPS:
+        raise ScenarioError(
+            f"duration / fixed_step exceeds the budget of {MAX_RK4_STEPS} rk4 steps")
 
 
 # Channel order is the CSV column order; keep in sync with scenario_io.
@@ -210,6 +234,9 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
     R = params.R
     k_p, k_m, k_i, alpha = gains.k_p, gains.k_m, gains.k_i, gains.alpha
     kpkm = k_p * k_m
+    two_L0 = 2.0 * L0
+    L0_sq = L0 * L0
+    two_k_m = 2.0 * k_m
     f = force
     sqrt = math.sqrt
 
@@ -222,28 +249,27 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
             raise _DomainExit(t, (x, p, P1, P2, F_hat),
                               f"actuator {side} reached the volume-model boundary")
         s1 = sqrt(6.0 * u1 / L0)
-        a1 = 2.0 / 3.0 - u1 / (2.0 * L0)
+        a1 = 2.0 / 3.0 - u1 / two_L0
         s2 = sqrt(6.0 * u2 / L0)
-        a2 = 2.0 / 3.0 - u2 / (2.0 * L0)
+        a2 = 2.0 / 3.0 - u2 / two_L0
         V1 = K0 * a1 * s1 + V0
         V2 = K0 * a2 * s2 + V0
-        A1 = -K0 * (-s1 / (2.0 * L0) + 3.0 * a1 / (L0 * s1))
-        A2 = K0 * (-s2 / (2.0 * L0) + 3.0 * a2 / (L0 * s2))
-        dA1 = K0 * (-3.0 / (L0 * L0 * s1) - 9.0 * a1 / (L0 * L0 * s1**3))
-        dA2 = K0 * (-3.0 / (L0 * L0 * s2) - 9.0 * a2 / (L0 * L0 * s2**3))
+        A1 = -K0 * (-s1 / two_L0 + 3.0 * a1 / (L0 * s1))
+        A2 = K0 * (-s2 / two_L0 + 3.0 * a2 / (L0 * s2))
+        dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * a1 / (L0_sq * s1**3))
+        dA2 = K0 * (-3.0 / (L0_sq * s2) - 9.0 * a2 / (L0_sq * s2**3))
 
         M = m + rho * (V1 + V2)
         v = p / M
         G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
         F = f(x, v)
-        sig = P1 * A1 + P2 * A2 - F_hat + kpkm * (x - x_star)
-        dsig = P1 * dA1 + P2 * dA2 + kpkm
-        shear = (1.0 + k_m * dsig) * v / (2.0 * k_m)
+        k_i_sig = k_i * (P1 * A1 + P2 * A2 - F_hat + kpkm * (x - x_star))
+        shear = (1.0 + k_m * (P1 * dA1 + P2 * dA2 + kpkm)) * v / two_k_m
         return (
             v,
             G - F,
-            -shear / A1 - k_i * sig / A1,
-            -shear / A2 - k_i * sig / A2,
+            -shear / A1 - k_i_sig / A1,
+            -shear / A2 - k_i_sig / A2,
             alpha * (G - F_hat + alpha * p),
         )
 
@@ -273,16 +299,27 @@ _MIN_STEP_FRACTION = 1e-14
 def _rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
     """Bogacki-Shampine 3(2) pair with FSAL, landing exactly on grid times.
 
-    ``rhs(t, y1, ..., y5)`` returns the five derivatives as a tuple.
+    ``rhs(t, y1, ..., y5)`` returns the five derivatives as a tuple. Each
+    ``min``/``max`` of the textbook loop is written out as comparisons that
+    keep the builtin's result: the first argument wins a tie, and a NaN
+    argument after the first never wins.
     """
     out = []
     t = t_grid[0]
     y1, y2, y3, y4, y5 = y
     a1, a2, a3, a4, a5 = rhs(t, y1, y2, y3, y4, y5)
     for tg in t_grid[1:]:
+        abs_tg = abs(tg)
+        land_tol = 1e-15 * (abs_tg if abs_tg > 1.0 else 1.0)
         while t < tg:
-            h = min(h, max_step, tg - t)
-            if h < _MIN_STEP_FRACTION * max(1.0, abs(t)):
+            # h = min(h, max_step, tg - t)
+            if max_step < h:
+                h = max_step
+            rest = tg - t
+            if rest < h:
+                h = rest
+            abs_t = abs(t)
+            if h < _MIN_STEP_FRACTION * (abs_t if abs_t > 1.0 else 1.0):
                 raise _StepUnderflow(t, (y1, y2, y3, y4, y5),
                                      f"step size underflow at t={t:.6e}")
             hb = 0.5 * h
@@ -297,25 +334,45 @@ def _rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
             n4 = y4 + h * (2.0 * a4 + 3.0 * b4 + 4.0 * c4) / 9.0
             n5 = y5 + h * (2.0 * a5 + 3.0 * b5 + 4.0 * c5) / 9.0
             d1, d2, d3, d4, d5 = rhs(t + h, n1, n2, n3, n4, n5)
-            # max keeps its first argument on a tie, like a running maximum.
-            errn = max(
-                0.0,
-                abs(h * (-5.0 * a1 / 72.0 + b1 / 12.0 + c1 / 9.0 - d1 / 8.0))
-                / (atol + rtol * max(abs(y1), abs(n1))),
-                abs(h * (-5.0 * a2 / 72.0 + b2 / 12.0 + c2 / 9.0 - d2 / 8.0))
-                / (atol + rtol * max(abs(y2), abs(n2))),
-                abs(h * (-5.0 * a3 / 72.0 + b3 / 12.0 + c3 / 9.0 - d3 / 8.0))
-                / (atol + rtol * max(abs(y3), abs(n3))),
-                abs(h * (-5.0 * a4 / 72.0 + b4 / 12.0 + c4 / 9.0 - d4 / 8.0))
-                / (atol + rtol * max(abs(y4), abs(n4))),
-                abs(h * (-5.0 * a5 / 72.0 + b5 / 12.0 + c5 / 9.0 - d5 / 8.0))
-                / (atol + rtol * max(abs(y5), abs(n5))),
-            )
+            # errn = max(0.0, r1, ..., r5) with r_i = |e_i| / (atol + rtol * max(|y_i|, |n_i|))
+            errn = 0.0
+            ay = abs(y1)
+            an = abs(n1)
+            r = (abs(h * (-5.0 * a1 / 72.0 + b1 / 12.0 + c1 / 9.0 - d1 / 8.0))
+                 / (atol + rtol * (an if an > ay else ay)))
+            if r > errn:
+                errn = r
+            ay = abs(y2)
+            an = abs(n2)
+            r = (abs(h * (-5.0 * a2 / 72.0 + b2 / 12.0 + c2 / 9.0 - d2 / 8.0))
+                 / (atol + rtol * (an if an > ay else ay)))
+            if r > errn:
+                errn = r
+            ay = abs(y3)
+            an = abs(n3)
+            r = (abs(h * (-5.0 * a3 / 72.0 + b3 / 12.0 + c3 / 9.0 - d3 / 8.0))
+                 / (atol + rtol * (an if an > ay else ay)))
+            if r > errn:
+                errn = r
+            ay = abs(y4)
+            an = abs(n4)
+            r = (abs(h * (-5.0 * a4 / 72.0 + b4 / 12.0 + c4 / 9.0 - d4 / 8.0))
+                 / (atol + rtol * (an if an > ay else ay)))
+            if r > errn:
+                errn = r
+            ay = abs(y5)
+            an = abs(n5)
+            r = (abs(h * (-5.0 * a5 / 72.0 + b5 / 12.0 + c5 / 9.0 - d5 / 8.0))
+                 / (atol + rtol * (an if an > ay else ay)))
+            if r > errn:
+                errn = r
             if errn <= 1.0:
-                t = tg if tg - t - h <= 1e-15 * max(1.0, abs(tg)) else t + h
+                t = tg if tg - t - h <= land_tol else t + h
                 y1, y2, y3, y4, y5 = n1, n2, n3, n4, n5
                 a1, a2, a3, a4, a5 = d1, d2, d3, d4, d5
-            h *= min(5.0, max(0.2, 0.9 * (errn + 1e-300) ** (-1.0 / 3.0)))
+            # h *= min(5.0, max(0.2, q))
+            q = 0.9 * (errn + 1e-300) ** (-1.0 / 3.0)
+            h *= (q if q < 5.0 else 5.0) if q > 0.2 else 0.2
         out.append((y1, y2, y3, y4, y5))
     return out, h
 
@@ -444,13 +501,18 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
 
     Returns (times, states[n,4], H[n]). Used for passivity and energy
     conservation checks; ``R_override`` allows the lossless case R = 0.
+    Raises ``ScenarioError`` (a ``ValueError``) for a duration that is not
+    positive and finite or exceeds a cost budget, and ``DomainError`` when the
+    state leaves the admissible region.
     """
+    _check_cost(duration, solver)
     geo = params.geometry
     L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
     rho = params.fluid.rho
     Gamma0 = params.fluid.Gamma0
     m = params.m
     R = params.R if R_override is None else R_override
+    two_L0 = 2.0 * L0
     sqrt = math.sqrt
 
     def rhs(t, x, p, P1, P2, zero):
@@ -461,13 +523,13 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
             raise _DomainExit(t, (x, p, P1, P2),
                               f"actuator {side} reached the volume-model boundary")
         s1 = sqrt(6.0 * u1 / L0)
-        a1 = 2.0 / 3.0 - u1 / (2.0 * L0)
+        a1 = 2.0 / 3.0 - u1 / two_L0
         s2 = sqrt(6.0 * u2 / L0)
-        a2 = 2.0 / 3.0 - u2 / (2.0 * L0)
+        a2 = 2.0 / 3.0 - u2 / two_L0
         V1 = K0 * a1 * s1 + V0
         V2 = K0 * a2 * s2 + V0
-        A1 = -K0 * (-s1 / (2.0 * L0) + 3.0 * a1 / (L0 * s1))
-        A2 = K0 * (-s2 / (2.0 * L0) + 3.0 * a2 / (L0 * s2))
+        A1 = -K0 * (-s1 / two_L0 + 3.0 * a1 / (L0 * s1))
+        A2 = K0 * (-s2 / two_L0 + 3.0 * a2 / (L0 * s2))
         M = m + rho * (V1 + V2)
         v = p / M
         G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
@@ -479,11 +541,14 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     grid = _sample_grid(duration, solver.sample_dt, [])
     # The steppers advance five states; the fifth stays exactly zero here.
     y = (initial.x, initial.p, initial.P1, initial.P2, 0.0)
-    if solver.method == "rk23":
-        ys, _ = _rk23_segment(rhs, y, grid, solver.rel_tol, solver.abs_tol,
-                              solver.max_step, min(solver.max_step, 1e-8))
-    else:
-        ys = _rk4_segment(rhs, y, grid, solver.fixed_step)
+    try:
+        if solver.method == "rk23":
+            ys, _ = _rk23_segment(rhs, y, grid, solver.rel_tol, solver.abs_tol,
+                                  solver.max_step, min(solver.max_step, 1e-8))
+        else:
+            ys = _rk4_segment(rhs, y, grid, solver.fixed_step)
+    except _DomainExit as exc:
+        raise DomainError(f"{exc} (t={exc.t:.6e}, state={exc.y})") from None
     states = np.array([y] + ys)[:, :4]
     energies = np.array([hamiltonian(PlantState(*row), params, margin)
                          for row in states.tolist()])

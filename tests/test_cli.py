@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from antago.cli import main
+from antago.cli import MAX_SWEEP_POINTS, main
 from antago.engine import diagnostics, simulate
 from antago.scenario_io import (
     load_preset,
@@ -86,8 +86,14 @@ def test_run_non_finite_input_is_one_line_error(tmp_path, study, capsys, key, va
     ("n_L = 3\n", "n_L = 3.5\n", ("n_L", "integer")),
     ("n_L = 3\n", "n_L = 0\n", ("n_L", "integer")),
     ("x_star = 0.001", "x_star = 0.0:0.001, inf:0.002", ("setpoint times", "finite")),
+    ("duration = 10.0", "duration = 1000000000.0", ("sample_dt", "budget")),
 ])
-def test_run_bad_plant_or_schedule_is_one_line_error(tmp_path, study, capsys, old, new, words):
+def test_run_bad_plant_or_schedule_is_one_line_error(tmp_path, study, capsys, monkeypatch,
+                                                     old, new, words):
+    def no_grid(*args):
+        raise AssertionError("a rejected scenario reached the sample grid")
+
+    monkeypatch.setattr("antago.engine._sample_grid", no_grid)
     text = serialize_scenario(study)
     assert old in text
     bad = tmp_path / "bad.ini"
@@ -103,6 +109,26 @@ def test_run_non_finite_solver_flag_is_one_line_error(short_scenario_file, tmp_p
                  "--rel-tol", "nan"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
+
+
+def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypatch):
+    """An rk4 run or a sweep range over its cost budget exits 1 with one
+    error line before any sample grid is built."""
+    def no_grid(*args):
+        raise AssertionError("an over-budget request reached the sample grid")
+
+    monkeypatch.setattr("antago.engine._sample_grid", no_grid)
+    tiny_step = tmp_path / "tiny.ini"
+    save_scenario(replace(study, duration=0.2,
+                          solver=replace(study.solver, fixed_step=1e-12)), tiny_step)
+    for argv, words in (
+            (["run", str(tiny_step), "--method", "rk4"], ("fixed_step", "budget")),
+            (["sweep", "alpha", str(tiny_step), "--values", f"1:25:{MAX_SWEEP_POINTS + 1}"],
+             ("range count", "budget"))):
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert all(word in err[0] for word in words), err[0]
 
 
 def test_run_domain_exit_is_nonzero(tmp_path, study, capsys):

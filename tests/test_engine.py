@@ -1,5 +1,6 @@
 """Simulation engine: force models, integration, diagnostics, robustness."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -101,6 +102,14 @@ def test_scenario_validation_errors(study):
     for F_hat0 in (math.nan, math.inf):
         with pytest.raises(ScenarioError, match="finite"):
             replace(study, F_hat0=F_hat0).validate()
+    # Cost budgets are checked from the settings alone, before any allocation.
+    with pytest.raises(ScenarioError, match="budget of 1000000 samples"):
+        replace(study, duration=1e9).validate()
+    replace(study, duration=0.5 * engine.MAX_SAMPLES * study.solver.sample_dt).validate()
+    tiny_step = replace(study.solver, fixed_step=1e-12)
+    replace(study, solver=tiny_step).validate()   # rk23 never takes the fixed step
+    with pytest.raises(ScenarioError, match="budget of 100000000 rk4 steps"):
+        replace(study, solver=replace(tiny_step, method="rk4")).validate()
 
 
 def test_solver_settings_validation():
@@ -147,6 +156,21 @@ def test_substituted_field_matches_raw_composition(study):
             assert abs(a - b) / scale < 1e-9
 
 
+def _open_loop_rhs(params, monkeypatch, **inputs):
+    """The right-hand side ``simulate_open_loop`` builds for these inputs,
+    captured by a stub rk4 stepper."""
+    captured = {}
+
+    def capture(rhs, y, t_grid, fixed_step):
+        captured["rhs"] = rhs
+        return [y for _ in t_grid[1:]]
+
+    monkeypatch.setattr(engine, "_rk4_segment", capture)
+    simulate_open_loop(params, PlantState(0.0, 0.0, 0.0, 0.0), 1e-3,
+                       SolverSettings(method="rk4", sample_dt=1e-3), **inputs)
+    return captured["rhs"]
+
+
 def test_inlined_geometry_matches_kernel(study, monkeypatch):
     """The geometry inlined in the closed-loop and open-loop right-hand sides
     equals the plant kernel, read back through inputs that isolate each term,
@@ -156,16 +180,7 @@ def test_inlined_geometry_matches_kernel(study, monkeypatch):
     free = ForceModel("constant", 0.0)
     kpkm = gains.k_p * gains.k_m
 
-    captured = {}
-
-    def capture(rhs, y, t_grid, fixed_step):
-        captured["rhs"] = rhs
-        return [y for _ in t_grid[1:]]
-
-    monkeypatch.setattr("antago.engine._rk4_segment", capture)
-    simulate_open_loop(params, PlantState(0.0, 0.0, 0.0, 0.0), 1e-3,
-                       SolverSettings(method="rk4", sample_dt=1e-3), U1=1.0, U2=1.0)
-    open_rhs = captured["rhs"]
+    open_rhs = _open_loop_rhs(params, monkeypatch, U1=1.0, U2=1.0)
 
     lo, hi = geo.position_bounds()
     xs = np.linspace(lo, hi, 52)[1:-1]
@@ -239,6 +254,11 @@ def test_domain_exit_reported(study):
     assert record["t"][-1] < 2.0
 
 
+class NaNForce(ForceModel):
+    def __call__(self, x, xdot):
+        return math.nan
+
+
 def test_nan_state_ends_in_domain_exit(study):
     """A NaN position fails the domain check, in the integrated field and in
     a run, instead of passing it and filling the record with NaN."""
@@ -246,10 +266,6 @@ def test_nan_state_ends_in_domain_exit(study):
     with pytest.raises(DomainError):
         augmented_field(nan_state, ObserverState(F_hat=0.0, alpha=study.gains.alpha),
                         study.gains, Setpoint(1e-3), study.force, study.params)
-
-    class NaNForce(ForceModel):
-        def __call__(self, x, xdot):
-            return math.nan
 
     record = simulate(replace(study, force=NaNForce("constant", 0.0), duration=0.1))
     assert record.status == "domain-exit"
@@ -410,15 +426,31 @@ def test_lossless_energy_conservation(lossless_run):
     assert np.sum(np.abs(np.diff(np.sign(states[:, 1])))) > 100
 
 
-def test_open_loop_passivity_with_damping(params):
+def test_open_loop_passivity_with_damping(params, monkeypatch):
     """With damping on and no inputs the energy must decay monotonically
-    (up to sampling resolution)."""
+    (up to sampling resolution). A run that leaves the domain raises
+    ``DomainError``; a bad or over-budget duration raises ``ValueError``
+    before the sample grid is built."""
     init = PlantState(x=5e-4, p=0.0, P1=2e4, P2=1e4)
     solver = SolverSettings(method="rk23", rel_tol=1e-10, abs_tol=1e-12,
                             sample_dt=1e-3, max_step=1e-4)
     t, states, H = simulate_open_loop(params, init, 0.05, solver)
     assert H[-1] < H[0]
     assert np.max(np.diff(H)) < 1e-9 * H[0]
+
+    with pytest.raises(DomainError, match="actuator 2"):
+        simulate_open_loop(params, PlantState(0.0, 0.0, 0.0, 0.0), 0.05, SolverSettings(),
+                           U1=1e-3, F=1e6)
+
+    def no_grid(*args):
+        raise AssertionError("a rejected duration reached the sample grid")
+
+    monkeypatch.setattr(engine, "_sample_grid", no_grid)
+    for duration in (-1.0, 0.0, math.inf, math.nan, 1e9):
+        with pytest.raises(ValueError):
+            simulate_open_loop(params, init, duration, solver)
+    with pytest.raises(ValueError, match="rk4 steps"):
+        simulate_open_loop(params, init, 0.05, SolverSettings(method="rk4", fixed_step=1e-12))
 
 
 def test_rk23_matches_scipy_dop853(fig2_runs):
@@ -446,7 +478,92 @@ def test_rk23_matches_scipy_dop853(fig2_runs):
 
 
 # --------------------------------------------------------------------------
-# The unrolled steppers against the generic tuple loops they replaced.
+# The steppers and right-hand sides against reference copies: the generic
+# tuple loops and the right-hand sides written with every constant computed
+# in place and every min/max a builtin call.
+
+def _reference_make_rhs(params, gains, force, x_star, margin):
+    """Reference form of ``engine._make_rhs``."""
+    geo = params.geometry
+    L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
+    rho = params.fluid.rho
+    m = params.m
+    R = params.R
+    k_p, k_m, k_i, alpha = gains.k_p, gains.k_m, gains.k_i, gains.alpha
+    kpkm = k_p * k_m
+    f = force
+    sqrt = math.sqrt
+
+    def rhs(t, x, p, P1, P2, F_hat):
+        u1 = x_M - x - x0
+        u2 = x + x0
+        if not (u1 > margin and u2 > margin):
+            side = 2 if u1 > margin else 1
+            raise engine._DomainExit(t, (x, p, P1, P2, F_hat),
+                                     f"actuator {side} reached the volume-model boundary")
+        s1 = sqrt(6.0 * u1 / L0)
+        a1 = 2.0 / 3.0 - u1 / (2.0 * L0)
+        s2 = sqrt(6.0 * u2 / L0)
+        a2 = 2.0 / 3.0 - u2 / (2.0 * L0)
+        V1 = K0 * a1 * s1 + V0
+        V2 = K0 * a2 * s2 + V0
+        A1 = -K0 * (-s1 / (2.0 * L0) + 3.0 * a1 / (L0 * s1))
+        A2 = K0 * (-s2 / (2.0 * L0) + 3.0 * a2 / (L0 * s2))
+        dA1 = K0 * (-3.0 / (L0 * L0 * s1) - 9.0 * a1 / (L0 * L0 * s1**3))
+        dA2 = K0 * (-3.0 / (L0 * L0 * s2) - 9.0 * a2 / (L0 * L0 * s2**3))
+
+        M = m + rho * (V1 + V2)
+        v = p / M
+        G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
+        F = f(x, v)
+        sig = P1 * A1 + P2 * A2 - F_hat + kpkm * (x - x_star)
+        dsig = P1 * dA1 + P2 * dA2 + kpkm
+        shear = (1.0 + k_m * dsig) * v / (2.0 * k_m)
+        return (
+            v,
+            G - F,
+            -shear / A1 - k_i * sig / A1,
+            -shear / A2 - k_i * sig / A2,
+            alpha * (G - F_hat + alpha * p),
+        )
+
+    return rhs
+
+
+def _reference_open_rhs(params, U1, U2, F, R, margin):
+    """Reference form of the right-hand side inside ``engine.simulate_open_loop``."""
+    geo = params.geometry
+    L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
+    rho = params.fluid.rho
+    Gamma0 = params.fluid.Gamma0
+    m = params.m
+    sqrt = math.sqrt
+
+    def rhs(t, x, p, P1, P2, zero):
+        u1 = x_M - x - x0
+        u2 = x + x0
+        if not (u1 > margin and u2 > margin):
+            side = 2 if u1 > margin else 1
+            raise engine._DomainExit(t, (x, p, P1, P2),
+                                     f"actuator {side} reached the volume-model boundary")
+        s1 = sqrt(6.0 * u1 / L0)
+        a1 = 2.0 / 3.0 - u1 / (2.0 * L0)
+        s2 = sqrt(6.0 * u2 / L0)
+        a2 = 2.0 / 3.0 - u2 / (2.0 * L0)
+        V1 = K0 * a1 * s1 + V0
+        V2 = K0 * a2 * s2 + V0
+        A1 = -K0 * (-s1 / (2.0 * L0) + 3.0 * a1 / (L0 * s1))
+        A2 = K0 * (-s2 / (2.0 * L0) + 3.0 * a2 / (L0 * s2))
+        M = m + rho * (V1 + V2)
+        v = p / M
+        G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
+        return (v, G - F,
+                Gamma0 * (U1 - A1 * v) / V1,
+                Gamma0 * (U2 - A2 * v) / V2,
+                0.0)
+
+    return rhs
+
 
 def _reference_rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
     """Tuple-loop form of ``engine._rk23_segment``."""
@@ -496,12 +613,34 @@ def _reference_rk4_segment(rhs, y, t_grid, fixed_step):
     return out
 
 
+def _nan_on_call(n):
+    """A zero constant force that returns NaN on its n-th call only: a NaN
+    reaches the error norm of one rk23 step while the position stays finite."""
+    calls = itertools.count(1)
+
+    class NaNOnce(ForceModel):
+        def __call__(self, x, xdot):
+            return math.nan if next(calls) == n else self.value
+
+    return NaNOnce("constant", 0.0)
+
+
 def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
-    """Every run, early endings included, is bit-identical under the unrolled
-    steppers and under the tuple loops."""
+    """Every run, early endings included, is bit-identical under the engine's
+    steppers and right-hand side and under the reference tuple loops and
+    reference right-hand side."""
     rk4 = replace(study.solver, method="rk4", fixed_step=1e-4)
     runs = {name: (lambda sc=load_preset(name): simulate(sc))
             for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
+    fig2_f2 = load_preset("fig2-F2")
+    # Two points of the seed-0 benchmark sweeps; the alpha point leaves the domain.
+    runs["sweep-alpha"] = lambda: simulate(replace(
+        study, gains=replace(study.gains, alpha=21.7082)))
+    runs["sweep-k_m"] = lambda: simulate(replace(
+        fig2_f2, gains=replace(fig2_f2.gains, k_m=2.2761)))
+    runs["nan-force"] = lambda: simulate(replace(
+        study, force=NaNForce("constant", 0.0), duration=0.1))
+    runs["nan-once"] = lambda: simulate(replace(study, force=_nan_on_call(3), duration=0.1))
     runs["rk4"] = lambda: simulate(replace(study, solver=rk4, duration=0.2))
     multistep = load_preset("multistep")
     runs["domain-exit"] = lambda: simulate(replace(
@@ -522,12 +661,34 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     unrolled = {name: run() for name, run in runs.items()}
     monkeypatch.setattr(engine, "_rk23_segment", _reference_rk23_segment)
     monkeypatch.setattr(engine, "_rk4_segment", _reference_rk4_segment)
+    monkeypatch.setattr(engine, "_make_rhs", _reference_make_rhs)
     for name, run in runs.items():
         expected = run()
         if name.startswith("open"):
             assert all(np.array_equal(a, b) for a, b in zip(unrolled[name], expected)), name
             assert unrolled[name][1].shape[1] == 4
         else:
-            assert unrolled[name] == expected, name
-    assert unrolled["domain-exit"].status == "domain-exit"
+            # NaN channels (the NaN-force runs) compare equal to NaN.
+            got = unrolled[name]
+            assert (got.status, got.detail) == (expected.status, expected.detail), name
+            assert all(np.array_equal(got[ch], expected[ch], equal_nan=True)
+                       for ch in CHANNELS), name
+    for name in ("domain-exit", "sweep-alpha", "nan-force", "nan-once"):
+        assert unrolled[name].status == "domain-exit", name
     assert unrolled["step-underflow"].status == "step-underflow"
+    assert unrolled["sweep-k_m"].status == "ok"
+
+
+def test_open_loop_rhs_matches_reference(params, monkeypatch):
+    """The open-loop right-hand side equals its reference form bit for bit at
+    sampled states across the admissible range, with inputs, load and damping."""
+    U1, U2, F = 3e-7, -2e-7, 0.4
+    open_rhs = _open_loop_rhs(params, monkeypatch, U1=U1, U2=U2, F=F)
+    reference = _reference_open_rhs(params, U1, U2, F, params.R, engine.DEFAULT_DOMAIN_MARGIN)
+
+    lo, hi = params.geometry.position_bounds()
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        state = (float(rng.uniform(lo, hi)), float(rng.uniform(-0.05, 0.05)),
+                 float(rng.uniform(-3e4, 3e4)), float(rng.uniform(-3e4, 3e4)), 0.0)
+        assert open_rhs(0.0, *state) == reference(0.0, *state), state
