@@ -40,7 +40,7 @@ from .engine import (
     simulate,
     simulate_open_loop,
 )
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, ScenarioError, SolverError
 from .observer import ForceEstimate, ObserverState, force_estimate, initial_observer, observer_rate
 from .plant import (
     ActuatorGeometry,
@@ -57,9 +57,6 @@ from .plant import (
     pouch_volume,
     pressure_potential,
     total_mass,
-    volume_curvatures,
-    volume_gradients,
-    volumes,
 )
 from .scenario_io import (
     list_presets,
@@ -80,7 +77,7 @@ __all__ = [
     "ActuatorGeometry", "CHANNELS", "ControllerGains", "DiagnosticsSummary",
     "DomainError", "FluidParams", "ForceEstimate", "ForceModel",
     "GeometryTerms", "ObserverState", "PlantParams", "PlantState",
-    "ScenarioConfig", "ScenarioError", "Setpoint", "SigmaTerms",
+    "ScenarioConfig", "ScenarioError", "Setpoint", "SigmaTerms", "SolverError",
     "SolverSettings", "StabilityReport", "StepperParams", "TrajectoryRecord",
     "augmented_field", "closed_loop_field", "control_flows", "desired_energy",
     "desired_energy_rate", "diagnostics", "evaluate_force", "fit_decay_rate",
@@ -92,6 +89,5 @@ __all__ = [
     "save_trajectory_csv", "serialize_scenario", "sigma", "simulate",
     "simulate_open_loop", "stepper_target", "stepper_target_digital",
     "stepper_target_empirical", "total_mass", "trajectory_from_csv",
-    "trajectory_to_csv", "validate_gains", "volume_curvatures",
-    "volume_gradients", "volumes",
+    "trajectory_to_csv", "validate_gains",
 ]

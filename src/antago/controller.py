@@ -36,7 +36,6 @@ import numpy as np
 from .errors import DomainError
 from .observer import ObserverState, observer_rate
 from .plant import (
-    DEFAULT_DOMAIN_MARGIN,
     ActuatorGeometry,
     PlantParams,
     PlantState,
@@ -44,6 +43,10 @@ from .plant import (
     geometry_terms,
     total_mass,
 )
+
+# Positions, evenly spaced over the admissible range, at which validate_gains
+# evaluates the condition product.
+GAIN_SWEEP_POINTS = 101
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,8 @@ class Setpoint:
 
     x_star: float
 
-    def validate(self, geometry: ActuatorGeometry,
-                 margin: float = DEFAULT_DOMAIN_MARGIN) -> None:
-        lo, hi = geometry.position_bounds(margin)
+    def validate(self, geometry: ActuatorGeometry) -> None:
+        lo, hi = geometry.position_bounds()
         if not lo < self.x_star < hi:
             raise DomainError(
                 f"setpoint {self.x_star!r} outside admissible range ({lo:.4e}, {hi:.4e})"
@@ -85,10 +87,9 @@ class SigmaTerms(NamedTuple):
 
 
 def sigma(state: PlantState, F_hat: float, gains: ControllerGains,
-          setpoint: Setpoint, geometry: ActuatorGeometry,
-          margin: float = DEFAULT_DOMAIN_MARGIN) -> SigmaTerms:
+          setpoint: Setpoint, geometry: ActuatorGeometry) -> SigmaTerms:
     """Evaluate sigma = P1*A1 + P2*A2 - F_hat + k_p*k_m*(x - x_star) and its gradient."""
-    g = geometry_terms(state.x, geometry, margin)
+    g = geometry_terms(state.x, geometry)
     kpkm = gains.k_p * gains.k_m
     value = state.P1 * g.A1 + state.P2 * g.A2 - F_hat + kpkm * (state.x - setpoint.x_star)
     d_x = state.P1 * g.dA1 + state.P2 * g.dA2 + kpkm
@@ -96,15 +97,14 @@ def sigma(state: PlantState, F_hat: float, gains: ControllerGains,
 
 
 def control_flows(state: PlantState, obs: ObserverState, gains: ControllerGains,
-                  setpoint: Setpoint, params: PlantParams,
-                  margin: float = DEFAULT_DOMAIN_MARGIN) -> tuple[float, float]:
+                  setpoint: Setpoint, params: PlantParams) -> tuple[float, float]:
     """Flow-rate commands (U1, U2) of the energy-shaping control law."""
-    g = geometry_terms(state.x, params.geometry, margin)
+    g = geometry_terms(state.x, params.geometry)
     if g.A1 == 0.0 or g.A2 == 0.0:
         raise DomainError("volume gradient vanished; state outside design domain")
     M = params.m + (g.V1 + g.V2) * params.fluid.rho
     v = state.p / M
-    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry, margin)
+    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry)
     shear = (1.0 + gains.k_m * s.d_x) * v / (2.0 * gains.k_m)
     Gamma0 = params.fluid.Gamma0
     U1 = g.A1 * v - (g.V1 / Gamma0) * (shear / g.A1 + gains.k_i * s.value / g.A1)
@@ -114,19 +114,17 @@ def control_flows(state: PlantState, obs: ObserverState, gains: ControllerGains,
 
 def closed_loop_field(state: PlantState, obs: ObserverState, true_F: float,
                       gains: ControllerGains, setpoint: Setpoint,
-                      params: PlantParams,
-                      margin: float = DEFAULT_DOMAIN_MARGIN
-                      ) -> tuple[float, float, float, float]:
+                      params: PlantParams) -> tuple[float, float, float, float]:
     """Shaped closed-loop state derivative (dx, dp, dP1, dP2).
 
     Componentwise equal to the open-loop field driven by :func:`control_flows`;
     the matching is the central correctness oracle of the package.
     """
-    g = geometry_terms(state.x, params.geometry, margin)
+    g = geometry_terms(state.x, params.geometry)
     rho = params.fluid.rho
     M = params.m + (g.V1 + g.V2) * rho
     k_m = gains.k_m
-    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry, margin)
+    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry)
 
     dHd_x = (-state.p**2 * rho * (g.A1 + g.A2) / (2.0 * k_m * M * M)
              - gains.k_p * (setpoint.x_star - state.x)
@@ -152,11 +150,10 @@ def closed_loop_field(state: PlantState, obs: ObserverState, true_F: float,
 
 def desired_energy(state: PlantState, obs: ObserverState, true_F: float,
                    gains: ControllerGains, setpoint: Setpoint,
-                   params: PlantParams,
-                   margin: float = DEFAULT_DOMAIN_MARGIN) -> tuple[float, float]:
+                   params: PlantParams) -> tuple[float, float]:
     """Shaped energy H_d and Lyapunov candidate Psi = H_d + zeta^2 / 2."""
-    M = total_mass(state.x, params, margin)
-    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry, margin)
+    M = total_mass(state.x, params)
+    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry)
     H_d = (state.p**2 / (2.0 * gains.k_m * M)
            + 0.5 * gains.k_p * (setpoint.x_star - state.x) ** 2
            + 0.5 * s.value**2)
@@ -166,8 +163,7 @@ def desired_energy(state: PlantState, obs: ObserverState, true_F: float,
 
 def desired_energy_rate(state: PlantState, obs: ObserverState, true_F: float,
                         gains: ControllerGains, setpoint: Setpoint,
-                        params: PlantParams, F_rate: float = 0.0,
-                        margin: float = DEFAULT_DOMAIN_MARGIN) -> float:
+                        params: PlantParams, F_rate: float = 0.0) -> float:
     """Analytic time derivative of Psi along the closed loop.
 
     ``F_rate`` is the time derivative of the true external force (zero for a
@@ -177,14 +173,14 @@ def desired_energy_rate(state: PlantState, obs: ObserverState, true_F: float,
     at the equilibrium and is reported here in full so that numerical
     differentiation of Psi can be checked tightly.
     """
-    g = geometry_terms(state.x, params.geometry, margin)
+    g = geometry_terms(state.x, params.geometry)
     M = params.m + (g.V1 + g.V2) * params.fluid.rho
-    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry, margin)
+    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry)
     zeta = obs.F_hat - gains.alpha * state.p - true_F
     dHd_p = state.p / (gains.k_m * M)
     S22 = gains.k_m * (params.R - gains.alpha * M)
-    F_hat_rate = observer_rate(state, obs, params, margin)
-    p_rate = generalized_force(state, params, margin) - true_F
+    F_hat_rate = observer_rate(state, obs, params)
+    p_rate = generalized_force(state, params) - true_F
     zeta_rate = F_hat_rate - gains.alpha * p_rate - F_rate
     return (-S22 * dHd_p**2
             - 2.0 * gains.k_i * s.value**2
@@ -224,15 +220,14 @@ def _theta_matrix(params: PlantParams, gains: ControllerGains, M: float,
 
 
 def validate_gains(params: PlantParams, gains: ControllerGains,
-                   M_eval: float | None = None, epsilon: float = 0.0,
-                   sweep_points: int = 101) -> StabilityReport:
+                   M_eval: float | None = None, epsilon: float = 0.0) -> StabilityReport:
     """Check the closed-loop stability conditions for a gain set.
 
     ``M_eval`` is the total mass at which the conditions are evaluated
     (default: domain midpoint); the product ``(R - alpha*M)*alpha*k_m`` is
-    additionally swept over the whole admissible position range and its worst
-    case reported. A report is always produced; nothing is raised for an
-    invalid tuning.
+    additionally swept over ``GAIN_SWEEP_POINTS`` positions spanning the
+    admissible range and its worst case reported. A report is always
+    produced; nothing is raised for an invalid tuning.
     """
     if M_eval is None:
         lo, hi = params.geometry.position_bounds()
@@ -257,8 +252,8 @@ def validate_gains(params: PlantParams, gains: ControllerGains,
 
     lo, hi = params.geometry.position_bounds()
     worst = math.inf
-    for i in range(sweep_points):
-        x = lo + (hi - lo) * i / (sweep_points - 1)
+    for i in range(GAIN_SWEEP_POINTS):
+        x = lo + (hi - lo) * i / (GAIN_SWEEP_POINTS - 1)
         M = total_mass(x, params)
         worst = min(worst, (params.R - gains.alpha * M) * gains.alpha * gains.k_m)
 
@@ -295,10 +290,12 @@ class StepperParams:
     k_U: float = 0.0  # empirical flow-to-position scale (raw mapping)
 
     def __post_init__(self) -> None:
-        if self.S <= 0 or self.delta_t <= 0:
-            raise ValueError("S and delta_t must be positive")
-        if self.T_f < self.delta_t:
-            raise ValueError("trajectory duration T_f must be at least delta_t")
+        if not (0.0 < self.S < math.inf and 0.0 < self.delta_t < math.inf):
+            raise ValueError("S and delta_t must be positive and finite")
+        if not self.delta_t <= self.T_f < math.inf:
+            raise ValueError("trajectory duration T_f must be finite and at least delta_t")
+        if not math.isfinite(self.k_U):
+            raise ValueError("flow-to-position scale k_U must be finite")
 
 
 def min_jerk_position(t: float, T_f: float, x_s0: float, x_s_star: float) -> float:

@@ -29,6 +29,11 @@ floating-point operation keeps its operands and order.
 Every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
 output samples and, for ``rk4``, ``MAX_RK4_STEPS`` fixed steps.
 
+A position within the plant's fixed 1 µm ``DOMAIN_MARGIN`` of the
+volume-model boundary ends a run as "domain-exit". The right-hand sides inline
+:func:`antago.plant.geometry_terms`, the single geometry entry point; the
+record and diagnostics call its array form.
+
 The trajectory record and :func:`diagnostics` are built as array expressions
 over the sampled states. The scalar plant and controller functions
 (``control_flows``, ``sigma``, ``desired_energy``, ``hamiltonian``) are their
@@ -43,10 +48,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import ControllerGains, Setpoint
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, ScenarioError, SolverError
 from .observer import ObserverState
 from .plant import (
-    DEFAULT_DOMAIN_MARGIN,
+    DOMAIN_MARGIN,
     PlantParams,
     PlantState,
     geometry_terms_array,
@@ -62,6 +67,11 @@ FORCE_KINDS = ("constant", "tanh_friction", "spring")
 # rk4 cross-check for about 1.7e5 steps.
 MAX_SAMPLES = 10**6
 MAX_RK4_STEPS = 10**8
+
+# diagnostics: a run has settled once |x - x_star| stays within SETTLE_TOL [m];
+# fit_decay_rate ignores samples at or below DECAY_FIT_FLOOR.
+SETTLE_TOL = 1e-5
+DECAY_FIT_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -199,7 +209,8 @@ class TrajectoryRecord:
             return NotImplemented
         return (self.status == other.status and self.detail == other.detail
                 and set(self.data) == set(other.data)
-                and all(np.array_equal(self.data[k], other.data[k]) for k in self.data))
+                and all(np.array_equal(self.data[k], other.data[k], equal_nan=True)
+                        for k in self.data))
 
 
 class _DomainExit(Exception):
@@ -217,7 +228,7 @@ class _StepUnderflow(Exception):
 
 
 def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
-              x_star: float, margin: float):
+              x_star: float):
     """Closed-loop right-hand side for one setpoint segment.
 
     All parameters are bound to locals; the geometry branch is inlined because
@@ -237,6 +248,7 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
     two_L0 = 2.0 * L0
     L0_sq = L0 * L0
     two_k_m = 2.0 * k_m
+    margin = DOMAIN_MARGIN
     f = force
     sqrt = math.sqrt
 
@@ -277,10 +289,9 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
 
 
 def augmented_field(state: PlantState, obs: ObserverState, gains: ControllerGains,
-                    setpoint: Setpoint, force: ForceModel, params: PlantParams,
-                    margin: float = DEFAULT_DOMAIN_MARGIN) -> tuple:
+                    setpoint: Setpoint, force: ForceModel, params: PlantParams) -> tuple:
     """Public wrapper around the integrated field, for point verification."""
-    rhs = _make_rhs(params, gains, force, setpoint.x_star, margin)
+    rhs = _make_rhs(params, gains, force, setpoint.x_star)
     try:
         return rhs(0.0, state.x, state.p, state.P1, state.P2, obs.F_hat)
     except _DomainExit as exc:
@@ -414,8 +425,7 @@ def _sample_grid(duration: float, sample_dt: float, events: list[float]) -> list
     return sorted(times)
 
 
-def simulate(scenario: ScenarioConfig,
-             margin: float = DEFAULT_DOMAIN_MARGIN) -> TrajectoryRecord:
+def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     """Integrate the augmented closed loop and record all diagnostic channels.
 
     Terminates early (with status "domain-exit" or "step-underflow") if the
@@ -442,7 +452,7 @@ def simulate(scenario: ScenarioConfig,
     try:
         for (seg_a, x_star), seg_b in zip(scenario.setpoints, boundaries[1:]):
             seg_grid = [seg_a] + [t for t in grid if seg_a < t <= seg_b]
-            rhs = _make_rhs(params, gains, force, x_star, margin)
+            rhs = _make_rhs(params, gains, force, x_star)
             if solver.method == "rk23":
                 ys, h = _rk23_segment(rhs, y, seg_grid, solver.rel_tol,
                                       solver.abs_tol, solver.max_step, h)
@@ -456,15 +466,15 @@ def simulate(scenario: ScenarioConfig,
     except _StepUnderflow as exc:
         status, detail = "step-underflow", f"{exc} (state={exc.y})"
 
-    return _build_record(scenario, times, states, status, detail, margin)
+    return _build_record(scenario, times, states, status, detail)
 
 
-def _build_record(scenario, times, states, status, detail, margin) -> TrajectoryRecord:
+def _build_record(scenario, times, states, status, detail) -> TrajectoryRecord:
     params, gains = scenario.params, scenario.gains
     fluid = params.fluid
     t = np.array(times, dtype=float)
     x, p, P1, P2, F_hat = np.array(states, dtype=float).T.copy()
-    g = geometry_terms_array(x, params.geometry, margin)
+    g = geometry_terms_array(x, params.geometry)
     M = params.m + (g.V1 + g.V2) * fluid.rho
     v = p / M
     # The force stays scalar: np.tanh and math.tanh differ in the last bit.
@@ -494,16 +504,16 @@ def _build_record(scenario, times, states, status, detail, margin) -> Trajectory
 
 def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float,
                        solver: SolverSettings, U1: float = 0.0, U2: float = 0.0,
-                       F: float = 0.0, R_override: float | None = None,
-                       margin: float = DEFAULT_DOMAIN_MARGIN
+                       F: float = 0.0, R_override: float | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the open-loop plant under constant inputs.
 
     Returns (times, states[n,4], H[n]). Used for passivity and energy
     conservation checks; ``R_override`` allows the lossless case R = 0.
     Raises ``ScenarioError`` (a ``ValueError``) for a duration that is not
-    positive and finite or exceeds a cost budget, and ``DomainError`` when the
-    state leaves the admissible region.
+    positive and finite or exceeds a cost budget, ``DomainError`` when the
+    state leaves the admissible region and ``SolverError`` when the adaptive
+    step collapses.
     """
     _check_cost(duration, solver)
     geo = params.geometry
@@ -513,6 +523,7 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     m = params.m
     R = params.R if R_override is None else R_override
     two_L0 = 2.0 * L0
+    margin = DOMAIN_MARGIN
     sqrt = math.sqrt
 
     def rhs(t, x, p, P1, P2, zero):
@@ -549,8 +560,10 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
             ys = _rk4_segment(rhs, y, grid, solver.fixed_step)
     except _DomainExit as exc:
         raise DomainError(f"{exc} (t={exc.t:.6e}, state={exc.y})") from None
+    except _StepUnderflow as exc:
+        raise SolverError(f"{exc} (state={exc.y[:4]})") from None
     states = np.array([y] + ys)[:, :4]
-    energies = np.array([hamiltonian(PlantState(*row), params, margin)
+    energies = np.array([hamiltonian(PlantState(*row), params)
                          for row in states.tolist()])
     return np.asarray(grid), states, energies
 
@@ -574,14 +587,14 @@ class DiagnosticsSummary:
     crossed_symmetric: bool        # trajectory visited A1 = -A2 (degenerate config)
 
 
-def fit_decay_rate(t: np.ndarray, values: np.ndarray,
-                   floor: float = 1e-9) -> float:
-    """Least-squares slope of log|values| over samples above the noise floor.
+def fit_decay_rate(t: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares slope of log|values| over samples above the noise floor
+    (``DECAY_FIT_FLOOR``, or 1e-6 of the first magnitude if larger).
 
     Returns the positive decay rate, or nan if fewer than two usable samples.
     """
     v = np.abs(np.asarray(values, dtype=float))
-    lim = max(floor, 1e-6 * v[0]) if len(v) and v[0] > 0 else floor
+    lim = max(DECAY_FIT_FLOOR, 1e-6 * v[0]) if len(v) and v[0] > 0 else DECAY_FIT_FLOOR
     mask = v > lim
     if mask.sum() < 2:
         return float("nan")
@@ -590,8 +603,7 @@ def fit_decay_rate(t: np.ndarray, values: np.ndarray,
 
 
 def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
-                params: PlantParams, settle_tol: float = 1e-5,
-                margin: float = DEFAULT_DOMAIN_MARGIN) -> DiagnosticsSummary:
+                params: PlantParams) -> DiagnosticsSummary:
     """Aggregate the stability-theory checks over one recorded trajectory."""
     if len(record) == 0:
         raise ValueError("empty trajectory")
@@ -604,13 +616,13 @@ def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
     max_inc = float(increments.max()) if len(increments) else 0.0
 
     err = np.abs(x - x_star)
-    over = np.nonzero(err > settle_tol)[0]
+    over = np.nonzero(err > SETTLE_TOL)[0]
     settle_time = float(t[over[-1]]) if len(over) else 0.0
 
     rate = fit_decay_rate(t, record["zeta"])
     rate_err = abs(rate - gains.alpha) / gains.alpha if math.isfinite(rate) else float("nan")
 
-    g = geometry_terms_array(x, params.geometry, margin)
+    g = geometry_terms_array(x, params.geometry)
     sum_grad = g.A1 + g.A2
     scale = np.abs(g.A1) + np.abs(g.A2)
     crossed = bool(np.any(np.abs(sum_grad) <= 1e-6 * scale)
@@ -626,7 +638,7 @@ def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
         sigma_final=float(record["sigma"][-1]),
         force_balance_residual=float(balance),
         settle_time=settle_time,
-        settle_tol=settle_tol,
+        settle_tol=SETTLE_TOL,
         max_psi_increment=max_inc,
         psi_max=float(psi.max()),
         zeta_rate=rate,

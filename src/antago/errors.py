@@ -7,3 +7,7 @@ class DomainError(ValueError):
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario description."""
+
+
+class SolverError(RuntimeError):
+    """The integrator could not continue (its adaptive step collapsed)."""

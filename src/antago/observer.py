@@ -12,9 +12,10 @@ integrator state itself; the true force never enters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .plant import DEFAULT_DOMAIN_MARGIN, PlantParams, PlantState, generalized_force
+from .plant import PlantParams, PlantState, generalized_force
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,10 @@ class ObserverState:
     alpha: float   # observer gain [1/s]
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("observer gain alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("observer gain alpha must be positive and finite")
+        if not math.isfinite(self.F_hat):
+            raise ValueError("integrator state F_hat must be finite")
 
 
 @dataclass(frozen=True)
@@ -33,11 +36,10 @@ class ForceEstimate:
     beta: float      # state-dependent part -alpha*p [N]
 
 
-def observer_rate(state: PlantState, obs: ObserverState, params: PlantParams,
-                  margin: float = DEFAULT_DOMAIN_MARGIN) -> float:
+def observer_rate(state: PlantState, obs: ObserverState, params: PlantParams) -> float:
     """Time derivative of the integrator state F_hat."""
     beta = -obs.alpha * state.p
-    return obs.alpha * (generalized_force(state, params, margin) - obs.F_hat - beta)
+    return obs.alpha * (generalized_force(state, params) - obs.F_hat - beta)
 
 
 def force_estimate(obs: ObserverState, p: float) -> ForceEstimate:

@@ -9,6 +9,12 @@ Hamiltonian with a skew interconnection, transmission damping ``R``, an
 external force ``F`` on the payload, and the syringe-pump flow rates
 ``(U1, U2)`` as inputs.
 
+The volume law is a square root in each actuator's contraction, and the model
+keeps a fixed 1 µm margin (``DOMAIN_MARGIN``) from its boundary:
+:func:`geometry_terms` (array form :func:`geometry_terms_array`), the single
+entry point to the volumes, gradients and curvatures, raises
+:class:`DomainError` for a position within it.
+
 All functions here are pure and operate on plain floats (``geometry_terms_array``
 on arrays); they are safe to call concurrently.
 """
@@ -24,8 +30,9 @@ import numpy as np
 from .errors import DomainError
 
 # Margin [m] kept between the position and the square-root domain boundary,
-# where the volume gradients blow up.
-DEFAULT_DOMAIN_MARGIN = 1e-6
+# where the volume gradients blow up. A property of the volume model: every
+# domain check of the package uses this one value.
+DOMAIN_MARGIN = 1e-6
 
 # Relative tolerance for the k0/K0 redundancy check.
 _K0_CONSISTENCY_RTOL = 1e-12
@@ -90,9 +97,9 @@ class ActuatorGeometry:
         return cls(L0=L0, n_L=n_L, D_s=D_s, d_c=d_c, k0=k0, K0=K0,
                    V0=V0, x0=x0, x_M=x_M)
 
-    def position_bounds(self, margin: float = DEFAULT_DOMAIN_MARGIN) -> tuple[float, float]:
-        """Open interval of admissible payload positions, shrunk by ``margin``."""
-        return (-self.x0 + margin, self.x_M - self.x0 - margin)
+    def position_bounds(self) -> tuple[float, float]:
+        """Open interval of admissible positions, ``DOMAIN_MARGIN`` inside the travel."""
+        return (-self.x0 + DOMAIN_MARGIN, self.x_M - self.x0 - DOMAIN_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -147,11 +154,11 @@ class GeometryTerms(NamedTuple):
     dA2: float
 
 
-def _check_contraction(u: float, actuator: int, margin: float) -> None:
+def _check_contraction(u: float, actuator: int) -> None:
     # Written so that a NaN contraction fails the check.
-    if not u > margin:
+    if not u > DOMAIN_MARGIN:
         raise DomainError(
-            f"actuator {actuator} contraction {u:.3e} m is within {margin:.1e} m "
+            f"actuator {actuator} contraction {u:.3e} m is within {DOMAIN_MARGIN:.1e} m "
             "of the volume-model boundary"
         )
 
@@ -169,21 +176,19 @@ def _bellows_branch(u, geometry: ActuatorGeometry, sqrt=math.sqrt):
     return V, d1, d2
 
 
-def geometry_terms(x: float, geometry: ActuatorGeometry,
-                   margin: float = DEFAULT_DOMAIN_MARGIN) -> GeometryTerms:
+def geometry_terms(x: float, geometry: ActuatorGeometry) -> GeometryTerms:
     """Evaluate both actuators' volumes, gradients and curvatures at position x."""
     u1 = geometry.x_M - x - geometry.x0
     u2 = x + geometry.x0
-    _check_contraction(u1, 1, margin)
-    _check_contraction(u2, 2, margin)
+    _check_contraction(u1, 1)
+    _check_contraction(u2, 2)
     V1, f1, g1 = _bellows_branch(u1, geometry)
     V2, f2, g2 = _bellows_branch(u2, geometry)
     # u1 decreases with x, so the chain rule flips the sign of odd derivatives.
     return GeometryTerms(V1=V1, V2=V2, A1=-f1, A2=f2, dA1=g1, dA2=g2)
 
 
-def geometry_terms_array(x: np.ndarray, geometry: ActuatorGeometry,
-                         margin: float = DEFAULT_DOMAIN_MARGIN) -> GeometryTerms:
+def geometry_terms_array(x: np.ndarray, geometry: ActuatorGeometry) -> GeometryTerms:
     """:func:`geometry_terms` over an array of positions, one array per field.
 
     Raises :class:`DomainError` if any position is outside the domain.
@@ -192,8 +197,8 @@ def geometry_terms_array(x: np.ndarray, geometry: ActuatorGeometry,
     """
     u1 = geometry.x_M - x - geometry.x0
     u2 = x + geometry.x0
-    _check_contraction(float(u1.min()), 1, margin)
-    _check_contraction(float(u2.min()), 2, margin)
+    _check_contraction(float(u1.min()), 1)
+    _check_contraction(float(u2.min()), 2)
     V1, f1, g1 = _bellows_branch(u1, geometry, np.sqrt)
     V2, f2, g2 = _bellows_branch(u2, geometry, np.sqrt)
     return GeometryTerms(V1=V1, V2=V2, A1=-f1, A2=f2, dA1=g1, dA2=g2)
@@ -221,32 +226,10 @@ def pouch_volume(theta: float, geometry: ActuatorGeometry) -> float:
     return geometry.K0 * (theta - math.cos(theta) * math.sin(theta)) / theta**2
 
 
-def volumes(x: float, geometry: ActuatorGeometry,
-            margin: float = DEFAULT_DOMAIN_MARGIN) -> tuple[float, float]:
-    """Fluid volumes (V1, V2) of the pair at payload position x."""
-    g = geometry_terms(x, geometry, margin)
-    return g.V1, g.V2
-
-
-def volume_gradients(x: float, geometry: ActuatorGeometry,
-                     margin: float = DEFAULT_DOMAIN_MARGIN) -> tuple[float, float]:
-    """Volume gradients (A1, A2) = (dV1/dx, dV2/dx) at payload position x."""
-    g = geometry_terms(x, geometry, margin)
-    return g.A1, g.A2
-
-
-def volume_curvatures(x: float, geometry: ActuatorGeometry,
-                      margin: float = DEFAULT_DOMAIN_MARGIN) -> tuple[float, float]:
-    """Second derivatives (dA1/dx, dA2/dx) of the volumes at position x."""
-    g = geometry_terms(x, geometry, margin)
-    return g.dA1, g.dA2
-
-
-def total_mass(x: float, params: PlantParams,
-               margin: float = DEFAULT_DOMAIN_MARGIN) -> float:
+def total_mass(x: float, params: PlantParams) -> float:
     """Total moving mass: payload plus the fluid contained in both actuators."""
-    V1, V2 = volumes(x, params.geometry, margin)
-    return params.m + (V1 + V2) * params.fluid.rho
+    g = geometry_terms(x, params.geometry)
+    return params.m + (g.V1 + g.V2) * params.fluid.rho
 
 
 def pressure_potential(P: float, fluid: FluidParams) -> float:
@@ -263,21 +246,19 @@ def fluid_energy(P: float, V: float, fluid: FluidParams) -> float:
     return pressure_potential(P, fluid) * V
 
 
-def hamiltonian(state: PlantState, params: PlantParams,
-                margin: float = DEFAULT_DOMAIN_MARGIN) -> float:
+def hamiltonian(state: PlantState, params: PlantParams) -> float:
     """Total mechanical energy: kinetic plus fluid internal energy."""
-    g = geometry_terms(state.x, params.geometry, margin)
+    g = geometry_terms(state.x, params.geometry)
     M = params.m + (g.V1 + g.V2) * params.fluid.rho
     return (state.p**2 / (2.0 * M)
             + fluid_energy(state.P1, g.V1, params.fluid)
             + fluid_energy(state.P2, g.V2, params.fluid))
 
 
-def hamiltonian_gradient(state: PlantState, params: PlantParams,
-                         margin: float = DEFAULT_DOMAIN_MARGIN
+def hamiltonian_gradient(state: PlantState, params: PlantParams
                          ) -> tuple[float, float, float, float]:
     """Gradient of the Hamiltonian: (dH/dx, dH/dp, dH/dP1, dH/dP2)."""
-    g = geometry_terms(state.x, params.geometry, margin)
+    g = geometry_terms(state.x, params.geometry)
     fluid = params.fluid
     rho = fluid.rho
     M = params.m + (g.V1 + g.V2) * rho
@@ -290,8 +271,7 @@ def hamiltonian_gradient(state: PlantState, params: PlantParams,
     return dH_x, dH_p, dH_P1, dH_P2
 
 
-def generalized_force(state: PlantState, params: PlantParams,
-                      margin: float = DEFAULT_DOMAIN_MARGIN) -> float:
+def generalized_force(state: PlantState, params: PlantParams) -> float:
     """Net momentum rate excluding the external force.
 
     Equals ``-dH/dx - R*dH/dp + (Gamma0*A1/V1)*dH/dP1 + (Gamma0*A2/V2)*dH/dP2``
@@ -299,7 +279,7 @@ def generalized_force(state: PlantState, params: PlantParams,
     - R*p/M``, which avoids evaluating the exponential pressure terms. This is
     the measurable quantity the force observer integrates.
     """
-    g = geometry_terms(state.x, params.geometry, margin)
+    g = geometry_terms(state.x, params.geometry)
     rho = params.fluid.rho
     M = params.m + (g.V1 + g.V2) * rho
     return (state.p**2 * rho * (g.A1 + g.A2) / (2.0 * M * M)
@@ -308,14 +288,12 @@ def generalized_force(state: PlantState, params: PlantParams,
 
 
 def open_loop_field(state: PlantState, U1: float, U2: float, F: float,
-                    params: PlantParams,
-                    margin: float = DEFAULT_DOMAIN_MARGIN
-                    ) -> tuple[float, float, float, float]:
+                    params: PlantParams) -> tuple[float, float, float, float]:
     """Open-loop state derivative (dx, dp, dP1, dP2) under flows (U1, U2) and force F."""
-    g = geometry_terms(state.x, params.geometry, margin)
+    g = geometry_terms(state.x, params.geometry)
     fluid = params.fluid
     Gamma0 = fluid.Gamma0
-    dH_x, dH_p, dH_P1, dH_P2 = hamiltonian_gradient(state, params, margin)
+    dH_x, dH_p, dH_P1, dH_P2 = hamiltonian_gradient(state, params)
     Gamma01 = Gamma0 * g.A1 / g.V1
     Gamma02 = Gamma0 * g.A2 / g.V2
     dx = dH_p

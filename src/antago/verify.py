@@ -26,12 +26,10 @@ from .observer import ObserverState
 from .plant import (
     PlantParams,
     PlantState,
+    geometry_terms,
     hamiltonian,
     hamiltonian_gradient,
     open_loop_field,
-    volume_curvatures,
-    volume_gradients,
-    volumes,
 )
 from .scenario_io import load_preset
 
@@ -236,16 +234,16 @@ def check_gradients(seed: int = 0, points: int = 20) -> GradientReport:
     worst_A = worst_dA = worst_H = worst_sig = 0.0
     for x in xs:
         x = float(x)
+        g = geometry_terms(x, geo)
+        up = geometry_terms(x + h_x, geo)
+        dn = geometry_terms(x - h_x, geo)
         # Volume gradients vs finite differences of the volumes.
-        A1, A2 = volume_gradients(x, geo)
-        for i, Ai in enumerate((A1, A2)):
-            fd = (volumes(x + h_x, geo)[i] - volumes(x - h_x, geo)[i]) / (2 * h_x)
+        for Ai, fd in ((g.A1, (up.V1 - dn.V1) / (2 * h_x)),
+                       (g.A2, (up.V2 - dn.V2) / (2 * h_x))):
             worst_A = max(worst_A, _rel_err(Ai, fd))
         # Curvatures vs finite differences of the gradients.
-        dA1, dA2 = volume_curvatures(x, geo)
-        for i, dAi in enumerate((dA1, dA2)):
-            fd = (volume_gradients(x + h_x, geo)[i]
-                  - volume_gradients(x - h_x, geo)[i]) / (2 * h_x)
+        for dAi, fd in ((g.dA1, (up.A1 - dn.A1) / (2 * h_x)),
+                        (g.dA2, (up.A2 - dn.A2) / (2 * h_x))):
             worst_dA = max(worst_dA, _rel_err(dAi, fd))
 
         state = PlantState(x=x, p=float(rng.uniform(-0.1, 0.1)),

@@ -278,6 +278,16 @@ def test_min_jerk_velocity_matches_finite_difference():
         assert min_jerk_velocity(t, T_f, x0, x1) == pytest.approx(fd, rel=1e-6)
 
 
+def test_stepper_params_validation():
+    for bad in ({"S": 0.0}, {"delta_t": -0.048}, {"T_f": 0.04},
+                {"S": math.nan}, {"S": math.inf}, {"delta_t": math.nan},
+                {"T_f": math.inf}, {"T_f": math.nan}, {"k_U": math.nan}):
+        kwargs = dict(S=5.7256e-4, delta_t=0.048, T_f=0.096)
+        kwargs.update(bad)
+        with pytest.raises(ValueError):
+            StepperParams(**kwargs)
+
+
 def test_stepper_target_zero_flow():
     stepper = StepperParams(S=5.7256e-4, delta_t=0.048, T_f=0.096)
     assert stepper_target(0.0, stepper, 1e-3, 0.02) == 1e-3

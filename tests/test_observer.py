@@ -22,6 +22,12 @@ def test_gain_must_be_positive():
         ObserverState(F_hat=0.0, alpha=0.0)
     with pytest.raises(ValueError):
         ObserverState(F_hat=0.0, alpha=-1.0)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ObserverState(F_hat=0.0, alpha=alpha)
+    for F_hat in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ObserverState(F_hat=F_hat, alpha=10.0)
 
 
 def test_zero_state_zero_rate(params):

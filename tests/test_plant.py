@@ -1,11 +1,16 @@
 """Plant model: geometry, energies, gradients and the open-loop field."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import antago
+from antago.controller import ControllerGains, Setpoint
+from antago.engine import ForceModel, augmented_field
 from antago.errors import DomainError
+from antago.observer import ObserverState
 from antago.plant import (
     ActuatorGeometry,
     FluidParams,
@@ -22,9 +27,6 @@ from antago.plant import (
     pouch_volume,
     pressure_potential,
     total_mass,
-    volume_curvatures,
-    volume_gradients,
-    volumes,
 )
 
 
@@ -109,7 +111,7 @@ def test_non_finite_parameters_rejected():
 
 def test_position_bounds_are_open_interval():
     geo = _study_geometry()
-    lo, hi = geo.position_bounds(margin=1e-6)
+    lo, hi = geo.position_bounds()
     assert lo == pytest.approx(-geo.x0 + 1e-6)
     assert hi == pytest.approx(geo.x_M - geo.x0 - 1e-6)
 
@@ -147,8 +149,7 @@ def test_volume_small_angle_consistency():
     for theta in np.linspace(0.05, 0.6, 23):
         u = geo.L0 - pouch_length(float(theta), geo)
         x = u - geo.x0
-        _, V2 = volumes(x, geo, margin=1e-12)
-        closed_form = V2 - geo.V0
+        closed_form = geometry_terms(x, geo).V2 - geo.V0
         direct = pouch_volume(float(theta), geo)
         assert abs(closed_form - direct) / direct < 0.02, theta
 
@@ -159,18 +160,18 @@ def test_volume_small_angle_consistency():
 def test_volume_hand_values():
     geo = _study_geometry()
     # contraction of actuator 2 equal to L0/6
-    V1, V2 = volumes(1.25e-3, geo)
+    V2 = geometry_terms(1.25e-3, geo).V2
     assert V2 == pytest.approx(geo.K0 * (7.0 / 12.0) + geo.V0, rel=1e-12)
     assert V2 == pytest.approx(1.73333e-6, rel=1e-4)
     # symmetric configuration
-    V1, V2 = volumes(0.0, geo)
-    assert V1 == V2
-    assert V1 == pytest.approx(1.5651e-6, rel=1e-4)
+    g = geometry_terms(0.0, geo)
+    assert g.V1 == g.V2
+    assert g.V1 == pytest.approx(1.5651e-6, rel=1e-4)
 
 
 def test_volume_gradient_hand_value():
     geo = _study_geometry()
-    _, A2 = volume_gradients(1.25e-3, geo)
+    A2 = geometry_terms(1.25e-3, geo).A2
     assert A2 == pytest.approx(1.25 * geo.K0 / geo.L0, rel=1e-12)
     assert A2 == pytest.approx(1.1667e-4, rel=1e-4)
 
@@ -178,28 +179,27 @@ def test_volume_gradient_hand_value():
 def test_symmetric_configuration_relations():
     geo = _study_geometry()
     assert geo.x0 == geo.x_M / 2
-    A1, A2 = volume_gradients(0.0, geo)
-    assert A1 == pytest.approx(-A2, rel=1e-14)
-    dA1, dA2 = volume_curvatures(0.0, geo)
-    assert dA1 == pytest.approx(dA2, rel=1e-14)
+    g = geometry_terms(0.0, geo)
+    assert g.A1 == pytest.approx(-g.A2, rel=1e-14)
+    assert g.dA1 == pytest.approx(g.dA2, rel=1e-14)
 
 
 def test_curvature_scales_linearly_with_K0():
     geo = _study_geometry()
     doubled = _study_geometry(K0=2 * geo.K0)
     for x in (-2e-3, 0.0, 2.5e-3):
-        a = volume_curvatures(x, geo)
-        b = volume_curvatures(x, doubled)
-        assert b[0] == pytest.approx(2 * a[0], rel=1e-14)
-        assert b[1] == pytest.approx(2 * a[1], rel=1e-14)
+        a = geometry_terms(x, geo)
+        b = geometry_terms(x, doubled)
+        assert b.dA1 == pytest.approx(2 * a.dA1, rel=1e-14)
+        assert b.dA2 == pytest.approx(2 * a.dA2, rel=1e-14)
 
 
 def test_domain_error_names_offending_actuator():
     geo = _study_geometry()
     with pytest.raises(DomainError, match="actuator 2"):
-        volumes(-geo.x0, geo)
+        geometry_terms(-geo.x0, geo)
     with pytest.raises(DomainError, match="actuator 1"):
-        volumes(geo.x_M - geo.x0, geo)
+        geometry_terms(geo.x_M - geo.x0, geo)
     inside = np.array([0.0, 1e-3])
     with pytest.raises(DomainError, match="actuator 2"):
         geometry_terms_array(np.append(inside, -geo.x0), geo)
@@ -212,6 +212,43 @@ def test_domain_error_names_offending_actuator():
         geometry_terms_array(np.append(inside, math.nan), geo)
 
 
+def test_domain_defined_in_one_place():
+    """No public callable moves the domain boundary, and the geometry kernels
+    and the integrated field agree with ``position_bounds`` at both ends."""
+    for name in antago.__all__:
+        obj = getattr(antago, name)
+        if inspect.isclass(obj):
+            # Methods only: StabilityReport.margin is an eigenvalue field.
+            funcs = [f for attr, f in vars(obj).items()
+                     if inspect.isfunction(f) and not attr.startswith("__")]
+        else:
+            funcs = [obj] if callable(obj) else []
+        for f in funcs:
+            assert "margin" not in inspect.signature(f).parameters, (name, f.__name__)
+
+    params = _study_params()
+    geo = params.geometry
+    gains = ControllerGains(k_p=1.0, k_m=2.0, k_i=10.0, alpha=10.0)
+    obs = ObserverState(F_hat=0.0, alpha=gains.alpha)
+    free = ForceModel("constant", 0.0)
+
+    def field(x):
+        return augmented_field(PlantState(x, 0.0, 0.0, 0.0), obs, gains, Setpoint(0.0),
+                               free, params)
+
+    kernels = (lambda x: geometry_terms(x, geo),
+               lambda x: geometry_terms_array(np.array([0.0, x]), geo),
+               field)
+    lo, hi = geo.position_bounds()
+    step = 1e-12
+    for evaluate in kernels:
+        for inside in (lo + step, hi - step):
+            evaluate(inside)
+        for outside in (lo - step, hi + step):
+            with pytest.raises(DomainError):
+                evaluate(outside)
+
+
 def test_gradients_match_finite_differences():
     geo = _study_geometry()
     lo, hi = geo.position_bounds()
@@ -219,25 +256,24 @@ def test_gradients_match_finite_differences():
     h = 1e-8
     for x in rng.uniform(lo + 1e-4, hi - 1e-4, size=20):
         x = float(x)
-        A = volume_gradients(x, geo)
-        dA = volume_curvatures(x, geo)
-        for i in range(2):
-            fd_A = (volumes(x + h, geo)[i] - volumes(x - h, geo)[i]) / (2 * h)
-            assert A[i] == pytest.approx(fd_A, rel=1e-6)
-            fd_dA = (volume_gradients(x + h, geo)[i]
-                     - volume_gradients(x - h, geo)[i]) / (2 * h)
-            assert dA[i] == pytest.approx(fd_dA, rel=1e-5)
+        g = geometry_terms(x, geo)
+        up = geometry_terms(x + h, geo)
+        dn = geometry_terms(x - h, geo)
+        for V, A, dA in (("V1", "A1", "dA1"), ("V2", "A2", "dA2")):
+            fd_A = (getattr(up, V) - getattr(dn, V)) / (2 * h)
+            assert getattr(g, A) == pytest.approx(fd_A, rel=1e-6)
+            fd_dA = (getattr(up, A) - getattr(dn, A)) / (2 * h)
+            assert getattr(g, dA) == pytest.approx(fd_dA, rel=1e-5)
 
 
 def test_in_domain_sweep_signs_and_bounds():
     geo = _study_geometry()
     lo, hi = geo.position_bounds()
     for x in np.linspace(lo, hi, 201):
-        V1, V2 = volumes(float(x), geo)
-        A1, A2 = volume_gradients(float(x), geo)
-        assert V1 > geo.V0 and V2 > geo.V0
-        assert A1 < 0 < A2
-        assert math.isfinite(A1) and math.isfinite(A2)
+        g = geometry_terms(float(x), geo)
+        assert g.V1 > geo.V0 and g.V2 > geo.V0
+        assert g.A1 < 0 < g.A2
+        assert math.isfinite(g.A1) and math.isfinite(g.A2)
 
 
 # --------------------------------------------------------------------------
