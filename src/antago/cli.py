@@ -10,7 +10,10 @@ Subcommands::
 SCENARIO is either a scenario file path or the name of a bundled preset
 (override the preset directory with the ``ANTAGO_PRESET_DIR`` environment
 variable). Exit status is nonzero when a run terminates early or a
-verification bound is violated.
+verification bound is violated. Every bad input reaches :func:`main` as a
+``ValueError`` (``ScenarioError`` and ``DomainError`` are ones), which it
+prints as one ``error:`` line before exiting 1; an early end of a run arrives
+as the record's status, not as an exception.
 """
 
 from __future__ import annotations
@@ -128,19 +131,16 @@ def _cmd_sweep(args) -> int:
               "status,x_error,settle_time,max_psi_increment,psi_max,zeta_rate")
     rows = [header]
     worst_exit = 0
-    cached = None   # epsilon variants share one simulation
+    previous = None   # epsilon variants are the base scenario: simulate it once
     for value in values:
         scenario = _sweep_variant(base, args.parameter, value)
         epsilon = value if args.parameter == "epsilon" else 0.0
         report = validate_gains(scenario.params, scenario.gains, epsilon=epsilon)
         valid = report.positive_definite and report.rate_bound_ok
-        if args.parameter == "epsilon" and cached is not None:
-            record, summary = cached
-        else:
+        if scenario is not previous:
             record = simulate(scenario)
             summary = diagnostics(record, scenario.gains, scenario.params)
-            if args.parameter == "epsilon":
-                cached = (record, summary)
+            previous = scenario
         if record.status != "ok":
             worst_exit = 1
         rows.append(",".join([
@@ -216,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

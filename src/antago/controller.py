@@ -232,10 +232,10 @@ def validate_gains(params: PlantParams, gains: ControllerGains,
     if M_eval is None:
         lo, hi = params.geometry.position_bounds()
         M_eval = total_mass(0.5 * (lo + hi), params)
-    if M_eval <= 0:
-        raise ValueError("evaluation mass must be positive")
-    if epsilon < 0:
-        raise ValueError("force-variation bound epsilon must be nonnegative")
+    if not 0.0 < M_eval < math.inf:
+        raise ValueError("evaluation mass must be positive and finite")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("force-variation bound epsilon must be nonnegative and finite")
 
     theta = _theta_matrix(params, gains, M_eval, epsilon)
     product = (params.R - gains.alpha * M_eval) * gains.alpha * gains.k_m

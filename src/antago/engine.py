@@ -34,6 +34,11 @@ volume-model boundary ends a run as "domain-exit". The right-hand sides inline
 :func:`antago.plant.geometry_terms`, the single geometry entry point; the
 record and diagnostics call its array form.
 
+Errors are raised once, at the failure, with the time and state in the
+message: the right-hand sides raise ``DomainError``, the ``rk23`` stepper
+``SolverError``. :func:`simulate` turns either into the record's status and
+detail; every other caller gets the error itself.
+
 The trajectory record and :func:`diagnostics` are built as array expressions
 over the sampled states. The scalar plant and controller functions
 (``control_flows``, ``sigma``, ``desired_energy``, ``hamiltonian``) are their
@@ -213,20 +218,6 @@ class TrajectoryRecord:
                         for k in self.data))
 
 
-class _DomainExit(Exception):
-    def __init__(self, t: float, y: tuple, message: str):
-        super().__init__(message)
-        self.t = t
-        self.y = y
-
-
-class _StepUnderflow(Exception):
-    def __init__(self, t: float, y: tuple, message: str):
-        super().__init__(message)
-        self.t = t
-        self.y = y
-
-
 def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
               x_star: float):
     """Closed-loop right-hand side for one setpoint segment.
@@ -258,8 +249,8 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
         # Written so that a NaN position fails the check.
         if not (u1 > margin and u2 > margin):
             side = 2 if u1 > margin else 1
-            raise _DomainExit(t, (x, p, P1, P2, F_hat),
-                              f"actuator {side} reached the volume-model boundary")
+            raise DomainError(f"actuator {side} reached the volume-model boundary "
+                              f"(t={t:.6e}, state={(x, p, P1, P2, F_hat)})")
         s1 = sqrt(6.0 * u1 / L0)
         a1 = 2.0 / 3.0 - u1 / two_L0
         s2 = sqrt(6.0 * u2 / L0)
@@ -292,10 +283,7 @@ def augmented_field(state: PlantState, obs: ObserverState, gains: ControllerGain
                     setpoint: Setpoint, force: ForceModel, params: PlantParams) -> tuple:
     """Public wrapper around the integrated field, for point verification."""
     rhs = _make_rhs(params, gains, force, setpoint.x_star)
-    try:
-        return rhs(0.0, state.x, state.p, state.P1, state.P2, obs.F_hat)
-    except _DomainExit as exc:
-        raise DomainError(str(exc)) from None
+    return rhs(0.0, state.x, state.p, state.P1, state.P2, obs.F_hat)
 
 
 # --------------------------------------------------------------------------
@@ -331,8 +319,8 @@ def _rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
                 h = rest
             abs_t = abs(t)
             if h < _MIN_STEP_FRACTION * (abs_t if abs_t > 1.0 else 1.0):
-                raise _StepUnderflow(t, (y1, y2, y3, y4, y5),
-                                     f"step size underflow at t={t:.6e}")
+                raise SolverError(f"step size underflow at t={t:.6e} "
+                                  f"(state={(y1, y2, y3, y4, y5)})")
             hb = 0.5 * h
             b1, b2, b3, b4, b5 = rhs(t + hb, y1 + hb * a1, y2 + hb * a2,
                                      y3 + hb * a3, y4 + hb * a4, y5 + hb * a5)
@@ -461,10 +449,10 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
             times.extend(seg_grid[1:])
             states.extend(ys)
             y = states[-1]
-    except _DomainExit as exc:
-        status, detail = "domain-exit", f"{exc} (t={exc.t:.6e}, state={exc.y})"
-    except _StepUnderflow as exc:
-        status, detail = "step-underflow", f"{exc} (state={exc.y})"
+    except DomainError as exc:
+        status, detail = "domain-exit", str(exc)
+    except SolverError as exc:
+        status, detail = "step-underflow", str(exc)
 
     return _build_record(scenario, times, states, status, detail)
 
@@ -531,8 +519,8 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
         u2 = x + x0
         if not (u1 > margin and u2 > margin):
             side = 2 if u1 > margin else 1
-            raise _DomainExit(t, (x, p, P1, P2),
-                              f"actuator {side} reached the volume-model boundary")
+            raise DomainError(f"actuator {side} reached the volume-model boundary "
+                              f"(t={t:.6e}, state={(x, p, P1, P2)})")
         s1 = sqrt(6.0 * u1 / L0)
         a1 = 2.0 / 3.0 - u1 / two_L0
         s2 = sqrt(6.0 * u2 / L0)
@@ -552,16 +540,11 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     grid = _sample_grid(duration, solver.sample_dt, [])
     # The steppers advance five states; the fifth stays exactly zero here.
     y = (initial.x, initial.p, initial.P1, initial.P2, 0.0)
-    try:
-        if solver.method == "rk23":
-            ys, _ = _rk23_segment(rhs, y, grid, solver.rel_tol, solver.abs_tol,
-                                  solver.max_step, min(solver.max_step, 1e-8))
-        else:
-            ys = _rk4_segment(rhs, y, grid, solver.fixed_step)
-    except _DomainExit as exc:
-        raise DomainError(f"{exc} (t={exc.t:.6e}, state={exc.y})") from None
-    except _StepUnderflow as exc:
-        raise SolverError(f"{exc} (state={exc.y[:4]})") from None
+    if solver.method == "rk23":
+        ys, _ = _rk23_segment(rhs, y, grid, solver.rel_tol, solver.abs_tol,
+                              solver.max_step, min(solver.max_step, 1e-8))
+    else:
+        ys = _rk4_segment(rhs, y, grid, solver.fixed_step)
     states = np.array([y] + ys)[:, :4]
     energies = np.array([hamiltonian(PlantState(*row), params)
                          for row in states.tolist()])

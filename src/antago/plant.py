@@ -22,6 +22,7 @@ on arrays); they are safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,7 +64,7 @@ class ActuatorGeometry:
         # A NaN scale would pass the consistency check below.
         if not (math.isfinite(self.k0) and math.isfinite(self.K0)):
             raise ValueError("volume scales k0 and K0 must be finite")
-        if not isinstance(self.n_L, int) or self.n_L < 1:
+        if not (isinstance(self.n_L, int) and 1 <= self.n_L <= sys.float_info.max):
             raise ValueError("n_L must be a positive integer")
         if not (0 < self.x0 < self.x_M):
             raise ValueError("offset contraction must satisfy 0 < x0 < x_M")
@@ -71,7 +72,7 @@ class ActuatorGeometry:
         # contraction 4*L0/9, strictly outside the reachable range.
         if self.x_M > self.L0 / 4:
             raise ValueError("maximum contraction must satisfy x_M <= L0/4")
-        expected = self.k0 * (self.L0**2 / self.n_L) * (self.d_c / 3 + self.D_s / 2)
+        expected = self.k0 * (self.L0 * self.L0 / self.n_L) * (self.d_c / 3 + self.D_s / 2)
         if abs(self.K0 - expected) > _K0_CONSISTENCY_RTOL * abs(expected):
             raise ValueError(
                 f"inconsistent volume scales: K0={self.K0!r} but "
@@ -83,9 +84,11 @@ class ActuatorGeometry:
                    V0: float, x0: float, x_M: float,
                    k0: float | None = None, K0: float | None = None) -> "ActuatorGeometry":
         """Build a geometry from either ``k0`` or ``K0`` (the other is derived)."""
-        if n_L < 1:
+        # n_L must have a finite float value: the division below converts it.
+        if not 1 <= n_L <= sys.float_info.max:
             raise ValueError("n_L must be a positive integer")
-        unit = (L0**2 / n_L) * (d_c / 3 + D_s / 2)
+        # L0 * L0, not L0**2: a float power overflows with OverflowError.
+        unit = (L0 * L0 / n_L) * (d_c / 3 + D_s / 2)
         if not 0.0 < unit < math.inf:
             raise ValueError("L0, D_s and d_c must be positive and finite")
         if k0 is None and K0 is None:

@@ -6,7 +6,9 @@ optional ``[initial]``. Keys are case-sensitive and named after the model
 symbols (``L0``, ``Gamma0``, ``k_p``, ...); unknown keys are rejected with a
 suggestion when a case-insensitive or near match exists. ``parse_scenario``
 and ``serialize_scenario`` round-trip exactly: floats are written with their
-shortest exact decimal representation.
+shortest exact decimal representation. ``parse_scenario`` raises only
+``ScenarioError``: one boundary turns every ``ValueError`` of the model into
+one, with its message.
 
 Trajectory CSV files are comma-separated with '.' decimals, LF line endings
 and a mandatory header; the run status is carried in leading ``#`` comment
@@ -51,7 +53,13 @@ _SECTIONS = {
     "schedule": _SCHEDULE_KEYS,
     "initial": _INITIAL_KEYS,
 }
-_REQUIRED_SECTIONS = ("plant", "gains", "force", "schedule")
+# Required sections and their required keys; [plant] also needs k0 or K0.
+_REQUIRED = {
+    "plant": ("L0", "n_L", "D_s", "d_c", "V0", "x0", "x_M", "Gamma0", "rho", "m", "R"),
+    "gains": _GAIN_KEYS,
+    "force": _FORCE_KEYS,
+    "schedule": _SCHEDULE_KEYS,
+}
 
 
 def _reject_unknown(section: str, keys, expected) -> None:
@@ -66,25 +74,21 @@ def _reject_unknown(section: str, keys, expected) -> None:
         raise ScenarioError(f"unknown key {key!r} in section [{section}]{hint}")
 
 
-def _get_float(sec, key: str) -> float:
+def _number(sec, key: str, default: float | None = None, kind=float):
+    """``kind`` of the text under ``key``, or ``default`` when the key is absent."""
+    if key not in sec:
+        return default
     try:
-        return float(sec[key])
+        return kind(sec[key])
     except ValueError:
-        raise ScenarioError(
-            f"key {key!r}: could not parse {sec[key]!r} as a number") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ScenarioError(f"key {key!r}: could not parse {sec[key]!r} as {noun}") from None
 
 
-def _get_int(sec, key: str) -> int:
-    try:
-        return int(sec[key])
-    except ValueError:
-        raise ScenarioError(
-            f"key {key!r}: could not parse {sec[key]!r} as an integer") from None
-
-
-def _parse_schedule(text: str) -> tuple[tuple[float, float], ...]:
+def _parse_schedule(sched) -> tuple[tuple[float, float], ...]:
+    text = sched["x_star"]
     if ":" not in text:
-        return ((0.0, float(text)),)
+        return ((0.0, _number(sched, "x_star")),)
     entries = []
     for item in text.split(","):
         t_s, _, x_s = item.partition(":")
@@ -97,7 +101,12 @@ def _parse_schedule(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
-    """Parse a scenario document into a validated :class:`ScenarioConfig`."""
+    """Parse a scenario document into a validated :class:`ScenarioConfig`.
+
+    Raises only :class:`ScenarioError`: the sections and keys are checked
+    first, and every ``ValueError`` the model raises while the values are
+    converted and validated becomes a ``ScenarioError`` with its message.
+    """
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=(";",))
     cp.optionxform = str
@@ -113,85 +122,34 @@ def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
             hint = f"; expected [{close[0]}]" if close else ""
             raise ScenarioError(f"unknown section [{section}]{hint}")
         _reject_unknown(section, cp[section], _SECTIONS[section])
-    for section in _REQUIRED_SECTIONS:
+    for section, keys in _REQUIRED.items():
         if section not in cp:
             raise ScenarioError(f"missing required section [{section}]")
-
-    plant = cp["plant"]
-    for key in ("L0", "n_L", "D_s", "d_c", "V0", "x0", "x_M", "Gamma0", "rho", "m", "R"):
-        if key not in plant:
-            raise ScenarioError(f"missing key {key!r} in section [plant]")
+        for key in keys:
+            if key not in cp[section]:
+                raise ScenarioError(f"missing key {key!r} in section [{section}]")
+    plant, g, f, sched = cp["plant"], cp["gains"], cp["force"], cp["schedule"]
     if "k0" not in plant and "K0" not in plant:
         raise ScenarioError("section [plant] needs k0 or K0 (or both)")
+
     try:
         geometry = ActuatorGeometry.from_scale(
-            L0=_get_float(plant, "L0"),
-            n_L=_get_int(plant, "n_L"),
-            D_s=_get_float(plant, "D_s"),
-            d_c=_get_float(plant, "d_c"),
-            V0=_get_float(plant, "V0"),
-            x0=_get_float(plant, "x0"),
-            x_M=_get_float(plant, "x_M"),
-            k0=_get_float(plant, "k0") if "k0" in plant else None,
-            K0=_get_float(plant, "K0") if "K0" in plant else None,
-        )
-        fluid = FluidParams(Gamma0=_get_float(plant, "Gamma0"),
-                            rho=_get_float(plant, "rho"),
-                            P_atm=_get_float(plant, "P_atm") if "P_atm" in plant else 1e5)
+            n_L=_number(plant, "n_L", kind=int),
+            **{k: _number(plant, k) for k in ("L0", "D_s", "d_c", "V0", "x0", "x_M", "k0", "K0")})
+        fluid = FluidParams(Gamma0=_number(plant, "Gamma0"), rho=_number(plant, "rho"),
+                            P_atm=_number(plant, "P_atm", 1e5))
         params = PlantParams(geometry=geometry, fluid=fluid,
-                             m=_get_float(plant, "m"), R=_get_float(plant, "R"))
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-
-    g = cp["gains"]
-    for key in _GAIN_KEYS:
-        if key not in g:
-            raise ScenarioError(f"missing key {key!r} in section [gains]")
-    gains = ControllerGains(k_p=_get_float(g, "k_p"), k_m=_get_float(g, "k_m"),
-                            k_i=_get_float(g, "k_i"), alpha=_get_float(g, "alpha"))
-
-    f = cp["force"]
-    for key in _FORCE_KEYS:
-        if key not in f:
-            raise ScenarioError(f"missing key {key!r} in section [force]")
-    try:
-        force = ForceModel(kind=f["kind"], value=_get_float(f, "value"))
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-
-    solver = SolverSettings()
-    if "solver" in cp:
-        s = cp["solver"]
-        kwargs = {k: (_get_float(s, k) if k != "method" else s[k]) for k in s}
-        try:
-            solver = SolverSettings(**kwargs)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-
-    sched = cp["schedule"]
-    for key in _SCHEDULE_KEYS:
-        if key not in sched:
-            raise ScenarioError(f"missing key {key!r} in section [schedule]")
-    setpoints = _parse_schedule(sched["x_star"])
-    duration = _get_float(sched, "duration")
-
-    initial = PlantState(0.0, 0.0, 0.0, 0.0)
-    F_hat0 = None
-    if "initial" in cp:
-        init = cp["initial"]
-        initial = PlantState(
-            x=_get_float(init, "x") if "x" in init else 0.0,
-            p=_get_float(init, "p") if "p" in init else 0.0,
-            P1=_get_float(init, "P1") if "P1" in init else 0.0,
-            P2=_get_float(init, "P2") if "P2" in init else 0.0,
-        )
-        if "F_hat" in init:
-            F_hat0 = _get_float(init, "F_hat")
-
-    scenario = ScenarioConfig(params=params, gains=gains, setpoints=setpoints,
-                              force=force, duration=duration, solver=solver,
-                              initial=initial, F_hat0=F_hat0, name=name)
-    try:
+                             m=_number(plant, "m"), R=_number(plant, "R"))
+        gains = ControllerGains(**{k: _number(g, k) for k in _GAIN_KEYS})
+        force = ForceModel(kind=f["kind"], value=_number(f, "value"))
+        s = cp["solver"] if "solver" in cp else {}
+        solver = SolverSettings(**{k: (s[k] if k == "method" else _number(s, k)) for k in s})
+        init = cp["initial"] if "initial" in cp else {}
+        scenario = ScenarioConfig(
+            params=params, gains=gains, setpoints=_parse_schedule(sched), force=force,
+            duration=_number(sched, "duration"), solver=solver,
+            initial=PlantState(*(_number(init, k, 0.0) for k in ("x", "p", "P1", "P2"))),
+            F_hat0=_number(init, "F_hat"), name=name)
         scenario.validate()
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
@@ -284,21 +242,34 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> No
 
 
 def trajectory_from_csv(text: str) -> TrajectoryRecord:
-    """Parse CSV text produced by :func:`trajectory_to_csv`."""
+    """Parse CSV text produced by :func:`trajectory_to_csv`.
+
+    A row that does not hold one number per header field raises
+    :class:`ScenarioError` with its line number.
+    """
     status, detail = "ok", ""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    body = []
-    for ln in lines:
-        if ln.startswith("# status:"):
-            status = ln.partition(":")[2].strip()
-        elif ln.startswith("# detail:"):
-            detail = ln.partition(":")[2].strip()
-        elif not ln.startswith("#"):
-            body.append(ln)
-    if not body:
+    header, rows = None, []
+    for number, ln in enumerate(text.splitlines(), start=1):
+        if ln.startswith("#"):
+            if ln.startswith("# status:"):
+                status = ln.partition(":")[2].strip()
+            elif ln.startswith("# detail:"):
+                detail = ln.partition(":")[2].strip()
+        elif not ln.strip():
+            continue
+        elif header is None:
+            header = ln.split(",")
+        else:
+            cells = ln.split(",")
+            try:
+                if len(cells) != len(header):
+                    raise ValueError
+                rows.append([float(v) for v in cells])
+            except ValueError:
+                raise ScenarioError(f"trajectory CSV line {number}: expected "
+                                    f"{len(header)} numbers, got {ln!r}") from None
+    if header is None:
         raise ScenarioError("trajectory CSV has no header row")
-    header = body[0].split(",")
-    rows = [[float(v) for v in ln.split(",")] for ln in body[1:]]
     arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     data = {name: arr[:, i].copy() for i, name in enumerate(header)}
     return TrajectoryRecord(data=data, status=status, detail=detail)

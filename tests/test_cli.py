@@ -112,8 +112,9 @@ def test_run_non_finite_solver_flag_is_one_line_error(short_scenario_file, tmp_p
 
 
 def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypatch):
-    """An rk4 run or a sweep range over its cost budget exits 1 with one
-    error line before any sample grid is built."""
+    """An rk4 run or a sweep range over its cost budget, and a sweep epsilon
+    that is not finite, exit 1 with one error line before any sample grid is
+    built."""
     def no_grid(*args):
         raise AssertionError("an over-budget request reached the sample grid")
 
@@ -124,7 +125,9 @@ def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypa
     for argv, words in (
             (["run", str(tiny_step), "--method", "rk4"], ("fixed_step", "budget")),
             (["sweep", "alpha", str(tiny_step), "--values", f"1:25:{MAX_SWEEP_POINTS + 1}"],
-             ("range count", "budget"))):
+             ("range count", "budget")),
+            (["sweep", "epsilon", "fig2-F1", "--values", "nan,inf"], ("epsilon", "finite")),
+            (["sweep", "epsilon", "fig2-F1", "--values", "inf"], ("epsilon", "finite"))):
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")

@@ -231,6 +231,13 @@ def test_epsilon_bounds_flip_validity(params, gains):
     lo = validate_gains(params, gains, M_eval=M, epsilon=eps_rate * (1 - 1e-9))
     hi = validate_gains(params, gains, M_eval=M, epsilon=eps_rate * (1 + 1e-9))
     assert lo.rate_bound_ok and not hi.rate_bound_ok
+    # outside the admissible values nothing flips: the call is rejected
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            validate_gains(params, gains, M_eval=M, epsilon=bad)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mass"):
+            validate_gains(params, gains, M_eval=bad)
 
 
 def test_minor_and_eigenvalue_tests_agree(params):

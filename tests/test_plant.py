@@ -94,7 +94,7 @@ def test_non_finite_parameters_rejected():
         with pytest.raises(ValueError, match="finite"):
             ActuatorGeometry(L0=geo.L0, n_L=geo.n_L, D_s=geo.D_s, d_c=geo.d_c,
                              k0=k0, K0=K0, V0=geo.V0, x0=geo.x0, x_M=geo.x_M)
-    for n_L in (0, -1, 3.5):
+    for n_L in (0, -1, 3.5, 10**400):
         with pytest.raises(ValueError, match="n_L"):
             _study_geometry(n_L=n_L)
     with pytest.raises(ValueError, match="positive"):

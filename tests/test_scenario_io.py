@@ -1,6 +1,7 @@
 """Scenario files, CSV emission and the preset library."""
 
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,56 @@ def test_unparsable_number(study):
     text = serialize_scenario(study).replace("R = 5.0\n", "R = inf\n")
     with pytest.raises(ScenarioError, match="finite"):
         parse_scenario(text)
+    # no finite float value: the geometry used to raise OverflowError
+    text = serialize_scenario(study).replace("n_L = 3\n", "n_L = 1" + "0" * 400 + "\n")
+    with pytest.raises(ScenarioError, match="n_L"):
+        parse_scenario(text)
+    text = serialize_scenario(study).replace("L0 = 0.03\n", "L0 = 1e200\n")
+    with pytest.raises(ScenarioError, match="L0"):
+        parse_scenario(text)
+    text = serialize_scenario(study).replace("x_star = 0.001", "x_star = abc")
+    with pytest.raises(ScenarioError, match="'x_star'"):
+        parse_scenario(text)
+
+
+def test_invalid_gain_is_scenario_error(study):
+    for value in ("-1", "nan", "0"):
+        text = re.sub(r"^k_p = .*$", f"k_p = {value}", serialize_scenario(study),
+                      flags=re.MULTILINE)
+        with pytest.raises(ScenarioError, match="gains"):
+            parse_scenario(text)
+
+
+def test_parse_raises_only_scenario_error():
+    """Any one value of a preset's text replaced by drawn text (floats with
+    NaN and infinities, huge integers, words, nothing, a comment sign) either
+    parses or raises ScenarioError, never another exception."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    presets = {}
+    for name in PRESETS:
+        lines = serialize_scenario(load_preset(name)).splitlines()
+        presets[name] = (lines, [i for i, ln in enumerate(lines) if " = " in ln])
+    values = st.one_of(
+        st.floats().map(repr),
+        st.integers(min_value=-10**450, max_value=10**450).map(str),
+        st.from_regex(r"[A-Za-z_]{1,10}", fullmatch=True),
+        st.sampled_from(["", ";", "; 1.0", "rk4", "spring", "1:2:3", "0:0.001, x"]),
+    )
+
+    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        lines, assignments = presets[data.draw(st.sampled_from(PRESETS))]
+        i = data.draw(st.sampled_from(assignments))
+        edited = list(lines)
+        edited[i] = f"{lines[i].partition(' = ')[0]} = {data.draw(values)}"
+        try:
+            parse_scenario("\n".join(edited))
+        except ScenarioError:
+            pass
+
+    check()
 
 
 def test_bad_schedule_entry(study):
@@ -181,6 +232,11 @@ def test_csv_preserves_status_detail(study):
 def test_csv_without_header_rejected():
     with pytest.raises(ScenarioError):
         trajectory_from_csv("# status: ok\n")
+    # a ragged row and a cell that is not a number name their line
+    for bad in ("1.0,2.0\n3.0,4.0", "1.0,2.0,3.0,4.0", "1.0,abc,3.0"):
+        text = "# status: ok\n\nt,x,p\n0.0,0.0,0.0\n" + bad + "\n"
+        with pytest.raises(ScenarioError, match="line 5: expected 3 numbers"):
+            trajectory_from_csv(text)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, short_record):
