@@ -10,7 +10,6 @@ closed-loop theory.
 
 from .controller import (
     ControllerGains,
-    Setpoint,
     SigmaTerms,
     StabilityReport,
     StepperParams,
@@ -35,13 +34,12 @@ from .engine import (
     TrajectoryRecord,
     augmented_field,
     diagnostics,
-    evaluate_force,
     fit_decay_rate,
     simulate,
     simulate_open_loop,
 )
 from .errors import DomainError, ScenarioError, SolverError
-from .observer import ForceEstimate, ObserverState, force_estimate, initial_observer, observer_rate
+from .observer import observer_rate
 from .plant import (
     ActuatorGeometry,
     FluidParams,
@@ -75,17 +73,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActuatorGeometry", "CHANNELS", "ControllerGains", "DiagnosticsSummary",
-    "DomainError", "FluidParams", "ForceEstimate", "ForceModel",
-    "GeometryTerms", "ObserverState", "PlantParams", "PlantState",
-    "ScenarioConfig", "ScenarioError", "Setpoint", "SigmaTerms", "SolverError",
-    "SolverSettings", "StabilityReport", "StepperParams", "TrajectoryRecord",
-    "augmented_field", "closed_loop_field", "control_flows", "desired_energy",
-    "desired_energy_rate", "diagnostics", "evaluate_force", "fit_decay_rate",
-    "force_estimate", "generalized_force", "geometry_terms", "hamiltonian",
-    "hamiltonian_gradient", "initial_observer", "list_presets", "load_preset",
-    "load_scenario", "load_trajectory_csv", "min_jerk_position",
-    "min_jerk_velocity", "observer_rate", "open_loop_field", "parse_scenario",
-    "pouch_length", "pouch_volume", "pressure_potential", "save_scenario",
+    "DomainError", "FluidParams", "ForceModel", "GeometryTerms", "PlantParams",
+    "PlantState", "ScenarioConfig", "ScenarioError", "SigmaTerms",
+    "SolverError", "SolverSettings", "StabilityReport", "StepperParams",
+    "TrajectoryRecord", "augmented_field", "closed_loop_field",
+    "control_flows", "desired_energy", "desired_energy_rate", "diagnostics",
+    "fit_decay_rate", "generalized_force", "geometry_terms", "hamiltonian",
+    "hamiltonian_gradient", "list_presets", "load_preset", "load_scenario",
+    "load_trajectory_csv", "min_jerk_position", "min_jerk_velocity",
+    "observer_rate", "open_loop_field", "parse_scenario", "pouch_length",
+    "pouch_volume", "pressure_potential", "save_scenario",
     "save_trajectory_csv", "serialize_scenario", "sigma", "simulate",
     "simulate_open_loop", "stepper_target", "stepper_target_digital",
     "stepper_target_empirical", "total_mass", "trajectory_from_csv",

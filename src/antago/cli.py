@@ -101,19 +101,23 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_values(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ScenarioError("range values must be 'start:stop:count'")
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ScenarioError("range values must be 'start:stop:count'")
+    try:
+        if len(parts) == 1:
+            return [float(v) for v in text.split(",")]
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 1:
-            raise ScenarioError("range count must be at least 1")
-        if n > MAX_SWEEP_POINTS:
-            raise ScenarioError(f"range count exceeds the budget of {MAX_SWEEP_POINTS} points")
-        if n == 1:
-            return [lo]
-        return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ScenarioError(f"--values {text!r} is not a number list '1,5,10' "
+                            "or a range 'start:stop:count'") from None
+    if n < 1:
+        raise ScenarioError("range count must be at least 1")
+    if n > MAX_SWEEP_POINTS:
+        raise ScenarioError(f"range count exceeds the budget of {MAX_SWEEP_POINTS} points")
+    if n == 1:
+        return [lo]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def _sweep_variant(scenario: ScenarioConfig, param: str, value: float) -> ScenarioConfig:

@@ -23,6 +23,9 @@ Gain validation builds the 3x3 stability matrix in the error coordinates
 ``(R - alpha*M) * alpha * k_m > (1 + eps*k_m)^2 / 4`` where ``eps`` bounds the
 admissible motion-proportional variation of the external force (``eps = 0``
 for a constant force).
+
+The point functions take the force estimate ``F_hat`` and the setpoint
+``x_star`` as floats; the observer gain ``alpha`` lives only in ``ControllerGains``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .observer import ObserverState, observer_rate
+from .observer import observer_rate
 from .plant import (
     ActuatorGeometry,
     PlantParams,
@@ -63,20 +66,6 @@ class ControllerGains:
             raise ValueError("all controller gains must be positive and finite")
 
 
-@dataclass(frozen=True)
-class Setpoint:
-    """Regulation target for the payload position."""
-
-    x_star: float
-
-    def validate(self, geometry: ActuatorGeometry) -> None:
-        lo, hi = geometry.position_bounds()
-        if not lo < self.x_star < hi:
-            raise DomainError(
-                f"setpoint {self.x_star!r} outside admissible range ({lo:.4e}, {hi:.4e})"
-            )
-
-
 class SigmaTerms(NamedTuple):
     """Pressure-coupling scalar and its partial derivatives."""
 
@@ -87,24 +76,24 @@ class SigmaTerms(NamedTuple):
 
 
 def sigma(state: PlantState, F_hat: float, gains: ControllerGains,
-          setpoint: Setpoint, geometry: ActuatorGeometry) -> SigmaTerms:
+          x_star: float, geometry: ActuatorGeometry) -> SigmaTerms:
     """Evaluate sigma = P1*A1 + P2*A2 - F_hat + k_p*k_m*(x - x_star) and its gradient."""
     g = geometry_terms(state.x, geometry)
     kpkm = gains.k_p * gains.k_m
-    value = state.P1 * g.A1 + state.P2 * g.A2 - F_hat + kpkm * (state.x - setpoint.x_star)
+    value = state.P1 * g.A1 + state.P2 * g.A2 - F_hat + kpkm * (state.x - x_star)
     d_x = state.P1 * g.dA1 + state.P2 * g.dA2 + kpkm
     return SigmaTerms(value=value, d_x=d_x, d_P1=g.A1, d_P2=g.A2)
 
 
-def control_flows(state: PlantState, obs: ObserverState, gains: ControllerGains,
-                  setpoint: Setpoint, params: PlantParams) -> tuple[float, float]:
+def control_flows(state: PlantState, F_hat: float, gains: ControllerGains,
+                  x_star: float, params: PlantParams) -> tuple[float, float]:
     """Flow-rate commands (U1, U2) of the energy-shaping control law."""
     g = geometry_terms(state.x, params.geometry)
     if g.A1 == 0.0 or g.A2 == 0.0:
         raise DomainError("volume gradient vanished; state outside design domain")
     M = params.m + (g.V1 + g.V2) * params.fluid.rho
     v = state.p / M
-    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry)
+    s = sigma(state, F_hat, gains, x_star, params.geometry)
     shear = (1.0 + gains.k_m * s.d_x) * v / (2.0 * gains.k_m)
     Gamma0 = params.fluid.Gamma0
     U1 = g.A1 * v - (g.V1 / Gamma0) * (shear / g.A1 + gains.k_i * s.value / g.A1)
@@ -112,9 +101,8 @@ def control_flows(state: PlantState, obs: ObserverState, gains: ControllerGains,
     return U1, U2
 
 
-def closed_loop_field(state: PlantState, obs: ObserverState, true_F: float,
-                      gains: ControllerGains, setpoint: Setpoint,
-                      params: PlantParams) -> tuple[float, float, float, float]:
+def closed_loop_field(state: PlantState, F_hat: float, true_F: float, gains: ControllerGains,
+                      x_star: float, params: PlantParams) -> tuple[float, float, float, float]:
     """Shaped closed-loop state derivative (dx, dp, dP1, dP2).
 
     Componentwise equal to the open-loop field driven by :func:`control_flows`;
@@ -124,10 +112,10 @@ def closed_loop_field(state: PlantState, obs: ObserverState, true_F: float,
     rho = params.fluid.rho
     M = params.m + (g.V1 + g.V2) * rho
     k_m = gains.k_m
-    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry)
+    s = sigma(state, F_hat, gains, x_star, params.geometry)
 
     dHd_x = (-state.p**2 * rho * (g.A1 + g.A2) / (2.0 * k_m * M * M)
-             - gains.k_p * (setpoint.x_star - state.x)
+             - gains.k_p * (x_star - state.x)
              + s.value * s.d_x)
     dHd_p = state.p / (k_m * M)
     dHd_P1 = s.value * s.d_P1
@@ -140,7 +128,7 @@ def closed_loop_field(state: PlantState, obs: ObserverState, true_F: float,
     S33 = gains.k_i / s.d_P1**2
     S44 = gains.k_i / s.d_P2**2
 
-    zeta = obs.F_hat - gains.alpha * state.p - true_F
+    zeta = F_hat - gains.alpha * state.p - true_F
     dx = S12 * dHd_p
     dp = -S12 * dHd_x - S22 * dHd_p + S23 * dHd_P1 + S24 * dHd_P2 + zeta
     dP1 = -S23 * dHd_p - S33 * dHd_P1
@@ -148,22 +136,20 @@ def closed_loop_field(state: PlantState, obs: ObserverState, true_F: float,
     return dx, dp, dP1, dP2
 
 
-def desired_energy(state: PlantState, obs: ObserverState, true_F: float,
-                   gains: ControllerGains, setpoint: Setpoint,
-                   params: PlantParams) -> tuple[float, float]:
+def desired_energy(state: PlantState, F_hat: float, true_F: float, gains: ControllerGains,
+                   x_star: float, params: PlantParams) -> tuple[float, float]:
     """Shaped energy H_d and Lyapunov candidate Psi = H_d + zeta^2 / 2."""
     M = total_mass(state.x, params)
-    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry)
+    s = sigma(state, F_hat, gains, x_star, params.geometry)
     H_d = (state.p**2 / (2.0 * gains.k_m * M)
-           + 0.5 * gains.k_p * (setpoint.x_star - state.x) ** 2
+           + 0.5 * gains.k_p * (x_star - state.x) ** 2
            + 0.5 * s.value**2)
-    zeta = obs.F_hat - gains.alpha * state.p - true_F
+    zeta = F_hat - gains.alpha * state.p - true_F
     return H_d, H_d + 0.5 * zeta**2
 
 
-def desired_energy_rate(state: PlantState, obs: ObserverState, true_F: float,
-                        gains: ControllerGains, setpoint: Setpoint,
-                        params: PlantParams, F_rate: float = 0.0) -> float:
+def desired_energy_rate(state: PlantState, F_hat: float, true_F: float, gains: ControllerGains,
+                        x_star: float, params: PlantParams, F_rate: float = 0.0) -> float:
     """Analytic time derivative of Psi along the closed loop.
 
     ``F_rate`` is the time derivative of the true external force (zero for a
@@ -175,11 +161,11 @@ def desired_energy_rate(state: PlantState, obs: ObserverState, true_F: float,
     """
     g = geometry_terms(state.x, params.geometry)
     M = params.m + (g.V1 + g.V2) * params.fluid.rho
-    s = sigma(state, obs.F_hat, gains, setpoint, params.geometry)
-    zeta = obs.F_hat - gains.alpha * state.p - true_F
+    s = sigma(state, F_hat, gains, x_star, params.geometry)
+    zeta = F_hat - gains.alpha * state.p - true_F
     dHd_p = state.p / (gains.k_m * M)
     S22 = gains.k_m * (params.R - gains.alpha * M)
-    F_hat_rate = observer_rate(state, obs, params)
+    F_hat_rate = observer_rate(state, F_hat, gains.alpha, params)
     p_rate = generalized_force(state, params) - true_F
     zeta_rate = F_hat_rate - gains.alpha * p_rate - F_rate
     return (-S22 * dHd_p**2

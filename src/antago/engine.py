@@ -43,6 +43,8 @@ The trajectory record and :func:`diagnostics` are built as array expressions
 over the sampled states. The scalar plant and controller functions
 (``control_flows``, ``sigma``, ``desired_energy``, ``hamiltonian``) are their
 oracles: the test suite checks the channels against them at sampled rows.
+Like them, :func:`augmented_field` takes ``F_hat`` and ``x_star`` as floats
+and reads the observer gain ``alpha`` only from ``ControllerGains``.
 """
 
 from __future__ import annotations
@@ -52,16 +54,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControllerGains, Setpoint
+from .controller import ControllerGains
 from .errors import DomainError, ScenarioError, SolverError
-from .observer import ObserverState
 from .plant import (
     DOMAIN_MARGIN,
     PlantParams,
     PlantState,
     geometry_terms_array,
     hamiltonian,
-    total_mass,
 )
 
 FORCE_KINDS = ("constant", "tanh_friction", "spring")
@@ -112,11 +112,6 @@ class ForceModel:
         return self.value * xdot
 
 
-def evaluate_force(force: ForceModel, state: PlantState, params: PlantParams) -> float:
-    """Evaluate the force model at a plant state (velocity taken as p/M)."""
-    return force(state.x, state.p / total_mass(state.x, params))
-
-
 @dataclass(frozen=True)
 class SolverSettings:
     method: str = "rk23"       # "rk23" (adaptive) or "rk4" (fixed step)
@@ -157,14 +152,16 @@ class ScenarioConfig:
             raise ScenarioError("setpoint times must be finite")
         if sorted(times) != times or len(set(times)) != len(times):
             raise ScenarioError("setpoint times must be strictly increasing")
+        lo, hi = self.params.geometry.position_bounds()
         for _, x_star in self.setpoints:
-            Setpoint(x_star).validate(self.params.geometry)
+            if not lo < x_star < hi:
+                raise DomainError(
+                    f"setpoint {x_star!r} outside admissible range ({lo:.4e}, {hi:.4e})")
         init = self.initial
         if not all(math.isfinite(v) for v in (init.x, init.p, init.P1, init.P2)):
             raise ScenarioError("initial state must be finite")
         if self.F_hat0 is not None and not math.isfinite(self.F_hat0):
             raise ScenarioError("initial force estimate F_hat0 must be finite")
-        lo, hi = self.params.geometry.position_bounds()
         if not lo < init.x < hi:
             raise ScenarioError("initial position outside the admissible range")
 
@@ -279,11 +276,11 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
     return rhs
 
 
-def augmented_field(state: PlantState, obs: ObserverState, gains: ControllerGains,
-                    setpoint: Setpoint, force: ForceModel, params: PlantParams) -> tuple:
+def augmented_field(state: PlantState, F_hat: float, gains: ControllerGains,
+                    x_star: float, force: ForceModel, params: PlantParams) -> tuple:
     """Public wrapper around the integrated field, for point verification."""
-    rhs = _make_rhs(params, gains, force, setpoint.x_star)
-    return rhs(0.0, state.x, state.p, state.P1, state.P2, obs.F_hat)
+    rhs = _make_rhs(params, gains, force, x_star)
+    return rhs(0.0, state.x, state.p, state.P1, state.P2, F_hat)
 
 
 # --------------------------------------------------------------------------

@@ -244,7 +244,8 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> No
 def trajectory_from_csv(text: str) -> TrajectoryRecord:
     """Parse CSV text produced by :func:`trajectory_to_csv`.
 
-    A row that does not hold one number per header field raises
+    A header without a ``t`` column or with an empty or repeated name, and a
+    row that does not hold one number per header field, raise
     :class:`ScenarioError` with its line number.
     """
     status, detail = "ok", ""
@@ -259,6 +260,9 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
             continue
         elif header is None:
             header = ln.split(",")
+            if "t" not in header or "" in header or len(set(header)) != len(header):
+                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} needs "
+                                    "a 't' column and unique, nonempty names")
         else:
             cells = ln.split(",")
             try:

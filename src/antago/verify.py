@@ -14,15 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import (
-    ControllerGains,
-    Setpoint,
-    closed_loop_field,
-    sigma,
-    validate_gains,
-)
+from .controller import ControllerGains, closed_loop_field, sigma, validate_gains
 from .engine import ForceModel, diagnostics, fit_decay_rate, simulate
-from .observer import ObserverState
 from .plant import (
     PlantParams,
     PlantState,
@@ -87,13 +80,13 @@ def check_matching(seed: int = 0, samples: int = 100,
             k_i=float(rng.uniform(1.0, 20.0)),
             alpha=float(rng.uniform(1.0, 15.0)),
         )
-        setpoint = Setpoint(float(rng.uniform(lo + pad, hi - pad)))
-        obs = ObserverState(F_hat=float(rng.uniform(-5.0, 5.0)), alpha=gains.alpha)
+        x_star = float(rng.uniform(lo + pad, hi - pad))
+        F_hat = float(rng.uniform(-5.0, 5.0))
         F = float(rng.uniform(-10.0, 10.0))
 
-        U1, U2 = control_flows(state, obs, gains, setpoint, params)
+        U1, U2 = control_flows(state, F_hat, gains, x_star, params)
         raw = open_loop_field(state, U1, U2, F, params)
-        shaped = closed_loop_field(state, obs, F, gains, setpoint, params)
+        shaped = closed_loop_field(state, F_hat, F, gains, x_star, params)
         worst = max(worst, *(_rel_err(a, b) for a, b in zip(raw, shaped)))
     return MatchingReport(samples=samples, worst_rel_err=worst, bound=bound,
                           ok=worst < bound)
@@ -263,20 +256,20 @@ def check_gradients(seed: int = 0, points: int = 20) -> GradientReport:
             worst_H = max(worst_H, _rel_err(g, (hi_val - lo_val) / (2 * h)))
 
         gains = ControllerGains(k_p=1.0, k_m=2.0, k_i=10.0, alpha=10.0)
-        setpoint = Setpoint(float(rng.uniform(lo + pad, hi - pad)))
+        x_star = float(rng.uniform(lo + pad, hi - pad))
         F_hat = float(rng.uniform(-5.0, 5.0))
-        s = sigma(state, F_hat, gains, setpoint, geo)
+        s = sigma(state, F_hat, gains, x_star, geo)
         fd_x = (sigma(PlantState(x + h_x, state.p, state.P1, state.P2),
-                      F_hat, gains, setpoint, geo).value
+                      F_hat, gains, x_star, geo).value
                 - sigma(PlantState(x - h_x, state.p, state.P1, state.P2),
-                        F_hat, gains, setpoint, geo).value) / (2 * h_x)
+                        F_hat, gains, x_star, geo).value) / (2 * h_x)
         worst_sig = max(worst_sig, _rel_err(s.d_x, fd_x))
         h_P = 1e-1
         for attr, d in (("P1", s.d_P1), ("P2", s.d_P2)):
             up = replace(state, **{attr: getattr(state, attr) + h_P})
             dn = replace(state, **{attr: getattr(state, attr) - h_P})
-            fd = (sigma(up, F_hat, gains, setpoint, geo).value
-                  - sigma(dn, F_hat, gains, setpoint, geo).value) / (2 * h_P)
+            fd = (sigma(up, F_hat, gains, x_star, geo).value
+                  - sigma(dn, F_hat, gains, x_star, geo).value) / (2 * h_P)
             worst_sig = max(worst_sig, _rel_err(d, fd))
 
     checks = (

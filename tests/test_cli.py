@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from antago.cli import MAX_SWEEP_POINTS, main
+from antago.cli import MAX_SWEEP_POINTS, _parse_values, main
 from antago.engine import diagnostics, simulate
+from antago.errors import ScenarioError
 from antago.scenario_io import (
     load_preset,
     load_trajectory_csv,
@@ -112,9 +113,9 @@ def test_run_non_finite_solver_flag_is_one_line_error(short_scenario_file, tmp_p
 
 
 def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypatch):
-    """An rk4 run or a sweep range over its cost budget, and a sweep epsilon
-    that is not finite, exit 1 with one error line before any sample grid is
-    built."""
+    """An rk4 run or a sweep range over its cost budget, a sweep epsilon
+    that is not finite, and ``--values`` text that is not a number list or a
+    range, exit 1 with one error line before any sample grid is built."""
     def no_grid(*args):
         raise AssertionError("an over-budget request reached the sample grid")
 
@@ -127,11 +128,35 @@ def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypa
             (["sweep", "alpha", str(tiny_step), "--values", f"1:25:{MAX_SWEEP_POINTS + 1}"],
              ("range count", "budget")),
             (["sweep", "epsilon", "fig2-F1", "--values", "nan,inf"], ("epsilon", "finite")),
-            (["sweep", "epsilon", "fig2-F1", "--values", "inf"], ("epsilon", "finite"))):
+            (["sweep", "epsilon", "fig2-F1", "--values", "inf"], ("epsilon", "finite")),
+            *((["sweep", "alpha", "fig2-F1", "--values", text], ("--values", repr(text)))
+              for text in ("abc", "1:25:abc", "1:25:2.5", "1,,2"))):
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert all(word in err[0] for word in words), err[0]
+
+
+def test_values_parse_to_list_or_scenario_error():
+    """Drawn ``--values`` text (number lists, ranges, arbitrary text) gives a
+    list of floats or raises ScenarioError, never another exception."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cell = st.one_of(st.floats().map(repr), st.integers(-10**5, 10**5).map(str),
+                     st.text(max_size=5))
+    cells = st.lists(cell, min_size=1, max_size=4)
+    texts = st.one_of(st.text(max_size=20), cells.map(",".join), cells.map(":".join))
+
+    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @hypothesis.given(text=texts)
+    def check(text):
+        try:
+            values = _parse_values(text)
+        except ScenarioError:
+            return
+        assert isinstance(values, list) and all(isinstance(v, float) for v in values)
+
+    check()
 
 
 def test_run_domain_exit_is_nonzero(tmp_path, study, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from antago.controller import (
     ControllerGains,
-    Setpoint,
     closed_loop_field,
     control_flows,
     desired_energy,
@@ -24,7 +23,7 @@ from antago.controller import (
 )
 from antago.engine import ForceModel, augmented_field
 from antago.errors import DomainError
-from antago.observer import ObserverState, observer_rate
+from antago.observer import observer_rate
 from antago.plant import PlantState, open_loop_field, total_mass
 from antago.verify import check_matching
 
@@ -47,31 +46,33 @@ def test_gains_must_be_positive():
             ControllerGains(**kwargs)
 
 
-def test_setpoint_validation(params):
-    Setpoint(1e-3).validate(params.geometry)
-    with pytest.raises(DomainError):
-        Setpoint(4e-3).validate(params.geometry)
-    with pytest.raises(DomainError):
-        Setpoint(-4e-3).validate(params.geometry)
+def test_setpoint_validation(study):
+    replace(study, setpoints=((0.0, 1e-3),)).validate()
+    lo, hi = study.params.geometry.position_bounds()
+    for x_star in (4e-3, -4e-3, math.nan):
+        scenario = replace(study, setpoints=((0.0, 1e-3), (0.5, x_star)))
+        with pytest.raises(DomainError) as info:
+            scenario.validate()
+        assert str(info.value) == (
+            f"setpoint {x_star!r} outside admissible range ({lo:.4e}, {hi:.4e})")
 
 
 def test_sigma_trivial_zero(params, gains):
-    s = sigma(PlantState(1e-3, 0.0, 0.0, 0.0), 0.0, gains,
-              Setpoint(1e-3), params.geometry)
+    s = sigma(PlantState(1e-3, 0.0, 0.0, 0.0), 0.0, gains, 1e-3, params.geometry)
     assert s.value == 0.0
 
 
 def test_sigma_partials_match_finite_differences(params, gains):
     rng = np.random.default_rng(13)
-    sp = Setpoint(1e-3)
+    x_star = 1e-3
     h_x, h_P = 1e-8, 1e-1
     for _ in range(20):
         state = _random_state(params, rng)
         F_hat = float(rng.uniform(-5, 5))
-        s = sigma(state, F_hat, gains, sp, params.geometry)
+        s = sigma(state, F_hat, gains, x_star, params.geometry)
 
         def val(st):
-            return sigma(st, F_hat, gains, sp, params.geometry).value
+            return sigma(st, F_hat, gains, x_star, params.geometry).value
 
         fd_x = (val(replace(state, x=state.x + h_x))
                 - val(replace(state, x=state.x - h_x))) / (2 * h_x)
@@ -86,15 +87,13 @@ def test_sigma_partials_match_finite_differences(params, gains):
 
 def test_flows_vanish_at_equilibrium(params, gains):
     state = PlantState(1e-3, 0.0, 0.0, 0.0)
-    obs = ObserverState(F_hat=0.0, alpha=gains.alpha)
-    U1, U2 = control_flows(state, obs, gains, Setpoint(1e-3), params)
+    U1, U2 = control_flows(state, 0.0, gains, 1e-3, params)
     assert U1 == 0.0 and U2 == 0.0
 
 
 def test_closed_loop_field_zero_at_equilibrium(params, gains):
     state = PlantState(1e-3, 0.0, 0.0, 0.0)
-    obs = ObserverState(F_hat=0.0, alpha=gains.alpha)
-    field = closed_loop_field(state, obs, 0.0, gains, Setpoint(1e-3), params)
+    field = closed_loop_field(state, 0.0, 0.0, gains, 1e-3, params)
     assert field == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -109,27 +108,25 @@ def test_matching_shaped_equals_driven_open_loop(params, gains):
 def test_matching_single_state_spot_check(params, gains):
     rng = np.random.default_rng(77)
     state = _random_state(params, rng)
-    obs = ObserverState(F_hat=1.5, alpha=gains.alpha)
-    sp = Setpoint(5e-4)
+    F_hat, x_star = 1.5, 5e-4
     F = -2.0
-    U1, U2 = control_flows(state, obs, gains, sp, params)
+    U1, U2 = control_flows(state, F_hat, gains, x_star, params)
     raw = open_loop_field(state, U1, U2, F, params)
-    shaped = closed_loop_field(state, obs, F, gains, sp, params)
+    shaped = closed_loop_field(state, F_hat, F, gains, x_star, params)
     for a, b in zip(raw, shaped):
         assert a == pytest.approx(b, rel=1e-9, abs=1e-18)
 
 
 def test_desired_energy_zero_at_equilibrium_positive_elsewhere(params, gains):
-    sp = Setpoint(1e-3)
-    obs0 = ObserverState(F_hat=0.0, alpha=gains.alpha)
-    H_d, Psi = desired_energy(PlantState(1e-3, 0.0, 0.0, 0.0), obs0, 0.0,
-                              gains, sp, params)
+    x_star = 1e-3
+    H_d, Psi = desired_energy(PlantState(1e-3, 0.0, 0.0, 0.0), 0.0, 0.0,
+                              gains, x_star, params)
     assert H_d == 0.0 and Psi == 0.0
     rng = np.random.default_rng(31)
     for _ in range(20):
         state = _random_state(params, rng)
-        obs = ObserverState(F_hat=float(rng.uniform(-5, 5)), alpha=gains.alpha)
-        H_d, Psi = desired_energy(state, obs, 0.0, gains, sp, params)
+        F_hat = float(rng.uniform(-5, 5))
+        H_d, Psi = desired_energy(state, F_hat, 0.0, gains, x_star, params)
         assert H_d >= 0.0 and Psi >= H_d
 
 
@@ -137,28 +134,27 @@ def test_energy_rate_matches_directional_derivative(params, gains):
     """The analytic rate of the Lyapunov candidate equals its directional
     derivative along the augmented closed-loop field."""
     rng = np.random.default_rng(41)
-    sp = Setpoint(1e-3)
+    x_star = 1e-3
     force = ForceModel("constant", 0.5)
 
     def psi_of(y):
         state = PlantState(*y[:4])
-        obs = ObserverState(F_hat=y[4], alpha=gains.alpha)
-        return desired_energy(state, obs, force.value, gains, sp, params)[1]
+        return desired_energy(state, y[4], force.value, gains, x_star, params)[1]
 
     # per-component steps: the candidate is polynomial in p, P1, P2 and F_hat
     # (central differences are exact there); only x needs a small step.
     steps = np.array([1e-9, 1e-7, 1.0, 1.0, 1e-6])
     for _ in range(15):
         state = _random_state(params, rng, p_scale=0.02, P_scale=2e4)
-        obs = ObserverState(F_hat=float(rng.uniform(-2, 2)), alpha=gains.alpha)
-        y = np.array([state.x, state.p, state.P1, state.P2, obs.F_hat])
-        f = np.array(augmented_field(state, obs, gains, sp, force, params))
+        F_hat = float(rng.uniform(-2, 2))
+        y = np.array([state.x, state.p, state.P1, state.P2, F_hat])
+        f = np.array(augmented_field(state, F_hat, gains, x_star, force, params))
         numeric = 0.0
         for i, h in enumerate(steps):
             e = np.zeros(5)
             e[i] = h
             numeric += (psi_of(y + e) - psi_of(y - e)) / (2 * h) * f[i]
-        analytic = desired_energy_rate(state, obs, force.value, gains, sp, params)
+        analytic = desired_energy_rate(state, F_hat, force.value, gains, x_star, params)
         scale = max(abs(analytic), abs(numeric), 1e-12)
         assert abs(analytic - numeric) / scale < 1e-6, (state, analytic, numeric)
 
@@ -166,16 +162,16 @@ def test_energy_rate_matches_directional_derivative(params, gains):
 def test_energy_rate_is_negative_quadratic_at_converged_estimate(params, gains):
     """With the estimate converged (zeta = 0) and sigma = 0 the rate reduces
     to the pure damping term and is strictly negative for nonzero momentum."""
-    sp = Setpoint(1e-3)
+    x_star = 1e-3
     state = PlantState(1e-3, 0.05, 0.0, 0.0)
-    obs = ObserverState(F_hat=gains.alpha * state.p, alpha=gains.alpha)
+    F_hat = gains.alpha * state.p
     F = 0.0
-    rate = desired_energy_rate(state, obs, F, gains, sp, params)
+    rate = desired_energy_rate(state, F_hat, F, gains, x_star, params)
     M = total_mass(state.x, params)
     S22 = gains.k_m * (params.R - gains.alpha * M)
     dHd_p = state.p / (gains.k_m * M)
-    s = sigma(state, obs.F_hat, gains, sp, params.geometry)
-    F_hat_rate = observer_rate(state, obs, params)
+    s = sigma(state, F_hat, gains, x_star, params.geometry)
+    F_hat_rate = observer_rate(state, F_hat, gains.alpha, params)
     expected = -S22 * dHd_p**2 - 2 * gains.k_i * s.value**2 \
         + dHd_p * 0.0 - s.value * F_hat_rate
     assert rate == pytest.approx(expected, rel=1e-12)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from antago import engine
-from antago.controller import Setpoint, control_flows, desired_energy, sigma
+from antago.controller import control_flows, desired_energy, sigma
 from antago.engine import (
     CHANNELS,
     ForceModel,
@@ -16,12 +16,10 @@ from antago.engine import (
     SolverSettings,
     augmented_field,
     diagnostics,
-    evaluate_force,
     simulate,
     simulate_open_loop,
 )
 from antago.errors import DomainError, ScenarioError, SolverError
-from antago.observer import ObserverState, force_estimate
 from antago.plant import (
     PlantState,
     geometry_terms,
@@ -54,13 +52,6 @@ def test_tanh_friction_saturates():
     f = ForceModel("tanh_friction", 5.0)
     assert f(0.0, 50.0) == pytest.approx(5.0, rel=1e-12)
     assert f(0.0, -50.0) == pytest.approx(-5.0, rel=1e-12)
-
-
-def test_evaluate_force_uses_velocity(params):
-    f = ForceModel("tanh_friction", 5.0)
-    state = PlantState(0.0, 0.02, 0.0, 0.0)
-    v = state.p / total_mass(state.x, params)
-    assert evaluate_force(f, state, params) == pytest.approx(5 * math.tanh(v))
 
 
 def test_force_rate_matches_finite_difference():
@@ -138,7 +129,7 @@ def test_substituted_field_matches_raw_composition(study):
     """The integrated (non-stiff) pressure rows equal the raw composition of
     plant pressure dynamics with the commanded flows, at sampled states."""
     params, gains = study.params, study.gains
-    sp = Setpoint(1e-3)
+    x_star = 1e-3
     force = ForceModel("constant", 0.0)
     lo, hi = params.geometry.position_bounds()
     rng = np.random.default_rng(61)
@@ -147,9 +138,9 @@ def test_substituted_field_matches_raw_composition(study):
                            p=float(rng.uniform(-0.05, 0.05)),
                            P1=float(rng.uniform(-3e4, 3e4)),
                            P2=float(rng.uniform(-3e4, 3e4)))
-        obs = ObserverState(F_hat=float(rng.uniform(-3, 3)), alpha=gains.alpha)
-        fast = augmented_field(state, obs, gains, sp, force, params)
-        U1, U2 = control_flows(state, obs, gains, sp, params)
+        F_hat = float(rng.uniform(-3, 3))
+        fast = augmented_field(state, F_hat, gains, x_star, force, params)
+        U1, U2 = control_flows(state, F_hat, gains, x_star, params)
         raw = open_loop_field(state, U1, U2, force.value, params)
         for a, b in zip(fast[:4], raw):
             scale = max(abs(a), abs(b), 1e-20)
@@ -194,9 +185,7 @@ def test_inlined_geometry_matches_kernel(study, monkeypatch):
         M = params.m + (g.V1 + g.V2) * params.fluid.rho
 
         def closed(p, P1, P2, F_hat):
-            return augmented_field(PlantState(x, p, P1, P2),
-                                   ObserverState(F_hat=F_hat, alpha=gains.alpha),
-                                   gains, Setpoint(x), free, params)
+            return augmented_field(PlantState(x, p, P1, P2), F_hat, gains, x, free, params)
 
         # At rest the momentum rate is A1*P1 + A2*P2; at p = 1 the velocity is 1/M.
         assert closed(0.0, 1.0, 0.0, 0.0)[1] == g.A1
@@ -270,8 +259,7 @@ def test_nan_state_ends_in_domain_exit(study):
     a run, instead of passing it and filling the record with NaN."""
     nan_state = PlantState(math.nan, 0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
-        augmented_field(nan_state, ObserverState(F_hat=0.0, alpha=study.gains.alpha),
-                        study.gains, Setpoint(1e-3), study.force, study.params)
+        augmented_field(nan_state, 0.0, study.gains, 1e-3, study.force, study.params)
 
     record = simulate(replace(study, force=NaNForce("constant", 0.0), duration=0.1))
     assert record.status == "domain-exit"
@@ -321,17 +309,15 @@ def _oracle_channels(scenario, t, x, p, P1, P2, F_hat):
     """The derived channels of one sample, from the scalar functions."""
     params, gains = scenario.params, scenario.gains
     state = PlantState(x, p, P1, P2)
-    obs = ObserverState(F_hat=F_hat, alpha=gains.alpha)
     x_star = [xs for ts, xs in scenario.setpoints if ts <= t][-1]
-    setpoint = Setpoint(x_star)
     xdot = p / total_mass(x, params)
     F_true = scenario.force(x, xdot)
-    F_tilde = force_estimate(obs, p).F_tilde
-    U1, U2 = control_flows(state, obs, gains, setpoint, params)
-    H_d, Psi = desired_energy(state, obs, F_true, gains, setpoint, params)
+    F_tilde = F_hat - gains.alpha * p
+    U1, U2 = control_flows(state, F_hat, gains, x_star, params)
+    H_d, Psi = desired_energy(state, F_hat, F_true, gains, x_star, params)
     return {"xdot": xdot, "U1": U1, "U2": U2, "F_tilde": F_tilde, "F_true": F_true,
             "zeta": F_tilde - F_true,
-            "sigma": sigma(state, F_hat, gains, setpoint, params.geometry).value,
+            "sigma": sigma(state, F_hat, gains, x_star, params.geometry).value,
             "x_star": x_star, "H": hamiltonian(state, params), "H_d": H_d, "Psi": Psi}
 
 
@@ -471,14 +457,11 @@ def test_rk23_matches_scipy_dop853(fig2_runs):
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     for name, (scenario, record) in fig2_runs.items():
         (_, x_star), = scenario.setpoints
-        alpha = scenario.gains.alpha
 
         def field(t, y):
             x, p, P1, P2, F_hat = y.tolist()
-            return augmented_field(PlantState(x, p, P1, P2),
-                                   ObserverState(F_hat=F_hat, alpha=alpha),
-                                   scenario.gains, Setpoint(x_star), scenario.force,
-                                   scenario.params)
+            return augmented_field(PlantState(x, p, P1, P2), F_hat, scenario.gains,
+                                   x_star, scenario.force, scenario.params)
 
         y0 = [record[ch][0] for ch in ("x", "p", "P1", "P2", "F_hat")]
         sol = solve_ivp(field, (0.0, record["t"][-1]), y0, method="DOP853",

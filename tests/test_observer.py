@@ -1,4 +1,4 @@
-"""Force estimator: rate law, estimate arithmetic and exact decay."""
+"""Force estimator: rate law and exact decay."""
 
 import math
 from dataclasses import replace
@@ -7,43 +7,12 @@ import numpy as np
 import pytest
 
 from antago.engine import ForceModel, fit_decay_rate, simulate
-from antago.observer import (
-    ForceEstimate,
-    ObserverState,
-    force_estimate,
-    initial_observer,
-    observer_rate,
-)
+from antago.observer import observer_rate
 from antago.plant import PlantState, generalized_force
 
 
-def test_gain_must_be_positive():
-    with pytest.raises(ValueError):
-        ObserverState(F_hat=0.0, alpha=0.0)
-    with pytest.raises(ValueError):
-        ObserverState(F_hat=0.0, alpha=-1.0)
-    for alpha in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            ObserverState(F_hat=0.0, alpha=alpha)
-    for F_hat in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            ObserverState(F_hat=F_hat, alpha=10.0)
-
-
 def test_zero_state_zero_rate(params):
-    obs = ObserverState(F_hat=0.0, alpha=10.0)
-    assert observer_rate(PlantState(0.0, 0.0, 0.0, 0.0), obs, params) == 0.0
-
-
-def test_force_estimate_arithmetic():
-    est = force_estimate(ObserverState(F_hat=1.0, alpha=10.0), p=0.05)
-    assert est == ForceEstimate(F_tilde=0.5, beta=-0.5)
-    assert force_estimate(ObserverState(F_hat=0.0, alpha=3.0), p=0.0).F_tilde == 0.0
-
-
-def test_initial_observer_is_unbiased():
-    obs = initial_observer(alpha=10.0, p0=0.02)
-    assert force_estimate(obs, 0.02).F_tilde == 0.0
+    assert observer_rate(PlantState(0.0, 0.0, 0.0, 0.0), 0.0, 10.0, params) == 0.0
 
 
 def test_rate_vanishes_at_balanced_rest(params, fig2_runs):
@@ -52,10 +21,10 @@ def test_rate_vanishes_at_balanced_rest(params, fig2_runs):
     scenario, record = fig2_runs["fig2-F2"]
     state = PlantState(x=float(record["x"][-1]), p=float(record["p"][-1]),
                        P1=float(record["P1"][-1]), P2=float(record["P2"][-1]))
-    obs = ObserverState(F_hat=float(record["F_hat"][-1]), alpha=scenario.gains.alpha)
-    rate = observer_rate(state, obs, params)
+    F_hat, alpha = float(record["F_hat"][-1]), scenario.gains.alpha
+    rate = observer_rate(state, F_hat, alpha, params)
     # scale: alpha * typical force level
-    assert abs(rate) < 1e-3 * obs.alpha * max(1.0, abs(obs.F_hat))
+    assert abs(rate) < 1e-3 * alpha * max(1.0, abs(F_hat))
 
 
 def test_rate_is_alpha_times_force_mismatch(params):
@@ -68,11 +37,10 @@ def test_rate_is_alpha_times_force_mismatch(params):
                            p=float(rng.uniform(-0.1, 0.1)),
                            P1=float(rng.uniform(-5e4, 5e4)),
                            P2=float(rng.uniform(-5e4, 5e4)))
-        obs = ObserverState(F_hat=float(rng.uniform(-5, 5)),
-                            alpha=float(rng.uniform(1, 15)))
-        expected = obs.alpha * (generalized_force(state, params)
-                                - obs.F_hat + obs.alpha * state.p)
-        assert observer_rate(state, obs, params) == pytest.approx(expected, rel=1e-12)
+        F_hat = float(rng.uniform(-5, 5))
+        alpha = float(rng.uniform(1, 15))
+        expected = alpha * (generalized_force(state, params) - F_hat + alpha * state.p)
+        assert observer_rate(state, F_hat, alpha, params) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import antago
-from antago.controller import ControllerGains, Setpoint
+from antago.controller import ControllerGains
 from antago.engine import ForceModel, augmented_field
 from antago.errors import DomainError
-from antago.observer import ObserverState
 from antago.plant import (
     ActuatorGeometry,
     FluidParams,
@@ -212,9 +211,9 @@ def test_domain_error_names_offending_actuator():
         geometry_terms_array(np.append(inside, math.nan), geo)
 
 
-def test_domain_defined_in_one_place():
-    """No public callable moves the domain boundary, and the geometry kernels
-    and the integrated field agree with ``position_bounds`` at both ends."""
+def _public_parameters():
+    """(public name, function name, parameter names) of every function in
+    ``antago.__all__`` and of every public method of its classes."""
     for name in antago.__all__:
         obj = getattr(antago, name)
         if inspect.isclass(obj):
@@ -224,17 +223,22 @@ def test_domain_defined_in_one_place():
         else:
             funcs = [obj] if callable(obj) else []
         for f in funcs:
-            assert "margin" not in inspect.signature(f).parameters, (name, f.__name__)
+            yield name, f.__name__, set(inspect.signature(f).parameters)
+
+
+def test_domain_defined_in_one_place():
+    """No public callable moves the domain boundary, and the geometry kernels
+    and the integrated field agree with ``position_bounds`` at both ends."""
+    for name, func, parameters in _public_parameters():
+        assert "margin" not in parameters, (name, func)
 
     params = _study_params()
     geo = params.geometry
     gains = ControllerGains(k_p=1.0, k_m=2.0, k_i=10.0, alpha=10.0)
-    obs = ObserverState(F_hat=0.0, alpha=gains.alpha)
     free = ForceModel("constant", 0.0)
 
     def field(x):
-        return augmented_field(PlantState(x, 0.0, 0.0, 0.0), obs, gains, Setpoint(0.0),
-                               free, params)
+        return augmented_field(PlantState(x, 0.0, 0.0, 0.0), 0.0, gains, 0.0, free, params)
 
     kernels = (lambda x: geometry_terms(x, geo),
                lambda x: geometry_terms_array(np.array([0.0, x]), geo),
@@ -247,6 +251,18 @@ def test_domain_defined_in_one_place():
         for outside in (lo - step, hi + step):
             with pytest.raises(DomainError):
                 evaluate(outside)
+
+
+def test_one_observer_gain():
+    """The public names are unique and resolve, the point functions take the
+    force estimate and the setpoint as floats, and the observer gain has one
+    home: no callable takes both the gain set and a separate alpha."""
+    assert len(set(antago.__all__)) == len(antago.__all__)
+    for name in antago.__all__:
+        assert hasattr(antago, name), name
+    for name, func, parameters in _public_parameters():
+        assert not parameters & {"obs", "setpoint"}, (name, func)
+        assert not {"gains", "alpha"} <= parameters, (name, func)
 
 
 def test_gradients_match_finite_differences():

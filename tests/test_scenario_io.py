@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from antago.engine import ForceModel, simulate
+from antago.controller import ControllerGains
+from antago.engine import FORCE_KINDS, ForceModel, SolverSettings, simulate
 from antago.errors import ScenarioError
 from antago.plant import PlantState
 from antago.scenario_io import (
@@ -73,6 +74,44 @@ def test_round_trip_with_initial_state_and_schedule(study):
     )
     text = serialize_scenario(scenario)
     assert parse_scenario(text, name=scenario.name) == scenario
+
+
+def test_round_trip_property(study):
+    """Drawn valid scenarios on the fig2-F1 plant (gains, load, a setpoint
+    schedule inside the admissible range, solver settings within budget,
+    initial state and estimate) survive serialize then parse unchanged."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lo, hi = study.params.geometry.position_bounds()
+    positive = st.floats(min_value=1e-9, max_value=1e6)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    inside = st.floats(min_value=lo, max_value=hi, exclude_min=True, exclude_max=True)
+    later = st.lists(st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+                     unique=True, max_size=3).map(sorted)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        times = [0.0, *data.draw(later)]
+        scenario = replace(
+            study,
+            gains=ControllerGains(*(data.draw(positive) for _ in range(4))),
+            force=ForceModel(data.draw(st.sampled_from(FORCE_KINDS)), data.draw(finite)),
+            setpoints=tuple((t, data.draw(inside)) for t in times),
+            duration=data.draw(st.floats(min_value=1e-3, max_value=10.0)),
+            solver=SolverSettings(
+                method=data.draw(st.sampled_from(("rk23", "rk4"))),
+                rel_tol=data.draw(positive), abs_tol=data.draw(positive),
+                max_step=data.draw(positive),
+                fixed_step=data.draw(st.floats(min_value=1e-6, max_value=1.0)),
+                sample_dt=data.draw(st.floats(min_value=1e-4, max_value=1.0))),
+            initial=PlantState(data.draw(inside), data.draw(finite),
+                               data.draw(finite), data.draw(finite)),
+            F_hat0=data.draw(st.none() | finite),
+        )
+        assert parse_scenario(serialize_scenario(scenario)) == replace(scenario, name="")
+
+    check()
 
 
 def test_unknown_key_suggests_expected_case(study):
@@ -232,6 +271,10 @@ def test_csv_preserves_status_detail(study):
 def test_csv_without_header_rejected():
     with pytest.raises(ScenarioError):
         trajectory_from_csv("# status: ok\n")
+    # a header without a time column, with a repeated name or an empty name
+    for header in ("x", "t,t", "t,,x", "t,x,"):
+        with pytest.raises(ScenarioError, match=f"line 1: header {header!r}"):
+            trajectory_from_csv(header + "\n1" + ",1" * header.count(",") + "\n")
     # a ragged row and a cell that is not a number name their line
     for bad in ("1.0,2.0\n3.0,4.0", "1.0,2.0,3.0,4.0", "1.0,abc,3.0"):
         text = "# status: ok\n\nt,x,p\n0.0,0.0,0.0\n" + bad + "\n"
