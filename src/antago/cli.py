@@ -14,17 +14,25 @@ verification bound is violated. Every bad input reaches :func:`main` as a
 ``ValueError`` (``ScenarioError`` and ``DomainError`` are ones), which it
 prints as one ``error:`` line before exiting 1; an early end of a run arrives
 as the record's status, not as an exception.
+
+``sweep`` checks every point before it simulates any, then runs the points on
+forked worker processes, one per core the process may use (in-process when
+fewer than two would be busy or the process has other threads). Its table and
+progress lines do not depend on how many workers ran.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import threading
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
 from .controller import validate_gains
-from .engine import ScenarioConfig, diagnostics, simulate
+from .engine import DiagnosticsSummary, ScenarioConfig, diagnostics, simulate
 from .errors import ScenarioError
 from .scenario_io import (
     _atomic_write,
@@ -78,10 +86,18 @@ def _print_summary(summary) -> None:
     print(f"crossed symmetric configuration: {summary.crossed_symmetric}")
 
 
+def _out_path(text: str) -> Path:
+    """The ``--out`` file, checked before any work that would be lost on it."""
+    path = Path(text)
+    if path.is_dir():
+        raise ScenarioError(f"--out {text!r} is a directory, not a file")
+    return path
+
+
 def _cmd_run(args) -> int:
     scenario = _apply_solver_flags(_resolve_scenario(args.scenario), args)
+    out = _out_path(args.out or f"{scenario.name or 'trajectory'}.csv")
     record = simulate(scenario)
-    out = Path(args.out) if args.out else Path(f"{scenario.name or 'trajectory'}.csv")
     save_trajectory_csv(record, out)
     summary = diagnostics(record, scenario.gains, scenario.params)
     print(f"wrote {len(record)} samples to {out}")
@@ -128,36 +144,66 @@ def _sweep_variant(scenario: ScenarioConfig, param: str, value: float) -> Scenar
     return scenario   # epsilon only enters the gain analysis, not the dynamics
 
 
+def _point_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
+    """Simulate one sweep variant and return only its diagnostics, which are
+    all a worker sends back (never the trajectory record)."""
+    return diagnostics(simulate(scenario), scenario.gains, scenario.params)
+
+
+def _sweep_summaries(scenarios: list[ScenarioConfig]) -> Iterator[DiagnosticsSummary]:
+    """Yield the diagnostics of each scenario, in order.
+
+    The scenarios run on forked worker processes, one per core this process
+    may use and no more than there are scenarios. They run in this process
+    when fewer than two workers would be busy, and when this process has
+    other threads, which a fork would copy in whatever state they hold. Each
+    summary is the same whichever process computed it.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores, len(scenarios))
+    if workers < 2 or threading.active_count() > 1:
+        yield from map(_point_summary, scenarios)
+        return
+    import multiprocessing   # here, so that importing the CLI does not load it
+
+    sys.stdout.flush()       # a forked worker must not inherit unwritten output
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        # one point per task: the large-alpha points that end early sit together
+        yield from pool.imap(_point_summary, scenarios, chunksize=1)
+
+
 def _cmd_sweep(args) -> int:
     base = _apply_solver_flags(_resolve_scenario(args.scenario), args)
     values = _parse_values(args.values)
+    out = _out_path(args.out) if args.out else None
+    scenarios = [_sweep_variant(base, args.parameter, value) for value in values]
+    epsilon_sweep = args.parameter == "epsilon"
+    reports = [validate_gains(s.params, s.gains, epsilon=value if epsilon_sweep else 0.0)
+               for s, value in zip(scenarios, values)]
+    if epsilon_sweep:   # every epsilon variant is the base scenario: simulate it once
+        summaries = list(_sweep_summaries([base])) * len(values)
+    else:
+        summaries = _sweep_summaries(scenarios)
     header = ("value,valid,positive_definite,rate_bound_ok,condition_product,"
               "status,x_error,settle_time,max_psi_increment,psi_max,zeta_rate")
     rows = [header]
     worst_exit = 0
-    previous = None   # epsilon variants are the base scenario: simulate it once
-    for value in values:
-        scenario = _sweep_variant(base, args.parameter, value)
-        epsilon = value if args.parameter == "epsilon" else 0.0
-        report = validate_gains(scenario.params, scenario.gains, epsilon=epsilon)
+    # strict: runs the summaries to their end, which closes the worker pool
+    for value, report, summary in zip(values, reports, summaries, strict=True):
         valid = report.positive_definite and report.rate_bound_ok
-        if scenario is not previous:
-            record = simulate(scenario)
-            summary = diagnostics(record, scenario.gains, scenario.params)
-            previous = scenario
-        if record.status != "ok":
+        if summary.status != "ok":
             worst_exit = 1
         rows.append(",".join([
             repr(value), str(valid).lower(), str(report.positive_definite).lower(),
             str(report.rate_bound_ok).lower(), repr(report.condition_product),
-            record.status, repr(summary.x_error), repr(summary.settle_time),
+            summary.status, repr(summary.x_error), repr(summary.settle_time),
             repr(summary.max_psi_increment), repr(summary.psi_max),
             repr(summary.zeta_rate),
         ]))
         print(f"{args.parameter} = {value:g}: valid={valid} "
-              f"product={report.condition_product:.4f} status={record.status}")
-    if args.out:
-        _atomic_write(Path(args.out), "\n".join(rows) + "\n")
+              f"product={report.condition_product:.4f} status={summary.status}")
+    if out is not None:
+        _atomic_write(out, "\n".join(rows) + "\n")
         print(f"wrote {len(values)} rows to {args.out}")
     return worst_exit
 

@@ -244,12 +244,13 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> No
 def trajectory_from_csv(text: str) -> TrajectoryRecord:
     """Parse CSV text produced by :func:`trajectory_to_csv`.
 
-    A header without a ``t`` column or with an empty or repeated name, and a
-    row that does not hold one number per header field, raise
-    :class:`ScenarioError` with its line number.
+    A header without a ``t`` column or with an empty or repeated name, a row
+    that does not hold one number per header field, and a header that lacks
+    any channel of :data:`~antago.engine.CHANNELS` raise :class:`ScenarioError`
+    with the line number.
     """
     status, detail = "ok", ""
-    header, rows = None, []
+    header, header_line, rows = None, 0, []
     for number, ln in enumerate(text.splitlines(), start=1):
         if ln.startswith("#"):
             if ln.startswith("# status:"):
@@ -259,7 +260,7 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
         elif not ln.strip():
             continue
         elif header is None:
-            header = ln.split(",")
+            header, header_line = ln.split(","), number
             if "t" not in header or "" in header or len(set(header)) != len(header):
                 raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} needs "
                                     "a 't' column and unique, nonempty names")
@@ -274,6 +275,10 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
                                     f"{len(header)} numbers, got {ln!r}") from None
     if header is None:
         raise ScenarioError("trajectory CSV has no header row")
+    missing = [name for name in CHANNELS if name not in header]
+    if missing:
+        raise ScenarioError(f"trajectory CSV line {header_line}: header lacks the "
+                            f"record channels {', '.join(missing)}")
     arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     data = {name: arr[:, i].copy() for i, name in enumerate(header)}
     return TrajectoryRecord(data=data, status=status, detail=detail)

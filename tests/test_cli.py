@@ -1,16 +1,24 @@
 """Command-line interface: run, verify, sweep, presets."""
 
+import os
 import re
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import antago
 from antago.cli import MAX_SWEEP_POINTS, _parse_values, main
+from antago.controller import validate_gains
 from antago.engine import diagnostics, simulate
 from antago.errors import ScenarioError
 from antago.scenario_io import (
     load_preset,
     load_trajectory_csv,
+    load_scenario,
     save_scenario,
     serialize_scenario,
 )
@@ -137,6 +145,25 @@ def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypa
         assert all(word in err[0] for word in words), err[0]
 
 
+def test_out_directory_is_one_line_error(tmp_path, short_scenario_file, capsys,
+                                        monkeypatch):
+    """An ``--out`` that names a directory is rejected before any sample grid
+    is built, for both subcommands that write a file."""
+    def no_grid(*args):
+        raise AssertionError("a rejected --out reached the sample grid")
+
+    monkeypatch.setattr("antago.engine._sample_grid", no_grid)
+    for argv in (["run", str(short_scenario_file)],
+                 ["sweep", "alpha", str(short_scenario_file), "--values", "1,2,3"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "--out" in err[0] and "directory" in err[0], err[0]
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [short_scenario_file]
+
+
 def test_values_parse_to_list_or_scenario_error():
     """Drawn ``--values`` text (number lists, ranges, arbitrary text) gives a
     list of floats or raises ScenarioError, never another exception."""
@@ -226,7 +253,6 @@ def test_sweep_single_value_matches_run(tmp_path, short_scenario_file):
     row = out.read_text().splitlines()[1].split(",")
     header = out.read_text().splitlines()[0].split(",")
     swept = dict(zip(header, row))
-    from antago.scenario_io import load_scenario
     scenario = load_scenario(short_scenario_file)
     summary = diagnostics(simulate(scenario), scenario.gains, scenario.params)
     assert float(swept["x_error"]) == summary.x_error
@@ -240,3 +266,115 @@ def test_sweep_range_syntax(tmp_path, short_scenario_file):
     lines = out.read_text().splitlines()
     assert len(lines) == 4
     assert [float(ln.split(",")[0]) for ln in lines[1:]] == [5.0, 10.0, 15.0]
+
+
+_SWEEP_HEADER = ("value,valid,positive_definite,rate_bound_ok,condition_product,"
+                 "status,x_error,settle_time,max_psi_increment,psi_max,zeta_rate")
+
+
+def _in_process_sweep(scenario, values, out):
+    """The alpha sweep's table and progress lines, one point at a time in this
+    process: validate_gains, simulate and diagnostics on each variant."""
+    rows, lines = [_SWEEP_HEADER], []
+    for value in values:
+        variant = replace(scenario, gains=replace(scenario.gains, alpha=value))
+        report = validate_gains(variant.params, variant.gains)
+        record = simulate(variant)
+        summary = diagnostics(record, variant.gains, variant.params)
+        valid = report.positive_definite and report.rate_bound_ok
+        rows.append(",".join([
+            repr(value), str(valid).lower(), str(report.positive_definite).lower(),
+            str(report.rate_bound_ok).lower(), repr(report.condition_product),
+            record.status, repr(summary.x_error), repr(summary.settle_time),
+            repr(summary.max_psi_increment), repr(summary.psi_max),
+            repr(summary.zeta_rate)]))
+        lines.append(f"alpha = {value:g}: valid={valid} "
+                     f"product={report.condition_product:.4f} status={record.status}")
+    lines.append(f"wrote {len(values)} rows to {out}")
+    return "\n".join(rows) + "\n", "\n".join(lines) + "\n"
+
+
+def _record_pids(monkeypatch, path):
+    """Make every simulate call in antago.cli, forked workers included,
+    append its process id to ``path``."""
+    def simulate_and_log(scenario):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return simulate(scenario)
+
+    monkeypatch.setattr("antago.cli.simulate", simulate_and_log)
+
+
+def test_parallel_sweep_matches_in_process_rows(tmp_path, study, capsys, monkeypatch):
+    """More points than workers, one of them a domain exit: the CSV and the
+    progress lines are byte-identical to the points run here one by one."""
+    scenario = replace(study, duration=0.2)
+    path = tmp_path / "short.ini"
+    save_scenario(scenario, path)
+    values = [5.0, 10.0, 15.0, 1000.0, 20.0, 25.0, 30.0]
+    out = tmp_path / "sweep.csv"
+    table, progress = _in_process_sweep(load_scenario(path), values, out)
+    assert ",domain-exit," in table and ",ok," in table
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pids = tmp_path / "pids.txt"
+    _record_pids(monkeypatch, pids)
+    assert main(["sweep", "alpha", str(path), "--values", ",".join(map(repr, values)),
+                 "--out", str(out)]) == 1
+    assert out.read_text() == table
+    assert capsys.readouterr().out == progress
+    simulated_in = pids.read_text().split()
+    assert len(simulated_in) == len(values)
+    workers = set(simulated_in)
+    assert str(os.getpid()) not in workers and 2 <= len(workers) <= 3
+
+
+def test_worker_error_is_one_line_error(tmp_path, short_scenario_file, capsys, monkeypatch):
+    def fail_on_large_alpha(scenario):
+        if scenario.gains.alpha > 100.0:
+            raise ScenarioError("rejected in a worker")
+        return simulate(scenario)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("antago.cli.simulate", fail_on_large_alpha)
+    assert main(["sweep", "alpha", str(short_scenario_file), "--values", "5,1000,10",
+                 "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: rejected in a worker\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_in_threaded_process_runs_in_process(tmp_path, short_scenario_file,
+                                                  monkeypatch):
+    """A process with a second thread is not forked: every point runs here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pids = tmp_path / "pids.txt"
+    _record_pids(monkeypatch, pids)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30.0,))
+    waiter.start()
+    try:
+        assert main(["sweep", "alpha", str(short_scenario_file), "--values", "5,10,15",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    finally:
+        release.set()
+        waiter.join(timeout=30.0)
+    assert not waiter.is_alive()
+    assert pids.read_text().split() == [str(os.getpid())] * 3
+
+
+def test_epsilon_sweep_simulates_once(tmp_path, short_scenario_file, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pids = tmp_path / "pids.txt"
+    _record_pids(monkeypatch, pids)
+    assert main(["sweep", "epsilon", str(short_scenario_file), "--values", "0,1,2,3",
+                 "--out", str(tmp_path / "eps.csv")]) == 0
+    assert pids.read_text().split() == [str(os.getpid())]
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    src = str(Path(antago.__file__).resolve().parents[1])
+    code = ("import sys, antago.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert proc.stdout == "[]\n"

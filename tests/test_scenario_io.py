@@ -282,6 +282,15 @@ def test_csv_without_header_rejected():
             trajectory_from_csv(text)
 
 
+def test_csv_missing_record_channels_rejected():
+    """A header with a time column but not every record channel raises
+    ScenarioError naming the header line and the missing channels, instead
+    of a record that diagnostics cannot read."""
+    with pytest.raises(ScenarioError, match="line 1: .*x_star") as info:
+        trajectory_from_csv("t,x\n0,0\n")
+    assert "xdot" in str(info.value) and "Psi" in str(info.value)
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path, short_record):
     save_trajectory_csv(short_record, tmp_path / "traj.csv")
     assert sorted(os.listdir(tmp_path)) == ["traj.csv"]
