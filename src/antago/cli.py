@@ -91,6 +91,11 @@ def _out_path(text: str) -> Path:
     path = Path(text)
     if path.is_dir():
         raise ScenarioError(f"--out {text!r} is a directory, not a file")
+    parent = path.parent
+    while not parent.exists():   # the writer creates the missing directories
+        parent = parent.parent
+    if not parent.is_dir():
+        raise ScenarioError(f"--out {text!r} lies under {str(parent)!r}, which is not a directory")
     return path
 
 
@@ -111,7 +116,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     report = suite(seed=args.seed) if args.suite in ("matching", "gradients") else suite()
-    for line in report.lines():
+    for line in report.lines:
         print(line)
     return 0 if report.ok else 1
 

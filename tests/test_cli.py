@@ -1,5 +1,6 @@
 """Command-line interface: run, verify, sweep, presets."""
 
+import math
 import os
 import re
 import subprocess
@@ -147,20 +148,22 @@ def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypa
 
 def test_out_directory_is_one_line_error(tmp_path, short_scenario_file, capsys,
                                         monkeypatch):
-    """An ``--out`` that names a directory is rejected before any sample grid
-    is built, for both subcommands that write a file."""
+    """An ``--out`` that names a directory, or lies under a regular file, is
+    rejected before any sample grid is built, for both subcommands that write
+    a file."""
     def no_grid(*args):
         raise AssertionError("a rejected --out reached the sample grid")
 
     monkeypatch.setattr("antago.engine._sample_grid", no_grid)
-    for argv in (["run", str(short_scenario_file)],
-                 ["sweep", "alpha", str(short_scenario_file), "--values", "1,2,3"]):
-        assert main(argv + ["--out", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "--out" in err[0] and "directory" in err[0], err[0]
-        assert captured.out == ""
+    for out in (tmp_path, short_scenario_file / "x.csv", short_scenario_file / "sub" / "x.csv"):
+        for argv in (["run", str(short_scenario_file)],
+                     ["sweep", "alpha", str(short_scenario_file), "--values", "1,2,3"]):
+            assert main(argv + ["--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert "--out" in err[0] and "directory" in err[0], err[0]
+            assert captured.out == ""
     assert list(tmp_path.iterdir()) == [short_scenario_file]
 
 
@@ -244,6 +247,20 @@ def test_sweep_epsilon_bound(tmp_path, short_scenario_file):
     # the solvability bound fails past ~49.37
     assert [r["rate_bound_ok"] for r in rows] == \
         ["true", "true", "true", "true", "false"]
+
+
+def test_gain_validation_edge_values_give_rows(tmp_path, short_scenario_file, params, gains):
+    """Values where the principal minors and the eigenvalues once disagreed
+    give a table row and the status exit code: the epsilon at which the
+    determinant rounds to zero, and R or k_i near the float limit."""
+    out = tmp_path / "flip.csv"
+    assert main(["sweep", "epsilon", str(short_scenario_file),
+                 "--values", "6.526662755303724", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("6.526662755303724,"), rows
+    huge_R = validate_gains(replace(params, R=1e308), gains)
+    assert huge_R.condition_product == math.inf and not huge_R.positive_definite
+    assert validate_gains(params, replace(gains, k_i=1e308)).positive_definite
 
 
 def test_sweep_single_value_matches_run(tmp_path, short_scenario_file):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import antago
+import antago.verify
 from antago.controller import ControllerGains
 from antago.engine import ForceModel, augmented_field
 from antago.errors import DomainError
@@ -251,6 +252,14 @@ def test_domain_defined_in_one_place():
         for outside in (lo - step, hi + step):
             with pytest.raises(DomainError):
                 evaluate(outside)
+
+
+def test_bounds_fixed_in_one_place():
+    """Gain validation and the verify suites take no evaluation mass, pass
+    bound, sample count or preset list from their caller."""
+    knobs = {"M_eval", "bound", "rel_bound", "samples", "points", "presets"}
+    for func in (antago.validate_gains, *antago.verify.SUITES.values()):
+        assert not knobs & set(inspect.signature(func).parameters), func.__name__
 
 
 def test_one_observer_gain():
