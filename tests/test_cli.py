@@ -14,7 +14,7 @@ import pytest
 import antago
 from antago.cli import MAX_SWEEP_POINTS, _parse_values, main
 from antago.controller import validate_gains
-from antago.engine import diagnostics, simulate
+from antago.engine import MAX_RK4_STEPS, diagnostics, simulate
 from antago.errors import ScenarioError
 from antago.scenario_io import (
     load_preset,
@@ -144,6 +144,29 @@ def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypa
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert all(word in err[0] for word in words), err[0]
+
+
+def test_rk4_step_budget_boundary(tmp_path, study, capsys, monkeypatch):
+    """An rk4 run of exactly ``MAX_RK4_STEPS`` steps validates; one step more
+    raises ``ScenarioError``, and ``antago run`` prints one error line and
+    exits 1 before any sample grid is built."""
+    step = 2.0**-20   # duration / step is exact for both durations below
+    rk4 = replace(study.solver, method="rk4", fixed_step=step)
+    at_budget = replace(study, solver=rk4, duration=MAX_RK4_STEPS * step)
+    at_budget.validate()
+    over = replace(at_budget, duration=(MAX_RK4_STEPS + 1) * step)
+    with pytest.raises(ScenarioError, match=f"budget of {MAX_RK4_STEPS} rk4 steps"):
+        over.validate()
+
+    def no_grid(*args):
+        raise AssertionError("an over-budget request reached the sample grid")
+
+    monkeypatch.setattr("antago.engine._sample_grid", no_grid)
+    path = tmp_path / "over.ini"
+    save_scenario(replace(over, solver=replace(rk4, method="rk23")), path)
+    assert main(["run", str(path), "--method", "rk4", "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "rk4 steps" in err[0], err
 
 
 def test_out_directory_is_one_line_error(tmp_path, short_scenario_file, capsys,

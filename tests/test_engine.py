@@ -99,7 +99,7 @@ def test_scenario_validation_errors(study):
     replace(study, duration=0.5 * engine.MAX_SAMPLES * study.solver.sample_dt).validate()
     tiny_step = replace(study.solver, fixed_step=1e-12)
     replace(study, solver=tiny_step).validate()   # rk23 never takes the fixed step
-    with pytest.raises(ScenarioError, match="budget of 100000000 rk4 steps"):
+    with pytest.raises(ScenarioError, match="budget of 10000000 rk4 steps"):
         replace(study, solver=replace(tiny_step, method="rk4")).validate()
 
 
@@ -682,3 +682,35 @@ def test_open_loop_rhs_matches_reference(params, monkeypatch):
         state = (float(rng.uniform(lo, hi)), float(rng.uniform(-0.05, 0.05)),
                  float(rng.uniform(-3e4, 3e4)), float(rng.uniform(-3e4, 3e4)), 0.0)
         assert open_rhs(0.0, *state) == reference(0.0, *state), state
+
+
+class _OverriddenForce(ForceModel):
+    """A load whose ``__call__`` reads both arguments, overriding the kinds."""
+
+    def __call__(self, x, xdot):
+        return self.value * x + 0.25 * xdot
+
+
+def test_closed_loop_rhs_matches_reference(study):
+    """The closed-loop right-hand side equals its reference form bit for bit
+    at sampled states across the admissible range, for each force kind and
+    for a subclass that overrides ``__call__``."""
+    params, gains = study.params, study.gains
+    lo, hi = params.geometry.position_bounds()
+    rng = np.random.default_rng(23)
+    forces = (ForceModel("constant", 0.7), ForceModel("tanh_friction", 5.0),
+              ForceModel("spring", -10.0), _OverriddenForce("spring", 10.0))
+    for force in forces:
+        for _ in range(200):
+            x, x_star = (float(v) for v in rng.uniform(lo, hi, 2))
+            state = (x, float(rng.uniform(-0.05, 0.05)), float(rng.uniform(-3e4, 3e4)),
+                     float(rng.uniform(-3e4, 3e4)), float(rng.uniform(-3.0, 3.0)))
+            assert state[4] != 0.0 and x != x_star
+            fast = engine._make_rhs(params, gains, force, x_star)(0.0, *state)
+            assert fast == _reference_make_rhs(params, gains, force, x_star)(0.0, *state), \
+                (force, x_star, state)
+    # The override, not the base kind, is the force the right-hand side reads.
+    state = (1e-3, 0.02, 0.0, 0.0, 0.0)
+    base, override = (engine._make_rhs(params, gains, force, 0.0)(0.0, *state)[1]
+                      for force in (ForceModel("spring", 10.0), _OverriddenForce("spring", 10.0)))
+    assert base != override
