@@ -225,15 +225,18 @@ def trajectory_to_csv(record: TrajectoryRecord) -> str:
     """Render a trajectory as CSV text (comma, '.' decimal, LF, header row).
 
     The run status travels in leading '#' comment lines, keeping the table
-    itself plain CSV.
+    itself plain CSV: ``# status: <status>``, then one ``# detail: <line>``
+    per line of a nonempty detail. Every value is written as the shortest
+    ``repr`` of its float64 value.
     """
     lines = [f"# status: {record.status}"]
     if record.detail:
-        lines.append(f"# detail: {record.detail}")
+        # split where the reader splits; the added newline keeps a trailing empty line
+        lines.extend(f"# detail: {part}" for part in (record.detail + "\n").splitlines())
     lines.append(",".join(CHANNELS))
-    columns = [record[name] for name in CHANNELS]
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
+    table = np.column_stack([np.asarray(record[name], dtype=float) for name in CHANNELS])
+    # one row's floats at a time: a whole-table tolist() raises the peak memory
+    lines.extend(",".join(map(repr, row)) for row in map(np.ndarray.tolist, table))
     return "\n".join(lines) + "\n"
 
 
@@ -241,22 +244,54 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> No
     _atomic_write(Path(path), trajectory_to_csv(record))
 
 
+def _read_table(rows: list[str], numbers: list[int], width: int) -> np.ndarray:
+    """The data rows (on lines ``numbers``) as one float table of ``width`` columns.
+
+    numpy's compiled reader parses all rows in one call. Only when that fails,
+    or gives another width, is each row read alone to name the first bad line.
+    Zero rows skip the reader, which warns on empty input.
+    """
+    def read(lines: list[str]) -> np.ndarray | None:
+        try:
+            table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None)
+        except ValueError:
+            return None
+        return table if table.shape[1] == width else None
+
+    if not rows:
+        return np.empty((0, width))
+    table = read(rows)
+    if table is None:   # some row fails alone: rows that each read at this width read together
+        number, ln = next((n, ln) for n, ln in zip(numbers, rows) if read([ln]) is None)
+        raise ScenarioError(f"trajectory CSV line {number}: expected {width} numbers, "
+                            f"got {ln!r}")
+    return table
+
+
 def trajectory_from_csv(text: str) -> TrajectoryRecord:
     """Parse CSV text produced by :func:`trajectory_to_csv`.
+
+    Lines starting with ``#`` carry the run status (``# status:``) and the
+    detail: the text after each ``# detail: `` verbatim, the lines joined with
+    newlines. Blank lines are skipped. A number is what numpy's compiled text
+    reader accepts: the ASCII decimal syntax of Python's ``float``, signed or
+    not, with ``nan``, ``inf`` and ``infinity`` in any case and surrounding
+    whitespace allowed, but without ``_`` digit separators (``1_0`` is an
+    error).
 
     A header without a ``t`` column or with an empty or repeated name, a row
     that does not hold one number per header field, and a header that lacks
     any channel of :data:`~antago.engine.CHANNELS` raise :class:`ScenarioError`
     with the line number.
     """
-    status, detail = "ok", ""
-    header, header_line, rows = None, 0, []
+    status, details = "ok", []
+    header, header_line, rows, numbers = None, 0, [], []
     for number, ln in enumerate(text.splitlines(), start=1):
         if ln.startswith("#"):
             if ln.startswith("# status:"):
                 status = ln.partition(":")[2].strip()
             elif ln.startswith("# detail:"):
-                detail = ln.partition(":")[2].strip()
+                details.append(ln.removeprefix("# detail:").removeprefix(" "))
         elif not ln.strip():
             continue
         elif header is None:
@@ -265,23 +300,17 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
                 raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} needs "
                                     "a 't' column and unique, nonempty names")
         else:
-            cells = ln.split(",")
-            try:
-                if len(cells) != len(header):
-                    raise ValueError
-                rows.append([float(v) for v in cells])
-            except ValueError:
-                raise ScenarioError(f"trajectory CSV line {number}: expected "
-                                    f"{len(header)} numbers, got {ln!r}") from None
+            rows.append(ln)
+            numbers.append(number)
     if header is None:
         raise ScenarioError("trajectory CSV has no header row")
+    table = _read_table(rows, numbers, len(header))
     missing = [name for name in CHANNELS if name not in header]
     if missing:
         raise ScenarioError(f"trajectory CSV line {header_line}: header lacks the "
                             f"record channels {', '.join(missing)}")
-    arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    data = {name: arr[:, i].copy() for i, name in enumerate(header)}
-    return TrajectoryRecord(data=data, status=status, detail=detail)
+    data = {name: table[:, i].copy() for i, name in enumerate(header)}
+    return TrajectoryRecord(data=data, status=status, detail="\n".join(details))
 
 
 def load_trajectory_csv(path: str | os.PathLike) -> TrajectoryRecord:

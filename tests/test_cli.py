@@ -212,6 +212,73 @@ def test_values_parse_to_list_or_scenario_error():
     check()
 
 
+def test_drawn_argv_returns_or_exits(tmp_path, study, monkeypatch):
+    """Drawn argv into ``main`` (each subcommand, preset names, scenario
+    paths, ``--values``, ``--method``, ``--rel-tol`` and ``--out`` naming a
+    directory or lying under a file) returns an exit status or raises
+    SystemExit, never another exception. The presets are shortened copies
+    so that every drawn run and sweep point simulates in milliseconds."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    presets = tmp_path / "presets"
+    presets.mkdir()
+    for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep"):
+        save_scenario(replace(load_preset(name), duration=0.02), presets / f"{name}.ini")
+    monkeypatch.setenv("ANTAGO_PRESET_DIR", str(presets))
+    monkeypatch.chdir(tmp_path)   # a run without --out writes <scenario>.csv here
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("not a scenario\n")
+    short = tmp_path / "short.ini"
+    save_scenario(replace(study, duration=0.02), short)
+    scenarios = st.sampled_from(["fig2-F1", "fig2-F3", "multistep", str(short), "nope", "",
+                                 str(tmp_path / "file"), str(tmp_path / "dir"),
+                                 str(tmp_path / "missing.ini")])
+    outs = st.sampled_from([str(tmp_path / "new" / "sub" / "x.csv"), str(tmp_path / "dir"),
+                            str(tmp_path / "file" / "x.csv")])
+    # moderate numbers only: a stiff tuning runs long, and adaptive runs
+    # have no cost budget yet
+    edges = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308", "5e-324", "abc", ""])
+    values = st.floats(-100.0, 100.0).map(repr) | edges | st.sampled_from(
+        ["1,5", "1:5:2", "1:5:0", "1:5", "0:1:100001", "1,,2", "2:1:3"])
+    options = {
+        "--out": outs,
+        "--method": st.sampled_from(["rk23", "rk4", "euler"]),
+        "--rel-tol": st.floats(1e-12, 1.0).map(repr) | edges,
+        "--values": values,
+        "--seed": st.integers(-2, 2**70).map(str) | st.just("x"),
+    }
+    run_flags = st.lists(st.sampled_from(["--out", "--method", "--rel-tol"]), unique=True)
+    # (positional arguments, the flags the command takes)
+    commands = {
+        "run": (st.tuples(scenarios), run_flags),
+        "sweep": (st.tuples(st.sampled_from(["alpha", "k_m", "R", "epsilon", "beta"]),
+                            scenarios, st.just("--values"), values), run_flags),
+        "verify": (st.tuples(st.sampled_from(["matching", "gains", "gradients", "nope"])),
+                   st.lists(st.just("--seed"), max_size=1)),
+        "presets": (st.tuples(), st.just([])),
+        "walk": (st.tuples(), st.just([])),
+    }
+
+    @hypothesis.settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        command = data.draw(st.sampled_from(("run", "run", "sweep", "sweep", "verify",
+                                             "presets", "walk")))
+        positional, own = commands[command]
+        argv = [command, *data.draw(positional)]
+        flags = list(data.draw(own))
+        if data.draw(st.integers(0, 4)) == 0:   # sometimes any flag, taken or not
+            flags.append(data.draw(st.sampled_from(sorted(options))))
+        for flag in flags:
+            argv += [flag, data.draw(options[flag])]
+        try:
+            assert isinstance(main(argv), int), argv
+        except SystemExit:
+            pass
+
+    check()
+
+
 def test_run_domain_exit_is_nonzero(tmp_path, study, capsys):
     exploding = replace(study, duration=2.0,
                         force=replace(study.force, kind="constant", value=0.5))

@@ -2,13 +2,21 @@
 
 import os
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from antago.controller import ControllerGains
-from antago.engine import FORCE_KINDS, ForceModel, SolverSettings, simulate
+from antago.engine import (
+    CHANNELS,
+    FORCE_KINDS,
+    ForceModel,
+    SolverSettings,
+    TrajectoryRecord,
+    simulate,
+)
 from antago.errors import ScenarioError
 from antago.plant import PlantState
 from antago.scenario_io import (
@@ -294,3 +302,179 @@ def test_csv_missing_record_channels_rejected():
 def test_atomic_write_leaves_no_temp_files(tmp_path, short_record):
     save_trajectory_csv(short_record, tmp_path / "traj.csv")
     assert sorted(os.listdir(tmp_path)) == ["traj.csv"]
+
+
+# --------------------------------------------------------------------------
+# The CSV writer and reader against reference copies: the per-value renderer
+# and the per-line parser, one ``float`` call per cell.
+
+def _reference_trajectory_to_csv(record):
+    """Per-value form of ``trajectory_to_csv`` (single-line details)."""
+    lines = [f"# status: {record.status}"]
+    if record.detail:
+        lines.append(f"# detail: {record.detail}")
+    lines.append(",".join(CHANNELS))
+    columns = [record[name] for name in CHANNELS]
+    for row in zip(*columns):
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_trajectory_from_csv(text):
+    """Per-line form of ``trajectory_from_csv`` (single-line, stripped details)."""
+    status, detail = "ok", ""
+    header, header_line, rows = None, 0, []
+    for number, ln in enumerate(text.splitlines(), start=1):
+        if ln.startswith("#"):
+            if ln.startswith("# status:"):
+                status = ln.partition(":")[2].strip()
+            elif ln.startswith("# detail:"):
+                detail = ln.partition(":")[2].strip()
+        elif not ln.strip():
+            continue
+        elif header is None:
+            header, header_line = ln.split(","), number
+            if "t" not in header or "" in header or len(set(header)) != len(header):
+                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} needs "
+                                    "a 't' column and unique, nonempty names")
+        else:
+            cells = ln.split(",")
+            try:
+                if len(cells) != len(header):
+                    raise ValueError
+                rows.append([float(v) for v in cells])
+            except ValueError:
+                raise ScenarioError(f"trajectory CSV line {number}: expected "
+                                    f"{len(header)} numbers, got {ln!r}") from None
+    if header is None:
+        raise ScenarioError("trajectory CSV has no header row")
+    missing = [name for name in CHANNELS if name not in header]
+    if missing:
+        raise ScenarioError(f"trajectory CSV line {header_line}: header lacks the "
+                            f"record channels {', '.join(missing)}")
+    arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    data = {name: arr[:, i].copy() for i, name in enumerate(header)}
+    return TrajectoryRecord(data=data, status=status, detail=detail)
+
+
+def test_csv_matches_reference_property():
+    """Drawn records (0, 1 or many rows; float64, float32, int and bool
+    channels; signed zeros, subnormals, infinities, NaN and 1e+-308) render
+    byte for byte as the reference renders them, parse as the reference
+    parses them, and survive the round trip."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    edges64 = st.sampled_from(specials + [5e-324, -2.2250738585072014e-308, 1e308,
+                                          -1e-308, 1.7976931348623157e308])
+    edges32 = st.sampled_from(specials + [1e-45, -1.1754943508222875e-38,
+                                          3.4028234663852886e38])
+    values = {
+        "float64": edges64 | st.floats(),
+        "float32": edges32 | st.floats(width=32),
+        "int64": st.integers(-2**53, 2**53),
+        "bool": st.booleans(),
+    }
+    # one line, no surrounding whitespace: the details the reference can carry
+    plain = st.sampled_from(["", "x = 0.0299 left the actuator domain at t = 6.0",
+                             "step size underflow"])
+    # any text whose line breaks are newlines: the details the format carries
+    breaks = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    texts = st.text(st.characters(blacklist_characters=breaks), max_size=20)
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        n = data.draw(st.sampled_from((0, 1, 2, 12)))
+        channels = {}
+        for name in CHANNELS:
+            dtype = data.draw(st.sampled_from(tuple(values)))
+            column = data.draw(st.lists(values[dtype], min_size=n, max_size=n))
+            channels[name] = np.array(column, dtype=dtype)
+        status = data.draw(st.sampled_from(("ok", "domain-exit", "step-underflow")))
+        detail = data.draw(plain | texts)
+        record = TrajectoryRecord(data=channels, status=status, detail=detail)
+        text = trajectory_to_csv(record)
+        assert trajectory_from_csv(text) == record
+        if detail.strip() == detail and "\n" not in detail:
+            assert text == _reference_trajectory_to_csv(record)
+            assert trajectory_from_csv(text) == _reference_trajectory_from_csv(text)
+
+    check()
+
+
+def test_csv_detail_round_trips():
+    """A detail with line breaks or surrounding spaces reads back as written;
+    a single-line detail keeps its one ``# detail:`` line."""
+    data = {name: np.zeros(2) for name in CHANNELS}
+    for detail in ("a\nb", "  padded  ", "a\n", "\n", "x = 0.03 outside (0, 0.029)"):
+        record = TrajectoryRecord(data, "domain-exit", detail)
+        assert trajectory_from_csv(trajectory_to_csv(record)) == record
+    lines = trajectory_to_csv(TrajectoryRecord(data, "domain-exit", "a\nb")).splitlines()
+    assert lines[:4] == ["# status: domain-exit", "# detail: a", "# detail: b",
+                         ",".join(CHANNELS)]
+    lines = trajectory_to_csv(TrajectoryRecord(data, "domain-exit", "one")).splitlines()
+    assert lines[:3] == ["# status: domain-exit", "# detail: one", ",".join(CHANNELS)]
+
+
+def _row(*tail):
+    """A data row of 0.5 that ends in the cells ``tail``."""
+    return ",".join(["0.5"] * (len(CHANNELS) - len(tail)) + list(tail))
+
+
+_HEADER = ",".join(CHANNELS)
+_ROW = _row()
+
+
+def test_csv_edge_shapes_raise_no_warning():
+    """A header-only CSV gives 0 samples and a one-row CSV 1 sample per
+    channel; comment and whitespace-only lines between rows are skipped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty = trajectory_from_csv(f"# status: ok\n{_HEADER}\n")
+        assert len(empty) == 0
+        assert all(empty[name].shape == (0,) and empty[name].dtype == float
+                   for name in CHANNELS)
+        one = trajectory_from_csv(f"{_HEADER}\n{_ROW}\n")
+        assert all(one[name].tolist() == [0.5] for name in CHANNELS)
+        spaced = trajectory_from_csv(f"{_HEADER}\n{_ROW}\n# note\n \t\n\n{_ROW}\n")
+        assert spaced == trajectory_from_csv(f"{_HEADER}\n{_ROW}\n{_ROW}\n")
+
+
+@pytest.mark.parametrize("bad", [
+    _ROW[4:],             # one cell short
+    _ROW + ",0.5",        # one cell long
+    _row(""),             # an empty cell
+    _row("abc"),
+    _row("1", "2 # c"),   # a comment inside the row
+    _row("1_0"),          # float() takes it, the reader does not
+], ids=["short", "long", "empty", "abc", "comment", "underscore"])
+def test_csv_bad_row_names_its_line(bad):
+    width = len(CHANNELS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for before in (0, 1, 3):
+            text = "# status: ok\n" + _HEADER + "\n" + f"{_ROW}\n" * before + bad
+            text += f"\n{_ROW}\n"
+            with pytest.raises(ScenarioError, match=(f"^trajectory CSV line {before + 3}: "
+                                                     f"expected {width} numbers, got ")):
+                trajectory_from_csv(text)
+
+
+def test_csv_ragged_row_reported_before_missing_channels():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="line 3: expected 2 numbers"):
+            trajectory_from_csv("t,x\n0,0\n1\n")
+        # rows that agree with each other but not with the header
+        with pytest.raises(ScenarioError, match="line 2: expected 2 numbers"):
+            trajectory_from_csv("t,x\n0,0,0\n1,1,1\n")
+
+
+@pytest.mark.parametrize("dtype", ["int64", "bool", "float32", "float16"])
+def test_csv_renders_every_dtype_as_float(dtype):
+    """A record whose channels all hold one non-float64 dtype prints each
+    value as ``repr(float(value))``, as the reference does."""
+    column = np.array([0, 1, 3, 7], dtype=dtype)
+    record = TrajectoryRecord({name: column for name in CHANNELS})
+    assert trajectory_to_csv(record) == _reference_trajectory_to_csv(record)
