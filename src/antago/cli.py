@@ -32,7 +32,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .controller import validate_gains
-from .engine import DiagnosticsSummary, ScenarioConfig, diagnostics, simulate
+from .engine import STEPPERS, DiagnosticsSummary, ScenarioConfig, diagnostics, simulate
 from .errors import ScenarioError
 from .scenario_io import (
     _atomic_write,
@@ -228,7 +228,7 @@ def _add_solver_flags(sub) -> None:
                      help="adaptive solver relative tolerance")
     sub.add_argument("--abs-tol", type=float, default=None,
                      help="adaptive solver absolute tolerance")
-    sub.add_argument("--method", choices=("rk23", "rk4"), default=None,
+    sub.add_argument("--method", choices=sorted(STEPPERS), default=None,
                      help="integration method")
 
 

@@ -14,24 +14,25 @@ sizes; it is retained in :mod:`antago.plant` / :mod:`antago.controller` as a
 point-verification oracle only, and the test suite checks both forms agree at
 sampled states.
 
-Two integrators are provided: an adaptive third-order embedded pair with
-second-order error estimate (``rk23``) and a fixed-step classical fourth-order
-scheme (``rk4``). Both are deterministic; identical scenarios produce
-bit-identical trajectories. Both step five named scalars, with every stage
-written out per component, and call the right-hand side as
-``rhs(t, x, p, P1, P2, F_hat)``; the open loop carries a fifth state that
-stays exactly zero and is dropped from its result. The inner loops make no
-``min``/``max`` calls: each is written out as comparisons that keep the
-builtin's tie and NaN behaviour. The right-hand sides bind their per-segment
-constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``, ``-K0``) once, and the
-closed loop binds the force as a method, ``force.__call__``, so that no
+One table, :data:`STEPPERS`, names the integrators that ``SolverSettings``
+accepts: an adaptive third-order embedded pair with second-order error estimate
+(``rk23``) and a fixed-step classical fourth-order scheme (``rk4``). Both are
+deterministic; identical scenarios produce bit-identical trajectories. Both
+step five named scalars, with every stage written out per component, and call
+the right-hand side as ``rhs(t, x, p, P1, P2, F_hat)``; the open loop carries a
+fifth state that stays exactly zero and is dropped from its result. The inner
+loops make no ``min``/``max`` calls: each is written out as comparisons that
+keep the builtin's tie and NaN behaviour. The right-hand sides bind their
+per-segment constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``, ``-K0``) once, and
+the closed loop binds the force as a method, ``force.__call__``, so that no
 evaluation dispatches through the instance's type. Within an evaluation the
-products ``A_i * P_i`` and the negated shear are each computed once, and
-``(-q) + r`` is written ``r - q``, which IEEE arithmetic defines as the same
+products ``A_i * P_i`` and the negated shear are each computed once, and ``(-q)
++ r`` is written ``r - q``, which IEEE arithmetic defines as the same
 operation. So every floating-point operation keeps the operands and order of
 the textbook form, and the trajectories are bit-identical to it.
 
-Every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
+A :class:`ScenarioConfig` checks itself on construction (``replace`` too), so
+every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
 output samples and, for ``rk4``, ``MAX_RK4_STEPS`` fixed steps.
 
 A position within the plant's fixed 1 µm ``DOMAIN_MARGIN`` of the
@@ -126,7 +127,7 @@ class ForceModel:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    method: str = "rk23"       # "rk23" (adaptive) or "rk4" (fixed step)
+    method: str = "rk23"       # a key of STEPPERS
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = 1e-2
@@ -134,7 +135,7 @@ class SolverSettings:
     sample_dt: float = 5e-3    # output cadence
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk23", "rk4"):
+        if self.method not in STEPPERS:
             raise ValueError(f"unknown solver method {self.method!r}")
         steps = (self.rel_tol, self.abs_tol, self.max_step, self.fixed_step, self.sample_dt)
         if not all(0.0 < v < math.inf for v in steps):
@@ -143,7 +144,7 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete specification of one closed-loop simulation."""
+    """Complete specification of one closed-loop simulation, checked on construction."""
 
     params: PlantParams
     gains: ControllerGains
@@ -155,7 +156,7 @@ class ScenarioConfig:
     F_hat0: float | None = None   # default alpha*p(0), i.e. unbiased estimate
     name: str = ""
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_cost(self.duration, self.solver)
         if not self.setpoints or self.setpoints[0][0] != 0.0:
             raise ScenarioError("setpoint schedule must start at time 0")
@@ -194,7 +195,7 @@ def _check_cost(duration: float, solver: SolverSettings) -> None:
             f"duration / fixed_step exceeds the budget of {MAX_RK4_STEPS} rk4 steps")
 
 
-# Channel order is the CSV column order; keep in sync with scenario_io.
+# Channel order is the CSV column order.
 CHANNELS = ("t", "x", "xdot", "p", "P1", "P2", "U1", "U2", "F_hat", "F_tilde",
             "F_true", "zeta", "sigma", "x_star", "H", "H_d", "Psi")
 
@@ -203,9 +204,10 @@ CHANNELS = ("t", "x", "xdot", "p", "P1", "P2", "U1", "U2", "F_hat", "F_tilde",
 class TrajectoryRecord:
     """Sampled closed-loop trajectory with diagnostic channels.
 
-    ``status`` is "ok", "domain-exit" or "step-underflow"; on early termination
-    the arrays hold the samples completed before the failure and ``detail``
-    describes the offending state.
+    ``status`` is "ok", "domain-exit" or "step-underflow"; ``detail``
+    describes the offending state. On early termination the arrays hold only
+    the setpoint segments finished before the failure, so a one-segment run
+    keeps only t = 0 (ROADMAP item 1).
     """
 
     data: dict[str, np.ndarray]
@@ -311,7 +313,7 @@ def augmented_field(state: PlantState, F_hat: float, gains: ControllerGains,
 _MIN_STEP_FRACTION = 1e-14
 
 
-def _rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
+def _rk23_segment(rhs, y, t_grid, solver, h):
     """Bogacki-Shampine 3(2) pair with FSAL, landing exactly on grid times.
 
     ``rhs(t, y1, ..., y5)`` returns the five derivatives as a tuple. Each
@@ -319,6 +321,7 @@ def _rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
     keep the builtin's result: the first argument wins a tie, and a NaN
     argument after the first never wins.
     """
+    rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
     out = []
     t = t_grid[0]
     y1, y2, y3, y4, y5 = y
@@ -392,15 +395,16 @@ def _rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
     return out, h
 
 
-def _rk4_segment(rhs, y, t_grid, fixed_step):
-    """Classical fixed-step RK4, subdividing each grid interval evenly.
+def _rk4_segment(rhs, y, t_grid, solver, h_in):
+    """Classical fixed-step RK4, subdividing each grid interval evenly into
+    steps of at most ``solver.fixed_step``; hands ``h_in`` back unchanged.
 
     ``rhs(t, y1, ..., y5)`` returns the five derivatives as a tuple.
     """
     out = []
     y1, y2, y3, y4, y5 = y
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
-        n = max(1, math.ceil((tb - ta) / fixed_step - 1e-12))
+        n = max(1, math.ceil((tb - ta) / solver.fixed_step - 1e-12))
         h = (tb - ta) / n
         hb = 0.5 * h
         t = ta
@@ -420,7 +424,11 @@ def _rk4_segment(rhs, y, t_grid, fixed_step):
             y5 = y5 + h * (a5 + 2.0 * b5 + 2.0 * c5 + d5) / 6.0
             t += h
         out.append((y1, y2, y3, y4, y5))
-    return out
+    return out, h_in
+
+
+# By method name; each takes (rhs, y, t_grid, solver, h), returns (samples, next h).
+STEPPERS = {"rk23": _rk23_segment, "rk4": _rk4_segment}
 
 
 def _sample_grid(duration: float, sample_dt: float, events: list[float]) -> list[float]:
@@ -435,11 +443,11 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
 
     Terminates early (with status "domain-exit" or "step-underflow") if the
     state leaves the admissible region or the adaptive step collapses; the
-    samples completed up to that point are returned.
+    record keeps only the setpoint segments finished before it (ROADMAP item 1).
     """
-    scenario.validate()
     params, gains, force = scenario.params, scenario.gains, scenario.force
     solver = scenario.solver
+    step = STEPPERS[solver.method]
 
     events = [t for t, _ in scenario.setpoints]
     grid = _sample_grid(scenario.duration, solver.sample_dt, events)
@@ -458,11 +466,7 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
         for (seg_a, x_star), seg_b in zip(scenario.setpoints, boundaries[1:]):
             seg_grid = [seg_a] + [t for t in grid if seg_a < t <= seg_b]
             rhs = _make_rhs(params, gains, force, x_star)
-            if solver.method == "rk23":
-                ys, h = _rk23_segment(rhs, y, seg_grid, solver.rel_tol,
-                                      solver.abs_tol, solver.max_step, h)
-            else:
-                ys = _rk4_segment(rhs, y, seg_grid, solver.fixed_step)
+            ys, h = step(rhs, y, seg_grid, solver, h)
             times.extend(seg_grid[1:])
             states.extend(ys)
             y = states[-1]
@@ -558,11 +562,7 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     grid = _sample_grid(duration, solver.sample_dt, [])
     # The steppers advance five states; the fifth stays exactly zero here.
     y = (initial.x, initial.p, initial.P1, initial.P2, 0.0)
-    if solver.method == "rk23":
-        ys, _ = _rk23_segment(rhs, y, grid, solver.rel_tol, solver.abs_tol,
-                              solver.max_step, min(solver.max_step, 1e-8))
-    else:
-        ys = _rk4_segment(rhs, y, grid, solver.fixed_step)
+    ys, _ = STEPPERS[solver.method](rhs, y, grid, solver, min(solver.max_step, 1e-8))
     states = np.array([y] + ys)[:, :4]
     energies = np.array([hamiltonian(PlantState(*row), params)
                          for row in states.tolist()])

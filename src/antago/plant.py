@@ -9,10 +9,10 @@ Hamiltonian with a skew interconnection, transmission damping ``R``, an
 external force ``F`` on the payload, and the syringe-pump flow rates
 ``(U1, U2)`` as inputs.
 
-The volume law is a square root in each actuator's contraction, and the model
-keeps a fixed 1 µm margin (``DOMAIN_MARGIN``) from its boundary:
-:func:`geometry_terms` (array form :func:`geometry_terms_array`), the single
-entry point to the volumes, gradients and curvatures, raises
+The volume law is a square root in each actuator's contraction with a positive
+volume scale, and the model keeps a fixed 1 µm margin (``DOMAIN_MARGIN``) from
+its boundary: :func:`geometry_terms` (array form :func:`geometry_terms_array`),
+the single entry point to the volumes, gradients and curvatures, raises
 :class:`DomainError` for a position within it.
 
 All functions here are pure and operate on plain floats (``geometry_terms_array``
@@ -44,8 +44,8 @@ class ActuatorGeometry:
     """Geometry of one bellow actuator (both actuators of the pair are identical).
 
     ``k0`` and ``K0`` are redundant: ``K0 = k0 * (L0**2 / n_L) * (d_c/3 + D_s/2)``
-    is the combined volume scale. Both are stored and checked for consistency;
-    use :meth:`from_scale` to supply only one of them.
+    is the combined volume scale. Both are stored, positive, finite and checked
+    for consistency; use :meth:`from_scale` to supply only one of them.
     """
 
     L0: float    # length of the empty actuator [m]
@@ -61,9 +61,10 @@ class ActuatorGeometry:
     def __post_init__(self) -> None:
         if not all(0.0 < v < math.inf for v in (self.L0, self.D_s, self.d_c, self.V0)):
             raise ValueError("L0, D_s, d_c and V0 must be positive and finite")
-        # A NaN scale would pass the consistency check below.
-        if not (math.isfinite(self.k0) and math.isfinite(self.K0)):
-            raise ValueError("volume scales k0 and K0 must be finite")
+        # A NaN scale would pass the consistency check below; a zero scale
+        # divides by zero in the area, and a negative one reverses the pair.
+        if not (0.0 < self.k0 < math.inf and 0.0 < self.K0 < math.inf):
+            raise ValueError("volume scales k0 and K0 must be positive and finite")
         if not (isinstance(self.n_L, int) and 1 <= self.n_L <= sys.float_info.max):
             raise ValueError("n_L must be a positive integer")
         if not (0 < self.x0 < self.x_M):

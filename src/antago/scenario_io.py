@@ -104,8 +104,8 @@ def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
     """Parse a scenario document into a validated :class:`ScenarioConfig`.
 
     Raises only :class:`ScenarioError`: the sections and keys are checked
-    first, and every ``ValueError`` the model raises while the values are
-    converted and validated becomes a ``ScenarioError`` with its message.
+    first, and every ``ValueError`` the model types raise while they are
+    built, each checking itself, becomes a ``ScenarioError`` with its message.
     """
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=(";",))
@@ -150,7 +150,6 @@ def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
             duration=_number(sched, "duration"), solver=solver,
             initial=PlantState(*(_number(init, k, 0.0) for k in ("x", "p", "P1", "P2"))),
             F_hat0=_number(init, "F_hat"), name=name)
-        scenario.validate()
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
     return scenario

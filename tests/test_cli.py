@@ -97,6 +97,10 @@ def test_run_non_finite_input_is_one_line_error(tmp_path, study, capsys, key, va
     ("n_L = 3\n", "n_L = 0\n", ("n_L", "integer")),
     ("x_star = 0.001", "x_star = 0.0:0.001, inf:0.002", ("setpoint times", "finite")),
     ("duration = 10.0", "duration = 1000000000.0", ("sample_dt", "budget")),
+    # a zero scale divided by zero in the right-hand side; a negative one
+    # reversed the pair and ran to "ok"
+    ("k0 = 1.0370370370370372\nK0 = 2.8e-06\n", "K0 = 0.0\n", ("k0 and K0", "positive")),
+    ("k0 = 1.0370370370370372\nK0 = 2.8e-06\n", "K0 = -2.8e-06\n", ("k0 and K0", "positive")),
 ])
 def test_run_bad_plant_or_schedule_is_one_line_error(tmp_path, study, capsys, monkeypatch,
                                                      old, new, words):
@@ -122,9 +126,9 @@ def test_run_non_finite_solver_flag_is_one_line_error(short_scenario_file, tmp_p
 
 
 def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypatch):
-    """An rk4 run or a sweep range over its cost budget, a sweep epsilon
-    that is not finite, and ``--values`` text that is not a number list or a
-    range, exit 1 with one error line before any sample grid is built."""
+    """An rk4 run or sweep, or a sweep range, over its cost budget, a sweep
+    epsilon that is not finite, and ``--values`` text that is not a number list
+    or a range, exit 1 with one error line before any sample grid is built."""
     def no_grid(*args):
         raise AssertionError("an over-budget request reached the sample grid")
 
@@ -134,6 +138,8 @@ def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypa
                           solver=replace(study.solver, fixed_step=1e-12)), tiny_step)
     for argv, words in (
             (["run", str(tiny_step), "--method", "rk4"], ("fixed_step", "budget")),
+            (["sweep", "alpha", str(tiny_step), "--values", "1,2", "--method", "rk4"],
+             ("fixed_step", "budget")),
             (["sweep", "alpha", str(tiny_step), "--values", f"1:25:{MAX_SWEEP_POINTS + 1}"],
              ("range count", "budget")),
             (["sweep", "epsilon", "fig2-F1", "--values", "nan,inf"], ("epsilon", "finite")),
@@ -153,17 +159,16 @@ def test_rk4_step_budget_boundary(tmp_path, study, capsys, monkeypatch):
     step = 2.0**-20   # duration / step is exact for both durations below
     rk4 = replace(study.solver, method="rk4", fixed_step=step)
     at_budget = replace(study, solver=rk4, duration=MAX_RK4_STEPS * step)
-    at_budget.validate()
-    over = replace(at_budget, duration=(MAX_RK4_STEPS + 1) * step)
+    over = (MAX_RK4_STEPS + 1) * step
     with pytest.raises(ScenarioError, match=f"budget of {MAX_RK4_STEPS} rk4 steps"):
-        over.validate()
+        replace(at_budget, duration=over)
 
     def no_grid(*args):
         raise AssertionError("an over-budget request reached the sample grid")
 
     monkeypatch.setattr("antago.engine._sample_grid", no_grid)
     path = tmp_path / "over.ini"
-    save_scenario(replace(over, solver=replace(rk4, method="rk23")), path)
+    save_scenario(replace(at_budget, duration=over, solver=replace(rk4, method="rk23")), path)
     assert main(["run", str(path), "--method", "rk4", "--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "rk4 steps" in err[0], err

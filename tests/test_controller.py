@@ -47,12 +47,11 @@ def test_gains_must_be_positive():
 
 
 def test_setpoint_validation(study):
-    replace(study, setpoints=((0.0, 1e-3),)).validate()
+    replace(study, setpoints=((0.0, 1e-3),))
     lo, hi = study.params.geometry.position_bounds()
     for x_star in (4e-3, -4e-3, math.nan):
-        scenario = replace(study, setpoints=((0.0, 1e-3), (0.5, x_star)))
         with pytest.raises(DomainError) as info:
-            scenario.validate()
+            replace(study, setpoints=((0.0, 1e-3), (0.5, x_star)))
         assert str(info.value) == (
             f"setpoint {x_star!r} outside admissible range ({lo:.4e}, {hi:.4e})")
 

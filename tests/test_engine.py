@@ -73,34 +73,36 @@ def test_force_rate_matches_finite_difference():
 # Scenario validation.
 
 def test_scenario_validation_errors(study):
+    """A scenario checks itself on construction, so each bad ``replace``
+    raises; the good ones construct."""
     for duration in (0.0, math.inf, math.nan):
         with pytest.raises(ScenarioError):
-            replace(study, duration=duration).validate()
+            replace(study, duration=duration)
     with pytest.raises(ScenarioError):
-        replace(study, setpoints=((1.0, 1e-3),)).validate()
+        replace(study, setpoints=((1.0, 1e-3),))
     with pytest.raises(ScenarioError):
-        replace(study, setpoints=((0.0, 1e-3), (0.5, 2e-3), (0.5, 1e-3))).validate()
+        replace(study, setpoints=((0.0, 1e-3), (0.5, 2e-3), (0.5, 1e-3)))
     with pytest.raises(Exception):
-        replace(study, setpoints=((0.0, 5e-3),)).validate()  # out of travel
+        replace(study, setpoints=((0.0, 5e-3),))  # out of travel
     with pytest.raises(ScenarioError):
-        replace(study, initial=PlantState(5e-3, 0.0, 0.0, 0.0)).validate()
+        replace(study, initial=PlantState(5e-3, 0.0, 0.0, 0.0))
     with pytest.raises(ScenarioError, match="finite"):
-        replace(study, setpoints=((0.0, 1e-3), (math.inf, 2e-3))).validate()
+        replace(study, setpoints=((0.0, 1e-3), (math.inf, 2e-3)))
     for initial in (PlantState(math.nan, 0.0, 0.0, 0.0), PlantState(0.0, math.inf, 0.0, 0.0),
                     PlantState(0.0, 0.0, math.nan, 0.0), PlantState(0.0, 0.0, 0.0, -math.inf)):
         with pytest.raises(ScenarioError, match="finite"):
-            replace(study, initial=initial).validate()
+            replace(study, initial=initial)
     for F_hat0 in (math.nan, math.inf):
         with pytest.raises(ScenarioError, match="finite"):
-            replace(study, F_hat0=F_hat0).validate()
+            replace(study, F_hat0=F_hat0)
     # Cost budgets are checked from the settings alone, before any allocation.
     with pytest.raises(ScenarioError, match="budget of 1000000 samples"):
-        replace(study, duration=1e9).validate()
-    replace(study, duration=0.5 * engine.MAX_SAMPLES * study.solver.sample_dt).validate()
+        replace(study, duration=1e9)
+    replace(study, duration=0.5 * engine.MAX_SAMPLES * study.solver.sample_dt)
     tiny_step = replace(study.solver, fixed_step=1e-12)
-    replace(study, solver=tiny_step).validate()   # rk23 never takes the fixed step
+    replace(study, solver=tiny_step)   # rk23 never takes the fixed step
     with pytest.raises(ScenarioError, match="budget of 10000000 rk4 steps"):
-        replace(study, solver=replace(tiny_step, method="rk4")).validate()
+        replace(study, solver=replace(tiny_step, method="rk4"))
 
 
 def test_solver_settings_validation():
@@ -152,11 +154,11 @@ def _open_loop_rhs(params, monkeypatch, **inputs):
     captured by a stub rk4 stepper."""
     captured = {}
 
-    def capture(rhs, y, t_grid, fixed_step):
+    def capture(rhs, y, t_grid, solver, h):
         captured["rhs"] = rhs
-        return [y for _ in t_grid[1:]]
+        return [y for _ in t_grid[1:]], h
 
-    monkeypatch.setattr(engine, "_rk4_segment", capture)
+    monkeypatch.setitem(engine.STEPPERS, "rk4", capture)
     simulate_open_loop(params, PlantState(0.0, 0.0, 0.0, 0.0), 1e-3,
                        SolverSettings(method="rk4", sample_dt=1e-3), **inputs)
     return captured["rhs"]
@@ -559,8 +561,9 @@ def _reference_open_rhs(params, U1, U2, F, R, margin):
     return rhs
 
 
-def _reference_rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
+def _reference_rk23_segment(rhs, y, t_grid, solver, h):
     """Tuple-loop form of ``engine._rk23_segment``."""
+    rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
     out = []
     t = t_grid[0]
     k1 = rhs(t, *y)
@@ -588,11 +591,11 @@ def _reference_rk23_segment(rhs, y, t_grid, rtol, atol, max_step, h):
     return out, h
 
 
-def _reference_rk4_segment(rhs, y, t_grid, fixed_step):
+def _reference_rk4_segment(rhs, y, t_grid, solver, h_in):
     """Tuple-loop form of ``engine._rk4_segment``."""
     out = []
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
-        n = max(1, math.ceil((tb - ta) / fixed_step - 1e-12))
+        n = max(1, math.ceil((tb - ta) / solver.fixed_step - 1e-12))
         h = (tb - ta) / n
         t = ta
         for _ in range(n):
@@ -604,7 +607,7 @@ def _reference_rk4_segment(rhs, y, t_grid, fixed_step):
                       for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
             t += h
         out.append(y)
-    return out
+    return out, h_in
 
 
 def _nan_on_call(n):
@@ -622,7 +625,8 @@ def _nan_on_call(n):
 def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     """Every run, early endings included, is bit-identical under the engine's
     steppers and right-hand side and under the reference tuple loops and
-    reference right-hand side."""
+    reference right-hand side. Each reference stepper must be called, so a
+    patch that misses the engine's dispatch cannot pass."""
     rk4 = replace(study.solver, method="rk4", fixed_step=1e-4)
     runs = {name: (lambda sc=load_preset(name): simulate(sc))
             for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
@@ -653,8 +657,16 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
             study.params, init, 0.01, solver, U1=1e-7, F=0.1)
 
     unrolled = {name: run() for name, run in runs.items()}
-    monkeypatch.setattr(engine, "_rk23_segment", _reference_rk23_segment)
-    monkeypatch.setattr(engine, "_rk4_segment", _reference_rk4_segment)
+    calls = dict.fromkeys(engine.STEPPERS, 0)
+
+    def counted(method, stepper):
+        def step(*args):
+            calls[method] += 1
+            return stepper(*args)
+        return step
+
+    monkeypatch.setitem(engine.STEPPERS, "rk23", counted("rk23", _reference_rk23_segment))
+    monkeypatch.setitem(engine.STEPPERS, "rk4", counted("rk4", _reference_rk4_segment))
     monkeypatch.setattr(engine, "_make_rhs", _reference_make_rhs)
     for name, run in runs.items():
         expected = run()
@@ -663,6 +675,8 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
             assert unrolled[name][1].shape[1] == 4
         else:
             assert unrolled[name] == expected, name
+    # rk4: one segment each for "rk4" and "open-rk4"; rk23: every other run
+    assert calls["rk4"] == 2 and calls["rk23"] >= len(runs) - 2, calls
     for name in ("domain-exit", "sweep-alpha", "nan-force", "nan-once"):
         assert unrolled[name].status == "domain-exit", name
     assert unrolled["step-underflow"].status == "step-underflow"

@@ -1,5 +1,6 @@
 """Plant model: geometry, energies, gradients and the open-loop field."""
 
+import argparse
 import inspect
 import math
 
@@ -8,8 +9,10 @@ import pytest
 
 import antago
 import antago.verify
+from antago import engine
+from antago.cli import build_parser
 from antago.controller import ControllerGains
-from antago.engine import ForceModel, augmented_field
+from antago.engine import ForceModel, ScenarioConfig, SolverSettings, augmented_field
 from antago.errors import DomainError
 from antago.plant import (
     ActuatorGeometry,
@@ -252,6 +255,21 @@ def test_domain_defined_in_one_place():
         for outside in (lo - step, hi + step):
             with pytest.raises(DomainError):
                 evaluate(outside)
+
+
+def test_run_configuration_checked_where_built():
+    """A scenario has no separate validate step: it checks itself on
+    construction. One table names the integrators, for ``SolverSettings`` and
+    for the CLI's ``--method``."""
+    assert not hasattr(ScenarioConfig, "validate")
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("run", "sweep"):
+        method = next(a for a in commands[command]._actions if a.dest == "method")
+        assert list(method.choices) == sorted(engine.STEPPERS), command
+    with pytest.raises(ValueError) as info:
+        SolverSettings(method="euler")
+    assert str(info.value) == "unknown solver method 'euler'"
 
 
 def test_bounds_fixed_in_one_place():

@@ -41,7 +41,7 @@ def test_preset_listing():
 def test_presets_parse_and_validate():
     for name in PRESETS:
         scenario = load_preset(name)
-        scenario.validate()
+        assert replace(scenario) == scenario   # constructing it again checks it again
         assert scenario.name == name
         assert scenario.params.geometry.K0 == pytest.approx(2.8e-6)
         assert scenario.duration == 10.0
@@ -172,6 +172,18 @@ def test_unparsable_number(study):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("scale", ["K0 = 0.0", "k0 = 0.0", "k0 = 5e-324", "K0 = -2.8e-06"])
+def test_non_positive_volume_scale_is_scenario_error(study, scale):
+    """A zero scale, one whose derived K0 underflows to zero, and a negative
+    one are rejected when the geometry is built."""
+    geo = study.params.geometry
+    scales = f"k0 = {geo.k0!r}\nK0 = {geo.K0!r}\n"
+    text = serialize_scenario(study)
+    assert scales in text
+    with pytest.raises(ScenarioError, match="k0 and K0 must be positive and finite"):
+        parse_scenario(text.replace(scales, scale + "\n"))
+
+
 def test_invalid_gain_is_scenario_error(study):
     for value in ("-1", "nan", "0"):
         text = re.sub(r"^k_p = .*$", f"k_p = {value}", serialize_scenario(study),
@@ -206,6 +218,70 @@ def test_parse_raises_only_scenario_error():
         edited[i] = f"{lines[i].partition(' = ')[0]} = {data.draw(values)}"
         try:
             parse_scenario("\n".join(edited))
+        except ScenarioError:
+            pass
+
+    check()
+
+
+def test_parse_edited_text_raises_only_scenario_error():
+    """A preset's text edited beyond one value (lines inserted, deleted or
+    duplicated, key and section names recased or misspelt, ``key = value``
+    lines added under a random section) either parses or raises
+    ScenarioError, never another exception."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    presets = {name: serialize_scenario(load_preset(name)).splitlines() for name in PRESETS}
+    names = sorted({ln.partition(" = ")[0].strip("[]") for lines in presets.values()
+                    for ln in lines if " = " in ln or ln.startswith("[")})
+    values = st.one_of(
+        st.floats().map(repr),
+        st.integers(min_value=-10**30, max_value=10**30).map(str),
+        st.sampled_from(["", ";", "rk4", "euler", "spring", "1:2:3", "0:0.001, 1.0:0.002"]),
+    )
+    texts = st.one_of(
+        st.text(alphabet="[]=:;# \tabkxK0.-", max_size=12),
+        st.sampled_from(["[plant]", "[initial]", "[gains]", "[solver]", "[]", "  5", "x = 1e-3"]),
+        st.builds("{} = {}".format, st.sampled_from(names), values),
+    )
+
+    def rename(name, data):
+        how = data.draw(st.sampled_from(("upper", "lower", "swapcase", "title", "misspell")))
+        if how != "misspell" or not name:
+            return getattr(name, how)()
+        i = data.draw(st.integers(0, len(name) - 1))
+        return name[:i] + data.draw(st.sampled_from(["", "_", "x", name[i] * 2])) + name[i + 1:]
+
+    def edit(lines, data):
+        kind = data.draw(st.sampled_from(("insert", "delete", "duplicate", "rename", "add")))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "insert":
+            lines.insert(i, data.draw(texts))
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "rename":
+            named = [j for j, ln in enumerate(lines) if " = " in ln or ln.startswith("[")]
+            j = data.draw(st.sampled_from(named))
+            if lines[j].startswith("["):
+                lines[j] = f"[{rename(lines[j].strip('[]'), data)}]"
+            else:
+                key, _, value = lines[j].partition(" = ")
+                lines[j] = f"{rename(key, data)} = {value}"
+        else:
+            headers = [j for j, ln in enumerate(lines) if ln.startswith("[")]
+            j = data.draw(st.sampled_from(headers))
+            lines.insert(j + 1, f"{data.draw(st.sampled_from(names))} = {data.draw(values)}")
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        lines = list(presets[data.draw(st.sampled_from(PRESETS))])
+        for _ in range(data.draw(st.integers(1, 3))):
+            edit(lines, data)
+        try:
+            parse_scenario("\n".join(lines))
         except ScenarioError:
             pass
 
