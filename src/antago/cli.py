@@ -35,6 +35,7 @@ from .controller import validate_gains
 from .engine import STEPPERS, DiagnosticsSummary, ScenarioConfig, diagnostics, simulate
 from .errors import ScenarioError
 from .scenario_io import (
+    _SECTIONS,
     _atomic_write,
     list_presets,
     load_preset,
@@ -43,9 +44,8 @@ from .scenario_io import (
 )
 from .verify import SUITES
 
-_SWEEP_GAIN_KEYS = ("k_p", "k_m", "k_i", "alpha")
 _SWEEP_PLANT_KEYS = ("R", "m")
-_SWEEP_KEYS = _SWEEP_GAIN_KEYS + _SWEEP_PLANT_KEYS + ("epsilon",)
+_SWEEP_KEYS = (*_SECTIONS["gains"], *_SWEEP_PLANT_KEYS, "epsilon")
 # Most points a 'start:stop:count' range may ask for; checked before the list
 # is built. The benchmark sweeps 32 points per command.
 MAX_SWEEP_POINTS = 10**4
@@ -142,7 +142,7 @@ def _parse_values(text: str) -> list[float]:
 
 
 def _sweep_variant(scenario: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    if param in _SWEEP_GAIN_KEYS:
+    if param in _SECTIONS["gains"]:
         return replace(scenario, gains=replace(scenario.gains, **{param: value}))
     if param in _SWEEP_PLANT_KEYS:
         return replace(scenario, params=replace(scenario.params, **{param: value}))

@@ -33,7 +33,7 @@ the textbook form, and the trajectories are bit-identical to it.
 
 A :class:`ScenarioConfig` checks itself on construction (``replace`` too), so
 every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
-output samples and, for ``rk4``, ``MAX_RK4_STEPS`` fixed steps.
+output samples and setpoints and, for ``rk4``, ``MAX_RK4_STEPS`` fixed steps.
 
 A position within the plant's fixed 1 µm ``DOMAIN_MARGIN`` of the
 volume-model boundary ends a run as "domain-exit". The right-hand sides inline
@@ -56,6 +56,7 @@ and reads the observer gain ``alpha`` only from ``ControllerGains``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +74,8 @@ from .plant import (
 FORCE_KINDS = ("constant", "tanh_friction", "spring")
 
 # Cost budgets, checked before a run allocates anything: at most this many
-# output samples (duration / sample_dt) and, for rk4, this many fixed steps
+# output samples plus setpoints (duration / sample_dt + len(setpoints); each
+# setpoint adds a grid point and a segment) and, for rk4, this many fixed steps
 # (duration / fixed_step). The presets ask for 2,001 samples; the costliest
 # rk4 cross-check takes about 1.7e5 steps and `--method rk4` on a preset 1e6.
 # The rk4 budget is about 4e7 right-hand-side evaluations, or roughly 100 s of
@@ -116,14 +118,6 @@ class ForceModel:
             return self.value * math.tanh(xdot)
         return self.value * x
 
-    def rate(self, x: float, xdot: float) -> float:
-        """Time derivative of the force along the motion (for rate diagnostics)."""
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "tanh_friction":
-            return self.value * xdot / math.cosh(xdot) ** 2
-        return self.value * xdot
-
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -158,6 +152,9 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         _check_cost(self.duration, self.solver)
+        if self.duration / self.solver.sample_dt + len(self.setpoints) > MAX_SAMPLES:
+            raise ScenarioError(f"duration / sample_dt plus the setpoint count exceeds "
+                                f"the budget of {MAX_SAMPLES} samples")
         if not self.setpoints or self.setpoints[0][0] != 0.0:
             raise ScenarioError("setpoint schedule must start at time 0")
         times = [t for t, _ in self.setpoints]
@@ -459,12 +456,13 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     status, detail = "ok", ""
     h = min(solver.max_step, 1e-6)
 
-    # Split the grid at setpoint changes; the setpoint is piecewise constant,
-    # and segment i starts at the time of setpoint i.
-    boundaries = sorted({0.0, scenario.duration, *(e for e in events if 0.0 < e < scenario.duration)})
+    # Cut the grid by index at the setpoint times before the end, each a grid
+    # point: segment i runs from setpoint i to the next cut or the last point.
+    cuts = [bisect_left(grid, t) for t in events if t < scenario.duration]
+    cuts.append(len(grid) - 1)
     try:
-        for (seg_a, x_star), seg_b in zip(scenario.setpoints, boundaries[1:]):
-            seg_grid = [seg_a] + [t for t in grid if seg_a < t <= seg_b]
+        for (_, x_star), a, b in zip(scenario.setpoints, cuts, cuts[1:]):
+            seg_grid = grid[a:b + 1]
             rhs = _make_rhs(params, gains, force, x_star)
             ys, h = step(rhs, y, seg_grid, solver, h)
             times.extend(seg_grid[1:])

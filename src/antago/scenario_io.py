@@ -2,13 +2,16 @@
 
 Scenario files are plain sectioned key=value text (INI) with sections
 ``[plant]``, ``[gains]``, ``[force]``, ``[solver]``, ``[schedule]`` and an
-optional ``[initial]``. Keys are case-sensitive and named after the model
-symbols (``L0``, ``Gamma0``, ``k_p``, ...); unknown keys are rejected with a
-suggestion when a case-insensitive or near match exists. ``parse_scenario``
-and ``serialize_scenario`` round-trip exactly: floats are written with their
-shortest exact decimal representation. ``parse_scenario`` raises only
-``ScenarioError``: one boundary turns every ``ValueError`` of the model into
-one, with its message.
+optional ``[initial]``. One table, ``_SECTIONS``, names each section's keys in
+file order: a model section's keys are the field names of the types it
+builds, in field order, and each value is read as its field's type. Keys are
+case-sensitive; unknown keys are rejected with a suggestion when a
+case-insensitive or near match exists. ``[solver]`` and ``[initial]`` may be
+left out, and so may ``k0`` or ``K0`` (one derives the other) and ``P_atm``.
+``parse_scenario`` and ``serialize_scenario`` round-trip exactly: floats are
+written with their shortest exact decimal representation. ``parse_scenario``
+raises only ``ScenarioError``: one boundary turns every ``ValueError`` of the
+model into one, with its message.
 
 Trajectory CSV files are comma-separated with '.' decimals, LF line endings
 and a mandatory header; the run status is carried in leading ``#`` comment
@@ -22,6 +25,7 @@ import difflib
 import io
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,29 +41,22 @@ from .engine import (
 from .errors import ScenarioError
 from .plant import ActuatorGeometry, FluidParams, PlantParams, PlantState
 
-_PLANT_KEYS = ("L0", "n_L", "D_s", "d_c", "k0", "K0", "V0", "x0", "x_M",
-               "Gamma0", "rho", "P_atm", "m", "R")
-_GAIN_KEYS = ("k_p", "k_m", "k_i", "alpha")
-_FORCE_KEYS = ("kind", "value")
-_SOLVER_KEYS = ("method", "rel_tol", "abs_tol", "max_step", "fixed_step", "sample_dt")
-_SCHEDULE_KEYS = ("duration", "x_star")
-_INITIAL_KEYS = ("x", "p", "P1", "P2", "F_hat")
 
+def _keys(*types) -> tuple[str, ...]:
+    return tuple(f.name for cls in types for f in fields(cls))
+
+
+# Each section's keys, in file order.
 _SECTIONS = {
-    "plant": _PLANT_KEYS,
-    "gains": _GAIN_KEYS,
-    "force": _FORCE_KEYS,
-    "solver": _SOLVER_KEYS,
-    "schedule": _SCHEDULE_KEYS,
-    "initial": _INITIAL_KEYS,
+    "plant": (*_keys(ActuatorGeometry, FluidParams), "m", "R"),
+    "gains": _keys(ControllerGains),
+    "force": _keys(ForceModel),
+    "solver": _keys(SolverSettings),
+    "schedule": ("duration", "x_star"),
+    "initial": (*_keys(PlantState), "F_hat"),
 }
-# Required sections and their required keys; [plant] also needs k0 or K0.
-_REQUIRED = {
-    "plant": ("L0", "n_L", "D_s", "d_c", "V0", "x0", "x_M", "Gamma0", "rho", "m", "R"),
-    "gains": _GAIN_KEYS,
-    "force": _FORCE_KEYS,
-    "schedule": _SCHEDULE_KEYS,
-}
+_OPTIONAL_SECTIONS = ("solver", "initial")
+_OPTIONAL_KEYS = ("k0", "K0", "P_atm")
 
 
 def _reject_unknown(section: str, keys, expected) -> None:
@@ -83,6 +80,13 @@ def _number(sec, key: str, default: float | None = None, kind=float):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ScenarioError(f"key {key!r}: could not parse {sec[key]!r} as {noun}") from None
+
+
+def _values(sec, cls) -> dict:
+    """The keys of ``sec`` that name fields of ``cls``, in file order, each read
+    as its field's type: an ``int`` or ``str`` field as such, any other as float."""
+    kinds = {f.name: {"int": int, "str": str}.get(f.type, float) for f in fields(cls)}
+    return {key: _number(sec, key, kind=kinds[key]) for key in sec if key in kinds}
 
 
 def _parse_schedule(sched) -> tuple[tuple[float, float], ...]:
@@ -122,33 +126,31 @@ def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
             hint = f"; expected [{close[0]}]" if close else ""
             raise ScenarioError(f"unknown section [{section}]{hint}")
         _reject_unknown(section, cp[section], _SECTIONS[section])
-    for section, keys in _REQUIRED.items():
+    for section, keys in _SECTIONS.items():
+        if section in _OPTIONAL_SECTIONS:
+            continue
         if section not in cp:
             raise ScenarioError(f"missing required section [{section}]")
         for key in keys:
-            if key not in cp[section]:
+            if key not in cp[section] and key not in _OPTIONAL_KEYS:
                 raise ScenarioError(f"missing key {key!r} in section [{section}]")
-    plant, g, f, sched = cp["plant"], cp["gains"], cp["force"], cp["schedule"]
+    plant, sched = cp["plant"], cp["schedule"]
     if "k0" not in plant and "K0" not in plant:
         raise ScenarioError("section [plant] needs k0 or K0 (or both)")
 
     try:
-        geometry = ActuatorGeometry.from_scale(
-            n_L=_number(plant, "n_L", kind=int),
-            **{k: _number(plant, k) for k in ("L0", "D_s", "d_c", "V0", "x0", "x_M", "k0", "K0")})
-        fluid = FluidParams(Gamma0=_number(plant, "Gamma0"), rho=_number(plant, "rho"),
-                            P_atm=_number(plant, "P_atm", 1e5))
+        geometry = ActuatorGeometry.from_scale(**_values(plant, ActuatorGeometry))
+        fluid = FluidParams(**_values(plant, FluidParams))
         params = PlantParams(geometry=geometry, fluid=fluid,
                              m=_number(plant, "m"), R=_number(plant, "R"))
-        gains = ControllerGains(**{k: _number(g, k) for k in _GAIN_KEYS})
-        force = ForceModel(kind=f["kind"], value=_number(f, "value"))
-        s = cp["solver"] if "solver" in cp else {}
-        solver = SolverSettings(**{k: (s[k] if k == "method" else _number(s, k)) for k in s})
+        gains = ControllerGains(**_values(cp["gains"], ControllerGains))
+        force = ForceModel(**_values(cp["force"], ForceModel))
+        solver = SolverSettings(**_values(cp["solver"] if "solver" in cp else {}, SolverSettings))
         init = cp["initial"] if "initial" in cp else {}
         scenario = ScenarioConfig(
             params=params, gains=gains, setpoints=_parse_schedule(sched), force=force,
             duration=_number(sched, "duration"), solver=solver,
-            initial=PlantState(*(_number(init, k, 0.0) for k in ("x", "p", "P1", "P2"))),
+            initial=PlantState(*(_number(init, k, 0.0) for k in _keys(PlantState))),
             F_hat0=_number(init, "F_hat"), name=name)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
@@ -160,44 +162,37 @@ def load_scenario(path: str | os.PathLike) -> ScenarioConfig:
     return parse_scenario(path.read_text(), name=path.stem)
 
 
+def _field_values(*objects) -> dict:
+    return {f.name: getattr(obj, f.name) for obj in objects for f in fields(obj)}
+
+
 def serialize_scenario(scenario: ScenarioConfig) -> str:
-    """Render a scenario as sectioned key=value text; inverse of parse."""
-    geo = scenario.params.geometry
-    fluid = scenario.params.fluid
-    out = io.StringIO()
-
-    def section(name: str, pairs) -> None:
-        out.write(f"[{name}]\n")
-        for key, val in pairs:
-            out.write(f"{key} = {val!r}\n" if isinstance(val, float)
-                      else f"{key} = {val}\n")
-        out.write("\n")
-
-    section("plant", [
-        ("L0", geo.L0), ("n_L", geo.n_L), ("D_s", geo.D_s), ("d_c", geo.d_c),
-        ("k0", geo.k0), ("K0", geo.K0), ("V0", geo.V0), ("x0", geo.x0),
-        ("x_M", geo.x_M), ("Gamma0", fluid.Gamma0), ("rho", fluid.rho),
-        ("P_atm", fluid.P_atm), ("m", scenario.params.m), ("R", scenario.params.R),
-    ])
-    g = scenario.gains
-    section("gains", [("k_p", g.k_p), ("k_m", g.k_m), ("k_i", g.k_i),
-                      ("alpha", g.alpha)])
-    section("force", [("kind", scenario.force.kind), ("value", scenario.force.value)])
-    s = scenario.solver
-    section("solver", [("method", s.method), ("rel_tol", s.rel_tol),
-                       ("abs_tol", s.abs_tol), ("max_step", s.max_step),
-                       ("fixed_step", s.fixed_step), ("sample_dt", s.sample_dt)])
+    """Render a scenario as sectioned key=value text, in the order of
+    ``_SECTIONS``; inverse of parse. A zero state without ``F_hat`` is left out."""
+    params, init = scenario.params, scenario.initial
     if len(scenario.setpoints) == 1:
-        x_star_text = repr(scenario.setpoints[0][1])
+        x_star = repr(scenario.setpoints[0][1])
     else:
-        x_star_text = ", ".join(f"{t!r}:{x!r}" for t, x in scenario.setpoints)
-    section("schedule", [("duration", scenario.duration), ("x_star", x_star_text)])
-    init = scenario.initial
-    if (init != PlantState(0.0, 0.0, 0.0, 0.0)) or scenario.F_hat0 is not None:
-        pairs = [("x", init.x), ("p", init.p), ("P1", init.P1), ("P2", init.P2)]
-        if scenario.F_hat0 is not None:
-            pairs.append(("F_hat", scenario.F_hat0))
-        section("initial", pairs)
+        x_star = ", ".join(f"{t!r}:{x!r}" for t, x in scenario.setpoints)
+    values = {
+        "plant": {**_field_values(params.geometry, params.fluid), "m": params.m, "R": params.R},
+        "gains": _field_values(scenario.gains),
+        "force": _field_values(scenario.force),
+        "solver": _field_values(scenario.solver),
+        "schedule": {"duration": scenario.duration, "x_star": x_star},
+    }
+    if init != PlantState(0.0, 0.0, 0.0, 0.0) or scenario.F_hat0 is not None:
+        values["initial"] = {**_field_values(init), "F_hat": scenario.F_hat0}
+    out = io.StringIO()
+    for section, keys in _SECTIONS.items():
+        if section not in values:
+            continue
+        out.write(f"[{section}]\n")
+        for key in keys:
+            val = values[section][key]
+            if val is not None:   # an unset F_hat
+                out.write(f"{key} = {val!r}\n" if isinstance(val, float) else f"{key} = {val}\n")
+        out.write("\n")
     return out.getvalue()
 
 

@@ -14,7 +14,7 @@ import pytest
 import antago
 from antago.cli import MAX_SWEEP_POINTS, _parse_values, main
 from antago.controller import validate_gains
-from antago.engine import MAX_RK4_STEPS, diagnostics, simulate
+from antago.engine import MAX_RK4_STEPS, MAX_SAMPLES, diagnostics, simulate
 from antago.errors import ScenarioError
 from antago.scenario_io import (
     load_preset,
@@ -172,6 +172,30 @@ def test_rk4_step_budget_boundary(tmp_path, study, capsys, monkeypatch):
     assert main(["run", str(path), "--method", "rk4", "--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "rk4 steps" in err[0], err
+
+
+def test_setpoint_budget_boundary(tmp_path, study, capsys, monkeypatch):
+    """A schedule whose samples plus setpoints come to exactly ``MAX_SAMPLES``
+    validates; one setpoint more raises ``ScenarioError``, and ``antago run``
+    prints one error line and exits 1 before any sample grid is built."""
+    step = 2.0**-10   # duration / step is exact for the duration below
+    setpoints = ((0.0, 1e-3), (1.0, 2e-3))
+    at_budget = replace(study, solver=replace(study.solver, sample_dt=step),
+                        setpoints=setpoints, duration=(MAX_SAMPLES - len(setpoints)) * step)
+    with pytest.raises(ScenarioError, match=f"setpoint count exceeds the budget of {MAX_SAMPLES}"):
+        replace(at_budget, setpoints=(*setpoints, (2.0, 1e-3)))
+
+    def no_grid(*args):
+        raise AssertionError("an over-budget request reached the sample grid")
+
+    monkeypatch.setattr("antago.engine._sample_grid", no_grid)
+    path = tmp_path / "over.ini"
+    text = serialize_scenario(at_budget)
+    assert "x_star = 0.0:0.001, 1.0:0.002\n" in text
+    path.write_text(text.replace("1.0:0.002", "1.0:0.002, 2.0:0.001"))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "setpoint count" in err[0], err
 
 
 def test_out_directory_is_one_line_error(tmp_path, short_scenario_file, capsys,

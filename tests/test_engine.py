@@ -54,21 +54,6 @@ def test_tanh_friction_saturates():
     assert f(0.0, -50.0) == pytest.approx(-5.0, rel=1e-12)
 
 
-def test_force_rate_matches_finite_difference():
-    h = 1e-7
-    for f in (ForceModel("constant", 3.0), ForceModel("tanh_friction", 5.0),
-              ForceModel("spring", 10.0)):
-        x, v = 1e-3, 0.3
-        # chain rule along x(t) with dx/dt = v; spring depends on x only,
-        # friction on v only (v held constant over the step)
-        fd = (f(x + h * v, v) - f(x - h * v, v)) / (2 * h)
-        if f.kind == "tanh_friction":
-            fd = 0.0  # no x dependence; rate is value * v / cosh(v)^2 * dv/dt
-            assert f.rate(x, v) == pytest.approx(5.0 * v / math.cosh(v) ** 2)
-        else:
-            assert f.rate(x, v) == pytest.approx(fd, abs=1e-9)
-
-
 # --------------------------------------------------------------------------
 # Scenario validation.
 
@@ -103,6 +88,17 @@ def test_scenario_validation_errors(study):
     replace(study, solver=tiny_step)   # rk23 never takes the fixed step
     with pytest.raises(ScenarioError, match="budget of 10000000 rk4 steps"):
         replace(study, solver=replace(tiny_step, method="rk4"))
+
+
+def test_record_reaches_the_end_of_the_run(study):
+    """The record ends at the last grid time, one sample per ``sample_dt``
+    step, also where rounding the grid times to 15 decimals lifts that time a
+    little above the duration (2/3 s)."""
+    scenario = replace(study, duration=2 / 3)
+    record = simulate(scenario)
+    assert record.status == "ok"
+    assert len(record) == math.ceil(scenario.duration / scenario.solver.sample_dt) + 1
+    assert record["t"][-1] == pytest.approx(scenario.duration, abs=1e-15)
 
 
 def test_solver_settings_validation():

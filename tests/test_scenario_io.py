@@ -1,13 +1,16 @@
 """Scenario files, CSV emission and the preset library."""
 
+import argparse
+import configparser
 import os
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from antago.cli import build_parser
 from antago.controller import ControllerGains
 from antago.engine import (
     CHANNELS,
@@ -18,7 +21,7 @@ from antago.engine import (
     simulate,
 )
 from antago.errors import ScenarioError
-from antago.plant import PlantState
+from antago.plant import ActuatorGeometry, FluidParams, PlantParams, PlantState
 from antago.scenario_io import (
     list_presets,
     load_preset,
@@ -120,6 +123,90 @@ def test_round_trip_property(study):
         assert parse_scenario(serialize_scenario(scenario)) == replace(scenario, name="")
 
     check()
+
+
+# One valid value, other than fig2-F1's, for each field a scenario file holds;
+# PlantParams' geometry and fluid are the two types above it.
+FIELD_CHANGES = {
+    ActuatorGeometry: {"L0": 0.031, "n_L": 4, "D_s": 13e-3, "d_c": 8e-3, "k0": 1.1,
+                       "K0": 3e-6, "V0": 2e-7, "x0": 3.5e-3, "x_M": 7e-3},
+    FluidParams: {"Gamma0": 1.5e9, "rho": 900.0, "P_atm": 2e5},
+    PlantParams: {"m": 0.3, "R": 4.0},
+    ControllerGains: {"k_p": 2.0, "k_m": 3.0, "k_i": 5.0, "alpha": 20.0},
+    ForceModel: {"kind": "spring", "value": 0.5},
+    SolverSettings: {"method": "rk4", "rel_tol": 1e-7, "abs_tol": 1e-9, "max_step": 5e-3,
+                     "fixed_step": 2e-5, "sample_dt": 1e-2},
+}
+
+
+def _with_field(study, cls, name, value):
+    """``study`` with one field of one of its model types set to ``value``; a
+    geometry keeps its other inputs and derives the volume scale it is not given."""
+    params = study.params
+    if cls is ActuatorGeometry:
+        geo = params.geometry
+        inputs = {f.name: getattr(geo, f.name) for f in fields(geo) if f.name not in ("k0", "K0")}
+        scale = {"K0": value} if name == "K0" else {"k0": geo.k0}
+        geometry = ActuatorGeometry.from_scale(**{**inputs, **scale, name: value})
+        return replace(study, params=replace(params, geometry=geometry))
+    if cls is FluidParams:
+        return replace(study, params=replace(params, fluid=replace(params.fluid, **{name: value})))
+    if cls is PlantParams:
+        return replace(study, params=replace(params, **{name: value}))
+    owner = {ControllerGains: "gains", ForceModel: "force", SolverSettings: "solver"}[cls]
+    return replace(study, **{owner: replace(getattr(study, owner), **{name: value})})
+
+
+def test_every_field_survives_the_round_trip(study):
+    """Each field of the model types a scenario file holds, set alone to
+    another valid value, changes the text and survives serialize then parse."""
+    text = serialize_scenario(study)
+    for cls, changes in FIELD_CHANGES.items():
+        assert set(changes) == {f.name for f in fields(cls)} - {"geometry", "fluid"}, cls
+        for name, value in changes.items():
+            scenario = _with_field(study, cls, name, value)
+            changed = serialize_scenario(scenario)
+            assert changed != text, name
+            assert parse_scenario(changed, name=study.name) == scenario, name
+
+
+def test_scenario_format_named_once(study):
+    """The scenario format names its keys once, after the model types: the
+    ``sweep`` parameters are the ``ControllerGains`` fields plus ``m``, ``R``
+    and ``epsilon``, and ``serialize_scenario`` writes, in each section and in
+    field order, the field names of the types it holds, which are exactly the
+    keys ``parse_scenario`` accepts there."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    parameter = next(a for a in commands["sweep"]._actions if a.dest == "parameter")
+    gains = [f.name for f in fields(ControllerGains)]
+    assert sorted(parameter.choices) == sorted([*gains, "m", "R", "epsilon"])
+
+    def names(*types):
+        return [f.name for cls in types for f in fields(cls)]
+
+    expected = {
+        "plant": [*names(ActuatorGeometry, FluidParams), "m", "R"],
+        "gains": names(ControllerGains),
+        "force": names(ForceModel),
+        "solver": names(SolverSettings),
+        "schedule": ["duration", "x_star"],
+        "initial": [*names(PlantState), "F_hat"],
+    }
+    text = serialize_scenario(replace(study, initial=PlantState(1e-4, 0.0, 0.0, 0.0),
+                                      F_hat0=0.0))
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    cp.read_string(text)
+    written = {section: list(cp[section]) for section in cp.sections()}
+    assert list(written.items()) == list(expected.items())
+    every_key = {key for keys in written.values() for key in keys}
+    for section, keys in written.items():
+        for key in sorted(every_key - set(keys)):
+            edited = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+            with pytest.raises(ScenarioError,
+                               match=re.escape(f"unknown key {key!r} in section [{section}]")):
+                parse_scenario(edited)
 
 
 def test_unknown_key_suggests_expected_case(study):
