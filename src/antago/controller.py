@@ -18,12 +18,12 @@ machine precision by the test suite):
 * the velocity entering the pressure-rate correction is the shaped one,
   ``p / (k_m*M)``, as required by the pressure rows of the matching equations.
 
-Gain validation builds the 3x3 stability matrix in the error coordinates
-``(p, zeta, sigma)`` at the domain-midpoint mass ``M`` and decides positive
-definiteness from its smallest eigenvalue. Analytically that reduces to
-``k_i > 0`` and ``(R - alpha*M) * alpha * k_m > (1 + eps*k_m)^2 / 4`` where
-``eps`` bounds the admissible motion-proportional variation of the external
-force (``eps = 0`` for a constant force).
+Gain validation certifies the 3x3 stability matrix in the error coordinates
+``(p, zeta, sigma)`` positive definite by its closed-form condition at the
+domain-midpoint mass ``M``: ``k_i > 0`` and
+``(R - alpha*M) * alpha * k_m > (1 + eps*k_m)^2 / 4``, where ``eps`` bounds
+the admissible motion-proportional variation of the external force
+(``eps = 0`` for a constant force).
 
 The point functions take the force estimate ``F_hat`` and the setpoint
 ``x_star`` as floats; the observer gain ``alpha`` lives only in ``ControllerGains``.
@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError
 from .observer import observer_rate
@@ -177,8 +175,8 @@ class StabilityReport:
     """Outcome of the gain validation at the domain-midpoint mass."""
 
     positive_definite: bool
-    margin: float             # smallest eigenvalue of the stability matrix, or NaN
     condition_product: float  # (R - alpha*M) * alpha * k_m
+    threshold: float          # (1 + epsilon*k_m)^2 / 4, which the product must exceed
     rate_bound_ok: bool       # (R - alpha*M) * alpha > epsilon/2
     M_eval: float             # total mass at the domain midpoint
 
@@ -187,29 +185,39 @@ def validate_gains(params: PlantParams, gains: ControllerGains,
                    epsilon: float = 0.0) -> StabilityReport:
     """Check the closed-loop stability conditions for a gain set.
 
-    The conditions are evaluated at the total mass of the domain midpoint.
-    Positive definiteness of the stability matrix is decided by its smallest
-    eigenvalue; where the (p, zeta) block has an entry past the float range
-    the margin is NaN and the matrix is not certified. For any finite
-    ``epsilon >= 0`` a report is produced, whatever the tuning.
+    Beside ``2*k_i > 0``, the stability matrix holds the (p, zeta) block
+    ``[[(R - alpha*M) / (k_m*M^2), b], [b, alpha]]``, ``b = h / (k_m*M)`` with
+    ``h = (1 + epsilon*k_m) / 2``. Its determinant is ``(condition_product -
+    threshold) / (k_m*M)^2``, so by Sylvester's criterion the matrix is
+    positive definite exactly when ``condition_product > threshold``.
+
+    ``M`` is the total mass at the domain midpoint, the heaviest in range:
+    each bellows volume is concave in its contraction ``u`` (the curvature is
+    negative where ``2/3 - u/(2*L0) > 0``, as ``x_M <= L0/4`` ensures) and the
+    two contractions sum to ``x_M``. The product falls as ``M`` grows, so a
+    certificate at the midpoint holds over the whole range. Any finite
+    ``epsilon >= 0`` gives a report, whatever the tuning.
     """
     if not 0.0 <= epsilon < math.inf:
         raise ValueError("force-variation bound epsilon must be nonnegative and finite")
     lo, hi = params.geometry.position_bounds()
     M_eval = total_mass(0.5 * (lo + hi), params)
     k_m, alpha = gains.k_m, gains.alpha
-    # The stability matrix is block diagonal: this (p, zeta) block and 2*k_i.
-    with np.errstate(all="ignore"):   # past the float range an entry reads inf or NaN
-        M = np.float64(M_eval)
-        off = 1.0 / (2.0 * k_m * M) + epsilon / (2.0 * M)
-        block = np.array([[(params.R - alpha * M) / (k_m * M * M), off], [off, alpha]])
-    margin = (min(float(np.linalg.eigvalsh(block)[0]), 2.0 * gains.k_i)
-              if np.isfinite(block).all() else math.nan)
+    damping = params.R - alpha * M_eval
+    condition_product = damping * alpha * k_m
+    h = (1.0 + epsilon * k_m) / 2.0
+    threshold = h * h   # h**2 raises OverflowError, and (2*h)**2 / 4 overflows sooner
+    positive_definite = condition_product > threshold
+    if damping > 0.0 and max(condition_product, threshold) == math.inf:
+        # Past the float range compare logarithms; where h overflows,
+        # 1 + epsilon*k_m equals epsilon*k_m to every digit.
+        log_h = math.log(h) if h < math.inf else math.log(0.5 * epsilon) + math.log(k_m)
+        positive_definite = math.log(damping) + math.log(alpha) + math.log(k_m) > 2.0 * log_h
     return StabilityReport(
-        positive_definite=margin > 0.0,
-        margin=margin,
-        condition_product=(params.R - alpha * M_eval) * alpha * k_m,
-        rate_bound_ok=(params.R - alpha * M_eval) * alpha > 0.5 * epsilon,
+        positive_definite=positive_definite,
+        condition_product=condition_product,
+        threshold=threshold,
+        rate_bound_ok=damping * alpha > 0.5 * epsilon,
         M_eval=M_eval,
     )
 

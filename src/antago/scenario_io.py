@@ -168,12 +168,13 @@ def _field_values(*objects) -> dict:
 
 def serialize_scenario(scenario: ScenarioConfig) -> str:
     """Render a scenario as sectioned key=value text, in the order of
-    ``_SECTIONS``; inverse of parse. A zero state without ``F_hat`` is left out."""
+    ``_SECTIONS``; inverse of parse. A zero state without ``F_hat`` is left out.
+    A float is written as ``repr(float(v))``: a numpy float's repr names its type."""
     params, init = scenario.params, scenario.initial
     if len(scenario.setpoints) == 1:
-        x_star = repr(scenario.setpoints[0][1])
+        x_star = repr(float(scenario.setpoints[0][1]))
     else:
-        x_star = ", ".join(f"{t!r}:{x!r}" for t, x in scenario.setpoints)
+        x_star = ", ".join(f"{float(t)!r}:{float(x)!r}" for t, x in scenario.setpoints)
     values = {
         "plant": {**_field_values(params.geometry, params.fluid), "m": params.m, "R": params.R},
         "gains": _field_values(scenario.gains),
@@ -191,7 +192,7 @@ def serialize_scenario(scenario: ScenarioConfig) -> str:
         for key in keys:
             val = values[section][key]
             if val is not None:   # an unset F_hat
-                out.write(f"{key} = {val!r}\n" if isinstance(val, float) else f"{key} = {val}\n")
+                out.write(f"{key} = {repr(float(val)) if isinstance(val, float) else val}\n")
         out.write("\n")
     return out.getvalue()
 

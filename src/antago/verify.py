@@ -23,7 +23,6 @@ from .plant import (
     hamiltonian,
     hamiltonian_gradient,
     open_loop_field,
-    total_mass,
 )
 from .scenario_io import load_preset
 
@@ -33,10 +32,6 @@ DECAY_BOUND = 1e-2
 LYAPUNOV_REL_BOUND = 1e-9   # on the largest Psi of the run
 LYAPUNOV_PRESETS = ("fig2-F1", "fig2-F2", "fig2-F3")
 GRADIENT_POINTS = 20
-CONDITION_THRESHOLD = 0.25  # (R - alpha*M)*alpha*k_m must exceed it for a constant force
-# Positions, evenly spaced over the admissible range, at which check_gains
-# evaluates the condition product.
-GAIN_SCAN_POINTS = 101
 
 _REL_FLOOR = 1e-20
 
@@ -260,35 +255,24 @@ def check_gains() -> Report:
     The reference study quotes 80 for the condition product; recomputing it
     from the study's own parameters gives about 49.37, which still clears the
     1/4 threshold comfortably. The discrepancy is reported, not silently
-    patched. The product is also scanned over the admissible positions, and a
-    note says when it drops below the threshold somewhere in range.
+    patched.
     """
     scenario = load_preset("fig2-F1")
     params, gains = scenario.params, scenario.gains
     report = validate_gains(params, gains)
     M, R, k_m = report.M_eval, params.R, gains.k_m
-    # Larger root of (R - alpha*M)*alpha*k_m = 1/4 in alpha.
-    alpha_root = (R + math.sqrt(R * R - M / k_m)) / (2.0 * M)
-    lo, hi = params.geometry.position_bounds()
-    worst = min(
-        (R - gains.alpha * total_mass(lo + (hi - lo) * i / (GAIN_SCAN_POINTS - 1), params))
-        * gains.alpha * k_m
-        for i in range(GAIN_SCAN_POINTS)
-    )
-    check = Check("condition-product", report.condition_product, CONDITION_THRESHOLD,
+    # Larger root in alpha of (R - alpha*M)*alpha*k_m = threshold.
+    alpha_root = (R + math.sqrt(R * R - 4.0 * report.threshold * M / k_m)) / (2.0 * M)
+    check = Check("condition-product", report.condition_product, report.threshold,
                   report.positive_definite)
-    lines = [
+    return Report((check,), (
         f"gains: condition product (R - alpha*M)*alpha*k_m = "
         f"{check.value:.4f} (threshold {check.bound:.4f}) -> {_verdict(check.ok)}",
         f"gains: damping bound alpha < R/M = {R / M:.4f}",
         f"gains: positive-definiteness flips at alpha = {alpha_root:.4f}",
-    ]
-    if check.ok and worst <= CONDITION_THRESHOLD:
-        lines.append("note: condition product drops below the threshold for the heaviest "
-                     "in-range fluid mass; validity is position dependent")
-    lines.append("note: the reference study states 80 for this product; the parameters "
-                 "it lists give 49.37")
-    return Report((check,), tuple(lines))
+        "note: the reference study states 80 for this product; the parameters "
+        "it lists give 49.37",
+    ))
 
 
 SUITES = {

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,15 @@ from antago.controller import (
 from antago.engine import ForceModel, augmented_field
 from antago.errors import DomainError
 from antago.observer import observer_rate
-from antago.plant import PlantState, open_loop_field, total_mass
+from antago.plant import (
+    ActuatorGeometry,
+    FluidParams,
+    PlantParams,
+    PlantState,
+    open_loop_field,
+    total_mass,
+)
+from antago.scenario_io import load_preset
 from antago.verify import check_matching
 
 
@@ -188,7 +197,41 @@ def test_reference_tuning_condition_product(params, gains):
     assert report.condition_product == pytest.approx(49.374, rel=1e-3)
     assert report.positive_definite
     assert report.rate_bound_ok
-    assert report.margin > 0
+    assert report.threshold == 0.25
+
+
+def test_midpoint_mass_is_the_heaviest():
+    """validate_gains certifies at the domain-midpoint mass because no
+    admissible position is heavier: on the presets and on drawn geometries
+    that pass ActuatorGeometry's checks, the total mass at every interior grid
+    position is at most the midpoint's. The grid leaves out the midpoint
+    itself, where the two masses agree to rounding."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def assert_heaviest_at_midpoint(params):
+        lo, hi = params.geometry.position_bounds()
+        heaviest = total_mass(0.5 * (lo + hi), params)
+        for x in np.linspace(lo, hi, 102)[1:-1]:
+            assert total_mass(float(x), params) <= heaviest, (params, float(x))
+
+    for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep"):
+        assert_heaviest_at_midpoint(load_preset(name).params)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @hypothesis.given(L0=st.floats(1e-3, 1.0), n_L=st.integers(1, 50),
+                      D_s=st.floats(1e-4, 0.1), d_c=st.floats(1e-4, 0.1),
+                      k0=st.floats(1e-2, 1e2), V0=st.floats(1e-12, 1e-3),
+                      reach=st.floats(0.01, 1.0), offset=st.floats(0.01, 0.99),
+                      rho=st.floats(0.0, 2e4), m=st.floats(1e-6, 1e3))
+    def check(L0, n_L, D_s, d_c, k0, V0, reach, offset, rho, m):
+        x_M = reach * L0 / 4
+        geometry = ActuatorGeometry.from_scale(L0=L0, n_L=n_L, D_s=D_s, d_c=d_c, k0=k0,
+                                               V0=V0, x0=offset * x_M, x_M=x_M)
+        assert_heaviest_at_midpoint(PlantParams(geometry, FluidParams(Gamma0=1e9, rho=rho),
+                                                m=m, R=1.0))
+
+    check()
 
 
 def test_alpha_beyond_damping_bound_invalid(params, gains):
@@ -233,7 +276,7 @@ def test_epsilon_bounds_flip_validity(params, gains):
 
 
 def test_minor_and_eigenvalue_tests_agree(params):
-    """The eigenvalue verdict equals Sylvester's criterion on the leading
+    """The closed-form verdict equals Sylvester's criterion on the leading
     principal minors of the stability matrix, computed here independently."""
     M = total_mass(0.0, params)
     rng = np.random.default_rng(53)
@@ -252,7 +295,9 @@ def test_minor_and_eigenvalue_tests_agree(params):
 
 def test_validate_gains_never_raises_for_finite_input(params):
     """Drawn finite positive gains, R and m, and any finite epsilon >= 0 give
-    a report, even where the stability matrix leaves the float range."""
+    a report, even where the stability matrix leaves the float range, and its
+    verdict is Sylvester's criterion on that matrix in exact arithmetic. A
+    draw whose determinant's two sides agree to 1e-12 is left to rounding."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -264,7 +309,13 @@ def test_validate_gains_never_raises_for_finite_input(params):
     def check(k_p, k_m, k_i, alpha, R, m, eps):
         gains = ControllerGains(k_p=k_p, k_m=k_m, k_i=k_i, alpha=alpha)
         report = validate_gains(replace(params, R=R, m=m), gains, epsilon=eps)
-        assert report.positive_definite == (report.margin > 0)
+        R, a, k, e, M = map(Fraction, (R, alpha, k_m, eps, report.M_eval))
+        # The (p, zeta) block [[A, B], [B, alpha]]; its third diagonal entry 2*k_i > 0.
+        A = (R - a * M) / (k * M * M)
+        B = 1 / (2 * k * M) + e / (2 * M)
+        if abs(A * a - B * B) <= Fraction(1, 10**12) * max(abs(A * a), B * B):
+            return
+        assert report.positive_definite == (A > 0 and A * a > B * B and 2 * k_i > 0)
 
     check()
 

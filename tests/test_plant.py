@@ -221,7 +221,7 @@ def _public_parameters():
     for name in antago.__all__:
         obj = getattr(antago, name)
         if inspect.isclass(obj):
-            # Methods only: StabilityReport.margin is an eigenvalue field.
+            # Methods only: a constructor's parameters are its data fields.
             funcs = [f for attr, f in vars(obj).items()
                      if inspect.isfunction(f) and not attr.startswith("__")]
         else:

@@ -85,6 +85,19 @@ def test_round_trip_with_initial_state_and_schedule(study):
     )
     text = serialize_scenario(scenario)
     assert parse_scenario(text, name=scenario.name) == scenario
+    # numpy floats are floats too, and are written as plain numbers
+    f64 = np.float64
+    from_numpy = replace(
+        scenario,
+        gains=replace(study.gains, k_p=f64(2.0), alpha=f64(12.5)),
+        params=replace(study.params, m=f64(0.25), R=f64(3.5)),
+        setpoints=((f64(0.0), f64(1e-3)), (f64(2.5), f64(-5e-4))),
+        F_hat0=f64(0.0123),
+    )
+    for numpy_scenario in (from_numpy, replace(from_numpy, setpoints=((0.0, f64(1e-3)),))):
+        text = serialize_scenario(numpy_scenario)
+        assert "np." not in text, text
+        assert parse_scenario(text, name=scenario.name) == numpy_scenario
 
 
 def test_round_trip_property(study):
