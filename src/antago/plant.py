@@ -39,34 +39,46 @@ DOMAIN_MARGIN = 1e-6
 _K0_CONSISTENCY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ActuatorGeometry:
     """Geometry of one bellow actuator (both actuators of the pair are identical).
 
     ``k0`` and ``K0`` are redundant: ``K0 = k0 * (L0**2 / n_L) * (d_c/3 + D_s/2)``
-    is the combined volume scale. Both are stored, positive, finite and checked
-    for consistency; use :meth:`from_scale` to supply only one of them.
+    is the combined volume scale. Either may be left out, and is then derived
+    from the other; both are stored, positive, finite and checked for
+    consistency.
     """
 
     L0: float    # length of the empty actuator [m]
     n_L: int     # number of pouches
     D_s: float   # geometric diameter [m]
     d_c: float   # geometric diameter [m]
-    k0: float    # dimensionless volume scaling factor
-    K0: float    # combined volume scale [m^3]
+    k0: float | None = None   # dimensionless volume scaling factor
+    K0: float | None = None   # combined volume scale [m^3]
     V0: float    # dead volume of fluid [m^3]
     x0: float    # initial offset contraction [m]
     x_M: float   # maximum contraction [m]
 
     def __post_init__(self) -> None:
+        # n_L must have a finite float value: the division below converts it.
+        if not (isinstance(self.n_L, int) and 1 <= self.n_L <= sys.float_info.max):
+            raise ValueError("n_L must be a positive integer")
+        # L0 * L0, not L0**2: a float power overflows with OverflowError.
+        unit = (self.L0 * self.L0 / self.n_L) * (self.d_c / 3 + self.D_s / 2)
+        if not 0.0 < unit < math.inf:
+            raise ValueError("L0, D_s and d_c must be positive and finite")
+        if self.k0 is None and self.K0 is None:
+            raise ValueError("section [plant] needs k0 or K0 (or both)")
+        if self.k0 is None:
+            object.__setattr__(self, "k0", self.K0 / unit)
+        elif self.K0 is None:
+            object.__setattr__(self, "K0", self.k0 * unit)
         if not all(0.0 < v < math.inf for v in (self.L0, self.D_s, self.d_c, self.V0)):
             raise ValueError("L0, D_s, d_c and V0 must be positive and finite")
         # A NaN scale would pass the consistency check below; a zero scale
         # divides by zero in the area, and a negative one reverses the pair.
         if not (0.0 < self.k0 < math.inf and 0.0 < self.K0 < math.inf):
             raise ValueError("volume scales k0 and K0 must be positive and finite")
-        if not (isinstance(self.n_L, int) and 1 <= self.n_L <= sys.float_info.max):
-            raise ValueError("n_L must be a positive integer")
         if not (0 < self.x0 < self.x_M):
             raise ValueError("offset contraction must satisfy 0 < x0 < x_M")
         # x_M <= L0/4 keeps the analytic zero of the volume gradient, at
@@ -79,27 +91,6 @@ class ActuatorGeometry:
                 f"inconsistent volume scales: K0={self.K0!r} but "
                 f"k0*(L0^2/n_L)*(d_c/3 + D_s/2)={expected!r}"
             )
-
-    @classmethod
-    def from_scale(cls, *, L0: float, n_L: int, D_s: float, d_c: float,
-                   V0: float, x0: float, x_M: float,
-                   k0: float | None = None, K0: float | None = None) -> "ActuatorGeometry":
-        """Build a geometry from either ``k0`` or ``K0`` (the other is derived)."""
-        # n_L must have a finite float value: the division below converts it.
-        if not 1 <= n_L <= sys.float_info.max:
-            raise ValueError("n_L must be a positive integer")
-        # L0 * L0, not L0**2: a float power overflows with OverflowError.
-        unit = (L0 * L0 / n_L) * (d_c / 3 + D_s / 2)
-        if not 0.0 < unit < math.inf:
-            raise ValueError("L0, D_s and d_c must be positive and finite")
-        if k0 is None and K0 is None:
-            raise ValueError("one of k0, K0 is required")
-        if k0 is None:
-            k0 = K0 / unit
-        elif K0 is None:
-            K0 = k0 * unit
-        return cls(L0=L0, n_L=n_L, D_s=D_s, d_c=d_c, k0=k0, K0=K0,
-                   V0=V0, x0=x0, x_M=x_M)
 
     def position_bounds(self) -> tuple[float, float]:
         """Open interval of admissible positions, ``DOMAIN_MARGIN`` inside the travel."""

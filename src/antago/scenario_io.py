@@ -7,7 +7,9 @@ file order: a model section's keys are the field names of the types it
 builds, in field order, and each value is read as its field's type. Keys are
 case-sensitive; unknown keys are rejected with a suggestion when a
 case-insensitive or near match exists. ``[solver]`` and ``[initial]`` may be
-left out, and so may ``k0`` or ``K0`` (one derives the other) and ``P_atm``.
+left out, and a key of a model section may be left out exactly when its field
+has a default: ``P_atm``, and either volume scale, ``k0`` or ``K0``, which the
+geometry derives from the other.
 ``parse_scenario`` and ``serialize_scenario`` round-trip exactly: floats are
 written with their shortest exact decimal representation. ``parse_scenario``
 raises only ``ScenarioError``: one boundary turns every ``ValueError`` of the
@@ -25,7 +27,7 @@ import difflib
 import io
 import os
 import tempfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +58,10 @@ _SECTIONS = {
     "initial": (*_keys(PlantState), "F_hat"),
 }
 _OPTIONAL_SECTIONS = ("solver", "initial")
-_OPTIONAL_KEYS = ("k0", "K0", "P_atm")
+# Keys a required section may leave out: the model fields that have a default.
+_DEFAULTED = frozenset(f.name for cls in (ActuatorGeometry, FluidParams, ControllerGains,
+                                          ForceModel) for f in fields(cls)
+                       if f.default is not MISSING)
 
 
 def _reject_unknown(section: str, keys, expected) -> None:
@@ -132,14 +137,11 @@ def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
         if section not in cp:
             raise ScenarioError(f"missing required section [{section}]")
         for key in keys:
-            if key not in cp[section] and key not in _OPTIONAL_KEYS:
+            if key not in cp[section] and key not in _DEFAULTED:
                 raise ScenarioError(f"missing key {key!r} in section [{section}]")
     plant, sched = cp["plant"], cp["schedule"]
-    if "k0" not in plant and "K0" not in plant:
-        raise ScenarioError("section [plant] needs k0 or K0 (or both)")
-
     try:
-        geometry = ActuatorGeometry.from_scale(**_values(plant, ActuatorGeometry))
+        geometry = ActuatorGeometry(**_values(plant, ActuatorGeometry))
         fluid = FluidParams(**_values(plant, FluidParams))
         params = PlantParams(geometry=geometry, fluid=fluid,
                              m=_number(plant, "m"), R=_number(plant, "R"))

@@ -226,8 +226,8 @@ def test_midpoint_mass_is_the_heaviest():
                       rho=st.floats(0.0, 2e4), m=st.floats(1e-6, 1e3))
     def check(L0, n_L, D_s, d_c, k0, V0, reach, offset, rho, m):
         x_M = reach * L0 / 4
-        geometry = ActuatorGeometry.from_scale(L0=L0, n_L=n_L, D_s=D_s, d_c=d_c, k0=k0,
-                                               V0=V0, x0=offset * x_M, x_M=x_M)
+        geometry = ActuatorGeometry(L0=L0, n_L=n_L, D_s=D_s, d_c=d_c, k0=k0,
+                                    V0=V0, x0=offset * x_M, x_M=x_M)
         assert_heaviest_at_midpoint(PlantParams(geometry, FluidParams(Gamma0=1e9, rho=rho),
                                                 m=m, R=1.0))
 

@@ -3,6 +3,7 @@
 import argparse
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def _study_geometry(**overrides):
     kwargs = dict(L0=30e-3, n_L=3, D_s=12e-3, d_c=9e-3, V0=1e-7,
                   x0=3.75e-3, x_M=7.5e-3, K0=2.8e-6)
     kwargs.update(overrides)
-    return ActuatorGeometry.from_scale(**kwargs)
+    return ActuatorGeometry(**kwargs)
 
 
 def _study_params():
@@ -70,12 +71,13 @@ def test_inconsistent_volume_scales_rejected():
 
 
 def test_k0_and_K0_round_trip():
-    """Supplying either scale derives the other consistently."""
-    geo = _study_geometry()
-    via_k0 = ActuatorGeometry.from_scale(
-        L0=geo.L0, n_L=geo.n_L, D_s=geo.D_s, d_c=geo.d_c, V0=geo.V0,
-        x0=geo.x0, x_M=geo.x_M, k0=geo.k0)
+    """Either scale may be left out: the geometry derives it from the other
+    consistently. Leaving out both is an error."""
+    geo = _study_geometry()   # K0 given, k0 derived
+    via_k0 = _study_geometry(K0=None, k0=geo.k0)
     assert via_k0.K0 == pytest.approx(geo.K0, rel=1e-14)
+    with pytest.raises(ValueError, match=re.escape("needs k0 or K0 (or both)")):
+        _study_geometry(K0=None)
 
 
 def test_contraction_range_validation():

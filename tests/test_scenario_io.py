@@ -160,7 +160,7 @@ def _with_field(study, cls, name, value):
         geo = params.geometry
         inputs = {f.name: getattr(geo, f.name) for f in fields(geo) if f.name not in ("k0", "K0")}
         scale = {"K0": value} if name == "K0" else {"k0": geo.k0}
-        geometry = ActuatorGeometry.from_scale(**{**inputs, **scale, name: value})
+        geometry = ActuatorGeometry(**{**inputs, **scale, name: value})
         return replace(study, params=replace(params, geometry=geometry))
     if cls is FluidParams:
         return replace(study, params=replace(params, fluid=replace(params.fluid, **{name: value})))
@@ -241,13 +241,27 @@ def test_unknown_section_rejected(study):
 
 
 def test_missing_required_pieces(study):
-    import re
+    """A required section must be there, and a key of it may be left out
+    exactly when its field has a default; of k0 and K0, one must stay."""
     text = serialize_scenario(study)
     without_gains = re.sub(r"\[gains\][^\[]*", "", text)
     with pytest.raises(ScenarioError, match=r"\[gains\]"):
         parse_scenario(without_gains)
-    with pytest.raises(ScenarioError, match="'R'"):
-        parse_scenario(text.replace("R = 5.0\n", ""))
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    cp.read_string(text)
+    for section in ("plant", "gains", "force", "schedule"):
+        for key in cp[section]:
+            without = re.sub(rf"^{key} = .*\n", "", text, flags=re.MULTILINE)
+            if key in ("k0", "K0", "P_atm"):
+                parse_scenario(without)
+            else:
+                with pytest.raises(ScenarioError, match=re.escape(
+                        f"missing key {key!r} in section [{section}]")):
+                    parse_scenario(without)
+    scales = re.compile(r"^(k0|K0) = .*\n", flags=re.MULTILINE)
+    with pytest.raises(ScenarioError, match=re.escape("needs k0 or K0 (or both)")):
+        parse_scenario(scales.sub("", text))
 
 
 def test_unparsable_number(study):
