@@ -308,6 +308,9 @@ def augmented_field(state: PlantState, F_hat: float, gains: ControllerGains,
 # not depend on the unrolling.
 
 _MIN_STEP_FRACTION = 1e-14
+# A sample time this close to a setpoint time, relative to max(|t|, 1), gives
+# way to it (see _sample_grid); 100 floors keep the step between them clear.
+_COLLISION_FRACTION = 100 * _MIN_STEP_FRACTION
 
 
 def _rk23_segment(rhs, y, t_grid, solver, h):
@@ -430,8 +433,16 @@ STEPPERS = {"rk23": _rk23_segment, "rk4": _rk4_segment}
 
 def _sample_grid(duration: float, sample_dt: float, events: list[float]) -> list[float]:
     n = max(1, math.ceil(duration / sample_dt - 1e-12))
-    times = {round(i * duration / n, 15) for i in range(n + 1)}
-    times.update(e for e in events if 0.0 < e < duration)
+    grid = [round(i * duration / n, 15) for i in range(n + 1)]
+    times = set(grid)
+    for e in events:
+        if 0.0 < e < duration:
+            # An inner grid time within rounding of a setpoint time would leave
+            # a step below rk23's floor between them: the setpoint time replaces it.
+            i = bisect_left(grid, e)
+            times.difference_update(g for g in grid[max(i - 1, 1):min(i + 1, n)]
+                                    if abs(g - e) <= _COLLISION_FRACTION * max(abs(e), 1.0))
+            times.add(e)
     return sorted(times)
 
 

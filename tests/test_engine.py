@@ -238,6 +238,25 @@ def test_setpoint_schedule_steps():
     assert abs(record["x"][-1] - (-1e-3)) < 3e-4
 
 
+@pytest.mark.parametrize("exact, rounded", [(0.3, 0.1 * 3), (2.0, 2.0000000000000004),
+                                            (2.0, 1.9999999999999998)])
+def test_setpoint_time_within_rounding_of_a_sample(exact, rounded):
+    """A setpoint time an ulp off a sample time takes that sample's place,
+    instead of leaving a step below rk23's floor, and the run matches the one
+    at the exact time."""
+    base = load_preset("multistep")
+
+    def run(t):
+        return simulate(replace(base, setpoints=(base.setpoints[0], (t, 2e-3),
+                                                 base.setpoints[2])))
+
+    reference, record = run(exact), run(rounded)
+    assert record.status == "ok" and len(record) == 2001
+    assert rounded in record["t"]
+    x = reference["x"]
+    assert np.max(np.abs(record["x"] - x)) <= 1e-8 * np.max(np.abs(x))
+
+
 def test_domain_exit_reported(study):
     pushed = replace(study, force=ForceModel("constant", 0.5), duration=2.0)
     record = simulate(pushed)
