@@ -151,10 +151,7 @@ class ScenarioConfig:
     name: str = ""
 
     def __post_init__(self) -> None:
-        _check_cost(self.duration, self.solver)
-        if self.duration / self.solver.sample_dt + len(self.setpoints) > MAX_SAMPLES:
-            raise ScenarioError(f"duration / sample_dt plus the setpoint count exceeds "
-                                f"the budget of {MAX_SAMPLES} samples")
+        _check_cost(self.duration, self.solver, len(self.setpoints))
         if not self.setpoints or self.setpoints[0][0] != 0.0:
             raise ScenarioError("setpoint schedule must start at time 0")
         times = [t for t, _ in self.setpoints]
@@ -181,12 +178,14 @@ class ScenarioConfig:
         return self.gains.alpha * self.initial.p
 
 
-def _check_cost(duration: float, solver: SolverSettings) -> None:
-    """Reject a duration that is not finite and positive or that exceeds a budget."""
+def _check_cost(duration: float, solver: SolverSettings, setpoints: int) -> None:
+    """Reject a duration that is not finite and positive or that exceeds a
+    budget; each of the ``setpoints`` setpoint times counts as one sample."""
     if not 0.0 < duration < math.inf:
         raise ScenarioError("duration must be positive and finite")
-    if duration / solver.sample_dt > MAX_SAMPLES:
-        raise ScenarioError(f"duration / sample_dt exceeds the budget of {MAX_SAMPLES} samples")
+    if duration / solver.sample_dt + setpoints > MAX_SAMPLES:
+        counted = "duration / sample_dt" + (" plus the setpoint count" if setpoints else "")
+        raise ScenarioError(f"{counted} exceeds the budget of {MAX_SAMPLES} samples")
     if solver.method == "rk4" and duration / solver.fixed_step > MAX_RK4_STEPS:
         raise ScenarioError(
             f"duration / fixed_step exceeds the budget of {MAX_RK4_STEPS} rk4 steps")
@@ -533,7 +532,7 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     state leaves the admissible region and ``SolverError`` when the adaptive
     step collapses.
     """
-    _check_cost(duration, solver)
+    _check_cost(duration, solver, 0)
     geo = params.geometry
     L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
     rho = params.fluid.rho
