@@ -440,7 +440,7 @@ def _sample_grid(duration: float, sample_dt: float, events: list[float]) -> list
             # a step below rk23's floor between them: the setpoint time replaces it.
             i = bisect_left(grid, e)
             times.difference_update(g for g in grid[max(i - 1, 1):min(i + 1, n)]
-                                    if abs(g - e) <= _COLLISION_FRACTION * max(abs(e), 1.0))
+                                    if abs(g - e) <= _COLLISION_FRACTION * max(e, 1.0))
             times.add(e)
     return sorted(times)
 

@@ -29,7 +29,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 import numpy as np  # noqa: E402
 
 from antago.cli import main  # noqa: E402
-from antago.scenario_io import list_presets, load_preset, serialize_scenario  # noqa: E402
+from antago.scenario_io import load_preset, serialize_scenario  # noqa: E402
 from antago.verify import SUITES  # noqa: E402
 
 PRESETS = ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")
@@ -93,7 +93,6 @@ def digests() -> dict:
                 result = {" ".join(argv): _run(argv, files) for argv, files in COMMANDS}
             finally:
                 os.chdir(cwd)
-        assert tuple(list_presets()) == PRESETS, list_presets()
         for name in PRESETS:
             result[f"serialize_scenario {name}"] = {
                 "text": _sha(serialize_scenario(load_preset(name)))}
