@@ -432,15 +432,15 @@ STEPPERS = {"rk23": _rk23_segment, "rk4": _rk4_segment}
 
 def _sample_grid(duration: float, sample_dt: float, events: list[float]) -> list[float]:
     n = max(1, math.ceil(duration / sample_dt - 1e-12))
-    grid = [round(i * duration / n, 15) for i in range(n + 1)]
-    times = set(grid)
+    times = {round(i * duration / n, 15) for i in range(n + 1)}
     for e in events:
         if 0.0 < e < duration:
             # An inner grid time within rounding of a setpoint time would leave
             # a step below rk23's floor between them: the setpoint time replaces it.
-            i = bisect_left(grid, e)
-            times.difference_update(g for g in grid[max(i - 1, 1):min(i + 1, n)]
-                                    if abs(g - e) <= _COLLISION_FRACTION * max(e, 1.0))
+            i = round(e * n / duration)
+            g = round(i * duration / n, 15)
+            if 0 < i < n and abs(g - e) <= _COLLISION_FRACTION * max(e, 1.0):
+                times.discard(g)
             times.add(e)
     return sorted(times)
 
