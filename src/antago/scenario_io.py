@@ -59,9 +59,9 @@ _SECTIONS = {
 }
 _OPTIONAL_SECTIONS = ("solver", "initial")
 # Keys a required section may leave out: the model fields that have a default.
-_DEFAULTED = frozenset(f.name for cls in (ActuatorGeometry, FluidParams, ControllerGains,
-                                          ForceModel) for f in fields(cls)
-                       if f.default is not MISSING)
+_DEFAULTED = frozenset(
+    f.name for cls in (ActuatorGeometry, FluidParams, ControllerGains, ForceModel)
+    for f in fields(cls) if f.default is not MISSING)
 
 
 def _reject_unknown(section: str, keys, expected) -> None:
