@@ -21,19 +21,30 @@ deterministic; identical scenarios produce bit-identical trajectories. Both
 step five named scalars, with every stage written out per component, and call
 the right-hand side as ``rhs(t, x, p, P1, P2, F_hat)``; the open loop carries a
 fifth state that stays exactly zero and is dropped from its result. The inner
-loops make no ``min``/``max`` calls: each is written out as comparisons that
-keep the builtin's tie and NaN behaviour. The right-hand sides bind their
-per-segment constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``, ``-K0``) once, and
-the closed loop binds the force as a method, ``force.__call__``, so that no
-evaluation dispatches through the instance's type. Within an evaluation the
-products ``A_i * P_i`` and the negated shear are each computed once, and ``(-q)
-+ r`` is written ``r - q``, which IEEE arithmetic defines as the same
-operation. So every floating-point operation keeps the operands and order of
-the textbook form, and the trajectories are bit-identical to it.
+loops make no ``min``/``max``/``abs`` calls: each is written out as comparisons
+that keep the builtin's tie and NaN behaviour. The right-hand sides bind their
+per-segment constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``, ``-K0``) once. The
+closed loop also resolves the force law once per segment: when the force's
+type still has ``ForceModel``'s own ``__call__`` (the function captured when
+this module was imported), the evaluation computes ``value * tanh(xdot)``,
+``value * x`` or ``value`` in place; any other ``__call__``, such as a
+subclass's override or a wrapper put on the class, is bound and called.
+Within an evaluation the products ``A_i * P_i`` and the negated shear are each
+computed once, and ``(-q) + r`` is written ``r - q``, which IEEE arithmetic
+defines as the same operation. So every floating-point operation keeps the
+operands and order of the textbook form, and the trajectories are
+bit-identical to it.
+
+The sample grid is a pure function of ``(duration, sample_dt, setpoint
+times)``, so the last one built is kept (:func:`_sample_grid`, a one-entry
+memo keyed on those three with the two scalars' types): the points of a sweep
+share one grid. It is a tuple, so no caller can change the shared copy.
 
 A :class:`ScenarioConfig` checks itself on construction (``replace`` too), so
 every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
 output samples and setpoints and, for ``rk4``, ``MAX_RK4_STEPS`` fixed steps.
+It also rejects a setpoint time within rounding of the previous one or of the
+duration, which would leave a step below ``rk23``'s floor between them.
 
 A position within the plant's fixed 1 µm ``DOMAIN_MARGIN`` of the
 volume-model boundary ends a run as "domain-exit". The right-hand sides inline
@@ -55,6 +66,7 @@ and reads the observer gain ``alpha`` only from ``ControllerGains``.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -97,9 +109,12 @@ class ForceModel:
     ``constant``: F = value; ``tanh_friction``: F = value * tanh(xdot)
     (Coulomb-like, vanishes at rest); ``spring``: F = value * x.
 
-    The engine binds ``__call__`` once per setpoint segment, and once per
-    record, as the method found on the instance's type at that moment. A
-    subclass that overrides ``__call__`` is called in its place.
+    The closed-loop right-hand side writes these three laws out in place,
+    with the operands and order of :meth:`__call__`, when
+    ``type(force).__call__`` is this class's own ``__call__``. Otherwise, as
+    for a subclass that overrides ``__call__`` or a wrapper set on the class,
+    it binds the ``__call__`` found on the instance's type once per setpoint
+    segment and calls it. The record calls ``__call__`` once per sample.
     """
 
     kind: str
@@ -117,6 +132,11 @@ class ForceModel:
         if self.kind == "tanh_friction":
             return self.value * math.tanh(xdot)
         return self.value * x
+
+
+# ForceModel's own force law, as defined above: the closed-loop right-hand side
+# writes it out in place only while a force's type still has this __call__.
+_FORCE_LAW = ForceModel.__call__
 
 
 @dataclass(frozen=True)
@@ -159,6 +179,14 @@ class ScenarioConfig:
             raise ScenarioError("setpoint times must be finite")
         if sorted(times) != times or len(set(times)) != len(times):
             raise ScenarioError("setpoint times must be strictly increasing")
+        # Two run times within rounding of each other, by the collision rule of
+        # _sample_grid, would leave rk23 a step below its floor between them.
+        ends = [t for t in times if t < self.duration] + [self.duration]
+        for a, b in zip(ends, ends[1:]):
+            if b - a <= _COLLISION_FRACTION * max(b, 1.0):
+                other = "the duration" if b == self.duration else "setpoint time"
+                raise ScenarioError(
+                    f"setpoint time {a!r} and {other} {b!r} are within rounding of each other")
         lo, hi = self.params.geometry.position_bounds()
         for _, x_star in self.setpoints:
             if not lo < x_star < hi:
@@ -229,12 +257,14 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
               x_star: float):
     """Closed-loop right-hand side for one setpoint segment.
 
-    All parameters, the derived constants and the bound ``force.__call__`` are
-    locals of the closure; the geometry branch is inlined because this is the
-    innermost loop of every simulation. Shared subexpressions (``A_i * P_i``
-    in G and sigma, the negated shear in both pressure rows) are computed once,
-    with the operands and order of the textbook form, so the result is
-    bit-identical to it.
+    All parameters, the derived constants and the force law are locals of the
+    closure; the geometry branch is inlined because this is the innermost loop
+    of every simulation. The force law is picked once: while
+    ``type(force).__call__`` is ``ForceModel``'s own (``_FORCE_LAW``), its kind's
+    product is computed in place; otherwise the bound ``force.__call__`` is
+    called. Shared subexpressions (``A_i * P_i`` in G and sigma, the negated
+    shear in both pressure rows) are computed once, with the operands and order
+    of the textbook form, so the result is bit-identical to it.
     """
     geo = params.geometry
     L0 = geo.L0
@@ -252,8 +282,14 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
     two_k_m = 2.0 * k_m
     neg_K0 = -K0
     margin = DOMAIN_MARGIN
+    kind = force.kind if type(force).__call__ is _FORCE_LAW else None
+    tanh_law = kind == "tanh_friction"
+    spring_law = kind == "spring"
+    constant_law = kind == "constant"
+    fv = force.value
     f = force.__call__
     sqrt = math.sqrt
+    tanh = math.tanh
 
     def rhs(t: float, x: float, p: float, P1: float, P2: float, F_hat: float) -> tuple:
         u1 = x_M - x - x0
@@ -279,7 +315,14 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
         w1 = A1 * P1
         w2 = A2 * P2
         G = p * p * rho * (A1 + A2) / (2.0 * M * M) + w1 + w2 - R * v
-        F = f(x, v)
+        if tanh_law:
+            F = fv * tanh(v)
+        elif spring_law:
+            F = fv * x
+        elif constant_law:
+            F = fv
+        else:
+            F = f(x, v)
         k_i_sig = k_i * (w1 + w2 - F_hat + kpkm * (x - x_star))
         ns = -((1.0 + k_m * (P1 * dA1 + P2 * dA2 + kpkm)) * v / two_k_m)
         return (
@@ -318,7 +361,9 @@ def _rk23_segment(rhs, y, t_grid, solver, h):
     ``rhs(t, y1, ..., y5)`` returns the five derivatives as a tuple. Each
     ``min``/``max`` of the textbook loop is written out as comparisons that
     keep the builtin's result: the first argument wins a tie, and a NaN
-    argument after the first never wins.
+    argument after the first never wins. Each ``abs(y)`` is written
+    ``y if y >= 0.0 else -y``, which differs from it only in the sign of a
+    NaN or of a zero; neither sign reaches a comparison's outcome or an output.
     """
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
     out = []
@@ -326,7 +371,7 @@ def _rk23_segment(rhs, y, t_grid, solver, h):
     y1, y2, y3, y4, y5 = y
     a1, a2, a3, a4, a5 = rhs(t, y1, y2, y3, y4, y5)
     for tg in t_grid[1:]:
-        abs_tg = abs(tg)
+        abs_tg = tg if tg >= 0.0 else -tg
         land_tol = 1e-15 * (abs_tg if abs_tg > 1.0 else 1.0)
         while t < tg:
             # h = min(h, max_step, tg - t)
@@ -335,7 +380,7 @@ def _rk23_segment(rhs, y, t_grid, solver, h):
             rest = tg - t
             if rest < h:
                 h = rest
-            abs_t = abs(t)
+            abs_t = t if t >= 0.0 else -t
             if h < _MIN_STEP_FRACTION * (abs_t if abs_t > 1.0 else 1.0):
                 raise SolverError(f"step size underflow at t={t:.6e} "
                                   f"(state={(y1, y2, y3, y4, y5)})")
@@ -353,34 +398,34 @@ def _rk23_segment(rhs, y, t_grid, solver, h):
             d1, d2, d3, d4, d5 = rhs(t + h, n1, n2, n3, n4, n5)
             # errn = max(0.0, r1, ..., r5) with r_i = |e_i| / (atol + rtol * max(|y_i|, |n_i|))
             errn = 0.0
-            ay = abs(y1)
-            an = abs(n1)
-            r = (abs(h * (-5.0 * a1 / 72.0 + b1 / 12.0 + c1 / 9.0 - d1 / 8.0))
-                 / (atol + rtol * (an if an > ay else ay)))
+            ay = y1 if y1 >= 0.0 else -y1
+            an = n1 if n1 >= 0.0 else -n1
+            e = h * (-5.0 * a1 / 72.0 + b1 / 12.0 + c1 / 9.0 - d1 / 8.0)
+            r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
             if r > errn:
                 errn = r
-            ay = abs(y2)
-            an = abs(n2)
-            r = (abs(h * (-5.0 * a2 / 72.0 + b2 / 12.0 + c2 / 9.0 - d2 / 8.0))
-                 / (atol + rtol * (an if an > ay else ay)))
+            ay = y2 if y2 >= 0.0 else -y2
+            an = n2 if n2 >= 0.0 else -n2
+            e = h * (-5.0 * a2 / 72.0 + b2 / 12.0 + c2 / 9.0 - d2 / 8.0)
+            r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
             if r > errn:
                 errn = r
-            ay = abs(y3)
-            an = abs(n3)
-            r = (abs(h * (-5.0 * a3 / 72.0 + b3 / 12.0 + c3 / 9.0 - d3 / 8.0))
-                 / (atol + rtol * (an if an > ay else ay)))
+            ay = y3 if y3 >= 0.0 else -y3
+            an = n3 if n3 >= 0.0 else -n3
+            e = h * (-5.0 * a3 / 72.0 + b3 / 12.0 + c3 / 9.0 - d3 / 8.0)
+            r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
             if r > errn:
                 errn = r
-            ay = abs(y4)
-            an = abs(n4)
-            r = (abs(h * (-5.0 * a4 / 72.0 + b4 / 12.0 + c4 / 9.0 - d4 / 8.0))
-                 / (atol + rtol * (an if an > ay else ay)))
+            ay = y4 if y4 >= 0.0 else -y4
+            an = n4 if n4 >= 0.0 else -n4
+            e = h * (-5.0 * a4 / 72.0 + b4 / 12.0 + c4 / 9.0 - d4 / 8.0)
+            r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
             if r > errn:
                 errn = r
-            ay = abs(y5)
-            an = abs(n5)
-            r = (abs(h * (-5.0 * a5 / 72.0 + b5 / 12.0 + c5 / 9.0 - d5 / 8.0))
-                 / (atol + rtol * (an if an > ay else ay)))
+            ay = y5 if y5 >= 0.0 else -y5
+            an = n5 if n5 >= 0.0 else -n5
+            e = h * (-5.0 * a5 / 72.0 + b5 / 12.0 + c5 / 9.0 - d5 / 8.0)
+            r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
             if r > errn:
                 errn = r
             if errn <= 1.0:
@@ -430,7 +475,14 @@ def _rk4_segment(rhs, y, t_grid, solver, h_in):
 STEPPERS = {"rk23": _rk23_segment, "rk4": _rk4_segment}
 
 
-def _sample_grid(duration: float, sample_dt: float, events: list[float]) -> list[float]:
+# One entry: the points of a sweep share their grid, and at most one grid
+# (MAX_SAMPLES floats) stays alive. ``typed`` keeps an int duration apart from
+# the equal float, whose products may round differently.
+@functools.lru_cache(maxsize=1, typed=True)
+def _sample_grid(duration: float, sample_dt: float,
+                 events: tuple[float, ...]) -> tuple[float, ...]:
+    """The output times of a run, shared by every caller with the same
+    arguments, so it is a tuple that no caller can change."""
     n = max(1, math.ceil(duration / sample_dt - 1e-12))
     times = {round(i * duration / n, 15) for i in range(n + 1)}
     for e in events:
@@ -442,7 +494,7 @@ def _sample_grid(duration: float, sample_dt: float, events: list[float]) -> list
             if 0 < i < n and abs(g - e) <= _COLLISION_FRACTION * max(e, 1.0):
                 times.discard(g)
             times.add(e)
-    return sorted(times)
+    return tuple(sorted(times))
 
 
 def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
@@ -456,7 +508,7 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     solver = scenario.solver
     step = STEPPERS[solver.method]
 
-    events = [t for t, _ in scenario.setpoints]
+    events = tuple(t for t, _ in scenario.setpoints)
     grid = _sample_grid(scenario.duration, solver.sample_dt, events)
 
     y = (scenario.initial.x, scenario.initial.p, scenario.initial.P1,
@@ -567,7 +619,7 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
                 Gamma0 * (U2 - A2 * v) / V2,
                 0.0)
 
-    grid = _sample_grid(duration, solver.sample_dt, [])
+    grid = _sample_grid(duration, solver.sample_dt, ())
     # The steppers advance five states; the fifth stays exactly zero here.
     y = (initial.x, initial.p, initial.P1, initial.P2, 0.0)
     ys, _ = STEPPERS[solver.method](rhs, y, grid, solver, min(solver.max_step, 1e-8))

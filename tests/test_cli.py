@@ -101,6 +101,14 @@ def test_run_non_finite_input_is_one_line_error(tmp_path, study, capsys, key, va
     # reversed the pair and ran to "ok"
     ("k0 = 1.0370370370370372\nK0 = 2.8e-06\n", "K0 = 0.0\n", ("k0 and K0", "positive")),
     ("k0 = 1.0370370370370372\nK0 = 2.8e-06\n", "K0 = -2.8e-06\n", ("k0 and K0", "positive")),
+    # setpoint times within rounding of 0, of each other and of the duration
+    # ended the run "step-underflow"
+    ("x_star = 0.001", "x_star = 0.0:0.001, 1e-17:0.002",
+     ("setpoint time 0.0", "1e-17", "within rounding")),
+    ("x_star = 0.001", "x_star = 0.0:0.001, 4.002:0.002, 4.00200000000002:0.001",
+     ("setpoint time 4.002", "4.00200000000002", "within rounding")),
+    ("x_star = 0.001", "x_star = 0.0:0.001, 9.999999999999998:0.002",
+     ("9.999999999999998", "the duration 10.0", "within rounding")),
 ])
 def test_run_bad_plant_or_schedule_is_one_line_error(tmp_path, study, capsys, monkeypatch,
                                                      old, new, words):

@@ -223,6 +223,28 @@ def test_sample_grid_and_channels(fig2_runs):
     assert set(record.data) == set(CHANNELS)
 
 
+def test_sample_grid_memo_matches_a_fresh_grid():
+    """The one-entry memo of the sample grid hands every caller the grid the
+    plain function builds, bit for bit and as a tuple, for the presets, the
+    1.2 s observer-decay run and an int duration next to the equal float; a
+    changed argument never gets the previous grid."""
+    memo = engine._sample_grid
+    keys = [(sc.duration, sc.solver.sample_dt, tuple(t for t, _ in sc.setpoints))
+            for sc in map(load_preset, ("fig2-F1", "fig2-F2", "fig2-F3", "multistep"))]
+    keys.append((1.2, 5e-3, (0.0,)))
+    # 3 * (2**52 + 1) is exact as an int and rounds as a float, so the int
+    # duration's grid differs from the equal float's.
+    big = 2**52 + 1
+    int_key, float_key = (big, big / 5, ()), (float(big), big / 5, ())
+    assert memo.__wrapped__(*int_key) != memo.__wrapped__(*float_key)
+    keys += [float_key, int_key, float_key]
+    for key in keys + keys[::-1]:
+        grid = memo(*key)
+        assert type(grid) is tuple
+        assert [v.hex() for v in grid] == [v.hex() for v in memo.__wrapped__(*key)], key
+        assert memo(*key) is grid
+
+
 def test_setpoint_schedule_steps():
     scenario = load_preset("multistep")
     record = simulate(scenario)
@@ -255,6 +277,28 @@ def test_setpoint_time_within_rounding_of_a_sample(exact, rounded):
     assert rounded in record["t"]
     x = reference["x"]
     assert np.max(np.abs(record["x"] - x)) <= 1e-8 * np.max(np.abs(x))
+
+
+def test_setpoint_time_within_rounding_of_a_run_time_is_rejected():
+    """A setpoint time within rounding of time 0, of the previous setpoint
+    time or of the duration would leave rk23 a step below its floor; the
+    scenario rejects it on construction. Just outside that margin, and at or
+    after the duration, the run ends ok."""
+    base = load_preset("multistep")
+    first, _, last = base.setpoints
+    for setpoints in ((first, (1e-12, 2e-3), last),
+                      (first, (4.002, 2e-3), (4.002 + 4e-12, 1e-3), last),
+                      (first, (4.0, 2e-3), (4.000000000000001, 1e-3), last),
+                      (first, (10.0 - 1e-11, 2e-3))):
+        with pytest.raises(ScenarioError, match="within rounding"):
+            replace(base, setpoints=setpoints)
+    for setpoints in ((first, (2e-12, 2e-3), last),
+                      (first, (4.002, 2e-3), (4.002 + 1e-11, 1e-3), last),
+                      (first, (10.0 - 2e-11, 2e-3)),
+                      (first, (10.0, 2e-3)),
+                      (first, (10.000000000000002, 2e-3))):
+        record = simulate(replace(base, setpoints=setpoints))
+        assert record.status == "ok" and len(record) >= 2001, setpoints
 
 
 def test_domain_exit_reported(study):
@@ -743,3 +787,37 @@ def test_closed_loop_rhs_matches_reference(study):
     base, override = (engine._make_rhs(params, gains, force, 0.0)(0.0, *state)[1]
                       for force in (ForceModel("spring", 10.0), _OverriddenForce("spring", 10.0)))
     assert base != override
+
+
+def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
+    """A counting wrapper set on ``ForceModel.__call__``, as a tracer does,
+    is called once per right-hand-side evaluation and once per record
+    sample, for every force kind, and the runs stay bit-identical."""
+    counts = {"force": 0, "rhs": 0}
+    call = ForceModel.__call__
+    make_rhs = engine._make_rhs
+
+    def counted_call(force, x, xdot):
+        counts["force"] += 1
+        return call(force, x, xdot)
+
+    def counting_make_rhs(*args):
+        rhs = make_rhs(*args)
+
+        def counted_rhs(*state):
+            counts["rhs"] += 1
+            return rhs(*state)
+        return counted_rhs
+
+    scenarios = [replace(study, force=ForceModel(kind, value), duration=0.5)
+                 for kind, value in (("constant", 0.01), ("tanh_friction", 5.0),
+                                     ("spring", -10.0))]
+    plain = [simulate(scenario) for scenario in scenarios]
+    monkeypatch.setattr(engine, "_make_rhs", counting_make_rhs)
+    monkeypatch.setattr(ForceModel, "__call__", counted_call)
+    for scenario, expected in zip(scenarios, plain):
+        counts.update(force=0, rhs=0)
+        record = simulate(scenario)
+        assert record == expected, scenario.force
+        assert counts["rhs"] > 0 and counts["force"] == counts["rhs"] + len(record), \
+            (scenario.force, counts)

@@ -15,6 +15,7 @@ from antago.controller import ControllerGains
 from antago.engine import (
     CHANNELS,
     FORCE_KINDS,
+    _COLLISION_FRACTION,
     ForceModel,
     SolverSettings,
     TrajectoryRecord,
@@ -117,12 +118,16 @@ def test_round_trip_property(study):
     @hypothesis.given(data=st.data())
     def check(data):
         times = [0.0, *data.draw(later)]
+        gains = ControllerGains(*(data.draw(positive) for _ in range(4)))
+        force = ForceModel(data.draw(st.sampled_from(FORCE_KINDS)), data.draw(finite))
+        setpoints = tuple((t, data.draw(inside)) for t in times)
+        duration = data.draw(st.floats(min_value=1e-3, max_value=10.0))
+        # Run times within rounding of each other make no valid schedule.
+        ends = [t for t in times if t < duration] + [duration]
+        hypothesis.assume(all(b - a > _COLLISION_FRACTION * max(b, 1.0)
+                              for a, b in zip(ends, ends[1:])))
         scenario = replace(
-            study,
-            gains=ControllerGains(*(data.draw(positive) for _ in range(4))),
-            force=ForceModel(data.draw(st.sampled_from(FORCE_KINDS)), data.draw(finite)),
-            setpoints=tuple((t, data.draw(inside)) for t in times),
-            duration=data.draw(st.floats(min_value=1e-3, max_value=10.0)),
+            study, gains=gains, force=force, setpoints=setpoints, duration=duration,
             solver=SolverSettings(
                 method=data.draw(st.sampled_from(("rk23", "rk4"))),
                 rel_tol=data.draw(positive), abs_tol=data.draw(positive),
