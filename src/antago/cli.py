@@ -32,7 +32,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .controller import validate_gains
-from .engine import STEPPERS, DiagnosticsSummary, ScenarioConfig, diagnostics, simulate
+from .engine import SETTLE_TOL, STEPPERS, DiagnosticsSummary, ScenarioConfig, diagnostics, simulate
 from .errors import ScenarioError
 from .scenario_io import (
     _SECTIONS,
@@ -79,7 +79,7 @@ def _print_summary(summary) -> None:
     print(f"final x - x*: {summary.x_error:.6e} m")
     print(f"final sigma: {summary.sigma_final:.6e}")
     print(f"force-balance residual: {summary.force_balance_residual:.6e} N")
-    print(f"settle time (|x - x*| > {summary.settle_tol:g}): {summary.settle_time:.4f} s")
+    print(f"settle time (|x - x*| > {SETTLE_TOL:g}): {summary.settle_time:.4f} s")
     print(f"max Psi increment: {summary.max_psi_increment:.6e} (Psi max {summary.psi_max:.6e})")
     print(f"fitted zeta decay rate: {summary.zeta_rate:.6f} "
           f"(rel. err vs gain {summary.zeta_rate_rel_err:.3e})")

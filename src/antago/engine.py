@@ -19,8 +19,9 @@ accepts: an adaptive third-order embedded pair with second-order error estimate
 (``rk23``) and a fixed-step classical fourth-order scheme (``rk4``). Both are
 deterministic; identical scenarios produce bit-identical trajectories. Both
 step five named scalars, with every stage written out per component, and call
-the right-hand side as ``rhs(t, x, p, P1, P2, F_hat)``; the open loop carries a
-fifth state that stays exactly zero and is dropped from its result. The inner
+the right-hand side as ``rhs(t, x, p, P1, P2, F_hat)``. The open loop's right-hand
+side, built by :func:`_make_open_rhs`, is the unforced plant (no flow, no load);
+its fifth state stays exactly zero and is dropped from the result. The inner
 loops make no ``min``/``max``/``abs`` calls: each is written out as comparisons
 that keep the builtin's tie and NaN behaviour. The right-hand sides bind their
 per-segment constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``, ``-K0``) once. The
@@ -192,13 +193,9 @@ class ScenarioConfig:
             if not lo < x_star < hi:
                 raise DomainError(
                     f"setpoint {x_star!r} outside admissible range ({lo:.4e}, {hi:.4e})")
-        init = self.initial
-        if not all(math.isfinite(v) for v in (init.x, init.p, init.P1, init.P2)):
-            raise ScenarioError("initial state must be finite")
+        _check_initial(self.initial, self.params)
         if self.F_hat0 is not None and not math.isfinite(self.F_hat0):
             raise ScenarioError("initial force estimate F_hat0 must be finite")
-        if not lo < init.x < hi:
-            raise ScenarioError("initial position outside the admissible range")
 
     def initial_F_hat(self) -> float:
         if self.F_hat0 is not None:
@@ -217,6 +214,15 @@ def _check_cost(duration: float, solver: SolverSettings, setpoints: int) -> None
     if solver.method == "rk4" and duration / solver.fixed_step > MAX_RK4_STEPS:
         raise ScenarioError(
             f"duration / fixed_step exceeds the budget of {MAX_RK4_STEPS} rk4 steps")
+
+
+def _check_initial(initial: PlantState, params: PlantParams) -> None:
+    """Reject an initial state that is not finite or lies outside the admissible range."""
+    if not all(math.isfinite(v) for v in (initial.x, initial.p, initial.P1, initial.P2)):
+        raise ScenarioError("initial state must be finite")
+    lo, hi = params.geometry.position_bounds()
+    if not lo < initial.x < hi:
+        raise ScenarioError("initial position outside the admissible range")
 
 
 # Channel order is the CSV column order.
@@ -332,6 +338,37 @@ def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
             ns / A2 - k_i_sig / A2,
             alpha * (G - F_hat + alpha * p),
         )
+
+    return rhs
+
+
+def _make_open_rhs(params: PlantParams, R: float):
+    """Right-hand side of the unforced open-loop plant with damping ``R``."""
+    geo = params.geometry
+    L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
+    rho, neg_Gamma0, m = params.fluid.rho, -params.fluid.Gamma0, params.m
+    two_L0, neg_K0 = 2.0 * L0, -K0
+    margin, sqrt = DOMAIN_MARGIN, math.sqrt
+
+    def rhs(t: float, x: float, p: float, P1: float, P2: float, zero: float) -> tuple:
+        u1 = x_M - x - x0
+        u2 = x + x0
+        if not (u1 > margin and u2 > margin):
+            side = 2 if u1 > margin else 1
+            raise DomainError(f"actuator {side} reached the volume-model boundary "
+                              f"(t={t:.6e}, state={(x, p, P1, P2)})")
+        s1 = sqrt(6.0 * u1 / L0)
+        a1 = 2.0 / 3.0 - u1 / two_L0
+        s2 = sqrt(6.0 * u2 / L0)
+        a2 = 2.0 / 3.0 - u2 / two_L0
+        V1 = K0 * a1 * s1 + V0
+        V2 = K0 * a2 * s2 + V0
+        A1 = neg_K0 * (3.0 * a1 / (L0 * s1) - s1 / two_L0)
+        A2 = K0 * (3.0 * a2 / (L0 * s2) - s2 / two_L0)
+        M = m + rho * (V1 + V2)
+        v = p / M
+        G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
+        return (v, G, neg_Gamma0 * (A1 * v) / V1, neg_Gamma0 * (A2 * v) / V2, 0.0)
 
     return rhs
 
@@ -572,57 +609,28 @@ def _build_record(scenario, times, states, status, detail) -> TrajectoryRecord:
 
 
 def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float,
-                       solver: SolverSettings, U1: float = 0.0, U2: float = 0.0,
-                       F: float = 0.0, R_override: float | None = None
+                       solver: SolverSettings, R_override: float | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate the open-loop plant under constant inputs.
+    """Integrate the unforced open-loop plant (no flow, no load).
 
-    Returns (times, states[n,4], H[n]). Used for passivity and energy
-    conservation checks; ``R_override`` allows the lossless case R = 0.
-    Raises ``ScenarioError`` (a ``ValueError``) for a duration that is not
-    positive and finite or exceeds a cost budget, ``DomainError`` when the
-    state leaves the admissible region and ``SolverError`` when the adaptive
-    step collapses.
+    Returns (times, states[n,4], H[n]) for the passivity and energy
+    conservation checks; ``R_override`` allows the lossless case R = 0. Raises
+    ``ScenarioError`` (a ``ValueError``) before the sample grid is built for a
+    bad or over-budget duration, a non-finite or out-of-range initial state or
+    a negative or non-finite ``R_override``; ``DomainError`` when the state
+    leaves the admissible region and ``SolverError`` when the adaptive step
+    collapses.
     """
     _check_cost(duration, solver, 0)
-    geo = params.geometry
-    L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
-    rho = params.fluid.rho
-    Gamma0 = params.fluid.Gamma0
-    m = params.m
+    _check_initial(initial, params)
     R = params.R if R_override is None else R_override
-    two_L0 = 2.0 * L0
-    neg_K0 = -K0
-    margin = DOMAIN_MARGIN
-    sqrt = math.sqrt
-
-    def rhs(t, x, p, P1, P2, zero):
-        u1 = x_M - x - x0
-        u2 = x + x0
-        if not (u1 > margin and u2 > margin):
-            side = 2 if u1 > margin else 1
-            raise DomainError(f"actuator {side} reached the volume-model boundary "
-                              f"(t={t:.6e}, state={(x, p, P1, P2)})")
-        s1 = sqrt(6.0 * u1 / L0)
-        a1 = 2.0 / 3.0 - u1 / two_L0
-        s2 = sqrt(6.0 * u2 / L0)
-        a2 = 2.0 / 3.0 - u2 / two_L0
-        V1 = K0 * a1 * s1 + V0
-        V2 = K0 * a2 * s2 + V0
-        A1 = neg_K0 * (3.0 * a1 / (L0 * s1) - s1 / two_L0)
-        A2 = K0 * (3.0 * a2 / (L0 * s2) - s2 / two_L0)
-        M = m + rho * (V1 + V2)
-        v = p / M
-        G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
-        return (v, G - F,
-                Gamma0 * (U1 - A1 * v) / V1,
-                Gamma0 * (U2 - A2 * v) / V2,
-                0.0)
-
+    if not 0.0 <= R < math.inf:
+        raise ScenarioError("R_override must be non-negative and finite")
     grid = _sample_grid(duration, solver.sample_dt, ())
     # The steppers advance five states; the fifth stays exactly zero here.
     y = (initial.x, initial.p, initial.P1, initial.P2, 0.0)
-    ys, _ = STEPPERS[solver.method](rhs, y, grid, solver, min(solver.max_step, 1e-8))
+    ys, _ = STEPPERS[solver.method](_make_open_rhs(params, R), y, grid, solver,
+                                    min(solver.max_step, 1e-8))
     states = np.array([y] + ys)[:, :4]
     energies = np.array([hamiltonian(PlantState(*row), params)
                          for row in states.tolist()])
@@ -639,8 +647,7 @@ class DiagnosticsSummary:
     x_error: float                 # final x - x_star
     sigma_final: float
     force_balance_residual: float  # final P1*A1 + P2*A2 - F_hat
-    settle_time: float             # last time |x - x_star| exceeded settle_tol
-    settle_tol: float
+    settle_time: float             # last time |x - x_star| exceeded SETTLE_TOL
     max_psi_increment: float
     psi_max: float
     zeta_rate: float               # fitted exponential decay rate of |zeta|
@@ -699,7 +706,6 @@ def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
         sigma_final=float(record["sigma"][-1]),
         force_balance_residual=float(balance),
         settle_time=settle_time,
-        settle_tol=SETTLE_TOL,
         max_psi_increment=max_inc,
         psi_max=float(psi.max()),
         zeta_rate=rate,

@@ -60,8 +60,8 @@ def halved_runs(fig2_runs):
 
 @pytest.fixture(scope="session")
 def lossless_run(params):
-    """Open loop with damping, inputs and load all zero: rk4 at h = 6e-7
-    over 0.1 s. Returns (times, states, H)."""
+    """Unforced open loop with damping zero: rk4 at h = 6e-7 over 0.1 s.
+    Returns (times, states, H)."""
     init = PlantState(x=5e-4, p=0.0, P1=2e4, P2=1e4)
     solver = SolverSettings(method="rk4", fixed_step=6e-7, sample_dt=1e-3)
     return simulate_open_loop(params, init, 0.1, solver, R_override=0.0)

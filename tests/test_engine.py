@@ -1,5 +1,6 @@
 """Simulation engine: force models, integration, diagnostics, robustness."""
 
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -145,22 +146,7 @@ def test_substituted_field_matches_raw_composition(study):
             assert abs(a - b) / scale < 1e-9
 
 
-def _open_loop_rhs(params, monkeypatch, **inputs):
-    """The right-hand side ``simulate_open_loop`` builds for these inputs,
-    captured by a stub rk4 stepper."""
-    captured = {}
-
-    def capture(rhs, y, t_grid, solver, h):
-        captured["rhs"] = rhs
-        return [y for _ in t_grid[1:]], h
-
-    monkeypatch.setitem(engine.STEPPERS, "rk4", capture)
-    simulate_open_loop(params, PlantState(0.0, 0.0, 0.0, 0.0), 1e-3,
-                       SolverSettings(method="rk4", sample_dt=1e-3), **inputs)
-    return captured["rhs"]
-
-
-def test_inlined_geometry_matches_kernel(study, monkeypatch):
+def test_inlined_geometry_matches_kernel(study):
     """The geometry inlined in the closed-loop and open-loop right-hand sides
     equals the plant kernel, read back through inputs that isolate each term,
     across the admissible range; the array kernel equals the scalar one."""
@@ -169,7 +155,7 @@ def test_inlined_geometry_matches_kernel(study, monkeypatch):
     free = ForceModel("constant", 0.0)
     kpkm = gains.k_p * gains.k_m
 
-    open_rhs = _open_loop_rhs(params, monkeypatch, U1=1.0, U2=1.0)
+    open_rhs = engine._make_open_rhs(params, params.R)
 
     lo, hi = geo.position_bounds()
     xs = np.linspace(lo, hi, 52)[1:-1]
@@ -197,10 +183,11 @@ def test_inlined_geometry_matches_kernel(study, monkeypatch):
 
         assert open_rhs(0.0, x, 0.0, 1.0, 0.0, 0.0)[1] == g.A1
         assert open_rhs(0.0, x, 0.0, 0.0, 1.0, 0.0)[1] == g.A2
-        assert open_rhs(0.0, x, 1.0, 0.0, 0.0, 0.0)[0] == 1.0 / M
-        at_rest = open_rhs(0.0, x, 0.0, 0.0, 0.0, 0.0)
+        moving = open_rhs(0.0, x, 1.0, 0.0, 0.0, 0.0)
+        assert moving[0] == 1.0 / M
         Gamma0 = params.fluid.Gamma0
-        assert at_rest[2:4] == (Gamma0 * 1.0 / g.V1, Gamma0 * 1.0 / g.V2)
+        assert moving[2:4] == (-Gamma0 * (g.A1 * (1.0 / M)) / g.V1,
+                               -Gamma0 * (g.A2 * (1.0 / M)) / g.V2)
 
 
 def test_simulation_is_deterministic(study):
@@ -480,10 +467,11 @@ def test_lossless_energy_conservation(lossless_run):
 
 
 def test_open_loop_passivity_with_damping(params, monkeypatch):
-    """With damping on and no inputs the energy must decay monotonically
+    """With damping on the unforced plant's energy must decay monotonically
     (up to sampling resolution). A run that leaves the domain raises
-    ``DomainError``; a bad or over-budget duration raises ``ValueError``
-    before the sample grid is built."""
+    ``DomainError``; a bad or over-budget duration, a non-finite or
+    out-of-range initial state and a negative or non-finite ``R_override``
+    raise ``ScenarioError`` before the sample grid is built."""
     init = PlantState(x=5e-4, p=0.0, P1=2e4, P2=1e4)
     solver = SolverSettings(method="rk23", rel_tol=1e-10, abs_tol=1e-12,
                             sample_dt=1e-3, max_step=1e-4)
@@ -492,23 +480,37 @@ def test_open_loop_passivity_with_damping(params, monkeypatch):
     assert np.max(np.diff(H)) < 1e-9 * H[0]
 
     with pytest.raises(DomainError, match=r"actuator 2 .* \(t=.*, state=\(-0\.00374"):
-        simulate_open_loop(params, PlantState(0.0, 0.0, 0.0, 0.0), 0.05, SolverSettings(),
-                           U1=1e-3, F=1e6)
+        simulate_open_loop(params, PlantState(0.0, -1e3, 0.0, 0.0), 0.05, SolverSettings())
     # the stepper reports its five states; the open loop's fifth is always zero
     with pytest.raises(SolverError, match=r"underflow at t=0\.0.*"
-                                          r"state=\(0\.0005, 0\.0, 20000\.0, 10000\.0, 0\.0\)"):
-        simulate_open_loop(params, init, 0.01, SolverSettings(rel_tol=1e-30, abs_tol=1e-300),
-                           U1=1e-7)
+                                          r"state=\(0\.0005, 0\.001, 20000\.0, 10000\.0, 0\.0\)"):
+        simulate_open_loop(params, PlantState(5e-4, 1e-3, 2e4, 1e4), 0.01,
+                           SolverSettings(rel_tol=1e-30, abs_tol=1e-300))
 
     def no_grid(*args):
-        raise AssertionError("a rejected duration reached the sample grid")
+        raise AssertionError("a rejected input reached the sample grid")
 
     monkeypatch.setattr(engine, "_sample_grid", no_grid)
     for duration in (-1.0, 0.0, math.inf, math.nan, 1e9):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             simulate_open_loop(params, init, duration, solver)
-    with pytest.raises(ValueError, match="rk4 steps"):
+    with pytest.raises(ScenarioError, match="rk4 steps"):
         simulate_open_loop(params, init, 0.05, SolverSettings(method="rk4", fixed_step=1e-12))
+    lo, hi = params.geometry.position_bounds()
+    for bad in (replace(init, x=math.nan), replace(init, P2=math.inf), replace(init, x=lo),
+                replace(init, x=hi)):
+        with pytest.raises(ScenarioError, match="initial"):
+            simulate_open_loop(params, bad, 0.05, solver)
+    for R in (-5.0, -1e-300, math.inf, math.nan):
+        with pytest.raises(ScenarioError, match="R_override"):
+            simulate_open_loop(params, init, 0.05, solver, R_override=R)
+
+
+def test_open_loop_takes_no_inputs():
+    """The open loop integrates the unforced plant only: it takes no flow or
+    load input and no option beyond the lossless override."""
+    assert list(inspect.signature(simulate_open_loop).parameters) == [
+        "params", "initial", "duration", "solver", "R_override"]
 
 
 def test_rk23_matches_scipy_dop853(fig2_runs):
@@ -585,8 +587,9 @@ def _reference_make_rhs(params, gains, force, x_star, margin=engine.DOMAIN_MARGI
     return rhs
 
 
-def _reference_open_rhs(params, U1, U2, F, R, margin):
-    """Reference form of the right-hand side inside ``engine.simulate_open_loop``."""
+def _reference_open_rhs(params, R, margin=engine.DOMAIN_MARGIN):
+    """Reference form of ``engine._make_open_rhs``: the textbook open loop
+    with both flows and the load at zero."""
     geo = params.geometry
     L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
     rho = params.fluid.rho
@@ -612,10 +615,7 @@ def _reference_open_rhs(params, U1, U2, F, R, margin):
         M = m + rho * (V1 + V2)
         v = p / M
         G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
-        return (v, G - F,
-                Gamma0 * (U1 - A1 * v) / V1,
-                Gamma0 * (U2 - A2 * v) / V2,
-                0.0)
+        return (v, G, Gamma0 * -(A1 * v) / V1, Gamma0 * -(A2 * v) / V2, 0.0)
 
     return rhs
 
@@ -712,8 +712,7 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
         "open-rk4": SolverSettings(method="rk4", fixed_step=1e-6, sample_dt=1e-3),
     }
     for name, solver in open_solvers.items():
-        runs[name] = lambda solver=solver: simulate_open_loop(
-            study.params, init, 0.01, solver, U1=1e-7, F=0.1)
+        runs[name] = lambda solver=solver: simulate_open_loop(study.params, init, 0.01, solver)
 
     unrolled = {name: run() for name, run in runs.items()}
     calls = dict.fromkeys(engine.STEPPERS, 0)
@@ -727,6 +726,7 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     monkeypatch.setitem(engine.STEPPERS, "rk23", counted("rk23", _reference_rk23_segment))
     monkeypatch.setitem(engine.STEPPERS, "rk4", counted("rk4", _reference_rk4_segment))
     monkeypatch.setattr(engine, "_make_rhs", _reference_make_rhs)
+    monkeypatch.setattr(engine, "_make_open_rhs", _reference_open_rhs)
     for name, run in runs.items():
         expected = run()
         if name.startswith("open"):
@@ -742,12 +742,11 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     assert unrolled["sweep-k_m"].status == "ok"
 
 
-def test_open_loop_rhs_matches_reference(params, monkeypatch):
+def test_open_loop_rhs_matches_reference(params):
     """The open-loop right-hand side equals its reference form bit for bit at
-    sampled states across the admissible range, with inputs, load and damping."""
-    U1, U2, F = 3e-7, -2e-7, 0.4
-    open_rhs = _open_loop_rhs(params, monkeypatch, U1=U1, U2=U2, F=F)
-    reference = _reference_open_rhs(params, U1, U2, F, params.R, engine.DOMAIN_MARGIN)
+    sampled states across the admissible range, with damping."""
+    open_rhs = engine._make_open_rhs(params, params.R)
+    reference = _reference_open_rhs(params, params.R)
 
     lo, hi = params.geometry.position_bounds()
     rng = np.random.default_rng(17)
