@@ -38,7 +38,7 @@ from .engine import (
     simulate,
     simulate_open_loop,
 )
-from .errors import DomainError, ScenarioError, SolverError
+from .errors import DomainError, ScenarioError, SolverError, WorkerError
 from .observer import observer_rate
 from .plant import (
     ActuatorGeometry,
@@ -76,7 +76,7 @@ __all__ = [
     "DomainError", "FluidParams", "ForceModel", "GeometryTerms", "PlantParams",
     "PlantState", "ScenarioConfig", "ScenarioError", "SigmaTerms",
     "SolverError", "SolverSettings", "StabilityReport", "StepperParams",
-    "TrajectoryRecord", "augmented_field", "closed_loop_field",
+    "TrajectoryRecord", "WorkerError", "augmented_field", "closed_loop_field",
     "control_flows", "desired_energy", "desired_energy_rate", "diagnostics",
     "fit_decay_rate", "generalized_force", "geometry_terms", "hamiltonian",
     "hamiltonian_gradient", "list_presets", "load_preset", "load_scenario",

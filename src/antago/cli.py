@@ -12,28 +12,25 @@ SCENARIO is either a scenario file path or the name of a bundled preset
 variable). Exit status is nonzero when a run terminates early or a
 verification bound is violated. Every bad input reaches :func:`main` as a
 ``ValueError`` (``ScenarioError`` and ``DomainError`` are ones), which it
-prints as one ``error:`` line before exiting 1; an early end of a run arrives
-as the record's status, not as an exception.
+prints as one ``error:`` line before exiting 1, as it does a ``WorkerError``
+(a forked worker that died); an early end of a run arrives as the record's
+status, not as an exception.
 
 ``sweep`` checks every point before it simulates any, then runs the points on
-forked worker processes, one per core the process may use (in-process when
-fewer than two would be busy or the process has other threads). Its table and
-progress lines do not depend on how many workers ran.
+:func:`antago.workers.forked_imap`. Its table and progress lines do not depend
+on how many workers ran.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import threading
-from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
 from .controller import validate_gains
 from .engine import SETTLE_TOL, STEPPERS, DiagnosticsSummary, ScenarioConfig, diagnostics, simulate
-from .errors import ScenarioError
+from .errors import ScenarioError, WorkerError
 from .scenario_io import (
     _SECTIONS,
     _atomic_write,
@@ -43,6 +40,7 @@ from .scenario_io import (
     save_trajectory_csv,
 )
 from .verify import SUITES
+from .workers import forked_imap
 
 _SWEEP_PLANT_KEYS = ("R", "m")
 _SWEEP_KEYS = (*_SECTIONS["gains"], *_SWEEP_PLANT_KEYS, "epsilon")
@@ -155,28 +153,6 @@ def _point_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
     return diagnostics(simulate(scenario), scenario.gains, scenario.params)
 
 
-def _sweep_summaries(scenarios: list[ScenarioConfig]) -> Iterator[DiagnosticsSummary]:
-    """Yield the diagnostics of each scenario, in order.
-
-    The scenarios run on forked worker processes, one per core this process
-    may use and no more than there are scenarios. They run in this process
-    when fewer than two workers would be busy, and when this process has
-    other threads, which a fork would copy in whatever state they hold. Each
-    summary is the same whichever process computed it.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cores, len(scenarios))
-    if workers < 2 or threading.active_count() > 1:
-        yield from map(_point_summary, scenarios)
-        return
-    import multiprocessing   # here, so that importing the CLI does not load it
-
-    sys.stdout.flush()       # a forked worker must not inherit unwritten output
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        # one point per task: the large-alpha points that end early sit together
-        yield from pool.imap(_point_summary, scenarios, chunksize=1)
-
-
 def _cmd_sweep(args) -> int:
     base = _apply_solver_flags(_resolve_scenario(args.scenario), args)
     values = _parse_values(args.values)
@@ -186,14 +162,14 @@ def _cmd_sweep(args) -> int:
     reports = [validate_gains(s.params, s.gains, epsilon=value if epsilon_sweep else 0.0)
                for s, value in zip(scenarios, values)]
     if epsilon_sweep:   # every epsilon variant is the base scenario: simulate it once
-        summaries = list(_sweep_summaries([base])) * len(values)
+        summaries = [_point_summary(base)] * len(values)
     else:
-        summaries = _sweep_summaries(scenarios)
+        summaries = forked_imap(_point_summary, scenarios)
     header = ("value,valid,positive_definite,rate_bound_ok,condition_product,"
               "status,x_error,settle_time,max_psi_increment,psi_max,zeta_rate")
     rows = [header]
     worst_exit = 0
-    # strict: runs the summaries to their end, which closes the worker pool
+    # strict: runs the summaries to their end, which reaps the workers
     for value, report, summary in zip(values, reports, summaries, strict=True):
         valid = report.positive_definite and report.rate_bound_ok
         if summary.status != "ok":
@@ -271,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,3 +11,7 @@ class ScenarioError(ValueError):
 
 class SolverError(RuntimeError):
     """The integrator could not continue (its adaptive step collapsed)."""
+
+
+class WorkerError(RuntimeError):
+    """A forked worker process ended before it sent its result."""

@@ -25,6 +25,7 @@ from .plant import (
     open_loop_field,
 )
 from .scenario_io import load_preset
+from .workers import forked_imap
 
 MATCHING_SAMPLES = 100
 MATCHING_BOUND = 1e-9
@@ -153,6 +154,13 @@ def check_observer_decay() -> Report:
 # --------------------------------------------------------------------------
 # 3. Lyapunov descent over the reference scenarios.
 
+def _lyapunov_check(name: str) -> Check:
+    scenario = load_preset(name)
+    summary = diagnostics(simulate(scenario), scenario.gains, scenario.params)
+    bound = LYAPUNOV_REL_BOUND * summary.psi_max
+    return Check(name, summary.max_psi_increment, bound, summary.max_psi_increment <= bound)
+
+
 def check_lyapunov() -> Report:
     """Check that the Lyapunov candidate Psi never increases along each run.
 
@@ -160,14 +168,8 @@ def check_lyapunov() -> Report:
     motion opposes it; a motion-favouring load sits outside that assumption
     and can produce genuine (tiny but resolvable) positive increments.
     """
-    checks = []
-    for name in LYAPUNOV_PRESETS:
-        scenario = load_preset(name)
-        summary = diagnostics(simulate(scenario), scenario.gains, scenario.params)
-        bound = LYAPUNOV_REL_BOUND * summary.psi_max
-        checks.append(Check(name, summary.max_psi_increment, bound,
-                            summary.max_psi_increment <= bound))
-    return Report(tuple(checks), tuple(
+    checks = tuple(forked_imap(_lyapunov_check, LYAPUNOV_PRESETS))
+    return Report(checks, tuple(
         f"lyapunov {c.name}: max Psi increment {c.value:.3e} "
         f"(bound {c.bound:.3e}) -> {_verdict(c.ok)}"
         for c in checks

@@ -24,6 +24,8 @@ from antago.scenario_io import (
     serialize_scenario,
 )
 
+_SRC = str(Path(antago.__file__).resolve().parents[1])
+
 
 @pytest.fixture()
 def short_scenario_file(tmp_path, study):
@@ -474,8 +476,8 @@ def test_parallel_sweep_matches_in_process_rows(tmp_path, study, capsys, monkeyp
     assert capsys.readouterr().out == progress
     simulated_in = pids.read_text().split()
     assert len(simulated_in) == len(values)
-    workers = set(simulated_in)
-    assert str(os.getpid()) not in workers and 2 <= len(workers) <= 3
+    # three workers: this process simulates points 0, 3 and 6, two children the rest
+    assert simulated_in.count(str(os.getpid())) == 3 and len(set(simulated_in)) == 3
 
 
 def test_worker_error_is_one_line_error(tmp_path, short_scenario_file, capsys, monkeypatch):
@@ -490,6 +492,37 @@ def test_worker_error_is_one_line_error(tmp_path, short_scenario_file, capsys, m
                  "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == "error: rejected in a worker\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+# Runs the CLI on argv, with two cores and with a simulate that kills its own
+# process, as the OOM killer would, when a forked worker meets alpha > 100.
+_KILL_LARGE_ALPHA_WORKER = """\
+import os, signal, sys
+import antago.cli
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, simulate = os.getpid(), antago.cli.simulate
+def simulate_or_die(scenario):
+    if scenario.gains.alpha > 100.0 and os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return simulate(scenario)
+antago.cli.simulate = simulate_or_die
+sys.exit(antago.cli.main(sys.argv[1:]))
+"""
+
+
+def test_dead_worker_is_one_line_error(tmp_path, short_scenario_file):
+    """A worker killed by a signal ends the sweep with one error line naming it,
+    after the progress line of the point before; the sweep does not hang."""
+    out = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_LARGE_ALPHA_WORKER, "sweep", "alpha",
+         str(short_scenario_file), "--values", "5,1000,10", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC}, timeout=60)
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: worker process \d+ was killed by SIGKILL "
+                        r"before sending its result\n", proc.stderr), proc.stderr
+    assert proc.stdout.startswith("alpha = 5: ") and proc.stdout.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sweep_in_threaded_process_runs_in_process(tmp_path, short_scenario_file,
@@ -520,10 +553,28 @@ def test_epsilon_sweep_simulates_once(tmp_path, short_scenario_file, monkeypatch
     assert pids.read_text().split() == [str(os.getpid())]
 
 
-def test_cli_import_does_not_load_multiprocessing():
-    src = str(Path(antago.__file__).resolve().parents[1])
-    code = ("import sys, antago.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    assert proc.stdout == "[]\n"
+# Imports the CLI, then runs argv on two cores; prints the multiprocessing
+# modules loaded after the import, the forks made and the modules loaded after.
+_LOADED_MODULES = """\
+import contextlib, io, os, sys
+import antago.cli
+def loaded():
+    return sorted(m for m in sys.modules if "multiprocessing" in m)
+after_import = loaded()
+os.sched_getaffinity = lambda pid: {0, 1}
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(0) or fork()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert antago.cli.main(sys.argv[1:]) == 0
+sys.stderr.write(f"{after_import} {len(forks)} {loaded()}")
+"""
+
+
+def test_cli_import_does_not_load_multiprocessing(tmp_path, short_scenario_file):
+    """Neither importing the CLI nor a sweep on forked workers loads multiprocessing."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, "sweep", "alpha", str(short_scenario_file),
+         "--values", "5,10", "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC}, check=True,
+        timeout=60)
+    assert proc.stderr == "[] 1 []"

@@ -673,3 +673,29 @@ def test_csv_renders_every_dtype_as_float(dtype):
     column = np.array([0, 1, 3, 7], dtype=dtype)
     record = TrajectoryRecord({name: column for name in CHANNELS})
     assert trajectory_to_csv(record) == _reference_trajectory_to_csv(record)
+
+
+def test_csv_render_does_not_depend_on_worker_count(fig2_runs, tmp_path, monkeypatch):
+    """2001 rows are two blocks: on two cores this process renders the first
+    and one child the second; the text equals the per-value reference."""
+    import antago.scenario_io
+
+    record = fig2_runs["fig2-F1"][1]
+    assert len(record) == 2001
+    render_block = antago.scenario_io._csv_block
+    pids = tmp_path / "pids.txt"
+
+    def render_and_log(table, start):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return render_block(table, start)
+
+    monkeypatch.setattr(antago.scenario_io, "_csv_block", render_and_log)
+    expected = _reference_trajectory_to_csv(record)
+    me = str(os.getpid())
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        pids.write_text("")
+        assert trajectory_to_csv(record) == expected
+        ran = pids.read_text().split()
+        assert len(ran) == 2 and ran.count(me) == 3 - len(cores) and len(set(ran)) == len(cores)
