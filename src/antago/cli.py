@@ -9,14 +9,15 @@ Subcommands::
 
 SCENARIO is either a scenario file path or the name of a bundled preset
 (override the preset directory with the ``ANTAGO_PRESET_DIR`` environment
-variable). Exit status is nonzero when a run terminates early or a
-verification bound is violated. Every bad input reaches :func:`main` as a
-``ValueError`` (``ScenarioError`` and ``DomainError`` are ones), which it
-prints as one ``error:`` line before exiting 1, as it does a ``WorkerError``
-(a forked worker that died); an early end of a run arrives as the record's
-status, not as an exception.
+variable; ``verify`` always checks the bundled presets). Exit status is
+nonzero when a run terminates early or a verification bound is violated.
+Every bad input reaches :func:`main` as a ``ValueError`` (``ScenarioError``
+and ``DomainError`` are ones), which it prints as one ``error:`` line before
+exiting 1, as it does a ``WorkerError`` (a forked worker that died); an early
+end of a run arrives as the record's status, not as an exception.
 
-``sweep`` checks every point before it simulates any, then runs the points on
+``sweep`` takes at most ``MAX_SWEEP_POINTS`` values, checks every point
+before it simulates any, then runs the points on
 :func:`antago.workers.forked_imap`. Its table and progress lines do not depend
 on how many workers ran.
 """
@@ -44,8 +45,9 @@ from .workers import forked_imap
 
 _SWEEP_PLANT_KEYS = ("R", "m")
 _SWEEP_KEYS = (*_SECTIONS["gains"], *_SWEEP_PLANT_KEYS, "epsilon")
-# Most points a 'start:stop:count' range may ask for; checked before the list
-# is built. The benchmark sweeps 32 points per command.
+# Most points --values may ask for, as a number list or a 'start:stop:count'
+# range; checked before any value is read. The benchmark sweeps 32 points per
+# command.
 MAX_SWEEP_POINTS = 10**4
 
 
@@ -123,6 +125,8 @@ def _parse_values(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ScenarioError("range values must be 'start:stop:count'")
+    if len(parts) == 1 and text.count(",") >= MAX_SWEEP_POINTS:
+        raise ScenarioError(f"value list exceeds the budget of {MAX_SWEEP_POINTS} points")
     try:
         if len(parts) == 1:
             return [float(v) for v in text.split(",")]

@@ -225,38 +225,38 @@ def _check_initial(initial: PlantState, params: PlantParams) -> None:
         raise ScenarioError("initial position outside the admissible range")
 
 
-# Channel order is the CSV column order.
+# The record's channels, in the column order of its table and of its CSV.
 CHANNELS = ("t", "x", "xdot", "p", "P1", "P2", "U1", "U2", "F_hat", "F_tilde",
             "F_true", "zeta", "sigma", "x_star", "H", "H_d", "Psi")
+_COLUMN = {name: i for i, name in enumerate(CHANNELS)}
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Sampled closed-loop trajectory with diagnostic channels.
-
-    ``status`` is "ok", "domain-exit" or "step-underflow"; ``detail``
-    describes the offending state. On early termination the arrays hold only
-    the setpoint segments finished before the failure, so a one-segment run
-    keeps only t = 0 (ROADMAP item 1).
+    """Sampled closed-loop trajectory: ``table`` is one C-contiguous float64
+    array, a row per sample and a column per channel in :data:`CHANNELS`
+    order; ``record[name]`` is a view of its column, and ``len`` and ``==``
+    (NaN equal to NaN) read the table. ``status`` is "ok", "domain-exit" or
+    "step-underflow"; ``detail`` describes the offending state. On early
+    termination the table holds only the setpoint segments finished before
+    the failure, so a one-segment run keeps only t = 0 (ROADMAP item 1).
     """
 
-    data: dict[str, np.ndarray]
+    table: np.ndarray
     status: str = "ok"
     detail: str = ""
 
     def __getitem__(self, channel: str) -> np.ndarray:
-        return self.data[channel]
+        return self.table[:, _COLUMN[channel]]
 
     def __len__(self) -> int:
-        return len(self.data["t"])
+        return len(self.table)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrajectoryRecord):
             return NotImplemented
         return (self.status == other.status and self.detail == other.detail
-                and set(self.data) == set(other.data)
-                and all(np.array_equal(self.data[k], other.data[k], equal_nan=True)
-                        for k in self.data))
+                and np.array_equal(self.table, other.table, equal_nan=True))
 
 
 def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
@@ -603,9 +603,9 @@ def _build_record(scenario, times, states, status, detail) -> TrajectoryRecord:
            + 0.5 * gains.k_p * (x_star - x) ** 2
            + 0.5 * s**2)
     Psi = H_d + 0.5 * zeta**2
-    data = dict(zip(CHANNELS, (t, x, v, p, P1, P2, U1, U2, F_hat, F_tilde, F_true,
-                               zeta, s, x_star, H, H_d, Psi)))
-    return TrajectoryRecord(data=data, status=status, detail=detail)
+    table = np.column_stack((t, x, v, p, P1, P2, U1, U2, F_hat, F_tilde, F_true,
+                             zeta, s, x_star, H, H_d, Psi))
+    return TrajectoryRecord(table, status, detail)
 
 
 def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float,

@@ -15,9 +15,10 @@ written with their shortest exact decimal representation. ``parse_scenario``
 raises only ``ScenarioError``: one boundary turns every ``ValueError`` of the
 model into one, with its message.
 
-Trajectory CSV files are comma-separated with '.' decimals, LF line endings
-and a mandatory header; the run status is carried in leading ``#`` comment
-lines so the table itself stays consumable by any CSV reader.
+A trajectory CSV is the record's table, comma-separated with '.' decimals, LF
+line endings and one header, the names of :data:`~antago.engine.CHANNELS`;
+the run status is carried in leading ``#`` comment lines so the table itself
+stays consumable by any CSV reader.
 """
 
 from __future__ import annotations
@@ -220,6 +221,7 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+_CSV_HEADER = ",".join(CHANNELS)
 # Rows per block of the CSV renderer: a block is one job of forked_imap,
 # whose module docstring weighs the fork cost against the per-row cost.
 _CSV_BLOCK_ROWS = 1024
@@ -230,9 +232,9 @@ def trajectory_to_csv(record: TrajectoryRecord) -> str:
 
     The run status travels in leading '#' comment lines, keeping the table
     itself plain CSV: ``# status: <status>``, then one ``# detail: <line>``
-    per line of a nonempty detail. Every value is written as the shortest
-    ``repr`` of its float64 value. The rows are rendered in blocks of
-    ``_CSV_BLOCK_ROWS``, spread over forked workers by
+    per line of a nonempty detail. Each value of ``record.table`` is written
+    as the shortest ``repr`` of its float64 value. The rows are rendered in
+    blocks of ``_CSV_BLOCK_ROWS``, spread over forked workers by
     :func:`~antago.workers.forked_imap`; the text does not depend on how many
     ran.
     """
@@ -240,8 +242,8 @@ def trajectory_to_csv(record: TrajectoryRecord) -> str:
     if record.detail:
         # split where the reader splits; the added newline keeps a trailing empty line
         lines.extend(f"# detail: {part}" for part in (record.detail + "\n").splitlines())
-    lines.append(",".join(CHANNELS))
-    table = np.column_stack([np.asarray(record[name], dtype=float) for name in CHANNELS])
+    lines.append(_CSV_HEADER)
+    table = np.asarray(record.table, dtype=float)
     blocks = forked_imap(partial(_csv_block, table), range(0, len(table), _CSV_BLOCK_ROWS))
     return "\n".join(lines) + "\n" + "".join(blocks)
 
@@ -257,8 +259,8 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> No
     _atomic_write(Path(path), trajectory_to_csv(record))
 
 
-def _read_table(rows: list[str], numbers: list[int], width: int) -> np.ndarray:
-    """The data rows (on lines ``numbers``) as one float table of ``width`` columns.
+def _read_table(rows: list[str], numbers: list[int]) -> np.ndarray:
+    """The data rows (on lines ``numbers``) as one float table, a column per channel.
 
     numpy's compiled reader parses all rows in one call. Only when that fails,
     or gives another width, is each row read alone to name the first bad line.
@@ -269,14 +271,14 @@ def _read_table(rows: list[str], numbers: list[int], width: int) -> np.ndarray:
             table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None)
         except ValueError:
             return None
-        return table if table.shape[1] == width else None
+        return table if table.shape[1] == len(CHANNELS) else None
 
     if not rows:
-        return np.empty((0, width))
+        return np.empty((0, len(CHANNELS)))
     table = read(rows)
     if table is None:   # some row fails alone: rows that each read at this width read together
         number, ln = next((n, ln) for n, ln in zip(numbers, rows) if read([ln]) is None)
-        raise ScenarioError(f"trajectory CSV line {number}: expected {width} numbers, "
+        raise ScenarioError(f"trajectory CSV line {number}: expected {len(CHANNELS)} numbers, "
                             f"got {ln!r}")
     return table
 
@@ -292,13 +294,12 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
     whitespace allowed, but without ``_`` digit separators (``1_0`` is an
     error).
 
-    A header without a ``t`` column or with an empty or repeated name, a row
-    that does not hold one number per header field, and a header that lacks
-    any channel of :data:`~antago.engine.CHANNELS` raise :class:`ScenarioError`
-    with the line number.
+    The first other line must be the writer's header; any other, and a row
+    that does not hold one number per channel, raise :class:`ScenarioError`
+    with the line number. The record holds the parsed float64 table itself.
     """
     status, details = "ok", []
-    header, header_line, rows, numbers = None, 0, [], []
+    header_seen, rows, numbers = False, [], []
     for number, ln in enumerate(text.splitlines(), start=1):
         if ln.startswith("#"):
             if ln.startswith("# status:"):
@@ -307,23 +308,17 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
                 details.append(ln.removeprefix("# detail:").removeprefix(" "))
         elif not ln.strip():
             continue
-        elif header is None:
-            header, header_line = ln.split(","), number
-            if "t" not in header or "" in header or len(set(header)) != len(header):
-                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} needs "
-                                    "a 't' column and unique, nonempty names")
+        elif not header_seen:
+            if ln != _CSV_HEADER:
+                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} is not "
+                                    f"the expected {_CSV_HEADER!r}")
+            header_seen = True
         else:
             rows.append(ln)
             numbers.append(number)
-    if header is None:
+    if not header_seen:
         raise ScenarioError("trajectory CSV has no header row")
-    table = _read_table(rows, numbers, len(header))
-    missing = [name for name in CHANNELS if name not in header]
-    if missing:
-        raise ScenarioError(f"trajectory CSV line {header_line}: header lacks the "
-                            f"record channels {', '.join(missing)}")
-    data = {name: table[:, i].copy() for i, name in enumerate(header)}
-    return TrajectoryRecord(data=data, status=status, detail="\n".join(details))
+    return TrajectoryRecord(_read_table(rows, numbers), status, "\n".join(details))
 
 
 def load_trajectory_csv(path: str | os.PathLike) -> TrajectoryRecord:
@@ -334,13 +329,13 @@ def load_trajectory_csv(path: str | os.PathLike) -> TrajectoryRecord:
 # Presets.
 
 PRESET_ENV_VAR = "ANTAGO_PRESET_DIR"
+# The presets shipped with the package, which PRESET_ENV_VAR may replace for
+# load_preset and list_presets.
+BUNDLED_PRESET_DIR = Path(__file__).resolve().parent / "presets"
 
 
 def _preset_dir() -> Path:
-    override = os.environ.get(PRESET_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "presets"
+    return Path(os.environ.get(PRESET_ENV_VAR) or BUNDLED_PRESET_DIR)
 
 
 def list_presets() -> list[str]:

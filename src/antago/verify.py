@@ -5,7 +5,8 @@ independent oracle (finite differences, exact exponential solutions, raw
 open-loop composition, exact arithmetic) and returns one :class:`Report`: a
 :class:`Check` per verdict, each against a bound fixed in this module, and
 the lines that the CLI ``verify`` subcommand prints. The test suite asserts
-on the same checks.
+on the same checks. The suites read the presets bundled with the package,
+whatever ``ANTAGO_PRESET_DIR`` names: their bounds are fixed for those.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import ControllerGains, closed_loop_field, control_flows, sigma, validate_gains
-from .engine import ForceModel, diagnostics, fit_decay_rate, simulate
+from .engine import ForceModel, ScenarioConfig, diagnostics, fit_decay_rate, simulate
 from .plant import (
     PlantState,
     geometry_terms,
@@ -24,7 +25,7 @@ from .plant import (
     hamiltonian_gradient,
     open_loop_field,
 )
-from .scenario_io import load_preset
+from .scenario_io import BUNDLED_PRESET_DIR, load_scenario
 from .workers import forked_imap
 
 MATCHING_SAMPLES = 100
@@ -35,6 +36,11 @@ LYAPUNOV_PRESETS = ("fig2-F1", "fig2-F2", "fig2-F3")
 GRADIENT_POINTS = 20
 
 _REL_FLOOR = 1e-20
+
+
+def _bundled(name: str) -> ScenarioConfig:
+    """The preset ``name`` as shipped with the package."""
+    return load_scenario(BUNDLED_PRESET_DIR / f"{name}.ini")
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -82,7 +88,7 @@ def check_matching(seed: int = 0) -> Report:
     by the computed flow commands must reproduce the shaped field exactly;
     this is the central algebraic identity of the control design.
     """
-    params = load_preset("fig2-F1").params
+    params = _bundled("fig2-F1").params
     lo, hi = params.geometry.position_bounds()
     pad = 0.05 * (hi - lo)
     rng = np.random.default_rng(seed)
@@ -125,7 +131,7 @@ def check_observer_decay() -> Report:
     The error obeys an exact linear ODE, so the fitted rate must equal the
     observer gain and the squared error must decay at twice that rate.
     """
-    base = load_preset("fig2-F1")
+    base = _bundled("fig2-F1")
     # 0.01 N matches the equilibrium-force scale of the reference scenarios.
     # At the reference tuning, a constant load from rest over 3 s ends ok up
     # to 0.086 N, though still 1.3e-4 m (0.01 N) to 5.7e-4 m (0.086 N) short
@@ -155,7 +161,7 @@ def check_observer_decay() -> Report:
 # 3. Lyapunov descent over the reference scenarios.
 
 def _lyapunov_check(name: str) -> Check:
-    scenario = load_preset(name)
+    scenario = _bundled(name)
     summary = diagnostics(simulate(scenario), scenario.gains, scenario.params)
     bound = LYAPUNOV_REL_BOUND * summary.psi_max
     return Check(name, summary.max_psi_increment, bound, summary.max_psi_increment <= bound)
@@ -181,7 +187,7 @@ def check_lyapunov() -> Report:
 
 def check_gradients(seed: int = 0) -> Report:
     """Finite-difference validation of every closed-form derivative."""
-    params = load_preset("fig2-F1").params
+    params = _bundled("fig2-F1").params
     geo = params.geometry
     lo, hi = geo.position_bounds()
     pad = 0.05 * (hi - lo)
@@ -261,7 +267,7 @@ def check_gains() -> Report:
     1/4 threshold comfortably. The discrepancy is reported, not silently
     patched.
     """
-    scenario = load_preset("fig2-F1")
+    scenario = _bundled("fig2-F1")
     params, gains = scenario.params, scenario.gains
     report = validate_gains(params, gains)
     M, R, k_m = report.M_eval, params.R, gains.k_m

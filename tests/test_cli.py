@@ -23,6 +23,7 @@ from antago.scenario_io import (
     save_scenario,
     serialize_scenario,
 )
+from antago.verify import SUITES
 
 _SRC = str(Path(antago.__file__).resolve().parents[1])
 
@@ -152,6 +153,8 @@ def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypa
              ("fixed_step", "budget")),
             (["sweep", "alpha", str(tiny_step), "--values", f"1:25:{MAX_SWEEP_POINTS + 1}"],
              ("range count", "budget")),
+            (["sweep", "alpha", str(tiny_step), "--values", "1" + ",1" * MAX_SWEEP_POINTS],
+             ("value list", "budget")),
             (["sweep", "epsilon", "fig2-F1", "--values", "nan,inf"], ("epsilon", "finite")),
             (["sweep", "epsilon", "fig2-F1", "--values", "inf"], ("epsilon", "finite")),
             *((["sweep", "alpha", "fig2-F1", "--values", text], ("--values", repr(text)))
@@ -251,6 +254,18 @@ def test_values_parse_to_list_or_scenario_error():
     check()
 
 
+def test_value_list_obeys_the_point_budget():
+    """A number list, like a range, holds at most ``MAX_SWEEP_POINTS`` values:
+    exactly that many parse, and one more is a ScenarioError raised before
+    any item is read, so a bad item after the budget is never reached."""
+    at_budget = ",".join(["2.5"] * MAX_SWEEP_POINTS)
+    assert _parse_values(at_budget) == [2.5] * MAX_SWEEP_POINTS
+    for over in (at_budget + ",1", at_budget + ",abc"):
+        with pytest.raises(ScenarioError, match=("^value list exceeds the budget of "
+                                                 f"{MAX_SWEEP_POINTS} points$")):
+            _parse_values(over)
+
+
 def test_drawn_argv_returns_or_exits(tmp_path, study, monkeypatch):
     """Drawn argv into ``main`` (each subcommand, preset names, scenario
     paths, ``--values``, ``--method``, ``--rel-tol`` and ``--out`` naming a
@@ -340,6 +355,17 @@ def test_verify_matching_and_gains(capsys):
         "note: the reference study states 80 for this product; the parameters it lists "
         "give 49.37",
     ]
+
+
+def test_verify_reads_the_bundled_presets(tmp_path, monkeypatch):
+    """``ANTAGO_PRESET_DIR`` does not reach ``verify``, whose bounds are fixed
+    for the bundled presets: with it naming an empty directory, every suite
+    reports the lines it reports without it."""
+    expected = {name: suite().lines for name, suite in SUITES.items()}
+    monkeypatch.setenv("ANTAGO_PRESET_DIR", str(tmp_path))
+    with pytest.raises(ScenarioError, match="unknown preset 'fig2-F1'"):
+        load_preset("fig2-F1")
+    assert {name: suite().lines for name, suite in SUITES.items()} == expected
 
 
 def test_verify_gradients_and_observer(capsys):

@@ -207,7 +207,21 @@ def test_sample_grid_and_channels(fig2_runs):
     assert len(record) == 2001
     assert t[0] == 0.0 and t[-1] == pytest.approx(10.0)
     assert np.allclose(np.diff(t), 5e-3, atol=1e-12)
-    assert set(record.data) == set(CHANNELS)
+    table = record.table
+    assert table.shape == (2001, len(CHANNELS))
+    assert table.dtype == np.float64 and table.flags.c_contiguous
+
+
+def test_record_channels_are_views_of_its_table(fig2_runs):
+    """``record[name]`` is column ``CHANNELS.index(name)`` of the one table,
+    sharing its memory; an unknown channel is a KeyError."""
+    _, record = fig2_runs["fig2-F1"]
+    for i, name in enumerate(CHANNELS):
+        column = record[name]
+        assert np.shares_memory(column, record.table), name
+        assert np.array_equal(column, record.table[:, i])
+    with pytest.raises(KeyError):
+        record["nope"]
 
 
 def test_sample_grid_memo_matches_a_fresh_grid():
@@ -406,7 +420,7 @@ def test_diagnostics_match_scalar_loop(oracle_runs):
 
 def test_diagnostics_requires_samples(study):
     from antago.engine import TrajectoryRecord
-    empty = TrajectoryRecord(data={name: np.array([]) for name in CHANNELS})
+    empty = TrajectoryRecord(np.empty((0, len(CHANNELS))))
     with pytest.raises(ValueError):
         diagnostics(empty, study.gains, study.params)
 

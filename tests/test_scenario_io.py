@@ -430,6 +430,15 @@ def test_save_scenario_round_trips(tmp_path, study):
 # --------------------------------------------------------------------------
 # Trajectory CSV.
 
+def _row(*tail):
+    """A data row of 0.5 that ends in the cells ``tail``."""
+    return ",".join(["0.5"] * (len(CHANNELS) - len(tail)) + list(tail))
+
+
+_HEADER = ",".join(CHANNELS)
+_ROW = _row()
+
+
 @pytest.fixture(scope="module")
 def short_record(study):
     return simulate(replace(study, duration=0.1))
@@ -472,23 +481,59 @@ def test_csv_preserves_status_detail(study):
 
 
 def test_csv_without_header_rejected():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="no header row"):
         trajectory_from_csv("# status: ok\n")
     # a header without a time column, with a repeated name or an empty name
     for header in ("x", "t,t", "t,,x", "t,x,"):
-        with pytest.raises(ScenarioError, match=f"line 1: header {header!r}"):
+        with pytest.raises(ScenarioError, match=f"line 1: header {re.escape(repr(header))}"):
             trajectory_from_csv(header + "\n1" + ",1" * header.count(",") + "\n")
     # a ragged row and a cell that is not a number name their line
-    for bad in ("1.0,2.0\n3.0,4.0", "1.0,2.0,3.0,4.0", "1.0,abc,3.0"):
-        text = "# status: ok\n\nt,x,p\n0.0,0.0,0.0\n" + bad + "\n"
-        with pytest.raises(ScenarioError, match="line 5: expected 3 numbers"):
+    for bad in (f"{_ROW[4:]}\n{_ROW[4:]}", _ROW + ",0.5", _row("abc", "0.5")):
+        text = f"# status: ok\n\n{_HEADER}\n{_ROW}\n{bad}\n"
+        with pytest.raises(ScenarioError, match=f"line 5: expected {len(CHANNELS)} numbers"):
             trajectory_from_csv(text)
 
 
+@pytest.mark.parametrize("header", [
+    ",".join(("x", "t") + CHANNELS[2:]),   # two columns swapped
+    ",".join(CHANNELS[1:] + CHANNELS[:1]),  # the time column last
+    ",".join(CHANNELS[:-1]),                # one channel missing
+    _HEADER + ",extra",                     # one column extra
+    ",".join(CHANNELS[:-1] + ("t",)),       # a channel repeated in place of another
+    _HEADER.replace(",", ", "),             # spaces after the commas
+], ids=["swapped", "rotated", "missing", "extra", "repeated", "spaced"])
+def test_csv_header_is_exactly_the_writers(header):
+    """The reader takes one header, the channel names in ``CHANNELS`` order;
+    any other is a ScenarioError naming its line and the expected header,
+    whatever rows follow."""
+    for rows in ("", f"{_ROW}\n", "0.5\n"):
+        with pytest.raises(ScenarioError) as info:
+            trajectory_from_csv(f"# status: ok\n{header}\n{rows}")
+        assert str(info.value) == (f"trajectory CSV line 2: header {header!r} "
+                                   f"is not the expected {_HEADER!r}")
+
+
+def test_csv_round_trips_preset_and_domain_exit_records(fig2_runs):
+    """The four presets' records and a record that ends in a domain exit
+    after its first setpoint segment read back equal to the simulated ones,
+    each as one C-contiguous float64 table whose channels are views of it."""
+    multistep = load_preset("multistep")
+    exiting = replace(multistep, setpoints=((0.0, 0.0), (2.0, 3e-3)), duration=6.0,
+                      gains=replace(multistep.gains, alpha=20.0))
+    records = [record for _, record in fig2_runs.values()]
+    records += [simulate(multistep), simulate(exiting)]
+    assert records[-1].status == "domain-exit" and len(records[-1]) > 100
+    for record in records:
+        again = trajectory_from_csv(trajectory_to_csv(record))
+        assert again == record
+        assert again.table.dtype == np.float64 and again.table.flags.c_contiguous
+        assert all(np.shares_memory(again[name], again.table) for name in CHANNELS)
+
+
 def test_csv_missing_record_channels_rejected():
-    """A header with a time column but not every record channel raises
-    ScenarioError naming the header line and the missing channels, instead
-    of a record that diagnostics cannot read."""
+    """A header with a time column but not every record channel is not the
+    writer's header: ScenarioError naming the header line and the expected
+    channels, instead of a record that diagnostics cannot read."""
     with pytest.raises(ScenarioError, match="line 1: .*x_star") as info:
         trajectory_from_csv("t,x\n0,0\n")
     assert "xdot" in str(info.value) and "Psi" in str(info.value)
@@ -518,7 +563,7 @@ def _reference_trajectory_to_csv(record):
 def _reference_trajectory_from_csv(text):
     """Per-line form of ``trajectory_from_csv`` (single-line, stripped details)."""
     status, detail = "ok", ""
-    header, header_line, rows = None, 0, []
+    header_seen, rows = False, []
     for number, ln in enumerate(text.splitlines(), start=1):
         if ln.startswith("#"):
             if ln.startswith("# status:"):
@@ -527,34 +572,29 @@ def _reference_trajectory_from_csv(text):
                 detail = ln.partition(":")[2].strip()
         elif not ln.strip():
             continue
-        elif header is None:
-            header, header_line = ln.split(","), number
-            if "t" not in header or "" in header or len(set(header)) != len(header):
-                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} needs "
-                                    "a 't' column and unique, nonempty names")
+        elif not header_seen:
+            if ln.split(",") != list(CHANNELS):
+                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} is not "
+                                    f"the expected {','.join(CHANNELS)!r}")
+            header_seen = True
         else:
             cells = ln.split(",")
             try:
-                if len(cells) != len(header):
+                if len(cells) != len(CHANNELS):
                     raise ValueError
                 rows.append([float(v) for v in cells])
             except ValueError:
                 raise ScenarioError(f"trajectory CSV line {number}: expected "
-                                    f"{len(header)} numbers, got {ln!r}") from None
-    if header is None:
+                                    f"{len(CHANNELS)} numbers, got {ln!r}") from None
+    if not header_seen:
         raise ScenarioError("trajectory CSV has no header row")
-    missing = [name for name in CHANNELS if name not in header]
-    if missing:
-        raise ScenarioError(f"trajectory CSV line {header_line}: header lacks the "
-                            f"record channels {', '.join(missing)}")
-    arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    data = {name: arr[:, i].copy() for i, name in enumerate(header)}
-    return TrajectoryRecord(data=data, status=status, detail=detail)
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(CHANNELS))
+    return TrajectoryRecord(table, status, detail)
 
 
 def test_csv_matches_reference_property():
-    """Drawn records (0, 1 or many rows; float64, float32, int and bool
-    channels; signed zeros, subnormals, infinities, NaN and 1e+-308) render
+    """Drawn records (0, 1 or many rows; a float64, float32, int or bool
+    table; signed zeros, subnormals, infinities, NaN and 1e+-308) render
     byte for byte as the reference renders them, parse as the reference
     parses them, and survive the round trip."""
     hypothesis = pytest.importorskip("hypothesis")
@@ -581,14 +621,13 @@ def test_csv_matches_reference_property():
     @hypothesis.given(data=st.data())
     def check(data):
         n = data.draw(st.sampled_from((0, 1, 2, 12)))
-        channels = {}
-        for name in CHANNELS:
-            dtype = data.draw(st.sampled_from(tuple(values)))
-            column = data.draw(st.lists(values[dtype], min_size=n, max_size=n))
-            channels[name] = np.array(column, dtype=dtype)
+        dtype = data.draw(st.sampled_from(tuple(values)))
+        size = n * len(CHANNELS)
+        cells = data.draw(st.lists(values[dtype], min_size=size, max_size=size))
+        table = np.array(cells, dtype=dtype).reshape(n, len(CHANNELS))
         status = data.draw(st.sampled_from(("ok", "domain-exit", "step-underflow")))
         detail = data.draw(plain | texts)
-        record = TrajectoryRecord(data=channels, status=status, detail=detail)
+        record = TrajectoryRecord(table, status, detail)
         text = trajectory_to_csv(record)
         assert trajectory_from_csv(text) == record
         if detail.strip() == detail and "\n" not in detail:
@@ -601,24 +640,14 @@ def test_csv_matches_reference_property():
 def test_csv_detail_round_trips():
     """A detail with line breaks or surrounding spaces reads back as written;
     a single-line detail keeps its one ``# detail:`` line."""
-    data = {name: np.zeros(2) for name in CHANNELS}
+    table = np.zeros((2, len(CHANNELS)))
     for detail in ("a\nb", "  padded  ", "a\n", "\n", "x = 0.03 outside (0, 0.029)"):
-        record = TrajectoryRecord(data, "domain-exit", detail)
+        record = TrajectoryRecord(table, "domain-exit", detail)
         assert trajectory_from_csv(trajectory_to_csv(record)) == record
-    lines = trajectory_to_csv(TrajectoryRecord(data, "domain-exit", "a\nb")).splitlines()
-    assert lines[:4] == ["# status: domain-exit", "# detail: a", "# detail: b",
-                         ",".join(CHANNELS)]
-    lines = trajectory_to_csv(TrajectoryRecord(data, "domain-exit", "one")).splitlines()
-    assert lines[:3] == ["# status: domain-exit", "# detail: one", ",".join(CHANNELS)]
-
-
-def _row(*tail):
-    """A data row of 0.5 that ends in the cells ``tail``."""
-    return ",".join(["0.5"] * (len(CHANNELS) - len(tail)) + list(tail))
-
-
-_HEADER = ",".join(CHANNELS)
-_ROW = _row()
+    lines = trajectory_to_csv(TrajectoryRecord(table, "domain-exit", "a\nb")).splitlines()
+    assert lines[:4] == ["# status: domain-exit", "# detail: a", "# detail: b", _HEADER]
+    lines = trajectory_to_csv(TrajectoryRecord(table, "domain-exit", "one")).splitlines()
+    assert lines[:3] == ["# status: domain-exit", "# detail: one", _HEADER]
 
 
 def test_csv_edge_shapes_raise_no_warning():
@@ -656,22 +685,25 @@ def test_csv_bad_row_names_its_line(bad):
                 trajectory_from_csv(text)
 
 
-def test_csv_ragged_row_reported_before_missing_channels():
+def test_csv_header_reported_before_ragged_rows():
+    width = len(CHANNELS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ScenarioError, match="line 3: expected 2 numbers"):
+        with pytest.raises(ScenarioError, match="line 1: header 't,x'"):
             trajectory_from_csv("t,x\n0,0\n1\n")
+        with pytest.raises(ScenarioError, match=f"line 3: expected {width} numbers"):
+            trajectory_from_csv(f"{_HEADER}\n{_ROW}\n0.5\n")
         # rows that agree with each other but not with the header
-        with pytest.raises(ScenarioError, match="line 2: expected 2 numbers"):
-            trajectory_from_csv("t,x\n0,0,0\n1,1,1\n")
+        with pytest.raises(ScenarioError, match=f"line 2: expected {width} numbers"):
+            trajectory_from_csv(f"{_HEADER}\n{_ROW},0.5\n{_ROW},0.5\n")
 
 
 @pytest.mark.parametrize("dtype", ["int64", "bool", "float32", "float16"])
 def test_csv_renders_every_dtype_as_float(dtype):
-    """A record whose channels all hold one non-float64 dtype prints each
-    value as ``repr(float(value))``, as the reference does."""
+    """A record whose table holds a non-float64 dtype prints each value as
+    ``repr(float(value))``, as the reference does."""
     column = np.array([0, 1, 3, 7], dtype=dtype)
-    record = TrajectoryRecord({name: column for name in CHANNELS})
+    record = TrajectoryRecord(np.repeat(column[:, None], len(CHANNELS), axis=1))
     assert trajectory_to_csv(record) == _reference_trajectory_to_csv(record)
 
 
