@@ -6,7 +6,10 @@ open-loop composition, exact arithmetic) and returns one :class:`Report`: a
 :class:`Check` per verdict, each against a bound fixed in this module, and
 the lines that the CLI ``verify`` subcommand prints. The test suite asserts
 on the same checks. The suites read the presets bundled with the package,
-whatever ``ANTAGO_PRESET_DIR`` names: their bounds are fixed for those.
+whatever ``ANTAGO_PRESET_DIR`` names: their bounds are fixed for those. The
+random samples of ``matching`` and ``gradients`` are the draws of numpy's
+``default_rng(seed).uniform``, reproduced by :class:`antago._pcg64.PCG64`
+without loading ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._pcg64 import PCG64
 from .controller import ControllerGains, closed_loop_field, control_flows, sigma, validate_gains
 from .engine import ForceModel, ScenarioConfig, diagnostics, fit_decay_rate, simulate
 from .plant import (
@@ -91,24 +93,24 @@ def check_matching(seed: int = 0) -> Report:
     params = _bundled("fig2-F1").params
     lo, hi = params.geometry.position_bounds()
     pad = 0.05 * (hi - lo)
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     worst = 0.0
     for _ in range(MATCHING_SAMPLES):
         state = PlantState(
-            x=float(rng.uniform(lo + pad, hi - pad)),
-            p=float(rng.uniform(-0.1, 0.1)),
-            P1=float(rng.uniform(-5e4, 5e4)),
-            P2=float(rng.uniform(-5e4, 5e4)),
+            x=rng.uniform(lo + pad, hi - pad),
+            p=rng.uniform(-0.1, 0.1),
+            P1=rng.uniform(-5e4, 5e4),
+            P2=rng.uniform(-5e4, 5e4),
         )
         gains = ControllerGains(
-            k_p=float(rng.uniform(0.5, 5.0)),
-            k_m=float(rng.uniform(0.5, 4.0)),
-            k_i=float(rng.uniform(1.0, 20.0)),
-            alpha=float(rng.uniform(1.0, 15.0)),
+            k_p=rng.uniform(0.5, 5.0),
+            k_m=rng.uniform(0.5, 4.0),
+            k_i=rng.uniform(1.0, 20.0),
+            alpha=rng.uniform(1.0, 15.0),
         )
-        x_star = float(rng.uniform(lo + pad, hi - pad))
-        F_hat = float(rng.uniform(-5.0, 5.0))
-        F = float(rng.uniform(-10.0, 10.0))
+        x_star = rng.uniform(lo + pad, hi - pad)
+        F_hat = rng.uniform(-5.0, 5.0)
+        F = rng.uniform(-10.0, 10.0)
 
         U1, U2 = control_flows(state, F_hat, gains, x_star, params)
         raw = open_loop_field(state, U1, U2, F, params)
@@ -191,13 +193,12 @@ def check_gradients(seed: int = 0) -> Report:
     geo = params.geometry
     lo, hi = geo.position_bounds()
     pad = 0.05 * (hi - lo)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(lo + pad, hi - pad, size=GRADIENT_POINTS)
+    rng = PCG64(seed)
+    xs = [rng.uniform(lo + pad, hi - pad) for _ in range(GRADIENT_POINTS)]
 
     h_x = 1e-8
     worst_A = worst_dA = worst_H = worst_sig = 0.0
     for x in xs:
-        x = float(x)
         g = geometry_terms(x, geo)
         up = geometry_terms(x + h_x, geo)
         dn = geometry_terms(x - h_x, geo)
@@ -210,9 +211,9 @@ def check_gradients(seed: int = 0) -> Report:
                         (g.dA2, (up.A2 - dn.A2) / (2 * h_x))):
             worst_dA = max(worst_dA, _rel_err(dAi, fd))
 
-        state = PlantState(x=x, p=float(rng.uniform(-0.1, 0.1)),
-                           P1=float(rng.uniform(1e3, 5e4)),
-                           P2=float(rng.uniform(1e3, 5e4)))
+        state = PlantState(x=x, p=rng.uniform(-0.1, 0.1),
+                           P1=rng.uniform(1e3, 5e4),
+                           P2=rng.uniform(1e3, 5e4))
         grad = hamiltonian_gradient(state, params)
         # Pressure steps must be large enough that the energy change clears
         # the kinetic term's roundoff floor; truncation stays negligible
@@ -227,8 +228,8 @@ def check_gradients(seed: int = 0) -> Report:
             worst_H = max(worst_H, _rel_err(g, (hi_val - lo_val) / (2 * h)))
 
         gains = ControllerGains(k_p=1.0, k_m=2.0, k_i=10.0, alpha=10.0)
-        x_star = float(rng.uniform(lo + pad, hi - pad))
-        F_hat = float(rng.uniform(-5.0, 5.0))
+        x_star = rng.uniform(lo + pad, hi - pad)
+        F_hat = rng.uniform(-5.0, 5.0)
         s = sigma(state, F_hat, gains, x_star, geo)
         fd_x = (sigma(PlantState(x + h_x, state.p, state.P1, state.P2),
                       F_hat, gains, x_star, geo).value

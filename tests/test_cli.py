@@ -357,6 +357,12 @@ def test_verify_matching_and_gains(capsys):
     ]
 
 
+@pytest.mark.parametrize("suite", ["matching", "gradients"])
+def test_verify_negative_seed_is_one_line_error(suite, capsys):
+    assert main(["verify", suite, "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: expected non-negative integer\n")
+
+
 def test_verify_reads_the_bundled_presets(tmp_path, monkeypatch):
     """``ANTAGO_PRESET_DIR`` does not reach ``verify``, whose bounds are fixed
     for the bundled presets: with it naming an empty directory, every suite
@@ -579,13 +585,15 @@ def test_epsilon_sweep_simulates_once(tmp_path, short_scenario_file, monkeypatch
     assert pids.read_text().split() == [str(os.getpid())]
 
 
-# Imports the CLI, then runs argv on two cores; prints the multiprocessing
-# modules loaded after the import, the forks made and the modules loaded after.
+# Imports the CLI, then runs argv on two cores; prints the multiprocessing and
+# numpy.random modules loaded after the import, the forks made and the modules
+# loaded after.
 _LOADED_MODULES = """\
 import contextlib, io, os, sys
 import antago.cli
 def loaded():
-    return sorted(m for m in sys.modules if "multiprocessing" in m)
+    return sorted(m for m in sys.modules
+                  if "multiprocessing" in m or m.startswith("numpy.random"))
 after_import = loaded()
 os.sched_getaffinity = lambda pid: {0, 1}
 fork, forks = os.fork, []
@@ -596,11 +604,26 @@ sys.stderr.write(f"{after_import} {len(forks)} {loaded()}")
 """
 
 
-def test_cli_import_does_not_load_multiprocessing(tmp_path, short_scenario_file):
-    """Neither importing the CLI nor a sweep on forked workers loads multiprocessing."""
+def _modules_loaded_by(argv, cwd):
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_MODULES, "sweep", "alpha", str(short_scenario_file),
-         "--values", "5,10", "--out", str(tmp_path / "out.csv")],
+        [sys.executable, "-c", _LOADED_MODULES, *argv], cwd=cwd,
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC}, check=True,
         timeout=60)
-    assert proc.stderr == "[] 1 []"
+    return proc.stderr
+
+
+def test_cli_import_does_not_load_multiprocessing(tmp_path, short_scenario_file):
+    """Neither importing the CLI nor a sweep on forked workers loads multiprocessing
+    or numpy.random."""
+    assert _modules_loaded_by(["sweep", "alpha", str(short_scenario_file), "--values", "5,10",
+                               "--out", "out.csv"], tmp_path) == "[] 1 []"
+
+
+@pytest.mark.parametrize("argv, forks", [
+    (["verify", "matching"], 0),
+    (["verify", "gradients", "--seed", "3"], 0),
+    (["run", "fig2-F1"], 1),    # 2,001 rows render as two CSV blocks, one forked
+])
+def test_commands_do_not_load_numpy_random(tmp_path, argv, forks):
+    """The seeded suites draw their samples without numpy.random."""
+    assert _modules_loaded_by(argv, tmp_path) == f"[] {forks} []"
