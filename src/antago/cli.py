@@ -168,6 +168,8 @@ def _cmd_sweep(args) -> int:
     if epsilon_sweep:   # every epsilon variant is the base scenario: simulate it once
         summaries = [_point_summary(base)] * len(values)
     else:
+        import numpy   # noqa: F401 -- loaded once here, not in each forked worker
+
         summaries = forked_imap(_point_summary, scenarios)
     header = ("value,valid,positive_definite,rate_bound_ok,condition_product,"
               "status,x_error,settle_time,max_psi_increment,psi_max,zeta_rate")

@@ -63,6 +63,11 @@ over the sampled states. The scalar plant and controller functions
 oracles: the test suite checks the channels against them at sampled rows.
 Like them, :func:`augmented_field` takes ``F_hat`` and ``x_star`` as floats
 and reads the observer gain ``alpha`` only from ``ControllerGains``.
+
+numpy is imported by the functions that build or read arrays (the record and
+its ``==``, :func:`simulate_open_loop`'s result, :func:`fit_decay_rate` and
+:func:`diagnostics`), not by this module: the scalar right-hand sides and the
+steppers never load it.
 """
 
 from __future__ import annotations
@@ -71,8 +76,7 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .controller import ControllerGains
 from .errors import DomainError, ScenarioError, SolverError
@@ -83,6 +87,9 @@ from .plant import (
     geometry_terms_array,
     hamiltonian,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FORCE_KINDS = ("constant", "tanh_friction", "spring")
 
@@ -255,6 +262,8 @@ class TrajectoryRecord:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrajectoryRecord):
             return NotImplemented
+        import numpy as np
+
         return (self.status == other.status and self.detail == other.detail
                 and np.array_equal(self.table, other.table, equal_nan=True))
 
@@ -576,6 +585,8 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
 
 
 def _build_record(scenario, times, states, status, detail) -> TrajectoryRecord:
+    import numpy as np
+
     params, gains = scenario.params, scenario.gains
     fluid = params.fluid
     t = np.array(times, dtype=float)
@@ -621,6 +632,8 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     leaves the admissible region and ``SolverError`` when the adaptive step
     collapses.
     """
+    import numpy as np
+
     _check_cost(duration, solver, 0)
     _check_initial(initial, params)
     R = params.R if R_override is None else R_override
@@ -661,6 +674,8 @@ def fit_decay_rate(t: np.ndarray, values: np.ndarray) -> float:
 
     Returns the positive decay rate, or nan if fewer than two usable samples.
     """
+    import numpy as np
+
     v = np.abs(np.asarray(values, dtype=float))
     lim = max(DECAY_FIT_FLOOR, 1e-6 * v[0]) if len(v) and v[0] > 0 else DECAY_FIT_FLOOR
     mask = v > lim
@@ -673,6 +688,8 @@ def fit_decay_rate(t: np.ndarray, values: np.ndarray) -> float:
 def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
                 params: PlantParams) -> DiagnosticsSummary:
     """Aggregate the stability-theory checks over one recorded trajectory."""
+    import numpy as np
+
     if len(record) == 0:
         raise ValueError("empty trajectory")
     t = record["t"]

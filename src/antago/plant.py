@@ -16,7 +16,9 @@ the single entry point to the volumes, gradients and curvatures, raises
 :class:`DomainError` for a position within it.
 
 All functions here are pure and operate on plain floats (``geometry_terms_array``
-on arrays); they are safe to call concurrently.
+on arrays); they are safe to call concurrently. Only ``geometry_terms_array``
+imports numpy, when it is called, so that a process that builds no array
+never loads it.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Margin [m] kept between the position and the square-root domain boundary,
 # where the volume gradients blow up. A property of the volume model: every
@@ -160,7 +163,7 @@ def _check_contraction(u: float, actuator: int) -> None:
 
 def _bellows_branch(u, geometry: ActuatorGeometry, sqrt=math.sqrt):
     """Volume of one actuator and its first two derivatives w.r.t. contraction u
-    (a float, or an ndarray with ``sqrt=np.sqrt``)."""
+    (a float, or an ndarray with ``sqrt=numpy.sqrt``)."""
     L0 = geometry.L0
     K0 = geometry.K0
     s = sqrt(6.0 * u / L0)
@@ -190,6 +193,8 @@ def geometry_terms_array(x: np.ndarray, geometry: ActuatorGeometry) -> GeometryT
     Volumes and gradients equal the scalar form exactly; the curvatures go
     through numpy's vectorised ``pow`` and may differ from it by an ulp.
     """
+    import numpy as np
+
     u1 = geometry.x_M - x - geometry.x0
     u2 = x + geometry.x0
     _check_contraction(float(u1.min()), 1)

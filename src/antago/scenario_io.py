@@ -18,21 +18,21 @@ model into one, with its message.
 A trajectory CSV is the record's table, comma-separated with '.' decimals, LF
 line endings and one header, the names of :data:`~antago.engine.CHANNELS`;
 the run status is carried in leading ``#`` comment lines so the table itself
-stays consumable by any CSV reader.
+stays consumable by any CSV reader. numpy is imported by the functions that
+render or read the table, not by this module, so that parsing a scenario does
+not load it.
 """
 
 from __future__ import annotations
 
 import configparser
-import difflib
 import io
 import os
 import tempfile
 from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .controller import ControllerGains
 from .engine import (
@@ -45,6 +45,9 @@ from .engine import (
 from .errors import ScenarioError
 from .plant import ActuatorGeometry, FluidParams, PlantParams, PlantState
 from .workers import forked_imap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _keys(*types) -> tuple[str, ...]:
@@ -71,6 +74,8 @@ def _reject_unknown(section: str, keys, expected) -> None:
     for key in keys:
         if key in expected:
             continue
+        import difflib   # here, so that a valid scenario does not load it
+
         hint = ""
         by_case = [k for k in expected if k.lower() == key.lower()]
         close = by_case or difflib.get_close_matches(key, expected, n=1)
@@ -130,6 +135,8 @@ def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
     known = set(_SECTIONS)
     for section in cp.sections():
         if section not in known:
+            import difflib
+
             close = difflib.get_close_matches(section, known, n=1)
             hint = f"; expected [{close[0]}]" if close else ""
             raise ScenarioError(f"unknown section [{section}]{hint}")
@@ -238,6 +245,8 @@ def trajectory_to_csv(record: TrajectoryRecord) -> str:
     :func:`~antago.workers.forked_imap`; the text does not depend on how many
     ran.
     """
+    import numpy as np
+
     lines = [f"# status: {record.status}"]
     if record.detail:
         # split where the reader splits; the added newline keeps a trailing empty line
@@ -250,6 +259,8 @@ def trajectory_to_csv(record: TrajectoryRecord) -> str:
 
 def _csv_block(table: np.ndarray, start: int) -> str:
     """Rows ``start`` to ``start + _CSV_BLOCK_ROWS`` of ``table`` as CSV lines."""
+    import numpy as np
+
     # one row's floats at a time: a whole-table tolist() raises the peak memory
     rows = map(np.ndarray.tolist, table[start:start + _CSV_BLOCK_ROWS])
     return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
@@ -266,6 +277,8 @@ def _read_table(rows: list[str], numbers: list[int]) -> np.ndarray:
     or gives another width, is each row read alone to name the first bad line.
     Zero rows skip the reader, which warns on empty input.
     """
+    import numpy as np
+
     def read(lines: list[str]) -> np.ndarray | None:
         try:
             table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None)

@@ -1,5 +1,6 @@
 """Command-line interface: run, verify, sweep, presets."""
 
+import json
 import math
 import os
 import re
@@ -585,38 +586,49 @@ def test_epsilon_sweep_simulates_once(tmp_path, short_scenario_file, monkeypatch
     assert pids.read_text().split() == [str(os.getpid())]
 
 
-# Imports the CLI, then runs argv on two cores; prints the multiprocessing and
-# numpy.random modules loaded after the import, the forks made and the modules
-# loaded after.
+# Imports the package, then the CLI, then runs argv on two cores. Prints one JSON
+# object: the exit status; the multiprocessing and numpy.random modules loaded
+# after the imports and after the command; whether numpy was loaded after
+# `import antago`, after `import antago.cli` and after the command; and, for each
+# fork, whether numpy was loaded when it was made.
 _LOADED_MODULES = """\
-import contextlib, io, os, sys
+import contextlib, io, json, os, sys
+import antago
+numpy = {"import antago": "numpy" in sys.modules}
 import antago.cli
+numpy["import antago.cli"] = "numpy" in sys.modules
 def loaded():
     return sorted(m for m in sys.modules
                   if "multiprocessing" in m or m.startswith("numpy.random"))
 after_import = loaded()
 os.sched_getaffinity = lambda pid: {0, 1}
 fork, forks = os.fork, []
-os.fork = lambda: forks.append(0) or fork()
+os.fork = lambda: forks.append("numpy" in sys.modules) or fork()
 with contextlib.redirect_stdout(io.StringIO()):
-    assert antago.cli.main(sys.argv[1:]) == 0
-sys.stderr.write(f"{after_import} {len(forks)} {loaded()}")
+    code = antago.cli.main(sys.argv[1:])
+numpy["command"] = "numpy" in sys.modules
+print(json.dumps({"exit": code, "after_import": after_import, "after_command": loaded(),
+                  "numpy": numpy, "forks": forks}))
 """
 
 
 def _modules_loaded_by(argv, cwd):
+    """What running ``argv`` in a fresh process loaded, as ``_LOADED_MODULES``
+    prints it, with the command's stderr under ``"stderr"``."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_MODULES, *argv], cwd=cwd,
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC}, check=True,
         timeout=60)
-    return proc.stderr
+    return {**json.loads(proc.stdout), "stderr": proc.stderr}
 
 
 def test_cli_import_does_not_load_multiprocessing(tmp_path, short_scenario_file):
     """Neither importing the CLI nor a sweep on forked workers loads multiprocessing
     or numpy.random."""
-    assert _modules_loaded_by(["sweep", "alpha", str(short_scenario_file), "--values", "5,10",
-                               "--out", "out.csv"], tmp_path) == "[] 1 []"
+    seen = _modules_loaded_by(["sweep", "alpha", str(short_scenario_file), "--values", "5,10",
+                               "--out", "out.csv"], tmp_path)
+    assert (seen["exit"], seen["after_import"], len(seen["forks"]), seen["after_command"]) \
+        == (0, [], 1, [])
 
 
 @pytest.mark.parametrize("argv, forks", [
@@ -626,4 +638,39 @@ def test_cli_import_does_not_load_multiprocessing(tmp_path, short_scenario_file)
 ])
 def test_commands_do_not_load_numpy_random(tmp_path, argv, forks):
     """The seeded suites draw their samples without numpy.random."""
-    assert _modules_loaded_by(argv, tmp_path) == f"[] {forks} []"
+    seen = _modules_loaded_by(argv, tmp_path)
+    assert (seen["exit"], seen["after_import"], len(seen["forks"]), seen["after_command"]) \
+        == (0, [], forks, [])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["presets"], 0),
+    (["verify", "matching"], 0),
+    (["verify", "gradients", "--seed", "3"], 0),
+    (["verify", "gains"], 0),
+    (["run", "no-such-preset"], 1),
+])
+def test_array_free_commands_do_not_load_numpy(tmp_path, argv, code):
+    """Neither the imports nor a command that builds no array load numpy."""
+    seen = _modules_loaded_by(argv, tmp_path)
+    assert seen["exit"] == code
+    assert seen["numpy"] == {"import antago": False, "import antago.cli": False,
+                             "command": False}
+    if code:
+        assert len(seen["stderr"].splitlines()) == 1
+        assert seen["stderr"].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "fig2-F1"],
+    ["sweep", "alpha", "SHORT", "--values", "5,10"],
+    ["verify", "lyapunov"],
+], ids=["run", "sweep", "lyapunov"])
+def test_every_fork_happens_with_numpy_loaded(tmp_path, short_scenario_file, argv):
+    """A command that builds arrays on forked workers loads numpy before the
+    first fork, so that the workers do not each import it."""
+    argv = [str(short_scenario_file) if arg == "SHORT" else arg for arg in argv]
+    seen = _modules_loaded_by(argv, tmp_path)
+    assert seen["numpy"] == {"import antago": False, "import antago.cli": False,
+                             "command": True}
+    assert seen["forks"] == [True]
