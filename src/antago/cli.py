@@ -190,7 +190,7 @@ def _cmd_sweep(args) -> int:
         print(f"{args.parameter} = {value:g}: valid={valid} "
               f"product={report.condition_product:.4f} status={summary.status}")
     if out is not None:
-        _atomic_write(out, "\n".join(rows) + "\n")
+        _atomic_write(out, ("\n".join(rows) + "\n",))
         print(f"wrote {len(values)} rows to {args.out}")
     return worst_exit
 

@@ -18,7 +18,10 @@ model into one, with its message.
 A trajectory CSV is the record's table, comma-separated with '.' decimals, LF
 line endings and one header, the names of :data:`~antago.engine.CHANNELS`;
 the run status is carried in leading ``#`` comment lines so the table itself
-stays consumable by any CSV reader. numpy is imported by the functions that
+stays consumable by any CSV reader. Neither side holds the whole text:
+``save_trajectory_csv`` writes each block of rows into the file as it is
+rendered, and ``load_trajectory_csv`` passes the data rows to numpy's reader
+as it reads them from the file. numpy is imported by the functions that
 render or read the table, not by this module, so that parsing a scenario does
 not load it.
 """
@@ -29,14 +32,17 @@ import configparser
 import io
 import os
 import tempfile
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import MISSING, fields
 from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from .controller import ControllerGains
 from .engine import (
     CHANNELS,
+    STATUSES,
     ForceModel,
     ScenarioConfig,
     SolverSettings,
@@ -210,18 +216,23 @@ def serialize_scenario(scenario: ScenarioConfig) -> str:
 
 
 def save_scenario(scenario: ScenarioConfig, path: str | os.PathLike) -> None:
-    _atomic_write(Path(path), serialize_scenario(scenario))
+    _atomic_write(Path(path), (serialize_scenario(scenario),))
 
 
 # --------------------------------------------------------------------------
 # Trajectory CSV.
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` atomically: each chunk goes into a
+    temporary file beside ``path`` as it arrives, ``path`` is replaced only
+    once the last is written, and the temporary file is removed when a chunk
+    fails to arrive or to be written. A one-piece text is passed as
+    ``(text,)``, since ``writelines`` writes a str a character at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -232,6 +243,21 @@ _CSV_HEADER = ",".join(CHANNELS)
 # Rows per block of the CSV renderer: a block is one job of forked_imap,
 # whose module docstring weighs the fork cost against the per-row cost.
 _CSV_BLOCK_ROWS = 1024
+
+
+def _csv_chunks(record: TrajectoryRecord) -> Iterator[str]:
+    """The CSV text of ``record`` in pieces: its comment lines and header, then
+    each block of rows as :func:`~antago.workers.forked_imap` yields it."""
+    import numpy as np
+
+    lines = [f"# status: {record.status}"]
+    if record.detail:
+        # split where the reader splits; the added newline keeps a trailing empty line
+        lines.extend(f"# detail: {part}" for part in (record.detail + "\n").splitlines())
+    lines.append(_CSV_HEADER)
+    yield "\n".join(lines) + "\n"
+    table = np.asarray(record.table, dtype=float)
+    yield from forked_imap(partial(_csv_block, table), range(0, len(table), _CSV_BLOCK_ROWS))
 
 
 def trajectory_to_csv(record: TrajectoryRecord) -> str:
@@ -245,16 +271,7 @@ def trajectory_to_csv(record: TrajectoryRecord) -> str:
     :func:`~antago.workers.forked_imap`; the text does not depend on how many
     ran.
     """
-    import numpy as np
-
-    lines = [f"# status: {record.status}"]
-    if record.detail:
-        # split where the reader splits; the added newline keeps a trailing empty line
-        lines.extend(f"# detail: {part}" for part in (record.detail + "\n").splitlines())
-    lines.append(_CSV_HEADER)
-    table = np.asarray(record.table, dtype=float)
-    blocks = forked_imap(partial(_csv_block, table), range(0, len(table), _CSV_BLOCK_ROWS))
-    return "\n".join(lines) + "\n" + "".join(blocks)
+    return "".join(_csv_chunks(record))
 
 
 def _csv_block(table: np.ndarray, start: int) -> str:
@@ -267,75 +284,139 @@ def _csv_block(table: np.ndarray, start: int) -> str:
 
 
 def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> None:
-    _atomic_write(Path(path), trajectory_to_csv(record))
+    """Write :func:`trajectory_to_csv` of ``record`` to ``path`` atomically,
+    each block of rows as soon as it is rendered, so that the whole text is
+    never held at once. A block that fails to render, or a worker that dies,
+    leaves ``path`` as it was."""
+    _atomic_write(Path(path), _csv_chunks(record))
 
 
-def _read_table(rows: list[str], numbers: list[int]) -> np.ndarray:
-    """The data rows (on lines ``numbers``) as one float table, a column per channel.
+class _CsvScan:
+    """One pass over the lines of a trajectory CSV, numbered from 1.
 
-    numpy's compiled reader parses all rows in one call. Only when that fails,
-    or gives another width, is each row read alone to name the first bad line.
-    Zero rows skip the reader, which warns on empty input.
+    :meth:`rows` yields each data row; the ``# status:`` and ``# detail:``
+    lines it passes set ``status`` and add to ``details``, and ``number`` is
+    the line number of the last row it yielded.
+    """
+
+    def __init__(self) -> None:
+        self.status, self.details, self.number = "ok", [], 0
+
+    def rows(self, lines: Iterable[str]) -> Iterator[str]:
+        header_seen = False
+        for number, ln in enumerate(lines, start=1):
+            if ln.startswith("#"):
+                if ln.startswith("# status:"):
+                    self.status = ln.partition(":")[2].strip()
+                    if self.status not in STATUSES:
+                        raise ScenarioError(
+                            f"trajectory CSV line {number}: status {self.status!r} is not "
+                            f"one of {', '.join(STATUSES)}")
+                elif ln.startswith("# detail:"):
+                    self.details.append(ln.removeprefix("# detail:").removeprefix(" "))
+            elif not ln.strip():
+                continue
+            elif header_seen:
+                self.number = number
+                yield ln
+            elif ln != _CSV_HEADER:
+                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} is not "
+                                    f"the expected {_CSV_HEADER!r}")
+            else:
+                header_seen = True
+        if not header_seen:
+            raise ScenarioError("trajectory CSV has no header row")
+
+
+def _read_table(rows: Iterable[str]) -> np.ndarray | None:
+    """``rows`` as one float table with a column per channel, or None when
+    numpy's compiled reader fails on them or finds another width. A
+    ``ScenarioError`` that the iteration of ``rows`` raises goes through."""
+    import numpy as np
+
+    try:
+        table = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2, comments=None)
+    except ScenarioError:
+        raise
+    except ValueError:
+        return None
+    return table if table.shape[1] == len(CHANNELS) else None
+
+
+def _read_csv(lines: Callable[[], Iterable[str]]) -> TrajectoryRecord:
+    """The record in the lines of a trajectory CSV; each call of ``lines``
+    starts them again from the first.
+
+    The data rows go from the scan straight into one call of numpy's compiled
+    reader, so that neither the text nor a list of its lines is held. Only
+    when that fails, or gives another width, are the lines scanned again and
+    each row read alone, to name the first bad line. Zero rows skip the
+    reader, which warns on empty input.
     """
     import numpy as np
 
-    def read(lines: list[str]) -> np.ndarray | None:
-        try:
-            table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None)
-        except ValueError:
-            return None
-        return table if table.shape[1] == len(CHANNELS) else None
-
-    if not rows:
-        return np.empty((0, len(CHANNELS)))
-    table = read(rows)
+    scan = _CsvScan()
+    rows = scan.rows(lines())
+    first = next(rows, None)
+    table = (np.empty((0, len(CHANNELS))) if first is None
+             else _read_table(chain((first,), rows)))
     if table is None:   # some row fails alone: rows that each read at this width read together
-        number, ln = next((n, ln) for n, ln in zip(numbers, rows) if read([ln]) is None)
-        raise ScenarioError(f"trajectory CSV line {number}: expected {len(CHANNELS)} numbers, "
-                            f"got {ln!r}")
-    return table
+        again = _CsvScan()
+        ln = next(ln for ln in again.rows(lines()) if _read_table((ln,)) is None)
+        raise ScenarioError(f"trajectory CSV line {again.number}: expected {len(CHANNELS)} "
+                            f"numbers, got {ln!r}")
+    return TrajectoryRecord(table, scan.status, "\n".join(scan.details))
 
 
 def trajectory_from_csv(text: str) -> TrajectoryRecord:
     """Parse CSV text produced by :func:`trajectory_to_csv`.
 
-    Lines starting with ``#`` carry the run status (``# status:``) and the
-    detail: the text after each ``# detail: `` verbatim, the lines joined with
-    newlines. Blank lines are skipped. A number is what numpy's compiled text
-    reader accepts: the ASCII decimal syntax of Python's ``float``, signed or
-    not, with ``nan``, ``inf`` and ``infinity`` in any case and surrounding
-    whitespace allowed, but without ``_`` digit separators (``1_0`` is an
-    error).
+    The text is split into lines as ``str.splitlines`` splits it. Lines
+    starting with ``#`` carry the run status (``# status:``, one of
+    :data:`~antago.engine.STATUSES`) and the detail: the text after each
+    ``# detail: `` verbatim, the lines joined with newlines. Blank lines are
+    skipped. A number is what numpy's compiled text reader accepts: the ASCII
+    decimal syntax of Python's ``float``, signed or not, with ``nan``,
+    ``inf`` and ``infinity`` in any case and surrounding whitespace allowed,
+    but without ``_`` digit separators (``1_0`` is an error).
 
-    The first other line must be the writer's header; any other, and a row
-    that does not hold one number per channel, raise :class:`ScenarioError`
-    with the line number. The record holds the parsed float64 table itself.
+    The first other line must be the writer's header; any other, a status
+    the engine does not write, and a row that does not hold one number per
+    channel raise :class:`ScenarioError` with the line number. The record
+    holds the parsed float64 table itself.
     """
-    status, details = "ok", []
-    header_seen, rows, numbers = False, [], []
-    for number, ln in enumerate(text.splitlines(), start=1):
-        if ln.startswith("#"):
-            if ln.startswith("# status:"):
-                status = ln.partition(":")[2].strip()
-            elif ln.startswith("# detail:"):
-                details.append(ln.removeprefix("# detail:").removeprefix(" "))
-        elif not ln.strip():
-            continue
-        elif not header_seen:
-            if ln != _CSV_HEADER:
-                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} is not "
-                                    f"the expected {_CSV_HEADER!r}")
-            header_seen = True
-        else:
-            rows.append(ln)
-            numbers.append(number)
-    if not header_seen:
-        raise ScenarioError("trajectory CSV has no header row")
-    return TrajectoryRecord(_read_table(rows, numbers), status, "\n".join(details))
+    return _read_csv(text.splitlines)
+
+
+# Characters per read of a trajectory CSV file. Splitting each read into lines
+# at once takes less time than reading the file line by line; reads longer
+# than io's own 8 KiB buffer raise the peak memory and save no time.
+_READ_CHARS = 8192
+
+
+def _file_lines(fh: TextIO) -> Iterator[str]:
+    """The lines of ``fh`` from its start, as ``str.splitlines`` splits its
+    whole text, ``_READ_CHARS`` at a time. ``fh`` must translate "\\r\\n" and
+    "\\r" to "\\n", as ``open`` does by default, so that no line break spans
+    two reads."""
+    fh.seek(0)
+    tail = ""
+    # a read at least as long as the open line keeps a long line's copies linear
+    while chunk := fh.read(max(_READ_CHARS, len(tail))):
+        lines = (tail + chunk).splitlines()
+        # the last line goes on in the next read unless the chunk ends in a break
+        tail = "" if chunk[-1].splitlines() == [""] else lines.pop()
+        yield from lines
+    if tail:
+        yield tail
 
 
 def load_trajectory_csv(path: str | os.PathLike) -> TrajectoryRecord:
-    return trajectory_from_csv(Path(path).read_text())
+    """Read a trajectory CSV file as :func:`trajectory_from_csv` reads its
+    text, to the same record or the same error, one read of the file at a
+    time instead of from the whole text."""
+    with open(path) as fh:
+        return _read_csv(partial(_file_lines, fh))
 
 
 # --------------------------------------------------------------------------

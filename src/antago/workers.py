@@ -13,7 +13,10 @@ The policy, kept here alone:
   item order, so each is yielded as soon as it and those before it are done.
 - stdout and stderr are flushed before the fork, so that a child cannot write
   out again what the parent had buffered.
-- A child ends with ``os._exit``, which runs none of the parent's clean-up.
+- A child ends with ``os._exit``, which runs none of the parent's clean-up
+  and flushes none of the files it holds open: a caller may write each result
+  into a file as it is yielded, as ``save_trajectory_csv`` does, without a
+  child writing what the parent had buffered there a second time.
   An exception ``fn`` raises in a child is raised again here; a child that
   ends before it sends a result raises :class:`~antago.errors.WorkerError`.
   Every child is killed and reaped when the generator ends, fails or is
@@ -23,9 +26,9 @@ The policy, kept here alone:
   workers then share the loaded module and do not each import it again.
 
 A fork plus its reaping costs 2.4–2.9 ms on a 2-core VM (Python 3.11), so a
-job is worth a child only at several times that. ``trajectory_to_csv``
-renders in blocks of 1024 rows, about 20 ms each at about 20 µs per row, and
-so never forks for a table of one block.
+job is worth a child only at several times that. The CSV writer renders in
+blocks of 1024 rows, about 20 ms each at about 20 µs per row, and so never
+forks for a table of one block.
 """
 
 from __future__ import annotations

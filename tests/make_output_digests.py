@@ -7,7 +7,8 @@ Run from the repository root::
 
 ``test_output_digests.py`` recomputes the digests and compares them exactly.
 Regenerate only when a change of an output is intended, and name each digest
-that moved, and why, in CHANGES.md.
+that moved, and why, in CHANGES.md; the script prints the key of each digest
+that differs from the stored file.
 """
 
 from __future__ import annotations
@@ -106,7 +107,14 @@ def digests() -> dict:
 
 
 if __name__ == "__main__":
+    stored = json.loads(DIGEST_FILE.read_text())["digests"] if DIGEST_FILE.is_file() else {}
+    result = digests()
     DIGEST_FILE.parent.mkdir(exist_ok=True)
-    DIGEST_FILE.write_text(json.dumps({"environment": environment(), "digests": digests()},
+    DIGEST_FILE.write_text(json.dumps({"environment": environment(), "digests": result},
                                       indent=1) + "\n")
     print(f"wrote {DIGEST_FILE}")
+    changed = sorted(key for key in stored.keys() | result.keys()
+                     if stored.get(key) != result.get(key))
+    for key in changed:
+        print(f"changed: {key}")
+    print(f"{len(changed)} of {len(result)} digests changed")

@@ -558,6 +558,78 @@ def test_dead_worker_is_one_line_error(tmp_path, short_scenario_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["in-process", "forked"])
+def test_failed_render_leaves_out_file_untouched(tmp_path, monkeypatch, capsys, cores):
+    """A render that raises on its second block of rows, here or in a worker,
+    ends the run as one error line and leaves the existing --out file as it
+    was, with no temporary file beside it."""
+    import antago.scenario_io
+
+    render_block = antago.scenario_io._csv_block
+
+    def fail_second_block(table, start):
+        if start:
+            raise ScenarioError("render failed")
+        return render_block(table, start)
+
+    monkeypatch.setattr(antago.scenario_io, "_csv_block", fail_second_block)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+    assert main(["run", "fig2-F1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: render failed\n")
+    assert out.read_text() == "old\n" and os.listdir(tmp_path) == ["out.csv"]
+
+
+# Runs the CLI on argv, with two cores and with a CSV block render that kills
+# its own process when it runs in a forked worker.
+_KILL_CSV_WORKER = """\
+import os, signal, sys
+import antago.cli, antago.scenario_io
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, render_block = os.getpid(), antago.scenario_io._csv_block
+def render_or_die(table, start):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return render_block(table, start)
+antago.scenario_io._csv_block = render_or_die
+sys.exit(antago.cli.main(sys.argv[1:]))
+"""
+
+
+def test_dead_csv_worker_is_one_line_error(tmp_path):
+    """A worker killed while the CSV streams to the file ends the run with one
+    error line naming it, and the existing --out file stays as it was."""
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_CSV_WORKER, "run", "fig2-F1", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC}, timeout=60)
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: worker process \d+ was killed by SIGKILL "
+                        r"before sending its result\n", proc.stderr), proc.stderr
+    assert proc.stdout == ""
+    assert out.read_text() == "old\n" and os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_run_and_observer_decay_never_call_lstsq(tmp_path, monkeypatch):
+    """The decay fit is closed form: ``run`` and the observer-decay suite
+    complete with numpy's least-squares solver made to raise under every
+    name numpy binds it to, np.polyfit's included."""
+    import numpy as np
+
+    solver = np.linalg.lstsq
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.lstsq was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("numpy") and getattr(module, "lstsq", None) is solver:
+            monkeypatch.setattr(module, "lstsq", refuse)
+    assert main(["run", "fig2-F1", "--out", str(tmp_path / "f1.csv")]) == 0
+    assert main(["verify", "observer-decay"]) == 0
+
+
 def test_sweep_in_threaded_process_runs_in_process(tmp_path, short_scenario_file,
                                                   monkeypatch):
     """A process with a second thread is not forked: every point runs here."""

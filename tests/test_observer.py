@@ -1,14 +1,16 @@
 """Force estimator: rate law and exact decay."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from antago.engine import ForceModel, fit_decay_rate, simulate
+from antago.engine import DECAY_FIT_FLOOR, ForceModel, fit_decay_rate, simulate
 from antago.observer import observer_rate
 from antago.plant import PlantState, generalized_force
+from antago.scenario_io import load_preset
 
 
 def test_zero_state_zero_rate(params):
@@ -78,3 +80,80 @@ def test_squared_error_decays_at_twice_alpha(constant_force_run):
 
 def test_decay_fit_handles_degenerate_input():
     assert math.isnan(fit_decay_rate(np.array([0.0, 1.0]), np.array([0.0, 0.0])))
+
+
+def test_decay_fit_without_time_spread_is_nan_without_warning():
+    """Usable samples that all share one time (0.1 three times has an inexact
+    mean) give no slope: nan, and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in ([1.0, 1.0, 1.0], [0.1, 0.1, 0.1]):
+            assert math.isnan(fit_decay_rate(np.array(t), np.array([1.0, 0.5, 0.25])))
+
+
+# The fit and scipy's linregress are two exact formulas for the same slope, so
+# they differ only by rounding: a few ulps of the slope scale
+# sqrt(sum(dy^2) / sum(dt^2)) per sample at most. At up to 2,001 samples that
+# is below 2001 * 2.2e-16 < 5e-13 of it (3,000 random fits: at most 1.6e-15);
+# the bound leaves a factor of two over the estimate.
+_LINREGRESS_BOUND = 1e-12
+
+
+def _linregress_rate(t, values):
+    """The decay rate by scipy.stats.linregress over the samples the fit keeps
+    (above DECAY_FIT_FLOOR and 1e-6 of the first magnitude), or nan when they
+    are fewer than two or share one time; and the slope scale."""
+    from scipy.stats import linregress
+
+    v = np.abs(values)
+    lim = max(DECAY_FIT_FLOOR, 1e-6 * v[0])
+    keep = v > lim
+    if keep.sum() < 2 or np.ptp(t[keep]) == 0:
+        return float("nan"), 0.0
+    y = np.log(v[keep])
+    scale = math.sqrt(np.sum((y - y.mean()) ** 2) / np.sum((t[keep] - t[keep].mean()) ** 2))
+    return -linregress(t[keep], y).slope, scale
+
+
+def _assert_matches_linregress(t, values):
+    expected, scale = _linregress_rate(t, values)
+    rate = fit_decay_rate(t, values)
+    if math.isnan(expected):
+        assert math.isnan(rate)
+    else:
+        assert abs(rate - expected) <= _LINREGRESS_BOUND * scale, (rate, expected, scale)
+
+
+def test_decay_fit_matches_linregress_on_presets(fig2_runs):
+    """The fitted |zeta| rate of each preset run agrees with scipy's
+    regression (multistep holds zeta at zero, and both give nan)."""
+    pytest.importorskip("scipy")
+    records = [record for _, record in fig2_runs.values()]
+    records.append(simulate(load_preset("multistep")))
+    fitted = 0
+    for record in records:
+        _assert_matches_linregress(record["t"], record["zeta"])
+        fitted += math.isfinite(fit_decay_rate(record["t"], record["zeta"]))
+    assert fitted == 3
+
+
+def test_decay_fit_matches_linregress_property():
+    """Drawn noisy decays, growths and flat runs, on sorted times with
+    repeats, agree with scipy's regression."""
+    pytest.importorskip("scipy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @hypothesis.given(
+        ticks=st.lists(st.integers(0, 10**6), min_size=2, max_size=200),
+        rate=st.floats(-5.0, 50.0),
+        noise=st.lists(st.floats(-1.0, 1.0), min_size=200, max_size=200),
+        sign=st.sampled_from((1.0, -1.0)))
+    def check(ticks, rate, noise, sign):
+        t = 1e-4 * np.sort(np.array(ticks, dtype=float))   # times in [0, 100] s
+        hypothesis.assume(t[0] < t[-1])
+        values = sign * np.exp(-rate * (t - t[0]) + np.array(noise[:len(t)]))
+        _assert_matches_linregress(t, values)
+
+    check()
