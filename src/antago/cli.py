@@ -165,12 +165,9 @@ def _cmd_sweep(args) -> int:
     epsilon_sweep = args.parameter == "epsilon"
     reports = [validate_gains(s.params, s.gains, epsilon=value if epsilon_sweep else 0.0)
                for s, value in zip(scenarios, values)]
-    if epsilon_sweep:   # every epsilon variant is the base scenario: simulate it once
-        summaries = [_point_summary(base)] * len(values)
-    else:
-        import numpy   # noqa: F401 -- loaded once here, not in each forked worker
-
-        summaries = forked_imap(_point_summary, scenarios)
+    # every epsilon variant is the base scenario: simulate it once
+    summaries = ([_point_summary(base)] * len(values) if epsilon_sweep
+                 else forked_imap(_point_summary, scenarios))
     header = ("value,valid,positive_definite,rate_bound_ok,condition_product,"
               "status,x_error,settle_time,max_psi_increment,psi_max,zeta_rate")
     rows = [header]

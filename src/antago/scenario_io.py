@@ -21,9 +21,10 @@ the run status is carried in leading ``#`` comment lines so the table itself
 stays consumable by any CSV reader. Neither side holds the whole text:
 ``save_trajectory_csv`` writes each block of rows into the file as it is
 rendered, and ``load_trajectory_csv`` passes the data rows to numpy's reader
-as it reads them from the file. numpy is imported by the functions that
-render or read the table, not by this module, so that parsing a scenario does
-not load it.
+as it reads the file's lines. One reader takes a text stream: the open file,
+or the string in an ``io.StringIO``. Files are read and written as UTF-8. numpy
+is imported by the functions that render or read the table, not by this
+module, so that parsing a scenario does not load it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import configparser
 import io
 import os
 import tempfile
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, fields
 from functools import partial
 from itertools import chain
@@ -175,9 +176,19 @@ def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
     return scenario
 
 
+def _not_utf8(role: str, path: str | os.PathLike, exc: UnicodeDecodeError) -> ScenarioError:
+    return ScenarioError(f"{role} {str(path)!r} is not UTF-8 text "
+                         f"(byte {exc.object[exc.start]:#04x}: {exc.reason})")
+
+
 def load_scenario(path: str | os.PathLike) -> ScenarioConfig:
+    """The scenario in the UTF-8 file ``path``, named after its stem."""
     path = Path(path)
-    return parse_scenario(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("scenario file", path, exc) from None
+    return parse_scenario(text, name=path.stem)
 
 
 def _field_values(*objects) -> dict:
@@ -231,7 +242,7 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -294,17 +305,21 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> No
 class _CsvScan:
     """One pass over the lines of a trajectory CSV, numbered from 1.
 
-    :meth:`rows` yields each data row; the ``# status:`` and ``# detail:``
-    lines it passes set ``status`` and add to ``details``, and ``number`` is
-    the line number of the last row it yielded.
+    :meth:`rows` yields each data row of a text stream from its start. It
+    splits each line of the stream with ``str.splitlines``, which splits as
+    on the whole text: the stream has turned "\\r\\n" and "\\r" into "\\n",
+    and ends each line at one. The ``# status:`` and ``# detail:`` lines it
+    passes set ``status`` and add to ``details``, and ``number`` is the line
+    number of the last row it yielded.
     """
 
     def __init__(self) -> None:
         self.status, self.details, self.number = "ok", [], 0
 
-    def rows(self, lines: Iterable[str]) -> Iterator[str]:
+    def rows(self, fh: TextIO) -> Iterator[str]:
+        fh.seek(0)
         header_seen = False
-        for number, ln in enumerate(lines, start=1):
+        for number, ln in enumerate(chain.from_iterable(map(str.splitlines, fh)), start=1):
             if ln.startswith("#"):
                 if ln.startswith("# status:"):
                     self.status = ln.partition(":")[2].strip()
@@ -331,38 +346,38 @@ class _CsvScan:
 def _read_table(rows: Iterable[str]) -> np.ndarray | None:
     """``rows`` as one float table with a column per channel, or None when
     numpy's compiled reader fails on them or finds another width. A
-    ``ScenarioError`` that the iteration of ``rows`` raises goes through."""
+    ``ScenarioError`` or ``UnicodeDecodeError`` that the iteration of ``rows``
+    raises goes through."""
     import numpy as np
 
     try:
         table = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2, comments=None)
-    except ScenarioError:
+    except (ScenarioError, UnicodeDecodeError):
         raise
     except ValueError:
         return None
     return table if table.shape[1] == len(CHANNELS) else None
 
 
-def _read_csv(lines: Callable[[], Iterable[str]]) -> TrajectoryRecord:
-    """The record in the lines of a trajectory CSV; each call of ``lines``
-    starts them again from the first.
+def _read_csv(fh: TextIO) -> TrajectoryRecord:
+    """The record in the trajectory CSV text stream ``fh``, read from its start.
 
     The data rows go from the scan straight into one call of numpy's compiled
     reader, so that neither the text nor a list of its lines is held. Only
-    when that fails, or gives another width, are the lines scanned again and
+    when that fails, or gives another width, is the stream scanned again and
     each row read alone, to name the first bad line. Zero rows skip the
     reader, which warns on empty input.
     """
     import numpy as np
 
     scan = _CsvScan()
-    rows = scan.rows(lines())
+    rows = scan.rows(fh)
     first = next(rows, None)
     table = (np.empty((0, len(CHANNELS))) if first is None
              else _read_table(chain((first,), rows)))
     if table is None:   # some row fails alone: rows that each read at this width read together
         again = _CsvScan()
-        ln = next(ln for ln in again.rows(lines()) if _read_table((ln,)) is None)
+        ln = next(ln for ln in again.rows(fh) if _read_table((ln,)) is None)
         raise ScenarioError(f"trajectory CSV line {again.number}: expected {len(CHANNELS)} "
                             f"numbers, got {ln!r}")
     return TrajectoryRecord(table, scan.status, "\n".join(scan.details))
@@ -385,38 +400,20 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
     channel raise :class:`ScenarioError` with the line number. The record
     holds the parsed float64 table itself.
     """
-    return _read_csv(text.splitlines)
-
-
-# Characters per read of a trajectory CSV file. Splitting each read into lines
-# at once takes less time than reading the file line by line; reads longer
-# than io's own 8 KiB buffer raise the peak memory and save no time.
-_READ_CHARS = 8192
-
-
-def _file_lines(fh: TextIO) -> Iterator[str]:
-    """The lines of ``fh`` from its start, as ``str.splitlines`` splits its
-    whole text, ``_READ_CHARS`` at a time. ``fh`` must translate "\\r\\n" and
-    "\\r" to "\\n", as ``open`` does by default, so that no line break spans
-    two reads."""
-    fh.seek(0)
-    tail = ""
-    # a read at least as long as the open line keeps a long line's copies linear
-    while chunk := fh.read(max(_READ_CHARS, len(tail))):
-        lines = (tail + chunk).splitlines()
-        # the last line goes on in the next read unless the chunk ends in a break
-        tail = "" if chunk[-1].splitlines() == [""] else lines.pop()
-        yield from lines
-    if tail:
-        yield tail
+    # newline=None turns "\r\n" and "\r" into "\n", as open does
+    return _read_csv(io.StringIO(text, newline=None))
 
 
 def load_trajectory_csv(path: str | os.PathLike) -> TrajectoryRecord:
     """Read a trajectory CSV file as :func:`trajectory_from_csv` reads its
-    text, to the same record or the same error, one read of the file at a
-    time instead of from the whole text."""
-    with open(path) as fh:
-        return _read_csv(partial(_file_lines, fh))
+    text, to the same record or the same error, a line of the file at a time
+    instead of from the whole text. A file that is not UTF-8 is a
+    :class:`ScenarioError` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return _read_csv(fh)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8("trajectory CSV", path, exc) from None
 
 
 # --------------------------------------------------------------------------

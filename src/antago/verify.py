@@ -176,8 +176,6 @@ def check_lyapunov() -> Report:
     motion opposes it; a motion-favouring load sits outside that assumption
     and can produce genuine (tiny but resolvable) positive increments.
     """
-    import numpy   # noqa: F401 -- loaded once here, not in each forked worker
-
     checks = tuple(forked_imap(_lyapunov_check, LYAPUNOV_PRESETS))
     return Report(checks, tuple(
         f"lyapunov {c.name}: max Psi increment {c.value:.3e} "

@@ -21,9 +21,10 @@ The policy, kept here alone:
   ends before it sends a result raises :class:`~antago.errors.WorkerError`.
   Every child is killed and reaped when the generator ends, fails or is
   closed early.
-- The package imports numpy only where an array is built, so a caller whose
-  jobs build arrays imports numpy before it calls :func:`forked_imap`: the
-  workers then share the loaded module and do not each import it again.
+- The package imports numpy only where an array is built, and its forked
+  jobs build arrays: :func:`forked_imap` imports numpy before the first fork,
+  so that the workers share the loaded module and do not each import it
+  again. When the items run in this process, it imports nothing.
 
 A fork plus its reaping costs 2.4–2.9 ms on a 2-core VM (Python 3.11), so a
 job is worth a child only at several times that. The CSV writer renders in
@@ -56,6 +57,8 @@ def forked_imap(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
         return
     import pickle   # here, as signal is, so that importing the package loads neither
     import signal
+
+    import numpy   # noqa: F401 -- loaded once here, not in each forked worker
 
     sys.stdout.flush()
     sys.stderr.flush()

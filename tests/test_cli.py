@@ -137,6 +137,17 @@ def test_run_non_finite_solver_flag_is_one_line_error(short_scenario_file, tmp_p
     assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
 
 
+def test_run_non_utf8_scenario_is_one_line_error(tmp_path, study, capsys):
+    """A Latin-1 'µ' in a comment names the scenario file, and no --out is written."""
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"; 5 \xb5m stroke\n" + serialize_scenario(study).encode())
+    out = tmp_path / "bad.csv"
+    assert main(["run", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: scenario file {str(bad)!r} is not UTF-8 text "
+                                       "(byte 0xb5: invalid start byte)\n")
+    assert not out.exists()
+
+
 def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypatch):
     """An rk4 run or sweep, or a sweep range, over its cost budget, a sweep
     epsilon that is not finite, and ``--values`` text that is not a number list

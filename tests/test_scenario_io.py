@@ -429,6 +429,22 @@ def test_save_scenario_round_trips(tmp_path, study):
     assert load_scenario(path) == replace(study, name="sc")
 
 
+def test_scenario_file_is_read_as_utf8(tmp_path, study):
+    """A 'µ' in a comment reads as UTF-8 whatever the locale; in Latin-1 it is
+    a ScenarioError naming the file."""
+    from antago.scenario_io import load_scenario
+
+    text = "; stroke in \u00b5m\n" + serialize_scenario(study)
+    path = tmp_path / "sc.ini"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_scenario(path) == replace(study, name="sc")
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(path)
+    assert str(info.value) == (f"scenario file {str(path)!r} is not UTF-8 text "
+                               "(byte 0xb5: invalid start byte)")
+
+
 # --------------------------------------------------------------------------
 # Trajectory CSV.
 
@@ -562,8 +578,8 @@ def test_csv_status_is_one_the_engine_writes(status):
 
 def test_csv_save_and_load_never_hold_the_whole_text(fig2_runs, tmp_path, monkeypatch):
     """Writing the 2,001-row fig2-F1 record holds one rendered block of rows
-    at a time, and reading it back one read of the file beside the table,
-    never the whole 688 kB text: tracemalloc peaks of 0.76 MB and 0.37 MB
+    at a time, and reading it back one line of the file beside the table,
+    never the whole 688 kB text: tracemalloc peaks of 0.76 MB and 0.345 MB
     (Python 3.11, numpy 2.4), where holding the whole text took 1.38 MB and
     1.88 MB. One core: every block is rendered where tracemalloc sees it."""
     import tracemalloc
@@ -654,14 +670,13 @@ def _read_text_and_file(text, path):
     return results
 
 
-def test_csv_matches_reference_property(tmp_path, monkeypatch):
+def test_csv_matches_reference_property(tmp_path):
     """Drawn records (0, 1 or many rows; a float64, float32, int or bool
     table; signed zeros, subnormals, infinities, NaN and 1e+-308) render
     byte for byte as the reference renders them, parse as the reference
     parses them, and survive the round trip. Their text with drawn line
-    breaks and lines added anywhere reads the same from a file, read in
-    pieces of 1, 7 or 8,192 characters, as from the text: an equal record
-    or an equal error."""
+    breaks and lines added anywhere reads the same from a file as from the
+    text: an equal record or an equal error."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
@@ -703,13 +718,48 @@ def test_csv_matches_reference_property(tmp_path, monkeypatch):
             lines.insert(data.draw(st.integers(0, len(lines))), extra)
         ends = data.draw(st.lists(st.sampled_from(_LINE_BREAKS), min_size=len(lines),
                                   max_size=len(lines)))
-        monkeypatch.setattr(antago.scenario_io, "_READ_CHARS",
-                            data.draw(st.sampled_from((1, 7, 8192))))
         by_text, by_file = _read_text_and_file(
             "".join(map(str.__add__, lines, ends)), tmp_path / "drawn.csv")
         assert by_text == by_file
 
     check()
+
+
+def test_csv_breaks_across_the_file_buffer_read_as_in_the_text(tmp_path):
+    """The file is decoded 8,192 bytes at a time. Slid across that boundary a
+    byte at a time, over 40 bytes of "\\r\\n" pairs, lone "\\r"s, blank and
+    detail lines and rows, it reads to the record its text reads to."""
+    block = f"# detail: a\r\n\r# detail: b\r\r\n{_ROW}\r\n\r{_ROW}\r"
+    path = tmp_path / "breaks.csv"
+    head = f"{_HEADER}\n# "
+    for shift in range(-2, 38):   # the boundary falls ``shift`` characters into the block
+        text = head + "x" * (8192 - 2 - len(head) - shift) + "\r\n" + block * 3
+        by_text, by_file = _read_text_and_file(text, path)
+        assert by_text == by_file
+        assert len(by_text) == 6 and by_text.detail == "a\nb\n" * 2 + "a\nb"
+
+
+def test_non_utf8_csv_file_names_it_after_one_scan(tmp_path, monkeypatch):
+    """A Latin-1 byte before the header, or in a row past the first 8,192
+    bytes, is a ScenarioError naming the file, raised by the first scan."""
+    scans = []
+
+    class CountedScan(antago.scenario_io._CsvScan):
+        def rows(self, fh):
+            scans.append(1)
+            return super().rows(fh)
+
+    monkeypatch.setattr(antago.scenario_io, "_CsvScan", CountedScan)
+    path = tmp_path / "latin1.csv"
+    for text in (f"# detail: 5 \u00b5m\n{_HEADER}\n{_ROW}\n",
+                 f"{_HEADER}\n" + f"{_ROW}\n" * 200 + _row("\u00b5") + "\n"):
+        path.write_bytes(text.encode("latin-1"))
+        scans.clear()
+        with pytest.raises(ScenarioError) as info:
+            load_trajectory_csv(path)
+        assert str(info.value) == (f"trajectory CSV {str(path)!r} is not UTF-8 text "
+                                   "(byte 0xb5: invalid start byte)")
+        assert scans == [1]
 
 
 def test_csv_detail_round_trips():

@@ -1,10 +1,15 @@
 """Forked workers: item order, who computes what, clean-up, and outputs that do
 not depend on how many workers ran."""
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import antago
 from antago.verify import check_lyapunov
 from antago.workers import forked_imap
 
@@ -108,3 +113,25 @@ def test_lyapunov_report_does_not_depend_on_worker_count(tmp_path, monkeypatch):
     me = str(os.getpid())
     assert ran[1] == [me] * 3
     assert len(ran[2]) == 3 and ran[2].count(me) == 2 and len(set(ran[2])) == 2
+
+
+# Runs one job that imports nothing on two items with the given cores, in a
+# fresh interpreter, and prints whether numpy was loaded where each item ran.
+_NUMPY_IN_JOBS = """\
+import json, os, sys
+from antago.workers import forked_imap
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+print(json.dumps(list(forked_imap(lambda i: (os.getpid(), "numpy" in sys.modules), [0, 1]))))
+"""
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_forked_workers_share_numpy_and_in_process_items_import_nothing(cores):
+    """Two cores: forked_imap loads numpy before it forks, so the child has it
+    though its job never imports it. One core: numpy stays unloaded."""
+    src = str(Path(antago.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_IN_JOBS, str(cores)],
+                          capture_output=True, text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    (pid0, numpy0), (pid1, numpy1) = json.loads(proc.stdout)
+    assert (pid1 != pid0, numpy0, numpy1) == (cores == 2, cores == 2, cores == 2)
