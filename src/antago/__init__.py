@@ -12,17 +12,11 @@ from .controller import (
     ControllerGains,
     SigmaTerms,
     StabilityReport,
-    StepperParams,
     closed_loop_field,
     control_flows,
     desired_energy,
     desired_energy_rate,
-    min_jerk_position,
-    min_jerk_velocity,
     sigma,
-    stepper_target,
-    stepper_target_digital,
-    stepper_target_empirical,
     validate_gains,
 )
 from .engine import (
@@ -51,8 +45,6 @@ from .plant import (
     hamiltonian,
     hamiltonian_gradient,
     open_loop_field,
-    pouch_length,
-    pouch_volume,
     pressure_potential,
     total_mass,
 )
@@ -75,16 +67,14 @@ __all__ = [
     "ActuatorGeometry", "CHANNELS", "ControllerGains", "DiagnosticsSummary",
     "DomainError", "FluidParams", "ForceModel", "GeometryTerms", "PlantParams",
     "PlantState", "ScenarioConfig", "ScenarioError", "SigmaTerms",
-    "SolverError", "SolverSettings", "StabilityReport", "StepperParams",
-    "TrajectoryRecord", "WorkerError", "augmented_field", "closed_loop_field",
-    "control_flows", "desired_energy", "desired_energy_rate", "diagnostics",
-    "fit_decay_rate", "generalized_force", "geometry_terms", "hamiltonian",
+    "SolverError", "SolverSettings", "StabilityReport", "TrajectoryRecord",
+    "WorkerError", "augmented_field", "closed_loop_field", "control_flows",
+    "desired_energy", "desired_energy_rate", "diagnostics", "fit_decay_rate",
+    "generalized_force", "geometry_terms", "hamiltonian",
     "hamiltonian_gradient", "list_presets", "load_preset", "load_scenario",
-    "load_trajectory_csv", "min_jerk_position", "min_jerk_velocity",
-    "observer_rate", "open_loop_field", "parse_scenario", "pouch_length",
-    "pouch_volume", "pressure_potential", "save_scenario",
+    "load_trajectory_csv", "observer_rate", "open_loop_field",
+    "parse_scenario", "pressure_potential", "save_scenario",
     "save_trajectory_csv", "serialize_scenario", "sigma", "simulate",
-    "simulate_open_loop", "stepper_target", "stepper_target_digital",
-    "stepper_target_empirical", "total_mass", "trajectory_from_csv",
+    "simulate_open_loop", "total_mass", "trajectory_from_csv",
     "trajectory_to_csv", "validate_gains",
 ]

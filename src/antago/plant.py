@@ -204,28 +204,6 @@ def geometry_terms_array(x: np.ndarray, geometry: ActuatorGeometry) -> GeometryT
     return GeometryTerms(V1=V1, V2=V2, A1=-f1, A2=f2, dA1=g1, dA2=g2)
 
 
-def pouch_length(theta: float, geometry: ActuatorGeometry) -> float:
-    """Actuator length as a function of the half central angle theta.
-
-    Returns ``L0 * sin(theta) / theta`` with the analytic limit ``L0`` at
-    ``theta = 0``.
-    """
-    if not 0.0 <= theta < math.pi:
-        raise DomainError(f"half central angle {theta!r} outside [0, pi)")
-    if theta == 0.0:
-        return geometry.L0
-    return geometry.L0 * math.sin(theta) / theta
-
-
-def pouch_volume(theta: float, geometry: ActuatorGeometry) -> float:
-    """Internal volume of one actuator as a function of the half central angle."""
-    if not 0.0 <= theta < math.pi:
-        raise DomainError(f"half central angle {theta!r} outside [0, pi)")
-    if theta == 0.0:
-        return 0.0
-    return geometry.K0 * (theta - math.cos(theta) * math.sin(theta)) / theta**2
-
-
 def total_mass(x: float, params: PlantParams) -> float:
     """Total moving mass: payload plus the fluid contained in both actuators."""
     g = geometry_terms(x, params.geometry)

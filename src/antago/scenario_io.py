@@ -22,9 +22,9 @@ stays consumable by any CSV reader. Neither side holds the whole text:
 ``save_trajectory_csv`` writes each block of rows into the file as it is
 rendered, and ``load_trajectory_csv`` passes the data rows to numpy's reader
 as it reads the file's lines. One reader takes a text stream: the open file,
-or the string in an ``io.StringIO``. Files are read and written as UTF-8. numpy
-is imported by the functions that render or read the table, not by this
-module, so that parsing a scenario does not load it.
+or the string's UTF-8 bytes behind an ``io.TextIOWrapper``. Files are read
+and written as UTF-8. numpy is imported by the functions that render or read
+the table, not by this module, so that parsing a scenario does not load it.
 """
 
 from __future__ import annotations
@@ -400,8 +400,12 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
     channel raise :class:`ScenarioError` with the line number. The record
     holds the parsed float64 table itself.
     """
-    # newline=None turns "\r\n" and "\r" into "\n", as open does
-    return _read_csv(io.StringIO(text, newline=None))
+    # The UTF-8 bytes, not an io.StringIO, which keeps 4 bytes per character;
+    # surrogatepass carries any str both ways, and newline=None turns "\r\n"
+    # and "\r" into "\n", as open does.
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return _read_csv(io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass",
+                                      newline=None))
 
 
 def load_trajectory_csv(path: str | os.PathLike) -> TrajectoryRecord:
@@ -438,8 +442,11 @@ def list_presets() -> list[str]:
 
 
 def load_preset(name: str) -> ScenarioConfig:
+    """The preset ``name``, one of :func:`list_presets`: a name that is not
+    one, such as a path out of the preset directory, is unknown."""
+    known = list_presets()
     path = _preset_dir() / f"{name}.ini"
-    if not path.is_file():
-        known = ", ".join(list_presets()) or "(none found)"
-        raise ScenarioError(f"unknown preset {name!r}; available: {known}")
+    if name not in known or not path.is_file():
+        raise ScenarioError(f"unknown preset {name!r}; available: "
+                            f"{', '.join(known) or '(none found)'}")
     return load_scenario(path)

@@ -13,11 +13,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from antago.controller import StepperParams, stepper_target, stepper_target_digital, validate_gains
+from antago.controller import validate_gains
 from antago.engine import diagnostics, simulate
 from antago.plant import total_mass
 from antago.scenario_io import load_preset
 from antago.verify import check_gradients, check_matching, check_observer_decay
+from stepper_mapping import StepperParams, stepper_target, stepper_target_digital
 
 FIG2 = ("fig2-F1", "fig2-F2", "fig2-F3")
 

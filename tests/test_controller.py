@@ -13,16 +13,10 @@ from antago.controller import (
     control_flows,
     desired_energy,
     desired_energy_rate,
-    min_jerk_position,
-    min_jerk_velocity,
     sigma,
-    stepper_target,
-    stepper_target_digital,
-    stepper_target_empirical,
     validate_gains,
-    StepperParams,
 )
-from antago.engine import ForceModel, augmented_field
+from antago.engine import ForceModel, augmented_field, simulate
 from antago.errors import DomainError
 from antago.observer import observer_rate
 from antago.plant import (
@@ -35,6 +29,15 @@ from antago.plant import (
 )
 from antago.scenario_io import load_preset
 from antago.verify import check_matching
+from point_loop import held_flow_run, initial_state, loop_field
+from stepper_mapping import (
+    StepperParams,
+    min_jerk_position,
+    min_jerk_velocity,
+    stepper_target,
+    stepper_target_digital,
+    stepper_target_empirical,
+)
 
 
 def _random_state(params, rng, p_scale=0.1, P_scale=5e4):
@@ -394,3 +397,25 @@ def test_stepper_time_domain_errors():
 def test_stepper_empirical_mapping():
     stepper = StepperParams(S=5.7256e-4, delta_t=0.048, T_f=0.096, k_U=1234.5)
     assert stepper_target_empirical(2e-6, stepper, 1e-3) == 1e-3 + 2e-6 * 1234.5
+
+
+def test_flows_held_at_the_stepper_period_stall_the_loop():
+    """The mapping's arithmetic holds, but the simulated loop does not work
+    at its period. The experiment's steppers take a new flow command every
+    48 ms; held that long from the start of each period, the flows of the law
+    leave fig2-F1's payload where it was, while the continuous loop moves it.
+    The law's flows are mostly its A*v feed-forward, which must follow the
+    velocity; held, they stay near their value at rest, and the stiff fluid
+    (a 2.5 kHz hydraulic mode) holds the payload there."""
+    pytest.importorskip("scipy.integrate")
+    scenario = load_preset("fig2-F1")
+    (_, x_star), = scenario.setpoints
+    y0 = initial_state(scenario)
+    # the composed loop, with the flows recomputed, is the engine's at t = 0
+    assert loop_field(y0, scenario, x_star) == augmented_field(
+        scenario.initial, y0[4], scenario.gains, x_star, scenario.force, scenario.params)
+
+    held_x = held_flow_run(scenario, 0.048, 2)[0]
+    moved_x = float(simulate(replace(scenario, duration=0.096))["x"][-1])
+    assert abs(held_x) < 1e-9, held_x
+    assert moved_x > 1e-6, moved_x

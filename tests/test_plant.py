@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import antago
+import antago.controller
+import antago.plant
 import antago.verify
 from antago import engine
 from antago.cli import build_parser
@@ -27,8 +29,6 @@ from antago.plant import (
     hamiltonian,
     hamiltonian_gradient,
     open_loop_field,
-    pouch_length,
-    pouch_volume,
     pressure_potential,
     total_mass,
 )
@@ -122,7 +122,30 @@ def test_position_bounds_are_open_interval():
 
 
 # --------------------------------------------------------------------------
-# Pouch kinematics.
+# Pouch kinematics: the geometry the closed-form volume law was derived from,
+# kept here as its oracle.
+
+def pouch_length(theta, geometry):
+    """Actuator length as a function of the half central angle theta.
+
+    Returns ``L0 * sin(theta) / theta`` with the analytic limit ``L0`` at
+    ``theta = 0``.
+    """
+    if not 0.0 <= theta < math.pi:
+        raise DomainError(f"half central angle {theta!r} outside [0, pi)")
+    if theta == 0.0:
+        return geometry.L0
+    return geometry.L0 * math.sin(theta) / theta
+
+
+def pouch_volume(theta, geometry):
+    """Internal volume of one actuator as a function of the half central angle."""
+    if not 0.0 <= theta < math.pi:
+        raise DomainError(f"half central angle {theta!r} outside [0, pi)")
+    if theta == 0.0:
+        return 0.0
+    return geometry.K0 * (theta - math.cos(theta) * math.sin(theta)) / theta**2
+
 
 def test_pouch_length_limit_and_values():
     geo = _study_geometry()
@@ -292,6 +315,38 @@ def test_one_observer_gain():
     for name, func, parameters in _public_parameters():
         assert not parameters & {"obs", "setpoint"}, (name, func)
         assert not {"gains", "alpha"} <= parameters, (name, func)
+
+
+# The package's public names, listed so that a name enters or leaves on purpose.
+PUBLIC_NAMES = {
+    "ActuatorGeometry", "CHANNELS", "ControllerGains", "DiagnosticsSummary",
+    "DomainError", "FluidParams", "ForceModel", "GeometryTerms", "PlantParams",
+    "PlantState", "ScenarioConfig", "ScenarioError", "SigmaTerms",
+    "SolverError", "SolverSettings", "StabilityReport", "TrajectoryRecord",
+    "WorkerError", "augmented_field", "closed_loop_field", "control_flows",
+    "desired_energy", "desired_energy_rate", "diagnostics", "fit_decay_rate",
+    "generalized_force", "geometry_terms", "hamiltonian",
+    "hamiltonian_gradient", "list_presets", "load_preset", "load_scenario",
+    "load_trajectory_csv", "observer_rate", "open_loop_field",
+    "parse_scenario", "pressure_potential", "save_scenario",
+    "save_trajectory_csv", "serialize_scenario", "sigma", "simulate",
+    "simulate_open_loop", "total_mass", "trajectory_from_csv",
+    "trajectory_to_csv", "validate_gains",
+}
+
+
+def test_public_surface_is_pinned():
+    """``antago.__all__`` is exactly the listed names, and the stepper mapping
+    and the pouch kinematics, which only the tests use, are not in the
+    package (``tests/stepper_mapping.py`` and the oracle above hold them)."""
+    assert len(PUBLIC_NAMES) == 47
+    assert set(antago.__all__) == PUBLIC_NAMES
+    test_side = ("StepperParams", "min_jerk_position", "min_jerk_velocity",
+                 "stepper_target", "stepper_target_digital",
+                 "stepper_target_empirical", "pouch_length", "pouch_volume")
+    for module in (antago, antago.plant, antago.controller):
+        for name in test_side:
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_gradients_match_finite_differences():
