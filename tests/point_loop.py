@@ -5,12 +5,8 @@ scipy's integrators: the plant's ``open_loop_field`` driven by the flows
 ``(U1, U2)`` under the scenario's load, with the observer's ``observer_rate``
 running on it. It shares no code with the engine's integrated closed loop:
 with the flows of ``control_flows`` recomputed at every evaluation it is that
-loop, and at one point it equals ``augmented_field``. Given flows, it holds
+loop, and at any point it equals ``augmented_field``. Given flows, it holds
 them, as a digital controller holds its command between updates.
-
-The controller and the observer see the plant through ``model``, their copy of
-its parameters. By default it is the plant's own; a copy with one value scaled
-asks how much model error the law tolerates.
 """
 
 from antago.controller import control_flows
@@ -18,17 +14,16 @@ from antago.observer import observer_rate
 from antago.plant import PlantState, open_loop_field, total_mass
 
 
-def loop_field(y, scenario, x_star, flows=None, model=None):
+def loop_field(y, scenario, x_star, flows=None):
     """``(dx, dp, dP1, dP2, dF_hat)`` at ``y = (x, p, P1, P2, F_hat)`` under
     ``flows``, or under the flows of the law at ``y`` when ``flows`` is None."""
     x, p, P1, P2, F_hat = y
     state = PlantState(x, p, P1, P2)
-    model = model or scenario.params
     if flows is None:
-        flows = control_flows(state, F_hat, scenario.gains, x_star, model)
+        flows = control_flows(state, F_hat, scenario.gains, x_star, scenario.params)
     F = scenario.force(x, p / total_mass(x, scenario.params))
     return (*open_loop_field(state, *flows, F, scenario.params),
-            observer_rate(state, F_hat, scenario.gains.alpha, model))
+            observer_rate(state, F_hat, scenario.gains.alpha, scenario.params))
 
 
 def initial_state(scenario):

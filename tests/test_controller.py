@@ -410,12 +410,21 @@ def test_flows_held_at_the_stepper_period_stall_the_loop():
     pytest.importorskip("scipy.integrate")
     scenario = load_preset("fig2-F1")
     (_, x_star), = scenario.setpoints
-    y0 = initial_state(scenario)
-    # the composed loop, with the flows recomputed, is the engine's at t = 0
-    assert loop_field(y0, scenario, x_star) == augmented_field(
-        scenario.initial, y0[4], scenario.gains, x_star, scenario.force, scenario.params)
+    held = held_flow_run(scenario, 0.048, 2)
+    # the composed loop, with the flows recomputed, is the engine's: at t = 0,
+    # at the end of the held run and at moving, pressurised states, where the
+    # A*v feed-forward and the friction's velocity are nonzero (the two agree
+    # to rounding, at most 1.7e-10 relative over 200 such draws)
+    rng = np.random.default_rng(26)
+    draws = [_random_state(scenario.params, rng) for _ in range(5)]
+    points = [initial_state(scenario), held]
+    points += [(s.x, s.p, s.P1, s.P2, float(rng.uniform(-1.0, 1.0))) for s in draws]
+    for y in points:
+        engine_field = augmented_field(PlantState(*y[:4]), y[4], scenario.gains, x_star,
+                                       scenario.force, scenario.params)
+        assert loop_field(y, scenario, x_star) == pytest.approx(engine_field, rel=1e-9)
 
-    held_x = held_flow_run(scenario, 0.048, 2)[0]
+    held_x = held[0]
     moved_x = float(simulate(replace(scenario, duration=0.096))["x"][-1])
     assert abs(held_x) < 1e-9, held_x
     assert moved_x > 1e-6, moved_x
