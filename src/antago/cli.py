@@ -13,8 +13,9 @@ variable; ``verify`` always checks the bundled presets). Exit status is
 nonzero when a run terminates early or a verification bound is violated.
 Every bad input reaches :func:`main` as a ``ValueError`` (``ScenarioError``
 and ``DomainError`` are ones), which it prints as one ``error:`` line before
-exiting 1, as it does a ``WorkerError`` (a forked worker that died); an early
-end of a run arrives as the record's status, not as an exception.
+exiting 1, as it does an ``OSError`` (an unreadable scenario, an unwritable
+``--out``, a full disk; the old ``--out`` stays) and a ``WorkerError`` (a
+forked worker that died); an early end of a run is the record's status.
 
 ``sweep`` takes at most ``MAX_SWEEP_POINTS`` values, checks every point
 before it simulates any, then runs the points on
@@ -250,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, WorkerError) as exc:
+    except (ValueError, OSError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,24 +17,28 @@ sampled states.
 One table, :data:`STEPPERS`, names the integrators that ``SolverSettings``
 accepts: an adaptive third-order embedded pair with second-order error estimate
 (``rk23``) and a fixed-step classical fourth-order scheme (``rk4``). Both are
-deterministic; identical scenarios produce bit-identical trajectories. Both
-step five named scalars, with every stage written out per component, and call
-the right-hand side as ``rhs(t, x, p, P1, P2, F_hat)``. The open loop's right-hand
-side, built by :func:`_make_open_rhs`, is the unforced plant (no flow, no load);
-its fifth state stays exactly zero and is dropped from the result. The inner
-loops make no ``min``/``max``/``abs`` calls: each is written out as comparisons
-that keep the builtin's tie and NaN behaviour. The right-hand sides bind their
-per-segment constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``, ``-K0``) once. The
-closed loop also resolves the force law once per segment: when the force's
-type still has ``ForceModel``'s own ``__call__`` (the function captured when
-this module was imported), the evaluation computes ``value * tanh(xdot)``,
-``value * x`` or ``value`` in place; any other ``__call__``, such as a
-subclass's override or a wrapper put on the class, is bound and called.
-Within an evaluation the products ``A_i * P_i`` and the negated shear are each
-computed once, and ``(-q) + r`` is written ``r - q``, which IEEE arithmetic
-defines as the same operation. So every floating-point operation keeps the
-operands and order of the textbook form, and the trajectories are
-bit-identical to it.
+deterministic; identical scenarios produce bit-identical trajectories. Each
+entry is a stepper template, source text stepping five named scalars with every
+stage written out per component, into which the loop's right-hand side, also
+written once as source text, is inlined at every stage: no evaluation pays a
+Python call or builds a tuple. The one-stage instance is the right-hand side
+alone (:func:`augmented_field`). Each (method, loop, force law) kernel is
+compiled once per process, on first use and never on import; per setpoint
+segment a factory binds the scalar constants (``2 * L0``, ``L0 * L0``,
+``2 * k_m``, ``-K0`` and the parameters) as closure variables, so a sweep point
+compiles nothing. The open loop is the unforced plant (no flow, no load); its
+fifth state stays exactly zero and is dropped from the result. The closed
+loop's force law is fixed with its kernel: while the force's type still has
+``ForceModel``'s own ``__call__`` (captured when this module was imported),
+``value * tanh(xdot)``, ``value * x`` or ``value`` is computed in place; any
+other ``__call__``, such as a subclass's override or a wrapper put on the
+class, is bound once per segment and called. The inner loops make no
+``min``/``max``/``abs`` calls: each is written out as comparisons that keep
+the builtin's tie and NaN behaviour. Within an evaluation the products
+``A_i * P_i`` and the negated shear are each computed once, and ``(-q) + r``
+is written ``r - q``, which IEEE arithmetic defines as the same operation. So
+every floating-point operation keeps the operands and order of the textbook
+form, and the trajectories are bit-identical to it.
 
 The sample grid is a pure function of ``(duration, sample_dt, setpoint
 times)``, so the last one built is kept (:func:`_sample_grid`, a one-entry
@@ -48,12 +52,12 @@ It also rejects a setpoint time within rounding of the previous one or of the
 duration, which would leave a step below ``rk23``'s floor between them.
 
 A position within the plant's fixed 1 µm ``DOMAIN_MARGIN`` of the
-volume-model boundary ends a run as "domain-exit". The right-hand sides inline
+volume-model boundary ends a run as "domain-exit". The kernels inline
 :func:`antago.plant.geometry_terms`, the single geometry entry point; the
 record and diagnostics call its array form.
 
 Errors are raised once, at the failure, with the time and state in the
-message: the right-hand sides raise ``DomainError``, the ``rk23`` stepper
+message: the right-hand side raises ``DomainError``, the ``rk23`` stepper
 ``SolverError``. :func:`simulate` turns either into the record's status and
 detail; every other caller gets the error itself.
 
@@ -66,14 +70,15 @@ and reads the observer gain ``alpha`` only from ``ControllerGains``.
 
 numpy is imported by the functions that build or read arrays (the record and
 its ``==``, :func:`simulate_open_loop`'s result, :func:`fit_decay_rate` and
-:func:`diagnostics`), not by this module: the scalar right-hand sides and the
-steppers never load it.
+:func:`diagnostics`), not by this module: the kernels never load it.
 """
 
 from __future__ import annotations
 
 import functools
+import linecache
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -98,9 +103,9 @@ FORCE_KINDS = ("constant", "tanh_friction", "spring")
 # setpoint adds a grid point and a segment) and, for rk4, this many fixed steps
 # (duration / fixed_step). The presets ask for 2,001 samples; the costliest
 # rk4 cross-check takes about 1.7e5 steps and `--method rk4` on a preset 1e6.
-# The rk4 budget is about 4e7 right-hand-side evaluations, or roughly 100 s of
-# integration at the 2.2-2.8 us per evaluation measured on one 2.1 GHz Xeon
-# core with Python 3.11.
+# The rk4 budget is about 4e7 right-hand-side evaluations, or roughly 80 s of
+# integration at the 1.8-2.2 us per evaluation of the fused rk4 kernel,
+# measured on one core of a 2-vCPU Xeon VM with Python 3.11.
 MAX_SAMPLES = 10**6
 MAX_RK4_STEPS = 10**7
 
@@ -117,12 +122,12 @@ class ForceModel:
     ``constant``: F = value; ``tanh_friction``: F = value * tanh(xdot)
     (Coulomb-like, vanishes at rest); ``spring``: F = value * x.
 
-    The closed-loop right-hand side writes these three laws out in place,
-    with the operands and order of :meth:`__call__`, when
-    ``type(force).__call__`` is this class's own ``__call__``. Otherwise, as
-    for a subclass that overrides ``__call__`` or a wrapper set on the class,
-    it binds the ``__call__`` found on the instance's type once per setpoint
-    segment and calls it. The record calls ``__call__`` once per sample.
+    The closed-loop kernels write these three laws out in place, with the
+    operands and order of :meth:`__call__`, when ``type(force).__call__`` is
+    this class's own ``__call__``. Otherwise, as for a subclass that
+    overrides ``__call__`` or a wrapper set on the class, the ``__call__``
+    found on the instance's type is bound once per setpoint segment and
+    called. The record calls ``__call__`` once per sample.
     """
 
     kind: str
@@ -271,154 +276,88 @@ class TrajectoryRecord:
                 and np.array_equal(self.table, other.table, equal_nan=True))
 
 
-def _make_rhs(params: PlantParams, gains: ControllerGains, force: ForceModel,
-              x_star: float):
-    """Closed-loop right-hand side for one setpoint segment.
-
-    All parameters, the derived constants and the force law are locals of the
-    closure; the geometry branch is inlined because this is the innermost loop
-    of every simulation. The force law is picked once: while
-    ``type(force).__call__`` is ``ForceModel``'s own (``_FORCE_LAW``), its kind's
-    product is computed in place; otherwise the bound ``force.__call__`` is
-    called. Shared subexpressions (``A_i * P_i`` in G and sigma, the negated
-    shear in both pressure rows) are computed once, with the operands and order
-    of the textbook form, so the result is bit-identical to it.
-    """
-    geo = params.geometry
-    L0 = geo.L0
-    K0 = geo.K0
-    V0 = geo.V0
-    x0 = geo.x0
-    x_M = geo.x_M
-    rho = params.fluid.rho
-    m = params.m
-    R = params.R
-    k_p, k_m, k_i, alpha = gains.k_p, gains.k_m, gains.k_i, gains.alpha
-    kpkm = k_p * k_m
-    two_L0 = 2.0 * L0
-    L0_sq = L0 * L0
-    two_k_m = 2.0 * k_m
-    neg_K0 = -K0
-    margin = DOMAIN_MARGIN
-    kind = force.kind if type(force).__call__ is _FORCE_LAW else None
-    tanh_law = kind == "tanh_friction"
-    spring_law = kind == "spring"
-    constant_law = kind == "constant"
-    fv = force.value
-    f = force.__call__
-    sqrt = math.sqrt
-    tanh = math.tanh
-
-    def rhs(t: float, x: float, p: float, P1: float, P2: float, F_hat: float) -> tuple:
-        u1 = x_M - x - x0
-        u2 = x + x0
-        # Written so that a NaN position fails the check.
-        if not (u1 > margin and u2 > margin):
-            side = 2 if u1 > margin else 1
-            raise DomainError(f"actuator {side} reached the volume-model boundary "
-                              f"(t={t:.6e}, state={(x, p, P1, P2, F_hat)})")
-        s1 = sqrt(6.0 * u1 / L0)
-        a1 = 2.0 / 3.0 - u1 / two_L0
-        s2 = sqrt(6.0 * u2 / L0)
-        a2 = 2.0 / 3.0 - u2 / two_L0
-        V1 = K0 * a1 * s1 + V0
-        V2 = K0 * a2 * s2 + V0
-        A1 = neg_K0 * (3.0 * a1 / (L0 * s1) - s1 / two_L0)
-        A2 = K0 * (3.0 * a2 / (L0 * s2) - s2 / two_L0)
-        dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * a1 / (L0_sq * s1**3))
-        dA2 = K0 * (-3.0 / (L0_sq * s2) - 9.0 * a2 / (L0_sq * s2**3))
-
-        M = m + rho * (V1 + V2)
-        v = p / M
-        w1 = A1 * P1
-        w2 = A2 * P2
-        G = p * p * rho * (A1 + A2) / (2.0 * M * M) + w1 + w2 - R * v
-        if tanh_law:
-            F = fv * tanh(v)
-        elif spring_law:
-            F = fv * x
-        elif constant_law:
-            F = fv
-        else:
-            F = f(x, v)
-        k_i_sig = k_i * (w1 + w2 - F_hat + kpkm * (x - x_star))
-        ns = -((1.0 + k_m * (P1 * dA1 + P2 * dA2 + kpkm)) * v / two_k_m)
-        return (
-            v,
-            G - F,
-            ns / A1 - k_i_sig / A1,
-            ns / A2 - k_i_sig / A2,
-            alpha * (G - F_hat + alpha * p),
-        )
-
-    return rhs
-
-
-def _make_open_rhs(params: PlantParams, R: float):
-    """Right-hand side of the unforced open-loop plant with damping ``R``."""
-    geo = params.geometry
-    L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
-    rho, neg_Gamma0, m = params.fluid.rho, -params.fluid.Gamma0, params.m
-    two_L0, neg_K0 = 2.0 * L0, -K0
-    margin, sqrt = DOMAIN_MARGIN, math.sqrt
-
-    def rhs(t: float, x: float, p: float, P1: float, P2: float, zero: float) -> tuple:
-        u1 = x_M - x - x0
-        u2 = x + x0
-        if not (u1 > margin and u2 > margin):
-            side = 2 if u1 > margin else 1
-            raise DomainError(f"actuator {side} reached the volume-model boundary "
-                              f"(t={t:.6e}, state={(x, p, P1, P2)})")
-        s1 = sqrt(6.0 * u1 / L0)
-        a1 = 2.0 / 3.0 - u1 / two_L0
-        s2 = sqrt(6.0 * u2 / L0)
-        a2 = 2.0 / 3.0 - u2 / two_L0
-        V1 = K0 * a1 * s1 + V0
-        V2 = K0 * a2 * s2 + V0
-        A1 = neg_K0 * (3.0 * a1 / (L0 * s1) - s1 / two_L0)
-        A2 = K0 * (3.0 * a2 / (L0 * s2) - s2 / two_L0)
-        M = m + rho * (V1 + V2)
-        v = p / M
-        G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
-        return (v, G, neg_Gamma0 * (A1 * v) / V1, neg_Gamma0 * (A2 * v) / V2, 0.0)
-
-    return rhs
-
-
-def augmented_field(state: PlantState, F_hat: float, gains: ControllerGains,
-                    x_star: float, force: ForceModel, params: PlantParams) -> tuple:
-    """Public wrapper around the integrated field, for point verification."""
-    rhs = _make_rhs(params, gains, force, x_star)
-    return rhs(0.0, state.x, state.p, state.P1, state.P2, F_hat)
-
-
 # --------------------------------------------------------------------------
-# Integrators. The state is five named floats; every stage is written out per
-# component because this loop dominates the cost of a run. The expressions
-# keep the form and order of the textbook vector updates, so trajectories do
-# not depend on the unrolling.
+# Kernels. Each loop's right-hand side is one body of source text, and each
+# stepper one template into which that body is inlined at every stage, so that
+# no evaluation pays a Python call or builds a tuple. A stage is a template
+# line ``k = rhs(T, E)``: it binds the body's state names to ``E`` per
+# component and evaluates the body at the stage time ``T`` (read only by the
+# error message) into ``k1, ..., k5``. A ``for $i in state:`` block repeats
+# its lines once per component, and ``y$s`` stands for ``y1, ..., y5``.
+
+# The geometry, the mass and the momentum rate G of both loops, from the
+# stage's x, p, P1 and P2. ``$state`` is the stage state the error prints.
+_PLANT_BODY = """\
+u1 = x_M - x - x0
+u2 = x + x0
+# Written so that a NaN position fails the check.
+if not (u1 > margin and u2 > margin):
+    side = 2 if u1 > margin else 1
+    raise DomainError(f"actuator {side} reached the volume-model boundary "
+                      f"(t={$t:.6e}, state={($state)})")
+s1 = sqrt(6.0 * u1 / L0)
+g1 = 2.0 / 3.0 - u1 / two_L0
+s2 = sqrt(6.0 * u2 / L0)
+g2 = 2.0 / 3.0 - u2 / two_L0
+V1 = K0 * g1 * s1 + V0
+V2 = K0 * g2 * s2 + V0
+A1 = neg_K0 * (3.0 * g1 / (L0 * s1) - s1 / two_L0)
+A2 = K0 * (3.0 * g2 / (L0 * s2) - s2 / two_L0)
+M = m + rho * (V1 + V2)
+v = p / M
+w1 = A1 * P1
+w2 = A2 * P2
+G = p * p * rho * (A1 + A2) / (2.0 * M * M) + w1 + w2 - R * v
+"""
+
+# Per loop: the names its body reads the state under and the body. The open
+# loop is the unforced plant (no flow, no load); its fifth state stays zero
+# and is not read. ``$force`` is the closed loop's line of _FORCE_LINES.
+_LOOPS = {
+    "closed": (("x", "p", "P1", "P2", "F_hat"), _PLANT_BODY + """\
+dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * g1 / (L0_sq * s1**3))
+dA2 = K0 * (-3.0 / (L0_sq * s2) - 9.0 * g2 / (L0_sq * s2**3))
+$force
+k_i_sig = k_i * (w1 + w2 - F_hat + kpkm * (x - x_star))
+ns = -((1.0 + k_m * (P1 * dA1 + P2 * dA2 + kpkm)) * v / two_k_m)
+$k1 = v
+$k2 = G - F
+$k3 = ns / A1 - k_i_sig / A1
+$k4 = ns / A2 - k_i_sig / A2
+$k5 = alpha * (G - F_hat + alpha * p)
+"""),
+    "open": (("x", "p", "P1", "P2"), _PLANT_BODY + """\
+$k1 = v
+$k2 = G
+$k3 = neg_Gamma0 * (A1 * v) / V1
+$k4 = neg_Gamma0 * (A2 * v) / V2
+$k5 = 0.0
+"""),
+}
+
+# The closed loop's force, by law: ForceModel's three kinds written out with
+# the operands of its __call__, or "call" for any other __call__, bound.
+_FORCE_LINES = {"constant": "F = fv", "tanh_friction": "F = fv * tanh(v)",
+                "spring": "F = fv * x", "call": "F = f(x, v)"}
 
 _MIN_STEP_FRACTION = 1e-14
 # A sample time this close to a setpoint time, relative to max(|t|, 1), gives
 # way to it (see _sample_grid); 100 floors keep the step between them clear.
 _COLLISION_FRACTION = 100 * _MIN_STEP_FRACTION
 
-
-def _rk23_segment(rhs, y, t_grid, solver, h):
-    """Bogacki-Shampine 3(2) pair with FSAL, landing exactly on grid times.
-
-    ``rhs(t, y1, ..., y5)`` returns the five derivatives as a tuple. Each
-    ``min``/``max`` of the textbook loop is written out as comparisons that
-    keep the builtin's result: the first argument wins a tie, and a NaN
-    argument after the first never wins. Each ``abs(y)`` is written
-    ``y if y >= 0.0 else -y``, which differs from it only in the sign of a
-    NaN or of a zero; neither sign reaches a comparison's outcome or an output.
-    """
+# Bogacki-Shampine 3(2) pair with FSAL, landing exactly on grid times. Each
+# ``min``/``max`` of the textbook loop is written out as comparisons that keep
+# the builtin's result: the first argument wins a tie, and a NaN argument
+# after the first never wins. Each ``abs(y)`` is written ``y if y >= 0.0 else
+# -y``, which differs from it only in the sign of a NaN or of a zero; neither
+# sign reaches a comparison's outcome or an output.
+_RK23 = """\
+def kernel(y, t_grid, solver, h):
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
     out = []
     t = t_grid[0]
-    y1, y2, y3, y4, y5 = y
-    a1, a2, a3, a4, a5 = rhs(t, y1, y2, y3, y4, y5)
+    y$s = y
+    a = rhs(t, y$i)
     for tg in t_grid[1:]:
         abs_tg = tg if tg >= 0.0 else -tg
         land_tol = 1e-15 * (abs_tg if abs_tg > 1.0 else 1.0)
@@ -431,97 +370,147 @@ def _rk23_segment(rhs, y, t_grid, solver, h):
                 h = rest
             abs_t = t if t >= 0.0 else -t
             if h < _MIN_STEP_FRACTION * (abs_t if abs_t > 1.0 else 1.0):
-                raise SolverError(f"step size underflow at t={t:.6e} "
-                                  f"(state={(y1, y2, y3, y4, y5)})")
+                raise SolverError(f"step size underflow at t={t:.6e} (state={(y$s)})")
             hb = 0.5 * h
-            b1, b2, b3, b4, b5 = rhs(t + hb, y1 + hb * a1, y2 + hb * a2,
-                                     y3 + hb * a3, y4 + hb * a4, y5 + hb * a5)
+            b = rhs(t + hb, y$i + hb * a$i)
             hc = 0.75 * h
-            c1, c2, c3, c4, c5 = rhs(t + hc, y1 + hc * b1, y2 + hc * b2,
-                                     y3 + hc * b3, y4 + hc * b4, y5 + hc * b5)
-            n1 = y1 + h * (2.0 * a1 + 3.0 * b1 + 4.0 * c1) / 9.0
-            n2 = y2 + h * (2.0 * a2 + 3.0 * b2 + 4.0 * c2) / 9.0
-            n3 = y3 + h * (2.0 * a3 + 3.0 * b3 + 4.0 * c3) / 9.0
-            n4 = y4 + h * (2.0 * a4 + 3.0 * b4 + 4.0 * c4) / 9.0
-            n5 = y5 + h * (2.0 * a5 + 3.0 * b5 + 4.0 * c5) / 9.0
-            d1, d2, d3, d4, d5 = rhs(t + h, n1, n2, n3, n4, n5)
+            c = rhs(t + hc, y$i + hc * b$i)
+            for $i in state:
+                n$i = y$i + h * (2.0 * a$i + 3.0 * b$i + 4.0 * c$i) / 9.0
+            d = rhs(t + h, n$i)
             # errn = max(0.0, r1, ..., r5) with r_i = |e_i| / (atol + rtol * max(|y_i|, |n_i|))
             errn = 0.0
-            ay = y1 if y1 >= 0.0 else -y1
-            an = n1 if n1 >= 0.0 else -n1
-            e = h * (-5.0 * a1 / 72.0 + b1 / 12.0 + c1 / 9.0 - d1 / 8.0)
-            r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
-            if r > errn:
-                errn = r
-            ay = y2 if y2 >= 0.0 else -y2
-            an = n2 if n2 >= 0.0 else -n2
-            e = h * (-5.0 * a2 / 72.0 + b2 / 12.0 + c2 / 9.0 - d2 / 8.0)
-            r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
-            if r > errn:
-                errn = r
-            ay = y3 if y3 >= 0.0 else -y3
-            an = n3 if n3 >= 0.0 else -n3
-            e = h * (-5.0 * a3 / 72.0 + b3 / 12.0 + c3 / 9.0 - d3 / 8.0)
-            r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
-            if r > errn:
-                errn = r
-            ay = y4 if y4 >= 0.0 else -y4
-            an = n4 if n4 >= 0.0 else -n4
-            e = h * (-5.0 * a4 / 72.0 + b4 / 12.0 + c4 / 9.0 - d4 / 8.0)
-            r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
-            if r > errn:
-                errn = r
-            ay = y5 if y5 >= 0.0 else -y5
-            an = n5 if n5 >= 0.0 else -n5
-            e = h * (-5.0 * a5 / 72.0 + b5 / 12.0 + c5 / 9.0 - d5 / 8.0)
-            r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
-            if r > errn:
-                errn = r
+            for $i in state:
+                ay = y$i if y$i >= 0.0 else -y$i
+                an = n$i if n$i >= 0.0 else -n$i
+                e = h * (-5.0 * a$i / 72.0 + b$i / 12.0 + c$i / 9.0 - d$i / 8.0)
+                r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
+                if r > errn:
+                    errn = r
             if errn <= 1.0:
                 t = tg if tg - t - h <= land_tol else t + h
-                y1, y2, y3, y4, y5 = n1, n2, n3, n4, n5
-                a1, a2, a3, a4, a5 = d1, d2, d3, d4, d5
+                for $i in state:
+                    y$i = n$i
+                    a$i = d$i
             # h *= min(5.0, max(0.2, q))
             q = 0.9 * (errn + 1e-300) ** (-1.0 / 3.0)
             h *= (q if q < 5.0 else 5.0) if q > 0.2 else 0.2
-        out.append((y1, y2, y3, y4, y5))
+        out.append((y$s))
     return out, h
+"""
 
-
-def _rk4_segment(rhs, y, t_grid, solver, h_in):
-    """Classical fixed-step RK4, subdividing each grid interval evenly into
-    steps of at most ``solver.fixed_step``; hands ``h_in`` back unchanged.
-
-    ``rhs(t, y1, ..., y5)`` returns the five derivatives as a tuple.
-    """
+# Classical fixed-step RK4, subdividing each grid interval evenly into steps
+# of at most ``solver.fixed_step``; hands ``h_in`` back unchanged.
+_RK4 = """\
+def kernel(y, t_grid, solver, h_in):
     out = []
-    y1, y2, y3, y4, y5 = y
+    y$s = y
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
-        n = max(1, math.ceil((tb - ta) / solver.fixed_step - 1e-12))
+        n = max(1, ceil((tb - ta) / solver.fixed_step - 1e-12))
         h = (tb - ta) / n
         hb = 0.5 * h
         t = ta
         for _ in range(n):
-            a1, a2, a3, a4, a5 = rhs(t, y1, y2, y3, y4, y5)
-            tm = t + hb
-            b1, b2, b3, b4, b5 = rhs(tm, y1 + hb * a1, y2 + hb * a2,
-                                     y3 + hb * a3, y4 + hb * a4, y5 + hb * a5)
-            c1, c2, c3, c4, c5 = rhs(tm, y1 + hb * b1, y2 + hb * b2,
-                                     y3 + hb * b3, y4 + hb * b4, y5 + hb * b5)
-            d1, d2, d3, d4, d5 = rhs(t + h, y1 + h * c1, y2 + h * c2,
-                                     y3 + h * c3, y4 + h * c4, y5 + h * c5)
-            y1 = y1 + h * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0
-            y2 = y2 + h * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0
-            y3 = y3 + h * (a3 + 2.0 * b3 + 2.0 * c3 + d3) / 6.0
-            y4 = y4 + h * (a4 + 2.0 * b4 + 2.0 * c4 + d4) / 6.0
-            y5 = y5 + h * (a5 + 2.0 * b5 + 2.0 * c5 + d5) / 6.0
+            a = rhs(t, y$i)
+            b = rhs(t + hb, y$i + hb * a$i)
+            c = rhs(t + hb, y$i + hb * b$i)
+            d = rhs(t + h, y$i + h * c$i)
+            for $i in state:
+                y$i = y$i + h * (a$i + 2.0 * b$i + 2.0 * c$i + d$i) / 6.0
             t += h
-        out.append((y1, y2, y3, y4, y5))
+        out.append((y$s))
     return out, h_in
+"""
+
+# The one-stage instance: the right-hand side itself, for point evaluation.
+_RHS = """\
+def kernel(t, y$s):
+    a = rhs(t, y$i)
+    return (a$s)
+"""
+
+# By method name, the stepper templates; each kernel takes (y, t_grid, solver,
+# h) and returns (samples, next h).
+STEPPERS = {"rk23": _RK23, "rk4": _RK4}
+
+_STAGE = r"( *)(\w) = rhs\((.+?), (.+)\)"
+_COMPONENTS = range(1, 6)
 
 
-# By method name; each takes (rhs, y, t_grid, solver, h), returns (samples, next h).
-STEPPERS = {"rk23": _rk23_segment, "rk4": _rk4_segment}
+def _kernel_source(template: str, loop: str, law: str | None) -> str:
+    """Expand ``template`` with the body of ``loop`` inlined at each stage."""
+    names, body = _LOOPS[loop]
+    body = body.replace("$force", _FORCE_LINES.get(law, "")).replace("$state", ", ".join(names))
+    lines = template.splitlines()
+    out = []
+    while lines:
+        line = lines.pop(0)
+        indent = len(line) - len(line.lstrip())
+        stage = re.fullmatch(_STAGE, line)
+        if line.strip() == "for $i in state:":
+            block = []
+            while lines and len(lines[0]) - len(lines[0].lstrip()) > indent:
+                block.append(lines.pop(0)[4:])
+            out += [ln.replace("$i", str(i)) for i in _COMPONENTS for ln in block]
+        elif stage:
+            pad, k, t, arg = stage.groups()
+            out += [f"{pad}{name} = {arg.replace('$i', str(i))}"
+                    for i, name in zip(_COMPONENTS, names)]
+            out += [pad + ln for ln in body.replace("$t", t).replace("$k", k).splitlines()]
+        else:
+            out.append(line)
+    text = "\n".join(out)
+    return re.sub(r"(\w+)\$s\b", lambda m: ", ".join(f"{m[1]}{i}" for i in _COMPONENTS), text)
+
+
+@functools.cache
+def _kernel_factory(method: str, loop: str, law: str | None, constants: tuple[str, ...]):
+    """Compile the kernel of ``method`` ("rhs": the one-stage instance) for
+    ``loop`` and force ``law``, in a factory whose parameters, ``constants``
+    (the same for every call of a loop), it reads as closure variables."""
+    source = _kernel_source(_RHS if method == "rhs" else STEPPERS[method], loop, law)
+    source = (f"def make({', '.join(constants)}):\n"
+              + "".join(f"    {ln}\n" for ln in source.splitlines()) + "    return kernel\n")
+    filename = f"<antago kernel {method} {loop} {law}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"ceil": math.ceil, "DomainError": DomainError, "SolverError": SolverError,
+                 "_MIN_STEP_FRACTION": _MIN_STEP_FRACTION}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
+
+
+def _plant_constants(params: PlantParams, R: float) -> dict:
+    geo = params.geometry
+    return {"L0": geo.L0, "K0": geo.K0, "V0": geo.V0, "x0": geo.x0, "x_M": geo.x_M,
+            "rho": params.fluid.rho, "m": params.m, "R": R, "two_L0": 2.0 * geo.L0,
+            "neg_K0": -geo.K0, "margin": DOMAIN_MARGIN, "sqrt": math.sqrt}
+
+
+def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
+                   force: ForceModel, x_star: float):
+    """The closed loop's ``method`` kernel for one setpoint segment, with the
+    force's kind written in place while its type has ``_FORCE_LAW``."""
+    law = force.kind if type(force).__call__ is _FORCE_LAW else "call"
+    k_m, L0 = gains.k_m, params.geometry.L0
+    constants = _plant_constants(params, params.R)
+    constants.update(k_m=k_m, k_i=gains.k_i, alpha=gains.alpha, kpkm=gains.k_p * k_m,
+                     two_k_m=2.0 * k_m, L0_sq=L0 * L0, x_star=x_star, fv=force.value,
+                     f=force.__call__, tanh=math.tanh)
+    return _kernel_factory(method, "closed", law, tuple(constants))(**constants)
+
+
+def _open_kernel(method: str, params: PlantParams, R: float):
+    """The ``method`` kernel of the unforced open-loop plant with damping ``R``."""
+    constants = _plant_constants(params, R)
+    constants["neg_Gamma0"] = -params.fluid.Gamma0
+    return _kernel_factory(method, "open", None, tuple(constants))(**constants)
+
+
+def augmented_field(state: PlantState, F_hat: float, gains: ControllerGains,
+                    x_star: float, force: ForceModel, params: PlantParams) -> tuple:
+    """The integrated closed-loop field at one point, for point verification."""
+    rhs = _closed_kernel("rhs", params, gains, force, x_star)
+    return rhs(0.0, state.x, state.p, state.P1, state.P2, F_hat)
 
 
 # One entry: the points of a sweep share their grid, and at most one grid
@@ -555,7 +544,6 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     """
     params, gains, force = scenario.params, scenario.gains, scenario.force
     solver = scenario.solver
-    step = STEPPERS[solver.method]
 
     events = tuple(t for t, _ in scenario.setpoints)
     grid = _sample_grid(scenario.duration, solver.sample_dt, events)
@@ -574,8 +562,8 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     try:
         for (_, x_star), a, b in zip(scenario.setpoints, cuts, cuts[1:]):
             seg_grid = grid[a:b + 1]
-            rhs = _make_rhs(params, gains, force, x_star)
-            ys, h = step(rhs, y, seg_grid, solver, h)
+            kernel = _closed_kernel(solver.method, params, gains, force, x_star)
+            ys, h = kernel(y, seg_grid, solver, h)
             times.extend(seg_grid[1:])
             states.extend(ys)
             y = states[-1]
@@ -643,10 +631,9 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     if not 0.0 <= R < math.inf:
         raise ScenarioError("R_override must be non-negative and finite")
     grid = _sample_grid(duration, solver.sample_dt, ())
-    # The steppers advance five states; the fifth stays exactly zero here.
+    # The kernels advance five states; the fifth stays exactly zero here.
     y = (initial.x, initial.p, initial.P1, initial.P2, 0.0)
-    ys, _ = STEPPERS[solver.method](_make_open_rhs(params, R), y, grid, solver,
-                                    min(solver.max_step, 1e-8))
+    ys, _ = _open_kernel(solver.method, params, R)(y, grid, solver, min(solver.max_step, 1e-8))
     states = np.array([y] + ys)[:, :4]
     energies = np.array([hamiltonian(PlantState(*row), params)
                          for row in states.tolist()])

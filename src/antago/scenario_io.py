@@ -32,6 +32,7 @@ from __future__ import annotations
 import configparser
 import io
 import os
+import stat
 import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, fields
@@ -238,11 +239,21 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     temporary file beside ``path`` as it arrives, ``path`` is replaced only
     once the last is written, and the temporary file is removed when a chunk
     fails to arrive or to be written. A one-piece text is passed as
-    ``(text,)``, since ``writelines`` writes a str a character at a time."""
+    ``(text,)``, since ``writelines`` writes a str a character at a time.
+    The file gets the mode ``open(path, "w")`` would leave: an existing
+    file's own, or else ``0o666`` less the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        # Read by setting it: a file made meanwhile gets 0o077, never looser.
+        umask = os.umask(0o077)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

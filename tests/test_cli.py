@@ -1,11 +1,14 @@
 """Command-line interface: run, verify, sweep, presets."""
 
+import errno
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -146,6 +149,73 @@ def test_run_non_utf8_scenario_is_one_line_error(tmp_path, study, capsys):
     assert capsys.readouterr().err == (f"error: scenario file {str(bad)!r} is not UTF-8 text "
                                        "(byte 0xb5: invalid start byte)\n")
     assert not out.exists()
+
+
+def _refused(*args, **kwargs):
+    raise PermissionError(errno.EACCES, "Permission denied")
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fdopen_on_full_disk(fdopen):
+    """``os.fdopen`` whose files fail every write as a full disk does."""
+    def full(fd, *args, **kwargs):
+        fh = fdopen(fd, *args, **kwargs)
+        fh.writelines = _no_space
+        return fh
+    return full
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("fault", ["unwritable", "full"])
+def test_unwritable_or_full_out_is_one_line_error(tmp_path, short_scenario_file, capsys,
+                                                  monkeypatch, command, fault):
+    """An --out whose temporary file cannot be made, or a disk that fills
+    while it is written, is one error: line and exit 1; the old file stays
+    and no temporary file is left."""
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+    argv = (["run", str(short_scenario_file)] if command == "run" else
+            ["sweep", "alpha", str(short_scenario_file), "--values", "5"])
+    if fault == "unwritable":
+        monkeypatch.setattr(tempfile, "mkstemp", _refused)
+    else:
+        monkeypatch.setattr(os, "fdopen", _fdopen_on_full_disk(os.fdopen))
+    assert main([*argv, "--out", str(out)]) == 1
+    reason = "Permission denied" if fault == "unwritable" else "No space left on device"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0], err
+    assert out.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "short.ini"]
+
+
+def test_unreadable_scenario_is_one_line_error(tmp_path, short_scenario_file, capsys,
+                                               monkeypatch):
+    """A scenario file that cannot be read is one error: line and exit 1."""
+    monkeypatch.setattr(Path, "read_text", _refused)
+    out = tmp_path / "out.csv"
+    assert main(["run", str(short_scenario_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 13] Permission denied\n"
+    assert not out.exists()
+
+
+def test_sweep_out_gets_the_mode_open_gives(tmp_path, short_scenario_file):
+    """``sweep --out`` leaves the mode ``open(path, "w")`` would: 0o666 less
+    the umask for a new file, and a replaced file's own."""
+    out, probe = tmp_path / "sweep.csv", tmp_path / "probe"
+    argv = ["sweep", "alpha", str(short_scenario_file), "--values", "5", "--out", str(out)]
+    old = os.umask(0o022)
+    try:
+        open(probe, "w").close()
+        assert main(argv) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode) == 0o644
+        out.chmod(0o604)
+        assert main(argv) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+    finally:
+        os.umask(old)
 
 
 def test_over_budget_request_is_one_line_error(tmp_path, study, capsys, monkeypatch):

@@ -1,9 +1,14 @@
 """Simulation engine: force models, integration, diagnostics, robustness."""
 
+import functools
 import inspect
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,7 +160,7 @@ def test_inlined_geometry_matches_kernel(study):
     free = ForceModel("constant", 0.0)
     kpkm = gains.k_p * gains.k_m
 
-    open_rhs = engine._make_open_rhs(params, params.R)
+    open_rhs = engine._open_kernel("rhs", params, params.R)
 
     lo, hi = geo.position_bounds()
     xs = np.linspace(lo, hi, 52)[1:-1]
@@ -554,7 +559,7 @@ def test_rk23_matches_scipy_dop853(fig2_runs):
 # in place and every min/max a builtin call.
 
 def _reference_make_rhs(params, gains, force, x_star, margin=engine.DOMAIN_MARGIN):
-    """Reference form of ``engine._make_rhs``."""
+    """Reference form of the closed loop's right-hand side."""
     geo = params.geometry
     L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
     rho = params.fluid.rho
@@ -602,8 +607,8 @@ def _reference_make_rhs(params, gains, force, x_star, margin=engine.DOMAIN_MARGI
 
 
 def _reference_open_rhs(params, R, margin=engine.DOMAIN_MARGIN):
-    """Reference form of ``engine._make_open_rhs``: the textbook open loop
-    with both flows and the load at zero."""
+    """Reference form of the open loop's right-hand side: the textbook open
+    loop with both flows and the load at zero."""
     geo = params.geometry
     L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
     rho = params.fluid.rho
@@ -635,7 +640,7 @@ def _reference_open_rhs(params, R, margin=engine.DOMAIN_MARGIN):
 
 
 def _reference_rk23_segment(rhs, y, t_grid, solver, h):
-    """Tuple-loop form of ``engine._rk23_segment``."""
+    """Tuple-loop form of the ``rk23`` kernel."""
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
     out = []
     t = t_grid[0]
@@ -665,7 +670,7 @@ def _reference_rk23_segment(rhs, y, t_grid, solver, h):
 
 
 def _reference_rk4_segment(rhs, y, t_grid, solver, h_in):
-    """Tuple-loop form of ``engine._rk4_segment``."""
+    """Tuple-loop form of the ``rk4`` kernel."""
     out = []
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
         n = max(1, math.ceil((tb - ta) / solver.fixed_step - 1e-12))
@@ -697,8 +702,10 @@ def _nan_on_call(n):
 
 def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     """Every run, early endings included, is bit-identical under the engine's
-    steppers and right-hand side and under the reference tuple loops and
-    reference right-hand side. Each reference stepper must be called, so a
+    kernels and under the reference tuple loops calling the reference
+    right-hand sides. The rk4 runs cover each force law: tanh (fig2-F1),
+    spring (fig2-F2, fig2-F3), constant over three segments (multistep) and
+    an overriding ``__call__``. Each reference stepper must be called, so a
     patch that misses the engine's dispatch cannot pass."""
     rk4 = replace(study.solver, method="rk4", fixed_step=1e-4)
     runs = {name: (lambda sc=load_preset(name): simulate(sc))
@@ -713,7 +720,15 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
         study, force=NaNForce("constant", 0.0), duration=0.1))
     runs["nan-once"] = lambda: simulate(replace(study, force=_nan_on_call(3), duration=0.1))
     runs["rk4"] = lambda: simulate(replace(study, solver=rk4, duration=0.2))
+    for name in ("fig2-F2", "fig2-F3"):
+        runs[f"rk4-{name}"] = lambda sc=load_preset(name): simulate(replace(
+            sc, solver=replace(sc.solver, method="rk4", fixed_step=1e-4), duration=0.2))
     multistep = load_preset("multistep")
+    runs["rk4-multistep"] = lambda: simulate(replace(
+        multistep, solver=replace(multistep.solver, method="rk4", fixed_step=1e-4),
+        setpoints=((0.0, 1e-3), (0.08, 2e-3), (0.14, -1e-3)), duration=0.2))
+    runs["rk4-override"] = lambda: simulate(replace(
+        study, force=_OverriddenForce("spring", 10.0), solver=rk4, duration=0.2))
     runs["domain-exit"] = lambda: simulate(replace(
         multistep, setpoints=((0.0, 0.0), (2.0, 3e-3)), duration=6.0,
         gains=replace(multistep.gains, alpha=20.0)))
@@ -729,18 +744,21 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
         runs[name] = lambda solver=solver: simulate_open_loop(study.params, init, 0.01, solver)
 
     unrolled = {name: run() for name, run in runs.items()}
-    calls = dict.fromkeys(engine.STEPPERS, 0)
+    steppers = {"rk23": _reference_rk23_segment, "rk4": _reference_rk4_segment}
+    calls = dict.fromkeys(steppers, 0)
 
-    def counted(method, stepper):
-        def step(*args):
-            calls[method] += 1
-            return stepper(*args)
-        return step
+    def reference_kernel(make_rhs):
+        def kernel(method, *args):
+            rhs = make_rhs(*args)
 
-    monkeypatch.setitem(engine.STEPPERS, "rk23", counted("rk23", _reference_rk23_segment))
-    monkeypatch.setitem(engine.STEPPERS, "rk4", counted("rk4", _reference_rk4_segment))
-    monkeypatch.setattr(engine, "_make_rhs", _reference_make_rhs)
-    monkeypatch.setattr(engine, "_make_open_rhs", _reference_open_rhs)
+            def step(*state):
+                calls[method] += 1
+                return steppers[method](rhs, *state)
+            return step
+        return kernel
+
+    monkeypatch.setattr(engine, "_closed_kernel", reference_kernel(_reference_make_rhs))
+    monkeypatch.setattr(engine, "_open_kernel", reference_kernel(_reference_open_rhs))
     for name, run in runs.items():
         expected = run()
         if name.startswith("open"):
@@ -748,18 +766,23 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
             assert unrolled[name][1].shape[1] == 4
         else:
             assert unrolled[name] == expected, name
-    # rk4: one segment each for "rk4" and "open-rk4"; rk23: every other run
-    assert calls["rk4"] == 2 and calls["rk23"] >= len(runs) - 2, calls
+    # rk4: one segment per rk4 run and "open-rk4", three for "rk4-multistep";
+    # rk23: every other run
+    rk4_runs = [name for name in runs if name.startswith("rk4")]
+    assert calls["rk4"] == len(rk4_runs) + 3 and calls["rk23"] >= len(runs) - len(rk4_runs) - 1, \
+        calls
+    assert len(set(unrolled["rk4-multistep"]["x_star"].tolist())) == 3
     for name in ("domain-exit", "sweep-alpha", "nan-force", "nan-once"):
         assert unrolled[name].status == "domain-exit", name
     assert unrolled["step-underflow"].status == "step-underflow"
-    assert unrolled["sweep-k_m"].status == "ok"
+    for name in ("sweep-k_m", *rk4_runs):
+        assert unrolled[name].status == "ok", name
 
 
 def test_open_loop_rhs_matches_reference(params):
     """The open-loop right-hand side equals its reference form bit for bit at
     sampled states across the admissible range, with damping."""
-    open_rhs = engine._make_open_rhs(params, params.R)
+    open_rhs = engine._open_kernel("rhs", params, params.R)
     reference = _reference_open_rhs(params, params.R)
 
     lo, hi = params.geometry.position_bounds()
@@ -792,12 +815,12 @@ def test_closed_loop_rhs_matches_reference(study):
             state = (x, float(rng.uniform(-0.05, 0.05)), float(rng.uniform(-3e4, 3e4)),
                      float(rng.uniform(-3e4, 3e4)), float(rng.uniform(-3.0, 3.0)))
             assert state[4] != 0.0 and x != x_star
-            fast = engine._make_rhs(params, gains, force, x_star)(0.0, *state)
+            fast = engine._closed_kernel("rhs", params, gains, force, x_star)(0.0, *state)
             assert fast == _reference_make_rhs(params, gains, force, x_star)(0.0, *state), \
                 (force, x_star, state)
     # The override, not the base kind, is the force the right-hand side reads.
     state = (1e-3, 0.02, 0.0, 0.0, 0.0)
-    base, override = (engine._make_rhs(params, gains, force, 0.0)(0.0, *state)[1]
+    base, override = (engine._closed_kernel("rhs", params, gains, force, 0.0)(0.0, *state)[1]
                       for force in (ForceModel("spring", 10.0), _OverriddenForce("spring", 10.0)))
     assert base != override
 
@@ -805,32 +828,87 @@ def test_closed_loop_rhs_matches_reference(study):
 def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
     """A counting wrapper set on ``ForceModel.__call__``, as a tracer does,
     is called once per right-hand-side evaluation and once per record
-    sample, for every force kind, and the runs stay bit-identical."""
+    sample, for every force kind, and the runs stay bit-identical. The
+    evaluations are counted on the reference stepper and right-hand side,
+    which take the same steps."""
     counts = {"force": 0, "rhs": 0}
     call = ForceModel.__call__
-    make_rhs = engine._make_rhs
 
     def counted_call(force, x, xdot):
         counts["force"] += 1
         return call(force, x, xdot)
 
-    def counting_make_rhs(*args):
-        rhs = make_rhs(*args)
+    def counting_kernel(method, *args):
+        rhs = _reference_make_rhs(*args)
 
         def counted_rhs(*state):
             counts["rhs"] += 1
             return rhs(*state)
-        return counted_rhs
+        return lambda *state: _reference_rk23_segment(counted_rhs, *state)
 
     scenarios = [replace(study, force=ForceModel(kind, value), duration=0.5)
                  for kind, value in (("constant", 0.01), ("tanh_friction", 5.0),
                                      ("spring", -10.0))]
     plain = [simulate(scenario) for scenario in scenarios]
-    monkeypatch.setattr(engine, "_make_rhs", counting_make_rhs)
+    evaluations = []
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_closed_kernel", counting_kernel)
+        for scenario in scenarios:
+            counts["rhs"] = 0
+            simulate(scenario)
+            evaluations.append(counts["rhs"])
     monkeypatch.setattr(ForceModel, "__call__", counted_call)
-    for scenario, expected in zip(scenarios, plain):
-        counts.update(force=0, rhs=0)
+    for scenario, expected, rhs_evals in zip(scenarios, plain, evaluations):
+        counts["force"] = 0
         record = simulate(scenario)
         assert record == expected, scenario.force
-        assert counts["rhs"] > 0 and counts["force"] == counts["rhs"] + len(record), \
-            (scenario.force, counts)
+        assert rhs_evals > 0 and counts["force"] == rhs_evals + len(record), \
+            (scenario.force, rhs_evals, counts)
+
+
+def test_each_kernel_compiles_once_per_process(study, monkeypatch):
+    """A kernel is compiled once per (method, loop, force law), on first use,
+    and reused by every later setpoint segment and sweep point."""
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(engine, "compile", counting_compile, raising=False)
+    # an empty cache of its own, so that no earlier test has compiled a kernel
+    monkeypatch.setattr(engine, "_kernel_factory",
+                        functools.cache(engine._kernel_factory.__wrapped__))
+    multistep = load_preset("multistep")
+    rk4 = replace(multistep.solver, method="rk4", fixed_step=1e-4)
+    setpoints = ((0.0, 1e-3), (0.04, 2e-3), (0.07, -1e-3))
+    for alpha in (5.0, 10.0, 20.0):   # three sweep points of three segments each
+        point = replace(multistep, gains=replace(multistep.gains, alpha=alpha),
+                        setpoints=setpoints, duration=0.1)
+        assert simulate(point).status == "ok"
+        assert simulate(replace(point, solver=rk4)).status == "ok"
+        simulate_open_loop(study.params, PlantState(5e-4, 0.0, 2e4, 1e4), 0.01, rk4,
+                           R_override=alpha)
+    assert sorted(compiled) == ["<antago kernel rk23 closed constant>",
+                                "<antago kernel rk4 closed constant>",
+                                "<antago kernel rk4 open None>"]
+
+
+_FRESH_SETUP = """\
+import antago.cli
+from antago import engine
+from antago.scenario_io import list_presets, load_preset
+names = list_presets()
+for name in names:
+    load_preset(name)
+print(len(names), engine._kernel_factory.cache_info().misses)
+"""
+
+
+def test_import_and_parse_compile_no_kernel():
+    """Importing the CLI and parsing the presets compiles no kernel, so a
+    command's set-up time does not include one."""
+    src = str(Path(engine.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_SETUP], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert proc.stdout.split() == ["4", "0"]

@@ -4,6 +4,7 @@ import argparse
 import configparser
 import os
 import re
+import stat
 import warnings
 from dataclasses import fields, replace
 
@@ -575,6 +576,30 @@ def test_csv_missing_record_channels_rejected():
 def test_atomic_write_leaves_no_temp_files(tmp_path, short_record):
     save_trajectory_csv(short_record, tmp_path / "traj.csv")
     assert sorted(os.listdir(tmp_path)) == ["traj.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=lambda u: f"umask-{u:03o}")
+def test_written_files_get_the_mode_open_gives(tmp_path, short_record, study, umask):
+    """A new trajectory CSV or scenario file gets the mode ``open(path, "w")``
+    gives under the umask, not the temporary file's 0o600, and a replaced
+    file keeps its own mode."""
+    writers = {"traj.csv": lambda path: save_trajectory_csv(short_record, path),
+               "scenario.ini": lambda path: save_scenario(study, path)}
+    old = os.umask(umask)
+    try:
+        probe = tmp_path / "probe"
+        open(probe, "w").close()
+        expected = stat.S_IMODE(probe.stat().st_mode)
+        assert expected == 0o666 & ~umask
+        for name, write in writers.items():
+            path = tmp_path / name
+            write(path)
+            assert stat.S_IMODE(path.stat().st_mode) == expected, name
+            path.chmod(0o640)
+            write(path)
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640, name
+    finally:
+        os.umask(old)
 
 
 @pytest.mark.parametrize("status", ["bogus", "OK", "", "domain exit"])
