@@ -56,6 +56,8 @@ def _resolve_scenario(ref: str) -> ScenarioConfig:
     path = Path(ref)
     if path.is_file():
         return load_scenario(path)
+    if path.is_dir() and ref not in list_presets():
+        raise ScenarioError(f"scenario {ref!r} is a directory, not a file")
     if path.suffix:
         raise ScenarioError(f"scenario file not found: {ref}")
     return load_preset(ref)

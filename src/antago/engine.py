@@ -18,7 +18,7 @@ One table, :data:`STEPPERS`, names the integrators that ``SolverSettings``
 accepts: an adaptive third-order embedded pair with second-order error estimate
 (``rk23``) and a fixed-step classical fourth-order scheme (``rk4``). Both are
 deterministic; identical scenarios produce bit-identical trajectories. Each
-entry is a stepper template, source text stepping five named scalars with every
+entry is a stepper template, source text stepping the loop's states with every
 stage written out per component, into which the loop's right-hand side, also
 written once as source text, is inlined at every stage: no evaluation pays a
 Python call or builds a tuple. The one-stage instance is the right-hand side
@@ -27,7 +27,7 @@ compiled once per process, on first use and never on import; per setpoint
 segment a factory binds the scalar constants (``2 * L0``, ``L0 * L0``,
 ``2 * k_m``, ``-K0`` and the parameters) as closure variables, so a sweep point
 compiles nothing. The open loop is the unforced plant (no flow, no load); its
-fifth state stays exactly zero and is dropped from the result. The closed
+kernels step its four states, (x, p, P1, P2), and no observer. The closed
 loop's force law is fixed with its kernel: while the force's type still has
 ``ForceModel``'s own ``__call__`` (captured when this module was imported),
 ``value * tanh(xdot)``, ``value * x`` or ``value`` is computed in place; any
@@ -282,8 +282,8 @@ class TrajectoryRecord:
 # no evaluation pays a Python call or builds a tuple. A stage is a template
 # line ``k = rhs(T, E)``: it binds the body's state names to ``E`` per
 # component and evaluates the body at the stage time ``T`` (read only by the
-# error message) into ``k1, ..., k5``. A ``for $i in state:`` block repeats
-# its lines once per component, and ``y$s`` stands for ``y1, ..., y5``.
+# error message) into ``k1, k2, ...``, one per state. A ``for $i in state:``
+# block repeats its lines once per state, and ``y$s`` stands for ``y1, y2, ...``.
 
 # The geometry, the mass and the momentum rate G of both loops, from the
 # stage's x, p, P1 and P2. ``$state`` is the stage state the error prints.
@@ -310,9 +310,8 @@ w2 = A2 * P2
 G = p * p * rho * (A1 + A2) / (2.0 * M * M) + w1 + w2 - R * v
 """
 
-# Per loop: the names its body reads the state under and the body. The open
-# loop is the unforced plant (no flow, no load); its fifth state stays zero
-# and is not read. ``$force`` is the closed loop's line of _FORCE_LINES.
+# Per loop: the names its body reads the state under and the body; the open
+# loop is the unforced plant. ``$force`` is the closed loop's line of _FORCE_LINES.
 _LOOPS = {
     "closed": (("x", "p", "P1", "P2", "F_hat"), _PLANT_BODY + """\
 dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * g1 / (L0_sq * s1**3))
@@ -331,7 +330,6 @@ $k1 = v
 $k2 = G
 $k3 = neg_Gamma0 * (A1 * v) / V1
 $k4 = neg_Gamma0 * (A2 * v) / V2
-$k5 = 0.0
 """),
 }
 
@@ -378,7 +376,7 @@ def kernel(y, t_grid, solver, h):
             for $i in state:
                 n$i = y$i + h * (2.0 * a$i + 3.0 * b$i + 4.0 * c$i) / 9.0
             d = rhs(t + h, n$i)
-            # errn = max(0.0, r1, ..., r5) with r_i = |e_i| / (atol + rtol * max(|y_i|, |n_i|))
+            # errn = max(0.0, r1, r2, ...) with r_i = |e_i| / (atol + rtol * max(|y_i|, |n_i|))
             errn = 0.0
             for $i in state:
                 ay = y$i if y$i >= 0.0 else -y$i
@@ -434,12 +432,12 @@ def kernel(t, y$s):
 STEPPERS = {"rk23": _RK23, "rk4": _RK4}
 
 _STAGE = r"( *)(\w) = rhs\((.+?), (.+)\)"
-_COMPONENTS = range(1, 6)
 
 
 def _kernel_source(template: str, loop: str, law: str | None) -> str:
     """Expand ``template`` with the body of ``loop`` inlined at each stage."""
     names, body = _LOOPS[loop]
+    components = range(1, len(names) + 1)
     body = body.replace("$force", _FORCE_LINES.get(law, "")).replace("$state", ", ".join(names))
     lines = template.splitlines()
     out = []
@@ -451,16 +449,16 @@ def _kernel_source(template: str, loop: str, law: str | None) -> str:
             block = []
             while lines and len(lines[0]) - len(lines[0].lstrip()) > indent:
                 block.append(lines.pop(0)[4:])
-            out += [ln.replace("$i", str(i)) for i in _COMPONENTS for ln in block]
+            out += [ln.replace("$i", str(i)) for i in components for ln in block]
         elif stage:
             pad, k, t, arg = stage.groups()
             out += [f"{pad}{name} = {arg.replace('$i', str(i))}"
-                    for i, name in zip(_COMPONENTS, names)]
+                    for i, name in zip(components, names)]
             out += [pad + ln for ln in body.replace("$t", t).replace("$k", k).splitlines()]
         else:
             out.append(line)
     text = "\n".join(out)
-    return re.sub(r"(\w+)\$s\b", lambda m: ", ".join(f"{m[1]}{i}" for i in _COMPONENTS), text)
+    return re.sub(r"(\w+)\$s\b", lambda m: ", ".join(f"{m[1]}{i}" for i in components), text)
 
 
 @functools.cache
@@ -631,10 +629,9 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     if not 0.0 <= R < math.inf:
         raise ScenarioError("R_override must be non-negative and finite")
     grid = _sample_grid(duration, solver.sample_dt, ())
-    # The kernels advance five states; the fifth stays exactly zero here.
-    y = (initial.x, initial.p, initial.P1, initial.P2, 0.0)
+    y = (initial.x, initial.p, initial.P1, initial.P2)
     ys, _ = _open_kernel(solver.method, params, R)(y, grid, solver, min(solver.max_step, 1e-8))
-    states = np.array([y] + ys)[:, :4]
+    states = np.array([y] + ys)
     energies = np.array([hamiltonian(PlantState(*row), params)
                          for row in states.tolist()])
     return np.asarray(grid), states, energies

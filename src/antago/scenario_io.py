@@ -18,13 +18,13 @@ model into one, with its message.
 A trajectory CSV is the record's table, comma-separated with '.' decimals, LF
 line endings and one header, the names of :data:`~antago.engine.CHANNELS`;
 the run status is carried in leading ``#`` comment lines so the table itself
-stays consumable by any CSV reader. Neither side holds the whole text:
-``save_trajectory_csv`` writes each block of rows into the file as it is
-rendered, and ``load_trajectory_csv`` passes the data rows to numpy's reader
-as it reads the file's lines. One reader takes a text stream: the open file,
-or the string's UTF-8 bytes behind an ``io.TextIOWrapper``. Files are read
-and written as UTF-8. numpy is imported by the functions that render or read
-the table, not by this module, so that parsing a scenario does not load it.
+stays consumable by any CSV reader. Neither side holds the whole text: the
+writer writes each block of rows into the file as it is rendered, and numpy's
+reader takes the rows of the open file after its header. One reader takes a
+text stream: the open file, or the string's UTF-8 bytes behind an
+``io.TextIOWrapper``. Files are read and written as UTF-8. numpy is imported
+by the functions that render or read the table, not by this module, so that
+parsing a scenario does not load it.
 """
 
 from __future__ import annotations
@@ -302,7 +302,7 @@ def _csv_block(table: np.ndarray, start: int) -> str:
 
     # one row's floats at a time: a whole-table tolist() raises the peak memory
     rows = map(np.ndarray.tolist, table[start:start + _CSV_BLOCK_ROWS])
-    return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
+    return "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
 
 
 def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> None:
@@ -314,55 +314,51 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> No
 
 
 class _CsvScan:
-    """One pass over the lines of a trajectory CSV, numbered from 1.
+    """One pass over the lines of a trajectory CSV text stream, numbered from 1:
+    made, it has read the stream from its start through the header. Each line
+    of the stream is split with ``str.splitlines``, which splits as on the whole
+    text: the stream has turned "\\r\\n" and "\\r" into "\\n", and ends each
+    line at one. The ``# status:`` and ``# detail:`` lines it passes set
+    ``status`` and add to ``details``; ``number`` is that of the last line read."""
 
-    :meth:`rows` yields each data row of a text stream from its start. It
-    splits each line of the stream with ``str.splitlines``, which splits as
-    on the whole text: the stream has turned "\\r\\n" and "\\r" into "\\n",
-    and ends each line at one. The ``# status:`` and ``# detail:`` lines it
-    passes set ``status`` and add to ``details``, and ``number`` is the line
-    number of the last row it yielded.
-    """
-
-    def __init__(self) -> None:
-        self.status, self.details, self.number = "ok", [], 0
-
-    def rows(self, fh: TextIO) -> Iterator[str]:
+    def __init__(self, fh: TextIO) -> None:
         fh.seek(0)
-        header_seen = False
-        for number, ln in enumerate(chain.from_iterable(map(str.splitlines, fh)), start=1):
+        self.status, self.details, self.number = "ok", [], 0
+        self.lines = chain.from_iterable(map(str.splitlines, fh))
+        header = next(self.rows(), None)
+        if header != _CSV_HEADER:
+            raise ScenarioError("trajectory CSV has no header row" if header is None else
+                                f"trajectory CSV line {self.number}: header {header!r} is not "
+                                f"the expected {_CSV_HEADER!r}")
+
+    def rows(self) -> Iterator[str]:
+        """The lines after the last one read that are neither blank nor a comment."""
+        for self.number, ln in enumerate(self.lines, start=self.number + 1):
             if ln.startswith("#"):
                 if ln.startswith("# status:"):
                     self.status = ln.partition(":")[2].strip()
                     if self.status not in STATUSES:
                         raise ScenarioError(
-                            f"trajectory CSV line {number}: status {self.status!r} is not "
-                            f"one of {', '.join(STATUSES)}")
+                            f"trajectory CSV line {self.number}: status {self.status!r} is "
+                            f"not one of {', '.join(STATUSES)}")
                 elif ln.startswith("# detail:"):
                     self.details.append(ln.removeprefix("# detail:").removeprefix(" "))
-            elif not ln.strip():
-                continue
-            elif header_seen:
-                self.number = number
+            elif ln.strip():
                 yield ln
-            elif ln != _CSV_HEADER:
-                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} is not "
-                                    f"the expected {_CSV_HEADER!r}")
-            else:
-                header_seen = True
-        if not header_seen:
-            raise ScenarioError("trajectory CSV has no header row")
 
 
-def _read_table(rows: Iterable[str]) -> np.ndarray | None:
-    """``rows`` as one float table with a column per channel, or None when
-    numpy's compiled reader fails on them or finds another width. A
-    ``ScenarioError`` or ``UnicodeDecodeError`` that the iteration of ``rows``
-    raises goes through."""
+def _read_table(lines: Iterator[str]) -> np.ndarray | None:
+    """``lines`` as one float table with a column per channel, or None when
+    numpy's compiled reader fails on them or finds another width; no line but
+    blank ones gives an empty table, since the reader warns on empty input. A
+    ``ScenarioError`` or ``UnicodeDecodeError`` from ``lines`` goes through."""
     import numpy as np
 
+    ln = next(filter(str.strip, lines), None)
+    if ln is None:
+        return np.empty((0, len(CHANNELS)))
     try:
-        table = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2, comments=None)
+        table = np.loadtxt(chain((ln,), lines), delimiter=",", dtype=float, ndmin=2, comments=None)
     except (ScenarioError, UnicodeDecodeError):
         raise
     except ValueError:
@@ -370,25 +366,31 @@ def _read_table(rows: Iterable[str]) -> np.ndarray | None:
     return table if table.shape[1] == len(CHANNELS) else None
 
 
+# The last UTF-8 byte of each line break str.splitlines knows but "\n" and "\r":
+# "\x0b", "\x0c", "\x1c"-"\x1e", "\x85" (c2 85), "\u2028" (e2 80 a8), "\u2029" (e2 80 a9).
+# numpy's reader strips them around a number, so it reads "1,\x0c2" as one row.
+_OTHER_BREAK_BYTES = b"\x0b\x0c\x1c\x1d\x1e\x85\xa8\xa9"
+
+
 def _read_csv(fh: TextIO) -> TrajectoryRecord:
-    """The record in the trajectory CSV text stream ``fh``, read from its start.
+    """The record in the UTF-8 trajectory CSV text stream ``fh``, read from its start.
 
-    The data rows go from the scan straight into one call of numpy's compiled
-    reader, so that neither the text nor a list of its lines is held. Only
-    when that fails, or gives another width, is the stream scanned again and
-    each row read alone, to name the first bad line. Zero rows skip the
-    reader, which warns on empty input.
+    After the scan through the header, numpy's compiled reader reads the rest of
+    the stream in one call, unless a byte of ``_OTHER_BREAK_BYTES`` rules it out.
+    If one does, or the call fails or gives another width (at a comment, a
+    whitespace-only line or a bad row), the scan passes its rows to one call; if
+    that fails too, a second scan reads each row alone to name the first bad one.
     """
-    import numpy as np
-
-    scan = _CsvScan()
-    rows = scan.rows(fh)
-    first = next(rows, None)
-    table = (np.empty((0, len(CHANNELS))) if first is None
-             else _read_table(chain((first,), rows)))
+    fh.buffer.seek(0)
+    fast = not any(any(map(block.__contains__, _OTHER_BREAK_BYTES))
+                   for block in iter(partial(fh.buffer.read, 1 << 14), b""))
+    scan = _CsvScan(fh)
+    if not fast or (table := _read_table(fh)) is None:
+        scan = _CsvScan(fh)
+        table = _read_table(scan.rows())
     if table is None:   # some row fails alone: rows that each read at this width read together
-        again = _CsvScan()
-        ln = next(ln for ln in again.rows(fh) if _read_table((ln,)) is None)
+        again = _CsvScan(fh)
+        ln = next(ln for ln in again.rows() if _read_table(iter((ln,))) is None)
         raise ScenarioError(f"trajectory CSV line {again.number}: expected {len(CHANNELS)} "
                             f"numbers, got {ln!r}")
     return TrajectoryRecord(table, scan.status, "\n".join(scan.details))
@@ -409,7 +411,7 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
     The first other line must be the writer's header; any other, a status
     the engine does not write, and a row that does not hold one number per
     channel raise :class:`ScenarioError` with the line number. The record
-    holds the parsed float64 table itself.
+    holds the float64 table numpy's reader parses, in one call after the header.
     """
     # The UTF-8 bytes, not an io.StringIO, which keeps 4 bytes per character;
     # surrogatepass carries any str both ways, and newline=None turns "\r\n"
@@ -421,9 +423,8 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
 
 def load_trajectory_csv(path: str | os.PathLike) -> TrajectoryRecord:
     """Read a trajectory CSV file as :func:`trajectory_from_csv` reads its
-    text, to the same record or the same error, a line of the file at a time
-    instead of from the whole text. A file that is not UTF-8 is a
-    :class:`ScenarioError` naming it."""
+    text, to the same record or the same error, without holding the whole
+    text. A file that is not UTF-8 is a :class:`ScenarioError` naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return _read_csv(fh)

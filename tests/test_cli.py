@@ -314,6 +314,24 @@ def test_out_directory_is_one_line_error(tmp_path, short_scenario_file, capsys,
     assert list(tmp_path.iterdir()) == [short_scenario_file]
 
 
+def test_scenario_directory_is_one_line_error(tmp_path, capsys, monkeypatch):
+    """A scenario path that names a directory, with a suffix or a trailing
+    slash, is one error: line naming it as one, and exit 1, for both
+    subcommands that read a scenario; a directory that shares a preset's
+    name leaves the preset to be read."""
+    monkeypatch.chdir(tmp_path)
+    for ref in ("dir.ini", "dir/", "fig2-F1/"):
+        (tmp_path / ref).mkdir(exist_ok=True)
+        for argv in (["run", ref], ["sweep", "alpha", ref, "--values", "1,2"]):
+            assert main(argv + ["--out", "out.csv"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: scenario {ref!r} is a directory, not a file\n"
+            assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "dir.ini", "fig2-F1"]
+    assert main(["run", "fig2-F1", "--out", "out.csv"]) == 0
+    assert len(load_trajectory_csv(tmp_path / "out.csv")) == 2001
+
+
 def test_values_parse_to_list_or_scenario_error():
     """Drawn ``--values`` text (number lists, ranges, arbitrary text) gives a
     list of floats or raises ScenarioError, never another exception."""

@@ -186,12 +186,12 @@ def test_inlined_geometry_matches_kernel(study):
             shear = (1.0 + gains.k_m * (dA + kpkm)) * (1.0 / M) / (2.0 * gains.k_m)
             assert closed(1.0, P1, P2, A)[row] == -shear / A
 
-        assert open_rhs(0.0, x, 0.0, 1.0, 0.0, 0.0)[1] == g.A1
-        assert open_rhs(0.0, x, 0.0, 0.0, 1.0, 0.0)[1] == g.A2
-        moving = open_rhs(0.0, x, 1.0, 0.0, 0.0, 0.0)
+        assert open_rhs(0.0, x, 0.0, 1.0, 0.0)[1] == g.A1
+        assert open_rhs(0.0, x, 0.0, 0.0, 1.0)[1] == g.A2
+        moving = open_rhs(0.0, x, 1.0, 0.0, 0.0)
         assert moving[0] == 1.0 / M
         Gamma0 = params.fluid.Gamma0
-        assert moving[2:4] == (-Gamma0 * (g.A1 * (1.0 / M)) / g.V1,
+        assert moving[2:] == (-Gamma0 * (g.A1 * (1.0 / M)) / g.V1,
                                -Gamma0 * (g.A2 * (1.0 / M)) / g.V2)
 
 
@@ -500,9 +500,9 @@ def test_open_loop_passivity_with_damping(params, monkeypatch):
 
     with pytest.raises(DomainError, match=r"actuator 2 .* \(t=.*, state=\(-0\.00374"):
         simulate_open_loop(params, PlantState(0.0, -1e3, 0.0, 0.0), 0.05, SolverSettings())
-    # the stepper reports its five states; the open loop's fifth is always zero
+    # the stepper reports the open loop's four states
     with pytest.raises(SolverError, match=r"underflow at t=0\.0.*"
-                                          r"state=\(0\.0005, 0\.001, 20000\.0, 10000\.0, 0\.0\)"):
+                                          r"state=\(0\.0005, 0\.001, 20000\.0, 10000\.0\)\)$"):
         simulate_open_loop(params, PlantState(5e-4, 1e-3, 2e4, 1e4), 0.01,
                            SolverSettings(rel_tol=1e-30, abs_tol=1e-300))
 
@@ -616,7 +616,7 @@ def _reference_open_rhs(params, R, margin=engine.DOMAIN_MARGIN):
     m = params.m
     sqrt = math.sqrt
 
-    def rhs(t, x, p, P1, P2, zero):
+    def rhs(t, x, p, P1, P2):
         u1 = x_M - x - x0
         u2 = x + x0
         if not (u1 > margin and u2 > margin):
@@ -634,7 +634,7 @@ def _reference_open_rhs(params, R, margin=engine.DOMAIN_MARGIN):
         M = m + rho * (V1 + V2)
         v = p / M
         G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
-        return (v, G, Gamma0 * -(A1 * v) / V1, Gamma0 * -(A2 * v) / V2, 0.0)
+        return (v, G, Gamma0 * -(A1 * v) / V1, Gamma0 * -(A2 * v) / V2)
 
     return rhs
 
@@ -789,7 +789,7 @@ def test_open_loop_rhs_matches_reference(params):
     rng = np.random.default_rng(17)
     for _ in range(200):
         state = (float(rng.uniform(lo, hi)), float(rng.uniform(-0.05, 0.05)),
-                 float(rng.uniform(-3e4, 3e4)), float(rng.uniform(-3e4, 3e4)), 0.0)
+                 float(rng.uniform(-3e4, 3e4)), float(rng.uniform(-3e4, 3e4)))
         assert open_rhs(0.0, *state) == reference(0.0, *state), state
 
 

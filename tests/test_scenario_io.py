@@ -784,6 +784,121 @@ def test_csv_matches_reference_property(tmp_path):
     check()
 
 
+def _row_width(ln):
+    """The width numpy's reader reads the one row ``ln`` at, or None when a
+    cell does not convert."""
+    try:
+        return np.loadtxt([ln], delimiter=",", dtype=float, ndmin=2, comments=None).shape[1]
+    except ValueError:
+        return None
+
+
+def _line_scan_reference(text):
+    """The record, or the ScenarioError message, that the line scan makes of
+    ``text``, from the whole text. Its lines are those of ``str.splitlines``,
+    numbered from 1; comment and blank lines are skipped, and the first other
+    line must be the header. The rows then go to numpy's reader, which stops
+    at the first row that does not convert or changes the first row's width,
+    so a bad status line after the header is reported only when no such row
+    comes before it. Otherwise a table of another width than the channels'
+    names its first row that does not read alone at the channels' width."""
+    status, details, header, rows, bad_status = "ok", [], False, [], None
+    for number, ln in enumerate(text.splitlines(), start=1):
+        if ln.startswith("# status:"):
+            status = ln.partition(":")[2].strip()
+            if status not in STATUSES:
+                error = (f"trajectory CSV line {number}: status {status!r} is not "
+                         f"one of {', '.join(STATUSES)}")
+                if not header:
+                    return error
+                bad_status = bad_status or (number, error)
+        elif ln.startswith("# detail:"):
+            details.append(ln.removeprefix("# detail:").removeprefix(" "))
+        elif ln.startswith("#") or not ln.strip():
+            continue
+        elif header:
+            rows.append((number, ln))
+        elif ln != _HEADER:
+            return (f"trajectory CSV line {number}: header {ln!r} is not "
+                    f"the expected {_HEADER!r}")
+        else:
+            header = True
+    if not header:
+        return "trajectory CSV has no header row"
+    widths = [_row_width(ln) for _, ln in rows]
+    stop = next((number for (number, _), w in zip(rows, widths)
+                 if w is None or w != widths[0]), None)
+    if bad_status and (stop is None or bad_status[0] < stop):
+        return bad_status[1]
+    if stop is None and (not rows or widths[0] == len(CHANNELS)):
+        table = np.loadtxt([ln for _, ln in rows], delimiter=",", dtype=float, ndmin=2,
+                           comments=None) if rows else np.empty((0, len(CHANNELS)))
+        return TrajectoryRecord(table, status, "\n".join(details))
+    number, ln = next(row for row, w in zip(rows, widths) if w != len(CHANNELS))
+    return f"trajectory CSV line {number}: expected {len(CHANNELS)} numbers, got {ln!r}"
+
+
+# Lines the fast-path property test puts before or after the header.
+_PROSE_LINES = ("", " ", " \t ", "# note", "# status: domain-exit", "# status: bogus",
+                "# detail: a", "# detail:", "#")
+# A row that does not hold one number per channel, one per way of failing.
+_BAD_ROWS = (_ROW[4:], _ROW + ",0.5", _row(""), _row("abc"), _row("1", "2 # c"),
+             _row("1_0"), "0.5")
+# The line breaks str.splitlines knows besides "\n" and "\r".
+_OTHER_BREAKS = _LINE_BREAKS[3:]
+
+
+def test_csv_fast_path_matches_the_line_scan(tmp_path, monkeypatch):
+    """Drawn texts read the same from their string and from a file, through
+    numpy's pass over the stream, as through the line scan alone and as the
+    line scan's whole-text reference reads them: an equal record or an equal
+    error message, line number included. The texts draw comment, blank and
+    whitespace-only lines before and after the header, "\\n", "\\r\\n" and
+    lone "\\r" line endings, the other breaks ``str.splitlines`` knows inside
+    lines and at their ends, zero or more rows and one bad row or none."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cells = st.sampled_from(["0.5", "-1e-300", "nan", "-inf", " 2.5 ", "1e308", "-0.0", "7"])
+    rows = st.lists(cells, min_size=len(CHANNELS), max_size=len(CHANNELS)).map(",".join)
+    prose = st.lists(st.sampled_from(_PROSE_LINES), max_size=2)
+    outcomes = set()
+
+    def scan_only(text):
+        with monkeypatch.context() as patch:
+            # every text has a comma in its header: a comma now rules numpy's pass out
+            patch.setattr(antago.scenario_io, "_OTHER_BREAK_BYTES", b",")
+            try:
+                return trajectory_from_csv(text)
+            except ScenarioError as exc:
+                return str(exc)
+
+    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        body = data.draw(st.lists(rows, max_size=4))
+        bad = data.draw(st.none() | st.sampled_from(_BAD_ROWS))
+        for extra in data.draw(prose) + ([bad] if bad else []):
+            body.insert(data.draw(st.integers(0, len(body))), extra)
+        lines = data.draw(prose) + [_HEADER] + body
+        for _ in range(data.draw(st.sampled_from((0, 0, 1, 2)))):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            at = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + data.draw(st.sampled_from(_OTHER_BREAKS)) + lines[i][at:]
+        ends = data.draw(st.lists(st.sampled_from(("\n", "\n", "\r\n", "\r")),
+                                  min_size=len(lines), max_size=len(lines)))
+        if data.draw(st.booleans()):
+            ends[-1] = ""
+        text = "".join(map(str.__add__, lines, ends))
+        expected = _line_scan_reference(text)
+        by_text, by_file = _read_text_and_file(text, tmp_path / "drawn.csv")
+        assert by_text == expected and by_file == expected and scan_only(text) == expected
+        outcomes.add(expected.split(": ")[1].split()[0] if isinstance(expected, str)
+                     else min(len(expected), 2))
+
+    check()
+    assert outcomes == {0, 1, 2, "status", "header", "expected"}, outcomes
+
+
 def test_csv_breaks_across_the_file_buffer_read_as_in_the_text(tmp_path):
     """The file is decoded 8,192 bytes at a time. Slid across that boundary a
     byte at a time, over 40 bytes of "\\r\\n" pairs, lone "\\r"s, blank and
@@ -800,13 +915,15 @@ def test_csv_breaks_across_the_file_buffer_read_as_in_the_text(tmp_path):
 
 def test_non_utf8_csv_file_names_it_after_one_scan(tmp_path, monkeypatch):
     """A Latin-1 byte before the header, or in a row past the first 8,192
-    bytes, is a ScenarioError naming the file, raised by the first scan."""
+    bytes, is a ScenarioError naming the file, raised by the first scan. A
+    scan starts when a ``_CsvScan`` is made: it reads the stream from its
+    start through the header."""
     scans = []
 
     class CountedScan(antago.scenario_io._CsvScan):
-        def rows(self, fh):
+        def __init__(self, fh):
             scans.append(1)
-            return super().rows(fh)
+            super().__init__(fh)
 
     monkeypatch.setattr(antago.scenario_io, "_CsvScan", CountedScan)
     path = tmp_path / "latin1.csv"
