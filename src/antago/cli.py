@@ -91,6 +91,8 @@ def _print_summary(summary) -> None:
 
 def _out_path(text: str) -> Path:
     """The ``--out`` file, checked before any work that would be lost on it."""
+    if not text:
+        raise ScenarioError("--out is empty, not a file name")
     path = Path(text)
     if path.is_dir():
         raise ScenarioError(f"--out {text!r} is a directory, not a file")
@@ -104,7 +106,7 @@ def _out_path(text: str) -> Path:
 
 def _cmd_run(args) -> int:
     scenario = _apply_solver_flags(_resolve_scenario(args.scenario), args)
-    out = _out_path(args.out or f"{scenario.name or 'trajectory'}.csv")
+    out = _out_path(f"{scenario.name or 'trajectory'}.csv" if args.out is None else args.out)
     record = simulate(scenario)
     save_trajectory_csv(record, out)
     summary = diagnostics(record, scenario.gains, scenario.params)
@@ -117,6 +119,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError("expected non-negative integer")
     suite = SUITES[args.suite]
     report = suite(seed=args.seed) if args.suite in ("matching", "gradients") else suite()
     for line in report.lines:
@@ -163,7 +167,7 @@ def _point_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
 def _cmd_sweep(args) -> int:
     base = _apply_solver_flags(_resolve_scenario(args.scenario), args)
     values = _parse_values(args.values)
-    out = _out_path(args.out) if args.out else None
+    out = None if args.out is None else _out_path(args.out)
     scenarios = [_sweep_variant(base, args.parameter, value) for value in values]
     epsilon_sweep = args.parameter == "epsilon"
     reports = [validate_gains(s.params, s.gains, epsilon=value if epsilon_sweep else 0.0)

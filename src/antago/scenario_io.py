@@ -16,12 +16,13 @@ raises only ``ScenarioError``: one boundary turns every ``ValueError`` of the
 model into one, with its message.
 
 A trajectory CSV is the record's table, comma-separated with '.' decimals, LF
-line endings and one header, the names of :data:`~antago.engine.CHANNELS`;
-the run status is carried in leading ``#`` comment lines so the table itself
-stays consumable by any CSV reader. Neither side holds the whole text: the
-writer writes each block of rows into the file as it is rendered, and numpy's
-reader takes the rows of the open file after its header. One reader takes a
-text stream: the open file, or the string's UTF-8 bytes behind an
+line endings and one header, the names of :data:`~antago.engine.CHANNELS`.
+Its grammar: leading ``#`` lines, which carry the run status, and blank lines;
+the header; then one row per line, a line ending as ``open`` ends it. So the
+table itself stays consumable by any CSV reader. Neither side holds the whole
+text: the writer writes each block of rows into the file as it is rendered,
+and numpy's reader takes the rows after the header in one call on the text
+stream: the open file, or the string's UTF-8 bytes behind an
 ``io.TextIOWrapper``. Files are read and written as UTF-8. numpy is imported
 by the functions that render or read the table, not by this module, so that
 parsing a scenario does not load it.
@@ -274,8 +275,9 @@ def _csv_chunks(record: TrajectoryRecord) -> Iterator[str]:
 
     lines = [f"# status: {record.status}"]
     if record.detail:
-        # split where the reader splits; the added newline keeps a trailing empty line
-        lines.extend(f"# detail: {part}" for part in (record.detail + "\n").splitlines())
+        # split where the reader's text stream ends a line
+        parts = record.detail.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        lines.extend(f"# detail: {part}" for part in parts)
     lines.append(_CSV_HEADER)
     yield "\n".join(lines) + "\n"
     table = np.asarray(record.table, dtype=float)
@@ -313,105 +315,82 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> No
     _atomic_write(Path(path), _csv_chunks(record))
 
 
-class _CsvScan:
-    """One pass over the lines of a trajectory CSV text stream, numbered from 1:
-    made, it has read the stream from its start through the header. Each line
-    of the stream is split with ``str.splitlines``, which splits as on the whole
-    text: the stream has turned "\\r\\n" and "\\r" into "\\n", and ends each
-    line at one. The ``# status:`` and ``# detail:`` lines it passes set
-    ``status`` and add to ``details``; ``number`` is that of the last line read."""
-
-    def __init__(self, fh: TextIO) -> None:
-        fh.seek(0)
-        self.status, self.details, self.number = "ok", [], 0
-        self.lines = chain.from_iterable(map(str.splitlines, fh))
-        header = next(self.rows(), None)
-        if header != _CSV_HEADER:
-            raise ScenarioError("trajectory CSV has no header row" if header is None else
-                                f"trajectory CSV line {self.number}: header {header!r} is not "
-                                f"the expected {_CSV_HEADER!r}")
-
-    def rows(self) -> Iterator[str]:
-        """The lines after the last one read that are neither blank nor a comment."""
-        for self.number, ln in enumerate(self.lines, start=self.number + 1):
-            if ln.startswith("#"):
-                if ln.startswith("# status:"):
-                    self.status = ln.partition(":")[2].strip()
-                    if self.status not in STATUSES:
-                        raise ScenarioError(
-                            f"trajectory CSV line {self.number}: status {self.status!r} is "
-                            f"not one of {', '.join(STATUSES)}")
-                elif ln.startswith("# detail:"):
-                    self.details.append(ln.removeprefix("# detail:").removeprefix(" "))
-            elif ln.strip():
-                yield ln
+def _read_prefix(fh: TextIO) -> tuple[str, str, int]:
+    """Read the trajectory CSV text stream ``fh`` from its start through the
+    header: the status and the detail its ``#`` lines carry, and the number of
+    the header's line. Lines are numbered from 1, as the stream yields them."""
+    fh.seek(0)
+    status, details = "ok", []
+    for number, ln in enumerate(fh, start=1):
+        ln = ln.removesuffix("\n")
+        if ln.startswith("# status:"):
+            status = ln.partition(":")[2].strip()
+            if status not in STATUSES:
+                raise ScenarioError(f"trajectory CSV line {number}: status {status!r} is "
+                                    f"not one of {', '.join(STATUSES)}")
+        elif ln.startswith("# detail:"):
+            details.append(ln.removeprefix("# detail:").removeprefix(" "))
+        elif ln.strip() and not ln.startswith("#"):
+            if ln != _CSV_HEADER:
+                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} is not "
+                                    f"the expected {_CSV_HEADER!r}")
+            return status, "\n".join(details), number
+    raise ScenarioError("trajectory CSV has no header row")
 
 
-def _read_table(lines: Iterator[str]) -> np.ndarray | None:
+def _read_rows(lines: Iterator[str]) -> np.ndarray | None:
     """``lines`` as one float table with a column per channel, or None when
-    numpy's compiled reader fails on them or finds another width; no line but
-    blank ones gives an empty table, since the reader warns on empty input. A
-    ``ScenarioError`` or ``UnicodeDecodeError`` from ``lines`` goes through."""
+    numpy's compiled reader fails on them or finds another width. Empty lines
+    are skipped; none but them gives an empty table, where the reader would warn."""
     import numpy as np
 
-    ln = next(filter(str.strip, lines), None)
-    if ln is None:
+    first = next(filter("\n".__ne__, lines), None)
+    if first is None:
         return np.empty((0, len(CHANNELS)))
     try:
-        table = np.loadtxt(chain((ln,), lines), delimiter=",", dtype=float, ndmin=2, comments=None)
-    except (ScenarioError, UnicodeDecodeError):
+        table = np.loadtxt(chain((first,), lines), delimiter=",", dtype=float, ndmin=2,
+                           comments=None)
+    except UnicodeDecodeError:   # a ValueError, which the caller names the file for
         raise
     except ValueError:
         return None
     return table if table.shape[1] == len(CHANNELS) else None
 
 
-# The last UTF-8 byte of each line break str.splitlines knows but "\n" and "\r":
-# "\x0b", "\x0c", "\x1c"-"\x1e", "\x85" (c2 85), "\u2028" (e2 80 a8), "\u2029" (e2 80 a9).
-# numpy's reader strips them around a number, so it reads "1,\x0c2" as one row.
-_OTHER_BREAK_BYTES = b"\x0b\x0c\x1c\x1d\x1e\x85\xa8\xa9"
-
-
 def _read_csv(fh: TextIO) -> TrajectoryRecord:
-    """The record in the UTF-8 trajectory CSV text stream ``fh``, read from its start.
-
-    After the scan through the header, numpy's compiled reader reads the rest of
-    the stream in one call, unless a byte of ``_OTHER_BREAK_BYTES`` rules it out.
-    If one does, or the call fails or gives another width (at a comment, a
-    whitespace-only line or a bad row), the scan passes its rows to one call; if
-    that fails too, a second scan reads each row alone to name the first bad one.
-    """
-    fh.buffer.seek(0)
-    fast = not any(any(map(block.__contains__, _OTHER_BREAK_BYTES))
-                   for block in iter(partial(fh.buffer.read, 1 << 14), b""))
-    scan = _CsvScan(fh)
-    if not fast or (table := _read_table(fh)) is None:
-        scan = _CsvScan(fh)
-        table = _read_table(scan.rows())
+    """The record in the UTF-8 trajectory CSV text stream ``fh``, read from its
+    start: the prefix, then the rows in one call of numpy's compiled reader. Only
+    if that call fails is the stream read again, each row alone, to name the bad one."""
+    status, detail, _ = _read_prefix(fh)
+    table = _read_rows(fh)
     if table is None:   # some row fails alone: rows that each read at this width read together
-        again = _CsvScan(fh)
-        ln = next(ln for ln in again.rows() if _read_table(iter((ln,))) is None)
-        raise ScenarioError(f"trajectory CSV line {again.number}: expected {len(CHANNELS)} "
+        _, _, number = _read_prefix(fh)
+        number, ln = next((n, ln.removesuffix("\n"))
+                          for n, ln in enumerate(fh, start=number + 1)
+                          if _read_rows(iter((ln,))) is None)
+        raise ScenarioError(f"trajectory CSV line {number}: expected {len(CHANNELS)} "
                             f"numbers, got {ln!r}")
-    return TrajectoryRecord(table, scan.status, "\n".join(scan.details))
+    return TrajectoryRecord(table, status, detail)
 
 
 def trajectory_from_csv(text: str) -> TrajectoryRecord:
     """Parse CSV text produced by :func:`trajectory_to_csv`.
 
-    The text is split into lines as ``str.splitlines`` splits it. Lines
-    starting with ``#`` carry the run status (``# status:``, one of
-    :data:`~antago.engine.STATUSES`) and the detail: the text after each
-    ``# detail: `` verbatim, the lines joined with newlines. Blank lines are
-    skipped. A number is what numpy's compiled text reader accepts: the ASCII
-    decimal syntax of Python's ``float``, signed or not, with ``nan``,
-    ``inf`` and ``infinity`` in any case and surrounding whitespace allowed,
-    but without ``_`` digit separators (``1_0`` is an error).
+    A line ends at "\\n", "\\r\\n" or "\\r", as ``open`` ends it. Before the
+    header, ``# status:`` lines carry the run status, one of
+    :data:`~antago.engine.STATUSES`, and ``# detail: `` lines the detail: the
+    text after each verbatim, joined with newlines. Other ``#`` lines and blank
+    lines there are skipped. The first other line must be the writer's header,
+    and each nonempty line after it a row. A number is what numpy's compiled
+    text reader accepts: the ASCII decimal syntax of Python's ``float``,
+    signed or not, with ``nan``, ``inf`` and ``infinity`` in any case and
+    surrounding whitespace allowed, but without ``_`` digit separators
+    (``1_0`` is an error).
 
-    The first other line must be the writer's header; any other, a status
-    the engine does not write, and a row that does not hold one number per
-    channel raise :class:`ScenarioError` with the line number. The record
-    holds the float64 table numpy's reader parses, in one call after the header.
+    Another header, a status the engine does not write, and a row that does
+    not hold one number per channel raise :class:`ScenarioError` with the
+    line number. The record holds the float64 table numpy's reader parses, in
+    one call after the header.
     """
     # The UTF-8 bytes, not an io.StringIO, which keeps 4 bytes per character;
     # surrogatepass carries any str both ways, and newline=None turns "\r\n"

@@ -314,6 +314,21 @@ def test_out_directory_is_one_line_error(tmp_path, short_scenario_file, capsys,
     assert list(tmp_path.iterdir()) == [short_scenario_file]
 
 
+def test_empty_out_is_one_line_error(tmp_path, capsys, monkeypatch):
+    """An empty ``--out`` names no file: one error line naming ``--out`` and
+    exit 1, before any sample grid is built, for both subcommands that write
+    a file; nothing is written."""
+    def no_grid(*args):
+        raise AssertionError("a rejected --out reached the sample grid")
+
+    monkeypatch.setattr("antago.engine._sample_grid", no_grid)
+    monkeypatch.chdir(tmp_path)   # a run without --out writes <scenario>.csv here
+    for argv in (["run", "multistep"], ["sweep", "alpha", "fig2-F1", "--values", "5"]):
+        assert main(argv + ["--out", ""]) == 1
+        assert capsys.readouterr() == ("", "error: --out is empty, not a file name\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scenario_directory_is_one_line_error(tmp_path, capsys, monkeypatch):
     """A scenario path that names a directory, with a suffix or a trailing
     slash, is one error: line naming it as one, and exit 1, for both
@@ -457,7 +472,7 @@ def test_verify_matching_and_gains(capsys):
     ]
 
 
-@pytest.mark.parametrize("suite", ["matching", "gradients"])
+@pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verify_negative_seed_is_one_line_error(suite, capsys):
     assert main(["verify", suite, "--seed", "-1"]) == 1
     assert capsys.readouterr() == ("", "error: expected non-negative integer\n")

@@ -604,14 +604,17 @@ def test_written_files_get_the_mode_open_gives(tmp_path, short_record, study, um
 
 @pytest.mark.parametrize("status", ["bogus", "OK", "", "domain exit"])
 def test_csv_status_is_one_the_engine_writes(status):
-    """A status that simulate never gives is a ScenarioError naming its line,
-    before the header or among the rows; each status it gives reads back."""
-    for text, line in ((f"# status: {status}\n{_HEADER}\n{_ROW}\n", 1),
-                       (f"{_HEADER}\n{_ROW}\n# status: {status}\n{_ROW}\n", 3)):
-        with pytest.raises(ScenarioError) as info:
-            trajectory_from_csv(text)
-        assert str(info.value) == (f"trajectory CSV line {line}: status {status!r} is not "
-                                   "one of ok, domain-exit, step-underflow")
+    """A status that simulate never gives is a ScenarioError naming its line
+    before the header; among the rows a status line is a bad row. Each status
+    it gives reads back."""
+    with pytest.raises(ScenarioError) as info:
+        trajectory_from_csv(f"# status: {status}\n{_HEADER}\n{_ROW}\n")
+    assert str(info.value) == (f"trajectory CSV line 1: status {status!r} is not "
+                               "one of ok, domain-exit, step-underflow")
+    with pytest.raises(ScenarioError) as info:
+        trajectory_from_csv(f"{_HEADER}\n{_ROW}\n# status: {status}\n{_ROW}\n")
+    assert str(info.value) == (f"trajectory CSV line 3: expected {len(CHANNELS)} numbers, "
+                               f"got '# status: {status}'")
     for status in STATUSES:
         assert trajectory_from_csv(f"# status: {status}\n{_HEADER}\n").status == status
 
@@ -676,35 +679,42 @@ def _reference_trajectory_to_csv(record):
 
 
 def _reference_trajectory_from_csv(text):
-    """Per-line form of ``trajectory_from_csv`` (single-line, stripped details)."""
-    status, detail = "ok", ""
-    header_seen, rows = False, []
-    for number, ln in enumerate(text.splitlines(), start=1):
-        if ln.startswith("#"):
-            if ln.startswith("# status:"):
-                status = ln.partition(":")[2].strip()
-            elif ln.startswith("# detail:"):
-                detail = ln.partition(":")[2].strip()
-        elif not ln.strip():
-            continue
-        elif not header_seen:
-            if ln.split(",") != list(CHANNELS):
-                raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} is not "
-                                    f"the expected {','.join(CHANNELS)!r}")
-            header_seen = True
-        else:
+    """Whole-text, per-cell form of ``trajectory_from_csv``: the record, or
+    the ScenarioError message. The text's lines end at "\\r\\n", "\\r" and
+    "\\n", numbered from 1. Before the header, status and detail lines are
+    read, and other comment and blank lines skipped; after it, each nonempty
+    line is a row of one ``float`` per channel, stripped, with no ``_``."""
+    status, details, header, rows = "ok", [], False, []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for number, ln in enumerate(lines, start=1):
+        if header:
             cells = ln.split(",")
             try:
-                if len(cells) != len(CHANNELS):
+                if len(cells) != len(CHANNELS) or "_" in ln:
                     raise ValueError
-                rows.append([float(v) for v in cells])
+                rows.append([float(v.strip()) for v in cells])
             except ValueError:
-                raise ScenarioError(f"trajectory CSV line {number}: expected "
-                                    f"{len(CHANNELS)} numbers, got {ln!r}") from None
-    if not header_seen:
-        raise ScenarioError("trajectory CSV has no header row")
-    table = np.asarray(rows, dtype=float).reshape(len(rows), len(CHANNELS))
-    return TrajectoryRecord(table, status, detail)
+                if ln:
+                    return (f"trajectory CSV line {number}: expected {len(CHANNELS)} "
+                            f"numbers, got {ln!r}")
+        elif ln.startswith("# status:"):
+            status = ln.partition(":")[2].strip()
+            if status not in STATUSES:
+                return (f"trajectory CSV line {number}: status {status!r} is not "
+                        f"one of {', '.join(STATUSES)}")
+        elif ln.startswith("# detail:"):
+            details.append(ln.removeprefix("# detail:").removeprefix(" "))
+        elif ln.startswith("#") or not ln.strip():
+            continue
+        elif ln != _HEADER:
+            return (f"trajectory CSV line {number}: header {ln!r} is not "
+                    f"the expected {_HEADER!r}")
+        else:
+            header = True
+    if not header:
+        return "trajectory CSV has no header row"
+    table = np.array(rows, dtype=float).reshape(len(rows), len(CHANNELS))
+    return TrajectoryRecord(table, status, "\n".join(details))
 
 
 # Lines the property test puts anywhere in a CSV: blank, comment, status and
@@ -749,12 +759,14 @@ def test_csv_matches_reference_property(tmp_path):
         "int64": st.integers(-2**53, 2**53),
         "bool": st.booleans(),
     }
-    # one line, no surrounding whitespace: the details the reference can carry
+    # one line: the details the reference writer can carry
     plain = st.sampled_from(["", "x = 0.0299 left the actuator domain at t = 6.0",
                              "step size underflow"])
-    # any text whose line breaks are newlines: the details the format carries
-    breaks = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-    texts = st.text(st.characters(blacklist_characters=breaks), max_size=20)
+    # any text without a "\r", "\x0c" or "\u2028" say among the rest: the details
+    # the format carries
+    texts = (st.text(st.characters(blacklist_characters="\r"), max_size=20)
+             | st.text(st.sampled_from("a \n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                       max_size=6))
 
     @hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @hypothesis.given(data=st.data())
@@ -769,9 +781,9 @@ def test_csv_matches_reference_property(tmp_path):
         record = TrajectoryRecord(table, status, detail)
         text = trajectory_to_csv(record)
         assert trajectory_from_csv(text) == record
-        if detail.strip() == detail and "\n" not in detail:
+        assert trajectory_from_csv(text) == _reference_trajectory_from_csv(text)
+        if "\n" not in detail:
             assert text == _reference_trajectory_to_csv(record)
-            assert trajectory_from_csv(text) == _reference_trajectory_from_csv(text)
         lines = text.splitlines()
         for extra in data.draw(st.lists(st.sampled_from(_EXTRA_LINES), max_size=3)):
             lines.insert(data.draw(st.integers(0, len(lines))), extra)
@@ -784,75 +796,21 @@ def test_csv_matches_reference_property(tmp_path):
     check()
 
 
-def _row_width(ln):
-    """The width numpy's reader reads the one row ``ln`` at, or None when a
-    cell does not convert."""
-    try:
-        return np.loadtxt([ln], delimiter=",", dtype=float, ndmin=2, comments=None).shape[1]
-    except ValueError:
-        return None
-
-
-def _line_scan_reference(text):
-    """The record, or the ScenarioError message, that the line scan makes of
-    ``text``, from the whole text. Its lines are those of ``str.splitlines``,
-    numbered from 1; comment and blank lines are skipped, and the first other
-    line must be the header. The rows then go to numpy's reader, which stops
-    at the first row that does not convert or changes the first row's width,
-    so a bad status line after the header is reported only when no such row
-    comes before it. Otherwise a table of another width than the channels'
-    names its first row that does not read alone at the channels' width."""
-    status, details, header, rows, bad_status = "ok", [], False, [], None
-    for number, ln in enumerate(text.splitlines(), start=1):
-        if ln.startswith("# status:"):
-            status = ln.partition(":")[2].strip()
-            if status not in STATUSES:
-                error = (f"trajectory CSV line {number}: status {status!r} is not "
-                         f"one of {', '.join(STATUSES)}")
-                if not header:
-                    return error
-                bad_status = bad_status or (number, error)
-        elif ln.startswith("# detail:"):
-            details.append(ln.removeprefix("# detail:").removeprefix(" "))
-        elif ln.startswith("#") or not ln.strip():
-            continue
-        elif header:
-            rows.append((number, ln))
-        elif ln != _HEADER:
-            return (f"trajectory CSV line {number}: header {ln!r} is not "
-                    f"the expected {_HEADER!r}")
-        else:
-            header = True
-    if not header:
-        return "trajectory CSV has no header row"
-    widths = [_row_width(ln) for _, ln in rows]
-    stop = next((number for (number, _), w in zip(rows, widths)
-                 if w is None or w != widths[0]), None)
-    if bad_status and (stop is None or bad_status[0] < stop):
-        return bad_status[1]
-    if stop is None and (not rows or widths[0] == len(CHANNELS)):
-        table = np.loadtxt([ln for _, ln in rows], delimiter=",", dtype=float, ndmin=2,
-                           comments=None) if rows else np.empty((0, len(CHANNELS)))
-        return TrajectoryRecord(table, status, "\n".join(details))
-    number, ln = next(row for row, w in zip(rows, widths) if w != len(CHANNELS))
-    return f"trajectory CSV line {number}: expected {len(CHANNELS)} numbers, got {ln!r}"
-
-
-# Lines the fast-path property test puts before or after the header.
+# Lines the reader's property test puts before or after the header.
 _PROSE_LINES = ("", " ", " \t ", "# note", "# status: domain-exit", "# status: bogus",
                 "# detail: a", "# detail:", "#")
 # A row that does not hold one number per channel, one per way of failing.
 _BAD_ROWS = (_ROW[4:], _ROW + ",0.5", _row(""), _row("abc"), _row("1", "2 # c"),
              _row("1_0"), "0.5")
-# The line breaks str.splitlines knows besides "\n" and "\r".
+# The line breaks str.splitlines knows besides "\n" and "\r": ordinary
+# characters to the reader.
 _OTHER_BREAKS = _LINE_BREAKS[3:]
 
 
-def test_csv_fast_path_matches_the_line_scan(tmp_path, monkeypatch):
-    """Drawn texts read the same from their string and from a file, through
-    numpy's pass over the stream, as through the line scan alone and as the
-    line scan's whole-text reference reads them: an equal record or an equal
-    error message, line number included. The texts draw comment, blank and
+def test_csv_reader_matches_the_whole_text_reference(tmp_path):
+    """Drawn texts read the same from their string and from a file as the
+    whole-text reference reads them: an equal record or an equal error
+    message, line number included. The texts draw comment, blank and
     whitespace-only lines before and after the header, "\\n", "\\r\\n" and
     lone "\\r" line endings, the other breaks ``str.splitlines`` knows inside
     lines and at their ends, zero or more rows and one bad row or none."""
@@ -862,15 +820,6 @@ def test_csv_fast_path_matches_the_line_scan(tmp_path, monkeypatch):
     rows = st.lists(cells, min_size=len(CHANNELS), max_size=len(CHANNELS)).map(",".join)
     prose = st.lists(st.sampled_from(_PROSE_LINES), max_size=2)
     outcomes = set()
-
-    def scan_only(text):
-        with monkeypatch.context() as patch:
-            # every text has a comma in its header: a comma now rules numpy's pass out
-            patch.setattr(antago.scenario_io, "_OTHER_BREAK_BYTES", b",")
-            try:
-                return trajectory_from_csv(text)
-            except ScenarioError as exc:
-                return str(exc)
 
     @hypothesis.settings(derandomize=True, max_examples=400, deadline=None, database=None)
     @hypothesis.given(data=st.data())
@@ -889,9 +838,9 @@ def test_csv_fast_path_matches_the_line_scan(tmp_path, monkeypatch):
         if data.draw(st.booleans()):
             ends[-1] = ""
         text = "".join(map(str.__add__, lines, ends))
-        expected = _line_scan_reference(text)
+        expected = _reference_trajectory_from_csv(text)
         by_text, by_file = _read_text_and_file(text, tmp_path / "drawn.csv")
-        assert by_text == expected and by_file == expected and scan_only(text) == expected
+        assert by_text == expected and by_file == expected
         outcomes.add(expected.split(": ")[1].split()[0] if isinstance(expected, str)
                      else min(len(expected), 2))
 
@@ -901,31 +850,37 @@ def test_csv_fast_path_matches_the_line_scan(tmp_path, monkeypatch):
 
 def test_csv_breaks_across_the_file_buffer_read_as_in_the_text(tmp_path):
     """The file is decoded 8,192 bytes at a time. Slid across that boundary a
-    byte at a time, over 40 bytes of "\\r\\n" pairs, lone "\\r"s, blank and
-    detail lines and rows, it reads to the record its text reads to."""
-    block = f"# detail: a\r\n\r# detail: b\r\r\n{_ROW}\r\n\r{_ROW}\r"
+    byte at a time, over 40 bytes of "\\r\\n" pairs, lone "\\r"s and blank
+    lines among the detail lines before the header, and among the rows after
+    it, it reads to the record its text reads to."""
+    details = "# detail: a\r\n\r# detail: b\r\r\n"
+    rows = f"{_ROW}\r\n\r{_ROW}\r"
     path = tmp_path / "breaks.csv"
-    head = f"{_HEADER}\n# "
-    for shift in range(-2, 38):   # the boundary falls ``shift`` characters into the block
-        text = head + "x" * (8192 - 2 - len(head) - shift) + "\r\n" + block * 3
-        by_text, by_file = _read_text_and_file(text, path)
-        assert by_text == by_file
-        assert len(by_text) == 6 and by_text.detail == "a\nb\n" * 2 + "a\nb"
+    for shift in range(-2, 38):   # the boundary falls ``shift`` characters into a block
+        pad = 8192 - 2 - shift
+        # padded by a comment line, or by the leading spaces of a row
+        before = "# " + "x" * (pad - 2) + "\r\n" + details * 3 + f"{_HEADER}\n" + rows * 3
+        head = details * 3 + f"{_HEADER}\n"
+        after = head + " " * (pad - len(head) - len(_ROW)) + f"{_ROW}\r\n" + rows * 3
+        for text, samples in ((before, 6), (after, 7)):
+            by_text, by_file = _read_text_and_file(text, path)
+            assert by_text == by_file
+            assert len(by_text) == samples and by_text.detail == "a\nb\n" * 2 + "a\nb"
 
 
 def test_non_utf8_csv_file_names_it_after_one_scan(tmp_path, monkeypatch):
     """A Latin-1 byte before the header, or in a row past the first 8,192
     bytes, is a ScenarioError naming the file, raised by the first scan. A
-    scan starts when a ``_CsvScan`` is made: it reads the stream from its
-    start through the header."""
+    scan starts when ``_read_prefix`` reads the stream from its start through
+    the header."""
     scans = []
+    read_prefix = antago.scenario_io._read_prefix
 
-    class CountedScan(antago.scenario_io._CsvScan):
-        def __init__(self, fh):
-            scans.append(1)
-            super().__init__(fh)
+    def counted_prefix(fh):
+        scans.append(1)
+        return read_prefix(fh)
 
-    monkeypatch.setattr(antago.scenario_io, "_CsvScan", CountedScan)
+    monkeypatch.setattr(antago.scenario_io, "_read_prefix", counted_prefix)
     path = tmp_path / "latin1.csv"
     for text in (f"# detail: 5 \u00b5m\n{_HEADER}\n{_ROW}\n",
                  f"{_HEADER}\n" + f"{_ROW}\n" * 200 + _row("\u00b5") + "\n"):
@@ -939,10 +894,12 @@ def test_non_utf8_csv_file_names_it_after_one_scan(tmp_path, monkeypatch):
 
 
 def test_csv_detail_round_trips():
-    """A detail with line breaks or surrounding spaces reads back as written;
-    a single-line detail keeps its one ``# detail:`` line."""
+    """A detail with line breaks, surrounding spaces or characters that
+    ``str.splitlines`` splits at but a file's lines do not end at reads back
+    as written; a single-line detail keeps its one ``# detail:`` line."""
     table = np.zeros((2, len(CHANNELS)))
-    for detail in ("a\nb", "  padded  ", "a\n", "\n", "x = 0.03 outside (0, 0.029)"):
+    for detail in ("a\nb", "  padded  ", "a\n", "\n", "x = 0.03 outside (0, 0.029)",
+                   "a\x0cb", "a\u2028b", "x\x85"):
         record = TrajectoryRecord(table, "domain-exit", detail)
         assert trajectory_from_csv(trajectory_to_csv(record)) == record
     lines = trajectory_to_csv(TrajectoryRecord(table, "domain-exit", "a\nb")).splitlines()
@@ -953,8 +910,8 @@ def test_csv_detail_round_trips():
 
 def test_csv_edge_shapes_raise_no_warning(tmp_path):
     """A header-only CSV gives 0 samples, from its text or its file, and a
-    one-row CSV 1 sample per channel; comment and whitespace-only lines
-    between rows are skipped."""
+    one-row CSV 1 sample per channel; empty lines between rows are skipped,
+    and a comment or whitespace-only line there is a bad row naming its line."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         empty, from_file = _read_text_and_file(f"# status: ok\n{_HEADER}\n",
@@ -964,8 +921,13 @@ def test_csv_edge_shapes_raise_no_warning(tmp_path):
                    for name in CHANNELS)
         one = trajectory_from_csv(f"{_HEADER}\n{_ROW}\n")
         assert all(one[name].tolist() == [0.5] for name in CHANNELS)
-        spaced = trajectory_from_csv(f"{_HEADER}\n{_ROW}\n# note\n \t\n\n{_ROW}\n")
+        spaced = trajectory_from_csv(f"{_HEADER}\n\n{_ROW}\n\n\n{_ROW}\n\n")
         assert spaced == trajectory_from_csv(f"{_HEADER}\n{_ROW}\n{_ROW}\n")
+        for line in ("# note", " \t"):
+            with pytest.raises(ScenarioError) as info:
+                trajectory_from_csv(f"{_HEADER}\n{_ROW}\n\n{line}\n{_ROW}\n")
+            assert str(info.value) == (f"trajectory CSV line 4: expected {len(CHANNELS)} "
+                                       f"numbers, got {line!r}")
 
 
 @pytest.mark.parametrize("bad", [
