@@ -47,7 +47,7 @@ share one grid. It is a tuple, so no caller can change the shared copy.
 
 A :class:`ScenarioConfig` checks itself on construction (``replace`` too), so
 every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
-output samples and setpoints and, for ``rk4``, ``MAX_RK4_STEPS`` fixed steps.
+output samples and setpoints and ``MAX_RK4_STEPS`` steps (of ``max_step`` for rk23).
 It also rejects a setpoint time within rounding of the previous one or of the
 duration, which would leave a step below ``rk23``'s floor between them.
 
@@ -100,12 +100,12 @@ FORCE_KINDS = ("constant", "tanh_friction", "spring")
 
 # Cost budgets, checked before a run allocates anything: at most this many
 # output samples plus setpoints (duration / sample_dt + len(setpoints); each
-# setpoint adds a grid point and a segment) and, for rk4, this many fixed steps
-# (duration / fixed_step). The presets ask for 2,001 samples; the costliest
-# rk4 cross-check takes about 1.7e5 steps and `--method rk4` on a preset 1e6.
-# The rk4 budget is about 4e7 right-hand-side evaluations, or roughly 80 s of
-# integration at the 1.8-2.2 us per evaluation of the fused rk4 kernel,
-# measured on one core of a 2-vCPU Xeon VM with Python 3.11.
+# setpoint adds a grid point and a segment) and this many steps (duration /
+# fixed_step for rk4, duration / max_step for rk23). The presets ask for 2,001
+# samples; the costliest rk4 cross-check takes about 1.7e5 steps and `--method
+# rk4` on a preset 1e6. The rk4 budget is about 4e7 right-hand-side
+# evaluations, or 80 s of integration at the 1.8-2.2 us per evaluation of the
+# fused rk4 kernel, on one core of a 2-vCPU Xeon VM with Python 3.11.
 MAX_SAMPLES = 10**6
 MAX_RK4_STEPS = 10**7
 
@@ -223,9 +223,10 @@ def _check_cost(duration: float, solver: SolverSettings, setpoints: int) -> None
     if duration / solver.sample_dt + setpoints > MAX_SAMPLES:
         counted = "duration / sample_dt" + (" plus the setpoint count" if setpoints else "")
         raise ScenarioError(f"{counted} exceeds the budget of {MAX_SAMPLES} samples")
-    if solver.method == "rk4" and duration / solver.fixed_step > MAX_RK4_STEPS:
+    step = "fixed_step" if solver.method == "rk4" else "max_step"
+    if duration / getattr(solver, step) > MAX_RK4_STEPS:
         raise ScenarioError(
-            f"duration / fixed_step exceeds the budget of {MAX_RK4_STEPS} rk4 steps")
+            f"duration / {step} exceeds the budget of {MAX_RK4_STEPS} {solver.method} steps")
 
 
 def _check_initial(initial: PlantState, params: PlantParams) -> None:

@@ -24,7 +24,6 @@ never loads it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -38,62 +37,31 @@ if TYPE_CHECKING:
 # domain check of the package uses this one value.
 DOMAIN_MARGIN = 1e-6
 
-# Relative tolerance for the k0/K0 redundancy check.
-_K0_CONSISTENCY_RTOL = 1e-12
-
 
 @dataclass(frozen=True, kw_only=True)
 class ActuatorGeometry:
-    """Geometry of one bellow actuator (both actuators of the pair are identical).
-
-    ``k0`` and ``K0`` are redundant: ``K0 = k0 * (L0**2 / n_L) * (d_c/3 + D_s/2)``
-    is the combined volume scale. Either may be left out, and is then derived
-    from the other; both are stored, positive, finite and checked for
-    consistency.
-    """
+    """Geometry of one bellow actuator (both actuators of the pair are identical)."""
 
     L0: float    # length of the empty actuator [m]
-    n_L: int     # number of pouches
-    D_s: float   # geometric diameter [m]
-    d_c: float   # geometric diameter [m]
-    k0: float | None = None   # dimensionless volume scaling factor
-    K0: float | None = None   # combined volume scale [m^3]
+    K0: float    # volume scale [m^3]
     V0: float    # dead volume of fluid [m^3]
     x0: float    # initial offset contraction [m]
     x_M: float   # maximum contraction [m]
 
     def __post_init__(self) -> None:
-        # n_L must have a finite float value: the division below converts it.
-        if not (isinstance(self.n_L, int) and 1 <= self.n_L <= sys.float_info.max):
-            raise ValueError("n_L must be a positive integer")
-        # L0 * L0, not L0**2: a float power overflows with OverflowError.
-        unit = (self.L0 * self.L0 / self.n_L) * (self.d_c / 3 + self.D_s / 2)
-        if not 0.0 < unit < math.inf:
-            raise ValueError("L0, D_s and d_c must be positive and finite")
-        if self.k0 is None and self.K0 is None:
-            raise ValueError("section [plant] needs k0 or K0 (or both)")
-        if self.k0 is None:
-            object.__setattr__(self, "k0", self.K0 / unit)
-        elif self.K0 is None:
-            object.__setattr__(self, "K0", self.k0 * unit)
-        if not all(0.0 < v < math.inf for v in (self.L0, self.D_s, self.d_c, self.V0)):
-            raise ValueError("L0, D_s, d_c and V0 must be positive and finite")
-        # A NaN scale would pass the consistency check below; a zero scale
-        # divides by zero in the area, and a negative one reverses the pair.
-        if not (0.0 < self.k0 < math.inf and 0.0 < self.K0 < math.inf):
-            raise ValueError("volume scales k0 and K0 must be positive and finite")
+        # L0 * L0, which the curvatures divide by, must neither overflow nor
+        # underflow; not L0**2: a float power overflows with OverflowError.
+        if not all(0.0 < v < math.inf for v in (self.L0, self.L0 * self.L0, self.V0)):
+            raise ValueError("L0, L0 * L0 and V0 must be positive and finite")
+        # A zero scale divides by zero in the area; a negative one reverses the pair.
+        if not 0.0 < self.K0 < math.inf:
+            raise ValueError("volume scale K0 must be positive and finite")
         if not (0 < self.x0 < self.x_M):
             raise ValueError("offset contraction must satisfy 0 < x0 < x_M")
         # x_M <= L0/4 keeps the analytic zero of the volume gradient, at
         # contraction 4*L0/9, strictly outside the reachable range.
         if self.x_M > self.L0 / 4:
             raise ValueError("maximum contraction must satisfy x_M <= L0/4")
-        expected = self.k0 * (self.L0 * self.L0 / self.n_L) * (self.d_c / 3 + self.D_s / 2)
-        if abs(self.K0 - expected) > _K0_CONSISTENCY_RTOL * abs(expected):
-            raise ValueError(
-                f"inconsistent volume scales: K0={self.K0!r} but "
-                f"k0*(L0^2/n_L)*(d_c/3 + D_s/2)={expected!r}"
-            )
 
     def position_bounds(self) -> tuple[float, float]:
         """Open interval of admissible positions, ``DOMAIN_MARGIN`` inside the travel."""
@@ -104,14 +72,12 @@ class ActuatorGeometry:
 class FluidParams:
     """Hydraulic fluid properties. All stored pressures are gauge."""
 
-    Gamma0: float        # isothermal bulk modulus [Pa]
-    rho: float           # density [kg/m^3]
-    P_atm: float = 1e5   # atmospheric reference [Pa], metadata only
+    Gamma0: float   # isothermal bulk modulus [Pa]
+    rho: float      # density [kg/m^3]
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.Gamma0 < math.inf and 0.0 <= self.rho < math.inf
-                and math.isfinite(self.P_atm)):
-            raise ValueError("Gamma0 must be positive, rho nonnegative, and all finite")
+        if not (0.0 < self.Gamma0 < math.inf and 0.0 <= self.rho < math.inf):
+            raise ValueError("Gamma0 must be positive, rho nonnegative, and both finite")
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,12 @@ Scenario files are plain sectioned key=value text (INI) with sections
 ``[plant]``, ``[gains]``, ``[force]``, ``[solver]``, ``[schedule]`` and an
 optional ``[initial]``. One table, ``_SECTIONS``, names each section's keys in
 file order: a model section's keys are the field names of the types it
-builds, in field order, and each value is read as its field's type. Keys are
-case-sensitive; unknown keys are rejected with a suggestion when a
-case-insensitive or near match exists. ``[solver]`` and ``[initial]`` may be
-left out, and a key of a model section may be left out exactly when its field
-has a default: ``P_atm``, and either volume scale, ``k0`` or ``K0``, which the
-geometry derives from the other.
+builds, in field order, and each value is read as its field's type: a ``str``
+field as text, any other as a float. Keys are case-sensitive; unknown keys are
+rejected with a suggestion when a case-insensitive or near match exists.
+``[solver]`` and ``[initial]``, and any key of theirs, may be left out; every
+other key is required. ``[plant]`` holds one volume scale, ``K0`` in m³, and
+no atmospheric pressure: all pressures are gauge.
 ``parse_scenario`` and ``serialize_scenario`` round-trip exactly: floats are
 written with their shortest exact decimal representation. ``parse_scenario``
 raises only ``ScenarioError``: one boundary turns every ``ValueError`` of the
@@ -36,7 +36,7 @@ import os
 import stat
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -73,10 +73,6 @@ _SECTIONS = {
     "initial": (*_keys(PlantState), "F_hat"),
 }
 _OPTIONAL_SECTIONS = ("solver", "initial")
-# Keys a required section may leave out: the model fields that have a default.
-_DEFAULTED = frozenset(
-    f.name for cls in (ActuatorGeometry, FluidParams, ControllerGains, ForceModel)
-    for f in fields(cls) if f.default is not MISSING)
 
 
 def _reject_unknown(section: str, keys, expected) -> None:
@@ -93,22 +89,22 @@ def _reject_unknown(section: str, keys, expected) -> None:
         raise ScenarioError(f"unknown key {key!r} in section [{section}]{hint}")
 
 
-def _number(sec, key: str, default: float | None = None, kind=float):
-    """``kind`` of the text under ``key``, or ``default`` when the key is absent."""
+def _number(sec, key: str, default: float | None = None) -> float | None:
+    """The float under ``key``, or ``default`` when the key is absent."""
     if key not in sec:
         return default
     try:
-        return kind(sec[key])
+        return float(sec[key])
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ScenarioError(f"key {key!r}: could not parse {sec[key]!r} as {noun}") from None
+        raise ScenarioError(f"key {key!r}: could not parse {sec[key]!r} as a number") from None
 
 
 def _values(sec, cls) -> dict:
     """The keys of ``sec`` that name fields of ``cls``, in file order, each read
-    as its field's type: an ``int`` or ``str`` field as such, any other as float."""
-    kinds = {f.name: {"int": int, "str": str}.get(f.type, float) for f in fields(cls)}
-    return {key: _number(sec, key, kind=kinds[key]) for key in sec if key in kinds}
+    as its field's type: a ``str`` field as text, any other as a float."""
+    types = {f.name: f.type for f in fields(cls)}
+    return {key: sec[key] if types[key] == "str" else _number(sec, key)
+            for key in sec if key in types}
 
 
 def _parse_schedule(sched) -> tuple[tuple[float, float], ...]:
@@ -156,7 +152,7 @@ def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
         if section not in cp:
             raise ScenarioError(f"missing required section [{section}]")
         for key in keys:
-            if key not in cp[section] and key not in _DEFAULTED:
+            if key not in cp[section]:
                 raise ScenarioError(f"missing key {key!r} in section [{section}]")
     plant, sched = cp["plant"], cp["schedule"]
     try:
@@ -199,7 +195,7 @@ def _field_values(*objects) -> dict:
 
 def serialize_scenario(scenario: ScenarioConfig) -> str:
     """Render a scenario as sectioned key=value text, in the order of
-    ``_SECTIONS``; inverse of parse. A zero state without ``F_hat`` is left out.
+    ``_SECTIONS``; inverse of parse. An unset ``F_hat`` is left out.
     A float is written as ``repr(float(v))``: a numpy float's repr names its type."""
     params, init = scenario.params, scenario.initial
     if len(scenario.setpoints) == 1:
@@ -212,13 +208,10 @@ def serialize_scenario(scenario: ScenarioConfig) -> str:
         "force": _field_values(scenario.force),
         "solver": _field_values(scenario.solver),
         "schedule": {"duration": scenario.duration, "x_star": x_star},
+        "initial": {**_field_values(init), "F_hat": scenario.F_hat0},
     }
-    if init != PlantState(0.0, 0.0, 0.0, 0.0) or scenario.F_hat0 is not None:
-        values["initial"] = {**_field_values(init), "F_hat": scenario.F_hat0}
     out = io.StringIO()
     for section, keys in _SECTIONS.items():
-        if section not in values:
-            continue
         out.write(f"[{section}]\n")
         for key in keys:
             val = values[section][key]

@@ -89,7 +89,7 @@ def test_run_malformed_key_names_expected(tmp_path, study, capsys):
                                         ("K0", "nan"), ("x", "nan"), ("P2", "inf"),
                                         ("F_hat", "nan")])
 def test_run_non_finite_input_is_one_line_error(tmp_path, study, capsys, key, value):
-    # F_hat0 = 0 writes an [initial] section, so the initial state can be edited.
+    # F_hat0 = 0 writes an F_hat key, so that it can be edited too.
     text = re.sub(rf"^{key} = .*$", f"{key} = {value}",
                   serialize_scenario(replace(study, F_hat0=0.0)), flags=re.MULTILINE)
     bad = tmp_path / "bad.ini"
@@ -100,14 +100,17 @@ def test_run_non_finite_input_is_one_line_error(tmp_path, study, capsys, key, va
 
 
 @pytest.mark.parametrize("old, new, words", [
-    ("n_L = 3\n", "n_L = 3.5\n", ("n_L", "integer")),
-    ("n_L = 3\n", "n_L = 0\n", ("n_L", "integer")),
     ("x_star = 0.001", "x_star = 0.0:0.001, inf:0.002", ("setpoint times", "finite")),
     ("duration = 10.0", "duration = 1000000000.0", ("sample_dt", "budget")),
     # a zero scale divided by zero in the right-hand side; a negative one
     # reversed the pair and ran to "ok"
-    ("k0 = 1.0370370370370372\nK0 = 2.8e-06\n", "K0 = 0.0\n", ("k0 and K0", "positive")),
-    ("k0 = 1.0370370370370372\nK0 = 2.8e-06\n", "K0 = -2.8e-06\n", ("k0 and K0", "positive")),
+    ("K0 = 2.8e-06\n", "K0 = 0.0\n", ("volume scale K0", "positive")),
+    ("K0 = 2.8e-06\n", "K0 = -2.8e-06\n", ("volume scale K0", "positive")),
+    ("K0 = 2.8e-06\n", "K0 = nan\n", ("volume scale K0", "finite")),
+    # a negative L0, and one whose square (the curvatures divide by L0 * L0)
+    # overflows or underflows
+    *(("L0 = 0.03\n", f"L0 = {value}\n", ("L0 * L0", "positive"))
+      for value in ("-0.03", "1e200", "1e-200")),
     # setpoint times within rounding of 0, of each other and of the duration
     # ended the run "step-underflow"
     ("x_star = 0.001", "x_star = 0.0:0.001, 1e-17:0.002",
@@ -267,6 +270,31 @@ def test_rk4_step_budget_boundary(tmp_path, study, capsys, monkeypatch):
     assert main(["run", str(path), "--method", "rk4", "--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "rk4 steps" in err[0], err
+
+
+def test_rk23_max_step_budget_boundary(tmp_path, study, capsys, monkeypatch):
+    """An rk23 run whose ``max_step`` forces exactly ``MAX_RK4_STEPS`` steps
+    validates; one step more raises ``ScenarioError``, and ``antago run`` of a
+    file with ``max_step = 1e-12`` prints one error line and exits 1 before any
+    sample grid is built."""
+    step = 2.0**-20   # duration / step is exact for both durations below
+    at_budget = replace(study, solver=replace(study.solver, max_step=step),
+                        duration=MAX_RK4_STEPS * step)
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"duration / max_step exceeds the budget of {MAX_RK4_STEPS} rk23 steps")):
+        replace(at_budget, duration=(MAX_RK4_STEPS + 1) * step)
+
+    def no_grid(*args):
+        raise AssertionError("an over-budget request reached the sample grid")
+
+    monkeypatch.setattr("antago.engine._sample_grid", no_grid)
+    path = tmp_path / "tiny.ini"
+    text = serialize_scenario(study)
+    assert "max_step = 0.01\n" in text
+    path.write_text(text.replace("max_step = 0.01\n", "max_step = 1e-12\n"))
+    assert main(["run", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "rk23 steps" in err[0], err
 
 
 def test_setpoint_budget_boundary(tmp_path, study, capsys, monkeypatch):

@@ -222,15 +222,13 @@ def test_midpoint_mass_is_the_heaviest():
         assert_heaviest_at_midpoint(load_preset(name).params)
 
     @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
-    @hypothesis.given(L0=st.floats(1e-3, 1.0), n_L=st.integers(1, 50),
-                      D_s=st.floats(1e-4, 0.1), d_c=st.floats(1e-4, 0.1),
-                      k0=st.floats(1e-2, 1e2), V0=st.floats(1e-12, 1e-3),
+    @hypothesis.given(L0=st.floats(1e-3, 1.0), K0=st.floats(1e-14, 10.0),
+                      V0=st.floats(1e-12, 1e-3),
                       reach=st.floats(0.01, 1.0), offset=st.floats(0.01, 0.99),
                       rho=st.floats(0.0, 2e4), m=st.floats(1e-6, 1e3))
-    def check(L0, n_L, D_s, d_c, k0, V0, reach, offset, rho, m):
+    def check(L0, K0, V0, reach, offset, rho, m):
         x_M = reach * L0 / 4
-        geometry = ActuatorGeometry(L0=L0, n_L=n_L, D_s=D_s, d_c=d_c, k0=k0,
-                                    V0=V0, x0=offset * x_M, x_M=x_M)
+        geometry = ActuatorGeometry(L0=L0, K0=K0, V0=V0, x0=offset * x_M, x_M=x_M)
         assert_heaviest_at_midpoint(PlantParams(geometry, FluidParams(Gamma0=1e9, rho=rho),
                                                 m=m, R=1.0))
 

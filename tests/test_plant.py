@@ -35,8 +35,7 @@ from antago.plant import (
 
 
 def _study_geometry(**overrides):
-    kwargs = dict(L0=30e-3, n_L=3, D_s=12e-3, d_c=9e-3, V0=1e-7,
-                  x0=3.75e-3, x_M=7.5e-3, K0=2.8e-6)
+    kwargs = dict(L0=30e-3, K0=2.8e-6, V0=1e-7, x0=3.75e-3, x_M=7.5e-3)
     kwargs.update(overrides)
     return ActuatorGeometry(**kwargs)
 
@@ -62,24 +61,6 @@ def _random_states(params, rng, n):
 # --------------------------------------------------------------------------
 # Geometry type invariants.
 
-def test_inconsistent_volume_scales_rejected():
-    geo = _study_geometry()
-    with pytest.raises(ValueError, match="inconsistent volume scales"):
-        ActuatorGeometry(L0=geo.L0, n_L=geo.n_L, D_s=geo.D_s, d_c=geo.d_c,
-                         k0=geo.k0 * 1.001, K0=geo.K0, V0=geo.V0,
-                         x0=geo.x0, x_M=geo.x_M)
-
-
-def test_k0_and_K0_round_trip():
-    """Either scale may be left out: the geometry derives it from the other
-    consistently. Leaving out both is an error."""
-    geo = _study_geometry()   # K0 given, k0 derived
-    via_k0 = _study_geometry(K0=None, k0=geo.k0)
-    assert via_k0.K0 == pytest.approx(geo.K0, rel=1e-14)
-    with pytest.raises(ValueError, match=re.escape("needs k0 or K0 (or both)")):
-        _study_geometry(K0=None)
-
-
 def test_contraction_range_validation():
     with pytest.raises(ValueError):
         _study_geometry(x_M=8e-3)  # above L0/4
@@ -90,22 +71,21 @@ def test_contraction_range_validation():
 
 
 def test_non_finite_parameters_rejected():
-    for key in ("L0", "D_s", "d_c", "V0", "x0", "x_M", "K0"):
+    for key in ("L0", "K0", "V0", "x0", "x_M"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 _study_geometry(**{key: value})
+    # L0 * L0, which the curvatures divide by, overflows at 1e200 and
+    # underflows to zero at 1e-200.
+    for L0 in (0.0, -30e-3, 1e200, 1e-200):
+        with pytest.raises(ValueError, match=re.escape("L0, L0 * L0 and V0 must be positive")):
+            _study_geometry(L0=L0)
+    for K0 in (0.0, -2.8e-6, math.nan):
+        with pytest.raises(ValueError, match="volume scale K0 must be positive and finite"):
+            _study_geometry(K0=K0)
     geo = _study_geometry()
-    for k0, K0 in ((math.nan, math.nan), (math.inf, math.inf)):
-        with pytest.raises(ValueError, match="finite"):
-            ActuatorGeometry(L0=geo.L0, n_L=geo.n_L, D_s=geo.D_s, d_c=geo.d_c,
-                             k0=k0, K0=K0, V0=geo.V0, x0=geo.x0, x_M=geo.x_M)
-    for n_L in (0, -1, 3.5, 10**400):
-        with pytest.raises(ValueError, match="n_L"):
-            _study_geometry(n_L=n_L)
-    with pytest.raises(ValueError, match="positive"):
-        _study_geometry(L0=0.0)
     for fluid in ({"Gamma0": math.inf, "rho": 1e3}, {"Gamma0": 2e9, "rho": math.inf},
-                  {"Gamma0": 2e9, "rho": math.nan}, {"Gamma0": 2e9, "rho": 1e3, "P_atm": math.nan}):
+                  {"Gamma0": 2e9, "rho": math.nan}):
         with pytest.raises(ValueError, match="finite"):
             FluidParams(**fluid)
     fluid = FluidParams(Gamma0=2e9, rho=1e3)
