@@ -1,5 +1,7 @@
 """Regenerate ``data/output_digests.json``: SHA-256 digests of every
-user-visible output of the command line and of each preset's scenario text.
+user-visible output of the command line, of each preset's scenario text, and
+of the records of three runs the command line does not make: a two-segment
+domain exit, a step underflow and a three-segment rk4 run.
 
 Run from the repository root::
 
@@ -27,9 +29,12 @@ HERE = Path(__file__).resolve().parent
 DIGEST_FILE = HERE / "data" / "output_digests.json"
 sys.path.insert(0, str(HERE.parent / "src"))
 
+from dataclasses import replace  # noqa: E402
+
 import numpy as np  # noqa: E402
 
 from antago.cli import main  # noqa: E402
+from antago.engine import simulate  # noqa: E402
 from antago.scenario_io import load_preset, serialize_scenario  # noqa: E402
 from antago.verify import SUITES  # noqa: E402
 
@@ -49,6 +54,23 @@ COMMANDS = (
     (["--help"], ()),
     *(([command, "--help"], ()) for command in ("run", "verify", "sweep", "presets")),
 )
+
+
+
+def table_runs() -> dict:
+    """The scenarios whose records are digested, by name: runs of
+    ``test_unrolled_steppers_match_tuple_loops`` that end early after a
+    finished segment, or step with rk4 over three segments."""
+    study, multistep = load_preset("fig2-F1"), load_preset("multistep")
+    return {
+        "domain-exit": replace(multistep, setpoints=((0.0, 0.0), (2.0, 3e-3)), duration=6.0,
+                               gains=replace(multistep.gains, alpha=20.0)),
+        "step-underflow": replace(study, duration=0.5, solver=replace(
+            study.solver, rel_tol=1e-30, abs_tol=1e-300)),
+        "rk4-multistep": replace(
+            multistep, solver=replace(multistep.solver, method="rk4", fixed_step=1e-4),
+            setpoints=((0.0, 1e-3), (0.08, 2e-3), (0.14, -1e-3)), duration=0.2),
+    }
 
 
 def environment() -> dict:
@@ -97,6 +119,11 @@ def digests() -> dict:
         for name in PRESETS:
             result[f"serialize_scenario {name}"] = {
                 "text": _sha(serialize_scenario(load_preset(name)))}
+        for name, scenario in table_runs().items():
+            record = simulate(scenario)
+            result[f"simulate {name}"] = {
+                "status": _sha(record.status), "detail": _sha(record.detail),
+                "table": hashlib.sha256(record.table.tobytes()).hexdigest()}
     finally:
         for key, value in saved_env.items():
             if value is None:
