@@ -53,24 +53,34 @@ duration, which would leave a step below ``rk23``'s floor between them.
 
 A position within the plant's fixed 1 µm ``DOMAIN_MARGIN`` of the
 volume-model boundary ends a run as "domain-exit". The kernels inline
-:func:`antago.plant.geometry_terms`, the single geometry entry point; the
-record and diagnostics call its array form.
+:func:`antago.plant.geometry_terms`, the single geometry entry point, and
+diagnostics calls its array form.
 
 Errors are raised once, at the failure, with the time and state in the
 message: the right-hand side raises ``DomainError``, the ``rk23`` stepper
 ``SolverError``. :func:`simulate` turns either into the record's status and
 detail; every other caller gets the error itself.
 
-The trajectory record and :func:`diagnostics` are built as array expressions
-over the sampled states. The scalar plant and controller functions
-(``control_flows``, ``sigma``, ``desired_energy``, ``hamiltonian``) are their
-oracles: the test suite checks the channels against them at sampled rows.
-Like them, :func:`augmented_field` takes ``F_hat`` and ``x_star`` as floats
-and reads the observer gain ``alpha`` only from ``ControllerGains``.
+The kernels emit the trajectory record's rows. At each sample, the stage
+evaluated at the sample's state already holds the geometry, the force, sigma
+and the shear term; a template line ``$emit`` appends the 17 channels
+computed from those names (the open loop appends its state). ``rk23`` emits
+from its first stage and then from the last stage of each step that lands on
+a grid time (the pair is FSAL), ``rk4`` from the first stage of the step that
+starts there; the row at a setpoint time comes from the first stage of the
+segment that starts there, which reads the new setpoint, and the last sample's
+row from one more evaluation. :func:`simulate` stacks the rows into the table
+with one numpy call, and no numpy expression computes a channel. The scalar
+plant and controller functions (``control_flows``, ``sigma``,
+``desired_energy``, ``hamiltonian``) are the channels' oracles: the test suite
+checks the channels against them at sampled rows. Like them,
+:func:`augmented_field` takes ``F_hat`` and ``x_star`` as floats and reads the
+observer gain ``alpha`` only from ``ControllerGains``.
 
-numpy is imported by the functions that build or read arrays (the record and
-its ``==``, :func:`simulate_open_loop`'s result, :func:`fit_decay_rate` and
-:func:`diagnostics`), not by this module: the kernels never load it.
+numpy is imported by the functions that build or read arrays (:func:`simulate`'s
+table, the record's ``==``, :func:`simulate_open_loop`'s result,
+:func:`fit_decay_rate` and :func:`diagnostics`), not by this module: the kernels
+never load it.
 """
 
 from __future__ import annotations
@@ -80,6 +90,7 @@ import linecache
 import math
 import re
 from bisect import bisect_left
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -127,7 +138,8 @@ class ForceModel:
     this class's own ``__call__``. Otherwise, as for a subclass that
     overrides ``__call__`` or a wrapper set on the class, the ``__call__``
     found on the instance's type is bound once per setpoint segment and
-    called. The record calls ``__call__`` once per sample.
+    called. The record's ``F_true`` is the force of the evaluation that
+    emitted its row, so nothing calls the force outside an evaluation.
     """
 
     kind: str
@@ -230,11 +242,14 @@ def _check_cost(duration: float, solver: SolverSettings, setpoints: int) -> None
 
 
 def _check_initial(initial: PlantState, params: PlantParams) -> None:
-    """Reject an initial state that is not finite or lies outside the admissible range."""
+    """Reject an initial state that is not finite or lies outside the admissible
+    range, by its bounds and by the kernels' own contraction check, which can
+    differ from them in the last bit: the first stage, which emits row 0, passes."""
     if not all(math.isfinite(v) for v in (initial.x, initial.p, initial.P1, initial.P2)):
         raise ScenarioError("initial state must be finite")
-    lo, hi = params.geometry.position_bounds()
-    if not lo < initial.x < hi:
+    geo, x = params.geometry, initial.x
+    lo, hi = geo.position_bounds()
+    if not (lo < x < hi and geo.x_M - x - geo.x0 > DOMAIN_MARGIN and x + geo.x0 > DOMAIN_MARGIN):
         raise ScenarioError("initial position outside the admissible range")
 
 
@@ -253,9 +268,11 @@ class TrajectoryRecord:
     array, a row per sample and a column per channel in :data:`CHANNELS`
     order; ``record[name]`` is a view of its column, and ``len`` and ``==``
     (NaN equal to NaN) read the table. ``status`` is one of
-    :data:`STATUSES`; ``detail`` describes the offending state. On early
-    termination the table holds only the setpoint segments finished before
-    the failure, so a one-segment run keeps only t = 0 (ROADMAP item 1).
+    :data:`STATUSES`; ``detail`` describes the offending state. Each row was
+    emitted by the kernel stage evaluated at its sample (see the module
+    docstring). On early termination the table holds only the setpoint
+    segments finished before the failure, through the row at the failed
+    segment's start, so a one-segment run keeps only t = 0 (ROADMAP item 1).
     """
 
     table: np.ndarray
@@ -311,27 +328,45 @@ w2 = A2 * P2
 G = p * p * rho * (A1 + A2) / (2.0 * M * M) + w1 + w2 - R * v
 """
 
-# Per loop: the names its body reads the state under and the body; the open
-# loop is the unforced plant. ``$force`` is the closed loop's line of _FORCE_LINES.
+# Per loop: the names its body reads the state under, the body, and the row
+# the body's names give at a sample, appended by ``$emit`` (at time ``t``); the
+# open loop is the unforced plant, and its row is its state. ``$force`` is the
+# closed loop's line of _FORCE_LINES. The closed loop's row is the record's
+# channels in CHANNELS order, each square written as a product (``v**2`` calls
+# libm's pow, an ulp off ``v * v`` on a few samples per run).
 _LOOPS = {
     "closed": (("x", "p", "P1", "P2", "F_hat"), _PLANT_BODY + """\
 dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * g1 / (L0_sq * s1**3))
 dA2 = K0 * (-3.0 / (L0_sq * s2) - 9.0 * g2 / (L0_sq * s2**3))
 $force
-k_i_sig = k_i * (w1 + w2 - F_hat + kpkm * (x - x_star))
+sig = w1 + w2 - F_hat + kpkm * (x - x_star)
+k_i_sig = k_i * sig
 ns = -((1.0 + k_m * (P1 * dA1 + P2 * dA2 + kpkm)) * v / two_k_m)
 $k1 = v
 $k2 = G - F
 $k3 = ns / A1 - k_i_sig / A1
 $k4 = ns / A2 - k_i_sig / A2
 $k5 = alpha * (G - F_hat + alpha * p)
+""", """\
+shear = -ns
+F_tilde = F_hat - alpha * p
+zeta = F_tilde - F
+err = x_star - x
+H_d = p * p / (two_k_m * M) + 0.5 * k_p * (err * err) + 0.5 * (sig * sig)
+append((t, x, v, p, P1, P2,
+        A1 * v - (V1 / Gamma0) * (shear / A1 + k_i_sig / A1),
+        A2 * v - (V2 / Gamma0) * (shear / A2 + k_i_sig / A2),
+        F_hat, F_tilde, F, zeta, sig, x_star,
+        p * p / (2.0 * M) + (-P1 + Gamma0 * expm1(P1 / Gamma0)) * V1
+        + (-P2 + Gamma0 * expm1(P2 / Gamma0)) * V2,
+        H_d, H_d + 0.5 * (zeta * zeta)))
 """),
     "open": (("x", "p", "P1", "P2"), _PLANT_BODY + """\
 $k1 = v
 $k2 = G
 $k3 = neg_Gamma0 * (A1 * v) / V1
 $k4 = neg_Gamma0 * (A2 * v) / V2
-"""),
+""", "append((x, p, P1, P2))\n"),
 }
 
 # The closed loop's force, by law: ForceModel's three kinds written out with
@@ -344,20 +379,23 @@ _MIN_STEP_FRACTION = 1e-14
 # way to it (see _sample_grid); 100 floors keep the step between them clear.
 _COLLISION_FRACTION = 100 * _MIN_STEP_FRACTION
 
-# Bogacki-Shampine 3(2) pair with FSAL, landing exactly on grid times. Each
+# Bogacki-Shampine 3(2) pair with FSAL, landing exactly on grid times. The row
+# of each grid time but the last is emitted from the stage at its state: the
+# first stage, then the last stage of the step that landed there. Each
 # ``min``/``max`` of the textbook loop is written out as comparisons that keep
 # the builtin's result: the first argument wins a tie, and a NaN argument
 # after the first never wins. Each ``abs(y)`` is written ``y if y >= 0.0 else
 # -y``, which differs from it only in the sign of a NaN or of a zero; neither
 # sign reaches a comparison's outcome or an output.
 _RK23 = """\
-def kernel(y, t_grid, solver, h):
+def kernel(y, t_grid, solver, h, rows):
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
-    out = []
+    append = rows.append
     t = t_grid[0]
     y$s = y
     a = rhs(t, y$i)
     for tg in t_grid[1:]:
+        $emit
         abs_tg = tg if tg >= 0.0 else -tg
         land_tol = 1e-15 * (abs_tg if abs_tg > 1.0 else 1.0)
         while t < tg:
@@ -394,50 +432,61 @@ def kernel(y, t_grid, solver, h):
             # h *= min(5.0, max(0.2, q))
             q = 0.9 * (errn + 1e-300) ** (-1.0 / 3.0)
             h *= (q if q < 5.0 else 5.0) if q > 0.2 else 0.2
-        out.append((y$s))
-    return out, h
+    return (y$s), h
 """
 
 # Classical fixed-step RK4, subdividing each grid interval evenly into steps
-# of at most ``solver.fixed_step``; hands ``h_in`` back unchanged.
+# of at most ``solver.fixed_step``; hands ``h_in`` back unchanged. The row of
+# each grid time but the last is emitted from the first stage of the step
+# that starts there.
 _RK4 = """\
-def kernel(y, t_grid, solver, h_in):
-    out = []
+def kernel(y, t_grid, solver, h_in, rows):
+    append = rows.append
     y$s = y
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
         n = max(1, ceil((tb - ta) / solver.fixed_step - 1e-12))
         h = (tb - ta) / n
         hb = 0.5 * h
         t = ta
-        for _ in range(n):
+        for j in range(n):
             a = rhs(t, y$i)
+            if not j:
+                $emit
             b = rhs(t + hb, y$i + hb * a$i)
             c = rhs(t + hb, y$i + hb * b$i)
             d = rhs(t + h, y$i + h * c$i)
             for $i in state:
                 y$i = y$i + h * (a$i + 2.0 * b$i + 2.0 * c$i + d$i) / 6.0
             t += h
-        out.append((y$s))
-    return out, h_in
+    return (y$s), h_in
 """
 
-# The one-stage instance: the right-hand side itself, for point evaluation.
-_RHS = """\
+# By method name, the stepper templates. Each kernel takes (y, t_grid, solver,
+# h, rows), appends to ``rows`` the row of each time of ``t_grid`` but the
+# last, and returns (the state at the last time, the next h).
+STEPPERS = {"rk23": _RK23, "rk4": _RK4}
+
+# The one-stage instances: the right-hand side itself, for point evaluation,
+# and the row at one time, for the last sample of a run.
+_ONE_STAGE = {"rhs": """\
 def kernel(t, y$s):
     a = rhs(t, y$i)
     return (a$s)
-"""
-
-# By method name, the stepper templates; each kernel takes (y, t_grid, solver,
-# h) and returns (samples, next h).
-STEPPERS = {"rk23": _RK23, "rk4": _RK4}
+""", "row": """\
+def kernel(t, y, rows):
+    append = rows.append
+    y$s = y
+    a = rhs(t, y$i)
+    $emit
+"""}
 
 _STAGE = r"( *)(\w) = rhs\((.+?), (.+)\)"
 
 
 def _kernel_source(template: str, loop: str, law: str | None) -> str:
-    """Expand ``template`` with the body of ``loop`` inlined at each stage."""
-    names, body = _LOOPS[loop]
+    """Expand ``template`` with the body of ``loop`` inlined at each stage and
+    its row at each ``$emit``."""
+    names, body, emit = _LOOPS[loop]
     components = range(1, len(names) + 1)
     body = body.replace("$force", _FORCE_LINES.get(law, "")).replace("$state", ", ".join(names))
     lines = template.splitlines()
@@ -456,6 +505,8 @@ def _kernel_source(template: str, loop: str, law: str | None) -> str:
             out += [f"{pad}{name} = {arg.replace('$i', str(i))}"
                     for i, name in zip(components, names)]
             out += [pad + ln for ln in body.replace("$t", t).replace("$k", k).splitlines()]
+        elif line.strip() == "$emit":
+            out += [line[:indent] + ln for ln in emit.splitlines()]
         else:
             out.append(line)
     text = "\n".join(out)
@@ -464,10 +515,10 @@ def _kernel_source(template: str, loop: str, law: str | None) -> str:
 
 @functools.cache
 def _kernel_factory(method: str, loop: str, law: str | None, constants: tuple[str, ...]):
-    """Compile the kernel of ``method`` ("rhs": the one-stage instance) for
+    """Compile the kernel of ``method`` (a key of STEPPERS or _ONE_STAGE) for
     ``loop`` and force ``law``, in a factory whose parameters, ``constants``
     (the same for every call of a loop), it reads as closure variables."""
-    source = _kernel_source(_RHS if method == "rhs" else STEPPERS[method], loop, law)
+    source = _kernel_source({**STEPPERS, **_ONE_STAGE}[method], loop, law)
     source = (f"def make({', '.join(constants)}):\n"
               + "".join(f"    {ln}\n" for ln in source.splitlines()) + "    return kernel\n")
     filename = f"<antago kernel {method} {loop} {law}>"
@@ -492,9 +543,10 @@ def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
     law = force.kind if type(force).__call__ is _FORCE_LAW else "call"
     k_m, L0 = gains.k_m, params.geometry.L0
     constants = _plant_constants(params, params.R)
-    constants.update(k_m=k_m, k_i=gains.k_i, alpha=gains.alpha, kpkm=gains.k_p * k_m,
-                     two_k_m=2.0 * k_m, L0_sq=L0 * L0, x_star=x_star, fv=force.value,
-                     f=force.__call__, tanh=math.tanh)
+    constants.update(k_p=gains.k_p, k_m=k_m, k_i=gains.k_i, alpha=gains.alpha,
+                     kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m, L0_sq=L0 * L0, x_star=x_star,
+                     fv=force.value, f=force.__call__, tanh=math.tanh,
+                     Gamma0=params.fluid.Gamma0, expm1=math.expm1)
     return _kernel_factory(method, "closed", law, tuple(constants))(**constants)
 
 
@@ -541,6 +593,8 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     state leaves the admissible region or the adaptive step collapses; the
     record keeps only the setpoint segments finished before it (ROADMAP item 1).
     """
+    import numpy as np
+
     params, gains, force = scenario.params, scenario.gains, scenario.force
     solver = scenario.solver
 
@@ -549,64 +603,29 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
 
     y = (scenario.initial.x, scenario.initial.p, scenario.initial.P1,
          scenario.initial.P2, scenario.initial_F_hat())
-    times = [0.0]
-    states = [y]
+    rows = []
     status, detail = "ok", ""
     h = min(solver.max_step, 1e-6)
 
     # Cut the grid by index at the setpoint times before the end, each a grid
     # point: segment i runs from setpoint i to the next cut or the last point.
+    # A segment emits the rows of its times but the last, so the row at a
+    # setpoint time comes from the segment that starts there, with its x_star.
     cuts = [bisect_left(grid, t) for t in events if t < scenario.duration]
     cuts.append(len(grid) - 1)
     try:
         for (_, x_star), a, b in zip(scenario.setpoints, cuts, cuts[1:]):
-            seg_grid = grid[a:b + 1]
+            kept = len(rows) + 1   # through the segment's first row
             kernel = _closed_kernel(solver.method, params, gains, force, x_star)
-            ys, h = kernel(y, seg_grid, solver, h)
-            times.extend(seg_grid[1:])
-            states.extend(ys)
-            y = states[-1]
-    except DomainError as exc:
-        status, detail = "domain-exit", str(exc)
-    except SolverError as exc:
-        status, detail = "step-underflow", str(exc)
+            y, h = kernel(y, grid[a:b + 1], solver, h, rows)
+        _closed_kernel("row", params, gains, force, x_star)(grid[-1], y, rows)
+    except (DomainError, SolverError) as exc:
+        status = "domain-exit" if isinstance(exc, DomainError) else "step-underflow"
+        detail = str(exc)
+        del rows[kept:]
 
-    return _build_record(scenario, times, states, status, detail)
-
-
-def _build_record(scenario, times, states, status, detail) -> TrajectoryRecord:
-    import numpy as np
-
-    params, gains = scenario.params, scenario.gains
-    fluid = params.fluid
-    t = np.array(times, dtype=float)
-    x, p, P1, P2, F_hat = np.array(states, dtype=float).T.copy()
-    g = geometry_terms_array(x, params.geometry)
-    M = params.m + (g.V1 + g.V2) * fluid.rho
-    v = p / M
-    # The force stays scalar: np.tanh and math.tanh differ in the last bit.
-    F_true = np.array(list(map(scenario.force.__call__, x.tolist(), v.tolist())))
-    set_times, set_values = np.array(scenario.setpoints, dtype=float).T
-    x_star = set_values[np.searchsorted(set_times, t, side="right") - 1]
-
-    kpkm = gains.k_p * gains.k_m
-    s = P1 * g.A1 + P2 * g.A2 - F_hat + kpkm * (x - x_star)
-    s_x = P1 * g.dA1 + P2 * g.dA2 + kpkm
-    shear = (1.0 + gains.k_m * s_x) * v / (2.0 * gains.k_m)
-    U1 = g.A1 * v - (g.V1 / fluid.Gamma0) * (shear / g.A1 + gains.k_i * s / g.A1)
-    U2 = g.A2 * v - (g.V2 / fluid.Gamma0) * (shear / g.A2 + gains.k_i * s / g.A2)
-    F_tilde = F_hat - gains.alpha * p
-    zeta = F_tilde - F_true
-    phi1 = -P1 + fluid.Gamma0 * np.expm1(P1 / fluid.Gamma0)
-    phi2 = -P2 + fluid.Gamma0 * np.expm1(P2 / fluid.Gamma0)
-    H = p * p / (2.0 * M) + phi1 * g.V1 + phi2 * g.V2
-    H_d = (p**2 / (2.0 * gains.k_m * M)
-           + 0.5 * gains.k_p * (x_star - x) ** 2
-           + 0.5 * s**2)
-    Psi = H_d + 0.5 * zeta**2
-    table = np.column_stack((t, x, v, p, P1, P2, U1, U2, F_hat, F_tilde, F_true,
-                             zeta, s, x_star, H, H_d, Psi))
-    return TrajectoryRecord(table, status, detail)
+    table = np.fromiter(chain.from_iterable(rows), float, len(rows) * len(CHANNELS))
+    return TrajectoryRecord(table.reshape(-1, len(CHANNELS)), status, detail)
 
 
 def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float,
@@ -631,8 +650,10 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
         raise ScenarioError("R_override must be non-negative and finite")
     grid = _sample_grid(duration, solver.sample_dt, ())
     y = (initial.x, initial.p, initial.P1, initial.P2)
-    ys, _ = _open_kernel(solver.method, params, R)(y, grid, solver, min(solver.max_step, 1e-8))
-    states = np.array([y] + ys)
+    rows = []
+    y, _ = _open_kernel(solver.method, params, R)(y, grid, solver, min(solver.max_step, 1e-8),
+                                                  rows)
+    states = np.array(rows + [y])
     energies = np.array([hamiltonian(PlantState(*row), params)
                          for row in states.tolist()])
     return np.asarray(grid), states, energies

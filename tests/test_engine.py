@@ -107,6 +107,27 @@ def test_record_reaches_the_end_of_the_run(study):
     assert record["t"][-1] == pytest.approx(scenario.duration, abs=1e-15)
 
 
+def test_initial_position_next_to_a_bound_gives_row_zero(study):
+    """The float next to each bound of ``position_bounds`` either runs, with
+    row 0 at the initial state, or is rejected before integration: on this
+    geometry the float below the upper bound passes the bounds but not the
+    kernels' contraction check, whose operations round differently."""
+    geo = replace(study.params.geometry, L0=0.012, x0=0.000173, x_M=0.0002)
+    params = replace(study.params, geometry=geo)
+    lo, hi = geo.position_bounds()
+    inside = math.nextafter(lo, hi)
+    run = replace(study, params=params, setpoints=((0.0, 0.0),), duration=0.01,
+                  initial=PlantState(inside, 0.0, 0.0, 0.0))
+    record = simulate(run)
+    assert record["x"][0] == inside and record["t"][0] == 0.0
+    outside = PlantState(math.nextafter(hi, lo), 0.0, 0.0, 0.0)
+    assert lo < outside.x < hi and geo.x_M - outside.x - geo.x0 <= engine.DOMAIN_MARGIN
+    with pytest.raises(ScenarioError, match="initial position"):
+        replace(run, initial=outside)
+    with pytest.raises(ScenarioError, match="initial position"):
+        simulate_open_loop(params, outside, 0.01, study.solver)
+
+
 def test_solver_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(method="euler")
@@ -556,21 +577,24 @@ def test_rk23_matches_scipy_dop853(fig2_runs):
 # --------------------------------------------------------------------------
 # The steppers and right-hand sides against reference copies: the generic
 # tuple loops and the right-hand sides written with every constant computed
-# in place and every min/max a builtin call.
+# in place and every min/max a builtin call. A reference field returns the
+# derivative and the row of its point as a function of the row's time.
 
-def _reference_make_rhs(params, gains, force, x_star, margin=engine.DOMAIN_MARGIN):
-    """Reference form of the closed loop's right-hand side."""
+def _reference_make_field(params, gains, force, x_star, margin=engine.DOMAIN_MARGIN):
+    """Reference form of the closed loop's right-hand side and record row."""
     geo = params.geometry
     L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
     rho = params.fluid.rho
     m = params.m
     R = params.R
+    Gamma0 = params.fluid.Gamma0
     k_p, k_m, k_i, alpha = gains.k_p, gains.k_m, gains.k_i, gains.alpha
     kpkm = k_p * k_m
     f = force
     sqrt = math.sqrt
+    expm1 = math.expm1
 
-    def rhs(t, x, p, P1, P2, F_hat):
+    def field(t, x, p, P1, P2, F_hat):
         u1 = x_M - x - x0
         u2 = x + x0
         if not (u1 > margin and u2 > margin):
@@ -595,20 +619,28 @@ def _reference_make_rhs(params, gains, force, x_star, margin=engine.DOMAIN_MARGI
         sig = P1 * A1 + P2 * A2 - F_hat + kpkm * (x - x_star)
         dsig = P1 * dA1 + P2 * dA2 + kpkm
         shear = (1.0 + k_m * dsig) * v / (2.0 * k_m)
-        return (
-            v,
-            G - F,
-            -shear / A1 - k_i * sig / A1,
-            -shear / A2 - k_i * sig / A2,
-            alpha * (G - F_hat + alpha * p),
-        )
 
-    return rhs
+        def row(t):
+            F_tilde = F_hat - alpha * p
+            zeta = F_tilde - F
+            H = (p * p / (2.0 * M) + (-P1 + Gamma0 * expm1(P1 / Gamma0)) * V1
+                 + (-P2 + Gamma0 * expm1(P2 / Gamma0)) * V2)
+            H_d = (p * p / (2.0 * k_m * M) + 0.5 * k_p * ((x_star - x) * (x_star - x))
+                   + 0.5 * (sig * sig))
+            U1 = A1 * v - (V1 / Gamma0) * (shear / A1 + k_i * sig / A1)
+            U2 = A2 * v - (V2 / Gamma0) * (shear / A2 + k_i * sig / A2)
+            return (t, x, v, p, P1, P2, U1, U2, F_hat, F_tilde, F, zeta, sig, x_star,
+                    H, H_d, H_d + 0.5 * (zeta * zeta))
+
+        return (v, G - F, -shear / A1 - k_i * sig / A1, -shear / A2 - k_i * sig / A2,
+                alpha * (G - F_hat + alpha * p)), row
+
+    return field
 
 
-def _reference_open_rhs(params, R, margin=engine.DOMAIN_MARGIN):
-    """Reference form of the open loop's right-hand side: the textbook open
-    loop with both flows and the load at zero."""
+def _reference_open_field(params, R, margin=engine.DOMAIN_MARGIN):
+    """Reference form of the open loop's right-hand side, the textbook open
+    loop with both flows and the load at zero, and of its row, the state."""
     geo = params.geometry
     L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
     rho = params.fluid.rho
@@ -616,7 +648,7 @@ def _reference_open_rhs(params, R, margin=engine.DOMAIN_MARGIN):
     m = params.m
     sqrt = math.sqrt
 
-    def rhs(t, x, p, P1, P2):
+    def field(t, x, p, P1, P2):
         u1 = x_M - x - x0
         u2 = x + x0
         if not (u1 > margin and u2 > margin):
@@ -634,27 +666,27 @@ def _reference_open_rhs(params, R, margin=engine.DOMAIN_MARGIN):
         M = m + rho * (V1 + V2)
         v = p / M
         G = p * p * rho * (A1 + A2) / (2.0 * M * M) + A1 * P1 + A2 * P2 - R * v
-        return (v, G, Gamma0 * -(A1 * v) / V1, Gamma0 * -(A2 * v) / V2)
+        return (v, G, Gamma0 * -(A1 * v) / V1, Gamma0 * -(A2 * v) / V2), lambda t: (x, p, P1, P2)
 
-    return rhs
+    return field
 
 
-def _reference_rk23_segment(rhs, y, t_grid, solver, h):
+def _reference_rk23_segment(field, y, t_grid, solver, h, rows):
     """Tuple-loop form of the ``rk23`` kernel."""
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
-    out = []
     t = t_grid[0]
-    k1 = rhs(t, *y)
+    k1, row = field(t, *y)
     for tg in t_grid[1:]:
+        rows.append(row(t))
         while t < tg:
             h = min(h, max_step, tg - t)
             if h < engine._MIN_STEP_FRACTION * max(1.0, abs(t)):
                 raise SolverError(f"step size underflow at t={t:.6e} (state={y})")
-            k2 = rhs(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k1)))
-            k3 = rhs(t + 0.75 * h, *(yi + 0.75 * h * k for yi, k in zip(y, k2)))
+            k2, _ = field(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k1)))
+            k3, _ = field(t + 0.75 * h, *(yi + 0.75 * h * k for yi, k in zip(y, k2)))
             yn = tuple(yi + h * (2.0 * a + 3.0 * b + 4.0 * c) / 9.0
                        for yi, a, b, c in zip(y, k1, k2, k3))
-            k4 = rhs(t + h, *yn)
+            k4, row4 = field(t + h, *yn)
             errn = 0.0
             for yi, yni, a, b, c, d in zip(y, yn, k1, k2, k3, k4):
                 e = h * (-5.0 * a / 72.0 + b / 12.0 + c / 9.0 - d / 8.0)
@@ -663,29 +695,39 @@ def _reference_rk23_segment(rhs, y, t_grid, solver, h):
             if errn <= 1.0:
                 t = tg if tg - t - h <= 1e-15 * max(1.0, abs(tg)) else t + h
                 y = yn
-                k1 = k4
+                k1, row = k4, row4
             h *= min(5.0, max(0.2, 0.9 * (errn + 1e-300) ** (-1.0 / 3.0)))
-        out.append(y)
-    return out, h
+    return y, h
 
 
-def _reference_rk4_segment(rhs, y, t_grid, solver, h_in):
+def _reference_rk4_segment(field, y, t_grid, solver, h_in, rows):
     """Tuple-loop form of the ``rk4`` kernel."""
-    out = []
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
         n = max(1, math.ceil((tb - ta) / solver.fixed_step - 1e-12))
         h = (tb - ta) / n
         t = ta
-        for _ in range(n):
-            k1 = rhs(t, *y)
-            k2 = rhs(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k1)))
-            k3 = rhs(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k2)))
-            k4 = rhs(t + h, *(yi + h * k for yi, k in zip(y, k3)))
+        for j in range(n):
+            k1, row = field(t, *y)
+            if j == 0:
+                rows.append(row(t))
+            k2, _ = field(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k1)))
+            k3, _ = field(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k2)))
+            k4, _ = field(t + h, *(yi + h * k for yi, k in zip(y, k3)))
             y = tuple(yi + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
                       for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
             t += h
-        out.append(y)
-    return out, h_in
+    return y, h_in
+
+
+_REFERENCE_STEPPERS = {"rk23": _reference_rk23_segment, "rk4": _reference_rk4_segment}
+
+
+def _reference_kernel(field, method):
+    """Reference form of the engine's ``method`` kernel over ``field``: a
+    stepper, or "row", which appends the row at one time."""
+    if method == "row":
+        return lambda t, y, rows: rows.append(field(t, *y)[1](t))
+    return functools.partial(_REFERENCE_STEPPERS[method], field)
 
 
 def _nan_on_call(n):
@@ -744,21 +786,16 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
         runs[name] = lambda solver=solver: simulate_open_loop(study.params, init, 0.01, solver)
 
     unrolled = {name: run() for name, run in runs.items()}
-    steppers = {"rk23": _reference_rk23_segment, "rk4": _reference_rk4_segment}
-    calls = dict.fromkeys(steppers, 0)
+    calls = {"rk23": 0, "rk4": 0, "row": 0}
 
-    def reference_kernel(make_rhs):
+    def reference_kernel(make_field):
         def kernel(method, *args):
-            rhs = make_rhs(*args)
-
-            def step(*state):
-                calls[method] += 1
-                return steppers[method](rhs, *state)
-            return step
+            calls[method] += 1
+            return _reference_kernel(make_field(*args), method)
         return kernel
 
-    monkeypatch.setattr(engine, "_closed_kernel", reference_kernel(_reference_make_rhs))
-    monkeypatch.setattr(engine, "_open_kernel", reference_kernel(_reference_open_rhs))
+    monkeypatch.setattr(engine, "_closed_kernel", reference_kernel(_reference_make_field))
+    monkeypatch.setattr(engine, "_open_kernel", reference_kernel(_reference_open_field))
     for name, run in runs.items():
         expected = run()
         if name.startswith("open"):
@@ -767,10 +804,12 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
         else:
             assert unrolled[name] == expected, name
     # rk4: one segment per rk4 run and "open-rk4", three for "rk4-multistep";
-    # rk23: every other run
+    # rk23: every other run; row: the last sample of each closed run that ends ok
     rk4_runs = [name for name in runs if name.startswith("rk4")]
+    ended = [name for name in runs if not name.startswith("open") and unrolled[name].status == "ok"]
     assert calls["rk4"] == len(rk4_runs) + 3 and calls["rk23"] >= len(runs) - len(rk4_runs) - 1, \
         calls
+    assert calls["row"] == len(ended), calls
     assert len(set(unrolled["rk4-multistep"]["x_star"].tolist())) == 3
     for name in ("domain-exit", "sweep-alpha", "nan-force", "nan-once"):
         assert unrolled[name].status == "domain-exit", name
@@ -783,14 +822,14 @@ def test_open_loop_rhs_matches_reference(params):
     """The open-loop right-hand side equals its reference form bit for bit at
     sampled states across the admissible range, with damping."""
     open_rhs = engine._open_kernel("rhs", params, params.R)
-    reference = _reference_open_rhs(params, params.R)
+    reference = _reference_open_field(params, params.R)
 
     lo, hi = params.geometry.position_bounds()
     rng = np.random.default_rng(17)
     for _ in range(200):
         state = (float(rng.uniform(lo, hi)), float(rng.uniform(-0.05, 0.05)),
                  float(rng.uniform(-3e4, 3e4)), float(rng.uniform(-3e4, 3e4)))
-        assert open_rhs(0.0, *state) == reference(0.0, *state), state
+        assert open_rhs(0.0, *state) == reference(0.0, *state)[0], state
 
 
 class _OverriddenForce(ForceModel):
@@ -816,7 +855,7 @@ def test_closed_loop_rhs_matches_reference(study):
                      float(rng.uniform(-3e4, 3e4)), float(rng.uniform(-3.0, 3.0)))
             assert state[4] != 0.0 and x != x_star
             fast = engine._closed_kernel("rhs", params, gains, force, x_star)(0.0, *state)
-            assert fast == _reference_make_rhs(params, gains, force, x_star)(0.0, *state), \
+            assert fast == _reference_make_field(params, gains, force, x_star)(0.0, *state)[0], \
                 (force, x_star, state)
     # The override, not the base kind, is the force the right-hand side reads.
     state = (1e-3, 0.02, 0.0, 0.0, 0.0)
@@ -827,10 +866,12 @@ def test_closed_loop_rhs_matches_reference(study):
 
 def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
     """A counting wrapper set on ``ForceModel.__call__``, as a tracer does,
-    is called once per right-hand-side evaluation and once per record
-    sample, for every force kind, and the runs stay bit-identical. The
-    evaluations are counted on the reference stepper and right-hand side,
-    which take the same steps."""
+    is called once per right-hand-side evaluation, for every force kind and
+    both methods, and the runs stay bit-identical: the record reads the force
+    of the evaluations. rk23 evaluates one first stage per setpoint segment,
+    three stages per attempted step and one stage for the last sample, counted
+    on the reference stepper and field, which take the same steps; rk4
+    evaluates four stages per step and one for the last sample."""
     counts = {"force": 0, "rhs": 0}
     call = ForceModel.__call__
 
@@ -839,16 +880,18 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
         return call(force, x, xdot)
 
     def counting_kernel(method, *args):
-        rhs = _reference_make_rhs(*args)
+        field = _reference_make_field(*args)
 
-        def counted_rhs(*state):
+        def counted_field(*state):
             counts["rhs"] += 1
-            return rhs(*state)
-        return lambda *state: _reference_rk23_segment(counted_rhs, *state)
+            return field(*state)
+        return _reference_kernel(counted_field, method)
 
-    scenarios = [replace(study, force=ForceModel(kind, value), duration=0.5)
-                 for kind, value in (("constant", 0.01), ("tanh_friction", 5.0),
-                                     ("spring", -10.0))]
+    forces = [ForceModel(kind, value) for kind, value in
+              (("constant", 0.01), ("tanh_friction", 5.0), ("spring", -10.0))]
+    rk4 = replace(study.solver, method="rk4", fixed_step=1e-4)
+    scenarios = ([replace(study, force=force, duration=0.5) for force in forces]
+                 + [replace(study, force=force, solver=rk4, duration=0.1) for force in forces])
     plain = [simulate(scenario) for scenario in scenarios]
     evaluations = []
     with monkeypatch.context() as patch:
@@ -861,9 +904,12 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
     for scenario, expected, rhs_evals in zip(scenarios, plain, evaluations):
         counts["force"] = 0
         record = simulate(scenario)
-        assert record == expected, scenario.force
-        assert rhs_evals > 0 and counts["force"] == rhs_evals + len(record), \
-            (scenario.force, rhs_evals, counts)
+        assert record == expected, scenario
+        assert rhs_evals > 0 and counts["force"] == rhs_evals, (scenario, rhs_evals, counts)
+        if scenario.solver.method == "rk4":
+            t = record["t"].tolist()
+            steps = sum(math.ceil((b - a) / rk4.fixed_step - 1e-12) for a, b in zip(t, t[1:]))
+            assert rhs_evals == 4 * steps + 1, (scenario, rhs_evals, steps)
 
 
 def test_each_kernel_compiles_once_per_process(study, monkeypatch):
@@ -891,7 +937,8 @@ def test_each_kernel_compiles_once_per_process(study, monkeypatch):
                            R_override=alpha)
     assert sorted(compiled) == ["<antago kernel rk23 closed constant>",
                                 "<antago kernel rk4 closed constant>",
-                                "<antago kernel rk4 open None>"]
+                                "<antago kernel rk4 open None>",
+                                "<antago kernel row closed constant>"]
 
 
 _FRESH_SETUP = """\
