@@ -86,7 +86,6 @@ def _print_summary(summary) -> None:
     print(f"max Psi increment: {summary.max_psi_increment:.6e} (Psi max {summary.psi_max:.6e})")
     print(f"fitted zeta decay rate: {summary.zeta_rate:.6f} "
           f"(rel. err vs gain {summary.zeta_rate_rel_err:.3e})")
-    print(f"crossed symmetric configuration: {summary.crossed_symmetric}")
 
 
 def _out_path(text: str) -> Path:

@@ -54,7 +54,7 @@ duration, which would leave a step below ``rk23``'s floor between them.
 A position within the plant's fixed 1 µm ``DOMAIN_MARGIN`` of the
 volume-model boundary ends a run as "domain-exit". The kernels inline
 :func:`antago.plant.geometry_terms`, the single geometry entry point, and
-diagnostics calls its array form.
+:func:`diagnostics` calls it once, at the last sample.
 
 Errors are raised once, at the failure, with the time and state in the
 message: the right-hand side raises ``DomainError``, the ``rk23`` stepper
@@ -96,13 +96,7 @@ from typing import TYPE_CHECKING
 
 from .controller import ControllerGains
 from .errors import DomainError, ScenarioError, SolverError
-from .plant import (
-    DOMAIN_MARGIN,
-    PlantParams,
-    PlantState,
-    geometry_terms_array,
-    hamiltonian,
-)
+from .plant import DOMAIN_MARGIN, PlantParams, PlantState, geometry_terms, hamiltonian
 
 if TYPE_CHECKING:
     import numpy as np
@@ -674,7 +668,6 @@ class DiagnosticsSummary:
     psi_max: float
     zeta_rate: float               # fitted exponential decay rate of |zeta|
     zeta_rate_rel_err: float       # relative deviation from the observer gain
-    crossed_symmetric: bool        # trajectory visited A1 = -A2 (degenerate config)
 
 
 def fit_decay_rate(t: np.ndarray, values: np.ndarray) -> float:
@@ -725,14 +718,8 @@ def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
     rate = fit_decay_rate(t, record["zeta"])
     rate_err = abs(rate - gains.alpha) / gains.alpha if math.isfinite(rate) else float("nan")
 
-    g = geometry_terms_array(x, params.geometry)
-    sum_grad = g.A1 + g.A2
-    scale = np.abs(g.A1) + np.abs(g.A2)
-    crossed = bool(np.any(np.abs(sum_grad) <= 1e-6 * scale)
-                   or np.any(np.sign(sum_grad[:-1]) * np.sign(sum_grad[1:]) < 0))
-
-    balance = (record["P1"][-1] * g.A1[-1] + record["P2"][-1] * g.A2[-1]
-               - record["F_hat"][-1])
+    g = geometry_terms(float(x[-1]), params.geometry)
+    balance = record["P1"][-1] * g.A1 + record["P2"][-1] * g.A2 - record["F_hat"][-1]
 
     return DiagnosticsSummary(
         samples=len(record),
@@ -745,6 +732,5 @@ def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
         psi_max=float(psi.max()),
         zeta_rate=rate,
         zeta_rate_rel_err=rate_err,
-        crossed_symmetric=crossed,
     )
 

@@ -11,26 +11,22 @@ external force ``F`` on the payload, and the syringe-pump flow rates
 
 The volume law is a square root in each actuator's contraction with a positive
 volume scale, and the model keeps a fixed 1 µm margin (``DOMAIN_MARGIN``) from
-its boundary: :func:`geometry_terms` (array form :func:`geometry_terms_array`),
-the single entry point to the volumes, gradients and curvatures, raises
-:class:`DomainError` for a position within it.
+its boundary: :func:`geometry_terms`, the single entry point to the volumes,
+gradients and curvatures, raises :class:`DomainError` for a position within
+it. The engine's kernels inline the same arithmetic; these functions are the
+oracles the test suite checks the kernels and the record's channels against.
 
-All functions here are pure and operate on plain floats (``geometry_terms_array``
-on arrays); they are safe to call concurrently. Only ``geometry_terms_array``
-imports numpy, when it is called, so that a process that builds no array
-never loads it.
+All functions here are pure and operate on plain floats; they are safe to
+call concurrently, and none imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Margin [m] kept between the position and the square-root domain boundary,
 # where the volume gradients blow up. A property of the volume model: every
@@ -127,12 +123,11 @@ def _check_contraction(u: float, actuator: int) -> None:
         )
 
 
-def _bellows_branch(u, geometry: ActuatorGeometry, sqrt=math.sqrt):
-    """Volume of one actuator and its first two derivatives w.r.t. contraction u
-    (a float, or an ndarray with ``sqrt=numpy.sqrt``)."""
+def _bellows_branch(u: float, geometry: ActuatorGeometry):
+    """Volume of one actuator and its first two derivatives w.r.t. contraction u."""
     L0 = geometry.L0
     K0 = geometry.K0
-    s = sqrt(6.0 * u / L0)
+    s = math.sqrt(6.0 * u / L0)
     a = 2.0 / 3.0 - u / (2.0 * L0)
     V = K0 * a * s + geometry.V0
     d1 = K0 * (-s / (2.0 * L0) + 3.0 * a / (L0 * s))
@@ -149,24 +144,6 @@ def geometry_terms(x: float, geometry: ActuatorGeometry) -> GeometryTerms:
     V1, f1, g1 = _bellows_branch(u1, geometry)
     V2, f2, g2 = _bellows_branch(u2, geometry)
     # u1 decreases with x, so the chain rule flips the sign of odd derivatives.
-    return GeometryTerms(V1=V1, V2=V2, A1=-f1, A2=f2, dA1=g1, dA2=g2)
-
-
-def geometry_terms_array(x: np.ndarray, geometry: ActuatorGeometry) -> GeometryTerms:
-    """:func:`geometry_terms` over an array of positions, one array per field.
-
-    Raises :class:`DomainError` if any position is outside the domain.
-    Volumes and gradients equal the scalar form exactly; the curvatures go
-    through numpy's vectorised ``pow`` and may differ from it by an ulp.
-    """
-    import numpy as np
-
-    u1 = geometry.x_M - x - geometry.x0
-    u2 = x + geometry.x0
-    _check_contraction(float(u1.min()), 1)
-    _check_contraction(float(u2.min()), 2)
-    V1, f1, g1 = _bellows_branch(u1, geometry, np.sqrt)
-    V2, f2, g2 = _bellows_branch(u2, geometry, np.sqrt)
     return GeometryTerms(V1=V1, V2=V2, A1=-f1, A2=f2, dA1=g1, dA2=g2)
 
 

@@ -29,7 +29,6 @@ from antago.errors import DomainError, ScenarioError, SolverError
 from antago.plant import (
     PlantState,
     geometry_terms,
-    geometry_terms_array,
     hamiltonian,
     open_loop_field,
     total_mass,
@@ -175,7 +174,7 @@ def test_substituted_field_matches_raw_composition(study):
 def test_inlined_geometry_matches_kernel(study):
     """The geometry inlined in the closed-loop and open-loop right-hand sides
     equals the plant kernel, read back through inputs that isolate each term,
-    across the admissible range; the array kernel equals the scalar one."""
+    across the admissible range."""
     params, gains = study.params, study.gains
     geo = params.geometry
     free = ForceModel("constant", 0.0)
@@ -184,14 +183,8 @@ def test_inlined_geometry_matches_kernel(study):
     open_rhs = engine._open_kernel("rhs", params, params.R)
 
     lo, hi = geo.position_bounds()
-    xs = np.linspace(lo, hi, 52)[1:-1]
-    arr = geometry_terms_array(xs, geo)
-    for i, x in enumerate(xs.tolist()):
+    for x in np.linspace(lo, hi, 52)[1:-1].tolist():
         g = geometry_terms(x, geo)
-        for name in ("V1", "V2", "A1", "A2"):
-            assert getattr(arr, name)[i] == getattr(g, name)
-        for name in ("dA1", "dA2"):
-            assert abs(getattr(arr, name)[i] - getattr(g, name)) <= math.ulp(getattr(g, name))
         M = params.m + (g.V1 + g.V2) * params.fluid.rho
 
         def closed(p, P1, P2, F_hat):
@@ -378,7 +371,7 @@ ULP_CHANNELS = ("H", "H_d", "Psi")
 @pytest.fixture(scope="module")
 def oracle_runs(fig2_runs):
     """The four presets, a run ending in a domain exit after its first setpoint
-    segment, and a short run that never reaches the symmetric configuration."""
+    segment, and a short run that starts away from x = 0."""
     runs = dict(fig2_runs)
     multistep = load_preset("multistep")
     exiting = replace(multistep, setpoints=((0.0, 0.0), (2.0, 3e-3)), duration=6.0,
@@ -423,22 +416,13 @@ def test_record_channels_match_scalar_oracles(oracle_runs):
 
 
 def test_diagnostics_match_scalar_loop(oracle_runs):
-    """The vectorised geometry checks of diagnostics equal a per-sample loop
-    over the scalar geometry."""
-    crossed_seen = set()
+    """The force-balance residual of diagnostics is that of the scalar
+    geometry at the last sample, in float arithmetic, on every run."""
     for name, (scenario, record) in oracle_runs.items():
         summary = diagnostics(record, scenario.gains, scenario.params)
-        terms = [geometry_terms(x, scenario.params.geometry) for x in record["x"].tolist()]
-        sum_grad = np.array([g.A1 + g.A2 for g in terms])
-        scale = np.array([abs(g.A1) + abs(g.A2) for g in terms])
-        crossed = bool(np.any(np.abs(sum_grad) <= 1e-6 * scale)
-                       or np.any(np.sign(sum_grad[:-1]) * np.sign(sum_grad[1:]) < 0))
-        balance = (record["P1"][-1] * terms[-1].A1 + record["P2"][-1] * terms[-1].A2
-                   - record["F_hat"][-1])
-        assert summary.crossed_symmetric == crossed, name
-        assert summary.force_balance_residual == balance, name
-        crossed_seen.add(crossed)
-    assert crossed_seen == {True, False}
+        x, P1, P2, F_hat = (float(record[ch][-1]) for ch in ("x", "P1", "P2", "F_hat"))
+        g = geometry_terms(x, scenario.params.geometry)
+        assert summary.force_balance_residual == P1 * g.A1 + P2 * g.A2 - F_hat, name
 
 
 # --------------------------------------------------------------------------
@@ -459,8 +443,6 @@ def test_diagnostics_summary_fields(fig2_runs):
     assert abs(summary.x_error) < 1e-5
     assert abs(summary.force_balance_residual) < 1e-3
     assert 0.0 < summary.settle_time < 10.0
-    # all reference runs start at the symmetric configuration
-    assert summary.crossed_symmetric
 
 
 def test_settle_time_ordering(fig2_runs):

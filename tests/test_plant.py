@@ -25,7 +25,6 @@ from antago.plant import (
     fluid_energy,
     generalized_force,
     geometry_terms,
-    geometry_terms_array,
     hamiltonian,
     hamiltonian_gradient,
     open_loop_field,
@@ -208,16 +207,9 @@ def test_domain_error_names_offending_actuator():
         geometry_terms(-geo.x0, geo)
     with pytest.raises(DomainError, match="actuator 1"):
         geometry_terms(geo.x_M - geo.x0, geo)
-    inside = np.array([0.0, 1e-3])
-    with pytest.raises(DomainError, match="actuator 2"):
-        geometry_terms_array(np.append(inside, -geo.x0), geo)
-    with pytest.raises(DomainError, match="actuator 1"):
-        geometry_terms_array(np.append(inside, geo.x_M - geo.x0), geo)
     # A NaN position is outside the domain, not silently inside it.
     with pytest.raises(DomainError):
         geometry_terms(math.nan, geo)
-    with pytest.raises(DomainError):
-        geometry_terms_array(np.append(inside, math.nan), geo)
 
 
 def _public_parameters():
@@ -249,9 +241,7 @@ def test_domain_defined_in_one_place():
     def field(x):
         return augmented_field(PlantState(x, 0.0, 0.0, 0.0), 0.0, gains, 0.0, free, params)
 
-    kernels = (lambda x: geometry_terms(x, geo),
-               lambda x: geometry_terms_array(np.array([0.0, x]), geo),
-               field)
+    kernels = (lambda x: geometry_terms(x, geo), field)
     lo, hi = geo.position_bounds()
     step = 1e-12
     for evaluate in kernels:
