@@ -90,8 +90,8 @@ import linecache
 import math
 import re
 from bisect import bisect_left
-from itertools import chain
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .controller import ControllerGains
@@ -295,7 +295,9 @@ class TrajectoryRecord:
 # line ``k = rhs(T, E)``: it binds the body's state names to ``E`` per
 # component and evaluates the body at the stage time ``T`` (read only by the
 # error message) into ``k1, k2, ...``, one per state. A ``for $i in state:``
-# block repeats its lines once per state, and ``y$s`` stands for ``y1, y2, ...``.
+# block repeats its lines once per state, ``y$s`` stands for ``y1, y2, ...``,
+# and a line ``$emit`` appends the loop's row at time ``t`` from the names of
+# the stage evaluated last, which must be at that time's state.
 
 # The geometry, the mass and the momentum rate G of both loops, from the
 # stage's x, p, P1 and P2. ``$state`` is the stage state the error prints.
@@ -612,11 +614,12 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
             kept = len(rows) + 1   # through the segment's first row
             kernel = _closed_kernel(solver.method, params, gains, force, x_star)
             y, h = kernel(y, grid[a:b + 1], solver, h, rows)
+        # The last sample's row, with the last segment's x_star.
         _closed_kernel("row", params, gains, force, x_star)(grid[-1], y, rows)
     except (DomainError, SolverError) as exc:
         status = "domain-exit" if isinstance(exc, DomainError) else "step-underflow"
         detail = str(exc)
-        del rows[kept:]
+        del rows[kept:]   # the failed segment keeps only its first row (ROADMAP item 1)
 
     table = np.fromiter(chain.from_iterable(rows), float, len(rows) * len(CHANNELS))
     return TrajectoryRecord(table.reshape(-1, len(CHANNELS)), status, detail)
