@@ -73,9 +73,6 @@ _SECTIONS = {
     "initial": (*_keys(PlantState), "F_hat"),
 }
 _OPTIONAL_SECTIONS = ("solver", "initial")
-# The [plant] keys of the earlier format that the volume scale K0 replaced; the
-# hint names the conversion, since the dimensionless k0 is not K0.
-_VOLUME_SCALE_KEYS = ("n_L", "D_s", "d_c", "k0")
 
 
 def _reject_unknown(section: str, keys, expected) -> None:
@@ -87,7 +84,8 @@ def _reject_unknown(section: str, keys, expected) -> None:
         hint = ""
         by_case = [k for k in expected if k.lower() == key.lower()]
         close = by_case or difflib.get_close_matches(key, expected, n=1)
-        if section == "plant" and key in _VOLUME_SCALE_KEYS:
+        if section == "plant" and key == "k0":
+            # Not K0, which differs from the dimensionless k0 only by case.
             hint = "; give the volume scale K0 = k0*(L0^2/n_L)*(d_c/3 + D_s/2), in m^3, instead"
         elif close:
             hint = f"; expected {close[0]!r}"

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import make_output_digests as pin
 from antago import engine
 from antago.controller import control_flows, desired_energy, sigma
 from antago.engine import (
@@ -729,8 +730,10 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     kernels and under the reference tuple loops calling the reference
     right-hand sides. The rk4 runs cover each force law: tanh (fig2-F1),
     spring (fig2-F2, fig2-F3), constant over three segments (multistep) and
-    an overriding ``__call__``. Each reference stepper must be called, so a
-    patch that misses the engine's dispatch cannot pass."""
+    an overriding ``__call__``; the runs whose tables are digested (a
+    two-segment domain exit, a step underflow, rk4 over three segments) are
+    among them. Each reference stepper must be called, so a patch that misses
+    the engine's dispatch cannot pass."""
     rk4 = replace(study.solver, method="rk4", fixed_step=1e-4)
     runs = {name: (lambda sc=load_preset(name): simulate(sc))
             for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
@@ -747,17 +750,9 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     for name in ("fig2-F2", "fig2-F3"):
         runs[f"rk4-{name}"] = lambda sc=load_preset(name): simulate(replace(
             sc, solver=replace(sc.solver, method="rk4", fixed_step=1e-4), duration=0.2))
-    multistep = load_preset("multistep")
-    runs["rk4-multistep"] = lambda: simulate(replace(
-        multistep, solver=replace(multistep.solver, method="rk4", fixed_step=1e-4),
-        setpoints=((0.0, 1e-3), (0.08, 2e-3), (0.14, -1e-3)), duration=0.2))
     runs["rk4-override"] = lambda: simulate(replace(
         study, force=_OverriddenForce("spring", 10.0), solver=rk4, duration=0.2))
-    runs["domain-exit"] = lambda: simulate(replace(
-        multistep, setpoints=((0.0, 0.0), (2.0, 3e-3)), duration=6.0,
-        gains=replace(multistep.gains, alpha=20.0)))
-    runs["step-underflow"] = lambda: simulate(replace(study, duration=0.5, solver=replace(
-        study.solver, rel_tol=1e-30, abs_tol=1e-300)))
+    runs.update((name, lambda sc=sc: simulate(sc)) for name, sc in pin.table_runs().items())
     init = PlantState(x=5e-4, p=0.0, P1=2e4, P2=1e4)
     open_solvers = {
         "open-rk23": SolverSettings(method="rk23", rel_tol=1e-10, abs_tol=1e-12,

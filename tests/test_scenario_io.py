@@ -255,16 +255,15 @@ def test_unknown_key_suggests_expected_case(study):
         parse_scenario(text)
 
 
-def test_earlier_volume_scale_keys_name_the_conversion(study):
-    """A leftover key of the earlier plant format is answered with the
-    conversion to the volume scale K0, not with the key K0: the dimensionless
-    k0 differs from K0 in m^3 only by case."""
-    text = serialize_scenario(study)
-    for key in ("k0", "n_L", "D_s", "d_c"):
-        with pytest.raises(ScenarioError) as info:
-            parse_scenario(text.replace("[plant]\n", f"[plant]\n{key} = 1.0\n"))
-        assert str(info.value) == (f"unknown key {key!r} in section [plant]; give the volume "
-                                   "scale K0 = k0*(L0^2/n_L)*(d_c/3 + D_s/2), in m^3, instead")
+def test_leftover_k0_names_the_conversion(study):
+    """A leftover ``k0`` is answered with the conversion to the volume scale
+    K0 in m^3, not with the key K0: the dimensionless k0 differs from it only
+    by case."""
+    text = serialize_scenario(study).replace("[plant]\n", "[plant]\nk0 = 1.0\n")
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert str(info.value) == ("unknown key 'k0' in section [plant]; give the volume scale "
+                               "K0 = k0*(L0^2/n_L)*(d_c/3 + D_s/2), in m^3, instead")
 
 
 def test_unknown_key_close_match_suggestion(study):
