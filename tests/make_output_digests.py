@@ -23,13 +23,12 @@ import os
 import platform
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 DIGEST_FILE = HERE / "data" / "output_digests.json"
 sys.path.insert(0, str(HERE.parent / "src"))
-
-from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -54,7 +53,6 @@ COMMANDS = (
     (["--help"], ()),
     *(([command, "--help"], ()) for command in ("run", "verify", "sweep", "presets")),
 )
-
 
 
 def table_runs() -> dict:

@@ -375,8 +375,7 @@ def oracle_runs(fig2_runs):
     segment, and a short run that starts away from x = 0."""
     runs = dict(fig2_runs)
     multistep = load_preset("multistep")
-    exiting = replace(multistep, setpoints=((0.0, 0.0), (2.0, 3e-3)), duration=6.0,
-                      gains=replace(multistep.gains, alpha=20.0))
+    exiting = pin.table_runs()["domain-exit"]
     offset = replace(runs["fig2-F1"][0], initial=PlantState(1e-3, 0.0, 0.0, 0.0),
                      setpoints=((0.0, 2e-3),), duration=0.5)
     for name, scenario in (("multistep", multistep), ("domain-exit", exiting),
@@ -783,7 +782,8 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     # rk4: one segment per rk4 run and "open-rk4", three for "rk4-multistep";
     # rk23: every other run; row: the last sample of each closed run that ends ok
     rk4_runs = [name for name in runs if name.startswith("rk4")]
-    ended = [name for name in runs if not name.startswith("open") and unrolled[name].status == "ok"]
+    ended = [name for name in runs
+             if not name.startswith("open") and unrolled[name].status == "ok"]
     assert calls["rk4"] == len(rk4_runs) + 3 and calls["rk23"] >= len(runs) - len(rk4_runs) - 1, \
         calls
     assert calls["row"] == len(ended), calls
