@@ -31,7 +31,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from .controller import validate_gains
-from .engine import SETTLE_TOL, STEPPERS, DiagnosticsSummary, ScenarioConfig, diagnostics, simulate
+from .engine import (
+    SETTLE_TOL,
+    STEPPERS,
+    DiagnosticsSummary,
+    ScenarioConfig,
+    diagnostics,
+    simulate,
+    simulate_summary,
+)
 from .errors import ScenarioError, WorkerError
 from .scenario_io import (
     _SECTIONS,
@@ -159,8 +167,10 @@ def _sweep_variant(scenario: ScenarioConfig, param: str, value: float) -> Scenar
 
 def _point_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
     """Simulate one sweep variant and return only its diagnostics, which are
-    all a worker sends back (never the trajectory record)."""
-    return diagnostics(simulate(scenario), scenario.gains, scenario.params)
+    all a worker sends back. No trajectory record is built: each sample's
+    row holds only the five channels the diagnostics read (t, x, x_star,
+    zeta, Psi), and only the last row the run keeps holds all 17."""
+    return simulate_summary(scenario)
 
 
 def _cmd_sweep(args) -> int:

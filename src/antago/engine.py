@@ -63,13 +63,14 @@ detail; every other caller gets the error itself.
 
 The kernels emit the trajectory record's rows. At each sample, the stage
 evaluated at the sample's state already holds the geometry, the force, sigma
-and the shear term; a template line ``$emit`` appends the 17 channels
-computed from those names (the open loop appends its state). ``rk23`` emits
+and the shear term; a template line ``$emit`` extends one flat list of floats
+by the 17 channels computed from those names (the open loop by its state), so
+no tuple outlives its row. ``rk23`` emits
 from its first stage and then from the last stage of each step that lands on
 a grid time (the pair is FSAL), ``rk4`` from the first stage of the step that
 starts there; the row at a setpoint time comes from the first stage of the
 segment that starts there, which reads the new setpoint, and the last sample's
-row from one more evaluation. :func:`simulate` stacks the rows into the table
+row from one more evaluation. :func:`simulate` reads the list into the table
 with one numpy call, and no numpy expression computes a channel. The scalar
 plant and controller functions (``control_flows``, ``sigma``,
 ``desired_energy``, ``hamiltonian``) are the channels' oracles: the test suite
@@ -77,10 +78,21 @@ checks the channels against them at sampled rows. Like them,
 :func:`augmented_field` takes ``F_hat`` and ``x_star`` as floats and reads the
 observer gain ``alpha`` only from ``ControllerGains``.
 
+A run that only needs its :class:`DiagnosticsSummary` (a sweep point, the
+``lyapunov`` suite) takes :func:`simulate_summary`: the same kernels, given
+the constant ``summary``, emit a summary row of the five channels that
+:func:`diagnostics` reads at every sample, ``SUMMARY_CHANNELS`` = (t, x,
+x_star, zeta, Psi), in place of the 17. Both row forms compute F_tilde, zeta,
+H_d and Psi in the same lines, so the columns are those of the record. The
+one full row is the last row the run keeps: the last sample's, or after a
+failure the failed segment's first, evaluated again at its time, state and
+setpoint. The summary equals ``diagnostics(simulate(scenario))`` field for
+field, since both reduce the columns and the last row in one helper.
+
 numpy is imported by the functions that build or read arrays (:func:`simulate`'s
 table, the record's ``==``, :func:`simulate_open_loop`'s result,
-:func:`fit_decay_rate` and :func:`diagnostics`), not by this module: the kernels
-never load it.
+:func:`fit_decay_rate`, :func:`simulate_summary` and :func:`diagnostics`), not
+by this module: the kernels never load it.
 """
 
 from __future__ import annotations
@@ -91,7 +103,6 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from .controller import ControllerGains
@@ -251,6 +262,8 @@ def _check_initial(initial: PlantState, params: PlantParams) -> None:
 CHANNELS = ("t", "x", "xdot", "p", "P1", "P2", "U1", "U2", "F_hat", "F_tilde",
             "F_true", "zeta", "sigma", "x_star", "H", "H_d", "Psi")
 _COLUMN = {name: i for i, name in enumerate(CHANNELS)}
+# The channels diagnostics reads at every sample; at the last it reads a full row.
+SUMMARY_CHANNELS = ("t", "x", "x_star", "zeta", "Psi")
 # The statuses simulate gives a run: it ended at the duration, left the
 # actuator domain, or collapsed its rk23 step.
 STATUSES = ("ok", "domain-exit", "step-underflow")
@@ -296,8 +309,8 @@ class TrajectoryRecord:
 # component and evaluates the body at the stage time ``T`` (read only by the
 # error message) into ``k1, k2, ...``, one per state. A ``for $i in state:``
 # block repeats its lines once per state, ``y$s`` stands for ``y1, y2, ...``,
-# and a line ``$emit`` appends the loop's row at time ``t`` from the names of
-# the stage evaluated last, which must be at that time's state.
+# and a line ``$emit`` extends ``rows`` by the loop's row at time ``t`` from the
+# names of the stage evaluated last, which must be at that time's state.
 
 # The geometry, the mass and the momentum rate G of both loops, from the
 # stage's x, p, P1 and P2. ``$state`` is the stage state the error prints.
@@ -325,11 +338,13 @@ G = p * p * rho * (A1 + A2) / (2.0 * M * M) + w1 + w2 - R * v
 """
 
 # Per loop: the names its body reads the state under, the body, and the row
-# the body's names give at a sample, appended by ``$emit`` (at time ``t``); the
+# the body's names give at a sample, emitted by ``$emit`` (at time ``t``); the
 # open loop is the unforced plant, and its row is its state. ``$force`` is the
 # closed loop's line of _FORCE_LINES. The closed loop's row is the record's
-# channels in CHANNELS order, each square written as a product (``v**2`` calls
-# libm's pow, an ulp off ``v * v`` on a few samples per run).
+# channels in CHANNELS order, or the SUMMARY_CHANNELS alone when the kernel's
+# constant ``summary`` is true; both forms share the lines above the branch.
+# Each square is written as a product (``v**2`` calls libm's pow, an ulp off
+# ``v * v`` on a few samples per run).
 _LOOPS = {
     "closed": (("x", "p", "P1", "P2", "F_hat"), _PLANT_BODY + """\
 dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * g1 / (L0_sq * s1**3))
@@ -344,25 +359,29 @@ $k3 = ns / A1 - k_i_sig / A1
 $k4 = ns / A2 - k_i_sig / A2
 $k5 = alpha * (G - F_hat + alpha * p)
 """, """\
-shear = -ns
 F_tilde = F_hat - alpha * p
 zeta = F_tilde - F
 err = x_star - x
 H_d = p * p / (two_k_m * M) + 0.5 * k_p * (err * err) + 0.5 * (sig * sig)
-append((t, x, v, p, P1, P2,
-        A1 * v - (V1 / Gamma0) * (shear / A1 + k_i_sig / A1),
-        A2 * v - (V2 / Gamma0) * (shear / A2 + k_i_sig / A2),
-        F_hat, F_tilde, F, zeta, sig, x_star,
-        p * p / (2.0 * M) + (-P1 + Gamma0 * expm1(P1 / Gamma0)) * V1
-        + (-P2 + Gamma0 * expm1(P2 / Gamma0)) * V2,
-        H_d, H_d + 0.5 * (zeta * zeta)))
+Psi = H_d + 0.5 * (zeta * zeta)
+if summary:
+    extend((t, x, x_star, zeta, Psi))
+else:
+    shear = -ns
+    extend((t, x, v, p, P1, P2,
+            A1 * v - (V1 / Gamma0) * (shear / A1 + k_i_sig / A1),
+            A2 * v - (V2 / Gamma0) * (shear / A2 + k_i_sig / A2),
+            F_hat, F_tilde, F, zeta, sig, x_star,
+            p * p / (2.0 * M) + (-P1 + Gamma0 * expm1(P1 / Gamma0)) * V1
+            + (-P2 + Gamma0 * expm1(P2 / Gamma0)) * V2,
+            H_d, Psi))
 """),
     "open": (("x", "p", "P1", "P2"), _PLANT_BODY + """\
 $k1 = v
 $k2 = G
 $k3 = neg_Gamma0 * (A1 * v) / V1
 $k4 = neg_Gamma0 * (A2 * v) / V2
-""", "append((x, p, P1, P2))\n"),
+""", "extend((x, p, P1, P2))\n"),
 }
 
 # The closed loop's force, by law: ForceModel's three kinds written out with
@@ -386,7 +405,7 @@ _COLLISION_FRACTION = 100 * _MIN_STEP_FRACTION
 _RK23 = """\
 def kernel(y, t_grid, solver, h, rows):
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
-    append = rows.append
+    extend = rows.extend
     t = t_grid[0]
     y$s = y
     a = rhs(t, y$i)
@@ -437,7 +456,7 @@ def kernel(y, t_grid, solver, h, rows):
 # that starts there.
 _RK4 = """\
 def kernel(y, t_grid, solver, h_in, rows):
-    append = rows.append
+    extend = rows.extend
     y$s = y
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
         n = max(1, ceil((tb - ta) / solver.fixed_step - 1e-12))
@@ -458,7 +477,7 @@ def kernel(y, t_grid, solver, h_in, rows):
 """
 
 # By method name, the stepper templates. Each kernel takes (y, t_grid, solver,
-# h, rows), appends to ``rows`` the row of each time of ``t_grid`` but the
+# h, rows), extends ``rows`` by the row of each time of ``t_grid`` but the
 # last, and returns (the state at the last time, the next h).
 STEPPERS = {"rk23": _RK23, "rk4": _RK4}
 
@@ -470,7 +489,7 @@ def kernel(t, y$s):
     return (a$s)
 """, "row": """\
 def kernel(t, y, rows):
-    append = rows.append
+    extend = rows.extend
     y$s = y
     a = rhs(t, y$i)
     $emit
@@ -533,16 +552,17 @@ def _plant_constants(params: PlantParams, R: float) -> dict:
 
 
 def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
-                   force: ForceModel, x_star: float):
+                   force: ForceModel, x_star: float, summary: bool = False):
     """The closed loop's ``method`` kernel for one setpoint segment, with the
-    force's kind written in place while its type has ``_FORCE_LAW``."""
+    force's kind written in place while its type has ``_FORCE_LAW``; with
+    ``summary`` its rows hold only the SUMMARY_CHANNELS."""
     law = force.kind if type(force).__call__ is _FORCE_LAW else "call"
     k_m, L0 = gains.k_m, params.geometry.L0
     constants = _plant_constants(params, params.R)
     constants.update(k_p=gains.k_p, k_m=k_m, k_i=gains.k_i, alpha=gains.alpha,
                      kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m, L0_sq=L0 * L0, x_star=x_star,
                      fv=force.value, f=force.__call__, tanh=math.tanh,
-                     Gamma0=params.fluid.Gamma0, expm1=math.expm1)
+                     Gamma0=params.fluid.Gamma0, expm1=math.expm1, summary=summary)
     return _kernel_factory(method, "closed", law, tuple(constants))(**constants)
 
 
@@ -582,15 +602,13 @@ def _sample_grid(duration: float, sample_dt: float,
     return tuple(sorted(times))
 
 
-def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
-    """Integrate the augmented closed loop and record all diagnostic channels.
-
-    Terminates early (with status "domain-exit" or "step-underflow") if the
-    state leaves the admissible region or the adaptive step collapses; the
-    record keeps only the setpoint segments finished before it (ROADMAP item 1).
+def _run(scenario: ScenarioConfig, summary: bool) -> tuple[list, str, str, tuple | None]:
+    """Integrate the augmented closed loop into one flat list of floats, a
+    row per sample: the full row, or with ``summary`` the SUMMARY_CHANNELS;
+    the last sample's row is full either way. Returns the list, the status
+    and detail, and on a failure ``(t, y, x_star)`` at the failed segment's
+    start when that segment's first row is the last row kept, else None.
     """
-    import numpy as np
-
     params, gains, force = scenario.params, scenario.gains, scenario.force
     solver = scenario.solver
 
@@ -600,7 +618,7 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     y = (scenario.initial.x, scenario.initial.p, scenario.initial.P1,
          scenario.initial.P2, scenario.initial_F_hat())
     rows = []
-    status, detail = "ok", ""
+    width = len(SUMMARY_CHANNELS if summary else CHANNELS)
     h = min(solver.max_step, 1e-6)
 
     # Cut the grid by index at the setpoint times before the end, each a grid
@@ -611,18 +629,59 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     cuts.append(len(grid) - 1)
     try:
         for (_, x_star), a, b in zip(scenario.setpoints, cuts, cuts[1:]):
-            kept = len(rows) + 1   # through the segment's first row
-            kernel = _closed_kernel(solver.method, params, gains, force, x_star)
+            kept = len(rows) + width   # through the segment's first row
+            start = (grid[a], y, x_star)
+            kernel = _closed_kernel(solver.method, params, gains, force, x_star, summary)
             y, h = kernel(y, grid[a:b + 1], solver, h, rows)
         # The last sample's row, with the last segment's x_star.
-        _closed_kernel("row", params, gains, force, x_star)(grid[-1], y, rows)
+        _closed_kernel("row", params, gains, force, x_star, False)(grid[-1], y, rows)
     except (DomainError, SolverError) as exc:
         status = "domain-exit" if isinstance(exc, DomainError) else "step-underflow"
-        detail = str(exc)
         del rows[kept:]   # the failed segment keeps only its first row (ROADMAP item 1)
+        # rk4 never evaluates a segment's last state, so the next segment's
+        # first stage can fail before it emits: the last row is then the
+        # previous segment's.
+        return rows, status, str(exc), start if len(rows) == kept else None
+    return rows, "ok", "", None
 
-    table = np.fromiter(chain.from_iterable(rows), float, len(rows) * len(CHANNELS))
+
+def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
+    """Integrate the augmented closed loop and record all diagnostic channels.
+
+    Terminates early (with status "domain-exit" or "step-underflow") if the
+    state leaves the admissible region or the adaptive step collapses; the
+    record keeps only the setpoint segments finished before it (ROADMAP item 1).
+    """
+    import numpy as np
+
+    rows, status, detail, _ = _run(scenario, False)
+    table = np.fromiter(rows, float, len(rows))
     return TrajectoryRecord(table.reshape(-1, len(CHANNELS)), status, detail)
+
+
+def simulate_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
+    """``diagnostics(simulate(scenario), scenario.gains, scenario.params)``,
+    field for field, from rows that hold only the SUMMARY_CHANNELS but for the
+    last row the run keeps, which is full. After a failure that last row is
+    the failed segment's first, emitted in summary form, so it is evaluated
+    again in full at the same time, state and setpoint; where rk4 kept a row
+    of the segment before, whose state is gone, the record is built instead.
+    """
+    import numpy as np
+
+    params, gains = scenario.params, scenario.gains
+    width = len(SUMMARY_CHANNELS)
+    rows, status, _, start = _run(scenario, True)
+    if status != "ok":
+        if start is None:
+            return diagnostics(simulate(scenario), gains, params)
+        t, y, x_star = start
+        del rows[-width:]
+        _closed_kernel("row", params, gains, scenario.force, x_star, False)(t, y, rows)
+    last = rows[-len(CHANNELS):]
+    rows[-len(CHANNELS):] = [last[_COLUMN[name]] for name in SUMMARY_CHANNELS]
+    table = np.fromiter(rows, float, len(rows))
+    return _reduce(table.reshape(-1, width).T, last, status, gains, params)
 
 
 def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float,
@@ -650,7 +709,8 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     rows = []
     y, _ = _open_kernel(solver.method, params, R)(y, grid, solver, min(solver.max_step, 1e-8),
                                                   rows)
-    states = np.array(rows + [y])
+    rows.extend(y)
+    states = np.array(rows).reshape(-1, len(y))
     energies = np.array([hamiltonian(PlantState(*row), params)
                          for row in states.tolist()])
     return np.asarray(grid), states, energies
@@ -702,15 +762,19 @@ def fit_decay_rate(t: np.ndarray, values: np.ndarray) -> float:
 def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
                 params: PlantParams) -> DiagnosticsSummary:
     """Aggregate the stability-theory checks over one recorded trajectory."""
-    import numpy as np
-
     if len(record) == 0:
         raise ValueError("empty trajectory")
-    t = record["t"]
-    x = record["x"]
-    x_star = record["x_star"]
+    columns = [record[name] for name in SUMMARY_CHANNELS]
+    return _reduce(columns, record.table[-1], record.status, gains, params)
 
-    psi = record["Psi"]
+
+def _reduce(columns, last, status: str, gains: ControllerGains,
+            params: PlantParams) -> DiagnosticsSummary:
+    """The summary of a run from its SUMMARY_CHANNELS ``columns`` and its
+    ``last`` row, in CHANNELS order."""
+    import numpy as np
+
+    t, x, x_star, zeta, psi = columns
     increments = np.diff(psi)
     max_inc = float(increments.max()) if len(increments) else 0.0
 
@@ -718,17 +782,18 @@ def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
     over = np.nonzero(err > SETTLE_TOL)[0]
     settle_time = float(t[over[-1]]) if len(over) else 0.0
 
-    rate = fit_decay_rate(t, record["zeta"])
+    rate = fit_decay_rate(t, zeta)
     rate_err = abs(rate - gains.alpha) / gains.alpha if math.isfinite(rate) else float("nan")
 
-    g = geometry_terms(float(x[-1]), params.geometry)
-    balance = record["P1"][-1] * g.A1 + record["P2"][-1] * g.A2 - record["F_hat"][-1]
+    end = dict(zip(CHANNELS, last))
+    g = geometry_terms(float(end["x"]), params.geometry)
+    balance = end["P1"] * g.A1 + end["P2"] * g.A2 - end["F_hat"]
 
     return DiagnosticsSummary(
-        samples=len(record),
-        status=record.status,
-        x_error=float(x[-1] - x_star[-1]),
-        sigma_final=float(record["sigma"][-1]),
+        samples=len(t),
+        status=status,
+        x_error=float(end["x"] - end["x_star"]),
+        sigma_final=float(end["sigma"]),
         force_balance_residual=float(balance),
         settle_time=settle_time,
         max_psi_increment=max_inc,

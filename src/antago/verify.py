@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from ._pcg64 import PCG64
 from .controller import ControllerGains, closed_loop_field, control_flows, sigma, validate_gains
-from .engine import ForceModel, ScenarioConfig, diagnostics, fit_decay_rate, simulate
+from .engine import ForceModel, ScenarioConfig, fit_decay_rate, simulate, simulate_summary
 from .plant import (
     PlantState,
     geometry_terms,
@@ -164,7 +164,7 @@ def check_observer_decay() -> Report:
 
 def _lyapunov_check(name: str) -> Check:
     scenario = _bundled(name)
-    summary = diagnostics(simulate(scenario), scenario.gains, scenario.params)
+    summary = simulate_summary(scenario)
     bound = LYAPUNOV_REL_BOUND * summary.psi_max
     return Check(name, summary.max_psi_increment, bound, summary.max_psi_increment <= bound)
 

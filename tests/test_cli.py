@@ -18,7 +18,7 @@ import pytest
 import antago
 from antago.cli import MAX_SWEEP_POINTS, _parse_values, main
 from antago.controller import validate_gains
-from antago.engine import MAX_RK4_STEPS, MAX_SAMPLES, diagnostics, simulate
+from antago.engine import MAX_RK4_STEPS, MAX_SAMPLES, diagnostics, simulate, simulate_summary
 from antago.errors import ScenarioError
 from antago.scenario_io import (
     load_preset,
@@ -621,14 +621,14 @@ def _in_process_sweep(scenario, values, out):
 
 
 def _record_pids(monkeypatch, path):
-    """Make every simulate call in antago.cli, forked workers included,
-    append its process id to ``path``."""
+    """Make every sweep point's simulation in antago.cli, forked workers
+    included, append its process id to ``path``."""
     def simulate_and_log(scenario):
         with open(path, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return simulate(scenario)
+        return simulate_summary(scenario)
 
-    monkeypatch.setattr("antago.cli.simulate", simulate_and_log)
+    monkeypatch.setattr("antago.cli.simulate_summary", simulate_and_log)
 
 
 def test_parallel_sweep_matches_in_process_rows(tmp_path, study, capsys, monkeypatch):
@@ -659,28 +659,28 @@ def test_worker_error_is_one_line_error(tmp_path, short_scenario_file, capsys, m
     def fail_on_large_alpha(scenario):
         if scenario.gains.alpha > 100.0:
             raise ScenarioError("rejected in a worker")
-        return simulate(scenario)
+        return simulate_summary(scenario)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("antago.cli.simulate", fail_on_large_alpha)
+    monkeypatch.setattr("antago.cli.simulate_summary", fail_on_large_alpha)
     assert main(["sweep", "alpha", str(short_scenario_file), "--values", "5,1000,10",
                  "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == "error: rejected in a worker\n"
     assert not (tmp_path / "out.csv").exists()
 
 
-# Runs the CLI on argv, with two cores and with a simulate that kills its own
+# Runs the CLI on argv, with two cores and with a sweep point that kills its own
 # process, as the OOM killer would, when a forked worker meets alpha > 100.
 _KILL_LARGE_ALPHA_WORKER = """\
 import os, signal, sys
 import antago.cli
 os.sched_getaffinity = lambda pid: {0, 1}
-parent, simulate = os.getpid(), antago.cli.simulate
+parent, simulate_summary = os.getpid(), antago.cli.simulate_summary
 def simulate_or_die(scenario):
     if scenario.gains.alpha > 100.0 and os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
-    return simulate(scenario)
-antago.cli.simulate = simulate_or_die
+    return simulate_summary(scenario)
+antago.cli.simulate_summary = simulate_or_die
 sys.exit(antago.cli.main(sys.argv[1:]))
 """
 

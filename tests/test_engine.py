@@ -7,7 +7,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from antago.engine import (
     diagnostics,
     simulate,
     simulate_open_loop,
+    simulate_summary,
 )
 from antago.errors import DomainError, ScenarioError, SolverError
 from antago.plant import (
@@ -457,6 +458,57 @@ def _gp(scenario):
     return scenario.gains, scenario.params
 
 
+def _same_summary(a, b):
+    """Field for field, NaN equal to NaN."""
+    return all(u == v or (u != u and v != v) for u, v in zip(astuple(a), astuple(b)))
+
+
+def _failing_at(force, x, xdot):
+    """``force``'s law, called in place of being written out, except that its
+    evaluation at exactly (x, xdot) fails as the domain check would."""
+    class FailAt(ForceModel):
+        def __call__(self, x_, xdot_):
+            if x_ == x and xdot_ == xdot:
+                raise DomainError("injected failure")
+            return ForceModel.__call__(self, x_, xdot_)
+
+    return FailAt(force.kind, force.value)
+
+
+def test_summary_path_matches_diagnostics_of_the_record(study):
+    """simulate_summary gives diagnostics(simulate(s)) field for field on the
+    presets, the fig2-F1 domain exits, the digested runs and rk4, and after a
+    failure of the last sample's evaluation (which rk4's steps never make)
+    or of a later segment's first, where the last row kept is the segment
+    before's."""
+    scenarios = {name: load_preset(name) for name in ("fig2-F1", "fig2-F2", "fig2-F3",
+                                                      "multistep")}
+    for alpha in (21.5, 22.0, 23.0, 25.0):
+        scenarios[f"alpha={alpha}"] = replace(study, gains=replace(study.gains, alpha=alpha))
+    scenarios.update(pin.table_runs())
+    rk4 = replace(study, solver=replace(study.solver, method="rk4", fixed_step=1e-4),
+                  duration=0.2)
+    scenarios["rk4"] = rk4
+    multistep = pin.table_runs()["rk4-multistep"]
+    for name, sc, i in (("rk4 last-row", rk4, -1), ("rk4-multistep last-row", multistep, -1),
+                        ("rk4-multistep second segment", multistep, 16)):
+        row = simulate(sc).table[i]
+        x, xdot = row[CHANNELS.index("x")], row[CHANNELS.index("xdot")]
+        scenarios[name] = replace(sc, force=_failing_at(sc.force, x, xdot))
+    for name, scenario in scenarios.items():
+        expected = diagnostics(simulate(scenario), scenario.gains, scenario.params)
+        assert _same_summary(simulate_summary(scenario), expected), name
+    exits = {name: diagnostics(simulate(scenarios[name]), *_gp(scenarios[name]))
+             for name in ("alpha=22.0", "domain-exit", "step-underflow", "rk4 last-row",
+                          "rk4-multistep last-row", "rk4-multistep second segment")}
+    assert all(summary.status != "ok" for summary in exits.values()), exits
+    # the last-row failures keep the last segment through its first row; the
+    # second segment's first stage fails before it emits
+    assert exits["rk4 last-row"].samples == 1
+    assert [exits[f"rk4-multistep {end}"].samples for end in ("last-row", "second segment")] \
+        == [29, 16]
+
+
 # --------------------------------------------------------------------------
 # Solver robustness.
 
@@ -562,8 +614,10 @@ def test_rk23_matches_scipy_dop853(fig2_runs):
 # in place and every min/max a builtin call. A reference field returns the
 # derivative and the row of its point as a function of the row's time.
 
-def _reference_make_field(params, gains, force, x_star, margin=engine.DOMAIN_MARGIN):
-    """Reference form of the closed loop's right-hand side and record row."""
+def _reference_make_field(params, gains, force, x_star, summary=False,
+                          margin=engine.DOMAIN_MARGIN):
+    """Reference form of the closed loop's right-hand side and record row,
+    or with ``summary`` the row's SUMMARY_CHANNELS."""
     geo = params.geometry
     L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
     rho = params.fluid.rho
@@ -611,8 +665,11 @@ def _reference_make_field(params, gains, force, x_star, margin=engine.DOMAIN_MAR
                    + 0.5 * (sig * sig))
             U1 = A1 * v - (V1 / Gamma0) * (shear / A1 + k_i * sig / A1)
             U2 = A2 * v - (V2 / Gamma0) * (shear / A2 + k_i * sig / A2)
+            Psi = H_d + 0.5 * (zeta * zeta)
+            if summary:
+                return (t, x, x_star, zeta, Psi)
             return (t, x, v, p, P1, P2, U1, U2, F_hat, F_tilde, F, zeta, sig, x_star,
-                    H, H_d, H_d + 0.5 * (zeta * zeta))
+                    H, H_d, Psi)
 
         return (v, G - F, -shear / A1 - k_i * sig / A1, -shear / A2 - k_i * sig / A2,
                 alpha * (G - F_hat + alpha * p)), row
@@ -659,7 +716,7 @@ def _reference_rk23_segment(field, y, t_grid, solver, h, rows):
     t = t_grid[0]
     k1, row = field(t, *y)
     for tg in t_grid[1:]:
-        rows.append(row(t))
+        rows.extend(row(t))
         while t < tg:
             h = min(h, max_step, tg - t)
             if h < engine._MIN_STEP_FRACTION * max(1.0, abs(t)):
@@ -691,7 +748,7 @@ def _reference_rk4_segment(field, y, t_grid, solver, h_in, rows):
         for j in range(n):
             k1, row = field(t, *y)
             if j == 0:
-                rows.append(row(t))
+                rows.extend(row(t))
             k2, _ = field(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k1)))
             k3, _ = field(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k2)))
             k4, _ = field(t + h, *(yi + h * k for yi, k in zip(y, k3)))
@@ -708,7 +765,7 @@ def _reference_kernel(field, method):
     """Reference form of the engine's ``method`` kernel over ``field``: a
     stepper, or "row", which appends the row at one time."""
     if method == "row":
-        return lambda t, y, rows: rows.append(field(t, *y)[1](t))
+        return lambda t, y, rows: rows.extend(field(t, *y)[1](t))
     return functools.partial(_REFERENCE_STEPPERS[method], field)
 
 
@@ -732,26 +789,26 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     an overriding ``__call__``; the runs whose tables are digested (a
     two-segment domain exit, a step underflow, rk4 over three segments) are
     among them. Each reference stepper must be called, so a patch that misses
-    the engine's dispatch cannot pass."""
+    the engine's dispatch cannot pass. The summary path of every closed run
+    is the same under both, field for field."""
     rk4 = replace(study.solver, method="rk4", fixed_step=1e-4)
-    runs = {name: (lambda sc=load_preset(name): simulate(sc))
-            for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
+    # Each closed run's scenario, made afresh per run: a force may count its calls.
+    closed = {name: (lambda sc=load_preset(name): sc)
+              for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
     fig2_f2 = load_preset("fig2-F2")
     # Two points of the seed-0 benchmark sweeps; the alpha point leaves the domain.
-    runs["sweep-alpha"] = lambda: simulate(replace(
-        study, gains=replace(study.gains, alpha=21.7082)))
-    runs["sweep-k_m"] = lambda: simulate(replace(
-        fig2_f2, gains=replace(fig2_f2.gains, k_m=2.2761)))
-    runs["nan-force"] = lambda: simulate(replace(
-        study, force=NaNForce("constant", 0.0), duration=0.1))
-    runs["nan-once"] = lambda: simulate(replace(study, force=_nan_on_call(3), duration=0.1))
-    runs["rk4"] = lambda: simulate(replace(study, solver=rk4, duration=0.2))
+    closed["sweep-alpha"] = lambda: replace(study, gains=replace(study.gains, alpha=21.7082))
+    closed["sweep-k_m"] = lambda: replace(fig2_f2, gains=replace(fig2_f2.gains, k_m=2.2761))
+    closed["nan-force"] = lambda: replace(study, force=NaNForce("constant", 0.0), duration=0.1)
+    closed["nan-once"] = lambda: replace(study, force=_nan_on_call(3), duration=0.1)
+    closed["rk4"] = lambda: replace(study, solver=rk4, duration=0.2)
     for name in ("fig2-F2", "fig2-F3"):
-        runs[f"rk4-{name}"] = lambda sc=load_preset(name): simulate(replace(
-            sc, solver=replace(sc.solver, method="rk4", fixed_step=1e-4), duration=0.2))
-    runs["rk4-override"] = lambda: simulate(replace(
-        study, force=_OverriddenForce("spring", 10.0), solver=rk4, duration=0.2))
-    runs.update((name, lambda sc=sc: simulate(sc)) for name, sc in pin.table_runs().items())
+        closed[f"rk4-{name}"] = lambda sc=load_preset(name): replace(
+            sc, solver=replace(sc.solver, method="rk4", fixed_step=1e-4), duration=0.2)
+    closed["rk4-override"] = lambda: replace(
+        study, force=_OverriddenForce("spring", 10.0), solver=rk4, duration=0.2)
+    closed.update((name, lambda sc=sc: sc) for name, sc in pin.table_runs().items())
+    runs = {name: (lambda make=make: simulate(make())) for name, make in closed.items()}
     init = PlantState(x=5e-4, p=0.0, P1=2e4, P2=1e4)
     open_solvers = {
         "open-rk23": SolverSettings(method="rk23", rel_tol=1e-10, abs_tol=1e-12,
@@ -762,6 +819,7 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
         runs[name] = lambda solver=solver: simulate_open_loop(study.params, init, 0.01, solver)
 
     unrolled = {name: run() for name, run in runs.items()}
+    summaries = {name: simulate_summary(make()) for name, make in closed.items()}
     calls = {"rk23": 0, "rk4": 0, "row": 0}
 
     def reference_kernel(make_field):
@@ -793,6 +851,8 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     assert unrolled["step-underflow"].status == "step-underflow"
     for name in ("sweep-k_m", *rk4_runs):
         assert unrolled[name].status == "ok", name
+    for name, make in closed.items():
+        assert _same_summary(simulate_summary(make()), summaries[name]), name
 
 
 def test_open_loop_rhs_matches_reference(params):
@@ -848,7 +908,8 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
     of the evaluations. rk23 evaluates one first stage per setpoint segment,
     three stages per attempted step and one stage for the last sample, counted
     on the reference stepper and field, which take the same steps; rk4
-    evaluates four stages per step and one for the last sample."""
+    evaluates four stages per step and one for the last sample. The summary
+    path makes the same evaluations and gives the record's diagnostics."""
     counts = {"force": 0, "rhs": 0}
     call = ForceModel.__call__
 
@@ -877,12 +938,19 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
             counts["rhs"] = 0
             simulate(scenario)
             evaluations.append(counts["rhs"])
+            counts["rhs"] = 0
+            simulate_summary(scenario)
+            assert counts["rhs"] == evaluations[-1], scenario
     monkeypatch.setattr(ForceModel, "__call__", counted_call)
     for scenario, expected, rhs_evals in zip(scenarios, plain, evaluations):
         counts["force"] = 0
         record = simulate(scenario)
         assert record == expected, scenario
         assert rhs_evals > 0 and counts["force"] == rhs_evals, (scenario, rhs_evals, counts)
+        counts["force"] = 0
+        summary = simulate_summary(scenario)
+        assert _same_summary(summary, diagnostics(record, scenario.gains, scenario.params))
+        assert counts["force"] == rhs_evals, (scenario, rhs_evals, counts)
         if scenario.solver.method == "rk4":
             t = record["t"].tolist()
             steps = sum(math.ceil((b - a) / rk4.fixed_step - 1e-12) for a, b in zip(t, t[1:]))
@@ -891,7 +959,8 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
 
 def test_each_kernel_compiles_once_per_process(study, monkeypatch):
     """A kernel is compiled once per (method, loop, force law), on first use,
-    and reused by every later setpoint segment and sweep point."""
+    and reused by every later setpoint segment and sweep point, whether the
+    run builds its record or only its summary."""
     compiled = []
 
     def counting_compile(source, filename, mode):
@@ -908,8 +977,9 @@ def test_each_kernel_compiles_once_per_process(study, monkeypatch):
     for alpha in (5.0, 10.0, 20.0):   # three sweep points of three segments each
         point = replace(multistep, gains=replace(multistep.gains, alpha=alpha),
                         setpoints=setpoints, duration=0.1)
-        assert simulate(point).status == "ok"
-        assert simulate(replace(point, solver=rk4)).status == "ok"
+        for run in (simulate_summary, simulate):
+            assert run(point).status == "ok"
+            assert run(replace(point, solver=rk4)).status == "ok"
         simulate_open_loop(study.params, PlantState(5e-4, 0.0, 2e4, 1e4), 0.01, rk4,
                            R_override=alpha)
     assert sorted(compiled) == ["<antago kernel rk23 closed constant>",

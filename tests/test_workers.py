@@ -94,15 +94,15 @@ def test_lyapunov_report_does_not_depend_on_worker_count(tmp_path, monkeypatch):
     third, one child the second; the report equals the in-process one."""
     import antago.verify
 
-    simulate = antago.verify.simulate
+    simulate_summary = antago.verify.simulate_summary
     pids = tmp_path / "pids.txt"
 
     def simulate_and_log(scenario):
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return simulate(scenario)
+        return simulate_summary(scenario)
 
-    monkeypatch.setattr(antago.verify, "simulate", simulate_and_log)
+    monkeypatch.setattr(antago.verify, "simulate_summary", simulate_and_log)
     ran, reports = {}, {}
     for cores in ({0}, {0, 1}):
         _cores(monkeypatch, cores)
