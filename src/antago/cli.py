@@ -34,7 +34,6 @@ from .controller import validate_gains
 from .engine import (
     SETTLE_TOL,
     STEPPERS,
-    DiagnosticsSummary,
     ScenarioConfig,
     diagnostics,
     simulate,
@@ -165,14 +164,6 @@ def _sweep_variant(scenario: ScenarioConfig, param: str, value: float) -> Scenar
     return scenario   # epsilon only enters the gain analysis, not the dynamics
 
 
-def _point_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
-    """Simulate one sweep variant and return only its diagnostics, which are
-    all a worker sends back. No trajectory record is built: each sample's
-    row holds only the five channels the diagnostics read (t, x, x_star,
-    zeta, Psi), and only the last row the run keeps holds all 17."""
-    return simulate_summary(scenario)
-
-
 def _cmd_sweep(args) -> int:
     base = _apply_solver_flags(_resolve_scenario(args.scenario), args)
     values = _parse_values(args.values)
@@ -182,8 +173,8 @@ def _cmd_sweep(args) -> int:
     reports = [validate_gains(s.params, s.gains, epsilon=value if epsilon_sweep else 0.0)
                for s, value in zip(scenarios, values)]
     # every epsilon variant is the base scenario: simulate it once
-    summaries = ([_point_summary(base)] * len(values) if epsilon_sweep
-                 else forked_imap(_point_summary, scenarios))
+    summaries = ([simulate_summary(base)] * len(values) if epsilon_sweep
+                 else forked_imap(simulate_summary, scenarios))
     header = ("value,valid,positive_definite,rate_bound_ok,condition_product,"
               "status,x_error,settle_time,max_psi_increment,psi_max,zeta_rate")
     rows = [header]

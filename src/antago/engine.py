@@ -80,14 +80,14 @@ observer gain ``alpha`` only from ``ControllerGains``.
 
 A run that only needs its :class:`DiagnosticsSummary` (a sweep point, the
 ``lyapunov`` suite) takes :func:`simulate_summary`: the same kernels, given
-the constant ``summary``, emit a summary row of the five channels that
-:func:`diagnostics` reads at every sample, ``SUMMARY_CHANNELS`` = (t, x,
-x_star, zeta, Psi), in place of the 17. Both row forms compute F_tilde, zeta,
-H_d and Psi in the same lines, so the columns are those of the record. The
-one full row is the last row the run keeps: the last sample's, or after a
-failure the failed segment's first, evaluated again at its time, state and
-setpoint. The summary equals ``diagnostics(simulate(scenario))`` field for
-field, since both reduce the columns and the last row in one helper.
+the constant ``summary``, emit at every sample, the last included, a summary
+row of the nine channels that :func:`diagnostics` reads, ``SUMMARY_CHANNELS``
+= (t, x, x_star, zeta, Psi, sigma, P1, P2, F_hat), in place of the 17. Both
+row forms compute F_tilde, zeta, H_d and Psi in the same lines and take the
+rest from the stage's names, so the columns are those of the record, and a
+failure keeps the same rows of either. The summary equals
+``diagnostics(simulate(scenario))`` field for field, since both reduce those
+columns in one helper, and it makes the same evaluations.
 
 numpy is imported by the functions that build or read arrays (:func:`simulate`'s
 table, the record's ``==``, :func:`simulate_open_loop`'s result,
@@ -262,8 +262,8 @@ def _check_initial(initial: PlantState, params: PlantParams) -> None:
 CHANNELS = ("t", "x", "xdot", "p", "P1", "P2", "U1", "U2", "F_hat", "F_tilde",
             "F_true", "zeta", "sigma", "x_star", "H", "H_d", "Psi")
 _COLUMN = {name: i for i, name in enumerate(CHANNELS)}
-# The channels diagnostics reads at every sample; at the last it reads a full row.
-SUMMARY_CHANNELS = ("t", "x", "x_star", "zeta", "Psi")
+# The channels diagnostics reads: the first five at every sample, the rest at the last.
+SUMMARY_CHANNELS = ("t", "x", "x_star", "zeta", "Psi", "sigma", "P1", "P2", "F_hat")
 # The statuses simulate gives a run: it ended at the duration, left the
 # actuator domain, or collapsed its rk23 step.
 STATUSES = ("ok", "domain-exit", "step-underflow")
@@ -279,7 +279,8 @@ class TrajectoryRecord:
     emitted by the kernel stage evaluated at its sample (see the module
     docstring). On early termination the table holds only the setpoint
     segments finished before the failure, through the row at the failed
-    segment's start, so a one-segment run keeps only t = 0 (ROADMAP item 1).
+    segment's start if its first stage emitted it, so a one-segment run
+    keeps only t = 0 (ROADMAP item 1).
     """
 
     table: np.ndarray
@@ -365,7 +366,7 @@ err = x_star - x
 H_d = p * p / (two_k_m * M) + 0.5 * k_p * (err * err) + 0.5 * (sig * sig)
 Psi = H_d + 0.5 * (zeta * zeta)
 if summary:
-    extend((t, x, x_star, zeta, Psi))
+    extend((t, x, x_star, zeta, Psi, sig, P1, P2, F_hat))
 else:
     shear = -ns
     extend((t, x, v, p, P1, P2,
@@ -602,12 +603,10 @@ def _sample_grid(duration: float, sample_dt: float,
     return tuple(sorted(times))
 
 
-def _run(scenario: ScenarioConfig, summary: bool) -> tuple[list, str, str, tuple | None]:
+def _run(scenario: ScenarioConfig, summary: bool) -> tuple[list, str, str]:
     """Integrate the augmented closed loop into one flat list of floats, a
-    row per sample: the full row, or with ``summary`` the SUMMARY_CHANNELS;
-    the last sample's row is full either way. Returns the list, the status
-    and detail, and on a failure ``(t, y, x_star)`` at the failed segment's
-    start when that segment's first row is the last row kept, else None.
+    row per sample, the last sample's too: the full row, or with ``summary``
+    the SUMMARY_CHANNELS. Returns the list, the status and the detail.
     """
     params, gains, force = scenario.params, scenario.gains, scenario.force
     solver = scenario.solver
@@ -630,19 +629,15 @@ def _run(scenario: ScenarioConfig, summary: bool) -> tuple[list, str, str, tuple
     try:
         for (_, x_star), a, b in zip(scenario.setpoints, cuts, cuts[1:]):
             kept = len(rows) + width   # through the segment's first row
-            start = (grid[a], y, x_star)
             kernel = _closed_kernel(solver.method, params, gains, force, x_star, summary)
             y, h = kernel(y, grid[a:b + 1], solver, h, rows)
         # The last sample's row, with the last segment's x_star.
-        _closed_kernel("row", params, gains, force, x_star, False)(grid[-1], y, rows)
+        _closed_kernel("row", params, gains, force, x_star, summary)(grid[-1], y, rows)
     except (DomainError, SolverError) as exc:
         status = "domain-exit" if isinstance(exc, DomainError) else "step-underflow"
         del rows[kept:]   # the failed segment keeps only its first row (ROADMAP item 1)
-        # rk4 never evaluates a segment's last state, so the next segment's
-        # first stage can fail before it emits: the last row is then the
-        # previous segment's.
-        return rows, status, str(exc), start if len(rows) == kept else None
-    return rows, "ok", "", None
+        return rows, status, str(exc)
+    return rows, "ok", ""
 
 
 def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
@@ -650,38 +645,28 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
 
     Terminates early (with status "domain-exit" or "step-underflow") if the
     state leaves the admissible region or the adaptive step collapses; the
-    record keeps only the setpoint segments finished before it (ROADMAP item 1).
+    record keeps the setpoint segments finished before it and, once emitted,
+    the failed segment's first row (see :class:`TrajectoryRecord`; ROADMAP
+    item 1).
     """
     import numpy as np
 
-    rows, status, detail, _ = _run(scenario, False)
+    rows, status, detail = _run(scenario, False)
     table = np.fromiter(rows, float, len(rows))
     return TrajectoryRecord(table.reshape(-1, len(CHANNELS)), status, detail)
 
 
 def simulate_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
     """``diagnostics(simulate(scenario), scenario.gains, scenario.params)``,
-    field for field, from rows that hold only the SUMMARY_CHANNELS but for the
-    last row the run keeps, which is full. After a failure that last row is
-    the failed segment's first, emitted in summary form, so it is evaluated
-    again in full at the same time, state and setpoint; where rk4 kept a row
-    of the segment before, whose state is gone, the record is built instead.
+    field for field, from the rows of the SUMMARY_CHANNELS alone: the same
+    evaluations emit them, so a run keeps the same samples, and a failure
+    truncates them at the same row, as the record.
     """
     import numpy as np
 
-    params, gains = scenario.params, scenario.gains
-    width = len(SUMMARY_CHANNELS)
-    rows, status, _, start = _run(scenario, True)
-    if status != "ok":
-        if start is None:
-            return diagnostics(simulate(scenario), gains, params)
-        t, y, x_star = start
-        del rows[-width:]
-        _closed_kernel("row", params, gains, scenario.force, x_star, False)(t, y, rows)
-    last = rows[-len(CHANNELS):]
-    rows[-len(CHANNELS):] = [last[_COLUMN[name]] for name in SUMMARY_CHANNELS]
-    table = np.fromiter(rows, float, len(rows))
-    return _reduce(table.reshape(-1, width).T, last, status, gains, params)
+    rows, status, _ = _run(scenario, True)
+    table = np.fromiter(rows, float, len(rows)).reshape(-1, len(SUMMARY_CHANNELS))
+    return _reduce(table.T, status, scenario.gains, scenario.params)
 
 
 def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float,
@@ -762,19 +747,18 @@ def fit_decay_rate(t: np.ndarray, values: np.ndarray) -> float:
 def diagnostics(record: TrajectoryRecord, gains: ControllerGains,
                 params: PlantParams) -> DiagnosticsSummary:
     """Aggregate the stability-theory checks over one recorded trajectory."""
-    if len(record) == 0:
-        raise ValueError("empty trajectory")
-    columns = [record[name] for name in SUMMARY_CHANNELS]
-    return _reduce(columns, record.table[-1], record.status, gains, params)
+    return _reduce([record[name] for name in SUMMARY_CHANNELS], record.status, gains, params)
 
 
-def _reduce(columns, last, status: str, gains: ControllerGains,
+def _reduce(columns, status: str, gains: ControllerGains,
             params: PlantParams) -> DiagnosticsSummary:
-    """The summary of a run from its SUMMARY_CHANNELS ``columns`` and its
-    ``last`` row, in CHANNELS order."""
+    """The summary of a run from its SUMMARY_CHANNELS ``columns``: t, x,
+    x_star, zeta and Psi over every sample, the rest at the last."""
     import numpy as np
 
-    t, x, x_star, zeta, psi = columns
+    t, x, x_star, zeta, psi, sigma, P1, P2, F_hat = columns
+    if len(t) == 0:
+        raise ValueError("empty trajectory")
     increments = np.diff(psi)
     max_inc = float(increments.max()) if len(increments) else 0.0
 
@@ -785,15 +769,14 @@ def _reduce(columns, last, status: str, gains: ControllerGains,
     rate = fit_decay_rate(t, zeta)
     rate_err = abs(rate - gains.alpha) / gains.alpha if math.isfinite(rate) else float("nan")
 
-    end = dict(zip(CHANNELS, last))
-    g = geometry_terms(float(end["x"]), params.geometry)
-    balance = end["P1"] * g.A1 + end["P2"] * g.A2 - end["F_hat"]
+    g = geometry_terms(float(x[-1]), params.geometry)
+    balance = P1[-1] * g.A1 + P2[-1] * g.A2 - F_hat[-1]
 
     return DiagnosticsSummary(
         samples=len(t),
         status=status,
-        x_error=float(end["x"] - end["x_star"]),
-        sigma_final=float(end["sigma"]),
+        x_error=float(x[-1] - x_star[-1]),
+        sigma_final=float(sigma[-1]),
         force_balance_residual=float(balance),
         settle_time=settle_time,
         max_psi_increment=max_inc,

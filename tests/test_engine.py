@@ -18,9 +18,11 @@ from antago import engine
 from antago.controller import control_flows, desired_energy, sigma
 from antago.engine import (
     CHANNELS,
+    SUMMARY_CHANNELS,
     ForceModel,
     ScenarioConfig,
     SolverSettings,
+    TrajectoryRecord,
     augmented_field,
     diagnostics,
     simulate,
@@ -463,16 +465,20 @@ def _same_summary(a, b):
     return all(u == v or (u != u and v != v) for u, v in zip(astuple(a), astuple(b)))
 
 
-def _failing_at(force, x, xdot):
-    """``force``'s law, called in place of being written out, except that its
-    evaluation at exactly (x, xdot) fails as the domain check would."""
+def _failing_at(scenario, i):
+    """``scenario`` with its force's law called in place of being written
+    out, except that its evaluation at exactly the state of its record's row
+    ``i`` fails as the domain check would."""
+    row = simulate(scenario).table[i]
+    x, xdot = row[CHANNELS.index("x")], row[CHANNELS.index("xdot")]
+
     class FailAt(ForceModel):
         def __call__(self, x_, xdot_):
             if x_ == x and xdot_ == xdot:
                 raise DomainError("injected failure")
             return ForceModel.__call__(self, x_, xdot_)
 
-    return FailAt(force.kind, force.value)
+    return replace(scenario, force=FailAt(scenario.force.kind, scenario.force.value))
 
 
 def test_summary_path_matches_diagnostics_of_the_record(study):
@@ -492,9 +498,7 @@ def test_summary_path_matches_diagnostics_of_the_record(study):
     multistep = pin.table_runs()["rk4-multistep"]
     for name, sc, i in (("rk4 last-row", rk4, -1), ("rk4-multistep last-row", multistep, -1),
                         ("rk4-multistep second segment", multistep, 16)):
-        row = simulate(sc).table[i]
-        x, xdot = row[CHANNELS.index("x")], row[CHANNELS.index("xdot")]
-        scenarios[name] = replace(sc, force=_failing_at(sc.force, x, xdot))
+        scenarios[name] = _failing_at(sc, i)
     for name, scenario in scenarios.items():
         expected = diagnostics(simulate(scenario), scenario.gains, scenario.params)
         assert _same_summary(simulate_summary(scenario), expected), name
@@ -507,6 +511,17 @@ def test_summary_path_matches_diagnostics_of_the_record(study):
     assert exits["rk4 last-row"].samples == 1
     assert [exits[f"rk4-multistep {end}"].samples for end in ("last-row", "second segment")] \
         == [29, 16]
+
+
+def test_summary_channels_are_every_channel_diagnostics_reads():
+    """diagnostics reads no channel outside SUMMARY_CHANNELS: with every
+    other column of a record set to NaN, its summary is unchanged."""
+    scenario = load_preset("fig2-F3")
+    record = simulate(scenario)
+    table = record.table.copy()
+    table[:, [i for i, name in enumerate(CHANNELS) if name not in SUMMARY_CHANNELS]] = np.nan
+    blanked = TrajectoryRecord(table, record.status, record.detail)
+    assert _same_summary(diagnostics(blanked, *_gp(scenario)), diagnostics(record, *_gp(scenario)))
 
 
 # --------------------------------------------------------------------------
@@ -667,7 +682,7 @@ def _reference_make_field(params, gains, force, x_star, summary=False,
             U2 = A2 * v - (V2 / Gamma0) * (shear / A2 + k_i * sig / A2)
             Psi = H_d + 0.5 * (zeta * zeta)
             if summary:
-                return (t, x, x_star, zeta, Psi)
+                return (t, x, x_star, zeta, Psi, sig, P1, P2, F_hat)
             return (t, x, v, p, P1, P2, U1, U2, F_hat, F_tilde, F, zeta, sig, x_star,
                     H, H_d, Psi)
 
@@ -909,7 +924,11 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
     three stages per attempted step and one stage for the last sample, counted
     on the reference stepper and field, which take the same steps; rk4
     evaluates four stages per step and one for the last sample. The summary
-    path makes the same evaluations and gives the record's diagnostics."""
+    path makes the same evaluations and gives the record's diagnostics, and
+    makes the same evaluations as ``simulate`` on failing runs too: rk23
+    domain exits (fig2-F1 at alpha = 22 and the digested two-segment one), a
+    step underflow, and an rk4 run whose second segment fails at its first
+    stage."""
     counts = {"force": 0, "rhs": 0}
     call = ForceModel.__call__
 
@@ -931,16 +950,25 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
     scenarios = ([replace(study, force=force, duration=0.5) for force in forces]
                  + [replace(study, force=force, solver=rk4, duration=0.1) for force in forces])
     plain = [simulate(scenario) for scenario in scenarios]
-    evaluations = []
+    runs = pin.table_runs()
+    failing = [replace(study, gains=replace(study.gains, alpha=22.0)), runs["domain-exit"],
+               runs["step-underflow"], _failing_at(runs["rk4-multistep"], 16)]
+
+    def evaluations_of(run, scenario):
+        counts["rhs"] = 0
+        result = run(scenario)
+        return result, counts["rhs"]
+
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_closed_kernel", counting_kernel)
-        for scenario in scenarios:
-            counts["rhs"] = 0
-            simulate(scenario)
-            evaluations.append(counts["rhs"])
-            counts["rhs"] = 0
-            simulate_summary(scenario)
-            assert counts["rhs"] == evaluations[-1], scenario
+        evaluations = [evaluations_of(simulate, scenario)[1] for scenario in scenarios]
+        for scenario, rhs_evals in zip(scenarios, evaluations):
+            assert evaluations_of(simulate_summary, scenario)[1] == rhs_evals, scenario
+        for scenario in failing:
+            record, rhs_evals = evaluations_of(simulate, scenario)
+            summary, summary_evals = evaluations_of(simulate_summary, scenario)
+            assert record.status != "ok" and summary.status == record.status, scenario
+            assert summary_evals == rhs_evals, (scenario, rhs_evals, summary_evals)
     monkeypatch.setattr(ForceModel, "__call__", counted_call)
     for scenario, expected, rhs_evals in zip(scenarios, plain, evaluations):
         counts["force"] = 0
