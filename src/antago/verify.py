@@ -6,21 +6,24 @@ open-loop composition, exact arithmetic) and returns one :class:`Report`: a
 :class:`Check` per verdict, each against a bound fixed in this module, and
 the lines that the CLI ``verify`` subcommand prints. The test suite asserts
 on the same checks. The suites read the presets bundled with the package,
-whatever ``ANTAGO_PRESET_DIR`` names: their bounds are fixed for those. The
-random samples of ``matching`` and ``gradients`` are the draws of numpy's
-``default_rng(seed).uniform``, reproduced by :class:`antago._pcg64.PCG64`
-without loading ``numpy.random``.
+whatever ``ANTAGO_PRESET_DIR`` names: their bounds are fixed for those.
+
+``matching`` and ``gradients`` draw their random samples from
+``random.Random(seed)`` and compare two values each time, judged by
+:func:`_rel_err` down to one rounding unit of the terms the values sum, so
+that no verdict depends on the seed.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 
-from ._pcg64 import PCG64
 from .controller import ControllerGains, closed_loop_field, control_flows, sigma, validate_gains
 from .engine import ForceModel, ScenarioConfig, fit_decay_rate, simulate, simulate_summary
 from .plant import (
+    PlantParams,
     PlantState,
     geometry_terms,
     hamiltonian,
@@ -36,8 +39,10 @@ DECAY_BOUND = 1e-2
 LYAPUNOV_REL_BOUND = 1e-9   # on the largest Psi of the run
 LYAPUNOV_PRESETS = ("fig2-F1", "fig2-F2", "fig2-F3")
 GRADIENT_POINTS = 20
+GRADIENT_BOUNDS = {"volume-gradients": 1e-6, "volume-curvatures": 1e-5,
+                   "hamiltonian-gradient": 1e-6, "sigma-partials": 1e-6}
 
-_REL_FLOOR = 1e-20
+_ULP = 2.0**-52   # one rounding unit
 
 
 def _bundled(name: str) -> ScenarioConfig:
@@ -45,9 +50,28 @@ def _bundled(name: str) -> ScenarioConfig:
     return load_scenario(BUNDLED_PRESET_DIR / f"{name}.ini")
 
 
-def _rel_err(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b), _REL_FLOOR)
-    return abs(a - b) / scale
+def _rel_err(a: float, b: float, terms: float, bound: float) -> float:
+    """``|a - b| / (max(|a|, |b|) + 2**-52 * terms / bound)``, where ``terms`` is
+    the summed magnitude of the terms that ``a`` and ``b`` add up.
+
+    It is below ``bound`` exactly when ``|a - b| < bound * max(|a|, |b|) +
+    2**-52 * terms``: a value that cancellation leaves small is judged on one
+    rounding unit of its terms, the error bound of a sum (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 4.2), not on its own size.
+    """
+    if a == b:
+        return 0.0
+    return abs(a - b) / (max(abs(a), abs(b)) + _ULP * terms / bound)
+
+
+def _uniform(seed: int):
+    """``uniform(low, high)`` over ``random.Random(seed)``, drawn as
+    ``low + (high - low) * random()``: Python keeps the sequence of
+    ``random()`` for a seed across versions, not that of ``Random.uniform``."""
+    if seed < 0:   # Random(-n) would draw the samples of seed n
+        raise ValueError("expected non-negative integer")
+    draw = random.Random(seed).random
+    return lambda low, high: low + (high - low) * draw()
 
 
 @dataclass(frozen=True)
@@ -83,39 +107,68 @@ def _verdict(ok: bool) -> str:
 # --------------------------------------------------------------------------
 # 1. Matching: shaped closed-loop field == open-loop field under the control law.
 
+def _matching_terms(state: PlantState, U1: float, U2: float, F_hat: float, F: float,
+                    gains: ControllerGains, x_star: float, params: PlantParams
+                    ) -> tuple[float, ...]:
+    """Per component (dx, dp, dP1, dP2), the summed magnitudes of the terms that
+    ``open_loop_field`` and ``closed_loop_field`` add; the pressure rows carry
+    ``Gamma0*|U_i|/V_i``, about 1e11, and cancel to a rate far below it."""
+    g = geometry_terms(state.x, params.geometry)
+    Gamma0, R, k_m, alpha = params.fluid.Gamma0, params.R, gains.k_m, gains.alpha
+    dH_x, v, dH_P1, dH_P2 = hamiltonian_gradient(state, params)
+    s = sigma(state, F_hat, gains, x_star, params.geometry)
+    M = params.m + (g.V1 + g.V2) * params.fluid.rho
+    k_m_dHd_x = (-state.p * v * params.fluid.rho * (g.A1 + g.A2) / (2.0 * M)
+                 - k_m * gains.k_p * (x_star - state.x) + k_m * s.value * s.d_x)
+    # The open loop's dH_x, R*dH_p, Gamma0*A_i/V_i*dH_Pi and F; the closed
+    # loop's k_m*dHd_x, S22*dHd_p, S23*dHd_P1 + S24*dHd_P2 and zeta.
+    dp = (abs(dH_x) + R * abs(v) + abs(Gamma0 * g.A1 * dH_P1 / g.V1)
+          + abs(Gamma0 * g.A2 * dH_P2 / g.V2) + abs(F)
+          + abs(k_m_dHd_x) + abs((R - alpha * M) * v)
+          + abs((1.0 + k_m * s.d_x) * s.value) + abs(F_hat - alpha * state.p - F))
+    # |S23*dHd_p| + |S33*dHd_P1| of the closed loop, times |A1|; likewise for P2.
+    shaped = abs((1.0 + k_m * s.d_x) * v / (2.0 * k_m)) + abs(gains.k_i * s.value)
+    return (2.0 * abs(v), dp, *(Gamma0 * (abs(U) + abs(A * v)) / V + shaped / abs(A)
+                                for U, A, V in ((U1, g.A1, g.V1), (U2, g.A2, g.V2))))
+
+
 def check_matching(seed: int = 0) -> Report:
     """Compare the substituted closed-loop field against the raw composition.
 
     At random in-domain states, gains and forces, the open-loop plant driven
     by the computed flow commands must reproduce the shaped field exactly;
-    this is the central algebraic identity of the control design.
+    this is the central algebraic identity of the control design. Each
+    component is judged down to one rounding unit of the terms both fields
+    add (:func:`_matching_terms`).
     """
     params = _bundled("fig2-F1").params
     lo, hi = params.geometry.position_bounds()
     pad = 0.05 * (hi - lo)
-    rng = PCG64(seed)
+    uniform = _uniform(seed)
     worst = 0.0
     for _ in range(MATCHING_SAMPLES):
         state = PlantState(
-            x=rng.uniform(lo + pad, hi - pad),
-            p=rng.uniform(-0.1, 0.1),
-            P1=rng.uniform(-5e4, 5e4),
-            P2=rng.uniform(-5e4, 5e4),
+            x=uniform(lo + pad, hi - pad),
+            p=uniform(-0.1, 0.1),
+            P1=uniform(-5e4, 5e4),
+            P2=uniform(-5e4, 5e4),
         )
         gains = ControllerGains(
-            k_p=rng.uniform(0.5, 5.0),
-            k_m=rng.uniform(0.5, 4.0),
-            k_i=rng.uniform(1.0, 20.0),
-            alpha=rng.uniform(1.0, 15.0),
+            k_p=uniform(0.5, 5.0),
+            k_m=uniform(0.5, 4.0),
+            k_i=uniform(1.0, 20.0),
+            alpha=uniform(1.0, 15.0),
         )
-        x_star = rng.uniform(lo + pad, hi - pad)
-        F_hat = rng.uniform(-5.0, 5.0)
-        F = rng.uniform(-10.0, 10.0)
+        x_star = uniform(lo + pad, hi - pad)
+        F_hat = uniform(-5.0, 5.0)
+        F = uniform(-10.0, 10.0)
 
         U1, U2 = control_flows(state, F_hat, gains, x_star, params)
         raw = open_loop_field(state, U1, U2, F, params)
         shaped = closed_loop_field(state, F_hat, F, gains, x_star, params)
-        worst = max(worst, *(_rel_err(a, b) for a, b in zip(raw, shaped)))
+        terms = _matching_terms(state, U1, U2, F_hat, F, gains, x_star, params)
+        worst = max(worst, *(_rel_err(a, b, t, MATCHING_BOUND)
+                             for a, b, t in zip(raw, shaped, terms)))
     check = _below("matching", worst, MATCHING_BOUND)
     return Report((check,), (
         f"matching: {MATCHING_SAMPLES} random states, "
@@ -188,68 +241,63 @@ def check_lyapunov() -> Report:
 # 4. Gradient suites against central finite differences.
 
 def check_gradients(seed: int = 0) -> Report:
-    """Finite-difference validation of every closed-form derivative."""
+    """Finite-difference validation of every closed-form derivative.
+
+    Each central difference ``(f(x + h) - f(x - h)) / (2h)`` is judged down
+    to one rounding unit of its terms, ``(|f(x + h)| + |f(x - h)|) / (2h)``:
+    about ``|H|/h`` for the difference quotient of the Hamiltonian H.
+    """
     params = _bundled("fig2-F1").params
     geo = params.geometry
     lo, hi = geo.position_bounds()
     pad = 0.05 * (hi - lo)
-    rng = PCG64(seed)
-    xs = [rng.uniform(lo + pad, hi - pad) for _ in range(GRADIENT_POINTS)]
+    uniform = _uniform(seed)
+    xs = [uniform(lo + pad, hi - pad) for _ in range(GRADIENT_POINTS)]
+    worst = dict.fromkeys(GRADIENT_BOUNDS, 0.0)
+
+    def judge(name: str, exact: float, up: float, dn: float, h: float) -> None:
+        err = _rel_err(exact, (up - dn) / (2 * h), (abs(up) + abs(dn)) / (2 * h),
+                       GRADIENT_BOUNDS[name])
+        worst[name] = max(worst[name], err)
 
     h_x = 1e-8
-    worst_A = worst_dA = worst_H = worst_sig = 0.0
     for x in xs:
         g = geometry_terms(x, geo)
         up = geometry_terms(x + h_x, geo)
         dn = geometry_terms(x - h_x, geo)
-        # Volume gradients vs finite differences of the volumes.
-        for Ai, fd in ((g.A1, (up.V1 - dn.V1) / (2 * h_x)),
-                       (g.A2, (up.V2 - dn.V2) / (2 * h_x))):
-            worst_A = max(worst_A, _rel_err(Ai, fd))
-        # Curvatures vs finite differences of the gradients.
-        for dAi, fd in ((g.dA1, (up.A1 - dn.A1) / (2 * h_x)),
-                        (g.dA2, (up.A2 - dn.A2) / (2 * h_x))):
-            worst_dA = max(worst_dA, _rel_err(dAi, fd))
+        # Volume gradients vs finite differences of the volumes, and
+        # curvatures vs finite differences of the gradients.
+        judge("volume-gradients", g.A1, up.V1, dn.V1, h_x)
+        judge("volume-gradients", g.A2, up.V2, dn.V2, h_x)
+        judge("volume-curvatures", g.dA1, up.A1, dn.A1, h_x)
+        judge("volume-curvatures", g.dA2, up.A2, dn.A2, h_x)
 
-        state = PlantState(x=x, p=rng.uniform(-0.1, 0.1),
-                           P1=rng.uniform(1e3, 5e4),
-                           P2=rng.uniform(1e3, 5e4))
+        state = PlantState(x=x, p=uniform(-0.1, 0.1),
+                           P1=uniform(1e3, 5e4),
+                           P2=uniform(1e3, 5e4))
         grad = hamiltonian_gradient(state, params)
         # Pressure steps must be large enough that the energy change clears
         # the kinetic term's roundoff floor; truncation stays negligible
         # because the fluid energy is nearly quadratic in P.
         steps = (1e-8, 1e-7, 1e3, 1e3)
-        for i, (g, h) in enumerate(zip(grad, steps)):
+        for i, (dH, h) in enumerate(zip(grad, steps)):
             vals = list((state.x, state.p, state.P1, state.P2))
             vals[i] += h
             hi_val = hamiltonian(PlantState(*vals), params)
             vals[i] -= 2 * h
-            lo_val = hamiltonian(PlantState(*vals), params)
-            worst_H = max(worst_H, _rel_err(g, (hi_val - lo_val) / (2 * h)))
+            judge("hamiltonian-gradient", dH, hi_val, hamiltonian(PlantState(*vals), params), h)
 
         gains = ControllerGains(k_p=1.0, k_m=2.0, k_i=10.0, alpha=10.0)
-        x_star = rng.uniform(lo + pad, hi - pad)
-        F_hat = rng.uniform(-5.0, 5.0)
+        x_star = uniform(lo + pad, hi - pad)
+        F_hat = uniform(-5.0, 5.0)
         s = sigma(state, F_hat, gains, x_star, geo)
-        fd_x = (sigma(PlantState(x + h_x, state.p, state.P1, state.P2),
-                      F_hat, gains, x_star, geo).value
-                - sigma(PlantState(x - h_x, state.p, state.P1, state.P2),
-                        F_hat, gains, x_star, geo).value) / (2 * h_x)
-        worst_sig = max(worst_sig, _rel_err(s.d_x, fd_x))
-        h_P = 1e-1
-        for attr, d in (("P1", s.d_P1), ("P2", s.d_P2)):
-            up = replace(state, **{attr: getattr(state, attr) + h_P})
-            dn = replace(state, **{attr: getattr(state, attr) - h_P})
-            fd = (sigma(up, F_hat, gains, x_star, geo).value
-                  - sigma(dn, F_hat, gains, x_star, geo).value) / (2 * h_P)
-            worst_sig = max(worst_sig, _rel_err(d, fd))
+        for attr, d, h in (("x", s.d_x, h_x), ("P1", s.d_P1, 1e-1), ("P2", s.d_P2, 1e-1)):
+            up = replace(state, **{attr: getattr(state, attr) + h})
+            dn = replace(state, **{attr: getattr(state, attr) - h})
+            judge("sigma-partials", d, sigma(up, F_hat, gains, x_star, geo).value,
+                  sigma(dn, F_hat, gains, x_star, geo).value, h)
 
-    checks = (
-        _below("volume-gradients", worst_A, 1e-6),
-        _below("volume-curvatures", worst_dA, 1e-5),
-        _below("hamiltonian-gradient", worst_H, 1e-6),
-        _below("sigma-partials", worst_sig, 1e-6),
-    )
+    checks = tuple(_below(name, worst[name], bound) for name, bound in GRADIENT_BOUNDS.items())
     return Report(checks, tuple(
         f"gradients {c.name}: worst rel. err {c.value:.3e} "
         f"(bound {c.bound:.1e}) -> {_verdict(c.ok)}"
