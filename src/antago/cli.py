@@ -48,7 +48,6 @@ from .scenario_io import (
     load_scenario,
     save_trajectory_csv,
 )
-from .verify import SUITES
 from .workers import forked_imap
 
 _SWEEP_PLANT_KEYS = ("R", "m")
@@ -57,6 +56,8 @@ _SWEEP_KEYS = (*_SECTIONS["gains"], *_SWEEP_PLANT_KEYS, "epsilon")
 # range; checked before any value is read. The benchmark sweeps 32 points per
 # command.
 MAX_SWEEP_POINTS = 10**4
+# The names of antago.verify.SUITES, sorted; that module loads only for `verify`.
+_VERIFY_SUITES = ("gains", "gradients", "lyapunov", "matching", "observer-decay")
 
 
 def _resolve_scenario(ref: str) -> ScenarioConfig:
@@ -127,6 +128,8 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValueError("expected non-negative integer")
+    from .verify import SUITES
+
     suite = SUITES[args.suite]
     report = suite(seed=args.seed) if args.suite in ("matching", "gradients") else suite()
     for line in report.lines:
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run a numerical verification suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES))
+    p_verify.add_argument("suite", choices=_VERIFY_SUITES)
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for the randomized suites")
     p_verify.set_defaults(func=_cmd_verify)

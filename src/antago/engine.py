@@ -23,10 +23,12 @@ stage written out per component, into which the loop's right-hand side, also
 written once as source text, is inlined at every stage: no evaluation pays a
 Python call or builds a tuple. The one-stage instance is the right-hand side
 alone (:func:`augmented_field`). Each (method, loop, force law) kernel is
-compiled once per process, on first use and never on import; per setpoint
-segment a factory binds the scalar constants (``2 * L0``, ``L0 * L0``,
-``2 * k_m``, ``-K0`` and the parameters) as closure variables, so a sweep point
-compiles nothing. The open loop is the unforced plant (no flow, no load); its
+compiled once per process, on first use and never on import. It takes the
+scalar constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``, ``-K0``, the
+parameters, the libm functions and the ``summary`` flag) as keyword-only
+parameters, so each stage reads them as fast locals, and per setpoint segment
+``functools.partial`` binds their values once, so a sweep point compiles
+nothing. The open loop is the unforced plant (no flow, no load); its
 kernels step its four states, (x, p, P1, P2), and no observer. The closed
 loop's force law is fixed with its kernel: while the force's type still has
 ``ForceModel``'s own ``__call__`` (captured when this module was imported),
@@ -532,17 +534,17 @@ def _kernel_source(template: str, loop: str, law: str | None) -> str:
 @functools.cache
 def _kernel_factory(method: str, loop: str, law: str | None, constants: tuple[str, ...]):
     """Compile the kernel of ``method`` (a key of STEPPERS or _ONE_STAGE) for
-    ``loop`` and force ``law``, in a factory whose parameters, ``constants``
-    (the same for every call of a loop), it reads as closure variables."""
+    ``loop`` and force ``law``, taking ``constants`` (the same names for every
+    call of a loop) as keyword-only parameters, which it reads as fast locals."""
     source = _kernel_source({**STEPPERS, **_ONE_STAGE}[method], loop, law)
-    source = (f"def make({', '.join(constants)}):\n"
-              + "".join(f"    {ln}\n" for ln in source.splitlines()) + "    return kernel\n")
+    # The template's first line is its ``def kernel(...):``.
+    source = source.replace("):\n", f", *, {', '.join(constants)}):\n", 1) + "\n"
     filename = f"<antago kernel {method} {loop} {law}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"ceil": math.ceil, "DomainError": DomainError, "SolverError": SolverError,
                  "_MIN_STEP_FRACTION": _MIN_STEP_FRACTION}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["make"]
+    return namespace["kernel"]
 
 
 def _plant_constants(params: PlantParams, R: float) -> dict:
@@ -554,9 +556,10 @@ def _plant_constants(params: PlantParams, R: float) -> dict:
 
 def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
                    force: ForceModel, x_star: float, summary: bool = False):
-    """The closed loop's ``method`` kernel for one setpoint segment, with the
-    force's kind written in place while its type has ``_FORCE_LAW``; with
-    ``summary`` its rows hold only the SUMMARY_CHANNELS."""
+    """The closed loop's ``method`` kernel for one setpoint segment, its
+    constants bound by ``functools.partial``, with the force's kind written in
+    place while its type has ``_FORCE_LAW``; with ``summary`` its rows hold
+    only the SUMMARY_CHANNELS."""
     law = force.kind if type(force).__call__ is _FORCE_LAW else "call"
     k_m, L0 = gains.k_m, params.geometry.L0
     constants = _plant_constants(params, params.R)
@@ -564,14 +567,16 @@ def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
                      kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m, L0_sq=L0 * L0, x_star=x_star,
                      fv=force.value, f=force.__call__, tanh=math.tanh,
                      Gamma0=params.fluid.Gamma0, expm1=math.expm1, summary=summary)
-    return _kernel_factory(method, "closed", law, tuple(constants))(**constants)
+    return functools.partial(_kernel_factory(method, "closed", law, tuple(constants)),
+                             **constants)
 
 
 def _open_kernel(method: str, params: PlantParams, R: float):
     """The ``method`` kernel of the unforced open-loop plant with damping ``R``."""
     constants = _plant_constants(params, R)
     constants["neg_Gamma0"] = -params.fluid.Gamma0
-    return _kernel_factory(method, "open", None, tuple(constants))(**constants)
+    return functools.partial(_kernel_factory(method, "open", None, tuple(constants)),
+                             **constants)
 
 
 def augmented_field(state: PlantState, F_hat: float, gains: ControllerGains,

@@ -96,6 +96,12 @@ class Report:
         return all(c.ok for c in self.checks)
 
 
+def _worse(worst: float, err: float) -> float:
+    """``max(worst, err)``, except that a NaN in either is kept, so that a
+    NaN comparison FAILs its check."""
+    return err if err > worst or err != err else worst
+
+
 def _below(name: str, value: float, bound: float) -> Check:
     return Check(name, value, bound, value < bound)
 
@@ -167,8 +173,8 @@ def check_matching(seed: int = 0) -> Report:
         raw = open_loop_field(state, U1, U2, F, params)
         shaped = closed_loop_field(state, F_hat, F, gains, x_star, params)
         terms = _matching_terms(state, U1, U2, F_hat, F, gains, x_star, params)
-        worst = max(worst, *(_rel_err(a, b, t, MATCHING_BOUND)
-                             for a, b, t in zip(raw, shaped, terms)))
+        for a, b, t in zip(raw, shaped, terms):
+            worst = _worse(worst, _rel_err(a, b, t, MATCHING_BOUND))
     check = _below("matching", worst, MATCHING_BOUND)
     return Report((check,), (
         f"matching: {MATCHING_SAMPLES} random states, "
@@ -258,7 +264,7 @@ def check_gradients(seed: int = 0) -> Report:
     def judge(name: str, exact: float, up: float, dn: float, h: float) -> None:
         err = _rel_err(exact, (up - dn) / (2 * h), (abs(up) + abs(dn)) / (2 * h),
                        GRADIENT_BOUNDS[name])
-        worst[name] = max(worst[name], err)
+        worst[name] = _worse(worst[name], err)
 
     h_x = 1e-8
     for x in xs:

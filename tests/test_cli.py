@@ -803,14 +803,16 @@ def test_epsilon_sweep_simulates_once(tmp_path, short_scenario_file, monkeypatch
 # Imports the package, then the CLI, then runs argv on two cores. Prints one JSON
 # object: the exit status; the multiprocessing and numpy.random modules loaded
 # after the imports and after the command; whether numpy was loaded after
-# `import antago`, after `import antago.cli` and after the command; and, for each
-# fork, whether numpy was loaded when it was made.
+# `import antago`, after `import antago.cli` and after the command; whether
+# antago.verify was loaded after `import antago.cli` and after the command; and,
+# for each fork, whether numpy was loaded when it was made.
 _LOADED_MODULES = """\
 import contextlib, io, json, os, sys
 import antago
 numpy = {"import antago": "numpy" in sys.modules}
 import antago.cli
 numpy["import antago.cli"] = "numpy" in sys.modules
+verify = {"import antago.cli": "antago.verify" in sys.modules}
 def loaded():
     return sorted(m for m in sys.modules
                   if "multiprocessing" in m or m.startswith("numpy.random"))
@@ -821,8 +823,9 @@ os.fork = lambda: forks.append("numpy" in sys.modules) or fork()
 with contextlib.redirect_stdout(io.StringIO()):
     code = antago.cli.main(sys.argv[1:])
 numpy["command"] = "numpy" in sys.modules
+verify["command"] = "antago.verify" in sys.modules
 print(json.dumps({"exit": code, "after_import": after_import, "after_command": loaded(),
-                  "numpy": numpy, "forks": forks}))
+                  "numpy": numpy, "verify": verify, "forks": forks}))
 """
 
 
@@ -843,6 +846,18 @@ def test_cli_import_does_not_load_multiprocessing(tmp_path, short_scenario_file)
                                "--out", "out.csv"], tmp_path)
     assert (seen["exit"], seen["after_import"], len(seen["forks"]), seen["after_command"]) \
         == (0, [], 1, [])
+
+
+def test_verify_choices_are_the_suites():
+    """The parser names the suites without loading antago.verify."""
+    assert antago.cli._VERIFY_SUITES == tuple(sorted(SUITES))
+
+
+@pytest.mark.parametrize("argv, loads", [(["run", "fig2-F1"], False),
+                                         (["verify", "matching"], True)])
+def test_only_verify_loads_the_verify_suites(tmp_path, argv, loads):
+    seen = _modules_loaded_by(argv, tmp_path)
+    assert (seen["exit"], seen["verify"]) == (0, {"import antago.cli": False, "command": loads})
 
 
 @pytest.mark.parametrize("argv, forks", [

@@ -1016,6 +1016,26 @@ def test_each_kernel_compiles_once_per_process(study, monkeypatch):
                                 "<antago kernel row closed constant>"]
 
 
+@pytest.mark.parametrize("method", [*engine.STEPPERS, "rhs", "row"])
+@pytest.mark.parametrize("force", [None, ForceModel("constant", 0.7),
+                                   ForceModel("tanh_friction", 5.0),
+                                   ForceModel("spring", -10.0),
+                                   _OverriddenForce("spring", 10.0)],
+                         ids=["open", "constant", "tanh_friction", "spring", "call"])
+def test_kernels_take_their_constants_as_keyword_only_parameters(study, method, force):
+    """A kernel reads no closure cell: each bound constant, the functions
+    and the ``"call"`` law's ``f`` included, is a keyword-only parameter,
+    which the segment's ``functools.partial`` supplies."""
+    if force is None:
+        kernel = engine._open_kernel(method, study.params, study.params.R)
+    else:
+        kernel = engine._closed_kernel(method, study.params, study.gains, force, 1e-3)
+    code = kernel.func.__code__
+    assert (kernel.args, code.co_freevars) == ((), ())
+    assert code.co_kwonlyargcount == len(kernel.keywords)
+    assert code.co_varnames[code.co_argcount:][:len(kernel.keywords)] == tuple(kernel.keywords)
+
+
 _FRESH_SETUP = """\
 import antago.cli
 from antago import engine

@@ -1,9 +1,13 @@
 """The seeded verify suites: every seed passes, a one-part-in-a-billion
-mutation of an identity fails, and a negative seed is refused."""
+mutation of an identity fails, a NaN comparison fails, and a negative seed is
+refused."""
+
+import math
 
 import pytest
 
 import antago.verify
+from antago.cli import main
 from antago.controller import closed_loop_field, sigma
 from antago.plant import hamiltonian_gradient
 from antago.verify import check_gradients, check_matching
@@ -70,3 +74,38 @@ def test_rel_err_floor_is_one_rounding_unit_of_the_terms():
     assert antago.verify._rel_err(1.0, 1.0 + 0.5 * unit, terms, bound) < bound
     assert antago.verify._rel_err(1.0, 1.0 + 2.0 * unit, terms, bound) > bound
     assert antago.verify._rel_err(3.0, 3.0, 0.0, bound) == 0.0
+
+
+def _nan_on_first_call(func):
+    """``func`` with the first component of its first result replaced by NaN."""
+    calls = []
+
+    def stand_in(*args):
+        result = func(*args)
+        calls.append(None)
+        return (math.nan, *result[1:]) if len(calls) == 1 else result
+    return stand_in
+
+
+def test_matching_fails_on_nan(monkeypatch, capsys):
+    """A NaN field FAILs and exits 1 however many finite samples follow it."""
+    monkeypatch.setattr(antago.verify, "closed_loop_field", _nan_on_first_call(closed_loop_field))
+    report = check_matching(seed=0)
+    assert math.isnan(report.checks[0].value) and not report.ok
+    monkeypatch.setattr(antago.verify, "closed_loop_field", lambda *args: (math.nan,) * 4)
+    assert main(["verify", "matching"]) == 1
+    assert "rel. err nan (bound 1.0e-09) -> FAIL" in capsys.readouterr().out
+
+
+def test_gradients_fail_on_nan(monkeypatch, capsys):
+    monkeypatch.setattr(antago.verify, "hamiltonian_gradient",
+                        _nan_on_first_call(hamiltonian_gradient))
+    checks = {c.name: c for c in check_gradients(seed=0).checks}
+    assert {name: c.ok for name, c in checks.items()} == {
+        "volume-gradients": True, "volume-curvatures": True,
+        "hamiltonian-gradient": False, "sigma-partials": True}
+    assert math.isnan(checks["hamiltonian-gradient"].value)
+    monkeypatch.setattr(antago.verify, "hamiltonian_gradient", lambda *args: (math.nan,) * 4)
+    assert main(["verify", "gradients"]) == 1
+    assert ("gradients hamiltonian-gradient: worst rel. err nan (bound 1.0e-06) -> FAIL"
+            in capsys.readouterr().out)
