@@ -65,18 +65,21 @@ detail; every other caller gets the error itself.
 
 The kernels emit the trajectory record's rows. At each sample, the stage
 evaluated at the sample's state already holds the geometry, the force, sigma
-and the shear term; a template line ``$emit`` extends one flat list of floats
-by the 17 channels computed from those names (the open loop by its state), so
-no tuple outlives its row. ``rk23`` emits
+and the shear term; a template line ``$emit`` packs the 17 channels computed
+from those names (the open loop its state) into native float64 bytes with one
+``struct`` call, bound like the other constants, and appends them to one
+``array("d")`` with ``frombytes``, so each double is copied exactly and no
+Python float outlives its row. ``rk23`` emits
 from its first stage and then from the last stage of each step that lands on
 a grid time (the pair is FSAL), ``rk4`` from the first stage of the step that
 starts there; the row at a setpoint time comes from the first stage of the
 segment that starts there, which reads the new setpoint, and the last sample's
-row from one more evaluation. :func:`simulate` reads the list into the table
-with one numpy call, and no numpy expression computes a channel. The scalar
-plant and controller functions (``control_flows``, ``sigma``,
-``desired_energy``, ``hamiltonian``) are the channels' oracles: the test suite
-checks the channels against them at sampled rows. Like them,
+row from one more evaluation. :func:`simulate` wraps the array as the table
+with ``np.frombuffer``, a view that copies nothing, and no numpy expression
+computes a channel. The scalar plant and controller functions
+(``control_flows``, ``sigma``, ``desired_energy``, ``hamiltonian``) are the
+channels' oracles: the test suite checks the channels against them at sampled
+rows. Like them,
 :func:`augmented_field` takes ``F_hat`` and ``x_star`` as floats and reads the
 observer gain ``alpha`` only from ``ControllerGains``.
 
@@ -94,7 +97,9 @@ columns in one helper, and it makes the same evaluations.
 numpy is imported by the functions that build or read arrays (:func:`simulate`'s
 table, the record's ``==``, :func:`simulate_open_loop`'s result,
 :func:`fit_decay_rate`, :func:`simulate_summary` and :func:`diagnostics`), not
-by this module: the kernels never load it.
+by this module: the kernels never load it. ``array`` and ``struct`` are
+imported likewise, by the functions that build rows, so that importing the
+package loads neither.
 """
 
 from __future__ import annotations
@@ -112,6 +117,8 @@ from .errors import DomainError, ScenarioError, SolverError
 from .plant import DOMAIN_MARGIN, PlantParams, PlantState, geometry_terms, hamiltonian
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 FORCE_KINDS = ("constant", "tanh_friction", "spring")
@@ -122,8 +129,9 @@ FORCE_KINDS = ("constant", "tanh_friction", "spring")
 # fixed_step for rk4, duration / max_step for rk23). The presets ask for 2,001
 # samples; the costliest rk4 cross-check takes about 1.7e5 steps and `--method
 # rk4` on a preset 1e6. The rk4 budget is about 4e7 right-hand-side
-# evaluations, or 80 s of integration at the 1.8-2.2 us per evaluation of the
-# fused rk4 kernel, on one core of a 2-vCPU Xeon VM with Python 3.11.
+# evaluations, or 38 s of integration at the 0.95 us per evaluation of the
+# fused rk4 kernel (fig2-F1 at h = 1e-4: 4e5 evaluations in 380-385 ms), on
+# one core of a 2-vCPU Xeon VM with Python 3.11.
 MAX_SAMPLES = 10**6
 MAX_RK4_STEPS = 10**7
 
@@ -275,7 +283,8 @@ STATUSES = ("ok", "domain-exit", "step-underflow")
 class TrajectoryRecord:
     """Sampled closed-loop trajectory: ``table`` is one C-contiguous float64
     array, a row per sample and a column per channel in :data:`CHANNELS`
-    order; ``record[name]`` is a view of its column, and ``len`` and ``==``
+    order, which :func:`simulate` makes as a view of the kernels' buffer;
+    ``record[name]`` is a view of its column, and ``len`` and ``==``
     (NaN equal to NaN) read the table. ``status`` is one of
     :data:`STATUSES`; ``detail`` describes the offending state. Each row was
     emitted by the kernel stage evaluated at its sample (see the module
@@ -312,7 +321,7 @@ class TrajectoryRecord:
 # component and evaluates the body at the stage time ``T`` (read only by the
 # error message) into ``k1, k2, ...``, one per state. A ``for $i in state:``
 # block repeats its lines once per state, ``y$s`` stands for ``y1, y2, ...``,
-# and a line ``$emit`` extends ``rows`` by the loop's row at time ``t`` from the
+# and a line ``$emit`` appends to ``rows`` the loop's row at time ``t`` from the
 # names of the stage evaluated last, which must be at that time's state.
 
 # The geometry, the mass and the momentum rate G of both loops, from the
@@ -368,23 +377,23 @@ err = x_star - x
 H_d = p * p / (two_k_m * M) + 0.5 * k_p * (err * err) + 0.5 * (sig * sig)
 Psi = H_d + 0.5 * (zeta * zeta)
 if summary:
-    extend((t, x, x_star, zeta, Psi, sig, P1, P2, F_hat))
+    emit(pack(t, x, x_star, zeta, Psi, sig, P1, P2, F_hat))
 else:
     shear = -ns
-    extend((t, x, v, p, P1, P2,
-            A1 * v - (V1 / Gamma0) * (shear / A1 + k_i_sig / A1),
-            A2 * v - (V2 / Gamma0) * (shear / A2 + k_i_sig / A2),
-            F_hat, F_tilde, F, zeta, sig, x_star,
-            p * p / (2.0 * M) + (-P1 + Gamma0 * expm1(P1 / Gamma0)) * V1
-            + (-P2 + Gamma0 * expm1(P2 / Gamma0)) * V2,
-            H_d, Psi))
+    emit(pack(t, x, v, p, P1, P2,
+              A1 * v - (V1 / Gamma0) * (shear / A1 + k_i_sig / A1),
+              A2 * v - (V2 / Gamma0) * (shear / A2 + k_i_sig / A2),
+              F_hat, F_tilde, F, zeta, sig, x_star,
+              p * p / (2.0 * M) + (-P1 + Gamma0 * expm1(P1 / Gamma0)) * V1
+              + (-P2 + Gamma0 * expm1(P2 / Gamma0)) * V2,
+              H_d, Psi))
 """),
     "open": (("x", "p", "P1", "P2"), _PLANT_BODY + """\
 $k1 = v
 $k2 = G
 $k3 = neg_Gamma0 * (A1 * v) / V1
 $k4 = neg_Gamma0 * (A2 * v) / V2
-""", "extend((x, p, P1, P2))\n"),
+""", "emit(pack(x, p, P1, P2))\n"),
 }
 
 # The closed loop's force, by law: ForceModel's three kinds written out with
@@ -408,7 +417,7 @@ _COLLISION_FRACTION = 100 * _MIN_STEP_FRACTION
 _RK23 = """\
 def kernel(y, t_grid, solver, h, rows):
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
-    extend = rows.extend
+    emit = rows.frombytes
     t = t_grid[0]
     y$s = y
     a = rhs(t, y$i)
@@ -459,7 +468,7 @@ def kernel(y, t_grid, solver, h, rows):
 # that starts there.
 _RK4 = """\
 def kernel(y, t_grid, solver, h_in, rows):
-    extend = rows.extend
+    emit = rows.frombytes
     y$s = y
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
         n = max(1, ceil((tb - ta) / solver.fixed_step - 1e-12))
@@ -480,7 +489,7 @@ def kernel(y, t_grid, solver, h_in, rows):
 """
 
 # By method name, the stepper templates. Each kernel takes (y, t_grid, solver,
-# h, rows), extends ``rows`` by the row of each time of ``t_grid`` but the
+# h, rows), appends to ``rows`` the row of each time of ``t_grid`` but the
 # last, and returns (the state at the last time, the next h).
 STEPPERS = {"rk23": _RK23, "rk4": _RK4}
 
@@ -492,7 +501,7 @@ def kernel(t, y$s):
     return (a$s)
 """, "row": """\
 def kernel(t, y, rows):
-    extend = rows.extend
+    emit = rows.frombytes
     y$s = y
     a = rhs(t, y$i)
     $emit
@@ -547,6 +556,17 @@ def _kernel_factory(method: str, loop: str, law: str | None, constants: tuple[st
     return namespace["kernel"]
 
 
+@functools.cache
+def _pack(width: int):
+    """``struct.Struct(f"{width}d").pack``: a row of ``width`` floats as the
+    native float64 bytes that a kernel's ``emit`` (``rows.frombytes``) appends,
+    each double copied exactly. ``struct`` is imported here, where rows are
+    built, so that importing the package does not load it."""
+    import struct
+
+    return struct.Struct(f"{width}d").pack
+
+
 def _plant_constants(params: PlantParams, R: float) -> dict:
     geo = params.geometry
     return {"L0": geo.L0, "K0": geo.K0, "V0": geo.V0, "x0": geo.x0, "x_M": geo.x_M,
@@ -566,7 +586,8 @@ def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
     constants.update(k_p=gains.k_p, k_m=k_m, k_i=gains.k_i, alpha=gains.alpha,
                      kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m, L0_sq=L0 * L0, x_star=x_star,
                      fv=force.value, f=force.__call__, tanh=math.tanh,
-                     Gamma0=params.fluid.Gamma0, expm1=math.expm1, summary=summary)
+                     Gamma0=params.fluid.Gamma0, expm1=math.expm1, summary=summary,
+                     pack=_pack(len(SUMMARY_CHANNELS if summary else CHANNELS)))
     return functools.partial(_kernel_factory(method, "closed", law, tuple(constants)),
                              **constants)
 
@@ -574,7 +595,7 @@ def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
 def _open_kernel(method: str, params: PlantParams, R: float):
     """The ``method`` kernel of the unforced open-loop plant with damping ``R``."""
     constants = _plant_constants(params, R)
-    constants["neg_Gamma0"] = -params.fluid.Gamma0
+    constants.update(neg_Gamma0=-params.fluid.Gamma0, pack=_pack(4))
     return functools.partial(_kernel_factory(method, "open", None, tuple(constants)),
                              **constants)
 
@@ -608,11 +629,13 @@ def _sample_grid(duration: float, sample_dt: float,
     return tuple(sorted(times))
 
 
-def _run(scenario: ScenarioConfig, summary: bool) -> tuple[list, str, str]:
-    """Integrate the augmented closed loop into one flat list of floats, a
-    row per sample, the last sample's too: the full row, or with ``summary``
-    the SUMMARY_CHANNELS. Returns the list, the status and the detail.
+def _run(scenario: ScenarioConfig, summary: bool) -> tuple[array, str, str]:
+    """Integrate the augmented closed loop into one float64 ``array("d")``,
+    a row per sample, the last sample's too: the full row, or with ``summary``
+    the SUMMARY_CHANNELS. Returns the array, the status and the detail.
     """
+    from array import array
+
     params, gains, force = scenario.params, scenario.gains, scenario.force
     solver = scenario.solver
 
@@ -621,7 +644,7 @@ def _run(scenario: ScenarioConfig, summary: bool) -> tuple[list, str, str]:
 
     y = (scenario.initial.x, scenario.initial.p, scenario.initial.P1,
          scenario.initial.P2, scenario.initial_F_hat())
-    rows = []
+    rows = array("d")
     width = len(SUMMARY_CHANNELS if summary else CHANNELS)
     h = min(solver.max_step, 1e-6)
 
@@ -657,8 +680,7 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     import numpy as np
 
     rows, status, detail = _run(scenario, False)
-    table = np.fromiter(rows, float, len(rows))
-    return TrajectoryRecord(table.reshape(-1, len(CHANNELS)), status, detail)
+    return TrajectoryRecord(np.frombuffer(rows).reshape(-1, len(CHANNELS)), status, detail)
 
 
 def simulate_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
@@ -670,7 +692,7 @@ def simulate_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
     import numpy as np
 
     rows, status, _ = _run(scenario, True)
-    table = np.fromiter(rows, float, len(rows)).reshape(-1, len(SUMMARY_CHANNELS))
+    table = np.frombuffer(rows).reshape(-1, len(SUMMARY_CHANNELS))
     return _reduce(table.T, status, scenario.gains, scenario.params)
 
 
@@ -687,6 +709,8 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     leaves the admissible region and ``SolverError`` when the adaptive step
     collapses.
     """
+    from array import array
+
     import numpy as np
 
     _check_cost(duration, solver, 0)
@@ -696,11 +720,11 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
         raise ScenarioError("R_override must be non-negative and finite")
     grid = _sample_grid(duration, solver.sample_dt, ())
     y = (initial.x, initial.p, initial.P1, initial.P2)
-    rows = []
+    rows = array("d")
     y, _ = _open_kernel(solver.method, params, R)(y, grid, solver, min(solver.max_step, 1e-8),
                                                   rows)
     rows.extend(y)
-    states = np.array(rows).reshape(-1, len(y))
+    states = np.frombuffer(rows).reshape(-1, len(y))
     energies = np.array([hamiltonian(PlantState(*row), params)
                          for row in states.tolist()])
     return np.asarray(grid), states, energies

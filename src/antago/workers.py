@@ -26,10 +26,10 @@ The policy, kept here alone:
   so that the workers share the loaded module and do not each import it
   again. When the items run in this process, it imports nothing.
 
-A fork plus its reaping costs 2.4–2.9 ms on a 2-core VM (Python 3.11), so a
-job is worth a child only at several times that. The CSV writer renders in
-blocks of 1024 rows, about 20 ms each at about 20 µs per row, and so never
-forks for a table of one block.
+A fork plus its reaping costs about 1.3–1.4 ms on a 2-core VM (Python 3.11),
+so a job is worth a child only at several times that. The CSV writer renders
+in blocks of 1024 rows, about 8.7 ms each at about 8.5 µs per row, and so
+never forks for a table of one block.
 """
 
 from __future__ import annotations

@@ -247,6 +247,30 @@ def test_record_channels_are_views_of_its_table(fig2_runs):
         record["nope"]
 
 
+def test_run_peak_memory_is_about_one_table(study):
+    """The kernels pack each row into one float64 ``array("d")`` and the
+    table is a view of it, so after a warm-up run, which compiles the
+    kernels, the tracemalloc peak of ``simulate(fig2-F1)`` and of
+    ``simulate_summary(fig2-F1)`` stays below 1.5 times the record table's
+    272,136 bytes: 0.304 MB and 0.291 MB (Python 3.11, numpy 2.4), where
+    extending a list of floats that ``np.fromiter`` copied peaked at 1.265 MB
+    and 0.773 MB."""
+    import tracemalloc
+
+    record = simulate(study)
+    simulate_summary(study)
+    assert record.table.nbytes == 272_136
+    peaks = []
+    for run in (simulate, simulate_summary):
+        tracemalloc.start()
+        try:
+            run(study)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1.5 * record.table.nbytes, peaks
+
+
 def test_sample_grid_memo_matches_a_fresh_grid():
     """The one-entry memo of the sample grid hands every caller the grid the
     plain function builds, bit for bit and as a tuple, for the presets, the
@@ -1037,20 +1061,22 @@ def test_kernels_take_their_constants_as_keyword_only_parameters(study, method, 
 
 
 _FRESH_SETUP = """\
+import sys
 import antago.cli
 from antago import engine
 from antago.scenario_io import list_presets, load_preset
 names = list_presets()
 for name in names:
     load_preset(name)
-print(len(names), engine._kernel_factory.cache_info().misses)
+print(len(names), engine._kernel_factory.cache_info().misses, "array" in sys.modules)
 """
 
 
 def test_import_and_parse_compile_no_kernel():
-    """Importing the CLI and parsing the presets compiles no kernel, so a
-    command's set-up time does not include one."""
+    """Importing the CLI and parsing the presets compiles no kernel and loads
+    no ``array`` module, which only the functions that build rows import, so
+    a command's set-up time includes neither."""
     src = str(Path(engine.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _FRESH_SETUP], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    assert proc.stdout.split() == ["4", "0"]
+    assert proc.stdout.split() == ["4", "0", "False"]
