@@ -13,14 +13,21 @@ variable; ``verify`` always checks the bundled presets). Exit status is
 nonzero when a run terminates early or a verification bound is violated.
 Every bad input reaches :func:`main` as a ``ValueError`` (``ScenarioError``
 and ``DomainError`` are ones), which it prints as one ``error:`` line before
-exiting 1, as it does an ``OSError`` (an unreadable scenario, an unwritable
-``--out``, a full disk; the old ``--out`` stays) and a ``WorkerError`` (a
-forked worker that died); an early end of a run is the record's status.
+exiting 1, as it does an ``ArithmeticError`` (finite, accepted inputs whose
+run overflows or divides by zero, such as ``Gamma0 = 1e-300``), an
+``OSError`` (an unreadable scenario, an unwritable ``--out``, a full disk)
+and a ``WorkerError`` (a forked worker that died); the old ``--out`` stays.
+An early end of a run is the record's status.
 
-``sweep`` takes at most ``MAX_SWEEP_POINTS`` values, checks every point
-before it simulates any, then runs the points on
-:func:`antago.workers.forked_imap`. Its table and progress lines do not depend
-on how many workers ran.
+Inputs are rejected before any work: an ``--out`` that is empty, a
+directory or under a regular file, a negative ``--seed``, a scenario path
+that names a directory unless it is also a preset's name, and ``--values``
+text that is neither a number list nor a range, naming it, or that asks for
+more than ``MAX_SWEEP_POINTS`` points, counted before any is read. ``sweep``
+checks every point before it simulates any, then runs the points on
+:func:`antago.workers.forked_imap` (an ``epsilon`` sweep simulates its one
+scenario once, here). Its table and progress lines do not depend on how many
+workers ran.
 """
 
 from __future__ import annotations
@@ -72,13 +79,8 @@ def _resolve_scenario(ref: str) -> ScenarioConfig:
 
 
 def _apply_solver_flags(scenario: ScenarioConfig, args) -> ScenarioConfig:
-    changes = {}
-    if args.rel_tol is not None:
-        changes["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        changes["abs_tol"] = args.abs_tol
-    if args.method is not None:
-        changes["method"] = args.method
+    changes = {key: getattr(args, key) for key in ("rel_tol", "abs_tol", "method")
+               if getattr(args, key) is not None}
     if not changes:
         return scenario
     return replace(scenario, solver=replace(scenario.solver, **changes))
@@ -262,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__} in the run: {exc}", file=sys.stderr)
         return 1
 
 

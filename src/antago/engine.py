@@ -22,10 +22,10 @@ entry is a stepper template, source text stepping the loop's states with every
 stage written out per component, into which the loop's right-hand side, also
 written once as source text, is inlined at every stage: no evaluation pays a
 Python call or builds a tuple. The one-stage instance is the right-hand side
-alone (:func:`augmented_field`). Each (method, loop, force law) kernel is
-compiled once per process, on first use and never on import. It takes the
-scalar constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``, ``-K0``, the
-parameters, the libm functions and the ``summary`` flag) as keyword-only
+alone (:func:`augmented_field`). Each (method, loop, force law, channels)
+kernel is compiled once per process, on first use and never on import. It
+takes the scalar constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``, ``-K0``, the
+parameters, the libm functions and the row's ``pack``) as keyword-only
 parameters, so each stage reads them as fast locals, and per setpoint segment
 ``functools.partial`` binds their values once, so a sweep point compiles
 nothing. The open loop is the unforced plant (no flow, no load); its
@@ -42,11 +42,6 @@ is written ``r - q``, which IEEE arithmetic defines as the same operation. So
 every floating-point operation keeps the operands and order of the textbook
 form, and the trajectories are bit-identical to it.
 
-The sample grid is a pure function of ``(duration, sample_dt, setpoint
-times)``, so the last one built is kept (:func:`_sample_grid`, a one-entry
-memo keyed on those three with the two scalars' types): the points of a sweep
-share one grid. It is a tuple, so no caller can change the shared copy.
-
 A :class:`ScenarioConfig` checks itself on construction (``replace`` too), so
 every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
 output samples and setpoints and ``MAX_RK4_STEPS`` steps (of ``max_step`` for rk23).
@@ -61,45 +56,40 @@ volume-model boundary ends a run as "domain-exit". The kernels inline
 Errors are raised once, at the failure, with the time and state in the
 message: the right-hand side raises ``DomainError``, the ``rk23`` stepper
 ``SolverError``. :func:`simulate` turns either into the record's status and
-detail; every other caller gets the error itself.
+detail; every other caller gets the error itself, as every caller gets an
+``ArithmeticError`` of finite but extreme inputs.
 
-The kernels emit the trajectory record's rows. At each sample, the stage
-evaluated at the sample's state already holds the geometry, the force, sigma
-and the shear term; a template line ``$emit`` packs the 17 channels computed
-from those names (the open loop its state) into native float64 bytes with one
-``struct`` call, bound like the other constants, and appends them to one
-``array("d")`` with ``frombytes``, so each double is copied exactly and no
-Python float outlives its row. ``rk23`` emits
+The kernels emit the record's rows. ``_CHANNEL_EXPRESSIONS`` maps each
+channel, in column order (:data:`CHANNELS` is its keys), to its expression
+over the names of the stage evaluated at the sample. A kernel is compiled for
+a tuple of channels: each ``$emit`` line becomes the loop's shared lines
+(F_tilde, zeta, H_d, Psi) and one ``pack`` of those channels' expressions (the
+open loop's: its state) into float64 bytes, ``struct.Struct(f"{n}d").pack``
+bound like the other constants, appended to one ``array("d")``, so each
+double is copied exactly and no Python float outlives its row. ``rk23`` emits
 from its first stage and then from the last stage of each step that lands on
 a grid time (the pair is FSAL), ``rk4`` from the first stage of the step that
-starts there; the row at a setpoint time comes from the first stage of the
-segment that starts there, which reads the new setpoint, and the last sample's
-row from one more evaluation. :func:`simulate` wraps the array as the table
-with ``np.frombuffer``, a view that copies nothing, and no numpy expression
-computes a channel. The scalar plant and controller functions
-(``control_flows``, ``sigma``, ``desired_energy``, ``hamiltonian``) are the
-channels' oracles: the test suite checks the channels against them at sampled
-rows. Like them,
-:func:`augmented_field` takes ``F_hat`` and ``x_star`` as floats and reads the
-observer gain ``alpha`` only from ``ControllerGains``.
+starts there; a setpoint time's row comes from the first stage of the segment
+that starts there, and the last sample's from one more evaluation. ``_run``
+returns the array as the table, a ``np.frombuffer`` view that copies nothing,
+and no numpy expression computes a channel. The scalar plant and controller
+functions (``control_flows``, ``sigma``, ``desired_energy``, ``hamiltonian``)
+are the channels' oracles in the test suite. Like them, :func:`augmented_field`
+takes ``F_hat`` and ``x_star`` as floats and reads ``alpha`` only from
+``ControllerGains``.
 
 A run that only needs its :class:`DiagnosticsSummary` (a sweep point, the
-``lyapunov`` suite) takes :func:`simulate_summary`: the same kernels, given
-the constant ``summary``, emit at every sample, the last included, a summary
-row of the nine channels that :func:`diagnostics` reads, ``SUMMARY_CHANNELS``
-= (t, x, x_star, zeta, Psi, sigma, P1, P2, F_hat), in place of the 17. Both
-row forms compute F_tilde, zeta, H_d and Psi in the same lines and take the
-rest from the stage's names, so the columns are those of the record, and a
-failure keeps the same rows of either. The summary equals
-``diagnostics(simulate(scenario))`` field for field, since both reduce those
-columns in one helper, and it makes the same evaluations.
+``lyapunov`` suite) takes :func:`simulate_summary`, whose kernels emit, at
+every sample, only the channels :func:`diagnostics` reads, ``SUMMARY_CHANNELS``
+= (t, x, x_star, zeta, Psi, sigma, P1, P2, F_hat). Their expressions are the
+record's, so a run keeps the same rows of them and a failure the same rows of
+either; the summary equals ``diagnostics(simulate(scenario))`` field for
+field, as both reduce those columns in one helper.
 
-numpy is imported by the functions that build or read arrays (:func:`simulate`'s
-table, the record's ``==``, :func:`simulate_open_loop`'s result,
-:func:`fit_decay_rate`, :func:`simulate_summary` and :func:`diagnostics`), not
-by this module: the kernels never load it. ``array`` and ``struct`` are
-imported likewise, by the functions that build rows, so that importing the
-package loads neither.
+numpy is imported by the functions that build or read arrays, and ``array``
+by those that build rows, so that importing the package loads neither; the
+kernels never load numpy. ``struct`` is a module import: Python's start-up
+(``site``) has already loaded it.
 """
 
 from __future__ import annotations
@@ -108,6 +98,7 @@ import functools
 import linecache
 import math
 import re
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -117,8 +108,6 @@ from .errors import DomainError, ScenarioError, SolverError
 from .plant import DOMAIN_MARGIN, PlantParams, PlantState, geometry_terms, hamiltonian
 
 if TYPE_CHECKING:
-    from array import array
-
     import numpy as np
 
 FORCE_KINDS = ("constant", "tanh_friction", "spring")
@@ -268,9 +257,21 @@ def _check_initial(initial: PlantState, params: PlantParams) -> None:
         raise ScenarioError("initial position outside the admissible range")
 
 
-# The record's channels, in the column order of its table and of its CSV.
-CHANNELS = ("t", "x", "xdot", "p", "P1", "P2", "U1", "U2", "F_hat", "F_tilde",
-            "F_true", "zeta", "sigma", "x_star", "H", "H_d", "Psi")
+# The record's channels, in the column order of its table and of its CSV, each
+# with its expression over the names that the closed loop's stage and emit
+# lines define (_LOOPS["closed"]). A kernel compiled for a tuple of these
+# channels emits rows of their expressions: the record's, or the summary's.
+_CHANNEL_EXPRESSIONS = {
+    "t": "t", "x": "x", "xdot": "v", "p": "p", "P1": "P1", "P2": "P2",
+    "U1": "A1 * v - (V1 / Gamma0) * (shear / A1 + k_i_sig / A1)",
+    "U2": "A2 * v - (V2 / Gamma0) * (shear / A2 + k_i_sig / A2)",
+    "F_hat": "F_hat", "F_tilde": "F_tilde", "F_true": "F", "zeta": "zeta", "sigma": "sig",
+    "x_star": "x_star",
+    "H": "p * p / (2.0 * M) + (-P1 + Gamma0 * expm1(P1 / Gamma0)) * V1"
+         " + (-P2 + Gamma0 * expm1(P2 / Gamma0)) * V2",
+    "H_d": "H_d", "Psi": "Psi",
+}
+CHANNELS = tuple(_CHANNEL_EXPRESSIONS)
 _COLUMN = {name: i for i, name in enumerate(CHANNELS)}
 # The channels diagnostics reads: the first five at every sample, the rest at the last.
 SUMMARY_CHANNELS = ("t", "x", "x_star", "zeta", "Psi", "sigma", "P1", "P2", "F_hat")
@@ -349,14 +350,13 @@ w2 = A2 * P2
 G = p * p * rho * (A1 + A2) / (2.0 * M * M) + w1 + w2 - R * v
 """
 
-# Per loop: the names its body reads the state under, the body, and the row
-# the body's names give at a sample, emitted by ``$emit`` (at time ``t``); the
-# open loop is the unforced plant, and its row is its state. ``$force`` is the
-# closed loop's line of _FORCE_LINES. The closed loop's row is the record's
-# channels in CHANNELS order, or the SUMMARY_CHANNELS alone when the kernel's
-# constant ``summary`` is true; both forms share the lines above the branch.
-# Each square is written as a product (``v**2`` calls libm's pow, an ulp off
-# ``v * v`` on a few samples per run).
+# Per loop: the names its body reads the state under, the body, the lines that
+# ``$emit`` runs (at time ``t``) before it packs the row, and the expression of
+# each channel that a row can hold; a kernel's row is the channels it is
+# compiled for. The open loop is the unforced plant, and its row is its state.
+# ``$force`` is the closed loop's line of _FORCE_LINES. Each square is written
+# as a product (``v**2`` calls libm's pow, an ulp off ``v * v`` on a few
+# samples per run).
 _LOOPS = {
     "closed": (("x", "p", "P1", "P2", "F_hat"), _PLANT_BODY + """\
 dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * g1 / (L0_sq * s1**3))
@@ -376,24 +376,14 @@ zeta = F_tilde - F
 err = x_star - x
 H_d = p * p / (two_k_m * M) + 0.5 * k_p * (err * err) + 0.5 * (sig * sig)
 Psi = H_d + 0.5 * (zeta * zeta)
-if summary:
-    emit(pack(t, x, x_star, zeta, Psi, sig, P1, P2, F_hat))
-else:
-    shear = -ns
-    emit(pack(t, x, v, p, P1, P2,
-              A1 * v - (V1 / Gamma0) * (shear / A1 + k_i_sig / A1),
-              A2 * v - (V2 / Gamma0) * (shear / A2 + k_i_sig / A2),
-              F_hat, F_tilde, F, zeta, sig, x_star,
-              p * p / (2.0 * M) + (-P1 + Gamma0 * expm1(P1 / Gamma0)) * V1
-              + (-P2 + Gamma0 * expm1(P2 / Gamma0)) * V2,
-              H_d, Psi))
-"""),
+shear = -ns
+""", _CHANNEL_EXPRESSIONS),
     "open": (("x", "p", "P1", "P2"), _PLANT_BODY + """\
 $k1 = v
 $k2 = G
 $k3 = neg_Gamma0 * (A1 * v) / V1
 $k4 = neg_Gamma0 * (A2 * v) / V2
-""", "emit(pack(x, p, P1, P2))\n"),
+""", "", {"x": "x", "p": "p", "P1": "P1", "P2": "P2"}),
 }
 
 # The closed loop's force, by law: ForceModel's three kinds written out with
@@ -510,10 +500,11 @@ def kernel(t, y, rows):
 _STAGE = r"( *)(\w) = rhs\((.+?), (.+)\)"
 
 
-def _kernel_source(template: str, loop: str, law: str | None) -> str:
-    """Expand ``template`` with the body of ``loop`` inlined at each stage and
-    its row at each ``$emit``."""
-    names, body, emit = _LOOPS[loop]
+def _kernel_source(template: str, loop: str, law: str | None, channels: tuple[str, ...]) -> str:
+    """Expand ``template`` with the body of ``loop`` inlined at each stage and,
+    at each ``$emit``, its emit lines and its row of ``channels``."""
+    names, body, emit, expressions = _LOOPS[loop]
+    emit += f"emit(pack({', '.join(expressions[name] for name in channels)}))\n"
     components = range(1, len(names) + 1)
     body = body.replace("$force", _FORCE_LINES.get(law, "")).replace("$state", ", ".join(names))
     lines = template.splitlines()
@@ -541,30 +532,21 @@ def _kernel_source(template: str, loop: str, law: str | None) -> str:
 
 
 @functools.cache
-def _kernel_factory(method: str, loop: str, law: str | None, constants: tuple[str, ...]):
+def _kernel_factory(method: str, loop: str, law: str | None, channels: tuple[str, ...],
+                    constants: tuple[str, ...]):
     """Compile the kernel of ``method`` (a key of STEPPERS or _ONE_STAGE) for
-    ``loop`` and force ``law``, taking ``constants`` (the same names for every
-    call of a loop) as keyword-only parameters, which it reads as fast locals."""
-    source = _kernel_source({**STEPPERS, **_ONE_STAGE}[method], loop, law)
+    ``loop`` and force ``law``, emitting rows of ``channels``, taking
+    ``constants`` (the same names for every call of a loop) as keyword-only
+    parameters, which it reads as fast locals."""
+    source = _kernel_source({**STEPPERS, **_ONE_STAGE}[method], loop, law, channels)
     # The template's first line is its ``def kernel(...):``.
     source = source.replace("):\n", f", *, {', '.join(constants)}):\n", 1) + "\n"
-    filename = f"<antago kernel {method} {loop} {law}>"
+    filename = f"<antago kernel {method} {loop} {law} {','.join(channels)}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"ceil": math.ceil, "DomainError": DomainError, "SolverError": SolverError,
                  "_MIN_STEP_FRACTION": _MIN_STEP_FRACTION}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["kernel"]
-
-
-@functools.cache
-def _pack(width: int):
-    """``struct.Struct(f"{width}d").pack``: a row of ``width`` floats as the
-    native float64 bytes that a kernel's ``emit`` (``rows.frombytes``) appends,
-    each double copied exactly. ``struct`` is imported here, where rows are
-    built, so that importing the package does not load it."""
-    import struct
-
-    return struct.Struct(f"{width}d").pack
 
 
 def _plant_constants(params: PlantParams, R: float) -> dict:
@@ -575,28 +557,28 @@ def _plant_constants(params: PlantParams, R: float) -> dict:
 
 
 def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
-                   force: ForceModel, x_star: float, summary: bool = False):
-    """The closed loop's ``method`` kernel for one setpoint segment, its
-    constants bound by ``functools.partial``, with the force's kind written in
-    place while its type has ``_FORCE_LAW``; with ``summary`` its rows hold
-    only the SUMMARY_CHANNELS."""
+                   force: ForceModel, x_star: float, channels: tuple[str, ...] = CHANNELS):
+    """The closed loop's ``method`` kernel for one setpoint segment, emitting
+    rows of ``channels``, its constants bound by ``functools.partial``, with
+    the force's kind written in place while its type has ``_FORCE_LAW``."""
     law = force.kind if type(force).__call__ is _FORCE_LAW else "call"
     k_m, L0 = gains.k_m, params.geometry.L0
     constants = _plant_constants(params, params.R)
     constants.update(k_p=gains.k_p, k_m=k_m, k_i=gains.k_i, alpha=gains.alpha,
                      kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m, L0_sq=L0 * L0, x_star=x_star,
                      fv=force.value, f=force.__call__, tanh=math.tanh,
-                     Gamma0=params.fluid.Gamma0, expm1=math.expm1, summary=summary,
-                     pack=_pack(len(SUMMARY_CHANNELS if summary else CHANNELS)))
-    return functools.partial(_kernel_factory(method, "closed", law, tuple(constants)),
+                     Gamma0=params.fluid.Gamma0, expm1=math.expm1,
+                     pack=struct.Struct(f"{len(channels)}d").pack)
+    return functools.partial(_kernel_factory(method, "closed", law, channels, tuple(constants)),
                              **constants)
 
 
 def _open_kernel(method: str, params: PlantParams, R: float):
     """The ``method`` kernel of the unforced open-loop plant with damping ``R``."""
+    channels = _LOOPS["open"][0]
     constants = _plant_constants(params, R)
-    constants.update(neg_Gamma0=-params.fluid.Gamma0, pack=_pack(4))
-    return functools.partial(_kernel_factory(method, "open", None, tuple(constants)),
+    constants.update(neg_Gamma0=-params.fluid.Gamma0, pack=struct.Struct(f"{len(channels)}d").pack)
+    return functools.partial(_kernel_factory(method, "open", None, channels, tuple(constants)),
                              **constants)
 
 
@@ -629,12 +611,15 @@ def _sample_grid(duration: float, sample_dt: float,
     return tuple(sorted(times))
 
 
-def _run(scenario: ScenarioConfig, summary: bool) -> tuple[array, str, str]:
-    """Integrate the augmented closed loop into one float64 ``array("d")``,
-    a row per sample, the last sample's too: the full row, or with ``summary``
-    the SUMMARY_CHANNELS. Returns the array, the status and the detail.
+def _run(scenario: ScenarioConfig, channels: tuple[str, ...]) -> tuple[np.ndarray, str, str]:
+    """Integrate the augmented closed loop into a table of ``channels``, a row
+    per sample, the last sample's too: a view of the one float64
+    ``array("d")`` the kernels append to. Returns the table, the status and
+    the detail.
     """
     from array import array
+
+    import numpy as np
 
     params, gains, force = scenario.params, scenario.gains, scenario.force
     solver = scenario.solver
@@ -645,7 +630,6 @@ def _run(scenario: ScenarioConfig, summary: bool) -> tuple[array, str, str]:
     y = (scenario.initial.x, scenario.initial.p, scenario.initial.P1,
          scenario.initial.P2, scenario.initial_F_hat())
     rows = array("d")
-    width = len(SUMMARY_CHANNELS if summary else CHANNELS)
     h = min(solver.max_step, 1e-6)
 
     # Cut the grid by index at the setpoint times before the end, each a grid
@@ -656,16 +640,17 @@ def _run(scenario: ScenarioConfig, summary: bool) -> tuple[array, str, str]:
     cuts.append(len(grid) - 1)
     try:
         for (_, x_star), a, b in zip(scenario.setpoints, cuts, cuts[1:]):
-            kept = len(rows) + width   # through the segment's first row
-            kernel = _closed_kernel(solver.method, params, gains, force, x_star, summary)
+            kept = len(rows) + len(channels)   # through the segment's first row
+            kernel = _closed_kernel(solver.method, params, gains, force, x_star, channels)
             y, h = kernel(y, grid[a:b + 1], solver, h, rows)
         # The last sample's row, with the last segment's x_star.
-        _closed_kernel("row", params, gains, force, x_star, summary)(grid[-1], y, rows)
+        _closed_kernel("row", params, gains, force, x_star, channels)(grid[-1], y, rows)
+        status, detail = "ok", ""
     except (DomainError, SolverError) as exc:
-        status = "domain-exit" if isinstance(exc, DomainError) else "step-underflow"
         del rows[kept:]   # the failed segment keeps only its first row (ROADMAP item 1)
-        return rows, status, str(exc)
-    return rows, "ok", ""
+        status, detail = ("domain-exit" if isinstance(exc, DomainError) else "step-underflow",
+                          str(exc))
+    return np.frombuffer(rows).reshape(-1, len(channels)), status, detail
 
 
 def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
@@ -675,24 +660,22 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     state leaves the admissible region or the adaptive step collapses; the
     record keeps the setpoint segments finished before it and, once emitted,
     the failed segment's first row (see :class:`TrajectoryRecord`; ROADMAP
-    item 1).
+    item 1). An ``ArithmeticError`` of the kernels' float arithmetic, which
+    finite but extreme inputs can raise (``expm1(P_i / Gamma0)`` of the ``H``
+    channel overflowing, or a division by areas that underflowed to zero),
+    reaches the caller as raised.
     """
-    import numpy as np
-
-    rows, status, detail = _run(scenario, False)
-    return TrajectoryRecord(np.frombuffer(rows).reshape(-1, len(CHANNELS)), status, detail)
+    return TrajectoryRecord(*_run(scenario, CHANNELS))
 
 
 def simulate_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
     """``diagnostics(simulate(scenario), scenario.gains, scenario.params)``,
-    field for field, from the rows of the SUMMARY_CHANNELS alone: the same
-    evaluations emit them, so a run keeps the same samples, and a failure
-    truncates them at the same row, as the record.
+    field for field, from ``_run``'s table of the SUMMARY_CHANNELS alone:
+    kernels compiled for those channels emit them with the record's
+    expressions from the same evaluations, so a run keeps the same samples,
+    and a failure truncates them at the same row, as the record.
     """
-    import numpy as np
-
-    rows, status, _ = _run(scenario, True)
-    table = np.frombuffer(rows).reshape(-1, len(SUMMARY_CHANNELS))
+    table, status, _ = _run(scenario, SUMMARY_CHANNELS)
     return _reduce(table.T, status, scenario.gains, scenario.params)
 
 

@@ -16,8 +16,11 @@ gradients and curvatures, raises :class:`DomainError` for a position within
 it. The engine's kernels inline the same arithmetic; these functions are the
 oracles the test suite checks the kernels and the record's channels against.
 
-All functions here are pure and operate on plain floats; they are safe to
-call concurrently, and none imports numpy.
+Each parameter type checks its values on construction. All functions here are
+pure and operate on plain floats; they are safe to call concurrently, and none
+imports numpy. The pouch kinematics the volume law was derived from
+(``pouch_length``, ``pouch_volume``) are its oracle in the test suite, not part
+of the package.
 """
 
 from __future__ import annotations

@@ -23,7 +23,9 @@ table itself stays consumable by any CSV reader. Neither side holds the whole
 text: the writer writes each block of rows into the file as it is rendered,
 and numpy's reader takes the rows after the header in one call on the text
 stream: the open file, or the string's UTF-8 bytes behind an
-``io.TextIOWrapper``. Files are read and written as UTF-8. numpy is imported
+``io.TextIOWrapper``. A record round-trips exactly, a multi-line detail
+included (a ``\r`` in it comes back as ``\n``). Files are read and written as
+UTF-8. numpy is imported
 by the functions that render or read the table, not by this module, so that
 parsing a scenario does not load it.
 """

@@ -1,17 +1,22 @@
 """Self-contained numerical verification suites.
 
-Each suite re-derives a theoretical property of the closed loop with an
-independent oracle (finite differences, exact exponential solutions, raw
-open-loop composition, exact arithmetic) and returns one :class:`Report`: a
-:class:`Check` per verdict, each against a bound fixed in this module, and
-the lines that the CLI ``verify`` subcommand prints. The test suite asserts
-on the same checks. The suites read the presets bundled with the package,
-whatever ``ANTAGO_PRESET_DIR`` names: their bounds are fixed for those.
+Each suite of :data:`SUITES` (the matching identity, observer decay,
+Lyapunov descent, finite-difference gradients, and the gain arithmetic as
+``validate_gains`` reports it) re-derives a theoretical property of the
+closed loop with an independent oracle (finite differences, exact exponential
+solutions, raw open-loop composition, exact arithmetic) and returns one
+:class:`Report`: a :class:`Check` per verdict, each against a bound fixed in
+this module, as are the sample counts, and the lines that the CLI ``verify``
+subcommand prints. The test suite asserts on the same checks. The suites read
+the presets bundled with the package (``BUNDLED_PRESET_DIR``), whatever
+``ANTAGO_PRESET_DIR`` names: their bounds are fixed for those. ``lyapunov``
+simulates its three presets on :func:`~antago.workers.forked_imap`.
 
-``matching`` and ``gradients`` draw their random samples from
-``random.Random(seed)`` and compare two values each time, judged by
-:func:`_rel_err` down to one rounding unit of the terms the values sum, so
-that no verdict depends on the seed.
+``matching`` and ``gradients`` take a ``seed`` (a negative one is a
+``ValueError``), draw their random samples from ``random.Random(seed)`` and
+compare two values each time, judged by :func:`_rel_err` down to one rounding
+unit of the terms the values sum, so that no verdict depends on the seed (the
+test suite checks seeds 0 to 199).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Forked workers for independent jobs: one generator, :func:`forked_imap`.
 
-The policy, kept here alone:
+The policy, kept here alone (with ``os.fork`` and pipes, not
+``multiprocessing``):
 
 - One worker per core this process may use (``os.sched_getaffinity(0)``),
   and no more workers than items.
@@ -18,9 +19,9 @@ The policy, kept here alone:
   into a file as it is yielded, as ``save_trajectory_csv`` does, without a
   child writing what the parent had buffered there a second time.
   An exception ``fn`` raises in a child is raised again here; a child that
-  ends before it sends a result raises :class:`~antago.errors.WorkerError`.
-  Every child is killed and reaped when the generator ends, fails or is
-  closed early.
+  ends before it sends a result raises :class:`~antago.errors.WorkerError`,
+  naming its pid and its exit status or signal. Every child is killed and
+  reaped when the generator ends, fails or is closed early.
 - The package imports numpy only where an array is built, and its forked
   jobs build arrays: :func:`forked_imap` imports numpy before the first fork,
   so that the workers share the loaded module and do not each import it

@@ -522,10 +522,13 @@ def test_verify_gradients_and_observer(capsys):
     assert main(["verify", "observer-decay"]) == 0
 
 
-def test_presets_listing(capsys):
+def test_presets_listing(tmp_path, capsys, monkeypatch):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out.split()
     assert out == ["fig2-F1", "fig2-F2", "fig2-F3", "multistep"]
+    monkeypatch.setenv("ANTAGO_PRESET_DIR", str(tmp_path))
+    assert main(["presets"]) == 1
+    assert capsys.readouterr() == ("no presets found\n", "")
 
 
 def test_sweep_alpha_validity_flip(tmp_path, short_scenario_file, capsys):
@@ -585,25 +588,30 @@ def test_sweep_single_value_matches_run(tmp_path, short_scenario_file):
     assert float(swept["settle_time"]) == summary.settle_time
 
 
-def test_sweep_range_syntax(tmp_path, short_scenario_file):
+@pytest.mark.parametrize("values, expected", [("5:15:3", [5.0, 10.0, 15.0]), ("5:15:1", [5.0])])
+def test_sweep_range_syntax(tmp_path, short_scenario_file, values, expected):
     out = tmp_path / "rng.csv"
     assert main(["sweep", "k_i", str(short_scenario_file),
-                 "--values", "5:15:3", "--out", str(out)]) == 0
+                 "--values", values, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert len(lines) == 4
-    assert [float(ln.split(",")[0]) for ln in lines[1:]] == [5.0, 10.0, 15.0]
+    assert len(lines) == len(expected) + 1
+    assert [float(ln.split(",")[0]) for ln in lines[1:]] == expected
 
 
 _SWEEP_HEADER = ("value,valid,positive_definite,rate_bound_ok,condition_product,"
                  "status,x_error,settle_time,max_psi_increment,psi_max,zeta_rate")
 
 
-def _in_process_sweep(scenario, values, out):
-    """The alpha sweep's table and progress lines, one point at a time in this
-    process: validate_gains, simulate and diagnostics on each variant."""
+def _in_process_sweep(scenario, param, values, out):
+    """The table and progress lines of the sweep of ``param``, a gain or a
+    plant parameter, one point at a time in this process: validate_gains,
+    simulate and diagnostics on each variant."""
     rows, lines = [_SWEEP_HEADER], []
     for value in values:
-        variant = replace(scenario, gains=replace(scenario.gains, alpha=value))
+        if param in ("R", "m"):
+            variant = replace(scenario, params=replace(scenario.params, **{param: value}))
+        else:
+            variant = replace(scenario, gains=replace(scenario.gains, **{param: value}))
         report = validate_gains(variant.params, variant.gains)
         record = simulate(variant)
         summary = diagnostics(record, variant.gains, variant.params)
@@ -614,7 +622,7 @@ def _in_process_sweep(scenario, values, out):
             record.status, repr(summary.x_error), repr(summary.settle_time),
             repr(summary.max_psi_increment), repr(summary.psi_max),
             repr(summary.zeta_rate)]))
-        lines.append(f"alpha = {value:g}: valid={valid} "
+        lines.append(f"{param} = {value:g}: valid={valid} "
                      f"product={report.condition_product:.4f} status={record.status}")
     lines.append(f"wrote {len(values)} rows to {out}")
     return "\n".join(rows) + "\n", "\n".join(lines) + "\n"
@@ -631,22 +639,28 @@ def _record_pids(monkeypatch, path):
     monkeypatch.setattr("antago.cli.simulate_summary", simulate_and_log)
 
 
-def test_parallel_sweep_matches_in_process_rows(tmp_path, study, capsys, monkeypatch):
-    """More points than workers, one of them a domain exit: the CSV and the
-    progress lines are byte-identical to the points run here one by one."""
+@pytest.mark.parametrize("param, values, exit_code", [
+    ("alpha", [5.0, 10.0, 15.0, 1000.0, 20.0, 25.0, 30.0], 1),
+    ("R", [0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 100.0], 0),
+    ("m", [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0], 0),
+])
+def test_parallel_sweep_matches_in_process_rows(tmp_path, study, capsys, monkeypatch,
+                                                param, values, exit_code):
+    """More points than workers, of a gain with one point a domain exit and of
+    each plant parameter: the CSV and the progress lines are byte-identical to
+    the points run here one by one."""
     scenario = replace(study, duration=0.2)
     path = tmp_path / "short.ini"
     save_scenario(scenario, path)
-    values = [5.0, 10.0, 15.0, 1000.0, 20.0, 25.0, 30.0]
     out = tmp_path / "sweep.csv"
-    table, progress = _in_process_sweep(load_scenario(path), values, out)
-    assert ",domain-exit," in table and ",ok," in table
+    table, progress = _in_process_sweep(load_scenario(path), param, values, out)
+    assert (",domain-exit," in table) == bool(exit_code) and ",ok," in table
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     pids = tmp_path / "pids.txt"
     _record_pids(monkeypatch, pids)
-    assert main(["sweep", "alpha", str(path), "--values", ",".join(map(repr, values)),
-                 "--out", str(out)]) == 1
+    assert main(["sweep", param, str(path), "--values", ",".join(map(repr, values)),
+                 "--out", str(out)]) == exit_code
     assert out.read_text() == table
     assert capsys.readouterr().out == progress
     simulated_in = pids.read_text().split()
@@ -667,6 +681,39 @@ def test_worker_error_is_one_line_error(tmp_path, short_scenario_file, capsys, m
                  "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == "error: rejected in a worker\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+# Finite values the parser accepts whose run raises an ArithmeticError: the H
+# channel's expm1(P_i / Gamma0) overflows, or the areas underflow to zero and
+# the kernel divides by them.
+_ARITHMETIC_EDITS = {
+    "Gamma0": {"Gamma0": "1e-300"},
+    "K0": {"K0": "1e-300"},
+    "P1": {"P1": "1e300"},
+    "zero-area": {"K0": "5e-324", "L0": "1000.0"},
+}
+
+
+@pytest.mark.parametrize("command, edit", [*(("run", edit) for edit in _ARITHMETIC_EDITS),
+                                           ("sweep", "zero-area")])
+def test_arithmetic_error_is_one_line_error(tmp_path, study, capsys, monkeypatch, command, edit):
+    """An overflow or a division by zero in a run, a sweep's too, ends the
+    command with one error line and exit 1, and ``--out`` stays as it was."""
+    text = serialize_scenario(replace(study, duration=0.5))
+    for key, value in _ARITHMETIC_EDITS[edit].items():
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1, key
+    path = tmp_path / "edge.ini"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["run", str(path)] if command == "run" else ["sweep", "alpha", str(path),
+                                                          "--values", "5,10"]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert out.read_text() == "old\n"
 
 
 # Runs the CLI on argv, with two cores and with a sweep point that kills its own

@@ -102,6 +102,14 @@ def test_flows_vanish_at_equilibrium(params, gains):
     assert U1 == 0.0 and U2 == 0.0
 
 
+def test_flows_reject_a_vanished_area(params, gains):
+    """With K0 = 5e-324 and L0 = 1000 m the volume gradients underflow to
+    zero, and the flow commands, which divide by them, raise DomainError."""
+    tiny = replace(params, geometry=replace(params.geometry, K0=5e-324, L0=1000.0))
+    with pytest.raises(DomainError, match="volume gradient vanished"):
+        control_flows(PlantState(1e-3, 0.0, 0.0, 0.0), 0.0, gains, 1e-3, tiny)
+
+
 def test_closed_loop_field_zero_at_equilibrium(params, gains):
     state = PlantState(1e-3, 0.0, 0.0, 0.0)
     field = closed_loop_field(state, 0.0, 0.0, gains, 1e-3, params)

@@ -548,6 +548,26 @@ def test_summary_channels_are_every_channel_diagnostics_reads():
     assert _same_summary(diagnostics(blanked, *_gp(scenario)), diagnostics(record, *_gp(scenario)))
 
 
+def test_summary_rows_are_the_record_columns(study):
+    """Every summary row equals the record's SUMMARY_CHANNELS columns bit for
+    bit, at every sample (the summary reads most of them only at the last),
+    with the same status: the four presets, a domain exit, the digested runs
+    and an rk4 run. CHANNELS is the channel table's order."""
+    scenarios = {name: load_preset(name)
+                 for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
+    scenarios["alpha=22.0"] = replace(study, gains=replace(study.gains, alpha=22.0))
+    scenarios.update(pin.table_runs())
+    scenarios["rk4"] = replace(study, solver=replace(study.solver, method="rk4", fixed_step=1e-4),
+                               duration=0.2)
+    columns = [CHANNELS.index(name) for name in SUMMARY_CHANNELS]
+    for name, scenario in scenarios.items():
+        record = simulate(scenario)
+        table, status, _ = engine._run(scenario, SUMMARY_CHANNELS)
+        assert status == record.status, name
+        assert np.array_equal(table, record.table[:, columns], equal_nan=True), name
+    assert CHANNELS == tuple(engine._CHANNEL_EXPRESSIONS)
+
+
 # --------------------------------------------------------------------------
 # Solver robustness.
 
@@ -653,10 +673,10 @@ def test_rk23_matches_scipy_dop853(fig2_runs):
 # in place and every min/max a builtin call. A reference field returns the
 # derivative and the row of its point as a function of the row's time.
 
-def _reference_make_field(params, gains, force, x_star, summary=False,
+def _reference_make_field(params, gains, force, x_star, channels=CHANNELS,
                           margin=engine.DOMAIN_MARGIN):
-    """Reference form of the closed loop's right-hand side and record row,
-    or with ``summary`` the row's SUMMARY_CHANNELS."""
+    """Reference form of the closed loop's right-hand side and of its row,
+    the record's channels or the SUMMARY_CHANNELS alone."""
     geo = params.geometry
     L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
     rho = params.fluid.rho
@@ -705,8 +725,9 @@ def _reference_make_field(params, gains, force, x_star, summary=False,
             U1 = A1 * v - (V1 / Gamma0) * (shear / A1 + k_i * sig / A1)
             U2 = A2 * v - (V2 / Gamma0) * (shear / A2 + k_i * sig / A2)
             Psi = H_d + 0.5 * (zeta * zeta)
-            if summary:
+            if channels == SUMMARY_CHANNELS:
                 return (t, x, x_star, zeta, Psi, sig, P1, P2, F_hat)
+            assert channels == CHANNELS, channels
             return (t, x, v, p, P1, P2, U1, U2, F_hat, F_tilde, F, zeta, sig, x_star,
                     H, H_d, Psi)
 
@@ -1010,9 +1031,9 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
 
 
 def test_each_kernel_compiles_once_per_process(study, monkeypatch):
-    """A kernel is compiled once per (method, loop, force law), on first use,
-    and reused by every later setpoint segment and sweep point, whether the
-    run builds its record or only its summary."""
+    """A kernel is compiled once per (method, loop, force law, channels), on
+    first use, and reused by every later setpoint segment and sweep point:
+    the record's rows and the summary rows each have their own."""
     compiled = []
 
     def counting_compile(source, filename, mode):
@@ -1034,10 +1055,11 @@ def test_each_kernel_compiles_once_per_process(study, monkeypatch):
             assert run(replace(point, solver=rk4)).status == "ok"
         simulate_open_loop(study.params, PlantState(5e-4, 0.0, 2e4, 1e4), 0.01, rk4,
                            R_override=alpha)
-    assert sorted(compiled) == ["<antago kernel rk23 closed constant>",
-                                "<antago kernel rk4 closed constant>",
-                                "<antago kernel rk4 open None>",
-                                "<antago kernel row closed constant>"]
+    record, summary = ",".join(CHANNELS), ",".join(SUMMARY_CHANNELS)
+    assert sorted(compiled) == sorted(
+        [f"<antago kernel {method} closed constant {channels}>"
+         for method in ("rk23", "rk4", "row") for channels in (record, summary)]
+        + ["<antago kernel rk4 open None x,p,P1,P2>"])
 
 
 @pytest.mark.parametrize("method", [*engine.STEPPERS, "rhs", "row"])
