@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError
 from .observer import observer_rate
 from .plant import (
     ActuatorGeometry,
@@ -84,8 +83,6 @@ def control_flows(state: PlantState, F_hat: float, gains: ControllerGains,
                   x_star: float, params: PlantParams) -> tuple[float, float]:
     """Flow-rate commands (U1, U2) of the energy-shaping control law."""
     g = geometry_terms(state.x, params.geometry)
-    if g.A1 == 0.0 or g.A2 == 0.0:
-        raise DomainError("volume gradient vanished; state outside design domain")
     M = params.m + (g.V1 + g.V2) * params.fluid.rho
     v = state.p / M
     s = sigma(state, F_hat, gains, x_star, params.geometry)

@@ -26,6 +26,7 @@ of the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +62,12 @@ class ActuatorGeometry:
         # contraction 4*L0/9, strictly outside the reachable range.
         if self.x_M > self.L0 / 4:
             raise ValueError("maximum contraction must satisfy x_M <= L0/4")
+        # With u <= L0/4 each area is (K0/L0) * (3a/s - s/2), whose second
+        # factor is at least 0.714: a normal K0/L0 keeps both areas, which the
+        # flows divide by, from underflowing to zero.
+        if not self.K0 / self.L0 >= sys.float_info.min:
+            raise ValueError(f"area scale K0 / L0 = {self.K0 / self.L0!r} is below the "
+                             f"smallest normal float {sys.float_info.min!r}")
 
     def position_bounds(self) -> tuple[float, float]:
         """Open interval of admissible positions, ``DOMAIN_MARGIN`` inside the travel."""

@@ -21,9 +21,11 @@ Its grammar: leading ``#`` lines, which carry the run status, and blank lines;
 the header; then one row per line, a line ending as ``open`` ends it. So the
 table itself stays consumable by any CSV reader. Neither side holds the whole
 text: the writer writes each block of rows into the file as it is rendered,
-and numpy's reader takes the rows after the header in one call on the text
-stream: the open file, or the string's UTF-8 bytes behind an
-``io.TextIOWrapper``. A record round-trips exactly, a multi-line detail
+and the reader streams the bytes of the rows after the header, from the open
+file with ``os.pread`` or from the string's UTF-8 bytes, to numpy's compiled
+reader: in one call, or, for rows of two parts of ``_CSV_PART_BYTES`` or more,
+one call per part, each ending at a line feed, on forked workers, joined into
+one table. A record round-trips exactly, a multi-line detail
 included (a ``\r`` in it comes back as ``\n``). Files are read and written as
 UTF-8. numpy is imported
 by the functions that render or read the table, not by this module, so that
@@ -37,7 +39,7 @@ import io
 import os
 import stat
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import fields
 from functools import partial
 from itertools import chain
@@ -263,7 +265,11 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 _CSV_HEADER = ",".join(CHANNELS)
 # Rows per block of the CSV renderer: a block is one job of forked_imap,
 # whose module docstring weighs the fork cost against the per-row cost.
-_CSV_BLOCK_ROWS = 1024
+_CSV_BLOCK_ROWS = 128
+# Bytes per part of the CSV reader, at least: the rows after the header are
+# cut into parts of about equal size, each one job of forked_imap, so rows of
+# less than two parts are read in one call and fork nothing.
+_CSV_PART_BYTES = 256 * 1024
 
 
 def _csv_chunks(record: TrajectoryRecord) -> Iterator[str]:
@@ -313,14 +319,43 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> No
     _atomic_write(Path(path), _csv_chunks(record))
 
 
-def _read_prefix(fh: TextIO) -> tuple[str, str, int]:
-    """Read the trajectory CSV text stream ``fh`` from its start through the
-    header: the status and the detail its ``#`` lines carry, and the number of
-    the header's line. Lines are numbered from 1, as the stream yields them."""
-    fh.seek(0)
-    status, details = "ok", []
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start`` to ``end`` of a source that ``pread(size, offset)``
+    reads, as a stream: ``os.pread`` moves no file offset, which a forked
+    child shares with this process."""
+
+    def __init__(self, pread: Callable[[int, int], bytes], start: int, end: int):
+        super().__init__()
+        self._pread, self._pos, self._end = pread, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = self._pread(min(len(buffer), self._end - self._pos), self._pos)
+        buffer[:len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _text(pread: Callable[[int, int], bytes], start: int, end: int, errors: str,
+          newline: str | None = None) -> TextIO:
+    """Bytes ``start`` to ``end`` as a UTF-8 text stream; with the default
+    ``newline``, its lines end as ``open`` ends them, each in one "\\n"."""
+    return io.TextIOWrapper(_ByteRange(pread, start, end), encoding="utf-8", errors=errors,
+                            newline=newline)
+
+
+def _read_prefix(fh: TextIO) -> tuple[str, str, int, int]:
+    """Read the trajectory CSV text stream ``fh``, whose line ends are kept
+    (``newline=""``), from its start through the header: the status and the
+    detail its ``#`` lines carry, the number of the header's line and the
+    number of bytes through it. Lines are numbered from 1, as the stream
+    yields them."""
+    status, details, size = "ok", [], 0
     for number, ln in enumerate(fh, start=1):
-        ln = ln.removesuffix("\n")
+        size += len(ln.encode("utf-8", fh.errors))
+        ln = ln.rstrip("\r\n")   # one line end: "\n", "\r\n" or "\r"
         if ln.startswith("# status:"):
             status = ln.partition(":")[2].strip()
             if status not in STATUSES:
@@ -332,14 +367,15 @@ def _read_prefix(fh: TextIO) -> tuple[str, str, int]:
             if ln != _CSV_HEADER:
                 raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} is not "
                                     f"the expected {_CSV_HEADER!r}")
-            return status, "\n".join(details), number
+            return status, "\n".join(details), number, size
     raise ScenarioError("trajectory CSV has no header row")
 
 
 def _read_rows(lines: Iterator[str]) -> np.ndarray | None:
-    """``lines`` as one float table with a column per channel, or None when
-    numpy's compiled reader fails on them or finds another width. Empty lines
-    are skipped; none but them gives an empty table, where the reader would warn."""
+    """``lines`` as one float table with a column per channel, read by one
+    call of numpy's compiled reader, or None when it fails on them or finds
+    another width. Empty lines are skipped; none but them gives an empty
+    table, where the reader would warn."""
     import numpy as np
 
     first = next(filter("\n".__ne__, lines), None)
@@ -355,16 +391,64 @@ def _read_rows(lines: Iterator[str]) -> np.ndarray | None:
     return table if table.shape[1] == len(CHANNELS) else None
 
 
-def _read_csv(fh: TextIO) -> TrajectoryRecord:
-    """The record in the UTF-8 trajectory CSV text stream ``fh``, read from its
-    start: the prefix, then the rows in one call of numpy's compiled reader. Only
-    if that call fails is the stream read again, each row alone, to name the bad one."""
-    status, detail, _ = _read_prefix(fh)
-    table = _read_rows(fh)
+def _line_end(pread: Callable[[int, int], bytes], pos: int, end: int) -> int:
+    """The offset just after the first "\\n" at or after ``pos``, or ``end``."""
+    while chunk := pread(min(4096, end - pos), pos):
+        i = chunk.find(b"\n")
+        if i >= 0:
+            return pos + i + 1
+        pos += len(chunk)
+    return end
+
+
+def _part_bounds(pread: Callable[[int, int], bytes], start: int, end: int) -> list[int]:
+    """Offsets that cut bytes ``start`` to ``end`` into as many parts of
+    ``_CSV_PART_BYTES`` or more as fit, of about equal size, each but the last
+    ending just after a "\\n": no line, "\\r\\n" included, spans two parts."""
+    n = max(1, (end - start) // _CSV_PART_BYTES)
+    bounds = [start]
+    for k in range(1, n):
+        cut = _line_end(pread, start + k * (end - start) // n, end)
+        if bounds[-1] < cut < end:   # else the line at this point ends a part already
+            bounds.append(cut)
+    return [*bounds, end]
+
+
+def _read_parts(read: Callable[[tuple[int, int]], np.ndarray | None],
+                bounds: list[int]) -> np.ndarray | None:
+    """The parts between ``bounds``, each ``read`` on a forked worker, as one
+    table; None when a part fails or is not UTF-8."""
+    import numpy as np
+
+    try:
+        parts = list(forked_imap(read, list(zip(bounds, bounds[1:]))))
+    except UnicodeDecodeError:
+        return None
+    if any(part is None for part in parts):
+        return None
+    return np.concatenate(parts)
+
+
+def _read_csv(pread: Callable[[int, int], bytes], size: int, errors: str) -> TrajectoryRecord:
+    """The record in the UTF-8 trajectory CSV of ``size`` bytes that ``pread``
+    reads, decoded with ``errors``: the prefix, then the rows after the header,
+    each part of :func:`_part_bounds` in one call of numpy's compiled reader,
+    on forked workers. A file of one part forks nothing. Only if a part fails,
+    or holds a byte that is not UTF-8, are the rows read again in one call;
+    only if that call fails, each row alone, to name the bad one."""
+    status, detail, number, start = _read_prefix(_text(pread, 0, size, errors, newline=""))
+
+    def read(bounds: tuple[int, int]) -> np.ndarray | None:
+        return _read_rows(_text(pread, *bounds, errors))
+
+    bounds = _part_bounds(pread, start, size)
+    table = _read_parts(read, bounds) if len(bounds) > 2 else None
+    if table is None:
+        table = read((start, size))
     if table is None:   # some row fails alone: rows that each read at this width read together
-        _, _, number = _read_prefix(fh)
         number, ln = next((n, ln.removesuffix("\n"))
-                          for n, ln in enumerate(fh, start=number + 1)
+                          for n, ln in enumerate(_text(pread, start, size, errors),
+                                                 start=number + 1)
                           if _read_rows(iter((ln,))) is None)
         raise ScenarioError(f"trajectory CSV line {number}: expected {len(CHANNELS)} "
                             f"numbers, got {ln!r}")
@@ -387,24 +471,26 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
 
     Another header, a status the engine does not write, and a row that does
     not hold one number per channel raise :class:`ScenarioError` with the
-    line number. The record holds the float64 table numpy's reader parses, in
-    one call after the header.
+    line number. The record holds the float64 table numpy's reader parses:
+    the rows after the header in one call, or, past ``2 * _CSV_PART_BYTES``
+    of them, in parts read on forked workers and joined.
     """
     # The UTF-8 bytes, not an io.StringIO, which keeps 4 bytes per character;
-    # surrogatepass carries any str both ways, and newline=None turns "\r\n"
-    # and "\r" into "\n", as open does.
-    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-    return _read_csv(io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass",
-                                      newline=None))
+    # surrogatepass carries any str both ways.
+    data = text.encode("utf-8", "surrogatepass")
+    return _read_csv(lambda size, offset: data[offset:offset + size], len(data),
+                     "surrogatepass")
 
 
 def load_trajectory_csv(path: str | os.PathLike) -> TrajectoryRecord:
     """Read a trajectory CSV file as :func:`trajectory_from_csv` reads its
     text, to the same record or the same error, without holding the whole
-    text. A file that is not UTF-8 is a :class:`ScenarioError` naming it."""
-    with open(path, encoding="utf-8") as fh:
+    text: each part of the rows is read from the open file with ``os.pread``.
+    A file that is not UTF-8 is a :class:`ScenarioError` naming it."""
+    with open(path, "rb", buffering=0) as fh:
         try:
-            return _read_csv(fh)
+            return _read_csv(partial(os.pread, fh.fileno()), os.fstat(fh.fileno()).st_size,
+                             "strict")
         except UnicodeDecodeError as exc:
             raise _not_utf8("trajectory CSV", path, exc) from None
 

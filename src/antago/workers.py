@@ -28,9 +28,17 @@ The policy, kept here alone (with ``os.fork`` and pipes, not
   again. When the items run in this process, it imports nothing.
 
 A fork plus its reaping costs about 1.3–1.4 ms on a 2-core VM (Python 3.11),
-so a job is worth a child only at several times that. The CSV writer renders
-in blocks of 1024 rows, about 8.7 ms each at about 8.5 µs per row, and so
-never forks for a table of one block.
+so a child is worth it only for several times that much work. Its users:
+
+- ``cli`` runs the points of a sweep, and ``verify`` the presets of its
+  Lyapunov suite, one item each.
+- The CSV writer renders blocks of 128 rows, about 1.1 ms each at about
+  8.6 µs per row, so a table of one block never forks and the 2,001-row
+  fig2-F1 table gives a child eight blocks; the parent writes each block into
+  the file as it comes, and a child's blocks are pickled one at a time.
+- The CSV reader parses parts of at least 256 KiB of rows, about 2.9 ms per
+  344 kB part, so a file of less than two parts never forks and each preset's
+  630–690 kB file gives a child its second half.
 """
 
 from __future__ import annotations

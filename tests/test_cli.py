@@ -684,36 +684,62 @@ def test_worker_error_is_one_line_error(tmp_path, short_scenario_file, capsys, m
 
 
 # Finite values the parser accepts whose run raises an ArithmeticError: the H
-# channel's expm1(P_i / Gamma0) overflows, or the areas underflow to zero and
-# the kernel divides by them.
+# channel's expm1(P_i / Gamma0) overflows.
 _ARITHMETIC_EDITS = {
     "Gamma0": {"Gamma0": "1e-300"},
     "K0": {"K0": "1e-300"},
     "P1": {"P1": "1e300"},
-    "zero-area": {"K0": "5e-324", "L0": "1000.0"},
 }
 
 
-@pytest.mark.parametrize("command, edit", [*(("run", edit) for edit in _ARITHMETIC_EDITS),
-                                           ("sweep", "zero-area")])
-def test_arithmetic_error_is_one_line_error(tmp_path, study, capsys, monkeypatch, command, edit):
-    """An overflow or a division by zero in a run, a sweep's too, ends the
-    command with one error line and exit 1, and ``--out`` stays as it was."""
+def _edited_scenario(study, path, edit):
+    """``study`` shortened to 0.5 s with the keys of ``edit`` replaced, written to ``path``."""
     text = serialize_scenario(replace(study, duration=0.5))
-    for key, value in _ARITHMETIC_EDITS[edit].items():
+    for key, value in edit.items():
         text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
         assert n == 1, key
-    path = tmp_path / "edge.ini"
     path.write_text(text)
-    out = tmp_path / "out.csv"
+    return path
+
+
+def _one_error_line(argv, out, capsys):
+    """Run ``argv`` with ``--out out``, an existing file, and return its one
+    error line, after checking exit 1 and that ``out`` stays as it was."""
     out.write_text("old\n")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    argv = ["run", str(path)] if command == "run" else ["sweep", "alpha", str(path),
-                                                          "--values", "5,10"]
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
     assert out.read_text() == "old\n"
+    return err
+
+
+@pytest.mark.parametrize("edit", _ARITHMETIC_EDITS)
+def test_arithmetic_error_is_one_line_error(tmp_path, study, capsys, monkeypatch, edit):
+    """An overflow in a run ends the command with one error line and exit 1,
+    and ``--out`` stays as it was."""
+    path = _edited_scenario(study, tmp_path / "edge.ini", _ARITHMETIC_EDITS[edit])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _one_error_line(["run", str(path)], tmp_path / "out.csv", capsys)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_zero_area_scale_is_one_line_error_before_the_run(tmp_path, study, capsys,
+                                                          monkeypatch, command):
+    """K0 = 5e-324 with L0 = 1000, where both areas would underflow to zero
+    and the kernel divide by them, is rejected when the scenario is read: one
+    error line naming K0 / L0 and exit 1, with nothing simulated."""
+    path = _edited_scenario(study, tmp_path / "edge.ini", {"K0": "5e-324", "L0": "1000.0"})
+
+    def not_simulated(scenario):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr("antago.cli.simulate", not_simulated)
+    monkeypatch.setattr("antago.cli.simulate_summary", not_simulated)
+    argv = ["run", str(path)] if command == "run" else ["sweep", "alpha", str(path),
+                                                          "--values", "5,10"]
+    err = _one_error_line(argv, tmp_path / "out.csv", capsys)
+    assert err == ("error: area scale K0 / L0 = 0.0 is below the smallest normal float "
+                   "2.2250738585072014e-308\n")
 
 
 # Runs the CLI on argv, with two cores and with a sweep point that kills its own

@@ -4,6 +4,7 @@ import argparse
 import inspect
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ def test_non_finite_parameters_rejected():
     for m, R in ((math.inf, 5.0), (math.nan, 5.0), (0.25, math.inf), (0.25, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             PlantParams(geometry=geo, fluid=fluid, m=m, R=R)
+
+
+def test_area_scale_below_the_normal_range_rejected():
+    """K0 / L0 below the smallest normal float is rejected; at that bound, and
+    at the longest L0 whose square is finite, both areas at both ends of the
+    travel stay nonzero, so the flows never divide by a zero area."""
+    tiny = sys.float_info.min
+    for L0, K0 in ((1000.0, 5e-324), (1000.0, 1000.0 * tiny / 2), (30e-3, 1e-310)):
+        with pytest.raises(ValueError, match=r"area scale K0 / L0 = .* is below the smallest"):
+            _study_geometry(L0=L0, K0=K0)
+    for L0 in (30e-3, 1000.0, 1e154):
+        geo = _study_geometry(L0=L0, K0=L0 * tiny)
+        assert geo.K0 / geo.L0 >= tiny
+        for x in geo.position_bounds():
+            g = geometry_terms(x, geo)
+            assert g.A1 < 0.0 < g.A2 and min(-g.A1, g.A2) >= 0.714 * tiny, (L0, x, g)
 
 
 def test_position_bounds_are_open_interval():

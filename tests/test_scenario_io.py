@@ -38,6 +38,7 @@ from antago.scenario_io import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
+from test_workers import _assert_reaped, _record_forks
 
 PRESETS = ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")
 
@@ -321,6 +322,16 @@ def test_non_positive_volume_scale_is_scenario_error(study, scale):
     assert "K0 = 2.8e-06\n" in text
     with pytest.raises(ScenarioError, match="volume scale K0 must be positive and finite"):
         parse_scenario(text.replace("K0 = 2.8e-06\n", scale + "\n"))
+
+
+def test_subnormal_area_scale_is_scenario_error(study):
+    """A positive K0 whose ratio to L0 is below the smallest normal float,
+    where both areas underflow to zero, is rejected when the geometry is built."""
+    text = serialize_scenario(study).replace("K0 = 2.8e-06\n", "K0 = 5e-324\n")
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text.replace("L0 = 0.03\n", "L0 = 1000.0\n"))
+    assert str(info.value) == ("area scale K0 / L0 = 0.0 is below the smallest normal "
+                               "float 2.2250738585072014e-308")
 
 
 def test_invalid_gain_is_scenario_error(study):
@@ -630,10 +641,11 @@ def test_csv_status_is_one_the_engine_writes(status):
 
 def test_csv_save_and_load_never_hold_the_whole_text(fig2_runs, tmp_path, monkeypatch):
     """Writing the 2,001-row fig2-F1 record holds one rendered block of rows
-    at a time, and reading it back one line of the file beside the table,
-    never the whole 688 kB text: tracemalloc peaks of 0.76 MB and 0.345 MB
+    at a time, and reading it back its two parts' tables beside the joined
+    one, never the whole 688 kB text: tracemalloc peaks of 0.10 MB and 0.546 MB
     (Python 3.11, numpy 2.4), where holding the whole text took 1.38 MB and
-    1.88 MB. One core: every block is rendered where tracemalloc sees it."""
+    1.88 MB. One core: every block is rendered, and every part read, where
+    tracemalloc sees it."""
     import tracemalloc
 
     record = fig2_runs["fig2-F1"][1]
@@ -982,8 +994,9 @@ def test_csv_renders_every_dtype_as_float(dtype):
 
 
 def test_csv_render_does_not_depend_on_worker_count(fig2_runs, tmp_path, monkeypatch):
-    """2001 rows are two blocks: on two cores this process renders the first
-    and one child the second; the text equals the per-value reference."""
+    """2001 rows are sixteen blocks: on two cores this process renders the
+    eight even ones and one child the eight odd ones; the text equals the
+    per-value reference."""
     import antago.scenario_io
 
     record = fig2_runs["fig2-F1"][1]
@@ -1004,4 +1017,112 @@ def test_csv_render_does_not_depend_on_worker_count(fig2_runs, tmp_path, monkeyp
         pids.write_text("")
         assert trajectory_to_csv(record) == expected
         ran = pids.read_text().split()
-        assert len(ran) == 2 and ran.count(me) == 3 - len(cores) and len(set(ran)) == len(cores)
+        assert len(ran) == 16 and ran.count(me) == 16 // len(cores) and len(set(ran)) == len(cores)
+
+
+# --------------------------------------------------------------------------
+# The split reader: rows of two parts or more are read in parts on forked
+# workers and joined.
+
+def _read_on_cores(read, source, cores, monkeypatch, part_bytes=None):
+    """``read(source)`` with ``cores`` cores, and with ``_CSV_PART_BYTES`` set to
+    ``part_bytes`` if given: the record or the ScenarioError's message, and
+    the pids of the children forked."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        if part_bytes is not None:
+            patch.setattr(antago.scenario_io, "_CSV_PART_BYTES", part_bytes)
+        forks = _record_forks(patch)
+        try:
+            return read(source), forks
+        except ScenarioError as exc:
+            return str(exc), forks
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_split_reader_reads_the_presets_as_one_call(fig2_runs, short_record, tmp_path,
+                                                    monkeypatch, cores):
+    """The four presets' files, 630-690 kB, are two parts of rows each, and on
+    two cores a child reads the second; the 68 kB short record's is one part,
+    read with no fork. From the file and from the text, on one core or two,
+    the record equals the simulated one, as one call of the reader gives it."""
+    records = [record for _, record in fig2_runs.values()]
+    records += [simulate(load_preset("multistep")), short_record]
+    path = tmp_path / "record.csv"
+    for record in records:
+        save_trajectory_csv(record, path)
+        text = path.read_text()
+        data = text.encode()
+        start = data.index(_HEADER.encode()) + len(_HEADER) + 1
+        bounds = antago.scenario_io._part_bounds(
+            lambda size, offset: data[offset:offset + size], start, len(data))
+        parts = 1 if record is short_record else 2
+        assert len(bounds) == parts + 1 and all(data[cut - 1:cut] == b"\n" for cut in bounds)
+        for read, source in ((load_trajectory_csv, path), (trajectory_from_csv, text)):
+            again, forks = _read_on_cores(read, source, cores, monkeypatch)
+            assert again == record
+            assert again.table.dtype == np.float64 and again.table.flags.c_contiguous
+            assert len(forks) == (cores == 2 and parts == 2)
+            if forks:
+                _assert_reaped(forks)
+
+
+def test_split_reader_names_a_bad_row_or_byte_in_the_childs_part(fig2_runs, tmp_path,
+                                                                  monkeypatch):
+    """A bad row, and a Latin-1 byte, in the second part of the fig2-F1 file,
+    which a child reads, give the error one call gives: the row's line number,
+    or the file named after one scan of its prefix."""
+    text = trajectory_to_csv(fig2_runs["fig2-F1"][1])
+    lines = text.split("\n")
+    path = tmp_path / "bad.csv"
+    for number in (1800, len(lines) - 1):   # the 1,800th line and the last row
+        bad = lines.copy()
+        bad[number - 1] = bad[number - 1].replace(",", ";", 1)
+        bad_text = "\n".join(bad)
+        path.write_text(bad_text)
+        expected = (f"trajectory CSV line {number}: expected {len(CHANNELS)} numbers, "
+                    f"got {bad[number - 1]!r}")
+        for read, source in ((load_trajectory_csv, path), (trajectory_from_csv, bad_text)):
+            for cores in (1, 2):
+                message, forks = _read_on_cores(read, source, cores, monkeypatch)
+                assert message == expected and len(forks) == cores - 1
+    scans = []
+    read_prefix = antago.scenario_io._read_prefix
+
+    def counted_prefix(fh):
+        scans.append(1)
+        return read_prefix(fh)
+
+    path.write_bytes(text.replace(lines[1800], _row("\u00b5"), 1).encode("latin-1"))
+    monkeypatch.setattr(antago.scenario_io, "_read_prefix", counted_prefix)
+    for cores in (1, 2):
+        scans.clear()
+        message, forks = _read_on_cores(load_trajectory_csv, path, cores, monkeypatch)
+        assert message == (f"trajectory CSV {str(path)!r} is not UTF-8 text "
+                           "(byte 0xb5: invalid start byte)")
+        assert scans == [1] and len(forks) == cores - 1
+
+
+@pytest.mark.parametrize("ends", ["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\r\n\n\r"],
+                         ids=["lf", "crlf", "cr", "blank-lf", "blank-crlf", "mixed"])
+def test_split_reader_cuts_only_after_a_line_feed(tmp_path, monkeypatch, ends):
+    """Rows whose lines end in "\\r\\n", in lone "\\r"s, or with blank lines
+    between them, cut into parts of a few bytes each, so that a cut falls at
+    every line feed, read as one call reads them, from the file and the text,
+    on two cores; a bad row among them is named by its line number."""
+    rows = [_row(repr(i / 7)) for i in range(9)]
+    text = f"# status: ok{ends}{_HEADER}{ends}" + ends.join(rows) + ends
+    expected = _reference_trajectory_from_csv(text)
+    assert isinstance(expected, TrajectoryRecord) and len(expected) == 9
+    bad = text.replace(rows[6], rows[6] + ",0.5")
+    expected_bad = _reference_trajectory_from_csv(bad)
+    assert expected_bad.startswith("trajectory CSV line ")
+    path = tmp_path / "ends.csv"
+    for source, result in ((text, expected), (bad, expected_bad)):
+        for part_bytes in (1, 40, len(rows[0]) + 1, 3 * len(rows[0])):
+            path.write_text(source, newline="")
+            for read, arg in ((load_trajectory_csv, path), (trajectory_from_csv, source)):
+                again, forks = _read_on_cores(read, arg, 2, monkeypatch, part_bytes)
+                assert again == result, (part_bytes, read)
+                assert len(forks) == ("\n" in ends)
+
