@@ -22,14 +22,14 @@ the header; then one row per line, a line ending as ``open`` ends it. So the
 table itself stays consumable by any CSV reader. Neither side holds the whole
 text: the writer writes each block of rows into the file as it is rendered,
 and the reader streams the bytes of the rows after the header, from the open
-file with ``os.pread`` or from the string's UTF-8 bytes, to numpy's compiled
-reader: in one call, or, for rows of two parts of ``_CSV_PART_BYTES`` or more,
-one call per part, each ending at a line feed, on forked workers, joined into
-one table. A record round-trips exactly, a multi-line detail
-included (a ``\r`` in it comes back as ``\n``). Files are read and written as
-UTF-8. numpy is imported
-by the functions that render or read the table, not by this module, so that
-parsing a scenario does not load it.
+file with ``os.pread`` (a pipe, which has no offsets, is read whole first) or
+from the string's UTF-8 bytes, to numpy's compiled reader: in one call, or,
+for rows of two parts of ``_CSV_PART_BYTES`` or more, one call per part, each
+ending at a line feed, on forked workers, joined into one table. A record
+round-trips exactly, a multi-line detail included (a ``\r`` in it comes back
+as ``\n``). Files are read and written as UTF-8. numpy is imported by the
+functions that render or read the table, not by this module, so that parsing
+a scenario does not load it.
 """
 
 from __future__ import annotations
@@ -417,13 +417,10 @@ def _part_bounds(pread: Callable[[int, int], bytes], start: int, end: int) -> li
 def _read_parts(read: Callable[[tuple[int, int]], np.ndarray | None],
                 bounds: list[int]) -> np.ndarray | None:
     """The parts between ``bounds``, each ``read`` on a forked worker, as one
-    table; None when a part fails or is not UTF-8."""
+    table; None when a part fails."""
     import numpy as np
 
-    try:
-        parts = list(forked_imap(read, list(zip(bounds, bounds[1:]))))
-    except UnicodeDecodeError:
-        return None
+    parts = list(forked_imap(read, list(zip(bounds, bounds[1:]))))
     if any(part is None for part in parts):
         return None
     return np.concatenate(parts)
@@ -433,18 +430,16 @@ def _read_csv(pread: Callable[[int, int], bytes], size: int, errors: str) -> Tra
     """The record in the UTF-8 trajectory CSV of ``size`` bytes that ``pread``
     reads, decoded with ``errors``: the prefix, then the rows after the header,
     each part of :func:`_part_bounds` in one call of numpy's compiled reader,
-    on forked workers. A file of one part forks nothing. Only if a part fails,
-    or holds a byte that is not UTF-8, are the rows read again in one call;
-    only if that call fails, each row alone, to name the bad one."""
+    on forked workers. A file of one part forks nothing. A part that fails has
+    a row that fails alone, and only then is each row read alone, to name the
+    first bad one; a byte that is not UTF-8 raises UnicodeDecodeError."""
     status, detail, number, start = _read_prefix(_text(pread, 0, size, errors, newline=""))
 
     def read(bounds: tuple[int, int]) -> np.ndarray | None:
         return _read_rows(_text(pread, *bounds, errors))
 
     bounds = _part_bounds(pread, start, size)
-    table = _read_parts(read, bounds) if len(bounds) > 2 else None
-    if table is None:
-        table = read((start, size))
+    table = _read_parts(read, bounds) if len(bounds) > 2 else read((start, size))
     if table is None:   # some row fails alone: rows that each read at this width read together
         number, ln = next((n, ln.removesuffix("\n"))
                           for n, ln in enumerate(_text(pread, start, size, errors),
@@ -477,22 +472,33 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
     """
     # The UTF-8 bytes, not an io.StringIO, which keeps 4 bytes per character;
     # surrogatepass carries any str both ways.
-    data = text.encode("utf-8", "surrogatepass")
-    return _read_csv(lambda size, offset: data[offset:offset + size], len(data),
-                     "surrogatepass")
+    return _read_bytes(text.encode("utf-8", "surrogatepass"), "surrogatepass")
+
+
+def _read_bytes(data: bytes, errors: str) -> TrajectoryRecord:
+    """The record in the UTF-8 trajectory CSV ``data``, decoded with ``errors``."""
+    return _read_csv(lambda size, offset: data[offset:offset + size], len(data), errors)
 
 
 def load_trajectory_csv(path: str | os.PathLike) -> TrajectoryRecord:
     """Read a trajectory CSV file as :func:`trajectory_from_csv` reads its
-    text, to the same record or the same error, without holding the whole
-    text: each part of the rows is read from the open file with ``os.pread``.
-    A file that is not UTF-8 is a :class:`ScenarioError` naming it."""
+    text, to the same record or the same error. A regular file is not held
+    whole: each part of the rows is read from the open file with ``os.pread``,
+    and a file whose size changes meanwhile is a :class:`ScenarioError`.
+    Another file, a pipe say, has no offsets to read at and is read whole
+    first. A file that is not UTF-8 is a :class:`ScenarioError` naming it."""
     with open(path, "rb", buffering=0) as fh:
+        fd = fh.fileno()
+        info = os.fstat(fd)
         try:
-            return _read_csv(partial(os.pread, fh.fileno()), os.fstat(fh.fileno()).st_size,
-                             "strict")
+            if not stat.S_ISREG(info.st_mode):
+                return _read_bytes(fh.readall(), "strict")
+            record = _read_csv(partial(os.pread, fd), info.st_size, "strict")
         except UnicodeDecodeError as exc:
             raise _not_utf8("trajectory CSV", path, exc) from None
+        if os.fstat(fd).st_size != info.st_size:
+            raise ScenarioError(f"trajectory CSV {str(path)!r} changed size while it was read")
+        return record
 
 
 # --------------------------------------------------------------------------

@@ -684,11 +684,14 @@ def test_worker_error_is_one_line_error(tmp_path, short_scenario_file, capsys, m
 
 
 # Finite values the parser accepts whose run raises an ArithmeticError: the H
-# channel's expm1(P_i / Gamma0) overflows.
+# channel's expm1(P_i / Gamma0) overflows, or, with a subnormal k_m and a light
+# payload, 2 * k_m * M underflows to zero and H_d, which a sweep's summary
+# kernel computes too, divides by it.
 _ARITHMETIC_EDITS = {
     "Gamma0": {"Gamma0": "1e-300"},
     "K0": {"K0": "1e-300"},
     "P1": {"P1": "1e300"},
+    "k_m-underflow": {"k_m": "5e-324", "m": "1e-3"},
 }
 
 
@@ -713,13 +716,16 @@ def _one_error_line(argv, out, capsys):
     return err
 
 
-@pytest.mark.parametrize("edit", _ARITHMETIC_EDITS)
-def test_arithmetic_error_is_one_line_error(tmp_path, study, capsys, monkeypatch, edit):
-    """An overflow in a run ends the command with one error line and exit 1,
-    and ``--out`` stays as it was."""
+@pytest.mark.parametrize("command, edit", [*(("run", edit) for edit in _ARITHMETIC_EDITS),
+                                           ("sweep", "k_m-underflow")])
+def test_arithmetic_error_is_one_line_error(tmp_path, study, capsys, monkeypatch, command, edit):
+    """An overflow or a division by zero in a run, a sweep's too, ends the
+    command with one error line and exit 1, and ``--out`` stays as it was."""
     path = _edited_scenario(study, tmp_path / "edge.ini", _ARITHMETIC_EDITS[edit])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    _one_error_line(["run", str(path)], tmp_path / "out.csv", capsys)
+    argv = ["run", str(path)] if command == "run" else ["sweep", "alpha", str(path),
+                                                          "--values", "5,10"]
+    _one_error_line(argv, tmp_path / "out.csv", capsys)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

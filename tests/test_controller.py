@@ -1,6 +1,7 @@
 """Control law: sigma, matching, shaped energy, gain conditions, stepper map."""
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -100,6 +101,19 @@ def test_flows_vanish_at_equilibrium(params, gains):
     state = PlantState(1e-3, 0.0, 0.0, 0.0)
     U1, U2 = control_flows(state, 0.0, gains, 1e-3, params)
     assert U1 == 0.0 and U2 == 0.0
+
+
+def test_flows_reject_a_vanished_area(params, gains):
+    """With K0 = 5e-324 and L0 = 1000 m the volume gradients would underflow
+    to zero, and the flow commands divide by them: the geometry is rejected
+    before any flow is computed. At the smallest area scale it admits, the
+    flows divide by nonzero areas and come out finite."""
+    with pytest.raises(ValueError, match=r"area scale K0 / L0 = 0\.0 is below the smallest"):
+        replace(params.geometry, K0=5e-324, L0=1000.0)
+    tiny = replace(params, geometry=replace(params.geometry, K0=1000.0 * sys.float_info.min,
+                                            L0=1000.0))
+    U1, U2 = control_flows(PlantState(1e-3, 1e-6, 1.0, 2.0), 0.0, gains, 1e-3, tiny)
+    assert math.isfinite(U1) and math.isfinite(U2) and U1 != 0.0 != U2
 
 
 def test_closed_loop_field_zero_at_equilibrium(params, gains):

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import stat
+import threading
 import warnings
 from dataclasses import fields, replace
 
@@ -1126,3 +1127,47 @@ def test_split_reader_cuts_only_after_a_line_feed(tmp_path, monkeypatch, ends):
                 assert again == result, (part_bytes, read)
                 assert len(forks) == ("\n" in ends)
 
+
+
+def test_csv_from_a_pipe_reads_as_its_text(fig2_runs, tmp_path):
+    """A named pipe, which has no offsets to read at, gives the record, or
+    the bad row's line number, that its text gives: the two-part fig2-F1
+    file, and the same with a bad row in its second part."""
+    text = trajectory_to_csv(fig2_runs["fig2-F1"][1])
+    lines = text.split("\n")
+    lines[1800] = lines[1800].replace(",", ";", 1)
+    fifo = tmp_path / "record.csv"
+    os.mkfifo(fifo)
+    for source in (text, "\n".join(lines)):
+        writer = threading.Thread(target=fifo.write_text, args=(source,))
+        writer.start()
+        try:
+            again = load_trajectory_csv(fifo)
+        except ScenarioError as exc:
+            again = str(exc)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert again == _reference_trajectory_from_csv(source)
+
+
+def test_csv_file_that_changes_size_while_read_is_an_error(short_record, tmp_path,
+                                                          monkeypatch):
+    """A row appended to the file after its size was taken is not cut off
+    silently: the read is a ScenarioError naming the file."""
+    path = tmp_path / "growing.csv"
+    save_trajectory_csv(short_record, path)
+    pread = os.pread
+
+    def pread_and_append(fd, size, offset):
+        if not appended:
+            appended.append(1)
+            with path.open("a") as fh:
+                fh.write(_ROW + "\n")
+        return pread(fd, size, offset)
+
+    appended = []
+    monkeypatch.setattr(os, "pread", pread_and_append)
+    with pytest.raises(ScenarioError) as info:
+        load_trajectory_csv(path)
+    assert str(info.value) == f"trajectory CSV {str(path)!r} changed size while it was read"
+    assert appended == [1]
