@@ -43,7 +43,6 @@ from .engine import (
     STEPPERS,
     ScenarioConfig,
     diagnostics,
-    simulate,
     simulate_summary,
 )
 from .errors import ScenarioError, WorkerError
@@ -53,7 +52,7 @@ from .scenario_io import (
     list_presets,
     load_preset,
     load_scenario,
-    save_trajectory_csv,
+    run_trajectory_csv,
 )
 from .workers import forked_imap
 
@@ -116,8 +115,7 @@ def _out_path(text: str) -> Path:
 def _cmd_run(args) -> int:
     scenario = _apply_solver_flags(_resolve_scenario(args.scenario), args)
     out = _out_path(f"{scenario.name or 'trajectory'}.csv" if args.out is None else args.out)
-    record = simulate(scenario)
-    save_trajectory_csv(record, out)
+    record = run_trajectory_csv(scenario, out)
     summary = diagnostics(record, scenario.gains, scenario.params)
     print(f"wrote {len(record)} samples to {out}")
     _print_summary(summary)

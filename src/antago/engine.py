@@ -46,7 +46,9 @@ A :class:`ScenarioConfig` checks itself on construction (``replace`` too), so
 every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
 output samples and setpoints and ``MAX_RK4_STEPS`` steps (of ``max_step`` for rk23).
 It also rejects a setpoint time within rounding of the previous one or of the
-duration, which would leave a step below ``rk23``'s floor between them.
+duration, which would leave a step below ``rk23``'s floor between them, and
+a ``2 * k_m * m`` below the smallest normal float, where ``2 * k_m * M``,
+which ``H_d`` divides by, could underflow to zero.
 
 A position within the plant's fixed 1 µm ``DOMAIN_MARGIN`` of the
 volume-model boundary ends a run as "domain-exit". The kernels inline
@@ -65,18 +67,25 @@ over the names of the stage evaluated at the sample. A kernel is compiled for
 a tuple of channels: each ``$emit`` line becomes the loop's shared lines
 (F_tilde, zeta, H_d, Psi) and one ``pack`` of those channels' expressions (the
 open loop's: its state) into float64 bytes, ``struct.Struct(f"{n}d").pack``
-bound like the other constants, appended to one ``array("d")``, so each
-double is copied exactly and no Python float outlives its row. ``rk23`` emits
-from its first stage and then from the last stage of each step that lands on
-a grid time (the pair is FSAL), ``rk4`` from the first stage of the step that
-starts there; a setpoint time's row comes from the first stage of the segment
-that starts there, and the last sample's from one more evaluation. ``_run``
-returns the array as the table, a ``np.frombuffer`` view that copies nothing,
-and no numpy expression computes a channel. The scalar plant and controller
-functions (``control_flows``, ``sigma``, ``desired_energy``, ``hamiltonian``)
-are the channels' oracles in the test suite. Like them, :func:`augmented_field`
-takes ``F_hat`` and ``x_star`` as floats and reads ``alpha`` only from
-``ControllerGains``.
+bound like the other constants, passed to the kernel's ``emit``, so each
+double is copied exactly and no Python float outlives its row. ``emit`` is
+the ``frombytes`` of one ``array("d")``, or, for ``antago run``, the
+``write`` of a shared anonymous ``mmap`` sized for the grid
+(:func:`shared_rows`), into which the kernels write a segment in slices of
+``SLICE_SAMPLES`` samples, telling the caller after each how many rows are
+there, so that a forked process renders them while the run goes on. ``rk23``
+emits from its first stage and then from the last stage of each step that
+lands on a grid time (the pair is FSAL), ``rk4`` from the first stage of the
+step that starts there; a setpoint time's row comes from the first stage of
+the segment that starts there, and the last sample's from one more
+evaluation. A slice starts with a first stage too, at the state where rk23's
+last step ended, so the rows are the same either way. ``_run`` returns the
+array or the mapping as the table, a ``np.frombuffer`` view that copies
+nothing, and no numpy expression computes a channel. The scalar plant and
+controller functions (``control_flows``, ``sigma``, ``desired_energy``,
+``hamiltonian``) are the channels' oracles in the test suite. Like them,
+:func:`augmented_field` takes ``F_hat`` and ``x_star`` as floats and reads
+``alpha`` only from ``ControllerGains``.
 
 A run that only needs its :class:`DiagnosticsSummary` (a sweep point, the
 ``lyapunov`` suite) takes :func:`simulate_summary`, whose kernels emit, at
@@ -87,9 +96,9 @@ either; the summary equals ``diagnostics(simulate(scenario))`` field for
 field, as both reduce those columns in one helper.
 
 numpy is imported by the functions that build or read arrays, and ``array``
-by those that build rows, so that importing the package loads neither; the
-kernels never load numpy. ``struct`` is a module import: Python's start-up
-(``site``) has already loaded it.
+and ``mmap`` by those that build rows, so that importing the package loads
+none of them; the kernels never load numpy. ``struct`` is a module import:
+Python's start-up (``site``) has already loaded it.
 """
 
 from __future__ import annotations
@@ -99,6 +108,7 @@ import linecache
 import math
 import re
 import struct
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -222,6 +232,12 @@ class ScenarioConfig:
                 raise DomainError(
                     f"setpoint {x_star!r} outside admissible range ({lo:.4e}, {hi:.4e})")
         _check_initial(self.initial, self.params)
+        # H_d divides by 2 * k_m * M, with M >= m: a normal 2 * k_m * m (in
+        # the kernels' order) keeps that product from underflowing to zero.
+        energy_scale = 2.0 * self.gains.k_m * self.params.m
+        if not energy_scale >= sys.float_info.min:
+            raise ScenarioError(f"2 * k_m * m = {energy_scale!r} is below the smallest "
+                                f"normal float {sys.float_info.min!r}")
         if self.F_hat0 is not None and not math.isfinite(self.F_hat0):
             raise ScenarioError("initial force estimate F_hat0 must be finite")
 
@@ -322,7 +338,7 @@ class TrajectoryRecord:
 # component and evaluates the body at the stage time ``T`` (read only by the
 # error message) into ``k1, k2, ...``, one per state. A ``for $i in state:``
 # block repeats its lines once per state, ``y$s`` stands for ``y1, y2, ...``,
-# and a line ``$emit`` appends to ``rows`` the loop's row at time ``t`` from the
+# and a line ``$emit`` passes to ``emit`` the loop's row at time ``t`` from the
 # names of the stage evaluated last, which must be at that time's state.
 
 # The geometry, the mass and the momentum rate G of both loops, from the
@@ -392,6 +408,10 @@ _FORCE_LINES = {"constant": "F = fv", "tanh_friction": "F = fv * tanh(v)",
                 "spring": "F = fv * x", "call": "F = f(x, v)"}
 
 _MIN_STEP_FRACTION = 1e-14
+# Samples per slice of a run whose caller is told as its rows are written
+# (_run's ``ready``), and rows per block of the CSV writer, which renders
+# each block as soon as its slice is integrated.
+SLICE_SAMPLES = 128
 # A sample time this close to a setpoint time, relative to max(|t|, 1), gives
 # way to it (see _sample_grid); 100 floors keep the step between them clear.
 _COLLISION_FRACTION = 100 * _MIN_STEP_FRACTION
@@ -405,9 +425,8 @@ _COLLISION_FRACTION = 100 * _MIN_STEP_FRACTION
 # -y``, which differs from it only in the sign of a NaN or of a zero; neither
 # sign reaches a comparison's outcome or an output.
 _RK23 = """\
-def kernel(y, t_grid, solver, h, rows):
+def kernel(y, t_grid, solver, h, emit):
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
-    emit = rows.frombytes
     t = t_grid[0]
     y$s = y
     a = rhs(t, y$i)
@@ -457,8 +476,7 @@ def kernel(y, t_grid, solver, h, rows):
 # each grid time but the last is emitted from the first stage of the step
 # that starts there.
 _RK4 = """\
-def kernel(y, t_grid, solver, h_in, rows):
-    emit = rows.frombytes
+def kernel(y, t_grid, solver, h_in, emit):
     y$s = y
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
         n = max(1, ceil((tb - ta) / solver.fixed_step - 1e-12))
@@ -479,8 +497,8 @@ def kernel(y, t_grid, solver, h_in, rows):
 """
 
 # By method name, the stepper templates. Each kernel takes (y, t_grid, solver,
-# h, rows), appends to ``rows`` the row of each time of ``t_grid`` but the
-# last, and returns (the state at the last time, the next h).
+# h, emit), passes to ``emit`` the float64 bytes of the row of each time of
+# ``t_grid`` but the last, and returns (the state at the last time, the next h).
 STEPPERS = {"rk23": _RK23, "rk4": _RK4}
 
 # The one-stage instances: the right-hand side itself, for point evaluation,
@@ -490,8 +508,7 @@ def kernel(t, y$s):
     a = rhs(t, y$i)
     return (a$s)
 """, "row": """\
-def kernel(t, y, rows):
-    emit = rows.frombytes
+def kernel(t, y, emit):
     y$s = y
     a = rhs(t, y$i)
     $emit
@@ -611,11 +628,30 @@ def _sample_grid(duration: float, sample_dt: float,
     return tuple(sorted(times))
 
 
-def _run(scenario: ScenarioConfig, channels: tuple[str, ...]) -> tuple[np.ndarray, str, str]:
+def shared_rows(scenario: ScenarioConfig):
+    """A shared anonymous ``mmap`` with room for the table of
+    :func:`simulate` of ``scenario``, a row per output time: a process forked
+    after it is made sees each row as the kernels write it."""
+    import mmap
+
+    grid = _sample_grid(scenario.duration, scenario.solver.sample_dt,
+                        tuple(t for t, _ in scenario.setpoints))
+    return mmap.mmap(-1, len(grid) * 8 * len(CHANNELS))
+
+
+def _run(scenario: ScenarioConfig, channels: tuple[str, ...], rows=None,
+         ready=None) -> tuple[np.ndarray, str, str]:
     """Integrate the augmented closed loop into a table of ``channels``, a row
-    per sample, the last sample's too: a view of the one float64
-    ``array("d")`` the kernels append to. Returns the table, the status and
-    the detail.
+    per sample, the last sample's too: a view of ``rows``, into which the
+    kernels write each row, a new float64 ``array("d")`` (``frombytes``) or
+    a writable ``mmap`` with room for every row (``write``). Each setpoint
+    segment is one kernel call, or, given ``ready``, is cut into slices that
+    end at the multiples of ``SLICE_SAMPLES`` samples, and ``ready(n)`` is
+    called with the number of rows written after each slice and after the
+    last row. A slice starts with a first stage, so rk23 makes one more
+    evaluation per slice, at a state it has evaluated already; the rows,
+    the status and the detail are the same. Returns the table, the status
+    and the detail.
     """
     from array import array
 
@@ -629,7 +665,12 @@ def _run(scenario: ScenarioConfig, channels: tuple[str, ...]) -> tuple[np.ndarra
 
     y = (scenario.initial.x, scenario.initial.p, scenario.initial.P1,
          scenario.initial.P2, scenario.initial_F_hat())
-    rows = array("d")
+    if rows is None:
+        rows = array("d")
+    if isinstance(rows, array):
+        emit, written = rows.frombytes, lambda: len(rows) // len(channels)
+    else:
+        emit, written = rows.write, lambda: rows.tell() // (8 * len(channels))
     h = min(solver.max_step, 1e-6)
 
     # Cut the grid by index at the setpoint times before the end, each a grid
@@ -640,20 +681,31 @@ def _run(scenario: ScenarioConfig, channels: tuple[str, ...]) -> tuple[np.ndarra
     cuts.append(len(grid) - 1)
     try:
         for (_, x_star), a, b in zip(scenario.setpoints, cuts, cuts[1:]):
-            kept = len(rows) + len(channels)   # through the segment's first row
+            kept = written() + 1   # through the segment's first row
             kernel = _closed_kernel(solver.method, params, gains, force, x_star, channels)
-            y, h = kernel(y, grid[a:b + 1], solver, h, rows)
+            while a < b:
+                # row i is the sample at grid[i]
+                end = b if ready is None else min(b, (a // SLICE_SAMPLES + 1) * SLICE_SAMPLES)
+                y, h = kernel(y, grid[a:end + 1], solver, h, emit)
+                a = end
+                if ready is not None:
+                    ready(written())
         # The last sample's row, with the last segment's x_star.
-        _closed_kernel("row", params, gains, force, x_star, channels)(grid[-1], y, rows)
+        _closed_kernel("row", params, gains, force, x_star, channels)(grid[-1], y, emit)
+        kept = written()
+        if ready is not None:
+            ready(kept)
         status, detail = "ok", ""
     except (DomainError, SolverError) as exc:
-        del rows[kept:]   # the failed segment keeps only its first row (ROADMAP item 1)
+        # the failed segment keeps only its first row (ROADMAP item 1)
+        kept = min(kept, written())
         status, detail = ("domain-exit" if isinstance(exc, DomainError) else "step-underflow",
                           str(exc))
-    return np.frombuffer(rows).reshape(-1, len(channels)), status, detail
+    table = np.frombuffer(rows, count=kept * len(channels)).reshape(-1, len(channels))
+    return table, status, detail
 
 
-def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
+def simulate(scenario: ScenarioConfig, rows=None, ready=None) -> TrajectoryRecord:
     """Integrate the augmented closed loop and record all diagnostic channels.
 
     Terminates early (with status "domain-exit" or "step-underflow") if the
@@ -663,9 +715,13 @@ def simulate(scenario: ScenarioConfig) -> TrajectoryRecord:
     item 1). An ``ArithmeticError`` of the kernels' float arithmetic, which
     finite but extreme inputs can raise (``expm1(P_i / Gamma0)`` of the ``H``
     channel overflowing, or a division by areas that underflowed to zero),
-    reaches the caller as raised.
+    reaches the caller as raised. Given ``rows``, a :func:`shared_rows` of
+    ``scenario``, and ``ready``, the kernels write the rows into that mapping
+    in slices and call ``ready`` with the rows written after each, as
+    :func:`_run` describes, so that a forked process can read each row as
+    soon as it is there; the record is the same.
     """
-    return TrajectoryRecord(*_run(scenario, CHANNELS))
+    return TrajectoryRecord(*_run(scenario, CHANNELS, rows, ready))
 
 
 def simulate_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:
@@ -705,7 +761,7 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     y = (initial.x, initial.p, initial.P1, initial.P2)
     rows = array("d")
     y, _ = _open_kernel(solver.method, params, R)(y, grid, solver, min(solver.max_step, 1e-8),
-                                                  rows)
+                                                  rows.frombytes)
     rows.extend(y)
     states = np.frombuffer(rows).reshape(-1, len(y))
     energies = np.array([hamiltonian(PlantState(*row), params)

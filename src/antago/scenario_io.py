@@ -20,16 +20,22 @@ line endings and one header, the names of :data:`~antago.engine.CHANNELS`.
 Its grammar: leading ``#`` lines, which carry the run status, and blank lines;
 the header; then one row per line, a line ending as ``open`` ends it. So the
 table itself stays consumable by any CSV reader. Neither side holds the whole
-text: the writer writes each block of rows into the file as it is rendered,
-and the reader streams the bytes of the rows after the header, from the open
-file with ``os.pread`` (a pipe, which has no offsets, is read whole first) or
-from the string's UTF-8 bytes, to numpy's compiled reader: in one call, or,
-for rows of two parts of ``_CSV_PART_BYTES`` or more, one call per part, each
-ending at a line feed, on forked workers, joined into one table. A record
-round-trips exactly, a multi-line detail included (a ``\r`` in it comes back
-as ``\n``). Files are read and written as UTF-8. numpy is imported by the
-functions that render or read the table, not by this module, so that parsing
-a scenario does not load it.
+text. One renderer writes the file: blocks of ``_CSV_BLOCK_ROWS`` rows, from
+``_CSV_FORK_BLOCKS`` blocks on split between this process and a forked child
+(:func:`~antago.workers.forked_ahead`), each written into the file as it
+comes. :func:`run_trajectory_csv`, which ``antago run`` calls, starts the
+child before the run, and the child renders each block as soon as the
+kernels have written its rows and writes it into the file itself; a finished
+record's blocks are all split. The reader streams the bytes of the rows
+after the header, from the open file with ``os.pread`` (a pipe, which has no
+offsets, is read whole first) or from the string's UTF-8 bytes, to numpy's
+compiled reader: in one call, or, for rows of two parts of
+``_CSV_PART_BYTES`` or more, one call per part, each ending at a line feed,
+on forked workers, joined into one table. A record round-trips exactly, a
+multi-line detail included (a ``\r`` in it comes back as ``\n``). Files are
+read and written as UTF-8. numpy is imported by the functions that render or
+read the table, not by this module, so that parsing a scenario does not load
+it.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import os
 import stat
 import tempfile
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
 from itertools import chain
@@ -49,15 +56,18 @@ from typing import TYPE_CHECKING, TextIO
 from .controller import ControllerGains
 from .engine import (
     CHANNELS,
+    SLICE_SAMPLES,
     STATUSES,
     ForceModel,
     ScenarioConfig,
     SolverSettings,
     TrajectoryRecord,
+    shared_rows,
+    simulate,
 )
 from .errors import ScenarioError
 from .plant import ActuatorGeometry, FluidParams, PlantParams, PlantState
-from .workers import forked_imap
+from .workers import forked_ahead, forked_imap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -235,14 +245,13 @@ def save_scenario(scenario: ScenarioConfig, path: str | os.PathLike) -> None:
 # --------------------------------------------------------------------------
 # Trajectory CSV.
 
-def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks`` to ``path`` atomically: each chunk goes into a
-    temporary file beside ``path`` as it arrives, ``path`` is replaced only
-    once the last is written, and the temporary file is removed when a chunk
-    fails to arrive or to be written. A one-piece text is passed as
-    ``(text,)``, since ``writelines`` writes a str a character at a time.
-    The file gets the mode ``open(path, "w")`` would leave: an existing
-    file's own, or else ``0o666`` less the umask."""
+@contextmanager
+def _atomic_file(path: Path) -> Iterator[TextIO]:
+    """A UTF-8 text file with LF line ends to write ``path`` through,
+    atomically: it is a temporary file beside ``path``, which replaces
+    ``path`` once the block ends, and which is removed when the block
+    fails. The file gets the mode ``open(path, "w")`` would leave: an
+    existing file's own, or else ``0o666`` less the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -255,37 +264,64 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             os.fchmod(fh.fileno(), mode)
-            fh.writelines(chunks)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` through :func:`_atomic_file`,
+    each as it arrives. A one-piece text is passed as ``(text,)``, since
+    ``writelines`` writes a str a character at a time."""
+    with _atomic_file(path) as fh:
+        fh.writelines(chunks)
+
+
 _CSV_HEADER = ",".join(CHANNELS)
-# Rows per block of the CSV renderer: a block is one job of forked_imap,
-# whose module docstring weighs the fork cost against the per-row cost.
-_CSV_BLOCK_ROWS = 128
+# Rows per block of the CSV renderer: a block is one item of forked_ahead,
+# whose module docstring weighs the fork cost against the per-row cost. A
+# sliced run's slices end at the same multiples, so each block is ready as
+# soon as the slice that ends it is integrated.
+_CSV_BLOCK_ROWS = SLICE_SAMPLES
+# Blocks of a table, at least, for which the renderer forks a child; a
+# smaller table renders in this process.
+_CSV_FORK_BLOCKS = 4
 # Bytes per part of the CSV reader, at least: the rows after the header are
 # cut into parts of about equal size, each one job of forked_imap, so rows of
 # less than two parts are read in one call and fork nothing.
 _CSV_PART_BYTES = 256 * 1024
 
 
-def _csv_chunks(record: TrajectoryRecord) -> Iterator[str]:
-    """The CSV text of ``record`` in pieces: its comment lines and header, then
-    each block of rows as :func:`~antago.workers.forked_imap` yields it."""
-    import numpy as np
-
-    lines = [f"# status: {record.status}"]
-    if record.detail:
+def _csv_prefix(status: str, detail: str) -> str:
+    """The comment lines that carry ``status`` and ``detail``, and the header."""
+    lines = [f"# status: {status}"]
+    if detail:
         # split where the reader's text stream ends a line
-        parts = record.detail.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        parts = detail.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         lines.extend(f"# detail: {part}" for part in parts)
     lines.append(_CSV_HEADER)
-    yield "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _csv_renderer(table: np.ndarray, sink: Callable[[str], object] | None = None):
+    """The :func:`~antago.workers.forked_ahead` of the blocks of ``table``
+    (rows ``start`` to ``start + _CSV_BLOCK_ROWS`` for each ``start``),
+    whose child passes each block it takes ahead to ``sink``."""
+    blocks = range(0, len(table), _CSV_BLOCK_ROWS)
+    return forked_ahead(partial(_csv_block, table), blocks, sink, _CSV_FORK_BLOCKS)
+
+
+def _csv_chunks(record: TrajectoryRecord) -> Iterator[str]:
+    """The CSV text of ``record`` in pieces: its comment lines and header, then
+    each block of rows as the renderer yields it."""
+    import numpy as np
+
     table = np.asarray(record.table, dtype=float)
-    yield from forked_imap(partial(_csv_block, table), range(0, len(table), _CSV_BLOCK_ROWS))
+    yield _csv_prefix(record.status, record.detail)
+    with _csv_renderer(table) as ahead:
+        yield from ahead.rest()
 
 
 def trajectory_to_csv(record: TrajectoryRecord) -> str:
@@ -295,9 +331,9 @@ def trajectory_to_csv(record: TrajectoryRecord) -> str:
     itself plain CSV: ``# status: <status>``, then one ``# detail: <line>``
     per line of a nonempty detail. Each value of ``record.table`` is written
     as the shortest ``repr`` of its float64 value. The rows are rendered in
-    blocks of ``_CSV_BLOCK_ROWS``, spread over forked workers by
-    :func:`~antago.workers.forked_imap`; the text does not depend on how many
-    ran.
+    blocks of ``_CSV_BLOCK_ROWS``, split between this process and a forked
+    child by :func:`~antago.workers.forked_ahead` from ``_CSV_FORK_BLOCKS``
+    blocks on; the text does not depend on which process rendered a block.
     """
     return "".join(_csv_chunks(record))
 
@@ -319,10 +355,57 @@ def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> No
     _atomic_write(Path(path), _csv_chunks(record))
 
 
+def run_trajectory_csv(scenario: ScenarioConfig, path: str | os.PathLike) -> TrajectoryRecord:
+    """:func:`~antago.engine.simulate` ``scenario``, write the record to
+    ``path`` as :func:`save_trajectory_csv` writes it, and return it.
+
+    The CSV is rendered while the run integrates. This process writes the
+    header of a run that ends ok into the temporary file; the kernels write
+    the rows into a :func:`~antago.engine.shared_rows` mapping; and a child
+    forked before the run renders each block of rows as soon as they are all
+    written and writes it into the file after the blocks before it, at the
+    file offset the two processes share. When the run ends, the blocks left
+    are split between this process and the child as a finished record's
+    are, and this process writes each into the file as it comes. A run that
+    ends early has another header and fewer rows: its file is written again
+    from the record. A grid of fewer than ``_CSV_FORK_BLOCKS`` blocks, one
+    core and a process with other threads fork nothing, and the rows are
+    rendered after the run. Any error, a worker that dies included, leaves
+    ``path`` as it was.
+    """
+    import numpy as np
+
+    rows = shared_rows(scenario)
+    table = np.frombuffer(rows).reshape(-1, len(CHANNELS))
+    with _atomic_file(Path(path)) as fh:
+        fh.write(_csv_prefix("ok", ""))
+        fh.flush()   # before the fork: the child writes after it
+
+        def sink(text: str) -> None:   # in the child
+            fh.write(text)
+            fh.flush()
+
+        with _csv_renderer(table, sink) as ahead:
+            record = simulate(scenario, rows, lambda n: ahead.ready(n // _CSV_BLOCK_ROWS))
+            if record.status == "ok":
+                fh.writelines(ahead.rest())
+        if record.status != "ok":
+            fh.seek(0)
+            fh.truncate()
+            fh.writelines(_csv_chunks(record))
+    return record
+
+
+# Bytes per read of a trajectory CSV's text stream from its source, where
+# TextIOWrapper reads 8 KiB: one Python-level read per 32 KiB.
+_CSV_READ_BYTES = 32 * 1024
+
+
 class _ByteRange(io.RawIOBase):
     """Bytes ``start`` to ``end`` of a source that ``pread(size, offset)``
     reads, as a stream: ``os.pread`` moves no file offset, which a forked
-    child shares with this process."""
+    child shares with this process. ``read`` hands on what ``pread``
+    returns, uncopied."""
 
     def __init__(self, pread: Callable[[int, int], bytes], start: int, end: int):
         super().__init__()
@@ -331,19 +414,22 @@ class _ByteRange(io.RawIOBase):
     def readable(self) -> bool:
         return True
 
-    def readinto(self, buffer) -> int:
-        data = self._pread(min(len(buffer), self._end - self._pos), self._pos)
-        buffer[:len(data)] = data
+    def read(self, size: int = -1) -> bytes:
+        rest = self._end - self._pos
+        data = self._pread(rest if size < 0 else min(size, rest), self._pos)
         self._pos += len(data)
-        return len(data)
+        return data
 
 
 def _text(pread: Callable[[int, int], bytes], start: int, end: int, errors: str,
           newline: str | None = None) -> TextIO:
-    """Bytes ``start`` to ``end`` as a UTF-8 text stream; with the default
-    ``newline``, its lines end as ``open`` ends them, each in one "\\n"."""
-    return io.TextIOWrapper(_ByteRange(pread, start, end), encoding="utf-8", errors=errors,
-                            newline=newline)
+    """Bytes ``start`` to ``end`` as a UTF-8 text stream that reads
+    ``_CSV_READ_BYTES`` at a time; with the default ``newline``, its lines
+    end as ``open`` ends them, each in one "\\n"."""
+    fh = io.TextIOWrapper(_ByteRange(pread, start, end), encoding="utf-8", errors=errors,
+                          newline=newline)
+    fh._CHUNK_SIZE = _CSV_READ_BYTES
+    return fh
 
 
 def _read_prefix(fh: TextIO) -> tuple[str, str, int, int]:

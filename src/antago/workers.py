@@ -1,13 +1,16 @@
-"""Forked workers for independent jobs: one generator, :func:`forked_imap`.
+"""Forked workers for independent jobs: :func:`forked_imap`, and
+:func:`forked_ahead` for jobs that become ready while this process works.
 
 The policy, kept here alone (with ``os.fork`` and pipes, not
 ``multiprocessing``):
 
 - One worker per core this process may use (``os.sched_getaffinity(0)``),
-  and no more workers than items.
+  and no more workers than items; :func:`forked_ahead` forks one child at
+  most.
 - The items run in this process, one by one, when fewer than two workers
-  would be busy, and when this process has other threads, which a fork would
-  copy in whatever state they hold.
+  would be busy, when there are fewer items than the caller's ``least``,
+  and when this process has other threads, which a fork would copy in
+  whatever state they hold.
 - This process is worker 0 and computes items ``0, w, 2w, ...`` itself;
   forked child ``k`` computes items ``k::w`` and writes one pickled
   ``(ok, value)`` per item down a pipe of its own. The results are read in
@@ -16,117 +19,255 @@ The policy, kept here alone (with ``os.fork`` and pipes, not
   out again what the parent had buffered.
 - A child ends with ``os._exit``, which runs none of the parent's clean-up
   and flushes none of the files it holds open: a caller may write each result
-  into a file as it is yielded, as ``save_trajectory_csv`` does, without a
-  child writing what the parent had buffered there a second time.
+  into a file as it is yielded, as the CSV writer does, without a child
+  writing what the parent had buffered there a second time.
   An exception ``fn`` raises in a child is raised again here; a child that
   ends before it sends a result raises :class:`~antago.errors.WorkerError`,
   naming its pid and its exit status or signal. Every child is killed and
-  reaped when the generator ends, fails or is closed early.
+  reaped when the generator or the context ends, fails or is closed early.
 - The package imports numpy only where an array is built, and its forked
-  jobs build arrays: :func:`forked_imap` imports numpy before the first fork,
-  so that the workers share the loaded module and do not each import it
-  again. When the items run in this process, it imports nothing.
+  jobs build arrays: numpy is imported before the first fork, so that the
+  workers share the loaded module and do not each import it again. When the
+  items run in this process, it imports nothing.
 
-A fork plus its reaping costs about 1.3–1.4 ms on a 2-core VM (Python 3.11),
+A fork plus its reaping costs about 1.3 ms on a 2-core VM (Python 3.11),
 so a child is worth it only for several times that much work. Its users:
 
 - ``cli`` runs the points of a sweep, and ``verify`` the presets of its
-  Lyapunov suite, one item each.
-- The CSV writer renders blocks of 128 rows, about 1.1 ms each at about
-  8.6 µs per row, so a table of one block never forks and the 2,001-row
-  fig2-F1 table gives a child eight blocks; the parent writes each block into
-  the file as it comes, and a child's blocks are pickled one at a time.
+  Lyapunov suite, one item each, on :func:`forked_imap`.
+- The CSV writer renders blocks of 128 rows, about 1.1–1.4 ms each, on
+  :func:`forked_ahead`, and forks for a table of 4 blocks or more. While
+  ``antago run`` integrates, the child renders each block as soon as its
+  rows are written and writes it into the file itself; the blocks left when
+  the run ends, and every block of a finished record, are split between the
+  two processes, and this process writes each into the file as it comes.
 - The CSV reader parses parts of at least 256 KiB of rows, about 2.9 ms per
-  344 kB part, so a file of less than two parts never forks and each preset's
-  630–690 kB file gives a child its second half.
+  344 kB part, on :func:`forked_imap`, so a file of less than two parts
+  never forks and each preset's 630–690 kB file gives a child its second
+  half.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 import sys
 import threading
 from collections.abc import Callable, Iterator, Sequence
-from typing import NoReturn, TypeVar
+from contextlib import contextmanager
+from typing import BinaryIO, TypeVar
 
 from .errors import WorkerError
 
 T = TypeVar("T")
 R = TypeVar("R")
 
+# A message from this process to a forked_ahead child: a count of items
+# ready, or -1 for the end of them.
+_COUNT = struct.Struct("q")
+
+
+def _workers(items: int, least: int = 2) -> int:
+    """How many processes share ``items`` items: the cores this process may
+    use, at most one per item, or 1 (this process alone) when that is fewer
+    than two, when there are fewer than ``least`` items, or when this
+    process has other threads."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores, items)
+    if workers < 2 or items < least or threading.active_count() > 1:
+        return 1
+    return workers
+
+
+def _fork(life: Callable[[BinaryIO], object],
+          pipes: Sequence[BinaryIO] = ()) -> tuple[int, BinaryIO]:
+    """Fork a child that closes ``pipes``, the read ends of its siblings,
+    runs ``life`` on the write end of a new pipe and exits; return its pid
+    and the read end of its pipe."""
+    import numpy   # noqa: F401 -- loaded once here, not in each forked worker
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            for pipe in pipes:
+                pipe.close()
+            with open(write_fd, "wb") as pipe:
+                life(pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _receive(children: dict, k: int):
+    """The next result that child ``k`` of ``children`` sends down its pipe:
+    its value, or the exception it raised, raised again here. A child that
+    ended first is reaped and taken out of ``children``."""
+    import pickle
+
+    pid, pipe = children[k]
+    try:
+        ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        del children[k]
+        pipe.close()
+        raise WorkerError(f"worker process {pid} {_ended(os.waitpid(pid, 0)[1])} "
+                          "before sending its result") from None
+    if not ok:
+        raise value
+    return value
+
+
+def _reap(children: dict) -> None:
+    """Kill and reap every child of ``children``: none is reaped yet, so each
+    pid is still that child's."""
+    import signal
+
+    for pid, pipe in children.values():
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
 
 def forked_imap(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     """Yield ``fn(item)`` for each of ``items``, in order, computed on forked
     workers as the module docstring describes. Each result is the same
     whichever process computed it."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cores, len(items))
-    if workers < 2 or threading.active_count() > 1:
+    workers = _workers(len(items))
+    if workers < 2:
         yield from map(fn, items)
         return
-    import pickle   # here, as signal is, so that importing the package loads neither
-    import signal
-
-    import numpy   # noqa: F401 -- loaded once here, not in each forked worker
-
-    sys.stdout.flush()
-    sys.stderr.flush()
     children = {}   # worker number -> (pid, read end of its pipe), until reaped
     try:
         for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                for _, pipe in children.values():
-                    pipe.close()
-                _serve(fn, items[k::workers], write_fd)
-            os.close(write_fd)
-            children[k] = (pid, open(read_fd, "rb"))
+            children[k] = _fork(lambda pipe, k=k: _serve(fn, items[k::workers], pipe),
+                                [pipe for _, pipe in children.values()])
         for i, item in enumerate(items):
             k = i % workers
-            if k == 0:
-                yield fn(item)
-                continue
-            pid, pipe = children[k]
-            try:
-                ok, value = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                del children[k]
-                pipe.close()
-                raise WorkerError(f"worker process {pid} {_ended(os.waitpid(pid, 0)[1])} "
-                                  "before sending its result") from None
-            if not ok:
-                raise value
-            yield value
+            yield fn(item) if k == 0 else _receive(children, k)
     finally:
-        for pid, pipe in children.values():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)   # unreaped, so the pid is still this child's
-            os.waitpid(pid, 0)
+        _reap(children)
 
 
-def _serve(fn: Callable, items: Sequence, write_fd: int) -> NoReturn:
-    """A child's whole life: send ``(True, fn(item))`` for each item in order,
-    or ``(False, exception)`` for the first that raises, then exit."""
-    code = 1
+class Ahead:
+    """This process's side of :func:`forked_ahead`: :meth:`ready` lets the
+    child take more items, and :meth:`rest` yields the results of the
+    others."""
+
+    def __init__(self, fn: Callable[[T], R], items: Sequence[T]):
+        self._fn, self._items = fn, items
+        self._children = {}   # {1: (pid, read end of its pipe)} while a child is unreaped
+        self._ready_fd = -1   # the write end of the child's pipe of counts
+        self._count = 0
+
+    def _tell(self, count: int) -> None:
+        try:
+            os.write(self._ready_fd, _COUNT.pack(count))
+        except BrokenPipeError:   # the child is gone: rest() says how it ended
+            pass
+
+    def ready(self, count: int) -> None:
+        """The first ``count`` items are ready: the child may compute them."""
+        if self._children and count > self._count:
+            self._count = count
+            self._tell(count)
+
+    def rest(self) -> Iterator[R]:
+        """Yield, in order, ``fn(item)`` for each item that the child did not
+        take while they became ready: this process computes the first of them
+        and every second one after it, the child the others."""
+        if not self._children:
+            yield from map(self._fn, self._items)
+            return
+        self._tell(-1)
+        taken = _receive(self._children, 1)
+        for i in range(taken, len(self._items)):
+            yield self._fn(self._items[i]) if (i - taken) % 2 == 0 else _receive(self._children, 1)
+
+
+@contextmanager
+def forked_ahead(fn: Callable[[T], R], items: Sequence[T], sink: Callable[[R], object] | None,
+                 least: int) -> Iterator[Ahead]:
+    """Fork one child for ``items``, as the module docstring describes, and
+    yield an :class:`Ahead` while this process works on something else. The
+    child computes ``fn`` of each item as soon as :meth:`Ahead.ready` counts
+    it, in order, and passes the result to ``sink`` in the child; once
+    :meth:`Ahead.rest` is called, it stops after the item in hand, and the
+    two processes split the items it has not taken. ``sink`` may be None
+    when ``ready`` is never called. With no child (one core, fewer than
+    ``least`` items, other threads), ``ready`` does nothing and ``rest``
+    computes every item here. The child is killed and reaped when the
+    context ends."""
+    ahead = Ahead(fn, items)
+    if _workers(len(items), least) < 2:
+        yield ahead
+        return
+    import select   # noqa: F401 -- loaded here, not in the child
+
+    read_fd, ahead._ready_fd = os.pipe()
     try:
-        import pickle
-
-        with open(write_fd, "wb") as pipe:
-            for item in items:
-                ok = True
-                try:
-                    data = pickle.dumps((True, fn(item)))
-                except Exception as exc:   # raised again by the parent
-                    ok, data = False, pickle.dumps((False, exc))
-                pipe.write(data)
-                pipe.flush()
-                if not ok:
-                    break
-        code = 0
+        try:
+            ahead._children[1] = _fork(lambda pipe: _lead(fn, items, sink, read_fd,
+                                                          ahead._ready_fd, pipe))
+        finally:
+            os.close(read_fd)   # so that a count sent to a dead child is a broken pipe
+        yield ahead
     finally:
-        os._exit(code)
+        os.close(ahead._ready_fd)
+        _reap(ahead._children)
+
+
+def _lead(fn: Callable, items: Sequence, sink: Callable, read_fd: int, ready_fd: int,
+          pipe: BinaryIO) -> None:
+    """A forked_ahead child's life: pass ``fn(item)`` of each item, in
+    order, to ``sink`` as the counts that the parent writes to ``read_fd``
+    make it ready; at the end of them, send down ``pipe`` how many it took,
+    or the exception that stopped it, and serve its share of the rest."""
+    import pickle
+    import select
+
+    os.close(ready_fd)
+    taken = ready = 0
+    try:
+        while ready >= 0:
+            # wait for a count when every ready item is taken, else only look
+            if taken < ready and not select.select([read_fd], [], [], 0)[0]:
+                sink(fn(items[taken]))
+                taken += 1
+                continue
+            data = os.read(read_fd, 4096)   # whole counts: each write is atomic
+            if not data:
+                return   # the parent is gone
+            *_, (ready,) = _COUNT.iter_unpack(data)   # the last: counts only rise
+    except Exception as exc:   # raised again by the parent
+        pipe.write(pickle.dumps((False, exc)))
+        return
+    pipe.write(pickle.dumps((True, taken)))
+    pipe.flush()
+    _serve(fn, items[taken + 1::2], pipe)
+
+
+def _serve(fn: Callable, items: Sequence, pipe: BinaryIO) -> None:
+    """Send ``(True, fn(item))`` down ``pipe`` for each item in order, or
+    ``(False, exception)`` for the first that raises, and stop there."""
+    import pickle
+
+    for item in items:
+        ok = True
+        try:
+            data = pickle.dumps((True, fn(item)))
+        except Exception as exc:   # raised again by the parent
+            ok, data = False, pickle.dumps((False, exc))
+        pipe.write(data)
+        pipe.flush()
+        if not ok:
+            break
 
 
 def _ended(status: int) -> str:

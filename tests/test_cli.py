@@ -18,7 +18,14 @@ import pytest
 import antago
 from antago.cli import MAX_SWEEP_POINTS, _parse_values, main
 from antago.controller import validate_gains
-from antago.engine import MAX_RK4_STEPS, MAX_SAMPLES, diagnostics, simulate, simulate_summary
+from antago.engine import (
+    MAX_RK4_STEPS,
+    MAX_SAMPLES,
+    ForceModel,
+    diagnostics,
+    simulate,
+    simulate_summary,
+)
 from antago.errors import ScenarioError
 from antago.scenario_io import (
     load_preset,
@@ -26,8 +33,10 @@ from antago.scenario_io import (
     load_scenario,
     save_scenario,
     serialize_scenario,
+    trajectory_to_csv,
 )
 from antago.verify import SUITES
+from test_workers import _assert_reaped, _record_forks
 
 _SRC = str(Path(antago.__file__).resolve().parents[1])
 
@@ -684,14 +693,11 @@ def test_worker_error_is_one_line_error(tmp_path, short_scenario_file, capsys, m
 
 
 # Finite values the parser accepts whose run raises an ArithmeticError: the H
-# channel's expm1(P_i / Gamma0) overflows, or, with a subnormal k_m and a light
-# payload, 2 * k_m * M underflows to zero and H_d, which a sweep's summary
-# kernel computes too, divides by it.
+# channel's expm1(P_i / Gamma0) overflows.
 _ARITHMETIC_EDITS = {
     "Gamma0": {"Gamma0": "1e-300"},
     "K0": {"K0": "1e-300"},
     "P1": {"P1": "1e300"},
-    "k_m-underflow": {"k_m": "5e-324", "m": "1e-3"},
 }
 
 
@@ -716,16 +722,57 @@ def _one_error_line(argv, out, capsys):
     return err
 
 
-@pytest.mark.parametrize("command, edit", [*(("run", edit) for edit in _ARITHMETIC_EDITS),
-                                           ("sweep", "k_m-underflow")])
-def test_arithmetic_error_is_one_line_error(tmp_path, study, capsys, monkeypatch, command, edit):
-    """An overflow or a division by zero in a run, a sweep's too, ends the
-    command with one error line and exit 1, and ``--out`` stays as it was."""
+@pytest.mark.parametrize("edit", [pytest.param(edit, id=f"run-{edit}")
+                                  for edit in _ARITHMETIC_EDITS])
+def test_arithmetic_error_is_one_line_error(tmp_path, study, capsys, monkeypatch, edit):
+    """An overflow in a run ends the command with one error line and exit 1,
+    and ``--out`` stays as it was."""
     path = _edited_scenario(study, tmp_path / "edge.ini", _ARITHMETIC_EDITS[edit])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _one_error_line(["run", str(path)], tmp_path / "out.csv", capsys)
+
+
+class _DividingForce(ForceModel):
+    """A load whose law divides by zero at every evaluation."""
+
+    def __call__(self, x, xdot):
+        return self.value / 0.0
+
+
+def test_arithmetic_error_in_a_sweep_worker_is_one_line_error(tmp_path, short_scenario_file,
+                                                              capsys, monkeypatch):
+    """A sweep point whose run divides by zero in the forked worker, the
+    second of two on two cores, ends the sweep with that error as one line
+    and exit 1; ``--out`` stays as it was and the worker is reaped."""
+    sweep_variant = antago.cli._sweep_variant
+
+    def dividing_at_ten(scenario, param, value):
+        point = sweep_variant(scenario, param, value)
+        return replace(point, force=_DividingForce("constant", 1.0)) if value == 10.0 else point
+
+    monkeypatch.setattr(antago.cli, "_sweep_variant", dividing_at_ten)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = _record_forks(monkeypatch)
+    err = _one_error_line(["sweep", "alpha", str(short_scenario_file), "--values", "5,10"],
+                          tmp_path / "out.csv", capsys)
+    assert err == "error: ZeroDivisionError in the run: float division by zero\n"
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def _error_before_the_run(tmp_path, study, capsys, monkeypatch, command, edit):
+    """The one error line of ``command`` on ``study`` with the keys of
+    ``edit`` replaced, which must simulate nothing."""
+    path = _edited_scenario(study, tmp_path / "edge.ini", edit)
+
+    def not_simulated(scenario, *args):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr("antago.scenario_io.simulate", not_simulated)
+    monkeypatch.setattr("antago.cli.simulate_summary", not_simulated)
     argv = ["run", str(path)] if command == "run" else ["sweep", "alpha", str(path),
                                                           "--values", "5,10"]
-    _one_error_line(argv, tmp_path / "out.csv", capsys)
+    return _one_error_line(argv, tmp_path / "out.csv", capsys)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -734,17 +781,22 @@ def test_zero_area_scale_is_one_line_error_before_the_run(tmp_path, study, capsy
     """K0 = 5e-324 with L0 = 1000, where both areas would underflow to zero
     and the kernel divide by them, is rejected when the scenario is read: one
     error line naming K0 / L0 and exit 1, with nothing simulated."""
-    path = _edited_scenario(study, tmp_path / "edge.ini", {"K0": "5e-324", "L0": "1000.0"})
-
-    def not_simulated(scenario):
-        raise AssertionError("simulated")
-
-    monkeypatch.setattr("antago.cli.simulate", not_simulated)
-    monkeypatch.setattr("antago.cli.simulate_summary", not_simulated)
-    argv = ["run", str(path)] if command == "run" else ["sweep", "alpha", str(path),
-                                                          "--values", "5,10"]
-    err = _one_error_line(argv, tmp_path / "out.csv", capsys)
+    err = _error_before_the_run(tmp_path, study, capsys, monkeypatch, command,
+                                {"K0": "5e-324", "L0": "1000.0"})
     assert err == ("error: area scale K0 / L0 = 0.0 is below the smallest normal float "
+                   "2.2250738585072014e-308\n")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_subnormal_k_m_is_one_line_error_before_the_run(tmp_path, study, capsys,
+                                                        monkeypatch, command):
+    """k_m = 5e-324 with m = 1e-3, where 2 * k_m * M would underflow to zero
+    and H_d, which a sweep's summary kernel computes too, divide by it, is
+    rejected when the scenario is read: one error line naming 2 * k_m * m
+    and exit 1, with nothing simulated."""
+    err = _error_before_the_run(tmp_path, study, capsys, monkeypatch, command,
+                                {"k_m": "5e-324", "m": "1e-3"})
+    assert err == ("error: 2 * k_m * m = 0.0 is below the smallest normal float "
                    "2.2250738585072014e-308\n")
 
 
@@ -831,6 +883,119 @@ def test_dead_csv_worker_is_one_line_error(tmp_path):
                         r"before sending its result\n", proc.stderr), proc.stderr
     assert proc.stdout == ""
     assert out.read_text() == "old\n" and os.listdir(tmp_path) == ["out.csv"]
+
+
+def _run_cases(study):
+    """The scenarios whose ``antago run`` CSV is checked against the finished
+    record's: the presets, a domain exit, rk4 (401 rows), and fig2-F1
+    tables of 101, 201 and 301 rows: one, two and three blocks."""
+    cases = {name: load_preset(name) for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
+    cases["alpha=22"] = replace(study, gains=replace(study.gains, alpha=22.0))
+    cases["rk4"] = replace(study, solver=replace(study.solver, method="rk4", fixed_step=1e-4),
+                           duration=2.0)
+    for blocks in (1, 2, 3):
+        cases[f"{blocks} blocks"] = replace(study, duration=0.5 * blocks)
+    return cases
+
+
+@pytest.mark.parametrize("fork_from", [None, 2], ids=["as-shipped", "from-2-blocks"])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_run_writes_the_csv_of_the_finished_record(tmp_path, study, capsys, monkeypatch,
+                                                   cores, fork_from):
+    """``antago run`` writes the bytes ``trajectory_to_csv(simulate(s))``
+    gives, on one core and two, with the renderer forking from its shipped
+    block count and from two blocks. On two cores a run whose grid has that
+    many blocks forks one child, which is reaped, and another forks none;
+    the domain exit's grid forks, and its file is written again."""
+    import antago.scenario_io
+
+    if fork_from is not None:
+        monkeypatch.setattr(antago.scenario_io, "_CSV_FORK_BLOCKS", fork_from)
+    fork_from = antago.scenario_io._CSV_FORK_BLOCKS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    path, out = tmp_path / "case.ini", tmp_path / "out.csv"
+    for name, scenario in _run_cases(study).items():
+        record = simulate(scenario)
+        expected = trajectory_to_csv(record).encode()
+        save_scenario(scenario, path)
+        with monkeypatch.context() as patch:
+            forks = _record_forks(patch)
+            assert main(["run", str(path), "--out", str(out)]) == (record.status != "ok"), name
+        assert out.read_bytes() == expected, name
+        blocks = math.ceil(round(scenario.duration / scenario.solver.sample_dt + 1) / 128)
+        assert len(forks) == (cores == 2 and blocks >= fork_from), (name, blocks, forks)
+        if forks:
+            _assert_reaped(forks)
+    capsys.readouterr()
+
+
+def test_run_in_threaded_process_forks_nothing(tmp_path, monkeypatch, capsys):
+    """A process with a second thread renders the CSV after the run, here:
+    no fork, the same bytes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = _record_forks(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30.0,))
+    waiter.start()
+    try:
+        assert main(["run", "fig2-F1", "--out", str(tmp_path / "f1.csv")]) == 0
+    finally:
+        release.set()
+        waiter.join(timeout=30.0)
+    assert not waiter.is_alive() and forks == []
+    assert (tmp_path / "f1.csv").read_text() == trajectory_to_csv(simulate(load_preset("fig2-F1")))
+
+
+def test_run_holds_about_one_block_of_text(tmp_path, monkeypatch, capsys):
+    """While ``antago run fig2-F1`` renders on two cores, this process holds
+    about one block of text at a time, never the whole 688 kB: a tracemalloc
+    peak of 0.19 MB (Python 3.11, numpy 2.4), under the 1.0e6 bound of
+    ``test_csv_save_and_load_never_hold_the_whole_text``. The 272 kB row
+    mapping is not a Python allocation, so tracemalloc does not count it."""
+    import tracemalloc
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "f1.csv"
+    assert main(["run", "fig2-F1", "--out", str(out)]) == 0   # the first run imports
+    forks = _record_forks(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert main(["run", "fig2-F1", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6, peak
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def test_failed_forked_run_reaps_its_renderer(tmp_path, study, capsys, monkeypatch):
+    """A run that divides by zero while its renderer child waits, and a full
+    disk in the child's own writes, each end ``antago run`` with one error
+    line and exit 1; the child is reaped, the existing ``--out`` stays as it
+    was and no temporary file is left."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent, fdopen = os.getpid(), os.fdopen
+
+    def full_in_a_child(fd, *args, **kwargs):
+        fh = fdopen(fd, *args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: write(text) if os.getpid() == parent else _no_space()
+        return fh
+
+    out = tmp_path / "out.csv"
+    for fault, message in (("divide", "ZeroDivisionError in the run: float division by zero"),
+                           ("full", "[Errno 28] No space left on device")):
+        with monkeypatch.context() as patch:
+            if fault == "divide":
+                patch.setattr(antago.cli, "_resolve_scenario",
+                              lambda ref: replace(study, force=_DividingForce("constant", 1.0)))
+            else:
+                patch.setattr(os, "fdopen", full_in_a_child)
+            forks = _record_forks(patch)
+            assert _one_error_line(["run", "fig2-F1"], out, capsys) == f"error: {message}\n"
+        assert len(forks) == 1 and os.listdir(tmp_path) == ["out.csv"], fault
+        _assert_reaped(forks)
 
 
 def test_run_and_observer_decay_never_call_lstsq(tmp_path, monkeypatch):
@@ -942,7 +1107,7 @@ def test_only_verify_loads_the_verify_suites(tmp_path, argv, loads):
 @pytest.mark.parametrize("argv, forks", [
     (["verify", "matching"], 0),
     (["verify", "gradients", "--seed", "3"], 0),
-    (["run", "fig2-F1"], 1),    # 2,001 rows render as two CSV blocks, one forked
+    (["run", "fig2-F1"], 1),    # the CSV renders beside the run, on one forked child
 ])
 def test_commands_do_not_load_numpy_random(tmp_path, argv, forks):
     """The seeded suites draw their samples without numpy.random."""

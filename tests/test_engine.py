@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import astuple, replace
@@ -97,6 +98,22 @@ def test_scenario_validation_errors(study):
     replace(study, solver=tiny_step)   # rk23 never takes the fixed step
     with pytest.raises(ScenarioError, match="budget of 10000000 rk4 steps"):
         replace(study, solver=replace(tiny_step, method="rk4"))
+
+
+def test_subnormal_energy_scale_is_rejected(study):
+    """H_d divides by 2 * k_m * M, and M >= m: a scenario whose 2 * k_m * m
+    is below the smallest normal float, where that product could underflow
+    to zero, is rejected on construction, naming the product; the smallest
+    normal product is accepted."""
+    tiny = sys.float_info.min
+    light = replace(study.params, m=1e-3)
+    with pytest.raises(ScenarioError) as info:
+        replace(study, params=light, gains=replace(study.gains, k_m=5e-324))
+    assert str(info.value) == f"2 * k_m * m = 0.0 is below the smallest normal float {tiny!r}"
+    assert study.params.m == 0.25
+    replace(study, gains=replace(study.gains, k_m=2 * tiny))   # 2 * k_m * m is tiny itself
+    with pytest.raises(ScenarioError, match="2 \\* k_m \\* m = 1.1125369292536007e-308 is below"):
+        replace(study, gains=replace(study.gains, k_m=tiny))
 
 
 def test_record_reaches_the_end_of_the_run(study):
@@ -568,6 +585,40 @@ def test_summary_rows_are_the_record_columns(study):
     assert CHANNELS == tuple(engine._CHANNEL_EXPRESSIONS)
 
 
+def test_sliced_run_is_the_unsliced_run(study):
+    """A run told of its rows as they are written, in slices that end at the
+    multiples of SLICE_SAMPLES samples, gives the table, bit for bit, the
+    status and the detail of the run in one kernel call per segment: the
+    record's rows written into a shared_rows mapping, the summary's into an
+    array, on the presets, a domain exit, the digested runs, rk4 and a
+    failure at a later segment's first stage. The counts rise, each a
+    slice's end or a segment's, and an ok run's last is its length."""
+    scenarios = {name: load_preset(name)
+                 for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
+    scenarios["alpha=22.0"] = replace(study, gains=replace(study.gains, alpha=22.0))
+    scenarios.update(pin.table_runs())
+    scenarios["rk4"] = replace(study, solver=replace(study.solver, method="rk4", fixed_step=1e-4),
+                               duration=0.7)
+    scenarios["second segment"] = _failing_at(pin.table_runs()["rk4-multistep"], 16)
+    for name, scenario in scenarios.items():
+        grid = engine._sample_grid(scenario.duration, scenario.solver.sample_dt,
+                                   tuple(t for t, _ in scenario.setpoints))
+        segment_ends = {engine.bisect_left(grid, t) for t, _ in scenario.setpoints[1:]}
+        for channels, rows in ((CHANNELS, engine.shared_rows(scenario)), (SUMMARY_CHANNELS, None)):
+            counts = []
+            sliced = engine._run(scenario, channels, rows, counts.append)
+            whole = engine._run(scenario, channels)
+            assert sliced[0].tobytes() == whole[0].tobytes(), (name, channels)
+            assert sliced[1:] == whole[1:], (name, channels)
+            assert counts == sorted(set(counts)), (name, counts)
+            assert all(n % engine.SLICE_SAMPLES == 0 or n in segment_ends or n == len(grid) - 1
+                       for n in counts[:-1]), (name, counts)
+            if whole[1] == "ok":
+                assert counts[-1] == len(whole[0]) == len(grid), name
+    assert scenarios["second segment"].solver.method == "rk4"
+    assert {scenarios[name].solver.method for name in ("fig2-F1", "multistep")} == {"rk23"}
+
+
 # --------------------------------------------------------------------------
 # Solver robustness.
 
@@ -770,13 +821,18 @@ def _reference_open_field(params, R, margin=engine.DOMAIN_MARGIN):
     return field
 
 
-def _reference_rk23_segment(field, y, t_grid, solver, h, rows):
+def _emit_row(emit, row):
+    """Pass ``row`` to a kernel's ``emit`` as the kernels do: its float64 bytes."""
+    emit(struct.pack(f"{len(row)}d", *row))
+
+
+def _reference_rk23_segment(field, y, t_grid, solver, h, emit):
     """Tuple-loop form of the ``rk23`` kernel."""
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
     t = t_grid[0]
     k1, row = field(t, *y)
     for tg in t_grid[1:]:
-        rows.extend(row(t))
+        _emit_row(emit, row(t))
         while t < tg:
             h = min(h, max_step, tg - t)
             if h < engine._MIN_STEP_FRACTION * max(1.0, abs(t)):
@@ -799,7 +855,7 @@ def _reference_rk23_segment(field, y, t_grid, solver, h, rows):
     return y, h
 
 
-def _reference_rk4_segment(field, y, t_grid, solver, h_in, rows):
+def _reference_rk4_segment(field, y, t_grid, solver, h_in, emit):
     """Tuple-loop form of the ``rk4`` kernel."""
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
         n = max(1, math.ceil((tb - ta) / solver.fixed_step - 1e-12))
@@ -808,7 +864,7 @@ def _reference_rk4_segment(field, y, t_grid, solver, h_in, rows):
         for j in range(n):
             k1, row = field(t, *y)
             if j == 0:
-                rows.extend(row(t))
+                _emit_row(emit, row(t))
             k2, _ = field(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k1)))
             k3, _ = field(t + 0.5 * h, *(yi + 0.5 * h * k for yi, k in zip(y, k2)))
             k4, _ = field(t + h, *(yi + h * k for yi, k in zip(y, k3)))
@@ -825,7 +881,7 @@ def _reference_kernel(field, method):
     """Reference form of the engine's ``method`` kernel over ``field``: a
     stepper, or "row", which appends the row at one time."""
     if method == "row":
-        return lambda t, y, rows: rows.extend(field(t, *y)[1](t))
+        return lambda t, y, emit: _emit_row(emit, field(t, *y)[1](t))
     return functools.partial(_REFERENCE_STEPPERS[method], field)
 
 

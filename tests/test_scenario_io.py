@@ -1021,6 +1021,25 @@ def test_csv_render_does_not_depend_on_worker_count(fig2_runs, tmp_path, monkeyp
         assert len(ran) == 16 and ran.count(me) == 16 // len(cores) and len(set(ran)) == len(cores)
 
 
+def test_csv_render_forks_from_four_blocks(tmp_path, monkeypatch):
+    """On two cores a table of three 128-row blocks (384 rows) renders in
+    this process, where a fork would cost more than it saves, and one of
+    four (385 rows) forks one child, which is reaped; the text is the
+    per-value reference either way."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for rows, forked in ((384, 0), (385, 1)):
+        column = np.arange(rows, dtype=float)[:, None] / 7
+        record = TrajectoryRecord(np.repeat(column, len(CHANNELS), axis=1))
+        for write in (trajectory_to_csv, lambda r: save_trajectory_csv(r, tmp_path / "r.csv")):
+            with monkeypatch.context() as patch:
+                forks = _record_forks(patch)
+                text = write(record) or (tmp_path / "r.csv").read_text()
+            assert text == _reference_trajectory_to_csv(record)
+            assert len(forks) == forked, rows
+            if forks:
+                _assert_reaped(forks)
+
+
 # --------------------------------------------------------------------------
 # The split reader: rows of two parts or more are read in parts on forked
 # workers and joined.

@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import antago
 from antago.verify import check_lyapunov
-from antago.workers import forked_imap
+from antago.errors import WorkerError
+from antago.workers import forked_ahead, forked_imap
 
 
 def _cores(monkeypatch, cores):
@@ -85,6 +87,81 @@ def test_error_in_this_process_reaps_every_child(monkeypatch):
     results = forked_imap(fail_on_three, range(9))
     with pytest.raises(ZeroDivisionError, match="item 3"):
         list(results)
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+def _sink_to(path):
+    """A forked_ahead sink that appends each result to ``path``, one line each."""
+    def sink(result):
+        with open(path, "a") as fh:
+            fh.write(f"{json.dumps(result)}\n")
+    return sink
+
+
+def _lines(path, count, timeout=30.0):
+    """The first ``count`` lines of ``path``, waiting up to ``timeout`` s for them."""
+    deadline = time.monotonic() + timeout
+    while (len(lines := path.read_text().splitlines()) < count
+           and time.monotonic() < deadline):
+        time.sleep(0.001)
+    return [tuple(json.loads(line)) for line in lines]
+
+
+def test_ahead_child_takes_ready_items_and_splits_the_rest(tmp_path, monkeypatch):
+    """The child takes each item as it is counted ready, in order, and hands
+    it to the sink in its own process; the rest are yielded here in order,
+    this process computing the first of them and every second one after it,
+    and the child is reaped."""
+    _cores(monkeypatch, {0, 1})
+    forks = _record_forks(monkeypatch)
+    sunk = tmp_path / "sunk.txt"
+    sunk.write_text("")
+    with forked_ahead(_item_and_pid, range(9), _sink_to(sunk), 2) as ahead:
+        ahead.ready(3)
+        assert _lines(sunk, 3) == [(i, forks[0]) for i in range(3)]
+        rest = list(ahead.rest())
+    assert [i for i, _ in rest] == list(range(3, 9))
+    assert [pid for _, pid in rest] == [os.getpid(), forks[0]] * 3
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def test_ahead_without_a_child_computes_every_item_here(monkeypatch):
+    """One core, or fewer items than ``least``: no fork, ``ready`` does
+    nothing and ``rest`` computes every item in this process."""
+    forks = _record_forks(monkeypatch)
+    for cores, least in (({0}, 2), ({0, 1}, 10)):
+        _cores(monkeypatch, cores)
+        with forked_ahead(_item_and_pid, range(9), None, least) as ahead:
+            ahead.ready(5)
+            assert list(ahead.rest()) == [(i, os.getpid()) for i in range(9)]
+    assert forks == []
+
+
+def _fail_on_two(i):
+    if i == 2:
+        raise ZeroDivisionError("item 2")
+    return i
+
+
+def test_ahead_error_or_death_in_the_child_is_raised_at_rest(tmp_path, monkeypatch):
+    """An exception the child meets while it works ahead, in its job or its
+    sink, is raised again by ``rest``, as is a child's death, as WorkerError;
+    the child is reaped either way."""
+    _cores(monkeypatch, {0, 1})
+    forks = _record_forks(monkeypatch)
+    with pytest.raises(ZeroDivisionError, match="item 2"):
+        with forked_ahead(_fail_on_two, range(5), lambda result: None, 2) as ahead:
+            ahead.ready(5)
+            list(ahead.rest())
+    with pytest.raises(WorkerError, match=r"worker process \d+ was killed by SIGKILL"):
+        with forked_ahead(_item_and_pid, range(5), lambda result: os.kill(os.getpid(), 9),
+                          2) as ahead:
+            ahead.ready(1)
+            time.sleep(0.05)
+            ahead.ready(2)   # to a dead child: no error until rest
+            list(ahead.rest())
     assert len(forks) == 2
     _assert_reaped(forks)
 
