@@ -38,9 +38,19 @@ class, is bound once per segment and called. The inner loops make no
 ``min``/``max``/``abs`` calls: each is written out as comparisons that keep
 the builtin's tie and NaN behaviour. Within an evaluation the products
 ``A_i * P_i`` and the negated shear are each computed once, and ``(-q) + r``
-is written ``r - q``, which IEEE arithmetic defines as the same operation. So
-every floating-point operation keeps the operands and order of the textbook
-form, and the trajectories are bit-identical to it.
+is written ``r - q``, which IEEE arithmetic defines as the same operation.
+CPython's specializing interpreter inlines float ``+ - *`` only, so the
+kernels leave its generic ``/`` and ``**`` where an exact rewrite allows:
+``s**3`` is ``pow(s, 3.0)`` (``math.pow``, the same libm call), the negated
+shear ``-(X / two_k_m)`` is ``X / neg_two_k_m`` (round-to-nearest is
+symmetric in sign), and rk23's ``d / 8.0`` is ``d * 0.125`` (a power of two)
+and its step factor's ``**`` a ``pow``. So every floating-point operation of
+``rk23`` keeps the value of the textbook form, and its trajectories are
+bit-identical to it. ``rk4`` updates each state as ``y + h6 * (a + d) + h3 *
+(b + c)``, with ``h6 = h / 6.0`` and ``h3 = h / 3.0`` once per grid interval,
+in place of ``y + h * (a + 2b + 2c + d) / 6``: two operations and one
+division fewer per state and step, and trajectories that differ from the
+textbook update by rounding only (the test suite bounds the difference).
 
 A :class:`ScenarioConfig` checks itself on construction (``replace`` too), so
 every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
@@ -128,9 +138,11 @@ FORCE_KINDS = ("constant", "tanh_friction", "spring")
 # fixed_step for rk4, duration / max_step for rk23). The presets ask for 2,001
 # samples; the costliest rk4 cross-check takes about 1.7e5 steps and `--method
 # rk4` on a preset 1e6. The rk4 budget is about 4e7 right-hand-side
-# evaluations, or 38 s of integration at the 0.95 us per evaluation of the
-# fused rk4 kernel (fig2-F1 at h = 1e-4: 4e5 evaluations in 380-385 ms), on
-# one core of a 2-vCPU Xeon VM with Python 3.11.
+# evaluations, or at most 38 s of integration: the fused rk4 kernel took 0.95
+# us per evaluation with the textbook update (fig2-F1 at h = 1e-4: 4e5
+# evaluations in 380-385 ms) on one core of a 2-vCPU Xeon VM with Python
+# 3.11, and the current update takes 0.94 of that time (interleaved in one
+# process; 26 of 30 runs faster).
 MAX_SAMPLES = 10**6
 MAX_RK4_STEPS = 10**7
 
@@ -277,14 +289,19 @@ def _check_initial(initial: PlantState, params: PlantParams) -> None:
 # with its expression over the names that the closed loop's stage and emit
 # lines define (_LOOPS["closed"]). A kernel compiled for a tuple of these
 # channels emits rows of their expressions: the record's, or the summary's.
+# ``H`` calls ``expm1(P_i / Gamma0)`` only up to ``_EXPM1_MAX``, above which
+# math.expm1 raises OverflowError, and reads ``inf`` there, so that a run whose
+# dynamics stay finite keeps its status; a NaN still reaches expm1.
+_EXPM1_MAX = math.log(sys.float_info.max)
 _CHANNEL_EXPRESSIONS = {
     "t": "t", "x": "x", "xdot": "v", "p": "p", "P1": "P1", "P2": "P2",
     "U1": "A1 * v - (V1 / Gamma0) * (shear / A1 + k_i_sig / A1)",
     "U2": "A2 * v - (V2 / Gamma0) * (shear / A2 + k_i_sig / A2)",
     "F_hat": "F_hat", "F_tilde": "F_tilde", "F_true": "F", "zeta": "zeta", "sigma": "sig",
     "x_star": "x_star",
-    "H": "p * p / (2.0 * M) + (-P1 + Gamma0 * expm1(P1 / Gamma0)) * V1"
-         " + (-P2 + Gamma0 * expm1(P2 / Gamma0)) * V2",
+    "H": "p * p / (2.0 * M)"
+         " + (-P1 + Gamma0 * (inf if (e1 := P1 / Gamma0) > expm1_max else expm1(e1))) * V1"
+         " + (-P2 + Gamma0 * (inf if (e2 := P2 / Gamma0) > expm1_max else expm1(e2))) * V2",
     "H_d": "H_d", "Psi": "Psi",
 }
 CHANNELS = tuple(_CHANNEL_EXPRESSIONS)
@@ -372,15 +389,16 @@ G = p * p * rho * (A1 + A2) / (2.0 * M * M) + w1 + w2 - R * v
 # compiled for. The open loop is the unforced plant, and its row is its state.
 # ``$force`` is the closed loop's line of _FORCE_LINES. Each square is written
 # as a product (``v**2`` calls libm's pow, an ulp off ``v * v`` on a few
-# samples per run).
+# samples per run), and each cube as ``pow(s, 3.0)``, the libm call that
+# ``s**3`` makes, without the interpreter's generic power.
 _LOOPS = {
     "closed": (("x", "p", "P1", "P2", "F_hat"), _PLANT_BODY + """\
-dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * g1 / (L0_sq * s1**3))
-dA2 = K0 * (-3.0 / (L0_sq * s2) - 9.0 * g2 / (L0_sq * s2**3))
+dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * g1 / (L0_sq * pow(s1, 3.0)))
+dA2 = K0 * (-3.0 / (L0_sq * s2) - 9.0 * g2 / (L0_sq * pow(s2, 3.0)))
 $force
 sig = w1 + w2 - F_hat + kpkm * (x - x_star)
 k_i_sig = k_i * sig
-ns = -((1.0 + k_m * (P1 * dA1 + P2 * dA2 + kpkm)) * v / two_k_m)
+ns = (1.0 + k_m * (P1 * dA1 + P2 * dA2 + kpkm)) * v / neg_two_k_m
 $k1 = v
 $k2 = G - F
 $k3 = ns / A1 - k_i_sig / A1
@@ -456,7 +474,7 @@ def kernel(y, t_grid, solver, h, emit):
             for $i in state:
                 ay = y$i if y$i >= 0.0 else -y$i
                 an = n$i if n$i >= 0.0 else -n$i
-                e = h * (-5.0 * a$i / 72.0 + b$i / 12.0 + c$i / 9.0 - d$i / 8.0)
+                e = h * (-5.0 * a$i / 72.0 + b$i / 12.0 + c$i / 9.0 - d$i * 0.125)
                 r = (e if e >= 0.0 else -e) / (atol + rtol * (an if an > ay else ay))
                 if r > errn:
                     errn = r
@@ -466,7 +484,7 @@ def kernel(y, t_grid, solver, h, emit):
                     y$i = n$i
                     a$i = d$i
             # h *= min(5.0, max(0.2, q))
-            q = 0.9 * (errn + 1e-300) ** (-1.0 / 3.0)
+            q = 0.9 * pow(errn + 1e-300, -1.0 / 3.0)
             h *= (q if q < 5.0 else 5.0) if q > 0.2 else 0.2
     return (y$s), h
 """
@@ -474,7 +492,9 @@ def kernel(y, t_grid, solver, h, emit):
 # Classical fixed-step RK4, subdividing each grid interval evenly into steps
 # of at most ``solver.fixed_step``; hands ``h_in`` back unchanged. The row of
 # each grid time but the last is emitted from the first stage of the step
-# that starts there.
+# that starts there. The update ``y + h6 * (a + d) + h3 * (b + c)`` takes its
+# two weights once per interval and divides nothing per step; it differs from
+# the textbook ``y + h * (a + 2b + 2c + d) / 6`` by rounding only.
 _RK4 = """\
 def kernel(y, t_grid, solver, h_in, emit):
     y$s = y
@@ -482,6 +502,8 @@ def kernel(y, t_grid, solver, h_in, emit):
         n = max(1, ceil((tb - ta) / solver.fixed_step - 1e-12))
         h = (tb - ta) / n
         hb = 0.5 * h
+        h6 = h / 6.0
+        h3 = h / 3.0
         t = ta
         for j in range(n):
             a = rhs(t, y$i)
@@ -491,7 +513,7 @@ def kernel(y, t_grid, solver, h_in, emit):
             c = rhs(t + hb, y$i + hb * b$i)
             d = rhs(t + h, y$i + h * c$i)
             for $i in state:
-                y$i = y$i + h * (a$i + 2.0 * b$i + 2.0 * c$i + d$i) / 6.0
+                y$i = y$i + h6 * (a$i + d$i) + h3 * (b$i + c$i)
             t += h
     return (y$s), h_in
 """
@@ -570,7 +592,7 @@ def _plant_constants(params: PlantParams, R: float) -> dict:
     geo = params.geometry
     return {"L0": geo.L0, "K0": geo.K0, "V0": geo.V0, "x0": geo.x0, "x_M": geo.x_M,
             "rho": params.fluid.rho, "m": params.m, "R": R, "two_L0": 2.0 * geo.L0,
-            "neg_K0": -geo.K0, "margin": DOMAIN_MARGIN, "sqrt": math.sqrt}
+            "neg_K0": -geo.K0, "margin": DOMAIN_MARGIN, "sqrt": math.sqrt, "pow": math.pow}
 
 
 def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
@@ -582,9 +604,10 @@ def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
     k_m, L0 = gains.k_m, params.geometry.L0
     constants = _plant_constants(params, params.R)
     constants.update(k_p=gains.k_p, k_m=k_m, k_i=gains.k_i, alpha=gains.alpha,
-                     kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m, L0_sq=L0 * L0, x_star=x_star,
-                     fv=force.value, f=force.__call__, tanh=math.tanh,
-                     Gamma0=params.fluid.Gamma0, expm1=math.expm1,
+                     kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m, neg_two_k_m=-2.0 * k_m,
+                     L0_sq=L0 * L0, x_star=x_star, fv=force.value, f=force.__call__,
+                     tanh=math.tanh, Gamma0=params.fluid.Gamma0, expm1=math.expm1,
+                     expm1_max=_EXPM1_MAX, inf=math.inf,
                      pack=struct.Struct(f"{len(channels)}d").pack)
     return functools.partial(_kernel_factory(method, "closed", law, channels, tuple(constants)),
                              **constants)
@@ -713,13 +736,13 @@ def simulate(scenario: ScenarioConfig, rows=None, ready=None) -> TrajectoryRecor
     record keeps the setpoint segments finished before it and, once emitted,
     the failed segment's first row (see :class:`TrajectoryRecord`; ROADMAP
     item 1). An ``ArithmeticError`` of the kernels' float arithmetic, which
-    finite but extreme inputs can raise (``expm1(P_i / Gamma0)`` of the ``H``
-    channel overflowing, or a division by areas that underflowed to zero),
-    reaches the caller as raised. Given ``rows``, a :func:`shared_rows` of
-    ``scenario``, and ``ready``, the kernels write the rows into that mapping
-    in slices and call ``ready`` with the rows written after each, as
-    :func:`_run` describes, so that a forked process can read each row as
-    soon as it is there; the record is the same.
+    finite but extreme inputs can raise (a division by areas that underflowed
+    to zero), reaches the caller as raised; the ``H`` channel reads ``inf``
+    where ``expm1(P_i / Gamma0)`` would overflow. Given ``rows``, a
+    :func:`shared_rows` of ``scenario``, and ``ready``, the kernels write the
+    rows into that mapping in slices and call ``ready`` with the rows written
+    after each, as :func:`_run` describes, so that a forked process can read
+    each row as soon as it is there; the record is the same.
     """
     return TrajectoryRecord(*_run(scenario, CHANNELS, rows, ready))
 

@@ -30,8 +30,15 @@ The policy, kept here alone (with ``os.fork`` and pipes, not
   workers share the loaded module and do not each import it again. When the
   items run in this process, it imports nothing.
 
-A fork plus its reaping costs about 1.3 ms on a 2-core VM (Python 3.11),
-so a child is worth it only for several times that much work. Its users:
+A fork plus its reaping costs about 2.0 ms on a 2-core VM (Python 3.11,
+numpy loaded). After a fork each process pays about 440–640 minor
+(copy-on-write) page faults as it writes to the pages it shares: the first
+``simulate`` of fig2-F1 beside an idle child took 0.5–4 ms more than alone
+(16.8 → 20.4 ms in one session). A busy sibling halves that VM's speed per
+process (a pure-Python loop 24.2 → 47.7 ms, ``simulate`` 16.9 → 47.8 ms).
+So a child is worth it only for several times that much work, and a timing
+in units of a slice that runs in this process (the benchmark's ``cal``)
+counts the child's work as almost free. Its users:
 
 - ``cli`` runs the points of a sweep, and ``verify`` the presets of its
   Lyapunov suite, one item each, on :func:`forked_imap`.

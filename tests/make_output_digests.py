@@ -5,12 +5,14 @@ domain exit, a step underflow and a three-segment rk4 run.
 
 Run from the repository root::
 
-    python3 tests/make_output_digests.py
+    python3 tests/make_output_digests.py           # rewrite the stored file
+    python3 tests/make_output_digests.py --check   # only list what would move
 
 ``test_output_digests.py`` recomputes the digests and compares them exactly.
 Regenerate only when a change of an output is intended, and name each digest
 that moved, and why, in CHANGES.md; the script prints the key of each digest
-that differs from the stored file.
+that differs from the stored file. With ``--check`` it writes nothing and
+exits 1 if any digest differs.
 """
 
 from __future__ import annotations
@@ -131,15 +133,32 @@ def digests() -> dict:
     return result
 
 
-if __name__ == "__main__":
+def moved(stored: dict, result: dict) -> list[str]:
+    """The keys whose digests differ between ``stored`` and ``result``, sorted."""
+    return sorted(key for key in stored.keys() | result.keys()
+                  if stored.get(key) != result.get(key))
+
+
+def regenerate(argv: list[str]) -> int:
+    """Rewrite the stored digests and print the keys that moved, or, given
+    ``["--check"]``, only print them and return 1 if there are any."""
+    check = argv == ["--check"]
+    if argv and not check:
+        print(f"usage: {Path(__file__).name} [--check]", file=sys.stderr)
+        return 2
     stored = json.loads(DIGEST_FILE.read_text())["digests"] if DIGEST_FILE.is_file() else {}
     result = digests()
-    DIGEST_FILE.parent.mkdir(exist_ok=True)
-    DIGEST_FILE.write_text(json.dumps({"environment": environment(), "digests": result},
-                                      indent=1) + "\n")
-    print(f"wrote {DIGEST_FILE}")
-    changed = sorted(key for key in stored.keys() | result.keys()
-                     if stored.get(key) != result.get(key))
+    if not check:
+        DIGEST_FILE.parent.mkdir(exist_ok=True)
+        DIGEST_FILE.write_text(json.dumps({"environment": environment(), "digests": result},
+                                          indent=1) + "\n")
+        print(f"wrote {DIGEST_FILE}")
+    changed = moved(stored, result)
     for key in changed:
         print(f"changed: {key}")
-    print(f"{len(changed)} of {len(result)} digests changed")
+    print(f"{len(changed)} of {len(result)} digests {'differ' if check else 'changed'}")
+    return 1 if check and changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))

@@ -692,9 +692,9 @@ def test_worker_error_is_one_line_error(tmp_path, short_scenario_file, capsys, m
     assert not (tmp_path / "out.csv").exists()
 
 
-# Finite values the parser accepts whose run raises an ArithmeticError: the H
-# channel's expm1(P_i / Gamma0) overflows.
-_ARITHMETIC_EDITS = {
+# Finite values the parser accepts at which the H channel's
+# Gamma0 * expm1(P_i / Gamma0) overflows; the record's H reads inf there.
+_H_OVERFLOW_EDITS = {
     "Gamma0": {"Gamma0": "1e-300"},
     "K0": {"K0": "1e-300"},
     "P1": {"P1": "1e300"},
@@ -722,21 +722,44 @@ def _one_error_line(argv, out, capsys):
     return err
 
 
-@pytest.mark.parametrize("edit", [pytest.param(edit, id=f"run-{edit}")
-                                  for edit in _ARITHMETIC_EDITS])
-def test_arithmetic_error_is_one_line_error(tmp_path, study, capsys, monkeypatch, edit):
-    """An overflow in a run ends the command with one error line and exit 1,
-    and ``--out`` stays as it was."""
-    path = _edited_scenario(study, tmp_path / "edge.ini", _ARITHMETIC_EDITS[edit])
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    _one_error_line(["run", str(path)], tmp_path / "out.csv", capsys)
-
-
 class _DividingForce(ForceModel):
     """A load whose law divides by zero at every evaluation."""
 
     def __call__(self, x, xdot):
         return self.value / 0.0
+
+
+def test_arithmetic_error_is_one_line_error(tmp_path, study, capsys, monkeypatch):
+    """A run whose arithmetic raises (here its load divides by zero) on one
+    core, where no renderer is forked, ends the command with one error line
+    and exit 1, and ``--out`` stays as it was; the two-core case is
+    ``test_failed_forked_run_reaps_its_renderer``."""
+    monkeypatch.setattr(antago.cli, "_resolve_scenario",
+                        lambda ref: replace(study, force=_DividingForce("constant", 1.0),
+                                            duration=0.5))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    forks = _record_forks(monkeypatch)
+    err = _one_error_line(["run", "fig2-F1"], tmp_path / "out.csv", capsys)
+    assert err == "error: ZeroDivisionError in the run: float division by zero\n"
+    assert not forks and os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.parametrize("edit", _H_OVERFLOW_EDITS)
+def test_overflowing_H_ends_run_and_sweep_alike(tmp_path, study, capsys, monkeypatch, edit):
+    """Where ``Gamma0 * expm1(P_i / Gamma0)`` overflows, ``antago run``
+    ends with the status that ``antago sweep`` gives the same scenario (whose
+    summary reads no H): the record's H reads inf there, and no error is
+    raised."""
+    path = _edited_scenario(study, tmp_path / "edge.ini", _H_OVERFLOW_EDITS[edit])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code = main(["run", str(path), "--out", str(tmp_path / "run.csv")])
+    run_status = re.search(r"^status: (.*)$", capsys.readouterr().out, flags=re.M)[1]
+    assert main(["sweep", "alpha", str(path), "--values", repr(study.gains.alpha),
+                 "--out", str(tmp_path / "sweep.csv")]) == code
+    assert re.search(r" status=(.*)$", capsys.readouterr().out, flags=re.M)[1] == run_status
+    assert code == (run_status != "ok")
+    H = load_trajectory_csv(tmp_path / "run.csv")["H"].tolist()
+    assert any(map(math.isinf, H)) and not any(map(math.isnan, H)), H
 
 
 def test_arithmetic_error_in_a_sweep_worker_is_one_line_error(tmp_path, short_scenario_file,

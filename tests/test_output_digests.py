@@ -37,10 +37,27 @@ def _stored() -> dict:
 
 def test_outputs_match_stored_digests():
     stored = _stored()
-    actual = pin.digests()
-    moved = sorted(key for key in stored.keys() | actual.keys()
-                   if stored.get(key) != actual.get(key))
+    moved = pin.moved(stored, pin.digests())
     assert not moved, f"outputs moved: {moved}; see tests/make_output_digests.py"
+
+
+def test_check_lists_moved_digests_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    """``make_output_digests.py --check`` prints each digest that would move
+    and exits 1 without touching the stored file; with none moved it exits
+    0, and the script without ``--check`` writes the file."""
+    digest_file = tmp_path / "output_digests.json"
+    digest_file.write_text(json.dumps({"digests": {"a": {"x": "1"}, "b": {"x": "2"}}}))
+    before = digest_file.read_text()
+    monkeypatch.setattr(pin, "DIGEST_FILE", digest_file)
+    monkeypatch.setattr(pin, "digests", lambda: {"a": {"x": "1"}, "b": {"x": "3"}, "c": {}})
+    assert pin.regenerate(["--check"]) == 1
+    assert capsys.readouterr().out == "changed: b\nchanged: c\n2 of 3 digests differ\n"
+    assert digest_file.read_text() == before
+    assert pin.regenerate(["--bogus"]) == 2 and digest_file.read_text() == before
+    assert pin.regenerate([]) == 0
+    assert json.loads(digest_file.read_text())["digests"] == pin.digests()
+    assert pin.regenerate(["--check"]) == 0
+    assert capsys.readouterr().out.endswith("0 of 3 digests differ\n")
 
 
 _FRESH_COMMANDS = (*(f"run {name} --out out.csv" for name in pin.PRESETS),
