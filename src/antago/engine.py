@@ -22,10 +22,11 @@ entry is a stepper template, source text stepping the loop's states with every
 stage written out per component, into which the loop's right-hand side, also
 written once as source text, is inlined at every stage: no evaluation pays a
 Python call or builds a tuple. The one-stage instance is the right-hand side
-alone (:func:`augmented_field`). Each (method, loop, force law, channels)
-kernel is compiled once per process, on first use and never on import. It
-takes the scalar constants (``2 * L0``, ``L0 * L0``, ``2 * k_m``, ``-K0``, the
-parameters, the libm functions and the row's ``pack``) as keyword-only
+alone (:func:`augmented_field`). Each (method, form, loop, force law,
+channels) kernel is compiled once per process, on first use and never on
+import. It takes the scalar constants of its form (such as ``2 * L0``, ``L0 *
+L0``, ``2 * k_m`` and ``-K0``, or ``6 / L0`` and ``K0 / L0``), the
+parameters, the libm functions and the row's ``pack`` as keyword-only
 parameters, so each stage reads them as fast locals, and per setpoint segment
 ``functools.partial`` binds their values once, so a sweep point compiles
 nothing. The open loop is the unforced plant (no flow, no load); its
@@ -46,11 +47,24 @@ shear ``-(X / two_k_m)`` is ``X / neg_two_k_m`` (round-to-nearest is
 symmetric in sign), and rk23's ``d / 8.0`` is ``d * 0.125`` (a power of two)
 and its step factor's ``**`` a ``pow``. So every floating-point operation of
 ``rk23`` keeps the value of the textbook form, and its trajectories are
-bit-identical to it. ``rk4`` updates each state as ``y + h6 * (a + d) + h3 *
-(b + c)``, with ``h6 = h / 6.0`` and ``h3 = h / 3.0`` once per grid interval,
-in place of ``y + h * (a + 2b + 2c + d) / 6``: two operations and one
-division fewer per state and step, and trajectories that differ from the
-textbook update by rounding only (the test suite bounds the difference).
+bit-identical to it.
+
+The right-hand side has two forms, and the method picks one (``_FORMS``).
+``rk23``, :func:`augmented_field` and the row that ends an ``rk23`` run take
+the textbook form above. ``rk4``, and the row that ends an ``rk4`` run, take
+a reduced form that is exact in real arithmetic (``_REDUCED_PLANT_BODY``): it
+writes the bellows law in ``s = sqrt(6u / L0)`` and ``r = 1 / s`` per
+actuator, ``v`` as ``p * (1 / M)``, and divides ``ns - k_i * sigma`` by each
+area once. A closed-loop evaluation then makes 5 divisions and no ``pow``
+where the textbook form makes 19 and 2, and an open-loop one 5 divisions
+where it makes 12. ``rk4`` also updates each state as ``y + h6 * (a + d) + h3
+* (b + c)``, with ``h6 = h / 6.0`` and ``h3 = h / 3.0`` once per grid
+interval, in place of ``y + h * (a + 2b + 2c + d) / 6``. Its trajectories
+differ from the textbook form and update by rounding only (the test suite
+bounds both differences). The reduced form is meant to replace the textbook
+one in ``rk23`` too, once the benchmark's trajectory references give
+rounding-noise channels an absolute floor (ROADMAP item 9): until then any
+last-bit move of an ``rk23`` run fails them.
 
 A :class:`ScenarioConfig` checks itself on construction (``replace`` too), so
 every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
@@ -61,9 +75,10 @@ a ``2 * k_m * m`` below the smallest normal float, where ``2 * k_m * M``,
 which ``H_d`` divides by, could underflow to zero.
 
 A position within the plant's fixed 1 µm ``DOMAIN_MARGIN`` of the
-volume-model boundary ends a run as "domain-exit". The kernels inline
-:func:`antago.plant.geometry_terms`, the single geometry entry point, and
-:func:`diagnostics` calls it once, at the last sample.
+volume-model boundary ends a run as "domain-exit". The textbook kernels
+inline :func:`antago.plant.geometry_terms`, the single geometry entry point,
+the reduced ones its law rewritten, and :func:`diagnostics` calls it once, at
+the last sample.
 
 Errors are raised once, at the failure, with the time and state in the
 message: the right-hand side raises ``DomainError``, the ``rk23`` stepper
@@ -138,11 +153,10 @@ FORCE_KINDS = ("constant", "tanh_friction", "spring")
 # fixed_step for rk4, duration / max_step for rk23). The presets ask for 2,001
 # samples; the costliest rk4 cross-check takes about 1.7e5 steps and `--method
 # rk4` on a preset 1e6. The rk4 budget is about 4e7 right-hand-side
-# evaluations, or at most 38 s of integration: the fused rk4 kernel took 0.95
-# us per evaluation with the textbook update (fig2-F1 at h = 1e-4: 4e5
-# evaluations in 380-385 ms) on one core of a 2-vCPU Xeon VM with Python
-# 3.11, and the current update takes 0.94 of that time (interleaved in one
-# process; 26 of 30 runs faster).
+# evaluations, or about 50 s of integration: with the reduced right-hand side
+# a run of fig2-F1 at h = 1e-4 (4e5 evaluations and the record) took 423-487
+# ms (fastest and median of 12 runs; the textbook form 533-587 ms), about 1.1-
+# 1.2 us per evaluation, on one core of a 2-vCPU Xeon VM with Python 3.11.
 MAX_SAMPLES = 10**6
 MAX_RK4_STEPS = 10**7
 
@@ -360,7 +374,7 @@ class TrajectoryRecord:
 
 # The geometry, the mass and the momentum rate G of both loops, from the
 # stage's x, p, P1 and P2. ``$state`` is the stage state the error prints.
-_PLANT_BODY = """\
+_DOMAIN_CHECK = """\
 u1 = x_M - x - x0
 u2 = x + x0
 # Written so that a NaN position fails the check.
@@ -368,6 +382,8 @@ if not (u1 > margin and u2 > margin):
     side = 2 if u1 > margin else 1
     raise DomainError(f"actuator {side} reached the volume-model boundary "
                       f"(t={$t:.6e}, state={($state)})")
+"""
+_PLANT_BODY = _DOMAIN_CHECK + """\
 s1 = sqrt(6.0 * u1 / L0)
 g1 = 2.0 / 3.0 - u1 / two_L0
 s2 = sqrt(6.0 * u2 / L0)
@@ -383,16 +399,47 @@ w2 = A2 * P2
 G = p * p * rho * (A1 + A2) / (2.0 * M * M) + w1 + w2 - R * v
 """
 
-# Per loop: the names its body reads the state under, the body, the lines that
-# ``$emit`` runs (at time ``t``) before it packs the row, and the expression of
-# each channel that a row can hold; a kernel's row is the channels it is
-# compiled for. The open loop is the unforced plant, and its row is its state.
-# ``$force`` is the closed loop's line of _FORCE_LINES. Each square is written
-# as a product (``v**2`` calls libm's pow, an ulp off ``v * v`` on a few
-# samples per run), and each cube as ``pow(s, 3.0)``, the libm call that
-# ``s**3`` makes, without the interpreter's generic power.
+# The same plant in fewer operations, exact in real arithmetic: with s*s =
+# 6u/L0, u/(2 L0) = s*s/12 and, with r = 1/s, 3g/(L0 s) - s/(2 L0) = (2r -
+# 0.75s)/L0 and 3/(L0 L0 s) + 9g/(L0 L0 s**3) = r(2.25 + 6r*r)/(L0 L0), so a
+# stage divides for r1, r2 and 1/M only and calls no pow; v * v * (rho/2)
+# replaces p*p*rho/(2 M M). Its results differ from _PLANT_BODY's by rounding.
+_REDUCED_PLANT_BODY = _DOMAIN_CHECK + """\
+s1 = sqrt(six_over_L0 * u1)
+r1 = 1.0 / s1
+s2 = sqrt(six_over_L0 * u2)
+r2 = 1.0 / s2
+V1 = (two_thirds_K0 - K0_over_12 * (s1 * s1)) * s1 + V0
+V2 = (two_thirds_K0 - K0_over_12 * (s2 * s2)) * s2 + V0
+A1 = neg_K0_over_L0 * (2.0 * r1 - 0.75 * s1)
+A2 = K0_over_L0 * (2.0 * r2 - 0.75 * s2)
+M = m + rho * (V1 + V2)
+v = p * (1.0 / M)
+w1 = A1 * P1
+w2 = A2 * P2
+G = half_rho * (A1 + A2) * (v * v) + w1 + w2 - R * v
+"""
+
+# The open loop's rates, the same in either form.
+_OPEN_RATES = """\
+$k1 = v
+$k2 = G
+$k3 = neg_Gamma0 * (A1 * v) / V1
+$k4 = neg_Gamma0 * (A2 * v) / V2
+"""
+
+# Per loop: the names its body reads the state under, its body in each form
+# (_FORMS), the lines that ``$emit`` runs (at time ``t``) before it packs the
+# row, and the expression of each channel that a row can hold; a kernel's row
+# is the channels it is compiled for. The open loop is the unforced plant, and
+# its row is its state. ``$force`` is the closed loop's line of _FORCE_LINES.
+# Each square is written as a product (``v**2`` calls libm's pow, an ulp off
+# ``v * v`` on a few samples per run), and each textbook cube as ``pow(s,
+# 3.0)``, the libm call that ``s**3`` makes, without the interpreter's generic
+# power. The reduced form's ``ns`` multiplies by ``-1 / (2 k_m)`` and its
+# pressure rates divide ``ns - k_i * sig`` once by each area.
 _LOOPS = {
-    "closed": (("x", "p", "P1", "P2", "F_hat"), _PLANT_BODY + """\
+    "closed": (("x", "p", "P1", "P2", "F_hat"), {"textbook": _PLANT_BODY + """\
 dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * g1 / (L0_sq * pow(s1, 3.0)))
 dA2 = K0 * (-3.0 / (L0_sq * s2) - 9.0 * g2 / (L0_sq * pow(s2, 3.0)))
 $force
@@ -404,7 +451,20 @@ $k2 = G - F
 $k3 = ns / A1 - k_i_sig / A1
 $k4 = ns / A2 - k_i_sig / A2
 $k5 = alpha * (G - F_hat + alpha * p)
-""", """\
+""", "reduced": _REDUCED_PLANT_BODY + """\
+dA1 = neg_K0_over_L0_sq * r1 * (2.25 + 6.0 * (r1 * r1))
+dA2 = neg_K0_over_L0_sq * r2 * (2.25 + 6.0 * (r2 * r2))
+$force
+sig = w1 + w2 - F_hat + kpkm * (x - x_star)
+k_i_sig = k_i * sig
+ns = (1.0 + k_m * (P1 * dA1 + P2 * dA2 + kpkm)) * v * neg_half_over_k_m
+num = ns - k_i_sig
+$k1 = v
+$k2 = G - F
+$k3 = num / A1
+$k4 = num / A2
+$k5 = alpha * (G - F_hat + alpha * p)
+"""}, """\
 F_tilde = F_hat - alpha * p
 zeta = F_tilde - F
 err = x_star - x
@@ -412,12 +472,9 @@ H_d = p * p / (two_k_m * M) + 0.5 * k_p * (err * err) + 0.5 * (sig * sig)
 Psi = H_d + 0.5 * (zeta * zeta)
 shear = -ns
 """, _CHANNEL_EXPRESSIONS),
-    "open": (("x", "p", "P1", "P2"), _PLANT_BODY + """\
-$k1 = v
-$k2 = G
-$k3 = neg_Gamma0 * (A1 * v) / V1
-$k4 = neg_Gamma0 * (A2 * v) / V2
-""", "", {"x": "x", "p": "p", "P1": "P1", "P2": "P2"}),
+    "open": (("x", "p", "P1", "P2"), {"textbook": _PLANT_BODY + _OPEN_RATES,
+                                      "reduced": _REDUCED_PLANT_BODY + _OPEN_RATES},
+             "", {"x": "x", "p": "p", "P1": "P1", "P2": "P2"}),
 }
 
 # The closed loop's force, by law: ForceModel's three kinds written out with
@@ -522,6 +579,11 @@ def kernel(y, t_grid, solver, h_in, emit):
 # h, emit), passes to ``emit`` the float64 bytes of the row of each time of
 # ``t_grid`` but the last, and returns (the state at the last time, the next h).
 STEPPERS = {"rk23": _RK23, "rk4": _RK4}
+# The form of the right-hand side that each method's kernels inline (a key of
+# each loop's bodies); a one-stage kernel takes the textbook form unless it
+# ends a run of a method with another. rk23 keeps the textbook form while its
+# benchmark references demand bit-identical rounding noise (ROADMAP item 9).
+_FORMS = {"rk23": "textbook", "rk4": "reduced"}
 
 # The one-stage instances: the right-hand side itself, for point evaluation,
 # and the row at one time, for the last sample of a run.
@@ -539,13 +601,15 @@ def kernel(t, y, emit):
 _STAGE = r"( *)(\w) = rhs\((.+?), (.+)\)"
 
 
-def _kernel_source(template: str, loop: str, law: str | None, channels: tuple[str, ...]) -> str:
-    """Expand ``template`` with the body of ``loop`` inlined at each stage and,
-    at each ``$emit``, its emit lines and its row of ``channels``."""
-    names, body, emit, expressions = _LOOPS[loop]
+def _kernel_source(template: str, loop: str, law: str | None, channels: tuple[str, ...],
+                   form: str) -> str:
+    """Expand ``template`` with the body of ``loop`` in ``form`` inlined at each
+    stage and, at each ``$emit``, its emit lines and its row of ``channels``."""
+    names, bodies, emit, expressions = _LOOPS[loop]
     emit += f"emit(pack({', '.join(expressions[name] for name in channels)}))\n"
     components = range(1, len(names) + 1)
-    body = body.replace("$force", _FORCE_LINES.get(law, "")).replace("$state", ", ".join(names))
+    body = bodies[form].replace("$force", _FORCE_LINES.get(law, ""))
+    body = body.replace("$state", ", ".join(names))
     lines = template.splitlines()
     out = []
     while lines:
@@ -571,16 +635,16 @@ def _kernel_source(template: str, loop: str, law: str | None, channels: tuple[st
 
 
 @functools.cache
-def _kernel_factory(method: str, loop: str, law: str | None, channels: tuple[str, ...],
-                    constants: tuple[str, ...]):
+def _kernel_factory(method: str, form: str, loop: str, law: str | None,
+                    channels: tuple[str, ...], constants: tuple[str, ...]):
     """Compile the kernel of ``method`` (a key of STEPPERS or _ONE_STAGE) for
-    ``loop`` and force ``law``, emitting rows of ``channels``, taking
-    ``constants`` (the same names for every call of a loop) as keyword-only
-    parameters, which it reads as fast locals."""
-    source = _kernel_source({**STEPPERS, **_ONE_STAGE}[method], loop, law, channels)
+    ``loop`` in ``form`` and force ``law``, emitting rows of ``channels``,
+    taking ``constants`` (the same names for every call of a loop and form) as
+    keyword-only parameters, which it reads as fast locals."""
+    source = _kernel_source({**STEPPERS, **_ONE_STAGE}[method], loop, law, channels, form)
     # The template's first line is its ``def kernel(...):``.
     source = source.replace("):\n", f", *, {', '.join(constants)}):\n", 1) + "\n"
-    filename = f"<antago kernel {method} {loop} {law} {','.join(channels)}>"
+    filename = f"<antago kernel {method} {form} {loop} {law} {','.join(channels)}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"ceil": math.ceil, "DomainError": DomainError, "SolverError": SolverError,
                  "_MIN_STEP_FRACTION": _MIN_STEP_FRACTION}
@@ -588,38 +652,54 @@ def _kernel_factory(method: str, loop: str, law: str | None, channels: tuple[str
     return namespace["kernel"]
 
 
-def _plant_constants(params: PlantParams, R: float) -> dict:
+def _plant_constants(params: PlantParams, R: float, form: str) -> dict:
     geo = params.geometry
-    return {"L0": geo.L0, "K0": geo.K0, "V0": geo.V0, "x0": geo.x0, "x_M": geo.x_M,
-            "rho": params.fluid.rho, "m": params.m, "R": R, "two_L0": 2.0 * geo.L0,
-            "neg_K0": -geo.K0, "margin": DOMAIN_MARGIN, "sqrt": math.sqrt, "pow": math.pow}
+    K0, L0, rho = geo.K0, geo.L0, params.fluid.rho
+    if form == "reduced":
+        return {"x0": geo.x0, "x_M": geo.x_M, "margin": DOMAIN_MARGIN, "sqrt": math.sqrt,
+                "six_over_L0": 6.0 / L0, "two_thirds_K0": 2.0 / 3.0 * K0,
+                "K0_over_12": K0 / 12.0, "V0": geo.V0, "K0_over_L0": K0 / L0,
+                "neg_K0_over_L0": -(K0 / L0), "m": params.m, "rho": rho, "half_rho": 0.5 * rho,
+                "R": R}
+    return {"L0": L0, "K0": K0, "V0": geo.V0, "x0": geo.x0, "x_M": geo.x_M,
+            "rho": rho, "m": params.m, "R": R, "two_L0": 2.0 * L0,
+            "neg_K0": -K0, "margin": DOMAIN_MARGIN, "sqrt": math.sqrt, "pow": math.pow}
 
 
 def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
-                   force: ForceModel, x_star: float, channels: tuple[str, ...] = CHANNELS):
+                   force: ForceModel, x_star: float, channels: tuple[str, ...] = CHANNELS,
+                   stepper: str | None = None):
     """The closed loop's ``method`` kernel for one setpoint segment, emitting
     rows of ``channels``, its constants bound by ``functools.partial``, with
-    the force's kind written in place while its type has ``_FORCE_LAW``."""
+    the force's kind written in place while its type has ``_FORCE_LAW``. A
+    one-stage kernel takes the form of the ``stepper`` whose run it ends."""
+    form = _FORMS.get(stepper or method, "textbook")
     law = force.kind if type(force).__call__ is _FORCE_LAW else "call"
     k_m, L0 = gains.k_m, params.geometry.L0
-    constants = _plant_constants(params, params.R)
+    constants = _plant_constants(params, params.R, form)
     constants.update(k_p=gains.k_p, k_m=k_m, k_i=gains.k_i, alpha=gains.alpha,
-                     kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m, neg_two_k_m=-2.0 * k_m,
-                     L0_sq=L0 * L0, x_star=x_star, fv=force.value, f=force.__call__,
+                     kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m)
+    if form == "reduced":
+        constants.update(neg_half_over_k_m=-0.5 / k_m,
+                         neg_K0_over_L0_sq=-(params.geometry.K0 / (L0 * L0)))
+    else:
+        constants.update(neg_two_k_m=-2.0 * k_m, L0_sq=L0 * L0)
+    constants.update(x_star=x_star, fv=force.value, f=force.__call__,
                      tanh=math.tanh, Gamma0=params.fluid.Gamma0, expm1=math.expm1,
                      expm1_max=_EXPM1_MAX, inf=math.inf,
                      pack=struct.Struct(f"{len(channels)}d").pack)
-    return functools.partial(_kernel_factory(method, "closed", law, channels, tuple(constants)),
-                             **constants)
+    kernel = _kernel_factory(method, form, "closed", law, channels, tuple(constants))
+    return functools.partial(kernel, **constants)
 
 
 def _open_kernel(method: str, params: PlantParams, R: float):
     """The ``method`` kernel of the unforced open-loop plant with damping ``R``."""
+    form = _FORMS.get(method, "textbook")
     channels = _LOOPS["open"][0]
-    constants = _plant_constants(params, R)
+    constants = _plant_constants(params, R, form)
     constants.update(neg_Gamma0=-params.fluid.Gamma0, pack=struct.Struct(f"{len(channels)}d").pack)
-    return functools.partial(_kernel_factory(method, "open", None, channels, tuple(constants)),
-                             **constants)
+    kernel = _kernel_factory(method, form, "open", None, channels, tuple(constants))
+    return functools.partial(kernel, **constants)
 
 
 def augmented_field(state: PlantState, F_hat: float, gains: ControllerGains,
@@ -714,7 +794,8 @@ def _run(scenario: ScenarioConfig, channels: tuple[str, ...], rows=None,
                 if ready is not None:
                     ready(written())
         # The last sample's row, with the last segment's x_star.
-        _closed_kernel("row", params, gains, force, x_star, channels)(grid[-1], y, emit)
+        _closed_kernel("row", params, gains, force, x_star, channels, solver.method)(
+            grid[-1], y, emit)
         kept = written()
         if ready is not None:
             ready(kept)
