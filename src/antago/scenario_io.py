@@ -26,16 +26,14 @@ text. One renderer writes the file: blocks of ``_CSV_BLOCK_ROWS`` rows, from
 comes. :func:`run_trajectory_csv`, which ``antago run`` calls, starts the
 child before the run, and the child renders each block as soon as the
 kernels have written its rows and writes it into the file itself; a finished
-record's blocks are all split. The reader streams the bytes of the rows
-after the header, from the open file with ``os.pread`` (a pipe, which has no
-offsets, is read whole first) or from the string's UTF-8 bytes, to numpy's
-compiled reader: in one call, or, for rows of two parts of
-``_CSV_PART_BYTES`` or more, one call per part, each ending at a line feed,
-on forked workers, joined into one table. A record round-trips exactly, a
-multi-line detail included (a ``\r`` in it comes back as ``\n``). Files are
-read and written as UTF-8. numpy is imported by the functions that render or
-read the table, not by this module, so that parsing a scenario does not load
-it.
+record's blocks are all split. The reader reads one text stream, of the
+open file (a pipe, which cannot seek back, is read whole first) or of the
+string's UTF-8 bytes, through the header, and hands the rest of it to one
+call of numpy's compiled reader; only a call that fails reads the stream
+again, to name the bad line. A record round-trips exactly, a multi-line
+detail included (a ``\r`` in it comes back as ``\n``). Files are read and
+written as UTF-8. numpy is imported by the functions that render or read the
+table, not by this module, so that parsing a scenario does not load it.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ from .engine import (
 )
 from .errors import ScenarioError
 from .plant import ActuatorGeometry, FluidParams, PlantParams, PlantState
-from .workers import forked_ahead, forked_imap
+from .workers import forked_ahead
 
 if TYPE_CHECKING:
     import numpy as np
@@ -288,10 +286,6 @@ _CSV_BLOCK_ROWS = SLICE_SAMPLES
 # Blocks of a table, at least, for which the renderer forks a child; a
 # smaller table renders in this process.
 _CSV_FORK_BLOCKS = 4
-# Bytes per part of the CSV reader, at least: the rows after the header are
-# cut into parts of about equal size, each one job of forked_imap, so rows of
-# less than two parts are read in one call and fork nothing.
-_CSV_PART_BYTES = 256 * 1024
 
 
 def _csv_prefix(status: str, detail: str) -> str:
@@ -396,52 +390,14 @@ def run_trajectory_csv(scenario: ScenarioConfig, path: str | os.PathLike) -> Tra
     return record
 
 
-# Bytes per read of a trajectory CSV's text stream from its source, where
-# TextIOWrapper reads 8 KiB: one Python-level read per 32 KiB.
-_CSV_READ_BYTES = 32 * 1024
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes ``start`` to ``end`` of a source that ``pread(size, offset)``
-    reads, as a stream: ``os.pread`` moves no file offset, which a forked
-    child shares with this process. ``read`` hands on what ``pread``
-    returns, uncopied."""
-
-    def __init__(self, pread: Callable[[int, int], bytes], start: int, end: int):
-        super().__init__()
-        self._pread, self._pos, self._end = pread, start, end
-
-    def readable(self) -> bool:
-        return True
-
-    def read(self, size: int = -1) -> bytes:
-        rest = self._end - self._pos
-        data = self._pread(rest if size < 0 else min(size, rest), self._pos)
-        self._pos += len(data)
-        return data
-
-
-def _text(pread: Callable[[int, int], bytes], start: int, end: int, errors: str,
-          newline: str | None = None) -> TextIO:
-    """Bytes ``start`` to ``end`` as a UTF-8 text stream that reads
-    ``_CSV_READ_BYTES`` at a time; with the default ``newline``, its lines
-    end as ``open`` ends them, each in one "\\n"."""
-    fh = io.TextIOWrapper(_ByteRange(pread, start, end), encoding="utf-8", errors=errors,
-                          newline=newline)
-    fh._CHUNK_SIZE = _CSV_READ_BYTES
-    return fh
-
-
-def _read_prefix(fh: TextIO) -> tuple[str, str, int, int]:
-    """Read the trajectory CSV text stream ``fh``, whose line ends are kept
-    (``newline=""``), from its start through the header: the status and the
-    detail its ``#`` lines carry, the number of the header's line and the
-    number of bytes through it. Lines are numbered from 1, as the stream
-    yields them."""
-    status, details, size = "ok", [], 0
+def _read_prefix(fh: TextIO) -> tuple[str, str, int]:
+    """Read the trajectory CSV text stream ``fh``, whose lines each end in one
+    "\\n", from where it stands through the header: the status and the
+    detail its ``#`` lines carry, and the number of the header's line. Lines
+    are numbered from 1, as the stream yields them."""
+    status, details = "ok", []
     for number, ln in enumerate(fh, start=1):
-        size += len(ln.encode("utf-8", fh.errors))
-        ln = ln.rstrip("\r\n")   # one line end: "\n", "\r\n" or "\r"
+        ln = ln.removesuffix("\n")
         if ln.startswith("# status:"):
             status = ln.partition(":")[2].strip()
             if status not in STATUSES:
@@ -453,7 +409,7 @@ def _read_prefix(fh: TextIO) -> tuple[str, str, int, int]:
             if ln != _CSV_HEADER:
                 raise ScenarioError(f"trajectory CSV line {number}: header {ln!r} is not "
                                     f"the expected {_CSV_HEADER!r}")
-            return status, "\n".join(details), number, size
+            return status, "\n".join(details), number
     raise ScenarioError("trajectory CSV has no header row")
 
 
@@ -477,59 +433,19 @@ def _read_rows(lines: Iterator[str]) -> np.ndarray | None:
     return table if table.shape[1] == len(CHANNELS) else None
 
 
-def _line_end(pread: Callable[[int, int], bytes], pos: int, end: int) -> int:
-    """The offset just after the first "\\n" at or after ``pos``, or ``end``."""
-    while chunk := pread(min(4096, end - pos), pos):
-        i = chunk.find(b"\n")
-        if i >= 0:
-            return pos + i + 1
-        pos += len(chunk)
-    return end
-
-
-def _part_bounds(pread: Callable[[int, int], bytes], start: int, end: int) -> list[int]:
-    """Offsets that cut bytes ``start`` to ``end`` into as many parts of
-    ``_CSV_PART_BYTES`` or more as fit, of about equal size, each but the last
-    ending just after a "\\n": no line, "\\r\\n" included, spans two parts."""
-    n = max(1, (end - start) // _CSV_PART_BYTES)
-    bounds = [start]
-    for k in range(1, n):
-        cut = _line_end(pread, start + k * (end - start) // n, end)
-        if bounds[-1] < cut < end:   # else the line at this point ends a part already
-            bounds.append(cut)
-    return [*bounds, end]
-
-
-def _read_parts(read: Callable[[tuple[int, int]], np.ndarray | None],
-                bounds: list[int]) -> np.ndarray | None:
-    """The parts between ``bounds``, each ``read`` on a forked worker, as one
-    table; None when a part fails."""
-    import numpy as np
-
-    parts = list(forked_imap(read, list(zip(bounds, bounds[1:]))))
-    if any(part is None for part in parts):
-        return None
-    return np.concatenate(parts)
-
-
-def _read_csv(pread: Callable[[int, int], bytes], size: int, errors: str) -> TrajectoryRecord:
-    """The record in the UTF-8 trajectory CSV of ``size`` bytes that ``pread``
-    reads, decoded with ``errors``: the prefix, then the rows after the header,
-    each part of :func:`_part_bounds` in one call of numpy's compiled reader,
-    on forked workers. A file of one part forks nothing. A part that fails has
-    a row that fails alone, and only then is each row read alone, to name the
-    first bad one; a byte that is not UTF-8 raises UnicodeDecodeError."""
-    status, detail, number, start = _read_prefix(_text(pread, 0, size, errors, newline=""))
-
-    def read(bounds: tuple[int, int]) -> np.ndarray | None:
-        return _read_rows(_text(pread, *bounds, errors))
-
-    bounds = _part_bounds(pread, start, size)
-    table = _read_parts(read, bounds) if len(bounds) > 2 else read((start, size))
+def _read_csv(fh: TextIO) -> TrajectoryRecord:
+    """The record in the UTF-8 trajectory CSV text stream ``fh``, read from its
+    start, whose lines each end in one "\\n": the prefix, then the rest of the
+    stream in one call of numpy's compiled reader. Only if that call fails is
+    the stream read again from its start, each row alone, to name the first
+    bad one; a byte that is not UTF-8 raises UnicodeDecodeError."""
+    status, detail, _ = _read_prefix(fh)
+    table = _read_rows(fh)
     if table is None:   # some row fails alone: rows that each read at this width read together
+        fh.seek(0)
+        _, _, number = _read_prefix(fh)
         number, ln = next((n, ln.removesuffix("\n"))
-                          for n, ln in enumerate(_text(pread, start, size, errors),
-                                                 start=number + 1)
+                          for n, ln in enumerate(fh, start=number + 1)
                           if _read_rows(iter((ln,))) is None)
         raise ScenarioError(f"trajectory CSV line {number}: expected {len(CHANNELS)} "
                             f"numbers, got {ln!r}")
@@ -552,9 +468,8 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
 
     Another header, a status the engine does not write, and a row that does
     not hold one number per channel raise :class:`ScenarioError` with the
-    line number. The record holds the float64 table numpy's reader parses:
-    the rows after the header in one call, or, past ``2 * _CSV_PART_BYTES``
-    of them, in parts read on forked workers and joined.
+    line number. The record holds the float64 table numpy's reader parses, in
+    one call after the header.
     """
     # The UTF-8 bytes, not an io.StringIO, which keeps 4 bytes per character;
     # surrogatepass carries any str both ways.
@@ -562,27 +477,28 @@ def trajectory_from_csv(text: str) -> TrajectoryRecord:
 
 
 def _read_bytes(data: bytes, errors: str) -> TrajectoryRecord:
-    """The record in the UTF-8 trajectory CSV ``data``, decoded with ``errors``."""
-    return _read_csv(lambda size, offset: data[offset:offset + size], len(data), errors)
+    """The record in the UTF-8 trajectory CSV ``data``, decoded with ``errors``;
+    ``newline=None`` ends its lines as ``open`` does, each in one "\\n"."""
+    return _read_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors,
+                                      newline=None))
 
 
 def load_trajectory_csv(path: str | os.PathLike) -> TrajectoryRecord:
     """Read a trajectory CSV file as :func:`trajectory_from_csv` reads its
-    text, to the same record or the same error. A regular file is not held
-    whole: each part of the rows is read from the open file with ``os.pread``,
-    and a file whose size changes meanwhile is a :class:`ScenarioError`.
-    Another file, a pipe say, has no offsets to read at and is read whole
-    first. A file that is not UTF-8 is a :class:`ScenarioError` naming it."""
-    with open(path, "rb", buffering=0) as fh:
-        fd = fh.fileno()
-        info = os.fstat(fd)
+    text, to the same record or the same error. The file is not held whole:
+    its text stream is read as the text's is, and a file whose size changes
+    meanwhile is a :class:`ScenarioError`. A stream that cannot seek back to
+    name a bad row, a pipe say, is read whole first. A file that is not UTF-8
+    is a :class:`ScenarioError` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
         try:
-            if not stat.S_ISREG(info.st_mode):
-                return _read_bytes(fh.readall(), "strict")
-            record = _read_csv(partial(os.pread, fd), info.st_size, "strict")
+            if not fh.seekable():
+                return _read_bytes(fh.buffer.read(), "strict")
+            record = _read_csv(fh)
         except UnicodeDecodeError as exc:
             raise _not_utf8("trajectory CSV", path, exc) from None
-        if os.fstat(fd).st_size != info.st_size:
+        if os.fstat(fh.fileno()).st_size != size:
             raise ScenarioError(f"trajectory CSV {str(path)!r} changed size while it was read")
         return record
 

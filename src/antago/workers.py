@@ -48,10 +48,6 @@ counts the child's work as almost free. Its users:
   rows are written and writes it into the file itself; the blocks left when
   the run ends, and every block of a finished record, are split between the
   two processes, and this process writes each into the file as it comes.
-- The CSV reader parses parts of at least 256 KiB of rows, about 2.9 ms per
-  344 kB part, on :func:`forked_imap`, so a file of less than two parts
-  never forks and each preset's 630–690 kB file gives a child its second
-  half.
 """
 
 from __future__ import annotations

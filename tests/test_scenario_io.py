@@ -642,11 +642,10 @@ def test_csv_status_is_one_the_engine_writes(status):
 
 def test_csv_save_and_load_never_hold_the_whole_text(fig2_runs, tmp_path, monkeypatch):
     """Writing the 2,001-row fig2-F1 record holds one rendered block of rows
-    at a time, and reading it back its two parts' tables beside the joined
-    one, never the whole 688 kB text: tracemalloc peaks of 0.10 MB and 0.546 MB
+    at a time, and reading it back the table beside the text stream's buffer,
+    never the whole 688 kB text: tracemalloc peaks of 0.10 MB and 0.344 MB
     (Python 3.11, numpy 2.4), where holding the whole text took 1.38 MB and
-    1.88 MB. One core: every block is rendered, and every part read, where
-    tracemalloc sees it."""
+    1.88 MB. One core: every block is rendered where tracemalloc sees it."""
     import tracemalloc
 
     record = fig2_runs["fig2-F1"][1]
@@ -662,14 +661,14 @@ def test_csv_save_and_load_never_hold_the_whole_text(fig2_runs, tmp_path, monkey
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] < 1.0e6 and peaks[1] < 0.6e6, peaks
+    assert peaks[0] < 1.0e6 and peaks[1] < 0.4e6, peaks
 
 
 def test_csv_text_is_read_without_a_wide_copy(fig2_runs):
     """Reading the fig2-F1 CSV from a string holds its UTF-8 bytes beside the
-    table, not a copy at 4 bytes per character: a tracemalloc peak of 1.03 MB
-    for the 687,810-character text (Python 3.11, numpy 2.4), where an
-    ``io.StringIO`` of it took 3.08 MB."""
+    table, not a copy at 4 bytes per character: a tracemalloc peak of 1.03 MB,
+    1.5 bytes per character, for the 687,810-character text (Python 3.11,
+    numpy 2.4), where an ``io.StringIO`` of it took 3.08 MB."""
     import tracemalloc
 
     record = fig2_runs["fig2-F1"][1]
@@ -681,7 +680,7 @@ def test_csv_text_is_read_without_a_wide_copy(fig2_runs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * len(text), (peak, len(text))
+    assert peak < 1.6 * len(text), (peak, len(text))
 
 
 # --------------------------------------------------------------------------
@@ -1040,118 +1039,30 @@ def test_csv_render_forks_from_four_blocks(tmp_path, monkeypatch):
                 _assert_reaped(forks)
 
 
-# --------------------------------------------------------------------------
-# The split reader: rows of two parts or more are read in parts on forked
-# workers and joined.
-
-def _read_on_cores(read, source, cores, monkeypatch, part_bytes=None):
-    """``read(source)`` with ``cores`` cores, and with ``_CSV_PART_BYTES`` set to
-    ``part_bytes`` if given: the record or the ScenarioError's message, and
-    the pids of the children forked."""
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        if part_bytes is not None:
-            patch.setattr(antago.scenario_io, "_CSV_PART_BYTES", part_bytes)
-        forks = _record_forks(patch)
-        try:
-            return read(source), forks
-        except ScenarioError as exc:
-            return str(exc), forks
-
-
-@pytest.mark.parametrize("cores", [1, 2])
-def test_split_reader_reads_the_presets_as_one_call(fig2_runs, short_record, tmp_path,
-                                                    monkeypatch, cores):
-    """The four presets' files, 630-690 kB, are two parts of rows each, and on
-    two cores a child reads the second; the 68 kB short record's is one part,
-    read with no fork. From the file and from the text, on one core or two,
-    the record equals the simulated one, as one call of the reader gives it."""
+def test_csv_reader_forks_nothing_on_two_cores(fig2_runs, tmp_path, monkeypatch):
+    """On two cores, each preset's 630-690 kB file is read in this process,
+    from the file and from its text: no fork, and the record the run gave,
+    a C-contiguous float64 table."""
     records = [record for _, record in fig2_runs.values()]
-    records += [simulate(load_preset("multistep")), short_record]
+    records.append(simulate(load_preset("multistep")))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     path = tmp_path / "record.csv"
     for record in records:
         save_trajectory_csv(record, path)
         text = path.read_text()
-        data = text.encode()
-        start = data.index(_HEADER.encode()) + len(_HEADER) + 1
-        bounds = antago.scenario_io._part_bounds(
-            lambda size, offset: data[offset:offset + size], start, len(data))
-        parts = 1 if record is short_record else 2
-        assert len(bounds) == parts + 1 and all(data[cut - 1:cut] == b"\n" for cut in bounds)
-        for read, source in ((load_trajectory_csv, path), (trajectory_from_csv, text)):
-            again, forks = _read_on_cores(read, source, cores, monkeypatch)
-            assert again == record
-            assert again.table.dtype == np.float64 and again.table.flags.c_contiguous
-            assert len(forks) == (cores == 2 and parts == 2)
-            if forks:
-                _assert_reaped(forks)
-
-
-def test_split_reader_names_a_bad_row_or_byte_in_the_childs_part(fig2_runs, tmp_path,
-                                                                  monkeypatch):
-    """A bad row, and a Latin-1 byte, in the second part of the fig2-F1 file,
-    which a child reads, give the error one call gives: the row's line number,
-    or the file named after one scan of its prefix."""
-    text = trajectory_to_csv(fig2_runs["fig2-F1"][1])
-    lines = text.split("\n")
-    path = tmp_path / "bad.csv"
-    for number in (1800, len(lines) - 1):   # the 1,800th line and the last row
-        bad = lines.copy()
-        bad[number - 1] = bad[number - 1].replace(",", ";", 1)
-        bad_text = "\n".join(bad)
-        path.write_text(bad_text)
-        expected = (f"trajectory CSV line {number}: expected {len(CHANNELS)} numbers, "
-                    f"got {bad[number - 1]!r}")
-        for read, source in ((load_trajectory_csv, path), (trajectory_from_csv, bad_text)):
-            for cores in (1, 2):
-                message, forks = _read_on_cores(read, source, cores, monkeypatch)
-                assert message == expected and len(forks) == cores - 1
-    scans = []
-    read_prefix = antago.scenario_io._read_prefix
-
-    def counted_prefix(fh):
-        scans.append(1)
-        return read_prefix(fh)
-
-    path.write_bytes(text.replace(lines[1800], _row("\u00b5"), 1).encode("latin-1"))
-    monkeypatch.setattr(antago.scenario_io, "_read_prefix", counted_prefix)
-    for cores in (1, 2):
-        scans.clear()
-        message, forks = _read_on_cores(load_trajectory_csv, path, cores, monkeypatch)
-        assert message == (f"trajectory CSV {str(path)!r} is not UTF-8 text "
-                           "(byte 0xb5: invalid start byte)")
-        assert scans == [1] and len(forks) == cores - 1
-
-
-@pytest.mark.parametrize("ends", ["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\r\n\n\r"],
-                         ids=["lf", "crlf", "cr", "blank-lf", "blank-crlf", "mixed"])
-def test_split_reader_cuts_only_after_a_line_feed(tmp_path, monkeypatch, ends):
-    """Rows whose lines end in "\\r\\n", in lone "\\r"s, or with blank lines
-    between them, cut into parts of a few bytes each, so that a cut falls at
-    every line feed, read as one call reads them, from the file and the text,
-    on two cores; a bad row among them is named by its line number."""
-    rows = [_row(repr(i / 7)) for i in range(9)]
-    text = f"# status: ok{ends}{_HEADER}{ends}" + ends.join(rows) + ends
-    expected = _reference_trajectory_from_csv(text)
-    assert isinstance(expected, TrajectoryRecord) and len(expected) == 9
-    bad = text.replace(rows[6], rows[6] + ",0.5")
-    expected_bad = _reference_trajectory_from_csv(bad)
-    assert expected_bad.startswith("trajectory CSV line ")
-    path = tmp_path / "ends.csv"
-    for source, result in ((text, expected), (bad, expected_bad)):
-        for part_bytes in (1, 40, len(rows[0]) + 1, 3 * len(rows[0])):
-            path.write_text(source, newline="")
-            for read, arg in ((load_trajectory_csv, path), (trajectory_from_csv, source)):
-                again, forks = _read_on_cores(read, arg, 2, monkeypatch, part_bytes)
-                assert again == result, (part_bytes, read)
-                assert len(forks) == ("\n" in ends)
-
+        with monkeypatch.context() as patch:
+            forks = _record_forks(patch)
+            again = [load_trajectory_csv(path), trajectory_from_csv(text)]
+        assert forks == []
+        for read in again:
+            assert read == record
+            assert read.table.dtype == np.float64 and read.table.flags.c_contiguous
 
 
 def test_csv_from_a_pipe_reads_as_its_text(fig2_runs, tmp_path):
-    """A named pipe, which has no offsets to read at, gives the record, or
-    the bad row's line number, that its text gives: the two-part fig2-F1
-    file, and the same with a bad row in its second part."""
+    """A named pipe, which cannot seek back, gives the record, or the bad
+    row's line number, that its text gives: the fig2-F1 file, and the same
+    with a bad row on its line 1,801."""
     text = trajectory_to_csv(fig2_runs["fig2-F1"][1])
     lines = text.split("\n")
     lines[1800] = lines[1800].replace(",", ";", 1)
@@ -1175,17 +1086,17 @@ def test_csv_file_that_changes_size_while_read_is_an_error(short_record, tmp_pat
     silently: the read is a ScenarioError naming the file."""
     path = tmp_path / "growing.csv"
     save_trajectory_csv(short_record, path)
-    pread = os.pread
+    read_rows = antago.scenario_io._read_rows
 
-    def pread_and_append(fd, size, offset):
+    def append_and_read_rows(lines):
         if not appended:
             appended.append(1)
             with path.open("a") as fh:
                 fh.write(_ROW + "\n")
-        return pread(fd, size, offset)
+        return read_rows(lines)
 
     appended = []
-    monkeypatch.setattr(os, "pread", pread_and_append)
+    monkeypatch.setattr(antago.scenario_io, "_read_rows", append_and_read_rows)
     with pytest.raises(ScenarioError) as info:
         load_trajectory_csv(path)
     assert str(info.value) == f"trajectory CSV {str(path)!r} changed size while it was read"
