@@ -1039,6 +1039,113 @@ def test_csv_render_forks_from_four_blocks(tmp_path, monkeypatch):
                 _assert_reaped(forks)
 
 
+# --------------------------------------------------------------------------
+# The reader once split rows of two parts or more at line feeds, read the
+# parts on forked workers and joined them. One call of numpy's reader now
+# reads them all in this process, on any number of cores.
+
+def _read_on_cores(read, source, cores, monkeypatch):
+    """``read(source)`` with ``cores`` cores: the record or the ScenarioError's
+    message, the pids of the children forked, and the number of calls of
+    ``_read_rows``."""
+    read_rows = antago.scenario_io._read_rows
+    calls = []
+
+    def counted_rows(lines):
+        calls.append(1)
+        return read_rows(lines)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        patch.setattr(antago.scenario_io, "_read_rows", counted_rows)
+        forks = _record_forks(patch)
+        try:
+            return read(source), forks, len(calls)
+        except ScenarioError as exc:
+            return str(exc), forks, len(calls)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_split_reader_reads_the_presets_as_one_call(fig2_runs, short_record, tmp_path,
+                                                    monkeypatch, cores):
+    """The four presets' files, 630-690 kB, which the split reader read in two
+    parts, and the 68 kB short record's: from the file and from the text, on
+    one core or two, the record equals the simulated one, read by one call of
+    ``_read_rows`` with no fork."""
+    records = [record for _, record in fig2_runs.values()]
+    records += [simulate(load_preset("multistep")), short_record]
+    path = tmp_path / "record.csv"
+    for record in records:
+        save_trajectory_csv(record, path)
+        text = path.read_text()
+        for read, source in ((load_trajectory_csv, path), (trajectory_from_csv, text)):
+            again, forks, calls = _read_on_cores(read, source, cores, monkeypatch)
+            assert again == record and forks == [] and calls == 1
+            assert again.table.dtype == np.float64 and again.table.flags.c_contiguous
+
+
+def test_split_reader_names_a_bad_row_or_byte_in_the_childs_part(fig2_runs, tmp_path,
+                                                                  monkeypatch):
+    """A bad row, and a Latin-1 byte, in the second half of the fig2-F1 file,
+    which the split reader read in a child, give the error, with no fork on
+    one core or two: the row's line number, or the file named after one scan
+    of its prefix."""
+    text = trajectory_to_csv(fig2_runs["fig2-F1"][1])
+    lines = text.split("\n")
+    path = tmp_path / "bad.csv"
+    for number in (1800, len(lines) - 1):   # the 1,800th line and the last row
+        bad = lines.copy()
+        bad[number - 1] = bad[number - 1].replace(",", ";", 1)
+        bad_text = "\n".join(bad)
+        path.write_text(bad_text)
+        expected = (f"trajectory CSV line {number}: expected {len(CHANNELS)} numbers, "
+                    f"got {bad[number - 1]!r}")
+        for read, source in ((load_trajectory_csv, path), (trajectory_from_csv, bad_text)):
+            for cores in (1, 2):
+                message, forks, _ = _read_on_cores(read, source, cores, monkeypatch)
+                assert message == expected and forks == []
+    scans = []
+    read_prefix = antago.scenario_io._read_prefix
+
+    def counted_prefix(fh):
+        scans.append(1)
+        return read_prefix(fh)
+
+    path.write_bytes(text.replace(lines[1800], _row("\u00b5"), 1).encode("latin-1"))
+    monkeypatch.setattr(antago.scenario_io, "_read_prefix", counted_prefix)
+    for cores in (1, 2):
+        scans.clear()
+        message, forks, _ = _read_on_cores(load_trajectory_csv, path, cores, monkeypatch)
+        assert message == (f"trajectory CSV {str(path)!r} is not UTF-8 text "
+                           "(byte 0xb5: invalid start byte)")
+        assert scans == [1] and forks == []
+
+
+@pytest.mark.parametrize("ends", ["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\r\n\n\r"],
+                         ids=["lf", "crlf", "cr", "blank-lf", "blank-crlf", "mixed"])
+def test_split_reader_cuts_only_after_a_line_feed(tmp_path, monkeypatch, ends):
+    """Rows whose lines end in "\\r\\n", in lone "\\r"s, or with blank lines
+    between them, which the split reader cut only after a line feed, read as
+    the whole-text reference reads them, from the file and the text, on two
+    cores, in one call of ``_read_rows`` and with no fork; a bad row among
+    them is named by its line number."""
+    rows = [_row(repr(i / 7)) for i in range(9)]
+    text = f"# status: ok{ends}{_HEADER}{ends}" + ends.join(rows) + ends
+    expected = _reference_trajectory_from_csv(text)
+    assert isinstance(expected, TrajectoryRecord) and len(expected) == 9
+    bad = text.replace(rows[6], rows[6] + ",0.5")
+    expected_bad = _reference_trajectory_from_csv(bad)
+    assert expected_bad.startswith("trajectory CSV line ")
+    path = tmp_path / "ends.csv"
+    for source, result in ((text, expected), (bad, expected_bad)):
+        path.write_text(source, newline="")
+        for read, arg in ((load_trajectory_csv, path), (trajectory_from_csv, source)):
+            again, forks, calls = _read_on_cores(read, arg, 2, monkeypatch)
+            assert again == result, read
+            assert forks == []
+            assert calls == 1 or result is expected_bad
+
+
 def test_csv_reader_forks_nothing_on_two_cores(fig2_runs, tmp_path, monkeypatch):
     """On two cores, each preset's 630-690 kB file is read in this process,
     from the file and from its text: no fork, and the record the run gave,
