@@ -70,9 +70,11 @@ A :class:`ScenarioConfig` checks itself on construction (``replace`` too), so
 every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
 output samples and setpoints and ``MAX_RK4_STEPS`` steps (of ``max_step`` for rk23).
 It also rejects a setpoint time within rounding of the previous one or of the
-duration, which would leave a step below ``rk23``'s floor between them, and
-a ``2 * k_m * m`` below the smallest normal float, where ``2 * k_m * M``,
-which ``H_d`` divides by, could underflow to zero.
+duration, which would leave a step below ``rk23``'s floor between them, a
+sample spacing or an ``rk23`` ``max_step`` within that same rounding, which
+would end the run ``step-underflow`` at t = 0, and a ``2 * k_m * m`` below
+the smallest normal float, where ``2 * k_m * M``, which ``H_d`` divides by,
+could underflow to zero.
 
 A position within the plant's fixed 1 µm ``DOMAIN_MARGIN`` of the
 volume-model boundary ends a run as "domain-exit". The textbook kernels
@@ -275,7 +277,9 @@ class ScenarioConfig:
 
 def _check_cost(duration: float, solver: SolverSettings, setpoints: int) -> None:
     """Reject a duration that is not finite and positive or that exceeds a
-    budget; each of the ``setpoints`` setpoint times counts as one sample."""
+    budget (each of the ``setpoints`` setpoint times counts as one sample),
+    then a sample spacing or an rk23 ``max_step`` within rounding of the
+    run's times by the collision rule of :func:`_sample_grid`."""
     if not 0.0 < duration < math.inf:
         raise ScenarioError("duration must be positive and finite")
     if duration / solver.sample_dt + setpoints > MAX_SAMPLES:
@@ -285,6 +289,14 @@ def _check_cost(duration: float, solver: SolverSettings, setpoints: int) -> None
     if duration / getattr(solver, step) > MAX_RK4_STEPS:
         raise ScenarioError(
             f"duration / {step} exceeds the budget of {MAX_RK4_STEPS} {solver.method} steps")
+    floor = _COLLISION_FRACTION * max(duration, 1.0)
+    n = _grid_intervals(duration, solver.sample_dt)
+    if duration / n <= floor:
+        raise ScenarioError(f"sample spacing duration / {n} = {duration / n!r} is within "
+                            f"rounding of the run's times (at or below {floor!r})")
+    if solver.method == "rk23" and solver.max_step <= floor:
+        raise ScenarioError(f"max_step = {solver.max_step!r} is within rounding of the "
+                            f"run's times (at or below {floor!r})")
 
 
 def _check_initial(initial: PlantState, params: PlantParams) -> None:
@@ -709,6 +721,11 @@ def augmented_field(state: PlantState, F_hat: float, gains: ControllerGains,
     return rhs(0.0, state.x, state.p, state.P1, state.P2, F_hat)
 
 
+def _grid_intervals(duration: float, sample_dt: float) -> int:
+    """The sample intervals of a run before its setpoint times are added."""
+    return max(1, math.ceil(duration / sample_dt - 1e-12))
+
+
 # One entry: the points of a sweep share their grid, and at most one grid
 # (MAX_SAMPLES floats) stays alive. ``typed`` keeps an int duration apart from
 # the equal float, whose products may round differently.
@@ -717,7 +734,7 @@ def _sample_grid(duration: float, sample_dt: float,
                  events: tuple[float, ...]) -> tuple[float, ...]:
     """The output times of a run, shared by every caller with the same
     arguments, so it is a tuple that no caller can change."""
-    n = max(1, math.ceil(duration / sample_dt - 1e-12))
+    n = _grid_intervals(duration, sample_dt)
     times = {round(i * duration / n, 15) for i in range(n + 1)}
     for e in events:
         if 0.0 < e < duration:

@@ -20,20 +20,21 @@ line endings and one header, the names of :data:`~antago.engine.CHANNELS`.
 Its grammar: leading ``#`` lines, which carry the run status, and blank lines;
 the header; then one row per line, a line ending as ``open`` ends it. So the
 table itself stays consumable by any CSV reader. Neither side holds the whole
-text. One renderer writes the file: blocks of ``_CSV_BLOCK_ROWS`` rows, from
-``_CSV_FORK_BLOCKS`` blocks on split between this process and a forked child
-(:func:`~antago.workers.forked_ahead`), each written into the file as it
-comes. :func:`run_trajectory_csv`, which ``antago run`` calls, starts the
-child before the run, and the child renders each block as soon as the
-kernels have written its rows and writes it into the file itself; a finished
-record's blocks are all split. The reader reads one text stream, of the
-open file (a pipe, which cannot seek back, is read whole first) or of the
-string's UTF-8 bytes, through the header, and hands the rest of it to one
-call of numpy's compiled reader; only a call that fails reads the stream
-again, to name the bad line. A record round-trips exactly, a multi-line
-detail included (a ``\r`` in it comes back as ``\n``). Files are read and
-written as UTF-8. numpy is imported by the functions that render or read the
-table, not by this module, so that parsing a scenario does not load it.
+text. The writer renders blocks of ``_CSV_BLOCK_ROWS`` rows, each written into
+the file as it comes, and renders a finished record's blocks in this process.
+:func:`run_trajectory_csv`, which ``antago run`` calls, renders while the run
+integrates: for a grid of ``_CSV_FORK_BLOCKS`` blocks or more it forks a child
+(:func:`~antago.workers.forked_ahead`) before the run, which renders each
+block as soon as the kernels have written its rows and writes it into the file
+itself, and the blocks left when the run ends are split between the two
+processes. The reader reads one text stream, of the open file (a pipe, which
+cannot seek back, is read whole first) or of the string's UTF-8 bytes,
+through the header, and hands the rest of it to one call of numpy's compiled
+reader; only a call that fails reads the stream again, to name the bad line.
+A record round-trips exactly, a multi-line detail included (a ``\r`` in it
+comes back as ``\n``). Files are read and written as UTF-8. numpy is
+imported by the functions that render or read the table, not by this module,
+so that parsing a scenario does not load it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import io
 import os
 import stat
 import tempfile
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
@@ -283,8 +284,8 @@ _CSV_HEADER = ",".join(CHANNELS)
 # sliced run's slices end at the same multiples, so each block is ready as
 # soon as the slice that ends it is integrated.
 _CSV_BLOCK_ROWS = SLICE_SAMPLES
-# Blocks of a table, at least, for which the renderer forks a child; a
-# smaller table renders in this process.
+# Blocks of a run's grid, at least, for which run_trajectory_csv forks a
+# renderer; a smaller grid renders in this process.
 _CSV_FORK_BLOCKS = 4
 
 
@@ -299,23 +300,15 @@ def _csv_prefix(status: str, detail: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_renderer(table: np.ndarray, sink: Callable[[str], object] | None = None):
-    """The :func:`~antago.workers.forked_ahead` of the blocks of ``table``
-    (rows ``start`` to ``start + _CSV_BLOCK_ROWS`` for each ``start``),
-    whose child passes each block it takes ahead to ``sink``."""
-    blocks = range(0, len(table), _CSV_BLOCK_ROWS)
-    return forked_ahead(partial(_csv_block, table), blocks, sink, _CSV_FORK_BLOCKS)
-
-
 def _csv_chunks(record: TrajectoryRecord) -> Iterator[str]:
     """The CSV text of ``record`` in pieces: its comment lines and header, then
-    each block of rows as the renderer yields it."""
+    each block of rows, rendered in this process."""
     import numpy as np
 
     table = np.asarray(record.table, dtype=float)
     yield _csv_prefix(record.status, record.detail)
-    with _csv_renderer(table) as ahead:
-        yield from ahead.rest()
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        yield _csv_block(table, start)
 
 
 def trajectory_to_csv(record: TrajectoryRecord) -> str:
@@ -324,10 +317,7 @@ def trajectory_to_csv(record: TrajectoryRecord) -> str:
     The run status travels in leading '#' comment lines, keeping the table
     itself plain CSV: ``# status: <status>``, then one ``# detail: <line>``
     per line of a nonempty detail. Each value of ``record.table`` is written
-    as the shortest ``repr`` of its float64 value. The rows are rendered in
-    blocks of ``_CSV_BLOCK_ROWS``, split between this process and a forked
-    child by :func:`~antago.workers.forked_ahead` from ``_CSV_FORK_BLOCKS``
-    blocks on; the text does not depend on which process rendered a block.
+    as the shortest ``repr`` of its float64 value.
     """
     return "".join(_csv_chunks(record))
 
@@ -343,9 +333,9 @@ def _csv_block(table: np.ndarray, start: int) -> str:
 
 def save_trajectory_csv(record: TrajectoryRecord, path: str | os.PathLike) -> None:
     """Write :func:`trajectory_to_csv` of ``record`` to ``path`` atomically,
-    each block of rows as soon as it is rendered, so that the whole text is
-    never held at once. A block that fails to render, or a worker that dies,
-    leaves ``path`` as it was."""
+    each block of rows as soon as this process renders it, so that the whole
+    text is never held at once. A block that fails to render leaves ``path``
+    as it was."""
     _atomic_write(Path(path), _csv_chunks(record))
 
 
@@ -359,13 +349,13 @@ def run_trajectory_csv(scenario: ScenarioConfig, path: str | os.PathLike) -> Tra
     forked before the run renders each block of rows as soon as they are all
     written and writes it into the file after the blocks before it, at the
     file offset the two processes share. When the run ends, the blocks left
-    are split between this process and the child as a finished record's
-    are, and this process writes each into the file as it comes. A run that
-    ends early has another header and fewer rows: its file is written again
-    from the record. A grid of fewer than ``_CSV_FORK_BLOCKS`` blocks, one
-    core and a process with other threads fork nothing, and the rows are
-    rendered after the run. Any error, a worker that dies included, leaves
-    ``path`` as it was.
+    are split between this process and the child, and this process writes
+    each into the file as it comes. A run that ends early has another header
+    and fewer rows: once the child is reaped, this process writes its file
+    again from the record, so a run forks one renderer at most. A grid of
+    fewer than ``_CSV_FORK_BLOCKS`` blocks, one core and a process with other
+    threads fork nothing, and the rows are rendered after the run. Any
+    error, a worker that dies included, leaves ``path`` as it was.
     """
     import numpy as np
 
@@ -379,7 +369,8 @@ def run_trajectory_csv(scenario: ScenarioConfig, path: str | os.PathLike) -> Tra
             fh.write(text)
             fh.flush()
 
-        with _csv_renderer(table, sink) as ahead:
+        blocks = range(0, len(table), _CSV_BLOCK_ROWS)
+        with forked_ahead(partial(_csv_block, table), blocks, sink, _CSV_FORK_BLOCKS) as ahead:
             record = simulate(scenario, rows, lambda n: ahead.ready(n // _CSV_BLOCK_ROWS))
             if record.status == "ok":
                 fh.writelines(ahead.rest())

@@ -28,7 +28,7 @@ The policy, kept here alone (with ``os.fork`` and pipes, not
 - The package imports numpy only where an array is built, and its forked
   jobs build arrays: numpy is imported before the first fork, so that the
   workers share the loaded module and do not each import it again. When the
-  items run in this process, it imports nothing.
+  items run in this process, numpy is not imported.
 
 A fork plus its reaping costs about 2.0 ms on a 2-core VM (Python 3.11,
 numpy loaded). After a fork each process pays about 440–640 minor
@@ -38,16 +38,17 @@ numpy loaded). After a fork each process pays about 440–640 minor
 process (a pure-Python loop 24.2 → 47.7 ms, ``simulate`` 16.9 → 47.8 ms).
 So a child is worth it only for several times that much work, and a timing
 in units of a slice that runs in this process (the benchmark's ``cal``)
-counts the child's work as almost free. Its users:
+counts the child's work as almost free. Its only users:
 
-- ``cli`` runs the points of a sweep, and ``verify`` the presets of its
-  Lyapunov suite, one item each, on :func:`forked_imap`.
-- The CSV writer renders blocks of 128 rows, about 1.1–1.4 ms each, on
-  :func:`forked_ahead`, and forks for a table of 4 blocks or more. While
-  ``antago run`` integrates, the child renders each block as soon as its
-  rows are written and writes it into the file itself; the blocks left when
-  the run ends, and every block of a finished record, are split between the
-  two processes, and this process writes each into the file as it comes.
+- ``cli._cmd_sweep`` and ``verify.check_lyapunov`` run sweep points and
+  Lyapunov presets, one item each, on :func:`forked_imap`.
+- ``scenario_io.run_trajectory_csv`` renders ``antago run``'s CSV in blocks
+  of 128 rows, about 1.1–1.4 ms each, on :func:`forked_ahead`, for a grid of
+  4 blocks or more: the child renders each block as soon as its rows are
+  written and writes it into the file itself, and the blocks left when the
+  run ends are split between the two processes. A finished record renders
+  here: forked, it took 19–46 % more CPU for a wall gain mostly inside the
+  spread between runs (CHANGES.md).
 """
 
 from __future__ import annotations
@@ -143,19 +144,24 @@ def forked_imap(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     workers as the module docstring describes. Each result is the same
     whichever process computed it."""
     workers = _workers(len(items))
-    if workers < 2:
-        yield from map(fn, items)
-        return
     children = {}   # worker number -> (pid, read end of its pipe), until reaped
     try:
         for k in range(1, workers):
             children[k] = _fork(lambda pipe, k=k: _serve(fn, items[k::workers], pipe),
                                 [pipe for _, pipe in children.values()])
-        for i, item in enumerate(items):
-            k = i % workers
-            yield fn(item) if k == 0 else _receive(children, k)
+        yield from _split(fn, items, children)
     finally:
         _reap(children)
+
+
+def _split(fn: Callable[[T], R], items: Sequence[T], children: dict) -> Iterator[R]:
+    """Yield ``fn(item)`` for each of ``items``, in order: this process
+    computes items ``0, w, 2w, ...``, child ``k`` of the ``w - 1`` children
+    items ``k::w``."""
+    workers = len(children) + 1
+    for i, item in enumerate(items):
+        k = i % workers
+        yield fn(item) if k == 0 else _receive(children, k)
 
 
 class Ahead:
@@ -185,28 +191,25 @@ class Ahead:
         """Yield, in order, ``fn(item)`` for each item that the child did not
         take while they became ready: this process computes the first of them
         and every second one after it, the child the others."""
-        if not self._children:
-            yield from map(self._fn, self._items)
-            return
-        self._tell(-1)
-        taken = _receive(self._children, 1)
-        for i in range(taken, len(self._items)):
-            yield self._fn(self._items[i]) if (i - taken) % 2 == 0 else _receive(self._children, 1)
+        taken = 0
+        if self._children:
+            self._tell(-1)
+            taken = _receive(self._children, 1)
+        yield from _split(self._fn, self._items[taken:], self._children)
 
 
 @contextmanager
-def forked_ahead(fn: Callable[[T], R], items: Sequence[T], sink: Callable[[R], object] | None,
+def forked_ahead(fn: Callable[[T], R], items: Sequence[T], sink: Callable[[R], object],
                  least: int) -> Iterator[Ahead]:
     """Fork one child for ``items``, as the module docstring describes, and
     yield an :class:`Ahead` while this process works on something else. The
     child computes ``fn`` of each item as soon as :meth:`Ahead.ready` counts
     it, in order, and passes the result to ``sink`` in the child; once
     :meth:`Ahead.rest` is called, it stops after the item in hand, and the
-    two processes split the items it has not taken. ``sink`` may be None
-    when ``ready`` is never called. With no child (one core, fewer than
-    ``least`` items, other threads), ``ready`` does nothing and ``rest``
-    computes every item here. The child is killed and reaped when the
-    context ends."""
+    two processes split the items it has not taken as :func:`forked_imap`
+    splits items. With no child (one core, fewer than ``least`` items, other
+    threads), ``ready`` does nothing and ``rest`` computes every item here.
+    The child is killed and reaped when the context ends."""
     ahead = Ahead(fn, items)
     if _workers(len(items), least) < 2:
         yield ahead

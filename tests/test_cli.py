@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import antago
+import make_output_digests as pin
 from antago.cli import MAX_SWEEP_POINTS, _parse_values, main
 from antago.controller import validate_gains
 from antago.engine import (
@@ -128,6 +129,15 @@ def test_run_non_finite_input_is_one_line_error(tmp_path, study, capsys, key, va
      ("setpoint time 4.002", "4.00200000000002", "within rounding")),
     ("x_star = 0.001", "x_star = 0.0:0.001, 9.999999999999998:0.002",
      ("9.999999999999998", "the duration 10.0", "within rounding")),
+    # a sample spacing, or an rk23 max_step, within rounding of the run's
+    # times wrote a one-row CSV ending "step-underflow" at t = 0
+    ("sample_dt = 0.005\n\n[schedule]\nduration = 10.0\n",
+     "sample_dt = 1e-15\n\n[schedule]\nduration = 1e-11\n",
+     ("sample spacing duration / 10000 = 9.999999999999999e-16", "within rounding",
+      "at or below 1e-12")),
+    ("max_step = 0.01\nfixed_step = 1e-05\nsample_dt = 0.005\n\n[schedule]\nduration = 10.0\n",
+     "max_step = 1e-15\nfixed_step = 1e-05\nsample_dt = 0.005\n\n[schedule]\nduration = 1e-08\n",
+     ("max_step = 1e-15", "within rounding", "at or below 1e-12")),
 ])
 def test_run_bad_plant_or_schedule_is_one_line_error(tmp_path, study, capsys, monkeypatch,
                                                      old, new, words):
@@ -910,10 +920,12 @@ def test_dead_csv_worker_is_one_line_error(tmp_path):
 
 def _run_cases(study):
     """The scenarios whose ``antago run`` CSV is checked against the finished
-    record's: the presets, a domain exit, rk4 (401 rows), and fig2-F1
-    tables of 101, 201 and 301 rows: one, two and three blocks."""
+    record's: the presets, a domain exit that keeps one row and one that
+    keeps 401 (four blocks), rk4 (401 rows), and fig2-F1 tables of 101, 201
+    and 301 rows: one, two and three blocks."""
     cases = {name: load_preset(name) for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
     cases["alpha=22"] = replace(study, gains=replace(study.gains, alpha=22.0))
+    cases["domain-exit"] = pin.table_runs()["domain-exit"]
     cases["rk4"] = replace(study, solver=replace(study.solver, method="rk4", fixed_step=1e-4),
                            duration=2.0)
     for blocks in (1, 2, 3):
@@ -929,7 +941,8 @@ def test_run_writes_the_csv_of_the_finished_record(tmp_path, study, capsys, monk
     gives, on one core and two, with the renderer forking from its shipped
     block count and from two blocks. On two cores a run whose grid has that
     many blocks forks one child, which is reaped, and another forks none;
-    the domain exit's grid forks, and its file is written again."""
+    the domain exits' grids fork, and their files are written again in this
+    process, so a run that keeps four blocks forks no second child."""
     import antago.scenario_io
 
     if fork_from is not None:

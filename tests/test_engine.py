@@ -100,6 +100,20 @@ def test_scenario_validation_errors(study):
     replace(study, solver=tiny_step)   # rk23 never takes the fixed step
     with pytest.raises(ScenarioError, match="budget of 10000000 rk4 steps"):
         replace(study, solver=replace(tiny_step, method="rk4"))
+    # A sample spacing or an rk23 max_step within rounding of the run's times
+    # ended the run step-underflow at t = 0; the open loop checks them too.
+    for solver, duration, words in (
+            (replace(study.solver, sample_dt=1e-15), 1e-11,
+             "sample spacing duration / 10000 = 9.999999999999999e-16 is within rounding"),
+            (replace(study.solver, max_step=1e-15), 1e-8, "max_step = 1e-15 is within rounding")):
+        for make in (lambda: replace(study, solver=solver, duration=duration),
+                     lambda: simulate_open_loop(study.params, study.initial, duration, solver)):
+            with pytest.raises(ScenarioError) as info:
+                make()
+            assert str(info.value) == f"{words} of the run's times (at or below 1e-12)"
+    replace(study, solver=replace(study.solver, sample_dt=2e-12), duration=2e-11)
+    replace(study, solver=replace(study.solver, max_step=2e-12), duration=1e-8)
+    replace(study, solver=replace(study.solver, method="rk4", max_step=1e-15), duration=1e-8)
 
 
 def test_subnormal_energy_scale_is_rejected(study):

@@ -33,6 +33,7 @@ from antago.scenario_io import (
     load_preset,
     load_trajectory_csv,
     parse_scenario,
+    run_trajectory_csv,
     save_scenario,
     save_trajectory_csv,
     serialize_scenario,
@@ -994,12 +995,13 @@ def test_csv_renders_every_dtype_as_float(dtype):
 
 
 def test_csv_render_does_not_depend_on_worker_count(fig2_runs, tmp_path, monkeypatch):
-    """2001 rows are sixteen blocks: on two cores this process renders the
-    eight even ones and one child the eight odd ones; the text equals the
-    per-value reference."""
+    """2001 rows are sixteen blocks: ``run_trajectory_csv`` renders each
+    once, all in this process on one core, and on two split between this
+    process and one child, which takes blocks while the run integrates; the
+    file equals the per-value reference of the record either way."""
     import antago.scenario_io
 
-    record = fig2_runs["fig2-F1"][1]
+    scenario, record = fig2_runs["fig2-F1"]
     assert len(record) == 2001
     render_block = antago.scenario_io._csv_block
     pids = tmp_path / "pids.txt"
@@ -1011,38 +1013,57 @@ def test_csv_render_does_not_depend_on_worker_count(fig2_runs, tmp_path, monkeyp
 
     monkeypatch.setattr(antago.scenario_io, "_csv_block", render_and_log)
     expected = _reference_trajectory_to_csv(record)
+    out = tmp_path / "out.csv"
     me = str(os.getpid())
     for cores in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
         pids.write_text("")
-        assert trajectory_to_csv(record) == expected
+        assert run_trajectory_csv(scenario, out) == record
+        assert out.read_text() == expected
         ran = pids.read_text().split()
-        assert len(ran) == 16 and ran.count(me) == 16 // len(cores) and len(set(ran)) == len(cores)
+        assert len(ran) == 16 and me in ran and len(set(ran)) == len(cores)
 
 
-def test_csv_render_forks_from_four_blocks(tmp_path, monkeypatch):
-    """On two cores a table of three 128-row blocks (384 rows) renders in
-    this process, where a fork would cost more than it saves, and one of
-    four (385 rows) forks one child, which is reaped; the text is the
-    per-value reference either way."""
+def test_csv_render_forks_from_four_blocks(study, tmp_path, monkeypatch):
+    """On two cores ``run_trajectory_csv`` of a grid of three 128-row blocks
+    (384 rows) renders in this process, where a fork would cost more than
+    it saves, and of four (385 rows) forks one child, which is reaped; the
+    file is the per-value reference of the record either way."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out, step = tmp_path / "out.csv", 2.0**-8   # (rows - 1) * step / step is exact
     for rows, forked in ((384, 0), (385, 1)):
-        column = np.arange(rows, dtype=float)[:, None] / 7
-        record = TrajectoryRecord(np.repeat(column, len(CHANNELS), axis=1))
-        for write in (trajectory_to_csv, lambda r: save_trajectory_csv(r, tmp_path / "r.csv")):
-            with monkeypatch.context() as patch:
-                forks = _record_forks(patch)
-                text = write(record) or (tmp_path / "r.csv").read_text()
-            assert text == _reference_trajectory_to_csv(record)
-            assert len(forks) == forked, rows
-            if forks:
-                _assert_reaped(forks)
+        scenario = replace(study, solver=replace(study.solver, sample_dt=step),
+                           duration=(rows - 1) * step)
+        with monkeypatch.context() as patch:
+            forks = _record_forks(patch)
+            record = run_trajectory_csv(scenario, out)
+        assert len(record) == rows and record.status == "ok"
+        assert out.read_text() == _reference_trajectory_to_csv(record)
+        assert len(forks) == forked, rows
+        if forks:
+            _assert_reaped(forks)
+
+
+def test_finished_record_csv_forks_nothing_on_two_cores(fig2_runs, tmp_path, monkeypatch):
+    """On two cores ``trajectory_to_csv`` and ``save_trajectory_csv`` of the
+    2001-row fig2-F1 record, sixteen blocks, render in this process: no
+    fork, and the per-value reference text."""
+    record = fig2_runs["fig2-F1"][1]
+    assert len(record) == 2001
+    expected = _reference_trajectory_to_csv(record)
+    path = tmp_path / "r.csv"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = _record_forks(monkeypatch)
+    assert trajectory_to_csv(record) == expected
+    save_trajectory_csv(record, path)
+    assert path.read_text() == expected
+    assert forks == []
 
 
 # --------------------------------------------------------------------------
-# The reader once split rows of two parts or more at line feeds, read the
-# parts on forked workers and joined them. One call of numpy's reader now
-# reads them all in this process, on any number of cores.
+# The one-call reader: after the header, one call of numpy's reader reads
+# every row in this process, on any number of cores, and only a call that
+# fails reads the stream again, to name the bad line.
 
 def _read_on_cores(read, source, cores, monkeypatch):
     """``read(source)`` with ``cores`` cores: the record or the ScenarioError's
@@ -1068,10 +1089,9 @@ def _read_on_cores(read, source, cores, monkeypatch):
 @pytest.mark.parametrize("cores", [1, 2])
 def test_split_reader_reads_the_presets_as_one_call(fig2_runs, short_record, tmp_path,
                                                     monkeypatch, cores):
-    """The four presets' files, 630-690 kB, which the split reader read in two
-    parts, and the 68 kB short record's: from the file and from the text, on
-    one core or two, the record equals the simulated one, read by one call of
-    ``_read_rows`` with no fork."""
+    """The four presets' files, 630-690 kB, and the 68 kB short record's:
+    from the file and from the text, on one core or two, the record equals
+    the simulated one, read by one call of ``_read_rows`` with no fork."""
     records = [record for _, record in fig2_runs.values()]
     records += [simulate(load_preset("multistep")), short_record]
     path = tmp_path / "record.csv"
@@ -1086,10 +1106,10 @@ def test_split_reader_reads_the_presets_as_one_call(fig2_runs, short_record, tmp
 
 def test_split_reader_names_a_bad_row_or_byte_in_the_childs_part(fig2_runs, tmp_path,
                                                                   monkeypatch):
-    """A bad row, and a Latin-1 byte, in the second half of the fig2-F1 file,
-    which the split reader read in a child, give the error, with no fork on
-    one core or two: the row's line number, or the file named after one scan
-    of its prefix."""
+    """A bad row on line 1,800 or on the last line of the fig2-F1 file, and a
+    Latin-1 byte on line 1,801, give the error, with no fork on one core or
+    two: the row's line number, or the file named after one scan of its
+    prefix."""
     text = trajectory_to_csv(fig2_runs["fig2-F1"][1])
     lines = text.split("\n")
     path = tmp_path / "bad.csv"
@@ -1125,10 +1145,9 @@ def test_split_reader_names_a_bad_row_or_byte_in_the_childs_part(fig2_runs, tmp_
                          ids=["lf", "crlf", "cr", "blank-lf", "blank-crlf", "mixed"])
 def test_split_reader_cuts_only_after_a_line_feed(tmp_path, monkeypatch, ends):
     """Rows whose lines end in "\\r\\n", in lone "\\r"s, or with blank lines
-    between them, which the split reader cut only after a line feed, read as
-    the whole-text reference reads them, from the file and the text, on two
-    cores, in one call of ``_read_rows`` and with no fork; a bad row among
-    them is named by its line number."""
+    between them read as the whole-text reference reads them, from the file
+    and the text, on two cores, in one call of ``_read_rows`` and with no
+    fork; a bad row among them is named by its line number."""
     rows = [_row(repr(i / 7)) for i in range(9)]
     text = f"# status: ok{ends}{_HEADER}{ends}" + ends.join(rows) + ends
     expected = _reference_trajectory_from_csv(text)

@@ -1,6 +1,7 @@
 """Forked workers: item order, who computes what, clean-up, and outputs that do
 not depend on how many workers ran."""
 
+import ast
 import json
 import os
 import subprocess
@@ -133,7 +134,7 @@ def test_ahead_without_a_child_computes_every_item_here(monkeypatch):
     forks = _record_forks(monkeypatch)
     for cores, least in (({0}, 2), ({0, 1}, 10)):
         _cores(monkeypatch, cores)
-        with forked_ahead(_item_and_pid, range(9), None, least) as ahead:
+        with forked_ahead(_item_and_pid, range(9), lambda result: None, least) as ahead:
             ahead.ready(5)
             assert list(ahead.rest()) == [(i, os.getpid()) for i in range(9)]
     assert forks == []
@@ -212,3 +213,36 @@ def test_forked_workers_share_numpy_and_in_process_items_import_nothing(cores):
                           env={**os.environ, "PYTHONPATH": src})
     (pid0, numpy0), (pid1, numpy1) = json.loads(proc.stdout)
     assert (pid1 != pid0, numpy0, numpy1) == (cores == 2, cores == 2, cores == 2)
+
+
+def _fork_sites() -> set[tuple[str, str, str]]:
+    """Each ``(module, function, name)`` of ``src/antago`` whose code names
+    ``forked_imap`` or ``forked_ahead`` (an import excepted), with the
+    dotted names of the definitions that enclose the reference."""
+    sites = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, (*scope, child.name))
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in ("forked_imap", "forked_ahead"):
+                sites.add((module, ".".join(scope), name))
+            visit(child, module, scope)
+
+    for path in sorted(Path(antago.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return sites
+
+
+def test_only_the_three_documented_users_fork():
+    """The module docstring's three users are the only code in the package
+    that names ``forked_imap`` or ``forked_ahead``, so a new fork site comes
+    with a line there."""
+    assert _fork_sites() == {("cli", "_cmd_sweep", "forked_imap"),
+                             ("verify", "check_lyapunov", "forked_imap"),
+                             ("scenario_io", "run_trajectory_csv", "forked_ahead")}
+    for user in ("cli._cmd_sweep", "verify.check_lyapunov", "scenario_io.run_trajectory_csv"):
+        assert f"``{user}``" in antago.workers.__doc__, user
