@@ -96,20 +96,19 @@ a tuple of channels: each ``$emit`` line becomes the loop's shared lines
 open loop's: its state) into float64 bytes, ``struct.Struct(f"{n}d").pack``
 bound like the other constants, passed to the kernel's ``emit``, so each
 double is copied exactly and no Python float outlives its row. ``emit`` is
-the ``frombytes`` of one ``array("d")``, or, for ``antago run``, the
-``write`` of a shared anonymous ``mmap`` sized for the grid
-(:func:`shared_rows`), into which the kernels write a segment in slices of
-``SLICE_SAMPLES`` samples, telling the caller after each how many rows are
-there, so that a forked process renders them while the run goes on. ``rk23``
-emits from its first stage and then from the last stage of each step that
-lands on a grid time (the pair is FSAL), ``rk4`` from the first stage of the
-step that starts there; a setpoint time's row comes from the first stage of
-the segment that starts there, and the last sample's from one more
+the ``frombytes`` of one ``array("d")``, every run's one row sink. A caller
+told of its rows as they are written (``antago run``, whose CSV writer copies
+each finished slice into a mapping it owns) has the kernels write a segment
+in slices of ``SLICE_SAMPLES`` samples and is handed that array after each.
+``rk23`` emits from its first stage and then from the last stage of each step
+that lands on a grid time (the pair is FSAL), ``rk4`` from the first stage of
+the step that starts there; a setpoint time's row comes from the first stage
+of the segment that starts there, and the last sample's from one more
 evaluation. A slice starts with a first stage too, at the state where rk23's
 last step ended, so the rows are the same either way. ``_run`` returns the
-array or the mapping as the table, a ``np.frombuffer`` view that copies
-nothing, and no numpy expression computes a channel. The scalar plant and
-controller functions (``control_flows``, ``sigma``, ``desired_energy``,
+array as the table, a ``np.frombuffer`` view that copies nothing, and no
+numpy expression computes a channel. The scalar plant and controller
+functions (``control_flows``, ``sigma``, ``desired_energy``,
 ``hamiltonian``) are the channels' oracles in the test suite. Like them,
 :func:`augmented_field` takes ``F_hat`` and ``x_star`` as floats and reads
 ``alpha`` only from ``ControllerGains``.
@@ -123,9 +122,9 @@ either; the summary equals ``diagnostics(simulate(scenario))`` field for
 field, as both reduce those columns in one helper.
 
 numpy is imported by the functions that build or read arrays, and ``array``
-and ``mmap`` by those that build rows, so that importing the package loads
-none of them; the kernels never load numpy. ``struct`` is a module import:
-Python's start-up (``site``) has already loaded it.
+by those that build rows, so that importing the package loads neither; the
+kernels never load numpy. ``struct`` is a module import: Python's start-up
+(``site``) has already loaded it.
 """
 
 from __future__ import annotations
@@ -343,15 +342,15 @@ STATUSES = ("ok", "domain-exit", "step-underflow")
 class TrajectoryRecord:
     """Sampled closed-loop trajectory: ``table`` is one C-contiguous float64
     array, a row per sample and a column per channel in :data:`CHANNELS`
-    order, which :func:`simulate` makes as a view of the kernels' buffer;
-    ``record[name]`` is a view of its column, and ``len`` and ``==``
-    (NaN equal to NaN) read the table. ``status`` is one of
-    :data:`STATUSES`; ``detail`` describes the offending state. Each row was
-    emitted by the kernel stage evaluated at its sample (see the module
-    docstring). On early termination the table holds only the setpoint
-    segments finished before the failure, through the row at the failed
-    segment's start if its first stage emitted it, so a one-segment run
-    keeps only t = 0 (ROADMAP item 1).
+    order, which :func:`simulate` makes as a view of the one ``array("d")``
+    that the kernels write every row into; ``record[name]`` is a view of its
+    column, and ``len`` and ``==`` (NaN equal to NaN) read the table.
+    ``status`` is one of :data:`STATUSES`; ``detail`` describes the
+    offending state. Each row was emitted by the kernel stage evaluated at
+    its sample (see the module docstring). On early termination the table
+    holds only the setpoint segments finished before the failure, through
+    the row at the failed segment's start if its first stage emitted it, so
+    a one-segment run keeps only t = 0 (ROADMAP item 1).
     """
 
     table: np.ndarray
@@ -748,26 +747,20 @@ def _sample_grid(duration: float, sample_dt: float,
     return tuple(sorted(times))
 
 
-def shared_rows(scenario: ScenarioConfig):
-    """A shared anonymous ``mmap`` with room for the table of
-    :func:`simulate` of ``scenario``, a row per output time: a process forked
-    after it is made sees each row as the kernels write it."""
-    import mmap
-
-    grid = _sample_grid(scenario.duration, scenario.solver.sample_dt,
-                        tuple(t for t, _ in scenario.setpoints))
-    return mmap.mmap(-1, len(grid) * 8 * len(CHANNELS))
+def sample_count(scenario: ScenarioConfig) -> int:
+    """The rows of an ok :func:`simulate` of ``scenario``, one per output time."""
+    return len(_sample_grid(scenario.duration, scenario.solver.sample_dt,
+                            tuple(t for t, _ in scenario.setpoints)))
 
 
-def _run(scenario: ScenarioConfig, channels: tuple[str, ...], rows=None,
+def _run(scenario: ScenarioConfig, channels: tuple[str, ...],
          ready=None) -> tuple[np.ndarray, str, str]:
     """Integrate the augmented closed loop into a table of ``channels``, a row
-    per sample, the last sample's too: a view of ``rows``, into which the
-    kernels write each row, a new float64 ``array("d")`` (``frombytes``) or
-    a writable ``mmap`` with room for every row (``write``). Each setpoint
-    segment is one kernel call, or, given ``ready``, is cut into slices that
-    end at the multiples of ``SLICE_SAMPLES`` samples, and ``ready(n)`` is
-    called with the number of rows written after each slice and after the
+    per sample, the last sample's too: a view of the new float64
+    ``array("d")`` into which the kernels write each row (``frombytes``).
+    Each setpoint segment is one kernel call, or, given ``ready``, is cut
+    into slices that end at the multiples of ``SLICE_SAMPLES`` samples, and
+    ``ready(rows)`` is called with that array after each slice and after the
     last row. A slice starts with a first stage, so rk23 makes one more
     evaluation per slice, at a state it has evaluated already; the rows,
     the status and the detail are the same. Returns the table, the status
@@ -785,12 +778,7 @@ def _run(scenario: ScenarioConfig, channels: tuple[str, ...], rows=None,
 
     y = (scenario.initial.x, scenario.initial.p, scenario.initial.P1,
          scenario.initial.P2, scenario.initial_F_hat())
-    if rows is None:
-        rows = array("d")
-    if isinstance(rows, array):
-        emit, written = rows.frombytes, lambda: len(rows) // len(channels)
-    else:
-        emit, written = rows.write, lambda: rows.tell() // (8 * len(channels))
+    rows, width = array("d"), len(channels)
     h = min(solver.max_step, 1e-6)
 
     # Cut the grid by index at the setpoint times before the end, each a grid
@@ -801,32 +789,32 @@ def _run(scenario: ScenarioConfig, channels: tuple[str, ...], rows=None,
     cuts.append(len(grid) - 1)
     try:
         for (_, x_star), a, b in zip(scenario.setpoints, cuts, cuts[1:]):
-            kept = written() + 1   # through the segment's first row
+            kept = len(rows) // width + 1   # through the segment's first row
             kernel = _closed_kernel(solver.method, params, gains, force, x_star, channels)
             while a < b:
                 # row i is the sample at grid[i]
                 end = b if ready is None else min(b, (a // SLICE_SAMPLES + 1) * SLICE_SAMPLES)
-                y, h = kernel(y, grid[a:end + 1], solver, h, emit)
+                y, h = kernel(y, grid[a:end + 1], solver, h, rows.frombytes)
                 a = end
                 if ready is not None:
-                    ready(written())
+                    ready(rows)
         # The last sample's row, with the last segment's x_star.
         _closed_kernel("row", params, gains, force, x_star, channels, solver.method)(
-            grid[-1], y, emit)
-        kept = written()
+            grid[-1], y, rows.frombytes)
+        kept = len(rows) // width
         if ready is not None:
-            ready(kept)
+            ready(rows)
         status, detail = "ok", ""
     except (DomainError, SolverError) as exc:
         # the failed segment keeps only its first row (ROADMAP item 1)
-        kept = min(kept, written())
+        kept = min(kept, len(rows) // width)
         status, detail = ("domain-exit" if isinstance(exc, DomainError) else "step-underflow",
                           str(exc))
-    table = np.frombuffer(rows, count=kept * len(channels)).reshape(-1, len(channels))
+    table = np.frombuffer(rows, count=kept * width).reshape(-1, width)
     return table, status, detail
 
 
-def simulate(scenario: ScenarioConfig, rows=None, ready=None) -> TrajectoryRecord:
+def simulate(scenario: ScenarioConfig, ready=None) -> TrajectoryRecord:
     """Integrate the augmented closed loop and record all diagnostic channels.
 
     Terminates early (with status "domain-exit" or "step-underflow") if the
@@ -836,13 +824,12 @@ def simulate(scenario: ScenarioConfig, rows=None, ready=None) -> TrajectoryRecor
     item 1). An ``ArithmeticError`` of the kernels' float arithmetic, which
     finite but extreme inputs can raise (a division by areas that underflowed
     to zero), reaches the caller as raised; the ``H`` channel reads ``inf``
-    where ``expm1(P_i / Gamma0)`` would overflow. Given ``rows``, a
-    :func:`shared_rows` of ``scenario``, and ``ready``, the kernels write the
-    rows into that mapping in slices and call ``ready`` with the rows written
-    after each, as :func:`_run` describes, so that a forked process can read
-    each row as soon as it is there; the record is the same.
+    where ``expm1(P_i / Gamma0)`` would overflow. Given ``ready``, the
+    kernels write the rows in slices and call ``ready`` with the run's row
+    array after each, as :func:`_run` describes, so that the caller can pass
+    on each slice as soon as it is there; the record is the same.
     """
-    return TrajectoryRecord(*_run(scenario, CHANNELS, rows, ready))
+    return TrajectoryRecord(*_run(scenario, CHANNELS, ready))
 
 
 def simulate_summary(scenario: ScenarioConfig) -> DiagnosticsSummary:

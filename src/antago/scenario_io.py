@@ -24,10 +24,10 @@ text. The writer renders blocks of ``_CSV_BLOCK_ROWS`` rows, each written into
 the file as it comes, and renders a finished record's blocks in this process.
 :func:`run_trajectory_csv`, which ``antago run`` calls, renders while the run
 integrates: for a grid of ``_CSV_FORK_BLOCKS`` blocks or more it forks a child
-(:func:`~antago.workers.forked_ahead`) before the run, which renders each
-block as soon as the kernels have written its rows and writes it into the file
-itself, and the blocks left when the run ends are split between the two
-processes. The reader reads one text stream, of the open file (a pipe, which
+(:func:`~antago.workers.forked_ahead`) before the run. It copies each finished
+slice of the run's ``array("d")`` into a shared ``mmap`` of its own, from which
+the child renders each block and writes it into the file itself; the blocks
+left when the run ends are split between the two processes. The reader reads one text stream, of the open file (a pipe, which
 cannot seek back, is read whole first) or of the string's UTF-8 bytes,
 through the header, and hands the rest of it to one call of numpy's compiled
 reader; only a call that fails reads the stream again, to name the bad line.
@@ -61,7 +61,7 @@ from .engine import (
     ScenarioConfig,
     SolverSettings,
     TrajectoryRecord,
-    shared_rows,
+    sample_count,
     simulate,
 )
 from .errors import ScenarioError
@@ -344,23 +344,27 @@ def run_trajectory_csv(scenario: ScenarioConfig, path: str | os.PathLike) -> Tra
     ``path`` as :func:`save_trajectory_csv` writes it, and return it.
 
     The CSV is rendered while the run integrates. This process writes the
-    header of a run that ends ok into the temporary file; the kernels write
-    the rows into a :func:`~antago.engine.shared_rows` mapping; and a child
-    forked before the run renders each block of rows as soon as they are all
-    written and writes it into the file after the blocks before it, at the
-    file offset the two processes share. When the run ends, the blocks left
-    are split between this process and the child, and this process writes
-    each into the file as it comes. A run that ends early has another header
-    and fewer rows: once the child is reaped, this process writes its file
-    again from the record, so a run forks one renderer at most. A grid of
-    fewer than ``_CSV_FORK_BLOCKS`` blocks, one core and a process with other
+    header of a run that ends ok into the temporary file and, after each
+    slice, copies the new rows of the run's ``array("d")`` into a shared
+    anonymous ``mmap`` sized for the grid. A child forked before the run
+    renders each block from that mapping as soon as its rows are all there
+    and writes it into the file after the blocks before it, at the file
+    offset the two processes share. When the run ends, the blocks left are
+    split between this process and the child, and this process writes each
+    into the file as it comes. A run that ends early has another header and
+    fewer rows: once the child is reaped, this process writes its file again
+    from the record, so a run forks one renderer at most. A grid of fewer
+    than ``_CSV_FORK_BLOCKS`` blocks, one core and a process with other
     threads fork nothing, and the rows are rendered after the run. Any
     error, a worker that dies included, leaves ``path`` as it was.
     """
+    import mmap
+
     import numpy as np
 
-    rows = shared_rows(scenario)
-    table = np.frombuffer(rows).reshape(-1, len(CHANNELS))
+    row_bytes = 8 * len(CHANNELS)
+    shared = mmap.mmap(-1, row_bytes * sample_count(scenario))
+    table = np.frombuffer(shared).reshape(-1, len(CHANNELS))
     with _atomic_file(Path(path)) as fh:
         fh.write(_csv_prefix("ok", ""))
         fh.flush()   # before the fork: the child writes after it
@@ -369,9 +373,13 @@ def run_trajectory_csv(scenario: ScenarioConfig, path: str | os.PathLike) -> Tra
             fh.write(text)
             fh.flush()
 
+        def ready(rows) -> None:   # the run's rows, after each slice
+            shared.write(rows[shared.tell() // 8:])
+            ahead.ready(shared.tell() // (row_bytes * _CSV_BLOCK_ROWS))
+
         blocks = range(0, len(table), _CSV_BLOCK_ROWS)
         with forked_ahead(partial(_csv_block, table), blocks, sink, _CSV_FORK_BLOCKS) as ahead:
-            record = simulate(scenario, rows, lambda n: ahead.ready(n // _CSV_BLOCK_ROWS))
+            record = simulate(scenario, ready)
             if record.status == "ok":
                 fh.writelines(ahead.rest())
         if record.status != "ok":

@@ -44,11 +44,12 @@ counts the child's work as almost free. Its only users:
   Lyapunov presets, one item each, on :func:`forked_imap`.
 - ``scenario_io.run_trajectory_csv`` renders ``antago run``'s CSV in blocks
   of 128 rows, about 1.1–1.4 ms each, on :func:`forked_ahead`, for a grid of
-  4 blocks or more: the child renders each block as soon as its rows are
-  written and writes it into the file itself, and the blocks left when the
-  run ends are split between the two processes. A finished record renders
-  here: forked, it took 19–46 % more CPU for a wall gain mostly inside the
-  spread between runs (CHANGES.md).
+  4 blocks or more: this process copies each finished slice of the run's
+  ``array("d")`` into a shared ``mmap``, the child renders each block as
+  soon as its rows are there and writes it into the file itself, and the
+  blocks left when the run ends are split between the two processes. A
+  finished record renders here: forked, it took 19–46 % more CPU for a wall
+  gain mostly inside the spread between runs (CHANGES.md).
 """
 
 from __future__ import annotations

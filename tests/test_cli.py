@@ -985,9 +985,10 @@ def test_run_in_threaded_process_forks_nothing(tmp_path, monkeypatch, capsys):
 def test_run_holds_about_one_block_of_text(tmp_path, monkeypatch, capsys):
     """While ``antago run fig2-F1`` renders on two cores, this process holds
     about one block of text at a time, never the whole 688 kB: a tracemalloc
-    peak of 0.19 MB (Python 3.11, numpy 2.4), under the 1.0e6 bound of
-    ``test_csv_save_and_load_never_hold_the_whole_text``. The 272 kB row
-    mapping is not a Python allocation, so tracemalloc does not count it."""
+    peak of 0.46-0.48 MB (five runs, Python 3.11, numpy 2.4), under the 1.0e6
+    bound of ``test_csv_save_and_load_never_hold_the_whole_text``. Of that,
+    the run's 272 kB row array is a Python allocation; the 272 kB mapping
+    that the renderer reads is not, so tracemalloc does not count it."""
     import tracemalloc
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -604,11 +604,12 @@ def test_summary_rows_are_the_record_columns(study):
 def test_sliced_run_is_the_unsliced_run(study):
     """A run told of its rows as they are written, in slices that end at the
     multiples of SLICE_SAMPLES samples, gives the table, bit for bit, the
-    status and the detail of the run in one kernel call per segment: the
-    record's rows written into a shared_rows mapping, the summary's into an
-    array, on the presets, a domain exit, the digested runs, rk4 and a
-    failure at a later segment's first stage. The counts rise, each a
-    slice's end or a segment's, and an ok run's last is its length."""
+    status and the detail of the run in one kernel call per segment, for the
+    record's channels and the summary's, on the presets, a domain exit, the
+    digested runs, rk4 and a failure at a later segment's first stage.
+    ``ready`` gets the run's own row array, whose table is a view of it: its
+    row counts rise, each a slice's end or a segment's, and an ok run's last
+    is its length."""
     scenarios = {name: load_preset(name)
                  for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
     scenarios["alpha=22.0"] = replace(study, gains=replace(study.gains, alpha=22.0))
@@ -619,13 +620,23 @@ def test_sliced_run_is_the_unsliced_run(study):
     for name, scenario in scenarios.items():
         grid = engine._sample_grid(scenario.duration, scenario.solver.sample_dt,
                                    tuple(t for t, _ in scenario.setpoints))
+        assert engine.sample_count(scenario) == len(grid), name
         segment_ends = {engine.bisect_left(grid, t) for t, _ in scenario.setpoints[1:]}
-        for channels, rows in ((CHANNELS, engine.shared_rows(scenario)), (SUMMARY_CHANNELS, None)):
-            counts = []
-            sliced = engine._run(scenario, channels, rows, counts.append)
+        for channels in (CHANNELS, SUMMARY_CHANNELS):
+            arrays, counts = [], []
+
+            def ready(rows):
+                assert len(rows) % len(channels) == 0
+                arrays.append(rows)
+                counts.append(len(rows) // len(channels))
+
+            sliced = engine._run(scenario, channels, ready)
             whole = engine._run(scenario, channels)
             assert sliced[0].tobytes() == whole[0].tobytes(), (name, channels)
             assert sliced[1:] == whole[1:], (name, channels)
+            assert all(rows is arrays[-1] for rows in arrays), name
+            if arrays:   # a run may fail within its first slice
+                assert np.shares_memory(sliced[0], np.frombuffer(arrays[-1])), name
             assert counts == sorted(set(counts)), (name, counts)
             assert all(n % engine.SLICE_SAMPLES == 0 or n in segment_ends or n == len(grid) - 1
                        for n in counts[:-1]), (name, counts)

@@ -215,10 +215,10 @@ def test_forked_workers_share_numpy_and_in_process_items_import_nothing(cores):
     assert (pid1 != pid0, numpy0, numpy1) == (cores == 2, cores == 2, cores == 2)
 
 
-def _fork_sites() -> set[tuple[str, str, str]]:
-    """Each ``(module, function, name)`` of ``src/antago`` whose code names
-    ``forked_imap`` or ``forked_ahead`` (an import excepted), with the
-    dotted names of the definitions that enclose the reference."""
+def _sites(found) -> set[tuple[str, str, str]]:
+    """Each ``(module, function, name)`` of ``src/antago`` such that
+    ``found`` gives ``name`` for a node of the module's code, with the
+    dotted names of the definitions that enclose the node."""
     sites = set()
 
     def visit(node, module, scope):
@@ -226,15 +226,32 @@ def _fork_sites() -> set[tuple[str, str, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, (*scope, child.name))
                 continue
-            name = (child.id if isinstance(child, ast.Name)
-                    else child.attr if isinstance(child, ast.Attribute) else None)
-            if name in ("forked_imap", "forked_ahead"):
-                sites.add((module, ".".join(scope), name))
+            sites.update((module, ".".join(scope), name) for name in found(child))
             visit(child, module, scope)
 
     for path in sorted(Path(antago.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
     return sites
+
+
+def _fork_sites() -> set[tuple[str, str, str]]:
+    """The sites that name ``forked_imap`` or ``forked_ahead`` (an import
+    excepted)."""
+    def found(node):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return (name,) if name in ("forked_imap", "forked_ahead") else ()
+
+    return _sites(found)
+
+
+def _imports(node) -> tuple[str, ...]:
+    """The top-level modules that an import statement ``node`` loads."""
+    if isinstance(node, ast.Import):
+        return tuple(alias.name.partition(".")[0] for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return (node.module.partition(".")[0],)
+    return ()
 
 
 def test_only_the_three_documented_users_fork():
@@ -246,3 +263,11 @@ def test_only_the_three_documented_users_fork():
                              ("scenario_io", "run_trajectory_csv", "forked_ahead")}
     for user in ("cli._cmd_sweep", "verify.check_lyapunov", "scenario_io.run_trajectory_csv"):
         assert f"``{user}``" in antago.workers.__doc__, user
+
+
+def test_only_the_csv_writer_shares_rows():
+    """Only ``scenario_io.run_trajectory_csv`` imports ``mmap``: every run
+    writes its rows into one ``array("d")``, and the CSV writer alone copies
+    them into a mapping that its forked renderer reads."""
+    assert {site for site in _sites(_imports) if site[2] == "mmap"} == {
+        ("scenario_io", "run_trajectory_csv", "mmap")}
