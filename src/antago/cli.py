@@ -28,11 +28,16 @@ checks every point before it simulates any, then runs the points on
 :func:`antago.workers.forked_imap` (an ``epsilon`` sweep simulates its one
 scenario once, here). Its table and progress lines do not depend on how many
 workers ran.
+
+No command calls BLAS: :func:`main` sets ``OPENBLAS_NUM_THREADS=1`` unless it
+is set, before numpy loads, so that OpenBLAS starts no thread pool. A plain
+``import antago`` sets nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -256,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")   # read when numpy loads
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

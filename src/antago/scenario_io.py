@@ -23,14 +23,16 @@ table itself stays consumable by any CSV reader. Neither side holds the whole
 text. The writer renders blocks of ``_CSV_BLOCK_ROWS`` rows, each written into
 the file as it comes, and renders a finished record's blocks in this process.
 :func:`run_trajectory_csv`, which ``antago run`` calls, renders while the run
-integrates: for a grid of ``_CSV_FORK_BLOCKS`` blocks or more it forks a child
-(:func:`~antago.workers.forked_ahead`) before the run. It copies each finished
+integrates when :func:`~antago.workers.worker_count` gives its grid's blocks
+two workers, and else writes the finished record. It forks a child
+(:func:`~antago.workers.forked_ahead`) before the run and copies each finished
 slice of the run's ``array("d")`` into a shared ``mmap`` of its own, from which
 the child renders each block and writes it into the file itself; the blocks
-left when the run ends are split between the two processes. The reader reads one text stream, of the open file (a pipe, which
-cannot seek back, is read whole first) or of the string's UTF-8 bytes,
-through the header, and hands the rest of it to one call of numpy's compiled
-reader; only a call that fails reads the stream again, to name the bad line.
+left when the run ends are split between the two processes. The reader reads
+one text stream, of the open file (a pipe, which cannot seek back, is read
+whole first) or of the string's UTF-8 bytes, through the header, and hands the
+rest of it to one call of numpy's compiled reader; only a call that fails
+reads the stream again, to name the bad line.
 A record round-trips exactly, a multi-line detail included (a ``\r`` in it
 comes back as ``\n``). Files are read and written as UTF-8. numpy is
 imported by the functions that render or read the table, not by this module,
@@ -66,7 +68,7 @@ from .engine import (
 )
 from .errors import ScenarioError
 from .plant import ActuatorGeometry, FluidParams, PlantParams, PlantState
-from .workers import forked_ahead
+from .workers import forked_ahead, worker_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -284,9 +286,6 @@ _CSV_HEADER = ",".join(CHANNELS)
 # sliced run's slices end at the same multiples, so each block is ready as
 # soon as the slice that ends it is integrated.
 _CSV_BLOCK_ROWS = SLICE_SAMPLES
-# Blocks of a run's grid, at least, for which run_trajectory_csv forks a
-# renderer; a smaller grid renders in this process.
-_CSV_FORK_BLOCKS = 4
 
 
 def _csv_prefix(status: str, detail: str) -> str:
@@ -343,27 +342,32 @@ def run_trajectory_csv(scenario: ScenarioConfig, path: str | os.PathLike) -> Tra
     """:func:`~antago.engine.simulate` ``scenario``, write the record to
     ``path`` as :func:`save_trajectory_csv` writes it, and return it.
 
-    The CSV is rendered while the run integrates. This process writes the
-    header of a run that ends ok into the temporary file and, after each
-    slice, copies the new rows of the run's ``array("d")`` into a shared
-    anonymous ``mmap`` sized for the grid. A child forked before the run
-    renders each block from that mapping as soon as its rows are all there
-    and writes it into the file after the blocks before it, at the file
-    offset the two processes share. When the run ends, the blocks left are
-    split between this process and the child, and this process writes each
-    into the file as it comes. A run that ends early has another header and
-    fewer rows: once the child is reaped, this process writes its file again
-    from the record, so a run forks one renderer at most. A grid of fewer
-    than ``_CSV_FORK_BLOCKS`` blocks, one core and a process with other
-    threads fork nothing, and the rows are rendered after the run. Any
-    error, a worker that dies included, leaves ``path`` as it was.
+    When :func:`~antago.workers.worker_count` gives the grid's blocks one
+    worker, that is all it does. Otherwise a child forked before the run
+    renders the CSV while the run integrates. This process writes the header
+    of a run that ends ok into the temporary file and, after each slice,
+    copies the new rows of the run's ``array("d")`` into a shared anonymous
+    ``mmap`` sized for the grid. The child renders each block from that
+    mapping as soon as its rows are all there and writes it into the file
+    after the blocks before it, at the file offset the two processes share.
+    When the run ends, the blocks left are split between this process and the
+    child, and this process writes each into the file as it comes. A run that
+    ends early has another header and fewer rows: once the child is reaped,
+    this process writes its file again from the record, so a run forks one
+    renderer at most. Any error, a worker that dies included, leaves ``path``
+    as it was.
     """
+    blocks = range(0, sample_count(scenario), _CSV_BLOCK_ROWS)
+    if worker_count(len(blocks)) < 2:
+        record = simulate(scenario)
+        save_trajectory_csv(record, path)
+        return record
     import mmap
 
     import numpy as np
 
     row_bytes = 8 * len(CHANNELS)
-    shared = mmap.mmap(-1, row_bytes * sample_count(scenario))
+    shared = mmap.mmap(-1, row_bytes * blocks.stop)
     table = np.frombuffer(shared).reshape(-1, len(CHANNELS))
     with _atomic_file(Path(path)) as fh:
         fh.write(_csv_prefix("ok", ""))
@@ -377,8 +381,7 @@ def run_trajectory_csv(scenario: ScenarioConfig, path: str | os.PathLike) -> Tra
             shared.write(rows[shared.tell() // 8:])
             ahead.ready(shared.tell() // (row_bytes * _CSV_BLOCK_ROWS))
 
-        blocks = range(0, len(table), _CSV_BLOCK_ROWS)
-        with forked_ahead(partial(_csv_block, table), blocks, sink, _CSV_FORK_BLOCKS) as ahead:
+        with forked_ahead(partial(_csv_block, table), blocks, sink) as ahead:
             record = simulate(scenario, ready)
             if record.status == "ok":
                 fh.writelines(ahead.rest())

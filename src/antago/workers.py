@@ -4,13 +4,12 @@
 The policy, kept here alone (with ``os.fork`` and pipes, not
 ``multiprocessing``):
 
-- One worker per core this process may use (``os.sched_getaffinity(0)``),
-  and no more workers than items; :func:`forked_ahead` forks one child at
-  most.
-- The items run in this process, one by one, when fewer than two workers
-  would be busy, when there are fewer items than the caller's ``least``,
-  and when this process has other threads, which a fork would copy in
-  whatever state they hold.
+- One rule, :func:`worker_count`: one worker per core this process may use
+  (``os.sched_getaffinity(0)``) and no more workers than items, or this
+  process alone when fewer than two would be busy or when it has other
+  threads, which a fork would copy in whatever state they hold. Alone,
+  :func:`forked_imap` runs the items here, one by one; :func:`forked_ahead`
+  always forks one child, so its caller asks the rule first.
 - This process is worker 0 and computes items ``0, w, 2w, ...`` itself;
   forked child ``k`` computes items ``k::w`` and writes one pickled
   ``(ok, value)`` per item down a pipe of its own. The results are read in
@@ -43,11 +42,11 @@ counts the child's work as almost free. Its only users:
 - ``cli._cmd_sweep`` and ``verify.check_lyapunov`` run sweep points and
   Lyapunov presets, one item each, on :func:`forked_imap`.
 - ``scenario_io.run_trajectory_csv`` renders ``antago run``'s CSV in blocks
-  of 128 rows, about 1.1–1.4 ms each, on :func:`forked_ahead`, for a grid of
-  4 blocks or more: this process copies each finished slice of the run's
-  ``array("d")`` into a shared ``mmap``, the child renders each block as
-  soon as its rows are there and writes it into the file itself, and the
-  blocks left when the run ends are split between the two processes. A
+  of 128 rows, about 1.1–1.4 ms each, on :func:`forked_ahead` when the rule
+  gives its grid's blocks two workers: this process copies each finished
+  slice of the run's ``array("d")`` into a shared ``mmap``, the child renders
+  each block as soon as its rows are there and writes it into the file
+  itself, and the two processes split the blocks left when the run ends. A
   finished record renders here: forked, it took 19–46 % more CPU for a wall
   gain mostly inside the spread between runs (CHANGES.md).
 """
@@ -72,14 +71,13 @@ R = TypeVar("R")
 _COUNT = struct.Struct("q")
 
 
-def _workers(items: int, least: int = 2) -> int:
+def worker_count(items: int) -> int:
     """How many processes share ``items`` items: the cores this process may
     use, at most one per item, or 1 (this process alone) when that is fewer
-    than two, when there are fewer than ``least`` items, or when this
-    process has other threads."""
+    than two or when this process has other threads."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cores, items)
-    if workers < 2 or items < least or threading.active_count() > 1:
+    if workers < 2 or threading.active_count() > 1:
         return 1
     return workers
 
@@ -144,7 +142,7 @@ def forked_imap(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     """Yield ``fn(item)`` for each of ``items``, in order, computed on forked
     workers as the module docstring describes. Each result is the same
     whichever process computed it."""
-    workers = _workers(len(items))
+    workers = worker_count(len(items))
     children = {}   # worker number -> (pid, read end of its pipe), until reaped
     try:
         for k in range(1, workers):
@@ -170,10 +168,9 @@ class Ahead:
     child take more items, and :meth:`rest` yields the results of the
     others."""
 
-    def __init__(self, fn: Callable[[T], R], items: Sequence[T]):
-        self._fn, self._items = fn, items
-        self._children = {}   # {1: (pid, read end of its pipe)} while a child is unreaped
-        self._ready_fd = -1   # the write end of the child's pipe of counts
+    def __init__(self, fn: Callable[[T], R], items: Sequence[T], children: dict, ready_fd: int):
+        self._fn, self._items, self._children = fn, items, children
+        self._ready_fd = ready_fd   # the write end of the child's pipe of counts
         self._count = 0
 
     def _tell(self, count: int) -> None:
@@ -184,7 +181,7 @@ class Ahead:
 
     def ready(self, count: int) -> None:
         """The first ``count`` items are ready: the child may compute them."""
-        if self._children and count > self._count:
+        if count > self._count:
             self._count = count
             self._tell(count)
 
@@ -192,42 +189,35 @@ class Ahead:
         """Yield, in order, ``fn(item)`` for each item that the child did not
         take while they became ready: this process computes the first of them
         and every second one after it, the child the others."""
-        taken = 0
-        if self._children:
-            self._tell(-1)
-            taken = _receive(self._children, 1)
+        self._tell(-1)
+        taken = _receive(self._children, 1)
         yield from _split(self._fn, self._items[taken:], self._children)
 
 
 @contextmanager
-def forked_ahead(fn: Callable[[T], R], items: Sequence[T], sink: Callable[[R], object],
-                 least: int) -> Iterator[Ahead]:
+def forked_ahead(fn: Callable[[T], R], items: Sequence[T],
+                 sink: Callable[[R], object]) -> Iterator[Ahead]:
     """Fork one child for ``items``, as the module docstring describes, and
     yield an :class:`Ahead` while this process works on something else. The
     child computes ``fn`` of each item as soon as :meth:`Ahead.ready` counts
     it, in order, and passes the result to ``sink`` in the child; once
     :meth:`Ahead.rest` is called, it stops after the item in hand, and the
     two processes split the items it has not taken as :func:`forked_imap`
-    splits items. With no child (one core, fewer than ``least`` items, other
-    threads), ``ready`` does nothing and ``rest`` computes every item here.
+    splits items. It always forks: a caller asks :func:`worker_count` first.
     The child is killed and reaped when the context ends."""
-    ahead = Ahead(fn, items)
-    if _workers(len(items), least) < 2:
-        yield ahead
-        return
     import select   # noqa: F401 -- loaded here, not in the child
 
-    read_fd, ahead._ready_fd = os.pipe()
+    read_fd, ready_fd = os.pipe()
+    children = {}   # {1: (pid, read end of its pipe)} until it is reaped
     try:
         try:
-            ahead._children[1] = _fork(lambda pipe: _lead(fn, items, sink, read_fd,
-                                                          ahead._ready_fd, pipe))
+            children[1] = _fork(lambda pipe: _lead(fn, items, sink, read_fd, ready_fd, pipe))
         finally:
             os.close(read_fd)   # so that a count sent to a dead child is a broken pipe
-        yield ahead
+        yield Ahead(fn, items, children, ready_fd)
     finally:
-        os.close(ahead._ready_fd)
-        _reap(ahead._children)
+        os.close(ready_fd)
+        _reap(children)
 
 
 def _lead(fn: Callable, items: Sequence, sink: Callable, read_fd: int, ready_fd: int,

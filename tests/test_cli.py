@@ -933,21 +933,15 @@ def _run_cases(study):
     return cases
 
 
-@pytest.mark.parametrize("fork_from", [None, 2], ids=["as-shipped", "from-2-blocks"])
 @pytest.mark.parametrize("cores", [1, 2])
 def test_run_writes_the_csv_of_the_finished_record(tmp_path, study, capsys, monkeypatch,
-                                                   cores, fork_from):
+                                                   cores):
     """``antago run`` writes the bytes ``trajectory_to_csv(simulate(s))``
-    gives, on one core and two, with the renderer forking from its shipped
-    block count and from two blocks. On two cores a run whose grid has that
-    many blocks forks one child, which is reaped, and another forks none;
-    the domain exits' grids fork, and their files are written again in this
-    process, so a run that keeps four blocks forks no second child."""
-    import antago.scenario_io
-
-    if fork_from is not None:
-        monkeypatch.setattr(antago.scenario_io, "_CSV_FORK_BLOCKS", fork_from)
-    fork_from = antago.scenario_io._CSV_FORK_BLOCKS
+    gives, on one core and two. On two cores a run whose grid has two
+    blocks or more forks one child, which is reaped, and a one-block grid
+    forks none; the domain exits' grids fork, and their files are written
+    again in this process, so a run that keeps four blocks forks no second
+    child."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     path, out = tmp_path / "case.ini", tmp_path / "out.csv"
     for name, scenario in _run_cases(study).items():
@@ -959,10 +953,34 @@ def test_run_writes_the_csv_of_the_finished_record(tmp_path, study, capsys, monk
             assert main(["run", str(path), "--out", str(out)]) == (record.status != "ok"), name
         assert out.read_bytes() == expected, name
         blocks = math.ceil(round(scenario.duration / scenario.solver.sample_dt + 1) / 128)
-        assert len(forks) == (cores == 2 and blocks >= fork_from), (name, blocks, forks)
+        assert len(forks) == (cores == 2 and blocks >= 2), (name, blocks, forks)
         if forks:
             _assert_reaped(forks)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cores, duration", [(1, 10.0), (2, 0.5)], ids=["one-core", "one-block"])
+def test_unforked_run_maps_nothing(tmp_path, study, monkeypatch, capsys, cores, duration):
+    """An ``antago run`` that forks no renderer, on one core or for a grid of
+    one block, makes no shared ``mmap``: it writes the finished record as
+    ``save_trajectory_csv`` does."""
+    import mmap
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    maps, make_map = [], mmap.mmap
+
+    def record_map(*args):
+        maps.append(args)
+        return make_map(*args)
+
+    monkeypatch.setattr(mmap, "mmap", record_map)
+    forks = _record_forks(monkeypatch)
+    path, out = tmp_path / "case.ini", tmp_path / "out.csv"
+    scenario = replace(study, duration=duration)
+    save_scenario(scenario, path)
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert maps == [] and forks == []
+    assert out.read_text() == trajectory_to_csv(simulate(scenario))
 
 
 def test_run_in_threaded_process_forks_nothing(tmp_path, monkeypatch, capsys):
@@ -1132,6 +1150,48 @@ def test_cli_import_does_not_load_multiprocessing(tmp_path, short_scenario_file)
 def test_verify_choices_are_the_suites():
     """The parser names the suites without loading antago.verify."""
     assert antago.cli._VERIFY_SUITES == tuple(sorted(SUITES))
+
+
+# Imports the CLI, then runs argv through it on one core, so that no fork shuts
+# OpenBLAS's threads down, when there is an argv. Prints one JSON object:
+# OPENBLAS_NUM_THREADS after the import and after the command, whether numpy
+# was loaded, and how many threads the process has (null where /proc/self/task
+# does not exist).
+_BLAS_THREADS = """\
+import contextlib, io, json, os, sys
+import antago.cli
+os.sched_getaffinity = lambda pid: {0}
+seen = {"import": os.environ.get("OPENBLAS_NUM_THREADS")}
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert antago.cli.main(sys.argv[1:]) == 0
+seen["command"] = os.environ.get("OPENBLAS_NUM_THREADS")
+seen["numpy"] = "numpy" in sys.modules
+seen["threads"] = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("given, argv, expected", [
+    (None, ["run", "fig2-F1", "--out", "out.csv"], "1"),
+    ("3", ["run", "fig2-F1", "--out", "out.csv"], "3"),
+    (None, [], None),
+], ids=["unset-becomes-1", "given-is-kept", "import-sets-nothing"])
+def test_cli_asks_for_one_blas_thread(tmp_path, given, argv, expected):
+    """In a fresh process, ``antago run`` sets OPENBLAS_NUM_THREADS to 1 when
+    it is unset, before numpy loads, so that the process ends with no thread
+    but its own (two on a 2-core VM without the setting); it keeps a value
+    the caller gave; and importing the package and its CLI sets nothing."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS, *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env={**env, "PYTHONPATH": _SRC},
+                          check=True, timeout=60)
+    seen = json.loads(proc.stdout)
+    assert (seen["import"], seen["command"], seen["numpy"]) == (given, expected, bool(argv))
+    if expected == "1" and seen["threads"] is not None:
+        assert seen["threads"] == 1
 
 
 @pytest.mark.parametrize("argv, loads", [(["run", "fig2-F1"], False),

@@ -1024,14 +1024,14 @@ def test_csv_render_does_not_depend_on_worker_count(fig2_runs, tmp_path, monkeyp
         assert len(ran) == 16 and me in ran and len(set(ran)) == len(cores)
 
 
-def test_csv_render_forks_from_four_blocks(study, tmp_path, monkeypatch):
-    """On two cores ``run_trajectory_csv`` of a grid of three 128-row blocks
-    (384 rows) renders in this process, where a fork would cost more than
-    it saves, and of four (385 rows) forks one child, which is reaped; the
-    file is the per-value reference of the record either way."""
+def test_csv_render_forks_from_two_blocks(study, tmp_path, monkeypatch):
+    """On two cores ``run_trajectory_csv`` of a grid of one 128-row block
+    (128 rows) renders in this process, since ``worker_count`` gives one
+    block one worker, and of two (129 rows) forks one child, which is
+    reaped; the file is the per-value reference of the record either way."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out, step = tmp_path / "out.csv", 2.0**-8   # (rows - 1) * step / step is exact
-    for rows, forked in ((384, 0), (385, 1)):
+    for rows, forked in ((128, 0), (129, 1)):
         scenario = replace(study, solver=replace(study.solver, sample_dt=step),
                            duration=(rows - 1) * step)
         with monkeypatch.context() as patch:

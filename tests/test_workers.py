@@ -118,7 +118,7 @@ def test_ahead_child_takes_ready_items_and_splits_the_rest(tmp_path, monkeypatch
     forks = _record_forks(monkeypatch)
     sunk = tmp_path / "sunk.txt"
     sunk.write_text("")
-    with forked_ahead(_item_and_pid, range(9), _sink_to(sunk), 2) as ahead:
+    with forked_ahead(_item_and_pid, range(9), _sink_to(sunk)) as ahead:
         ahead.ready(3)
         assert _lines(sunk, 3) == [(i, forks[0]) for i in range(3)]
         rest = list(ahead.rest())
@@ -126,18 +126,6 @@ def test_ahead_child_takes_ready_items_and_splits_the_rest(tmp_path, monkeypatch
     assert [pid for _, pid in rest] == [os.getpid(), forks[0]] * 3
     assert len(forks) == 1
     _assert_reaped(forks)
-
-
-def test_ahead_without_a_child_computes_every_item_here(monkeypatch):
-    """One core, or fewer items than ``least``: no fork, ``ready`` does
-    nothing and ``rest`` computes every item in this process."""
-    forks = _record_forks(monkeypatch)
-    for cores, least in (({0}, 2), ({0, 1}, 10)):
-        _cores(monkeypatch, cores)
-        with forked_ahead(_item_and_pid, range(9), lambda result: None, least) as ahead:
-            ahead.ready(5)
-            assert list(ahead.rest()) == [(i, os.getpid()) for i in range(9)]
-    assert forks == []
 
 
 def _fail_on_two(i):
@@ -153,12 +141,12 @@ def test_ahead_error_or_death_in_the_child_is_raised_at_rest(tmp_path, monkeypat
     _cores(monkeypatch, {0, 1})
     forks = _record_forks(monkeypatch)
     with pytest.raises(ZeroDivisionError, match="item 2"):
-        with forked_ahead(_fail_on_two, range(5), lambda result: None, 2) as ahead:
+        with forked_ahead(_fail_on_two, range(5), lambda result: None) as ahead:
             ahead.ready(5)
             list(ahead.rest())
     with pytest.raises(WorkerError, match=r"worker process \d+ was killed by SIGKILL"):
-        with forked_ahead(_item_and_pid, range(5), lambda result: os.kill(os.getpid(), 9),
-                          2) as ahead:
+        with forked_ahead(_item_and_pid, range(5),
+                          lambda result: os.kill(os.getpid(), 9)) as ahead:
             ahead.ready(1)
             time.sleep(0.05)
             ahead.ready(2)   # to a dead child: no error until rest
