@@ -1,7 +1,9 @@
 """Regenerate ``data/output_digests.json``: SHA-256 digests of every
 user-visible output of the command line, of each preset's scenario text, and
 of the records of three runs the command line does not make: a two-segment
-domain exit, a step underflow and a three-segment rk4 run.
+domain exit, a step underflow and a three-segment rk4 run, and of the times,
+states and energies of two unforced open-loop runs: a lossless rk23 run and
+a damped rk4 run.
 
 Run from the repository root::
 
@@ -35,7 +37,8 @@ sys.path.insert(0, str(HERE.parent / "src"))
 import numpy as np  # noqa: E402
 
 from antago.cli import main  # noqa: E402
-from antago.engine import simulate  # noqa: E402
+from antago.engine import SolverSettings, simulate, simulate_open_loop  # noqa: E402
+from antago.plant import PlantState  # noqa: E402
 from antago.scenario_io import load_preset, serialize_scenario  # noqa: E402
 from antago.verify import SUITES  # noqa: E402
 
@@ -70,6 +73,19 @@ def table_runs() -> dict:
         "rk4-multistep": replace(
             multistep, solver=replace(multistep.solver, method="rk4", fixed_step=1e-4),
             setpoints=((0.0, 1e-3), (0.08, 2e-3), (0.14, -1e-3)), duration=0.2),
+    }
+
+
+def open_runs() -> dict:
+    """The open-loop runs whose outputs are digested, by name: 10 ms of the
+    fig2-F1 plant from a pressurised rest, lossless under rk23 and with its
+    own damping under rk4, each as ``simulate_open_loop``'s arguments."""
+    params, init = load_preset("fig2-F1").params, PlantState(5e-4, 0.0, 2e4, 1e4)
+    return {
+        "rk23-lossless": (params, init, 0.01, SolverSettings(
+            method="rk23", rel_tol=1e-10, abs_tol=1e-12, sample_dt=1e-3, max_step=1e-4), 0.0),
+        "rk4": (params, init, 0.01, SolverSettings(
+            method="rk4", fixed_step=1e-6, sample_dt=1e-3), None),
     }
 
 
@@ -124,6 +140,10 @@ def digests() -> dict:
             result[f"simulate {name}"] = {
                 "status": _sha(record.status), "detail": _sha(record.detail),
                 "table": hashlib.sha256(record.table.tobytes()).hexdigest()}
+        for name, args in open_runs().items():
+            result[f"simulate_open_loop {name}"] = {
+                key: hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+                for key, value in zip(("times", "states", "H"), simulate_open_loop(*args))}
     finally:
         for key, value in saved_env.items():
             if value is None:

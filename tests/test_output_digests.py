@@ -1,6 +1,7 @@
 """Every user-visible output is pinned to the last byte: the CLI's stdout,
-stderr, written files and exit codes, each preset's scenario text and the
-records of three early-ending or rk4 runs."""
+stderr, written files and exit codes, each preset's scenario text, the
+records of three early-ending or rk4 runs and the outputs of two open-loop
+runs."""
 
 import json
 import os
