@@ -22,9 +22,9 @@ entry is a stepper template, source text stepping the loop's states with every
 stage written out per component, into which the loop's right-hand side, also
 written once as source text, is inlined at every stage: no evaluation pays a
 Python call or builds a tuple. The one-stage instance is the right-hand side
-alone (:func:`augmented_field`). Each (method, form, loop, force law,
-channels) kernel is compiled once per process, on first use and never on
-import. It takes the scalar constants of its form (such as ``2 * L0``, ``L0 *
+alone (:func:`augmented_field`), in the textbook form. Each (method, form,
+loop, force law, channels) kernel is compiled once per process, on first use
+and never on import. It takes the scalar constants of its form (such as ``2 * L0``, ``L0 *
 L0``, ``2 * k_m`` and ``-K0``, or ``6 / L0`` and ``K0 / L0``), the
 parameters, the libm functions and the row's ``pack`` as keyword-only
 parameters, so each stage reads them as fast locals, and per setpoint segment
@@ -50,10 +50,9 @@ and its step factor's ``**`` a ``pow``. So every floating-point operation of
 bit-identical to it.
 
 The right-hand side has two forms, and the method picks one (``_FORMS``).
-``rk23``, :func:`augmented_field` and the row that ends an ``rk23`` run take
-the textbook form above. ``rk4``, and the row that ends an ``rk4`` run, take
-a reduced form that is exact in real arithmetic (``_REDUCED_PLANT_BODY``): it
-writes the bellows law in ``s = sqrt(6u / L0)`` and ``r = 1 / s`` per
+``rk23`` and :func:`augmented_field` take the textbook form above. ``rk4``
+takes a reduced form that is exact in real arithmetic
+(``_REDUCED_PLANT_BODY``): it writes the bellows law in ``s = sqrt(6u / L0)`` and ``r = 1 / s`` per
 actuator, ``v`` as ``p * (1 / M)``, and divides ``ns - k_i * sigma`` by each
 area once. A closed-loop evaluation then makes 5 divisions and no ``pow``
 where the textbook form makes 19 and 2, and an open-loop one 5 divisions
@@ -96,17 +95,18 @@ a tuple of channels: each ``$emit`` line becomes the loop's shared lines
 open loop's: its state) into float64 bytes, ``struct.Struct(f"{n}d").pack``
 bound like the other constants, passed to the kernel's ``emit``, so each
 double is copied exactly and no Python float outlives its row. ``emit`` is
-the ``frombytes`` of one ``array("d")``, every run's one row sink. A caller
-told of its rows as they are written (``antago run``, whose CSV writer copies
-each finished slice into a mapping it owns) has the kernels write a segment
-in slices of ``SLICE_SAMPLES`` samples and is handed that array after each.
-``rk23`` emits from its first stage and then from the last stage of each step
-that lands on a grid time (the pair is FSAL), ``rk4`` from the first stage of
-the step that starts there; a setpoint time's row comes from the first stage
-of the segment that starts there, and the last sample's from one more
-evaluation. A slice starts with a first stage too, at the state where rk23's
-last step ended, so the rows are the same either way. ``_run`` returns the
-array as the table, a ``np.frombuffer`` view that copies nothing, and no
+the ``frombytes`` of one ``array("d")``, every run's one row sink. Every run
+integrates each segment in slices of ``SLICE_SAMPLES`` samples, one kernel
+call each, and a caller told of its rows as they are written (``antago
+run``, whose CSV writer copies each finished slice into a mapping it owns)
+is handed that array after each. ``rk23`` emits from its first stage and
+then from the last stage of each step that lands on a grid time (the pair is
+FSAL), the last sample's row too; ``rk4`` from the first stage of the step
+that starts there, and the last sample's from one more evaluation. A
+setpoint time's row comes from the first stage of the segment that starts
+there. A slice starts with a first stage too, at the state where rk23's last
+step ended, so its rows are those of a segment in one call. ``_run`` returns
+the array as the table, a ``np.frombuffer`` view that copies nothing, and no
 numpy expression computes a channel. The scalar plant and controller
 functions (``control_flows``, ``sigma``, ``desired_energy``,
 ``hamiltonian``) are the channels' oracles in the test suite. Like them,
@@ -494,24 +494,25 @@ _FORCE_LINES = {"constant": "F = fv", "tanh_friction": "F = fv * tanh(v)",
                 "spring": "F = fv * x", "call": "F = f(x, v)"}
 
 _MIN_STEP_FRACTION = 1e-14
-# Samples per slice of a run whose caller is told as its rows are written
-# (_run's ``ready``), and rows per block of the CSV writer, which renders
-# each block as soon as its slice is integrated.
+# Samples per slice of a run, one kernel call each, after which _run's
+# ``ready`` is told of the rows, and rows per block of the CSV writer, which
+# renders each block as soon as its slice is integrated.
 SLICE_SAMPLES = 128
 # A sample time this close to a setpoint time, relative to max(|t|, 1), gives
 # way to it (see _sample_grid); 100 floors keep the step between them clear.
 _COLLISION_FRACTION = 100 * _MIN_STEP_FRACTION
 
 # Bogacki-Shampine 3(2) pair with FSAL, landing exactly on grid times. The row
-# of each grid time but the last is emitted from the stage at its state: the
-# first stage, then the last stage of the step that landed there. Each
-# ``min``/``max`` of the textbook loop is written out as comparisons that keep
-# the builtin's result: the first argument wins a tie, and a NaN argument
-# after the first never wins. Each ``abs(y)`` is written ``y if y >= 0.0 else
-# -y``, which differs from it only in the sign of a NaN or of a zero; neither
-# sign reaches a comparison's outcome or an output.
+# of each grid time is emitted from the stage at its state: the first stage,
+# then the last stage of the step that landed there, for the last grid time
+# only if ``last`` is true. Each ``min``/``max`` of the textbook loop is
+# written out as comparisons that keep the builtin's result: the first
+# argument wins a tie, and a NaN argument after the first never wins. Each
+# ``abs(y)`` is written ``y if y >= 0.0 else -y``, which differs from it only
+# in the sign of a NaN or of a zero; neither sign reaches a comparison's
+# outcome or an output.
 _RK23 = """\
-def kernel(y, t_grid, solver, h, emit):
+def kernel(y, t_grid, solver, h, emit, last):
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
     t = t_grid[0]
     y$s = y
@@ -554,17 +555,20 @@ def kernel(y, t_grid, solver, h, emit):
             # h *= min(5.0, max(0.2, q))
             q = 0.9 * pow(errn + 1e-300, -1.0 / 3.0)
             h *= (q if q < 5.0 else 5.0) if q > 0.2 else 0.2
+    if last:
+        $emit
     return (y$s), h
 """
 
 # Classical fixed-step RK4, subdividing each grid interval evenly into steps
 # of at most ``solver.fixed_step``; hands ``h_in`` back unchanged. The row of
 # each grid time but the last is emitted from the first stage of the step
-# that starts there. The update ``y + h6 * (a + d) + h3 * (b + c)`` takes its
-# two weights once per interval and divides nothing per step; it differs from
-# the textbook ``y + h * (a + 2b + 2c + d) / 6`` by rounding only.
+# that starts there, and, if ``last`` is true, the last one's from one more
+# stage. The update ``y + h6 * (a + d) + h3 * (b + c)`` takes its two weights
+# once per interval and divides nothing per step; it differs from the
+# textbook ``y + h * (a + 2b + 2c + d) / 6`` by rounding only.
 _RK4 = """\
-def kernel(y, t_grid, solver, h_in, emit):
+def kernel(y, t_grid, solver, h_in, emit, last):
     y$s = y
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
         n = max(1, ceil((tb - ta) / solver.fixed_step - 1e-12))
@@ -583,30 +587,29 @@ def kernel(y, t_grid, solver, h_in, emit):
             for $i in state:
                 y$i = y$i + h6 * (a$i + d$i) + h3 * (b$i + c$i)
             t += h
+    if last:
+        t = t_grid[-1]
+        a = rhs(t, y$i)
+        $emit
     return (y$s), h_in
 """
 
 # By method name, the stepper templates. Each kernel takes (y, t_grid, solver,
-# h, emit), passes to ``emit`` the float64 bytes of the row of each time of
-# ``t_grid`` but the last, and returns (the state at the last time, the next h).
+# h, emit, last), passes to ``emit`` the float64 bytes of the row of each time
+# of ``t_grid`` but the last, and of the last too if ``last`` is true, and
+# returns (the state at the last time, the next h).
 STEPPERS = {"rk23": _RK23, "rk4": _RK4}
 # The form of the right-hand side that each method's kernels inline (a key of
-# each loop's bodies); a one-stage kernel takes the textbook form unless it
-# ends a run of a method with another. rk23 keeps the textbook form while its
-# benchmark references demand bit-identical rounding noise (ROADMAP item 9).
+# each loop's bodies); the one-stage kernel takes the textbook form. rk23 keeps
+# the textbook form while its benchmark references demand bit-identical
+# rounding noise (ROADMAP item 9).
 _FORMS = {"rk23": "textbook", "rk4": "reduced"}
 
-# The one-stage instances: the right-hand side itself, for point evaluation,
-# and the row at one time, for the last sample of a run.
+# The one-stage instance: the right-hand side itself, for point evaluation.
 _ONE_STAGE = {"rhs": """\
 def kernel(t, y$s):
     a = rhs(t, y$i)
     return (a$s)
-""", "row": """\
-def kernel(t, y, emit):
-    y$s = y
-    a = rhs(t, y$i)
-    $emit
 """}
 
 _STAGE = r"( *)(\w) = rhs\((.+?), (.+)\)"
@@ -678,13 +681,11 @@ def _plant_constants(params: PlantParams, R: float, form: str) -> dict:
 
 
 def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
-                   force: ForceModel, x_star: float, channels: tuple[str, ...] = CHANNELS,
-                   stepper: str | None = None):
+                   force: ForceModel, x_star: float, channels: tuple[str, ...] = CHANNELS):
     """The closed loop's ``method`` kernel for one setpoint segment, emitting
     rows of ``channels``, its constants bound by ``functools.partial``, with
-    the force's kind written in place while its type has ``_FORCE_LAW``. A
-    one-stage kernel takes the form of the ``stepper`` whose run it ends."""
-    form = _FORMS.get(stepper or method, "textbook")
+    the force's kind written in place while its type has ``_FORCE_LAW``."""
+    form = _FORMS.get(method, "textbook")
     law = force.kind if type(force).__call__ is _FORCE_LAW else "call"
     k_m, L0 = gains.k_m, params.geometry.L0
     constants = _plant_constants(params, params.R, form)
@@ -756,15 +757,15 @@ def sample_count(scenario: ScenarioConfig) -> int:
 def _run(scenario: ScenarioConfig, channels: tuple[str, ...],
          ready=None) -> tuple[np.ndarray, str, str]:
     """Integrate the augmented closed loop into a table of ``channels``, a row
-    per sample, the last sample's too: a view of the new float64
-    ``array("d")`` into which the kernels write each row (``frombytes``).
-    Each setpoint segment is one kernel call, or, given ``ready``, is cut
-    into slices that end at the multiples of ``SLICE_SAMPLES`` samples, and
-    ``ready(rows)`` is called with that array after each slice and after the
-    last row. A slice starts with a first stage, so rk23 makes one more
-    evaluation per slice, at a state it has evaluated already; the rows,
-    the status and the detail are the same. Returns the table, the status
-    and the detail.
+    per sample: a view of the new float64 ``array("d")`` into which the
+    kernels write each row (``frombytes``). Each setpoint segment is cut into
+    slices that end at the multiples of ``SLICE_SAMPLES`` samples, one kernel
+    call each, and the run's last slice emits the last sample's row too.
+    Given ``ready``, ``ready(rows)`` is called with that array after each
+    slice. A slice starts with a first stage, so rk23 makes one more
+    evaluation per slice after a segment's first, at a state it has evaluated
+    already, and none for the last row. Returns the table, the status and the
+    detail.
     """
     from array import array
 
@@ -783,8 +784,9 @@ def _run(scenario: ScenarioConfig, channels: tuple[str, ...],
 
     # Cut the grid by index at the setpoint times before the end, each a grid
     # point: segment i runs from setpoint i to the next cut or the last point.
-    # A segment emits the rows of its times but the last, so the row at a
-    # setpoint time comes from the segment that starts there, with its x_star.
+    # A segment emits the rows of its times but the last, and the last segment
+    # that one too, so the row at a setpoint time comes from the segment that
+    # starts there, with its x_star.
     cuts = [bisect_left(grid, t) for t in events if t < scenario.duration]
     cuts.append(len(grid) - 1)
     try:
@@ -793,17 +795,12 @@ def _run(scenario: ScenarioConfig, channels: tuple[str, ...],
             kernel = _closed_kernel(solver.method, params, gains, force, x_star, channels)
             while a < b:
                 # row i is the sample at grid[i]
-                end = b if ready is None else min(b, (a // SLICE_SAMPLES + 1) * SLICE_SAMPLES)
-                y, h = kernel(y, grid[a:end + 1], solver, h, rows.frombytes)
+                end = min(b, (a // SLICE_SAMPLES + 1) * SLICE_SAMPLES)
+                y, h = kernel(y, grid[a:end + 1], solver, h, rows.frombytes, end == len(grid) - 1)
                 a = end
                 if ready is not None:
                     ready(rows)
-        # The last sample's row, with the last segment's x_star.
-        _closed_kernel("row", params, gains, force, x_star, channels, solver.method)(
-            grid[-1], y, rows.frombytes)
         kept = len(rows) // width
-        if ready is not None:
-            ready(rows)
         status, detail = "ok", ""
     except (DomainError, SolverError) as exc:
         # the failed segment keeps only its first row (ROADMAP item 1)
@@ -824,10 +821,10 @@ def simulate(scenario: ScenarioConfig, ready=None) -> TrajectoryRecord:
     item 1). An ``ArithmeticError`` of the kernels' float arithmetic, which
     finite but extreme inputs can raise (a division by areas that underflowed
     to zero), reaches the caller as raised; the ``H`` channel reads ``inf``
-    where ``expm1(P_i / Gamma0)`` would overflow. Given ``ready``, the
-    kernels write the rows in slices and call ``ready`` with the run's row
-    array after each, as :func:`_run` describes, so that the caller can pass
-    on each slice as soon as it is there; the record is the same.
+    where ``expm1(P_i / Gamma0)`` would overflow. The kernels write the rows
+    in slices, as :func:`_run` describes; given ``ready``, it is called with
+    the run's row array after each, so that the caller can pass on each slice
+    as soon as it is there.
     """
     return TrajectoryRecord(*_run(scenario, CHANNELS, ready))
 
@@ -868,9 +865,8 @@ def simulate_open_loop(params: PlantParams, initial: PlantState, duration: float
     grid = _sample_grid(duration, solver.sample_dt, ())
     y = (initial.x, initial.p, initial.P1, initial.P2)
     rows = array("d")
-    y, _ = _open_kernel(solver.method, params, R)(y, grid, solver, min(solver.max_step, 1e-8),
-                                                  rows.frombytes)
-    rows.extend(y)
+    _open_kernel(solver.method, params, R)(y, grid, solver, min(solver.max_step, 1e-8),
+                                           rows.frombytes, True)
     states = np.frombuffer(rows).reshape(-1, len(y))
     energies = np.array([hamiltonian(PlantState(*row), params)
                          for row in states.tolist()])

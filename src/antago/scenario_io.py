@@ -283,8 +283,8 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 _CSV_HEADER = ",".join(CHANNELS)
 # Rows per block of the CSV renderer: a block is one item of forked_ahead,
 # whose module docstring weighs the fork cost against the per-row cost. A
-# sliced run's slices end at the same multiples, so each block is ready as
-# soon as the slice that ends it is integrated.
+# run's slices end at the same multiples, so each block is ready as soon as
+# the slice that ends it is integrated.
 _CSV_BLOCK_ROWS = SLICE_SAMPLES
 
 

@@ -601,15 +601,15 @@ def test_summary_rows_are_the_record_columns(study):
     assert CHANNELS == tuple(engine._CHANNEL_EXPRESSIONS)
 
 
-def test_sliced_run_is_the_unsliced_run(study):
-    """A run told of its rows as they are written, in slices that end at the
-    multiples of SLICE_SAMPLES samples, gives the table, bit for bit, the
-    status and the detail of the run in one kernel call per segment, for the
-    record's channels and the summary's, on the presets, a domain exit, the
-    digested runs, rk4 and a failure at a later segment's first stage.
-    ``ready`` gets the run's own row array, whose table is a view of it: its
-    row counts rise, each a slice's end or a segment's, and an ok run's last
-    is its length."""
+def test_sliced_run_is_the_unsliced_run(study, monkeypatch):
+    """Every run, integrated in slices that end at the multiples of
+    SLICE_SAMPLES samples, gives the table, bit for bit, the status and the
+    detail of the tuple-loop reference run that steps each whole segment in
+    one kernel call, for the record's channels and the summary's, on the
+    presets, a domain exit, the digested runs, rk4 and a failure at a later
+    segment's first stage. ``ready`` gets the run's own row array, whose
+    table is a view of it: its row counts rise, each a slice's end or a
+    segment's, and an ok run's last is its length."""
     scenarios = {name: load_preset(name)
                  for name in ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")}
     scenarios["alpha=22.0"] = replace(study, gains=replace(study.gains, alpha=22.0))
@@ -617,6 +617,25 @@ def test_sliced_run_is_the_unsliced_run(study):
     scenarios["rk4"] = replace(study, solver=replace(study.solver, method="rk4", fixed_step=1e-4),
                                duration=0.7)
     scenarios["second segment"] = _failing_at(pin.table_runs()["rk4-multistep"], 16)
+    calls = []   # per segment, the calls of its kernel
+
+    def reference_kernel(method, *args):
+        kernel = _reference_kernel(_reference_closed_field(method, *args), method)
+        calls.append(0)
+
+        def counted(*args):
+            calls[-1] += 1
+            return kernel(*args)
+        return counted
+
+    unsliced = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_closed_kernel", reference_kernel)
+        patch.setattr(engine, "SLICE_SAMPLES", engine.MAX_SAMPLES + 1)
+        for name, scenario in scenarios.items():
+            for channels in (CHANNELS, SUMMARY_CHANNELS):
+                unsliced[name, channels] = engine._run(scenario, channels)
+    assert set(calls) == {1}, calls
     for name, scenario in scenarios.items():
         grid = engine._sample_grid(scenario.duration, scenario.solver.sample_dt,
                                    tuple(t for t, _ in scenario.setpoints))
@@ -631,14 +650,14 @@ def test_sliced_run_is_the_unsliced_run(study):
                 counts.append(len(rows) // len(channels))
 
             sliced = engine._run(scenario, channels, ready)
-            whole = engine._run(scenario, channels)
+            whole = unsliced[name, channels]
             assert sliced[0].tobytes() == whole[0].tobytes(), (name, channels)
             assert sliced[1:] == whole[1:], (name, channels)
             assert all(rows is arrays[-1] for rows in arrays), name
             if arrays:   # a run may fail within its first slice
                 assert np.shares_memory(sliced[0], np.frombuffer(arrays[-1])), name
             assert counts == sorted(set(counts)), (name, counts)
-            assert all(n % engine.SLICE_SAMPLES == 0 or n in segment_ends or n == len(grid) - 1
+            assert all(n % engine.SLICE_SAMPLES == 0 or n in segment_ends
                        for n in counts[:-1]), (name, counts)
             if whole[1] == "ok":
                 assert counts[-1] == len(whole[0]) == len(grid), name
@@ -798,7 +817,7 @@ def test_rk23_matches_scipy_dop853(fig2_runs):
 # in place and every min/max a builtin call. A reference field returns the
 # derivative and the row of its point as a function of the row's time. The
 # rk23 kernels and the point kernel take the textbook form of the right-hand
-# side, the rk4 kernels and the row that ends an rk4 run the reduced form.
+# side, the rk4 kernels the reduced form.
 
 def _reference_row(channels, params, gains, x_star, x, p, P1, P2, F_hat, F, sig, shear,
                    V1, V2, A1, A2, M, v):
@@ -927,11 +946,9 @@ def _reference_reduced_field(params, gains, force, x_star, channels=CHANNELS,
     return field
 
 
-def _reference_closed_field(method, params, gains, force, x_star, channels=CHANNELS,
-                            stepper=None):
-    """The reference field of the engine's closed-loop ``method`` kernel: a
-    one-stage kernel takes the form of the ``stepper`` whose run it ends."""
-    make = _reference_reduced_field if (stepper or method) == "rk4" else _reference_make_field
+def _reference_closed_field(method, params, gains, force, x_star, channels=CHANNELS):
+    """The reference field of the engine's closed-loop ``method`` kernel."""
+    make = _reference_reduced_field if method == "rk4" else _reference_make_field
     return make(params, gains, force, x_star, channels)
 
 
@@ -1012,8 +1029,9 @@ def _emit_row(emit, row):
     emit(struct.pack(f"{len(row)}d", *row))
 
 
-def _reference_rk23_segment(field, y, t_grid, solver, h, emit):
-    """Tuple-loop form of the ``rk23`` kernel."""
+def _reference_rk23_segment(field, y, t_grid, solver, h, emit, last):
+    """Tuple-loop form of the ``rk23`` kernel: given ``last``, the row of the
+    last grid time comes from the stage the landing step ended with."""
     rtol, atol, max_step = solver.rel_tol, solver.abs_tol, solver.max_step
     t = t_grid[0]
     k1, row = field(t, *y)
@@ -1038,13 +1056,16 @@ def _reference_rk23_segment(field, y, t_grid, solver, h, emit):
                 y = yn
                 k1, row = k4, row4
             h *= min(5.0, max(0.2, 0.9 * (errn + 1e-300) ** (-1.0 / 3.0)))
+    if last:
+        _emit_row(emit, row(t))
     return y, h
 
 
-def _reference_rk4_segment(field, y, t_grid, solver, h_in, emit, textbook=False):
+def _reference_rk4_segment(field, y, t_grid, solver, h_in, emit, last, textbook=False):
     """Tuple-loop form of the ``rk4`` kernel, or, given ``textbook``, of the
     classical update ``y + h * (a + 2b + 2c + d) / 6`` in place of the
-    kernel's ``y + h6 * (a + d) + h3 * (b + c)``."""
+    kernel's ``y + h6 * (a + d) + h3 * (b + c)``; given ``last``, one more
+    evaluation gives the row of the last grid time."""
     for ta, tb in zip(t_grid[:-1], t_grid[1:]):
         n = max(1, math.ceil((tb - ta) / solver.fixed_step - 1e-12))
         h = (tb - ta) / n
@@ -1064,6 +1085,8 @@ def _reference_rk4_segment(field, y, t_grid, solver, h_in, emit, textbook=False)
                 y = tuple(yi + h6 * (a + d) + h3 * (b + c)
                           for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
             t += h
+    if last:
+        _emit_row(emit, field(t_grid[-1], *y)[1](t_grid[-1]))
     return y, h_in
 
 
@@ -1071,10 +1094,7 @@ _REFERENCE_STEPPERS = {"rk23": _reference_rk23_segment, "rk4": _reference_rk4_se
 
 
 def _reference_kernel(field, method):
-    """Reference form of the engine's ``method`` kernel over ``field``: a
-    stepper, or "row", which appends the row at one time."""
-    if method == "row":
-        return lambda t, y, emit: _emit_row(emit, field(t, *y)[1](t))
+    """Reference form of the engine's ``method`` stepper kernel over ``field``."""
     return functools.partial(_REFERENCE_STEPPERS[method], field)
 
 
@@ -1093,14 +1113,14 @@ def _nan_on_call(n):
 def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     """Every run, early endings included, is bit-identical under the engine's
     kernels and under the reference tuple loops calling the reference
-    right-hand sides, the reduced form for rk4 and its last row, the textbook
-    form for rk23. The rk4 runs cover each force law: tanh (fig2-F1),
-    spring (fig2-F2, fig2-F3), constant over three segments (multistep) and
-    an overriding ``__call__``; the runs whose tables are digested (a
-    two-segment domain exit, a step underflow, rk4 over three segments) are
-    among them. Each reference stepper must be called, so a patch that misses
-    the engine's dispatch cannot pass. The summary path of every closed run
-    is the same under both, field for field."""
+    right-hand sides, the reduced form for rk4, the textbook form for rk23.
+    The rk4 runs cover each force law: tanh (fig2-F1), spring (fig2-F2,
+    fig2-F3), constant over three segments (multistep) and an overriding
+    ``__call__``; the runs whose tables are digested (a two-segment domain
+    exit, a step underflow, rk4 over three segments) are among them. Each
+    reference stepper must be called, so a patch that misses the engine's
+    dispatch cannot pass. The summary path of every closed run is the same
+    under both, field for field."""
     rk4 = replace(study.solver, method="rk4", fixed_step=1e-4)
     # Each closed run's scenario, made afresh per run: a force may count its calls.
     closed = {name: (lambda sc=load_preset(name): sc)
@@ -1130,7 +1150,7 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
 
     unrolled = {name: run() for name, run in runs.items()}
     summaries = {name: simulate_summary(make()) for name, make in closed.items()}
-    calls = {"rk23": 0, "rk4": 0, "row": 0}
+    calls = {"rk23": 0, "rk4": 0}
 
     def reference_kernel(make_field):
         def kernel(method, *args):
@@ -1148,13 +1168,10 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
         else:
             assert unrolled[name] == expected, name
     # rk4: one segment per rk4 run and "open-rk4", three for "rk4-multistep";
-    # rk23: every other run; row: the last sample of each closed run that ends ok
+    # rk23: every other run
     rk4_runs = [name for name in runs if name.startswith("rk4")]
-    ended = [name for name in runs
-             if not name.startswith("open") and unrolled[name].status == "ok"]
     assert calls["rk4"] == len(rk4_runs) + 3 and calls["rk23"] >= len(runs) - len(rk4_runs) - 1, \
         calls
-    assert calls["row"] == len(ended), calls
     assert len(set(unrolled["rk4-multistep"]["x_star"].tolist())) == 3
     for name in ("domain-exit", "sweep-alpha", "nan-force", "nan-once"):
         assert unrolled[name].status == "domain-exit", name
@@ -1177,10 +1194,8 @@ def test_rk4_update_stays_within_bound_of_the_textbook_update(study, monkeypatch
     def runs(make):
         tables = []
         for textbook in (True, False):
-            def closed_kernel(method, params, gains, force, x_star, channels, stepper=None):
+            def closed_kernel(method, params, gains, force, x_star, channels):
                 field = _reference_make_field(params, gains, force, x_star, channels)
-                if method == "row":
-                    return _reference_kernel(field, "row")
                 return functools.partial(_reference_rk4_segment, field, textbook=textbook)
 
             def open_kernel(method, *args):
@@ -1217,7 +1232,7 @@ def test_rk4_reduced_form_stays_within_bound_of_the_textbook_form(study, monkeyp
     (measured: 2.7e-13 on H, at most 1.2e-15 elsewhere), and on the lossless
     open loop over 10 ms at h = 1e-6 the states within 1e-13 (measured
     2.7e-14) and H within 1e-10 (measured 3.0e-11)."""
-    def closed_kernel(method, params, gains, force, x_star, channels, stepper=None):
+    def closed_kernel(method, params, gains, force, x_star, channels):
         return _reference_kernel(_reference_make_field(params, gains, force, x_star, channels),
                                  method)
 
@@ -1248,10 +1263,11 @@ def test_rk4_reduced_form_stays_within_bound_of_the_textbook_form(study, monkeyp
     assert deviation(H_tb, H) <= 1e-10, deviation(H_tb, H)
 
 
-def test_reduced_rhs_stays_within_rounding_of_the_textbook_rhs(study):
+def test_reduced_rhs_stays_within_rounding_of_the_textbook_rhs(study, monkeypatch):
     """At 2,000 seeded states across the admissible range, for each force
     law, the reduced form's one-stage right-hand side, which the rk4 kernels
-    inline, agrees with ``augmented_field``, the textbook form, to within
+    inline (compiled here by mapping the one-stage kernel to that form in
+    ``_FORMS``), agrees with ``augmented_field``, the textbook form, to within
     rounding of each rate's terms, as the scalar plant functions compute
     them: the velocity to 1e-15 of itself, the momentum rate G - F and the
     observer rate to 1e-14 of the sum of their terms' magnitudes, and each
@@ -1272,8 +1288,10 @@ def test_reduced_rhs_stays_within_rounding_of_the_textbook_rhs(study):
                            float(rng.uniform(-3e4, 3e4)))
         F_hat, force = float(rng.uniform(-3.0, 3.0)), forces[i % len(forces)]
         textbook = augmented_field(state, F_hat, gains, x_star, force, params)
-        reduced = engine._closed_kernel("rhs", params, gains, force, x_star, CHANNELS, "rk4")(
-            0.0, x, state.p, state.P1, state.P2, F_hat)
+        with monkeypatch.context() as patch:
+            patch.setitem(engine._FORMS, "rhs", "reduced")
+            reduced_rhs = engine._closed_kernel("rhs", params, gains, force, x_star)
+        reduced = reduced_rhs(0.0, x, state.p, state.P1, state.P2, F_hat)
         g = geometry_terms(x, geo)
         v = state.p / total_mass(x, params)
         F = force(x, v)
@@ -1398,16 +1416,19 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
     """A counting wrapper set on ``ForceModel.__call__``, as a tracer does,
     is called once per right-hand-side evaluation, for every force kind and
     both methods, and the runs stay bit-identical: the record reads the force
-    of the evaluations. rk23 evaluates one first stage per setpoint segment,
-    three stages per attempted step and one stage for the last sample, counted
-    on the reference stepper and field, which take the same steps; rk4
-    evaluates four stages per step and one for the last sample. The summary
-    path makes the same evaluations and gives the record's diagnostics, and
-    makes the same evaluations as ``simulate`` on failing runs too: rk23
-    domain exits (fig2-F1 at alpha = 22 and the digested two-segment one), a
-    step underflow, and an rk4 run whose second segment fails at its first
-    stage."""
+    of the evaluations. rk23 evaluates one first stage per slice (a kernel
+    call, ending at a multiple of SLICE_SAMPLES samples or a segment's end),
+    three stages per attempted step and none for the last sample, whose row
+    comes from the stage its last step ended with, counted on the reference
+    stepper and field, which take the same steps, over one segment and over
+    the three of the multistep preset; rk4 evaluates four stages per step and
+    one for the last sample. The summary path makes the same evaluations and
+    gives the record's diagnostics, and makes the same evaluations as
+    ``simulate`` on failing runs too: rk23 domain exits (fig2-F1 at alpha =
+    22 and the digested two-segment one), a step underflow, and an rk4 run
+    whose second segment fails at its first stage."""
     counts = {"force": 0, "rhs": 0}
+    slices = []   # the evaluations of each kernel call of a run
     call = ForceModel.__call__
 
     def counted_call(force, x, xdot):
@@ -1419,13 +1440,19 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
 
         def counted_field(*state):
             counts["rhs"] += 1
+            slices[-1] += 1
             return field(*state)
-        return _reference_kernel(counted_field, method)
+
+        def kernel(*args):
+            slices.append(0)
+            return _reference_kernel(counted_field, method)(*args)
+        return kernel
 
     forces = [ForceModel(kind, value) for kind, value in
               (("constant", 0.01), ("tanh_friction", 5.0), ("spring", -10.0))]
     rk4 = replace(study.solver, method="rk4", fixed_step=1e-4)
     scenarios = ([replace(study, force=force, duration=0.5) for force in forces]
+                 + [load_preset("multistep")]
                  + [replace(study, force=force, solver=rk4, duration=0.1) for force in forces])
     plain = [simulate(scenario) for scenario in scenarios]
     runs = pin.table_runs()
@@ -1434,12 +1461,16 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
 
     def evaluations_of(run, scenario):
         counts["rhs"] = 0
+        slices.clear()
         result = run(scenario)
         return result, counts["rhs"]
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_closed_kernel", counting_kernel)
-        evaluations = [evaluations_of(simulate, scenario)[1] for scenario in scenarios]
+        evaluations, slice_evaluations = [], []
+        for scenario in scenarios:
+            evaluations.append(evaluations_of(simulate, scenario)[1])
+            slice_evaluations.append(list(slices))
         for scenario, rhs_evals in zip(scenarios, evaluations):
             assert evaluations_of(simulate_summary, scenario)[1] == rhs_evals, scenario
         for scenario in failing:
@@ -1448,7 +1479,8 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
             assert record.status != "ok" and summary.status == record.status, scenario
             assert summary_evals == rhs_evals, (scenario, rhs_evals, summary_evals)
     monkeypatch.setattr(ForceModel, "__call__", counted_call)
-    for scenario, expected, rhs_evals in zip(scenarios, plain, evaluations):
+    for scenario, expected, rhs_evals, per_slice in zip(scenarios, plain, evaluations,
+                                                        slice_evaluations):
         counts["force"] = 0
         record = simulate(scenario)
         assert record == expected, scenario
@@ -1461,6 +1493,14 @@ def test_class_level_force_wrapper_sees_every_evaluation(study, monkeypatch):
             t = record["t"].tolist()
             steps = sum(math.ceil((b - a) / rk4.fixed_step - 1e-12) for a, b in zip(t, t[1:]))
             assert rhs_evals == 4 * steps + 1, (scenario, rhs_evals, steps)
+        else:
+            grid = record["t"].tolist()
+            cuts = [grid.index(t) for t, _ in scenario.setpoints] + [len(grid) - 1]
+            size = engine.SLICE_SAMPLES
+            assert len(per_slice) == sum((b - 1) // size - a // size + 1
+                                         for a, b in zip(cuts, cuts[1:])), (scenario, per_slice)
+            assert all(n % 3 == 1 for n in per_slice), (scenario, per_slice)
+    assert [len(n) for n in slice_evaluations[:4]] == [1, 1, 1, 18]
 
 
 def test_each_kernel_compiles_once_per_process(study, monkeypatch):
@@ -1489,14 +1529,14 @@ def test_each_kernel_compiles_once_per_process(study, monkeypatch):
         simulate_open_loop(study.params, PlantState(5e-4, 0.0, 2e4, 1e4), 0.01, rk4,
                            R_override=alpha)
     record, summary = ",".join(CHANNELS), ",".join(SUMMARY_CHANNELS)
-    kernels = ("rk23 textbook", "rk4 reduced", "row textbook", "row reduced")
+    kernels = ("rk23 textbook", "rk4 reduced")
     assert sorted(compiled) == sorted(
         [f"<antago kernel {kernel} closed constant {channels}>"
          for kernel in kernels for channels in (record, summary)]
         + ["<antago kernel rk4 reduced open None x,p,P1,P2>"])
 
 
-@pytest.mark.parametrize("method", [*engine.STEPPERS, "rhs", "row"])
+@pytest.mark.parametrize("method", [*engine.STEPPERS, "rhs"])
 @pytest.mark.parametrize("force", [None, ForceModel("constant", 0.7),
                                    ForceModel("tanh_friction", 5.0),
                                    ForceModel("spring", -10.0),
@@ -1505,19 +1545,19 @@ def test_each_kernel_compiles_once_per_process(study, monkeypatch):
 def test_kernels_take_their_constants_as_keyword_only_parameters(study, method, force):
     """A kernel reads no closure cell: each bound constant, the functions
     and the ``"call"`` law's ``f`` included, is a keyword-only parameter,
-    which the segment's ``functools.partial`` supplies; one-stage closed
-    kernels in either form."""
+    which the segment's ``functools.partial`` supplies. A stepper kernel's
+    positional parameters end in ``emit`` and ``last``, which has it emit the
+    last sample's row too."""
     if force is None:
-        kernels = [engine._open_kernel(method, study.params, study.params.R)]
+        kernel = engine._open_kernel(method, study.params, study.params.R)
     else:
-        kernels = [engine._closed_kernel(method, study.params, study.gains, force, 1e-3,
-                                         CHANNELS, stepper) for stepper in engine.STEPPERS]
-    for kernel in kernels:
-        code = kernel.func.__code__
-        assert (kernel.args, code.co_freevars) == ((), ())
-        assert code.co_kwonlyargcount == len(kernel.keywords)
-        assert code.co_varnames[code.co_argcount:][:len(kernel.keywords)] == \
-            tuple(kernel.keywords)
+        kernel = engine._closed_kernel(method, study.params, study.gains, force, 1e-3)
+    code = kernel.func.__code__
+    assert (kernel.args, code.co_freevars) == ((), ())
+    assert code.co_kwonlyargcount == len(kernel.keywords)
+    assert code.co_varnames[code.co_argcount:][:len(kernel.keywords)] == tuple(kernel.keywords)
+    if method in engine.STEPPERS:
+        assert code.co_varnames[:code.co_argcount][-2:] == ("emit", "last")
 
 
 _FRESH_SETUP = """\
