@@ -1560,6 +1560,42 @@ def test_kernels_take_their_constants_as_keyword_only_parameters(study, method, 
         assert code.co_varnames[:code.co_argcount][-2:] == ("emit", "last")
 
 
+@pytest.mark.parametrize("method", engine.STEPPERS)
+@pytest.mark.parametrize("force", [None, ForceModel("constant", 0.7),
+                                   ForceModel("tanh_friction", 5.0),
+                                   ForceModel("spring", -10.0),
+                                   _OverriddenForce("spring", 10.0)],
+                         ids=["open", "constant", "tanh_friction", "spring", "call"])
+def test_last_emits_the_row_of_the_returned_state(study, method, force):
+    """A stepper kernel's call with ``last`` returns the state and step of
+    the call without it and emits the same rows, then one more: the row of
+    the state it returns at the last grid time, bit for bit the reference
+    field's row there. rk23 takes that row from the stage its landing step
+    ended with, rk4 from one more evaluation."""
+    solver = (study.solver if method == "rk23"
+              else replace(study.solver, method="rk4", fixed_step=1e-4))
+    grid = (0.0, 1e-3, 2e-3)
+    if force is None:
+        kernel = engine._open_kernel(method, study.params, study.params.R)
+        field = _reference_open_kernel_field(method, study.params, study.params.R)
+        y0 = (5e-4, 0.0, 2e4, 1e4)
+    else:
+        kernel = engine._closed_kernel(method, study.params, study.gains, force, 1e-3)
+        field = _reference_closed_field(method, study.params, study.gains, force, 1e-3)
+        init = study.initial
+        y0 = (init.x, init.p, init.P1, init.P2, study.initial_F_hat())
+    calls = {}
+    for last in (False, True):
+        rows = bytearray()
+        calls[last] = kernel(y0, grid, solver, 1e-6, rows.extend, last), bytes(rows)
+    (y, h), rows = calls[False]
+    assert calls[True][0] == (y, h)
+    expected = bytearray()
+    _emit_row(expected.extend, field(grid[-1], *y)[1](grid[-1]))
+    assert len(rows) == len(expected) * (len(grid) - 1)
+    assert calls[True][1] == rows + expected
+
+
 _FRESH_SETUP = """\
 import sys
 import antago.cli
