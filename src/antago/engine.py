@@ -21,11 +21,12 @@ deterministic; identical scenarios produce bit-identical trajectories. Each
 entry is a stepper template, source text stepping the loop's states with every
 stage written out per component, into which the loop's right-hand side, also
 written once as source text, is inlined at every stage: no evaluation pays a
-Python call or builds a tuple. The one-stage instance is the right-hand side
-alone (:func:`augmented_field`), in the textbook form. Each (method, form,
+Python call or builds a tuple. ``_TEMPLATES`` holds them and the one-stage
+instance, the right-hand side alone (:func:`augmented_field`). Each (method, form,
 loop, force law, channels) kernel is compiled once per process, on first use
-and never on import. It takes the scalar constants of its form (such as ``2 * L0``, ``L0 *
-L0``, ``2 * k_m`` and ``-K0``, or ``6 / L0`` and ``K0 / L0``), the
+and never on import. It takes the scalar constants that either form reads
+(such as ``2 * L0``, ``L0 * L0``, ``-2 * k_m`` and ``-K0``, and ``6 / L0``,
+``K0 / L0`` and ``-0.5 / k_m``), the same names for every kernel of a loop, the
 parameters, the libm functions and the row's ``pack`` as keyword-only
 parameters, so each stage reads them as fast locals, and per setpoint segment
 ``functools.partial`` binds their values once, so a sweep point compiles
@@ -49,7 +50,8 @@ and its step factor's ``**`` a ``pow``. So every floating-point operation of
 ``rk23`` keeps the value of the textbook form, and its trajectories are
 bit-identical to it.
 
-The right-hand side has two forms, and the method picks one (``_FORMS``).
+The right-hand side has two forms, and each template has one (``_FORMS``),
+which chooses the body that its kernels inline and nothing else.
 ``rk23`` and :func:`augmented_field` take the textbook form above. ``rk4``
 takes a reduced form that is exact in real arithmetic
 (``_REDUCED_PLANT_BODY``): it writes the bellows law in ``s = sqrt(6u / L0)`` and ``r = 1 / s`` per
@@ -519,8 +521,7 @@ def kernel(y, t_grid, solver, h, emit, last):
     a = rhs(t, y$i)
     for tg in t_grid[1:]:
         $emit
-        abs_tg = tg if tg >= 0.0 else -tg
-        land_tol = 1e-15 * (abs_tg if abs_tg > 1.0 else 1.0)
+        land_tol = 1e-15 * (tg if tg > 1.0 else 1.0)
         while t < tg:
             # h = min(h, max_step, tg - t)
             if max_step < h:
@@ -528,8 +529,7 @@ def kernel(y, t_grid, solver, h, emit, last):
             rest = tg - t
             if rest < h:
                 h = rest
-            abs_t = t if t >= 0.0 else -t
-            if h < _MIN_STEP_FRACTION * (abs_t if abs_t > 1.0 else 1.0):
+            if h < _MIN_STEP_FRACTION * (t if t > 1.0 else 1.0):
                 raise SolverError(f"step size underflow at t={t:.6e} (state={(y$s)})")
             hb = 0.5 * h
             b = rhs(t + hb, y$i + hb * a$i)
@@ -599,18 +599,18 @@ def kernel(y, t_grid, solver, h_in, emit, last):
 # of ``t_grid`` but the last, and of the last too if ``last`` is true, and
 # returns (the state at the last time, the next h).
 STEPPERS = {"rk23": _RK23, "rk4": _RK4}
-# The form of the right-hand side that each method's kernels inline (a key of
-# each loop's bodies); the one-stage kernel takes the textbook form. rk23 keeps
-# the textbook form while its benchmark references demand bit-identical
-# rounding noise (ROADMAP item 9).
-_FORMS = {"rk23": "textbook", "rk4": "reduced"}
-
-# The one-stage instance: the right-hand side itself, for point evaluation.
-_ONE_STAGE = {"rhs": """\
+# Every template by name: the steppers, and "rhs", the one-stage instance, which
+# is the right-hand side itself, for point evaluation.
+_TEMPLATES = {**STEPPERS, "rhs": """\
 def kernel(t, y$s):
     a = rhs(t, y$i)
     return (a$s)
 """}
+# The form of the right-hand side that each template's kernels inline (a key of
+# each loop's bodies): the one thing a form chooses. rk23 and the one-stage
+# kernel keep the textbook form while the benchmark's references demand
+# bit-identical rounding noise (ROADMAP item 9).
+_FORMS = {"rk23": "textbook", "rk4": "reduced", "rhs": "textbook"}
 
 _STAGE = r"( *)(\w) = rhs\((.+?), (.+)\)"
 
@@ -651,11 +651,11 @@ def _kernel_source(template: str, loop: str, law: str | None, channels: tuple[st
 @functools.cache
 def _kernel_factory(method: str, form: str, loop: str, law: str | None,
                     channels: tuple[str, ...], constants: tuple[str, ...]):
-    """Compile the kernel of ``method`` (a key of STEPPERS or _ONE_STAGE) for
-    ``loop`` in ``form`` and force ``law``, emitting rows of ``channels``,
-    taking ``constants`` (the same names for every call of a loop and form) as
-    keyword-only parameters, which it reads as fast locals."""
-    source = _kernel_source({**STEPPERS, **_ONE_STAGE}[method], loop, law, channels, form)
+    """Compile the kernel of ``method`` (a key of _TEMPLATES) for ``loop`` in
+    ``form`` and force ``law``, emitting rows of ``channels``, taking
+    ``constants`` (the same names for every call of a loop) as keyword-only
+    parameters, which it reads as fast locals."""
+    source = _kernel_source(_TEMPLATES[method], loop, law, channels, form)
     # The template's first line is its ``def kernel(...):``.
     source = source.replace("):\n", f", *, {', '.join(constants)}):\n", 1) + "\n"
     filename = f"<antago kernel {method} {form} {loop} {law} {','.join(channels)}>"
@@ -666,18 +666,16 @@ def _kernel_factory(method: str, form: str, loop: str, law: str | None,
     return namespace["kernel"]
 
 
-def _plant_constants(params: PlantParams, R: float, form: str) -> dict:
+def _plant_constants(params: PlantParams, R: float) -> dict:
+    """Every plant constant that either form's body reads, with damping ``R``."""
     geo = params.geometry
     K0, L0, rho = geo.K0, geo.L0, params.fluid.rho
-    if form == "reduced":
-        return {"x0": geo.x0, "x_M": geo.x_M, "margin": DOMAIN_MARGIN, "sqrt": math.sqrt,
-                "six_over_L0": 6.0 / L0, "two_thirds_K0": 2.0 / 3.0 * K0,
-                "K0_over_12": K0 / 12.0, "V0": geo.V0, "K0_over_L0": K0 / L0,
-                "neg_K0_over_L0": -(K0 / L0), "m": params.m, "rho": rho, "half_rho": 0.5 * rho,
-                "R": R}
     return {"L0": L0, "K0": K0, "V0": geo.V0, "x0": geo.x0, "x_M": geo.x_M,
-            "rho": rho, "m": params.m, "R": R, "two_L0": 2.0 * L0,
-            "neg_K0": -K0, "margin": DOMAIN_MARGIN, "sqrt": math.sqrt, "pow": math.pow}
+            "rho": rho, "m": params.m, "R": R, "two_L0": 2.0 * L0, "L0_sq": L0 * L0,
+            "neg_K0": -K0, "margin": DOMAIN_MARGIN, "sqrt": math.sqrt, "pow": math.pow,
+            "six_over_L0": 6.0 / L0, "two_thirds_K0": 2.0 / 3.0 * K0,
+            "K0_over_12": K0 / 12.0, "K0_over_L0": K0 / L0, "neg_K0_over_L0": -(K0 / L0),
+            "neg_K0_over_L0_sq": -(K0 / (L0 * L0)), "half_rho": 0.5 * rho}
 
 
 def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
@@ -685,32 +683,25 @@ def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
     """The closed loop's ``method`` kernel for one setpoint segment, emitting
     rows of ``channels``, its constants bound by ``functools.partial``, with
     the force's kind written in place while its type has ``_FORCE_LAW``."""
-    form = _FORMS.get(method, "textbook")
     law = force.kind if type(force).__call__ is _FORCE_LAW else "call"
-    k_m, L0 = gains.k_m, params.geometry.L0
-    constants = _plant_constants(params, params.R, form)
+    k_m = gains.k_m
+    constants = _plant_constants(params, params.R)
     constants.update(k_p=gains.k_p, k_m=k_m, k_i=gains.k_i, alpha=gains.alpha,
-                     kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m)
-    if form == "reduced":
-        constants.update(neg_half_over_k_m=-0.5 / k_m,
-                         neg_K0_over_L0_sq=-(params.geometry.K0 / (L0 * L0)))
-    else:
-        constants.update(neg_two_k_m=-2.0 * k_m, L0_sq=L0 * L0)
-    constants.update(x_star=x_star, fv=force.value, f=force.__call__,
-                     tanh=math.tanh, Gamma0=params.fluid.Gamma0, expm1=math.expm1,
-                     expm1_max=_EXPM1_MAX, inf=math.inf,
+                     kpkm=gains.k_p * k_m, two_k_m=2.0 * k_m, neg_two_k_m=-2.0 * k_m,
+                     neg_half_over_k_m=-0.5 / k_m, x_star=x_star, fv=force.value,
+                     f=force.__call__, tanh=math.tanh, Gamma0=params.fluid.Gamma0,
+                     expm1=math.expm1, expm1_max=_EXPM1_MAX, inf=math.inf,
                      pack=struct.Struct(f"{len(channels)}d").pack)
-    kernel = _kernel_factory(method, form, "closed", law, channels, tuple(constants))
+    kernel = _kernel_factory(method, _FORMS[method], "closed", law, channels, tuple(constants))
     return functools.partial(kernel, **constants)
 
 
 def _open_kernel(method: str, params: PlantParams, R: float):
     """The ``method`` kernel of the unforced open-loop plant with damping ``R``."""
-    form = _FORMS.get(method, "textbook")
     channels = _LOOPS["open"][0]
-    constants = _plant_constants(params, R, form)
+    constants = _plant_constants(params, R)
     constants.update(neg_Gamma0=-params.fluid.Gamma0, pack=struct.Struct(f"{len(channels)}d").pack)
-    kernel = _kernel_factory(method, form, "open", None, channels, tuple(constants))
+    kernel = _kernel_factory(method, _FORMS[method], "open", None, channels, tuple(constants))
     return functools.partial(kernel, **constants)
 
 

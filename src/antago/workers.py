@@ -48,7 +48,10 @@ counts the child's work as almost free. Its only users:
   each block as soon as its rows are there and writes it into the file
   itself, and the two processes split the blocks left when the run ends. A
   finished record renders here: forked, it took 19–46 % more CPU for a wall
-  gain mostly inside the spread between runs (CHANGES.md).
+  gain mostly inside the spread between runs (CHANGES.md). A grid of 2–3
+  blocks (129–384 rows) forks at a loss, as the rule sets no least work per
+  worker: on 2 vCPUs, at 201 rows, wall 14.3–20.1 ms forked against
+  9.1–13.7 ms in this process. No benchmark workload runs such a grid.
 """
 
 from __future__ import annotations

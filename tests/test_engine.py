@@ -1,5 +1,6 @@
 """Simulation engine: force models, integration, diagnostics, robustness."""
 
+import ast
 import functools
 import hashlib
 import inspect
@@ -244,6 +245,56 @@ def test_inlined_geometry_matches_kernel(study):
         Gamma0 = params.fluid.Gamma0
         assert moving[2:] == (-Gamma0 * (g.A1 * (1.0 / M)) / g.V1,
                                -Gamma0 * (g.A2 * (1.0 / M)) / g.V2)
+
+
+def test_inlined_reduced_geometry_matches_kernel(study, monkeypatch):
+    """The reduced form's geometry, which the rk4 kernels inline (compiled
+    here by mapping the one-stage kernel to that form in ``_FORMS``), matches
+    the plant kernel, not the textbook form, read back through the inputs of
+    ``test_inlined_geometry_matches_kernel``: A1, A2, 1/M, the dA-carrying
+    shear term and, through the open-loop pressure rates, V1 and V2.
+
+    The bound is rounding's. Either form computes each of these from x in
+    fewer than 50 roundings (the shear term's pressure rate is the longest,
+    its mass reading both volumes), each within u = 2**-53 of its result,
+    and only a subtraction amplifies them, by its condition number kappa:
+    (2r + 0.75s) / |2r - 0.75s| in A, (1 + k_m (|dA| + k_p k_m)) /
+    |1 + k_m (dA + k_p k_m)| in the shear term, at most 3.5 and 5.2 on this
+    range. So to first order the two differ by at most 2 * 50 * kappa * u at
+    each x, about 6e-14. Measured: 9.5 u (1.1e-15) at most, where a 0.75 ->
+    0.7499 error in the reduced A2 moves A2 by 1.6e-4."""
+    params, gains = study.params, study.gains
+    geo, k_m = params.geometry, gains.k_m
+    free = ForceModel("constant", 0.0)
+    kpkm = gains.k_p * k_m
+    Gamma0 = params.fluid.Gamma0
+    monkeypatch.setitem(engine._FORMS, "rhs", "reduced")
+    open_rhs = engine._open_kernel("rhs", params, params.R)
+
+    lo, hi = geo.position_bounds()
+    for x in np.linspace(lo, hi, 52)[1:-1].tolist():
+        g = geometry_terms(x, geo)
+        M = params.m + (g.V1 + g.V2) * params.fluid.rho
+        s = [math.sqrt(6.0 * u / geo.L0) for u in (geo.x_M - x - geo.x0, x + geo.x0)]
+        kappa = max([(2.0 / si + 0.75 * si) / abs(2.0 / si - 0.75 * si) for si in s]
+                    + [(1.0 + k_m * (abs(dA) + kpkm)) / abs(1.0 + k_m * (dA + kpkm))
+                       for dA in (g.dA1, g.dA2)])
+        closed = functools.partial(engine._closed_kernel("rhs", params, gains, free, x), 0.0, x)
+        A1, A2 = closed(0.0, 1.0, 0.0, 0.0)[1], closed(0.0, 0.0, 1.0, 0.0)[1]
+        moving = open_rhs(0.0, x, 1.0, 0.0, 0.0)
+        pairs = [(A1, g.A1), (A2, g.A2), (closed(1.0, 0.0, 0.0, 0.0)[0], 1.0 / M),
+                 (open_rhs(0.0, x, 0.0, 1.0, 0.0)[1], g.A1),
+                 (open_rhs(0.0, x, 0.0, 0.0, 1.0)[1], g.A2), (moving[0], 1.0 / M),
+                 (moving[2], -Gamma0 * (g.A1 * (1.0 / M)) / g.V1),
+                 (moving[3], -Gamma0 * (g.A2 * (1.0 / M)) / g.V2)]
+        # F_hat at the kernel's own A_i makes sigma exactly 0: the pressure rate
+        # is the curvature-carrying shear term.
+        for row, dA, A, F_hat in ((2, g.dA1, g.A1, A1), (3, g.dA2, g.A2, A2)):
+            P1, P2 = (1.0, 0.0) if row == 2 else (0.0, 1.0)
+            shear = (1.0 + k_m * (dA + kpkm)) * (1.0 / M) / (2.0 * k_m)
+            pairs.append((closed(1.0, P1, P2, F_hat)[row], -shear / A))
+        for i, (kernel, plant) in enumerate(pairs):
+            assert abs(kernel - plant) <= 2 * 50 * kappa * 2.0**-53 * abs(plant), (x, i)
 
 
 def test_simulation_is_deterministic(study):
@@ -1336,8 +1387,8 @@ def test_kernel_sources_have_no_power_operator_and_rk4_updates_no_division():
     for loop, (_, bodies, *_) in engine._LOOPS.items():
         assert bodies["textbook"].startswith(engine._PLANT_BODY), loop
         assert sha(bodies["textbook"]) == _TEXTBOOK_SHA256[loop], loop
-    assert engine._FORMS == {"rk23": "textbook", "rk4": "reduced"}
-    for method, template in {**engine.STEPPERS, **engine._ONE_STAGE}.items():
+    assert engine._FORMS == {"rk23": "textbook", "rk4": "reduced", "rhs": "textbook"}
+    for method, template in engine._TEMPLATES.items():
         stages = [m.groups() for m in map(functools.partial(re.fullmatch, engine._STAGE),
                                             template.splitlines()) if m]
         forms = [engine._FORMS[method]] if method in engine.STEPPERS else ["textbook", "reduced"]
@@ -1364,6 +1415,59 @@ def test_kernel_sources_have_no_power_operator_and_rk4_updates_no_division():
                     updates = re.findall(r"^ *y\d+ = .*$", source, flags=re.M)
                     assert len(updates) == len(names), (loop, updates)
                     assert not any("/" in line for line in updates), updates
+
+
+def test_every_bound_constant_is_read_by_a_kernel(study):
+    """Every name that ``_closed_kernel`` or ``_open_kernel`` binds is read by
+    at least one generated kernel source, across every template, form, loop,
+    force law and channel tuple: a body deleted with its form takes with it
+    the constants that only it read, or this fails."""
+    read = set()
+    for template, (loop, (names, bodies, *_)) in itertools.product(engine._TEMPLATES.values(),
+                                                                   engine._LOOPS.items()):
+        laws = engine._FORCE_LINES if loop == "closed" else (None,)
+        rows = (CHANNELS, SUMMARY_CHANNELS) if loop == "closed" else (names,)
+        for form, law, channels in itertools.product(bodies, laws, rows):
+            tree = ast.parse(engine._kernel_source(template, loop, law, channels, form))
+            read |= {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = set()
+    for method in engine._TEMPLATES:
+        bound |= set(engine._open_kernel(method, study.params, study.params.R).keywords)
+        for force in (ForceModel("constant", 0.7), _OverriddenForce("spring", 10.0)):
+            bound |= set(engine._closed_kernel(method, study.params, study.gains, force,
+                                               1e-3).keywords)
+    assert bound <= read, sorted(bound - read)
+
+
+def test_engine_branches_on_no_form_outside_the_body_lookup():
+    """A form chooses nothing but the body that ``_kernel_source`` inlines. In
+    ``engine``, ``form`` is read only as ``bodies[form]``, as an argument of
+    ``_kernel_source`` or in a kernel's file name; ``_FORMS`` only as
+    ``_FORMS[method]``, an argument of ``_kernel_factory``; and a form's name
+    is written only as a key of a loop's bodies or a value of ``_FORMS``. So
+    no constant, template or other code can branch on the form."""
+    tree = ast.parse(inspect.getsource(engine))
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    forms = set(engine._FORMS.values())
+
+    def allowed(node, up):
+        if isinstance(node, ast.Constant):
+            return isinstance(up, ast.Dict) and (node in up.keys or ast.unparse(
+                parent[up]).startswith("_FORMS = "))
+        if node.id == "_FORMS":
+            return (ast.unparse(up) == "_FORMS[method]" and isinstance(parent[up], ast.Call)
+                    and ast.unparse(parent[up].func) == "_kernel_factory")
+        return (isinstance(up, ast.Subscript) and ast.unparse(up) == "bodies[form]"
+                or isinstance(up, ast.Call) and ast.unparse(up.func) == "_kernel_source"
+                or isinstance(up, ast.FormattedValue))
+
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in ("form", "_FORMS")
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Constant) and node.value in forms]
+    assert len(uses) > 5
+    assert [ast.unparse(parent[node]) for node in uses if not allowed(node, parent[node])] == []
 
 
 def test_open_loop_rhs_matches_reference(params):
