@@ -22,11 +22,11 @@ entry is a stepper template, source text stepping the loop's states with every
 stage written out per component, into which the loop's right-hand side, also
 written once as source text, is inlined at every stage: no evaluation pays a
 Python call or builds a tuple. ``_TEMPLATES`` holds them and the one-stage
-instance, the right-hand side alone (:func:`augmented_field`). Each (method, form,
+instance, the right-hand side alone (:func:`augmented_field`). Each (method,
 loop, force law, channels) kernel is compiled once per process, on first use
-and never on import. It takes the scalar constants that either form reads
-(such as ``2 * L0``, ``L0 * L0``, ``-2 * k_m`` and ``-K0``, and ``6 / L0``,
-``K0 / L0`` and ``-0.5 / k_m``), the same names for every kernel of a loop, the
+and never on import. It takes the scalar constants that any body reads (such
+as ``2 * L0``, ``L0 * L0``, ``-2 * k_m`` and ``-K0``, and ``6 / L0``, ``K0 /
+L0`` and ``-0.5 / k_m``), the same names for every kernel of a loop, the
 parameters, the libm functions and the row's ``pack`` as keyword-only
 parameters, so each stage reads them as fast locals, and per setpoint segment
 ``functools.partial`` binds their values once, so a sweep point compiles
@@ -47,25 +47,26 @@ kernels leave its generic ``/`` and ``**`` where an exact rewrite allows:
 shear ``-(X / two_k_m)`` is ``X / neg_two_k_m`` (round-to-nearest is
 symmetric in sign), and rk23's ``d / 8.0`` is ``d * 0.125`` (a power of two)
 and its step factor's ``**`` a ``pow``. So every floating-point operation of
-``rk23`` keeps the value of the textbook form, and its trajectories are
-bit-identical to it.
+the closed loop's ``rk23`` keeps the value of the textbook form, and its
+trajectories are bit-identical to it.
 
-The right-hand side has two forms, and each template has one (``_FORMS``),
-which chooses the body that its kernels inline and nothing else.
-``rk23`` and :func:`augmented_field` take the textbook form above. ``rk4``
-takes a reduced form that is exact in real arithmetic
-(``_REDUCED_PLANT_BODY``): it writes the bellows law in ``s = sqrt(6u / L0)`` and ``r = 1 / s`` per
-actuator, ``v`` as ``p * (1 / M)``, and divides ``ns - k_i * sigma`` by each
-area once. A closed-loop evaluation then makes 5 divisions and no ``pow``
-where the textbook form makes 19 and 2, and an open-loop one 5 divisions
-where it makes 12. ``rk4`` also updates each state as ``y + h6 * (a + d) + h3
-* (b + c)``, with ``h6 = h / 6.0`` and ``h3 = h / 3.0`` once per grid
-interval, in place of ``y + h * (a + 2b + 2c + d) / 6``. Its trajectories
-differ from the textbook form and update by rounding only (the test suite
-bounds both differences). The reduced form is meant to replace the textbook
-one in ``rk23`` too, once the benchmark's trajectory references give
-rounding-noise channels an absolute floor (ROADMAP item 9): until then any
-last-bit move of an ``rk23`` run fails them.
+Each loop keys its bodies by template name, so a template chooses the body
+that its kernels inline and nothing else. The closed loop's ``rk23`` and
+:func:`augmented_field` take the textbook form above. Its ``rk4``, and every
+template of the open loop, take a reduced form that is exact in real
+arithmetic (``_REDUCED_PLANT_BODY``): it writes the bellows law in ``s =
+sqrt(6u / L0)`` and ``r = 1 / s`` per actuator, ``v`` as ``p * (1 / M)``,
+and divides ``ns - k_i * sigma`` by each area once. A closed-loop evaluation
+then makes 5 divisions and no ``pow`` where the textbook form makes 19 and 2,
+and an open-loop one 5 divisions where the textbook form made 12. ``rk4``
+also updates each state as ``y + h6 * (a + d) + h3 * (b + c)``, with ``h6 = h
+/ 6.0`` and ``h3 = h / 3.0`` once per grid interval, in place of ``y + h * (a
++ 2b + 2c + d) / 6``. Its trajectories differ from the textbook form and
+update by rounding only (the test suite bounds both differences). The reduced
+form is meant to replace the textbook one in the closed loop's ``rk23`` too,
+once the benchmark's trajectory references give rounding-noise channels an
+absolute floor (ROADMAP item 9): until then any last-bit move of a
+closed-loop ``rk23`` run fails them.
 
 A :class:`ScenarioConfig` checks itself on construction (``replace`` too), so
 every run is bounded in cost before anything is allocated: ``MAX_SAMPLES``
@@ -97,9 +98,10 @@ a tuple of channels: each ``$emit`` line becomes the loop's shared lines
 open loop's: its state) into float64 bytes, ``struct.Struct(f"{n}d").pack``
 bound like the other constants, passed to the kernel's ``emit``, so each
 double is copied exactly and no Python float outlives its row. ``emit`` is
-the ``frombytes`` of one ``array("d")``, every run's one row sink. Every run
-integrates each segment in slices of ``SLICE_SAMPLES`` samples, one kernel
-call each, and a caller told of its rows as they are written (``antago
+the ``frombytes`` of one ``array("d")``, every run's one row sink. Every
+closed-loop run integrates each segment in slices of ``SLICE_SAMPLES``
+samples, one kernel call each (:func:`simulate_open_loop` makes one call over
+its whole grid), and a caller told of its rows as they are written (``antago
 run``, whose CSV writer copies each finished slice into a mapping it owns)
 is handed that array after each. ``rk23`` emits from its first stage and
 then from the last stage of each step that lands on a grid time (the pair is
@@ -375,9 +377,9 @@ class TrajectoryRecord:
 
 
 # --------------------------------------------------------------------------
-# Kernels. Each loop's right-hand side is one body of source text, and each
-# stepper one template into which that body is inlined at every stage, so that
-# no evaluation pays a Python call or builds a tuple. A stage is a template
+# Kernels. Each loop's right-hand side is a body of source text, and each
+# stepper one template into which its loop's body is inlined at every stage, so
+# that no evaluation pays a Python call or builds a tuple. A stage is a template
 # line ``k = rhs(T, E)``: it binds the body's state names to ``E`` per
 # component and evaluates the body at the stage time ``T`` (read only by the
 # error message) into ``k1, k2, ...``, one per state. A ``for $i in state:``
@@ -385,8 +387,8 @@ class TrajectoryRecord:
 # and a line ``$emit`` passes to ``emit`` the loop's row at time ``t`` from the
 # names of the stage evaluated last, which must be at that time's state.
 
-# The geometry, the mass and the momentum rate G of both loops, from the
-# stage's x, p, P1 and P2. ``$state`` is the stage state the error prints.
+# The geometry, the mass and the momentum rate G, in the textbook form, from
+# the stage's x, p, P1 and P2. ``$state`` is the stage state the error prints.
 _DOMAIN_CHECK = """\
 u1 = x_M - x - x0
 u2 = x + x0
@@ -433,26 +435,13 @@ w2 = A2 * P2
 G = half_rho * (A1 + A2) * (v * v) + w1 + w2 - R * v
 """
 
-# The open loop's rates, the same in either form.
-_OPEN_RATES = """\
-$k1 = v
-$k2 = G
-$k3 = neg_Gamma0 * (A1 * v) / V1
-$k4 = neg_Gamma0 * (A2 * v) / V2
-"""
-
-# Per loop: the names its body reads the state under, its body in each form
-# (_FORMS), the lines that ``$emit`` runs (at time ``t``) before it packs the
-# row, and the expression of each channel that a row can hold; a kernel's row
-# is the channels it is compiled for. The open loop is the unforced plant, and
-# its row is its state. ``$force`` is the closed loop's line of _FORCE_LINES.
+# The closed loop's body in each form. ``$force`` is its line of _FORCE_LINES.
 # Each square is written as a product (``v**2`` calls libm's pow, an ulp off
 # ``v * v`` on a few samples per run), and each textbook cube as ``pow(s,
 # 3.0)``, the libm call that ``s**3`` makes, without the interpreter's generic
 # power. The reduced form's ``ns`` multiplies by ``-1 / (2 k_m)`` and its
 # pressure rates divide ``ns - k_i * sig`` once by each area.
-_LOOPS = {
-    "closed": (("x", "p", "P1", "P2", "F_hat"), {"textbook": _PLANT_BODY + """\
+_CLOSED_BODY = _PLANT_BODY + """\
 dA1 = K0 * (-3.0 / (L0_sq * s1) - 9.0 * g1 / (L0_sq * pow(s1, 3.0)))
 dA2 = K0 * (-3.0 / (L0_sq * s2) - 9.0 * g2 / (L0_sq * pow(s2, 3.0)))
 $force
@@ -464,7 +453,8 @@ $k2 = G - F
 $k3 = ns / A1 - k_i_sig / A1
 $k4 = ns / A2 - k_i_sig / A2
 $k5 = alpha * (G - F_hat + alpha * p)
-""", "reduced": _REDUCED_PLANT_BODY + """\
+"""
+_REDUCED_CLOSED_BODY = _REDUCED_PLANT_BODY + """\
 dA1 = neg_K0_over_L0_sq * r1 * (2.25 + 6.0 * (r1 * r1))
 dA2 = neg_K0_over_L0_sq * r2 * (2.25 + 6.0 * (r2 * r2))
 $force
@@ -477,18 +467,7 @@ $k2 = G - F
 $k3 = num / A1
 $k4 = num / A2
 $k5 = alpha * (G - F_hat + alpha * p)
-"""}, """\
-F_tilde = F_hat - alpha * p
-zeta = F_tilde - F
-err = x_star - x
-H_d = p * p / (two_k_m * M) + 0.5 * k_p * (err * err) + 0.5 * (sig * sig)
-Psi = H_d + 0.5 * (zeta * zeta)
-shear = -ns
-""", _CHANNEL_EXPRESSIONS),
-    "open": (("x", "p", "P1", "P2"), {"textbook": _PLANT_BODY + _OPEN_RATES,
-                                      "reduced": _REDUCED_PLANT_BODY + _OPEN_RATES},
-             "", {"x": "x", "p": "p", "P1": "P1", "P2": "P2"}),
-}
+"""
 
 # The closed loop's force, by law: ForceModel's three kinds written out with
 # the operands of its __call__, or "call" for any other __call__, bound.
@@ -606,25 +585,44 @@ def kernel(t, y$s):
     a = rhs(t, y$i)
     return (a$s)
 """}
-# The form of the right-hand side that each template's kernels inline (a key of
-# each loop's bodies): the one thing a form chooses. rk23 and the one-stage
-# kernel keep the textbook form while the benchmark's references demand
-# bit-identical rounding noise (ROADMAP item 9).
-_FORMS = {"rk23": "textbook", "rk4": "reduced", "rhs": "textbook"}
+# Per loop: the names its body reads the state under, its body by template
+# name, the lines that ``$emit`` runs (at time ``t``) before it packs the row,
+# and the expression of each channel that a row can hold; a kernel's row is
+# the channels it is compiled for. The closed loop's rk23 and one-stage kernels
+# keep the textbook body while the benchmark's references demand bit-identical
+# rounding noise (ROADMAP item 9). The open loop is the unforced plant: every
+# template inlines its one body, the reduced one, and its row is its state.
+_LOOPS = {
+    "closed": (("x", "p", "P1", "P2", "F_hat"),
+               {"rk23": _CLOSED_BODY, "rk4": _REDUCED_CLOSED_BODY, "rhs": _CLOSED_BODY}, """\
+F_tilde = F_hat - alpha * p
+zeta = F_tilde - F
+err = x_star - x
+H_d = p * p / (two_k_m * M) + 0.5 * k_p * (err * err) + 0.5 * (sig * sig)
+Psi = H_d + 0.5 * (zeta * zeta)
+shear = -ns
+""", _CHANNEL_EXPRESSIONS),
+    "open": (("x", "p", "P1", "P2"), dict.fromkeys(_TEMPLATES, _REDUCED_PLANT_BODY + """\
+$k1 = v
+$k2 = G
+$k3 = neg_Gamma0 * (A1 * v) / V1
+$k4 = neg_Gamma0 * (A2 * v) / V2
+"""), "", {"x": "x", "p": "p", "P1": "P1", "P2": "P2"}),
+}
 
 _STAGE = r"( *)(\w) = rhs\((.+?), (.+)\)"
 
 
-def _kernel_source(template: str, loop: str, law: str | None, channels: tuple[str, ...],
-                   form: str) -> str:
-    """Expand ``template`` with the body of ``loop`` in ``form`` inlined at each
-    stage and, at each ``$emit``, its emit lines and its row of ``channels``."""
+def _kernel_source(method: str, loop: str, law: str | None, channels: tuple[str, ...]) -> str:
+    """Expand the template of ``method`` (a key of _TEMPLATES) with the body
+    that ``loop`` keys by it inlined at each stage and, at each ``$emit``, its
+    emit lines and its row of ``channels``."""
     names, bodies, emit, expressions = _LOOPS[loop]
     emit += f"emit(pack({', '.join(expressions[name] for name in channels)}))\n"
     components = range(1, len(names) + 1)
-    body = bodies[form].replace("$force", _FORCE_LINES.get(law, ""))
+    body = bodies[method].replace("$force", _FORCE_LINES.get(law, ""))
     body = body.replace("$state", ", ".join(names))
-    lines = template.splitlines()
+    lines = _TEMPLATES[method].splitlines()
     out = []
     while lines:
         line = lines.pop(0)
@@ -649,16 +647,16 @@ def _kernel_source(template: str, loop: str, law: str | None, channels: tuple[st
 
 
 @functools.cache
-def _kernel_factory(method: str, form: str, loop: str, law: str | None,
-                    channels: tuple[str, ...], constants: tuple[str, ...]):
-    """Compile the kernel of ``method`` (a key of _TEMPLATES) for ``loop`` in
-    ``form`` and force ``law``, emitting rows of ``channels``, taking
-    ``constants`` (the same names for every call of a loop) as keyword-only
-    parameters, which it reads as fast locals."""
-    source = _kernel_source(_TEMPLATES[method], loop, law, channels, form)
+def _kernel_factory(method: str, loop: str, law: str | None, channels: tuple[str, ...],
+                    constants: tuple[str, ...]):
+    """Compile the kernel of ``method`` (a key of _TEMPLATES) for ``loop`` and
+    force ``law``, emitting rows of ``channels``, taking ``constants`` (the
+    same names for every call of a loop) as keyword-only parameters, which it
+    reads as fast locals."""
+    source = _kernel_source(method, loop, law, channels)
     # The template's first line is its ``def kernel(...):``.
     source = source.replace("):\n", f", *, {', '.join(constants)}):\n", 1) + "\n"
-    filename = f"<antago kernel {method} {form} {loop} {law} {','.join(channels)}>"
+    filename = f"<antago kernel {method} {loop} {law} {','.join(channels)}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"ceil": math.ceil, "DomainError": DomainError, "SolverError": SolverError,
                  "_MIN_STEP_FRACTION": _MIN_STEP_FRACTION}
@@ -667,7 +665,7 @@ def _kernel_factory(method: str, form: str, loop: str, law: str | None,
 
 
 def _plant_constants(params: PlantParams, R: float) -> dict:
-    """Every plant constant that either form's body reads, with damping ``R``."""
+    """Every plant constant that any body reads, with damping ``R``."""
     geo = params.geometry
     K0, L0, rho = geo.K0, geo.L0, params.fluid.rho
     return {"L0": L0, "K0": K0, "V0": geo.V0, "x0": geo.x0, "x_M": geo.x_M,
@@ -692,7 +690,7 @@ def _closed_kernel(method: str, params: PlantParams, gains: ControllerGains,
                      f=force.__call__, tanh=math.tanh, Gamma0=params.fluid.Gamma0,
                      expm1=math.expm1, expm1_max=_EXPM1_MAX, inf=math.inf,
                      pack=struct.Struct(f"{len(channels)}d").pack)
-    kernel = _kernel_factory(method, _FORMS[method], "closed", law, channels, tuple(constants))
+    kernel = _kernel_factory(method, "closed", law, channels, tuple(constants))
     return functools.partial(kernel, **constants)
 
 
@@ -701,7 +699,7 @@ def _open_kernel(method: str, params: PlantParams, R: float):
     channels = _LOOPS["open"][0]
     constants = _plant_constants(params, R)
     constants.update(neg_Gamma0=-params.fluid.Gamma0, pack=struct.Struct(f"{len(channels)}d").pack)
-    kernel = _kernel_factory(method, _FORMS[method], "open", None, channels, tuple(constants))
+    kernel = _kernel_factory(method, "open", None, channels, tuple(constants))
     return functools.partial(kernel, **constants)
 
 

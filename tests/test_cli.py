@@ -37,7 +37,7 @@ from antago.scenario_io import (
     trajectory_to_csv,
 )
 from antago.verify import SUITES
-from test_workers import _assert_reaped, _record_forks
+from forks import _assert_reaped, _record_forks
 
 _SRC = str(Path(antago.__file__).resolve().parents[1])
 

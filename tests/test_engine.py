@@ -210,15 +210,14 @@ def test_substituted_field_matches_raw_composition(study):
 
 
 def test_inlined_geometry_matches_kernel(study):
-    """The geometry inlined in the closed-loop and open-loop right-hand sides
+    """The geometry inlined in the closed loop's textbook right-hand side
     equals the plant kernel, read back through inputs that isolate each term,
-    across the admissible range."""
+    across the admissible range. The open loop's body, the reduced one, is
+    checked within rounding by the reduced test below."""
     params, gains = study.params, study.gains
     geo = params.geometry
     free = ForceModel("constant", 0.0)
     kpkm = gains.k_p * gains.k_m
-
-    open_rhs = engine._open_kernel("rhs", params, params.R)
 
     lo, hi = geo.position_bounds()
     for x in np.linspace(lo, hi, 52)[1:-1].tolist():
@@ -238,19 +237,12 @@ def test_inlined_geometry_matches_kernel(study):
             shear = (1.0 + gains.k_m * (dA + kpkm)) * (1.0 / M) / (2.0 * gains.k_m)
             assert closed(1.0, P1, P2, A)[row] == -shear / A
 
-        assert open_rhs(0.0, x, 0.0, 1.0, 0.0)[1] == g.A1
-        assert open_rhs(0.0, x, 0.0, 0.0, 1.0)[1] == g.A2
-        moving = open_rhs(0.0, x, 1.0, 0.0, 0.0)
-        assert moving[0] == 1.0 / M
-        Gamma0 = params.fluid.Gamma0
-        assert moving[2:] == (-Gamma0 * (g.A1 * (1.0 / M)) / g.V1,
-                               -Gamma0 * (g.A2 * (1.0 / M)) / g.V2)
-
 
 def test_inlined_reduced_geometry_matches_kernel(study, monkeypatch):
-    """The reduced form's geometry, which the rk4 kernels inline (compiled
-    here by mapping the one-stage kernel to that form in ``_FORMS``), matches
-    the plant kernel, not the textbook form, read back through the inputs of
+    """The reduced form's geometry, which the closed loop's rk4 kernels and
+    every open-loop kernel inline (the closed one compiled here by keying the
+    closed loop's reduced body by the one-stage template), matches the plant
+    kernel, not the textbook form, read back through the inputs of
     ``test_inlined_geometry_matches_kernel``: A1, A2, 1/M, the dA-carrying
     shear term and, through the open-loop pressure rates, V1 and V2.
 
@@ -268,7 +260,7 @@ def test_inlined_reduced_geometry_matches_kernel(study, monkeypatch):
     free = ForceModel("constant", 0.0)
     kpkm = gains.k_p * k_m
     Gamma0 = params.fluid.Gamma0
-    monkeypatch.setitem(engine._FORMS, "rhs", "reduced")
+    _reduce_point_kernel(monkeypatch)
     open_rhs = engine._open_kernel("rhs", params, params.R)
 
     lo, hi = geo.position_bounds()
@@ -295,6 +287,72 @@ def test_inlined_reduced_geometry_matches_kernel(study, monkeypatch):
             pairs.append((closed(1.0, P1, P2, F_hat)[row], -shear / A))
         for i, (kernel, plant) in enumerate(pairs):
             assert abs(kernel - plant) <= 2 * 50 * kappa * 2.0**-53 * abs(plant), (x, i)
+
+
+# The reduced bodies' bound constants, each as its definition over the
+# geometry's K0 and L0; _plant_constants computes each in at most two roundings.
+_REDUCED_CONSTANTS = {"six_over_L0": "6/L0", "two_thirds_K0": "2*K0/3", "K0_over_12": "K0/12",
+                      "K0_over_L0": "K0/L0", "neg_K0_over_L0": "-K0/L0",
+                      "neg_K0_over_L0_sq": "-K0/L0**2"}
+
+
+def test_reduced_bodies_equal_the_textbook_bellows_law_in_exact_arithmetic(study):
+    """An oracle that shares no float code with the engine: sympy reads the
+    ``u``, ``s``, ``r``, ``V``, ``A`` and ``dA`` lines of the reduced bodies
+    that the kernels inline (the open loop's, which every template takes, and
+    the closed loop's rk4 body) as exact expressions, with each bound
+    constant replaced by its definition, and proves, for each actuator, V_i
+    equal to the textbook law K0 * (2/3 - u/(2 L0)) * sqrt(6u/L0) + V0, A_i =
+    dV_i/dx and dA_i = d2V_i/dx2. Each definition is checked against
+    ``_plant_constants`` at the preset to within its two roundings."""
+    sympy = pytest.importorskip("sympy")
+    x, x0, x_M, V0 = sympy.symbols("x x0 x_M V0", real=True)
+    K0, L0, S = sympy.symbols("K0 L0 S", positive=True)
+    definitions = {sympy.Symbol(name): sympy.sympify(text, locals={"K0": K0, "L0": L0},
+                                                     rational=True)
+                   for name, text in _REDUCED_CONSTANTS.items()}
+
+    geo = study.params.geometry
+    constants = engine._plant_constants(study.params, study.params.R)
+    exact = {K0: sympy.Rational(geo.K0), L0: sympy.Rational(geo.L0)}
+    for name, definition in definitions.items():
+        value = definition.subs(exact)
+        assert abs(sympy.Rational(constants[name.name]) - value) <= 2.001 * 2.0**-53 * abs(value), \
+            name
+
+    def textbook(u):
+        return K0 * (sympy.Rational(2, 3) - u / (2 * L0)) * sympy.sqrt(6 * u / L0) + V0
+
+    wanted = {f"{name}{i}" for name in ("u", "s", "r", "V", "A", "dA") for i in (1, 2)}
+    symbols = {"x": x, "x0": x0, "x_M": x_M, "V0": V0, "K0": K0, "L0": L0}
+    for body in (engine._LOOPS["open"][1]["rk23"], engine._LOOPS["closed"][1]["rk4"]):
+        values = {}
+        for target, text in re.findall(r"^(\w+) = (.+)$", body, flags=re.M):
+            if target in wanted:
+                expr = sympy.sympify(text, locals={**symbols, **values}, rational=True)
+                values[target] = expr.subs(definitions)
+        assert {"u1", "u2", "V1", "V2", "A1", "A2"} <= set(values), sorted(values)
+        for i, u in ((1, x_M - x - x0), (2, x + x0)):
+            assert sympy.simplify(values[f"u{i}"] - u) == 0
+            law = textbook(u)
+            # With u = L0 * S**2 / 6, S > 0, every square root is S itself.
+            at_s = {x: sympy.solve(u - L0 * S**2 / 6, x)[0]}
+            pairs = [(values[f"V{i}"], law), (values[f"A{i}"], law.diff(x))]
+            if f"dA{i}" in values:
+                pairs.append((values[f"dA{i}"], law.diff(x, 2)))
+            for kernel, oracle in pairs:
+                assert sympy.simplify((kernel - oracle).subs(at_s)) == 0, (i, kernel, oracle)
+        assert ("dA1" in values) == (body is engine._LOOPS["closed"][1]["rk4"])
+
+
+def _reduce_point_kernel(patch, factory=None):
+    """Key the closed loop's reduced body, the rk4 kernels', by the one-stage
+    template too, in ``patch``, and compile in ``factory``, or in a fresh
+    kernel cache: a kernel's cache key names no body."""
+    bodies = engine._LOOPS["closed"][1]
+    patch.setitem(bodies, "rhs", bodies["rk4"])
+    patch.setattr(engine, "_kernel_factory",
+                  factory or functools.cache(engine._kernel_factory.__wrapped__))
 
 
 def test_simulation_is_deterministic(study):
@@ -867,8 +925,8 @@ def test_rk23_matches_scipy_dop853(fig2_runs):
 # tuple loops and the right-hand sides written with every constant computed
 # in place and every min/max a builtin call. A reference field returns the
 # derivative and the row of its point as a function of the row's time. The
-# rk23 kernels and the point kernel take the textbook form of the right-hand
-# side, the rk4 kernels the reduced form.
+# closed loop's rk23 kernels and point kernel take the textbook form of the
+# right-hand side, its rk4 kernels and every open-loop kernel the reduced form.
 
 def _reference_row(channels, params, gains, x_star, x, p, P1, P2, F_hat, F, sig, shear,
                    V1, V2, A1, A2, M, v):
@@ -1005,7 +1063,9 @@ def _reference_closed_field(method, params, gains, force, x_star, channels=CHANN
 
 def _reference_open_field(params, R, margin=engine.DOMAIN_MARGIN):
     """Reference form of the open loop's right-hand side, the textbook open
-    loop with both flows and the load at zero, and of its row, the state."""
+    loop with both flows and the load at zero, and of its row, the state:
+    the textbook baseline of the rk4 form-against-form tests, which no
+    engine kernel inlines."""
     geo = params.geometry
     L0, K0, V0, x0, x_M = geo.L0, geo.K0, geo.V0, geo.x0, geo.x_M
     rho = params.fluid.rho
@@ -1067,12 +1127,6 @@ def _reference_reduced_open_field(params, R, margin=engine.DOMAIN_MARGIN):
         return (v, G, -Gamma0 * (A1 * v) / V1, -Gamma0 * (A2 * v) / V2), lambda t: (x, p, P1, P2)
 
     return field
-
-
-def _reference_open_kernel_field(method, params, R):
-    """The reference field of the engine's open-loop ``method`` kernel."""
-    make = _reference_reduced_open_field if method == "rk4" else _reference_open_field
-    return make(params, R)
 
 
 def _emit_row(emit, row):
@@ -1164,7 +1218,8 @@ def _nan_on_call(n):
 def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
     """Every run, early endings included, is bit-identical under the engine's
     kernels and under the reference tuple loops calling the reference
-    right-hand sides, the reduced form for rk4, the textbook form for rk23.
+    right-hand sides: in the closed loop the reduced form for rk4 and the
+    textbook form for rk23, in the open loop the reduced form for both.
     The rk4 runs cover each force law: tanh (fig2-F1), spring (fig2-F2,
     fig2-F3), constant over three segments (multistep) and an overriding
     ``__call__``; the runs whose tables are digested (a two-segment domain
@@ -1210,7 +1265,8 @@ def test_unrolled_steppers_match_tuple_loops(study, monkeypatch):
         return kernel
 
     monkeypatch.setattr(engine, "_closed_kernel", reference_kernel(_reference_closed_field))
-    monkeypatch.setattr(engine, "_open_kernel", reference_kernel(_reference_open_kernel_field))
+    monkeypatch.setattr(engine, "_open_kernel", reference_kernel(
+        lambda method, *args: _reference_reduced_open_field(*args)))
     for name, run in runs.items():
         expected = run()
         if name.startswith("open"):
@@ -1317,8 +1373,8 @@ def test_rk4_reduced_form_stays_within_bound_of_the_textbook_form(study, monkeyp
 def test_reduced_rhs_stays_within_rounding_of_the_textbook_rhs(study, monkeypatch):
     """At 2,000 seeded states across the admissible range, for each force
     law, the reduced form's one-stage right-hand side, which the rk4 kernels
-    inline (compiled here by mapping the one-stage kernel to that form in
-    ``_FORMS``), agrees with ``augmented_field``, the textbook form, to within
+    inline (compiled here by keying the closed loop's reduced body by the
+    one-stage template, in a kernel cache of its own), agrees with ``augmented_field``, the textbook form, to within
     rounding of each rate's terms, as the scalar plant functions compute
     them: the velocity to 1e-15 of itself, the momentum rate G - F and the
     observer rate to 1e-14 of the sum of their terms' magnitudes, and each
@@ -1333,6 +1389,7 @@ def test_reduced_rhs_stays_within_rounding_of_the_textbook_rhs(study, monkeypatc
     forces = (ForceModel("constant", 0.7), ForceModel("tanh_friction", 5.0),
               ForceModel("spring", -10.0), _OverriddenForce("spring", 10.0))
     worst = [0.0] * 5
+    reduced_factory = functools.cache(engine._kernel_factory.__wrapped__)
     for i in range(2000):
         x, x_star = (float(v) for v in rng.uniform(lo, hi, 2))
         state = PlantState(x, float(rng.uniform(-0.05, 0.05)), float(rng.uniform(-3e4, 3e4)),
@@ -1340,7 +1397,7 @@ def test_reduced_rhs_stays_within_rounding_of_the_textbook_rhs(study, monkeypatc
         F_hat, force = float(rng.uniform(-3.0, 3.0)), forces[i % len(forces)]
         textbook = augmented_field(state, F_hat, gains, x_star, force, params)
         with monkeypatch.context() as patch:
-            patch.setitem(engine._FORMS, "rhs", "reduced")
+            _reduce_point_kernel(patch, reduced_factory)
             reduced_rhs = engine._closed_kernel("rhs", params, gains, force, x_star)
         reduced = reduced_rhs(0.0, x, state.p, state.P1, state.P2, F_hat)
         g = geometry_terms(x, geo)
@@ -1358,22 +1415,36 @@ def test_reduced_rhs_stays_within_rounding_of_the_textbook_rhs(study, monkeypatc
 
 
 # SHA-256 of the textbook bodies as they were when rk4 took the reduced form:
-# while these hold, the rk23 kernels and the textbook one-stage kernels
+# while these hold, the closed loop's rk23 kernels and its one-stage kernels
 # compile the same source, and their outputs stay bit-identical.
 _TEXTBOOK_SHA256 = {
     "plant": "d467e958a0b79331d3506c32afd25cd78aba906c567b4ed302dca3f92bb94c4e",
     "closed": "e46687c66333de99cc0eb05edc4ba3ffcc40cafbefbdd7ba01adddad82613dbc",
-    "open": "598219ffa0e9d6cdbd2044f9bb554579b696a07f4f004f4318c65c96c128177b",
 }
 
 
+def _kernel_sources():
+    """Every generated kernel source, with its template, loop, force law,
+    channels and body, over every template, loop, law and channel tuple."""
+    for (method, template), (loop, (names, bodies, *_)) in itertools.product(
+            engine._TEMPLATES.items(), engine._LOOPS.items()):
+        laws = engine._FORCE_LINES if loop == "closed" else (None,)
+        rows = (CHANNELS, SUMMARY_CHANNELS) if loop == "closed" else (names,)
+        for law, channels in itertools.product(laws, rows):
+            body = (bodies[method].replace("$force", engine._FORCE_LINES.get(law, ""))
+                    .replace("$state", ", ".join(names)))
+            yield (method, template, loop, law, channels, body,
+                   engine._kernel_source(method, loop, law, channels))
+
+
 def test_kernel_sources_have_no_power_operator_and_rk4_updates_no_division():
-    """No generated kernel, for any method, form, loop, force law or
-    channels, has a ``**`` (the interpreter's generic power; textbook cubes
-    and rk23's step factor call the bound ``math.pow``), and each stage of a
-    kernel is its form's body, expanded. The rk23 kernels inline the
-    unchanged textbook bodies, which begin with ``_PLANT_BODY``. Every kernel
-    of the reduced form, which rk4 takes, has no ``pow(`` and at most 5 ``/``
+    """No generated kernel, for any method, loop, force law or channels, has
+    a ``**`` (the interpreter's generic power; textbook cubes and rk23's step
+    factor call the bound ``math.pow``), and each stage of a kernel is the
+    body its loop keys by its template, expanded. The closed loop's rk23
+    kernels inline the unchanged textbook body, which begins with
+    ``_PLANT_BODY``. Every kernel of the reduced form, which the closed loop's
+    rk4 and every open-loop kernel take, has no ``pow(`` and at most 5 ``/``
     per stage, every other ``/`` being in the template's per-interval lines
     or the row's emit lines, and a stage calls no function but ``sqrt`` and
     the force law's ``tanh`` or ``f``: no libm function on rk4's dynamics
@@ -1384,53 +1455,40 @@ def test_kernel_sources_have_no_power_operator_and_rk4_updates_no_division():
         return hashlib.sha256(text.encode()).hexdigest()
 
     assert sha(engine._PLANT_BODY) == _TEXTBOOK_SHA256["plant"]
-    for loop, (_, bodies, *_) in engine._LOOPS.items():
-        assert bodies["textbook"].startswith(engine._PLANT_BODY), loop
-        assert sha(bodies["textbook"]) == _TEXTBOOK_SHA256[loop], loop
-    assert engine._FORMS == {"rk23": "textbook", "rk4": "reduced", "rhs": "textbook"}
-    for method, template in engine._TEMPLATES.items():
+    textbook = engine._LOOPS["closed"][1]["rk23"]
+    assert textbook.startswith(engine._PLANT_BODY)
+    assert sha(textbook) == _TEXTBOOK_SHA256["closed"]
+    for method, template, loop, law, channels, body, source in _kernel_sources():
+        source += "\n"
+        names, _, emit, expressions = engine._LOOPS[loop]
         stages = [m.groups() for m in map(functools.partial(re.fullmatch, engine._STAGE),
                                             template.splitlines()) if m]
-        forms = [engine._FORMS[method]] if method in engine.STEPPERS else ["textbook", "reduced"]
-        for form, (loop, (names, bodies, emit, expressions)) in itertools.product(
-                forms, engine._LOOPS.items()):
-            laws = engine._FORCE_LINES if loop == "closed" else (None,)
-            rows = (CHANNELS, SUMMARY_CHANNELS) if loop == "closed" else (names,)
-            for law, channels in itertools.product(laws, rows):
-                source = engine._kernel_source(template, loop, law, channels, form) + "\n"
-                assert "**" not in source, (method, form, loop, law)
-                body = (bodies[form].replace("$force", engine._FORCE_LINES.get(law, ""))
-                        .replace("$state", ", ".join(names)))
-                for pad, k, t, _ in stages:
-                    stage = body.replace("$t", t).replace("$k", k)
-                    assert "".join(f"{pad}{ln}\n" for ln in stage.splitlines()) in source, \
-                        (method, form, loop, law, k)
-                if form == "reduced":
-                    assert "pow(" not in source and body.count("/") <= 5, (method, loop, law)
-                    assert set(re.findall(r"(\w+)\(", body)) <= {"sqrt", "DomainError", "tanh", "f"}
-                    row = emit.count("/") + sum(expressions[name].count("/") for name in channels)
-                    assert source.count("/") == (template.count("/") + len(stages) * body.count("/")
-                                                 + template.count("$emit") * row), (method, loop)
-                if method == "rk4":
-                    updates = re.findall(r"^ *y\d+ = .*$", source, flags=re.M)
-                    assert len(updates) == len(names), (loop, updates)
-                    assert not any("/" in line for line in updates), updates
+        assert "**" not in source, (method, loop, law)
+        for pad, k, t, _ in stages:
+            stage = body.replace("$t", t).replace("$k", k)
+            assert "".join(f"{pad}{ln}\n" for ln in stage.splitlines()) in source, \
+                (method, loop, law, k)
+        if body.startswith(engine._REDUCED_PLANT_BODY):
+            assert "pow(" not in source and body.count("/") <= 5, (method, loop, law)
+            assert set(re.findall(r"(\w+)\(", body)) <= {"sqrt", "DomainError", "tanh", "f"}
+            row = emit.count("/") + sum(expressions[name].count("/") for name in channels)
+            assert source.count("/") == (template.count("/") + len(stages) * body.count("/")
+                                         + template.count("$emit") * row), (method, loop)
+        if method == "rk4":
+            updates = re.findall(r"^ *y\d+ = .*$", source, flags=re.M)
+            assert len(updates) == len(names), (loop, updates)
+            assert not any("/" in line for line in updates), updates
 
 
 def test_every_bound_constant_is_read_by_a_kernel(study):
     """Every name that ``_closed_kernel`` or ``_open_kernel`` binds is read by
-    at least one generated kernel source, across every template, form, loop,
-    force law and channel tuple: a body deleted with its form takes with it
-    the constants that only it read, or this fails."""
+    at least one generated kernel source, across every template, loop, force
+    law and channel tuple: a body deleted takes with it the constants that
+    only it read, or this fails."""
     read = set()
-    for template, (loop, (names, bodies, *_)) in itertools.product(engine._TEMPLATES.values(),
-                                                                   engine._LOOPS.items()):
-        laws = engine._FORCE_LINES if loop == "closed" else (None,)
-        rows = (CHANNELS, SUMMARY_CHANNELS) if loop == "closed" else (names,)
-        for form, law, channels in itertools.product(bodies, laws, rows):
-            tree = ast.parse(engine._kernel_source(template, loop, law, channels, form))
-            read |= {node.id for node in ast.walk(tree)
-                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for *_, source in _kernel_sources():
+        read |= {node.id for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     bound = set()
     for method in engine._TEMPLATES:
         bound |= set(engine._open_kernel(method, study.params, study.params.R).keywords)
@@ -1441,40 +1499,43 @@ def test_every_bound_constant_is_read_by_a_kernel(study):
 
 
 def test_engine_branches_on_no_form_outside_the_body_lookup():
-    """A form chooses nothing but the body that ``_kernel_source`` inlines. In
-    ``engine``, ``form`` is read only as ``bodies[form]``, as an argument of
-    ``_kernel_source`` or in a kernel's file name; ``_FORMS`` only as
-    ``_FORMS[method]``, an argument of ``_kernel_factory``; and a form's name
-    is written only as a key of a loop's bodies or a value of ``_FORMS``. So
-    no constant, template or other code can branch on the form."""
+    """A template chooses nothing of the right-hand side but the body that its
+    loop keys by it. The closed loop keys the textbook body by rk23 and the
+    one-stage template and the reduced body by rk4; the open loop keys its one
+    body, the reduced one, by every template. In ``engine`` a loop's bodies
+    are read only as ``bodies[method]``, and a body's name (``_PLANT_BODY``,
+    ``_REDUCED_PLANT_BODY``, ``_CLOSED_BODY``, ``_REDUCED_CLOSED_BODY``) only
+    where a body or ``_LOOPS`` is built. So no constant, template or other
+    code can branch on the form."""
+    closed, open_ = engine._LOOPS["closed"][1], engine._LOOPS["open"][1]
+    assert closed == {"rk23": engine._CLOSED_BODY, "rk4": engine._REDUCED_CLOSED_BODY,
+                      "rhs": engine._CLOSED_BODY}
+    assert list(open_) == list(engine._TEMPLATES) and len(set(open_.values())) == 1
+    assert open_["rhs"].startswith(engine._REDUCED_PLANT_BODY)
     tree = ast.parse(inspect.getsource(engine))
     parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-    forms = set(engine._FORMS.values())
+    names = {"_PLANT_BODY", "_REDUCED_PLANT_BODY", "_CLOSED_BODY", "_REDUCED_CLOSED_BODY"}
 
-    def allowed(node, up):
-        if isinstance(node, ast.Constant):
-            return isinstance(up, ast.Dict) and (node in up.keys or ast.unparse(
-                parent[up]).startswith("_FORMS = "))
-        if node.id == "_FORMS":
-            return (ast.unparse(up) == "_FORMS[method]" and isinstance(parent[up], ast.Call)
-                    and ast.unparse(parent[up].func) == "_kernel_factory")
-        return (isinstance(up, ast.Subscript) and ast.unparse(up) == "bodies[form]"
-                or isinstance(up, ast.Call) and ast.unparse(up.func) == "_kernel_source"
-                or isinstance(up, ast.FormattedValue))
+    def allowed(node):
+        if node.id == "bodies":
+            return ast.unparse(parent[node]) == "bodies[method]"
+        while node in parent and not isinstance(node, ast.Assign):
+            node = parent[node]
+        return isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in names | {"_LOOPS"}
 
     uses = [node for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id in ("form", "_FORMS")
-            and isinstance(node.ctx, ast.Load)
-            or isinstance(node, ast.Constant) and node.value in forms]
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id in names | {"bodies", "form", "_FORMS"}]
     assert len(uses) > 5
-    assert [ast.unparse(parent[node]) for node in uses if not allowed(node, parent[node])] == []
+    assert [ast.unparse(parent[node]) for node in uses if not allowed(node)] == []
 
 
 def test_open_loop_rhs_matches_reference(params):
-    """The open-loop right-hand side equals its reference form bit for bit at
-    sampled states across the admissible range, with damping."""
+    """The open-loop right-hand side equals its reference form, the reduced
+    one, bit for bit at sampled states across the admissible range, with
+    damping."""
     open_rhs = engine._open_kernel("rhs", params, params.R)
-    reference = _reference_open_field(params, params.R)
+    reference = _reference_reduced_open_field(params, params.R)
 
     lo, hi = params.geometry.position_bounds()
     rng = np.random.default_rng(17)
@@ -1633,11 +1694,10 @@ def test_each_kernel_compiles_once_per_process(study, monkeypatch):
         simulate_open_loop(study.params, PlantState(5e-4, 0.0, 2e4, 1e4), 0.01, rk4,
                            R_override=alpha)
     record, summary = ",".join(CHANNELS), ",".join(SUMMARY_CHANNELS)
-    kernels = ("rk23 textbook", "rk4 reduced")
     assert sorted(compiled) == sorted(
-        [f"<antago kernel {kernel} closed constant {channels}>"
-         for kernel in kernels for channels in (record, summary)]
-        + ["<antago kernel rk4 reduced open None x,p,P1,P2>"])
+        [f"<antago kernel {method} closed constant {channels}>"
+         for method in ("rk23", "rk4") for channels in (record, summary)]
+        + ["<antago kernel rk4 open None x,p,P1,P2>"])
 
 
 @pytest.mark.parametrize("method", [*engine.STEPPERS, "rhs"])
@@ -1681,7 +1741,7 @@ def test_last_emits_the_row_of_the_returned_state(study, method, force):
     grid = (0.0, 1e-3, 2e-3)
     if force is None:
         kernel = engine._open_kernel(method, study.params, study.params.R)
-        field = _reference_open_kernel_field(method, study.params, study.params.R)
+        field = _reference_reduced_open_field(study.params, study.params.R)
         y0 = (5e-4, 0.0, 2e4, 1e4)
     else:
         kernel = engine._closed_kernel(method, study.params, study.gains, force, 1e-3)

@@ -40,7 +40,7 @@ from antago.scenario_io import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from test_workers import _assert_reaped, _record_forks
+from forks import _assert_reaped, _record_forks
 
 PRESETS = ("fig2-F1", "fig2-F2", "fig2-F3", "multistep")
 
@@ -1087,8 +1087,8 @@ def _read_on_cores(read, source, cores, monkeypatch):
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_split_reader_reads_the_presets_as_one_call(fig2_runs, short_record, tmp_path,
-                                                    monkeypatch, cores):
+def test_csv_reader_reads_each_preset_in_one_loadtxt_call_with_no_fork(
+        fig2_runs, short_record, tmp_path, monkeypatch, cores):
     """The four presets' files, 630-690 kB, and the 68 kB short record's:
     from the file and from the text, on one core or two, the record equals
     the simulated one, read by one call of ``_read_rows`` with no fork."""
@@ -1104,8 +1104,8 @@ def test_split_reader_reads_the_presets_as_one_call(fig2_runs, short_record, tmp
             assert again.table.dtype == np.float64 and again.table.flags.c_contiguous
 
 
-def test_split_reader_names_a_bad_row_or_byte_in_the_childs_part(fig2_runs, tmp_path,
-                                                                  monkeypatch):
+def test_csv_reader_names_a_bad_row_by_its_line_or_a_bad_byte_with_no_fork(
+        fig2_runs, tmp_path, monkeypatch):
     """A bad row on line 1,800 or on the last line of the fig2-F1 file, and a
     Latin-1 byte on line 1,801, give the error, with no fork on one core or
     two: the row's line number, or the file named after one scan of its
@@ -1143,7 +1143,7 @@ def test_split_reader_names_a_bad_row_or_byte_in_the_childs_part(fig2_runs, tmp_
 
 @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\r\n\n\r"],
                          ids=["lf", "crlf", "cr", "blank-lf", "blank-crlf", "mixed"])
-def test_split_reader_cuts_only_after_a_line_feed(tmp_path, monkeypatch, ends):
+def test_csv_reader_reads_any_line_ending_in_one_loadtxt_call(tmp_path, monkeypatch, ends):
     """Rows whose lines end in "\\r\\n", in lone "\\r"s, or with blank lines
     between them read as the whole-text reference reads them, from the file
     and the text, on two cores, in one call of ``_read_rows`` and with no

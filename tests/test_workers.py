@@ -15,32 +15,11 @@ import antago
 from antago.verify import check_lyapunov
 from antago.errors import WorkerError
 from antago.workers import forked_ahead, forked_imap
+from forks import _assert_reaped, _record_forks
 
 
 def _cores(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
-
-
-def _record_forks(monkeypatch) -> list[int]:
-    """The pids of the children forked from here on."""
-    pids = []
-    fork = os.fork
-
-    def fork_and_record():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork_and_record)
-    return pids
-
-
-def _assert_reaped(pids):
-    assert pids
-    for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)   # a child not yet reaped would still exist, as a zombie
 
 
 def _item_and_pid(i):
